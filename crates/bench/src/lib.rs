@@ -2,7 +2,7 @@
 //!
 //! Benchmark support crate. The actual targets live in `benches/`:
 //!
-//! * `micro` — Criterion micro-benchmarks of the hot data structures
+//! * `micro` — std-only micro-benchmarks of the hot data structures
 //!   (event queue, FIFO, LBF classify, heavy-hitter cache, FQ-CoDel, AFQ,
 //!   water-filling) and whole small simulations per discipline;
 //! * `experiments` — the table/figure regeneration harness: one bench

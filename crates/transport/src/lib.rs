@@ -21,6 +21,7 @@
 pub mod cc;
 pub mod receiver;
 pub mod rtt;
+mod scoreboard;
 pub mod sender;
 
 pub use cc::{AckEvent, CcKind, CongestionControl, RateSample};

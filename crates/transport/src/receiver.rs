@@ -122,11 +122,14 @@ impl TcpReceiver {
     }
 
     fn insert_ooo(&mut self, mut start: u64, mut end: u64) {
-        // Merge with any overlapping/adjacent ranges.
+        // Merge with any overlapping/adjacent ranges. Ranges are disjoint,
+        // so those are the last few that begin at or below `end`: walk back
+        // from there rather than over every buffered range.
         let overlapping: Vec<u64> = self
             .ooo
             .range(..=end)
-            .filter(|(&s, &e)| e >= start && s <= end)
+            .rev()
+            .take_while(|(_, &e)| e >= start)
             .map(|(&s, _)| s)
             .collect();
         for s in overlapping {

@@ -6,20 +6,20 @@
 //! is disabled), RTO with exponential backoff and go-back-N, RTT sampling
 //! under Karn's rule, delivery-rate samples for BBR, optional pacing, and
 //! ECN reaction (once per window, RFC 3168 style). Window *policy* is
-//! delegated to the pluggable [`CongestionControl`].
+//! delegated to the pluggable [`CongestionControl`]; the per-segment
+//! SACK/loss state lives in the `scoreboard` module.
 //!
 //! The sender is callback-free: every entry point returns a [`TcpOutput`]
 //! describing packets to transmit and timer adjustments, which the engine
 //! applies. This keeps the state machine purely functional with respect to
 //! the simulator and directly unit-testable.
 
-use std::collections::BTreeMap;
-
 use cebinae_net::{Ecn, FlowId, Packet, SackBlocks, MSS};
 use cebinae_sim::{Duration, Time};
 
 use crate::cc::{AckEvent, CcKind, CongestionControl, RateSample};
 use crate::rtt::RttEstimator;
+use crate::scoreboard::{Scoreboard, SendStamp};
 
 /// Transport configuration for one flow.
 #[derive(Clone, Debug)]
@@ -93,91 +93,6 @@ pub struct TcpOutput {
     pub pace_at: Option<Time>,
 }
 
-/// Set of disjoint byte ranges already counted as delivered (SACK-time
-/// accounting that must survive go-back-N clears without double counting).
-#[derive(Debug, Default)]
-struct CountedRanges {
-    /// start -> end (exclusive), non-overlapping, non-adjacent-merged.
-    ranges: BTreeMap<u64, u64>,
-}
-
-impl CountedRanges {
-    /// Insert `[start, end)`; returns the number of bytes not previously
-    /// present.
-    fn insert(&mut self, start: u64, end: u64) -> u64 {
-        if start >= end {
-            return 0;
-        }
-        let covered = self.overlap(start, end);
-        let mut merged_start = start;
-        let mut merged_end = end;
-        let overlapping: Vec<u64> = self
-            .ranges
-            .range(..=end)
-            .filter(|(&s, &e)| e >= start && s <= end)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.ranges.remove(&s).expect("present");
-            merged_start = merged_start.min(s);
-            merged_end = merged_end.max(e);
-        }
-        self.ranges.insert(merged_start, merged_end);
-        (end - start) - covered
-    }
-
-    /// Bytes of `[start, end)` already present.
-    fn overlap(&self, start: u64, end: u64) -> u64 {
-        self.ranges
-            .range(..end)
-            .filter(|(_, &e)| e > start)
-            .map(|(&s, &e)| e.min(end) - s.max(start))
-            .sum()
-    }
-
-    /// Drop all state below `upto` (fully acknowledged).
-    fn prune(&mut self, upto: u64) {
-        let keys: Vec<u64> = self.ranges.range(..upto).map(|(&s, _)| s).collect();
-        for s in keys {
-            let e = self.ranges.remove(&s).expect("present");
-            if e > upto {
-                self.ranges.insert(upto, e);
-            }
-        }
-    }
-}
-
-/// Where an unacknowledged segment currently stands.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SegState {
-    /// Presumed in the network.
-    InFlight,
-    /// Selectively acknowledged: received, awaiting cumulative ACK.
-    Sacked,
-    /// Presumed lost (below `high_sacked`, never sacked); not yet
-    /// retransmitted.
-    Lost,
-}
-
-/// Metadata retained per unacknowledged segment.
-#[derive(Clone, Copy, Debug)]
-struct SegMeta {
-    len: u32,
-    retx: bool,
-    state: SegState,
-    /// `delivered` counter snapshot when this (re)transmission left,
-    /// for delivery-rate samples.
-    delivered_at_send: u64,
-    delivered_time_at_send: Time,
-    /// When this (re)transmission left.
-    sent_at: Time,
-    /// Snapshot of the flight's first-send time (Linux `first_tx_mstamp`):
-    /// the send-side interval of a rate sample, guarding against
-    /// ack-compression inflating delivery-rate estimates.
-    first_sent_at: Time,
-    app_limited: bool,
-}
-
 /// One TCP sender endpoint.
 pub struct TcpSender {
     flow: FlowId,
@@ -189,15 +104,8 @@ pub struct TcpSender {
     snd_una: u64,
     /// Next byte to send.
     snd_nxt: u64,
-    /// Unacknowledged segments keyed by starting sequence.
-    segs: BTreeMap<u64, SegMeta>,
-    /// Total bytes in `segs` (all states).
-    flight_bytes: u64,
-    /// Bytes in `segs` currently Sacked / Lost.
-    sacked_bytes: u64,
-    lost_bytes: u64,
-    /// Highest sequence selectively acknowledged.
-    high_sacked: u64,
+    /// Unacknowledged segments and the SACK/loss accounting over them.
+    sb: Scoreboard,
 
     dup_acks: u32,
     in_recovery: bool,
@@ -217,9 +125,6 @@ pub struct TcpSender {
     /// of buffered out-of-order data behind it.
     delivered: u64,
     delivered_time: Time,
-    /// Byte ranges above `snd_una` already counted into `delivered` (via
-    /// SACK); survives RTO clears so nothing is counted twice.
-    delivered_counted: CountedRanges,
 
     /// ECN: sequence before which further ECE signals are ignored
     /// (one reduction per window).
@@ -249,6 +154,7 @@ impl TcpSender {
         let init_cwnd = cfg.init_cwnd_segs as u64 * cfg.mss as u64;
         let cc = cfg.cc.build(cfg.mss, init_cwnd);
         let rtt = RttEstimator::new(cfg.rto_min, cfg.rto_max);
+        let sb = Scoreboard::new(cfg.mss);
         TcpSender {
             flow,
             cfg,
@@ -256,11 +162,7 @@ impl TcpSender {
             rtt,
             snd_una: 0,
             snd_nxt: 0,
-            segs: BTreeMap::new(),
-            flight_bytes: 0,
-            sacked_bytes: 0,
-            lost_bytes: 0,
-            high_sacked: 0,
+            sb,
             dup_acks: 0,
             in_recovery: false,
             recover: 0,
@@ -268,7 +170,6 @@ impl TcpSender {
             recovery_inflation: 0,
             delivered: 0,
             delivered_time: Time::ZERO,
-            delivered_counted: CountedRanges::default(),
             ecn_reacted_until: 0,
             rto_backoff: 0,
             next_send_time: Time::ZERO,
@@ -320,45 +221,31 @@ impl TcpSender {
         if newly_acked > 0 {
             self.rto_backoff = 0;
             // Remove fully-acked segments; remember the newest for the rate
-            // sample. Bytes already counted at SACK time (tracked in the
-            // dedup range set, which survives go-back-N) count only once.
-            let mut last_meta: Option<SegMeta> = None;
-            loop {
-                let Some((&seq, &meta)) = self.segs.iter().next() else {
-                    break;
-                };
-                if seq + meta.len as u64 > ack_seq {
-                    break;
-                }
-                self.segs.remove(&seq);
-                self.uncount(&meta);
-                last_meta = Some(meta);
-            }
-            let already = self.delivered_counted.overlap(self.snd_una, ack_seq);
-            self.delivered += (ack_seq - self.snd_una) - already;
-            self.delivered_counted.prune(ack_seq);
+            // sample. Bytes already counted at SACK time count only once.
+            let (fresh, newest) = self.sb.cum_ack(self.snd_una, ack_seq);
+            self.delivered += fresh;
             self.snd_una = ack_seq;
             self.delivered_time = now;
-            if let Some(m) = last_meta {
+            if let Some(m) = newest {
                 // tcp_rate semantics: the sample interval is the longer of
                 // the ack-side and send-side intervals, so burst deliveries
                 // of data that was *sent* over a long span cannot inflate
                 // the bandwidth estimate.
-                let ack_int = now.saturating_since(m.delivered_time_at_send);
-                let snd_int = m.sent_at.saturating_since(m.first_sent_at);
+                let ack_int = now.saturating_since(m.stamp.delivered_time);
+                let snd_int = m.stamp.sent_at.saturating_since(m.stamp.first_sent_at);
                 let elapsed = ack_int.max(snd_int);
-                self.first_sent_time = m.sent_at;
+                self.first_sent_time = m.stamp.sent_at;
                 // Karn's rule for rate samples: a retransmission-anchored
                 // sample attributes a whole healed chunk to a short
                 // interval, wildly inflating the bandwidth estimate.
                 if !m.retx && elapsed.as_nanos() > 0 {
                     rate_sample = Some(RateSample {
-                        delivery_rate: (self.delivered - m.delivered_at_send) as f64
+                        delivery_rate: (self.delivered - m.stamp.delivered) as f64
                             / elapsed.as_secs_f64(),
                         is_app_limited: m.app_limited,
                         delivered: newly_acked,
                         delivered_total: self.delivered,
-                        delivered_at_send: m.delivered_at_send,
+                        delivered_at_send: m.stamp.delivered,
                     });
                 }
             }
@@ -367,7 +254,10 @@ impl TcpSender {
         // SACK processing.
         let mut newly_lost = 0;
         if self.cfg.sack && !sack.is_empty() {
-            newly_lost = self.apply_sack(sack, now);
+            let reo_wnd = self.rtt.srtt().unwrap_or(Duration::from_millis(100));
+            let (fresh, lost) = self.sb.apply_sack(sack, self.snd_una, now, reo_wnd);
+            self.delivered += fresh;
+            newly_lost = lost;
         }
 
         if newly_acked > 0 {
@@ -386,7 +276,7 @@ impl TcpSender {
             } else {
                 self.dup_acks = 0;
             }
-        } else if ack_seq == self.snd_una && self.flight_bytes > 0 {
+        } else if ack_seq == self.snd_una && self.sb.flight() > 0 {
             // Duplicate ACK.
             self.dup_acks += 1;
             if self.in_recovery {
@@ -394,7 +284,7 @@ impl TcpSender {
                     // RFC 6582 inflation, bounded by the flight.
                     self.recovery_inflation = (self.recovery_inflation
                         + self.cfg.mss as u64)
-                        .min(self.flight_bytes);
+                        .min(self.sb.flight());
                 }
             } else if self.loss_detected() && self.snd_una >= self.rto_recover {
                 self.enter_recovery(now, &mut out);
@@ -412,7 +302,7 @@ impl TcpSender {
         // ECN reaction, once per window of data.
         if ece && self.cfg.ecn && self.snd_una >= self.ecn_reacted_until {
             self.ecn_reacted_until = self.snd_nxt;
-            self.cc.on_ecn(now, self.flight_bytes);
+            self.cc.on_ecn(now, self.sb.flight());
         }
 
         self.cc.on_ack(&AckEvent {
@@ -421,7 +311,7 @@ impl TcpSender {
             rtt: rtt_sample,
             min_rtt: self.rtt.min_rtt(),
             newly_lost,
-            flight: self.pipe(),
+            flight: self.sb.pipe(),
             in_recovery: self.in_recovery,
             rate: rate_sample,
             ece,
@@ -431,7 +321,7 @@ impl TcpSender {
         // RFC 6298 (5.3): restart the RTO only when new data is acked (or
         // everything is acked — cancel). Dup-ACKs must NOT push the timer,
         // or a lost retransmission could evade it forever.
-        if newly_acked > 0 || self.flight_bytes == 0 {
+        if newly_acked > 0 || self.sb.flight() == 0 {
             self.arm_rto(now, &mut out);
         }
         out
@@ -440,18 +330,14 @@ impl TcpSender {
     /// The retransmission timer fired.
     pub fn on_rto_timer(&mut self, now: Time) -> TcpOutput {
         let mut out = TcpOutput::default();
-        if !self.started || self.flight_bytes == 0 {
+        if !self.started || self.sb.flight() == 0 {
             return out;
         }
         self.rto_count += 1;
         // Go-back-N: everything outstanding is presumed lost.
         self.rto_recover = self.snd_nxt;
-        self.cc.on_rto(now, self.flight_bytes);
-        self.segs.clear();
-        self.flight_bytes = 0;
-        self.sacked_bytes = 0;
-        self.lost_bytes = 0;
-        self.high_sacked = self.snd_una;
+        self.cc.on_rto(now, self.sb.flight());
+        self.sb.clear(self.snd_una);
         self.snd_nxt = self.snd_una;
         self.dup_acks = 0;
         self.in_recovery = false;
@@ -476,83 +362,14 @@ impl TcpSender {
 
     // ----- internals -----
 
-    fn uncount(&mut self, meta: &SegMeta) {
-        self.flight_bytes -= meta.len as u64;
-        match meta.state {
-            SegState::Sacked => self.sacked_bytes -= meta.len as u64,
-            SegState::Lost => self.lost_bytes -= meta.len as u64,
-            SegState::InFlight => {}
-        }
-    }
-
-    /// Mark segments covered by the SACK blocks, then reclassify unsacked
-    /// segments below `high_sacked` as lost (RFC 6675's IsLost, with the
-    /// dup-threshold folded into the highest-sacked heuristic). Returns the
-    /// bytes newly marked lost.
-    fn apply_sack(&mut self, sack: &SackBlocks, now: Time) -> u64 {
-        for (start, end) in sack.iter() {
-            if end <= self.snd_una {
-                continue;
-            }
-            let mut newly_sacked = Vec::new();
-            for (&seq, meta) in self.segs.range(start..end) {
-                if seq + meta.len as u64 <= end && meta.state != SegState::Sacked {
-                    newly_sacked.push(seq);
-                }
-            }
-            for seq in newly_sacked {
-                let meta = self.segs.get_mut(&seq).expect("seg exists");
-                if meta.state == SegState::Lost {
-                    self.lost_bytes -= meta.len as u64;
-                }
-                meta.state = SegState::Sacked;
-                self.sacked_bytes += meta.len as u64;
-                let len = meta.len as u64;
-                // Linux tp->delivered semantics: SACKed data is delivered —
-                // but each byte only the first time it is ever seen.
-                self.delivered += self.delivered_counted.insert(seq, seq + len);
-            }
-            self.high_sacked = self.high_sacked.max(end);
-        }
-        // Loss marking: any never-retransmitted, unsacked segment wholly
-        // below high_sacked has been passed by later data. Retransmitted
-        // segments are re-marked RACK-style once a reordering window (~1
-        // SRTT) has elapsed since the retransmission — without this, a
-        // front hole whose retransmission is also dropped can only be
-        // recovered by an RTO.
-        let high = self.high_sacked;
-        let reo_wnd = self.rtt.srtt().unwrap_or(Duration::from_millis(100));
-        let mut newly_lost = 0u64;
-        for (&seq, meta) in self.segs.range_mut(..high) {
-            if seq + meta.len as u64 <= high && meta.state == SegState::InFlight {
-                let lost = if meta.retx {
-                    now.saturating_since(meta.sent_at) > reo_wnd
-                } else {
-                    true
-                };
-                if lost {
-                    meta.state = SegState::Lost;
-                    newly_lost += meta.len as u64;
-                }
-            }
-        }
-        self.lost_bytes += newly_lost;
-        newly_lost
-    }
-
-    /// Bytes believed to actually be in the network.
-    fn pipe(&self) -> u64 {
-        self.flight_bytes - self.sacked_bytes - self.lost_bytes
-    }
-
     fn loss_detected(&self) -> bool {
         if self.dup_acks >= self.cfg.dupack_threshold {
             return true;
         }
         if self.cfg.sack {
             // RFC 6675 entry condition: enough SACKed data above a hole.
-            return self.lost_bytes > 0
-                && self.sacked_bytes
+            return self.sb.lost_bytes() > 0
+                && self.sb.sacked_bytes()
                     >= (self.cfg.dupack_threshold as u64) * self.cfg.mss as u64;
         }
         false
@@ -563,18 +380,13 @@ impl TcpSender {
         self.recover = self.snd_nxt;
         // RFC 6582 initial inflation (non-SACK mode).
         self.recovery_inflation = 3 * self.cfg.mss as u64;
-        self.cc.on_loss(now, self.flight_bytes);
+        self.cc.on_loss(now, self.sb.flight());
         if !self.cfg.sack {
             self.retransmit_front(now, out);
-        } else if self.lost_bytes == 0 {
+        } else if self.sb.lost_bytes() == 0 {
             // Dup-ACK-triggered without SACK evidence: mark the front
             // segment lost so the pipe loop retransmits it.
-            if let Some(meta) = self.segs.get_mut(&self.snd_una) {
-                if meta.state == SegState::InFlight {
-                    meta.state = SegState::Lost;
-                    self.lost_bytes += meta.len as u64;
-                }
-            }
+            self.sb.mark_lost_at(self.snd_una);
         }
     }
 
@@ -588,20 +400,25 @@ impl TcpSender {
     /// Retransmit the segment at `snd_una` (non-SACK fast retransmit /
     /// partial-ACK path).
     fn retransmit_front(&mut self, now: Time, out: &mut TcpOutput) {
-        let delivered = self.delivered;
-        let delivered_time = self.delivered_time;
-        let first_sent = self.first_sent_time;
-        let Some(meta) = self.segs.get_mut(&self.snd_una) else {
+        let Some(len) = self.sb.restamp(self.snd_una, self.stamp(now)) else {
             return;
         };
-        meta.retx = true;
-        meta.delivered_at_send = delivered;
-        meta.delivered_time_at_send = delivered_time;
-        meta.sent_at = now;
-        meta.first_sent_at = first_sent;
-        let len = meta.len;
         self.retx_count += 1;
-        let mut pkt = Packet::data(self.flow, self.snd_una, len, true, now);
+        self.emit(self.snd_una, len, true, now, out);
+    }
+
+    /// What a segment leaving at `now` records for its rate sample.
+    fn stamp(&self, now: Time) -> SendStamp {
+        SendStamp {
+            delivered: self.delivered,
+            delivered_time: self.delivered_time,
+            sent_at: now,
+            first_sent_at: self.first_sent_time,
+        }
+    }
+
+    fn emit(&self, seq: u64, len: u32, is_retx: bool, now: Time, out: &mut TcpOutput) {
+        let mut pkt = Packet::data(self.flow, seq, len, is_retx, now);
         if self.cfg.ecn {
             pkt.ecn = Ecn::Capable;
         }
@@ -621,9 +438,9 @@ impl TcpSender {
     /// raw flight (non-SACK mode, where lost data cannot be distinguished).
     fn outstanding(&self) -> u64 {
         if self.cfg.sack {
-            self.pipe()
+            self.sb.pipe()
         } else {
-            self.flight_bytes
+            self.sb.flight()
         }
     }
 
@@ -637,13 +454,10 @@ impl TcpSender {
 
     /// First lost, not-yet-retransmitted segment (SACK mode).
     fn next_lost_seg(&self) -> Option<u64> {
-        if !self.cfg.sack || self.lost_bytes == 0 {
+        if !self.cfg.sack {
             return None;
         }
-        self.segs
-            .range(..self.high_sacked.max(self.snd_una + 1))
-            .find(|(_, m)| m.state == SegState::Lost)
-            .map(|(&seq, _)| seq)
+        self.sb.next_lost(self.snd_una)
     }
 
     fn maybe_send(&mut self, now: Time, out: &mut TcpOutput) {
@@ -663,7 +477,7 @@ impl TcpSender {
             }
             // Advertised-window cap on raw unacked bytes (bounds memory when
             // the pipe drains via SACK while a front hole persists).
-            if retx_seq.is_none() && self.flight_bytes + self.cfg.mss as u64 > self.cfg.rwnd {
+            if retx_seq.is_none() && self.sb.flight() + self.cfg.mss as u64 > self.cfg.rwnd {
                 break;
             }
             if let Some(rate) = pacing {
@@ -685,58 +499,26 @@ impl TcpSender {
                 }
             }
             if let Some(seq) = retx_seq {
-                let delivered = self.delivered;
-                let delivered_time = self.delivered_time;
-                let first_sent = self.first_sent_time;
-                let meta = self.segs.get_mut(&seq).expect("lost seg exists");
-                meta.state = SegState::InFlight;
-                meta.retx = true;
-                meta.delivered_at_send = delivered;
-                meta.delivered_time_at_send = delivered_time;
-                meta.sent_at = now;
-                meta.first_sent_at = first_sent;
-                self.lost_bytes -= meta.len as u64;
+                let len = self.sb.retransmit(seq, self.stamp(now));
                 self.retx_count += 1;
-                let len = meta.len;
-                let mut pkt = Packet::data(self.flow, seq, len, true, now);
-                if self.cfg.ecn {
-                    pkt.ecn = Ecn::Capable;
-                }
-                out.packets.push(pkt);
+                self.emit(seq, len, true, now, out);
                 continue;
             }
             // New data.
             let len = (remaining.min(self.cfg.mss as u64)) as u32; // det-ok: min() clamps to mss, which is u32
             let app_limited = remaining <= self.cfg.mss as u64 && self.cfg.app_bytes.is_some();
             let seq = self.snd_nxt;
-            if self.flight_bytes == 0 {
+            if self.sb.flight() == 0 {
                 self.first_sent_time = now;
             }
-            self.segs.insert(
-                seq,
-                SegMeta {
-                    len,
-                    retx: false,
-                    state: SegState::InFlight,
-                    delivered_at_send: self.delivered,
-                    delivered_time_at_send: self.delivered_time,
-                    sent_at: now,
-                    first_sent_at: self.first_sent_time,
-                    app_limited,
-                },
-            );
+            self.sb.push(seq, len, self.stamp(now), app_limited);
             self.snd_nxt += len as u64;
-            self.flight_bytes += len as u64;
-            let mut pkt = Packet::data(self.flow, seq, len, false, now);
-            if self.cfg.ecn {
-                pkt.ecn = Ecn::Capable;
-            }
-            out.packets.push(pkt);
+            self.emit(seq, len, false, now, out);
         }
     }
 
     fn arm_rto(&mut self, now: Time, out: &mut TcpOutput) {
-        if self.flight_bytes == 0 {
+        if self.sb.flight() == 0 {
             out.rto = Some(TimerAction::Cancel);
         } else {
             let rto = Duration(self.rtt.rto().as_nanos() << self.rto_backoff)
@@ -756,7 +538,7 @@ impl TcpSender {
     }
 
     pub fn flight(&self) -> u64 {
-        self.flight_bytes
+        self.sb.flight()
     }
 
     pub fn delivered(&self) -> u64 {
@@ -793,7 +575,7 @@ impl TcpSender {
     pub fn telemetry_snapshot(&self) -> SenderSnapshot {
         SenderSnapshot {
             cwnd: self.cc.cwnd(),
-            flight: self.flight_bytes,
+            flight: self.sb.flight(),
             in_recovery: self.in_recovery,
             retx: self.retx_count,
             rto: self.rto_count,
@@ -845,30 +627,38 @@ mod tests {
         SackBlocks([Some((start, end)), None, None])
     }
 
-    #[test]
-    fn counted_ranges_dedup_and_merge() {
-        let mut r = CountedRanges::default();
-        assert_eq!(r.insert(0, 100), 100);
-        assert_eq!(r.insert(0, 100), 0, "exact duplicate");
-        assert_eq!(r.insert(50, 150), 50, "half overlap");
-        assert_eq!(r.insert(200, 300), 100, "disjoint");
-        assert_eq!(r.overlap(0, 400), 250);
-        // Merge across: [150,200) bridges the two ranges.
-        assert_eq!(r.insert(100, 250), 50);
-        assert_eq!(r.ranges.len(), 1);
-        assert_eq!(r.overlap(0, 400), 300);
+    /// The scoreboard's invariants, plus the two that span calls:
+    /// `delivered` never goes back, and nothing SACKed is retransmitted.
+    fn check(s: &TcpSender, delivered_before: u64, out: &TcpOutput) {
+        s.sb.check_invariants(s.cfg.sack);
+        assert!(s.delivered >= delivered_before, "delivered went backwards");
+        for (seq, is_retx) in out.packets.iter().map(data_seq) {
+            assert!(!(is_retx && s.sb.is_sacked(seq)), "retransmitted SACKed segment {seq}");
+        }
     }
 
-    #[test]
-    fn counted_ranges_prune() {
-        let mut r = CountedRanges::default();
-        r.insert(0, 100);
-        r.insert(200, 300);
-        r.prune(250);
-        assert_eq!(r.overlap(0, 1000), 50);
-        assert_eq!(r.overlap(250, 300), 50);
-        r.prune(1000);
-        assert_eq!(r.overlap(0, u64::MAX / 2), 0);
+    /// `on_ack`, then [`check`].
+    fn ack(
+        s: &mut TcpSender,
+        ack_seq: u64,
+        ece: bool,
+        echo_ts: Time,
+        echo_retx: bool,
+        sack: &SackBlocks,
+        now: Time,
+    ) -> TcpOutput {
+        let before = s.delivered;
+        let out = s.on_ack(ack_seq, ece, echo_ts, echo_retx, sack, now);
+        check(s, before, &out);
+        out
+    }
+
+    /// `on_rto_timer`, then [`check`].
+    fn rto(s: &mut TcpSender, now: Time) -> TcpOutput {
+        let before = s.delivered;
+        let out = s.on_rto_timer(now);
+        check(s, before, &out);
+        out
     }
 
     #[test]
@@ -880,13 +670,13 @@ mod tests {
         let mut s = sender(CcKind::NewReno);
         s.start(Time::from_millis(1));
         // SACK segments 2..5 (3 segs counted via SACK).
-        s.on_ack(0, false, Time::ZERO, false, &sack1(2 * m, 5 * m), Time::from_millis(20));
+        ack(&mut s, 0, false, Time::ZERO, false, &sack1(2 * m, 5 * m), Time::from_millis(20));
         let after_sack = s.delivered();
         assert_eq!(after_sack, 3 * m);
         // RTO clears everything.
-        s.on_rto_timer(Time::from_secs(1));
+        rto(&mut s, Time::from_secs(1));
         // Cumulative ack to 5 segs: only segs 0,1 are new bytes.
-        s.on_ack(5 * m, false, Time::ZERO, false, NOSACK, Time::from_secs(1) + Duration::from_millis(20));
+        ack(&mut s, 5 * m, false, Time::ZERO, false, NOSACK, Time::from_secs(1) + Duration::from_millis(20));
         assert_eq!(s.delivered(), 5 * m, "each byte counted exactly once");
     }
 
@@ -907,7 +697,7 @@ mod tests {
         let mut s = sender(CcKind::NewReno);
         s.start(Time::from_millis(1));
         let now = Time::from_millis(21);
-        let out = s.on_ack(MSS as u64, false, Time::from_millis(1), false, NOSACK, now);
+        let out = ack(&mut s, MSS as u64, false, Time::from_millis(1), false, NOSACK, now);
         assert_eq!(out.packets.len(), 2, "slow start releases 2 per ack");
         assert_eq!(s.delivered(), MSS as u64);
         assert_eq!(s.srtt(), Some(Duration::from_millis(20)));
@@ -920,7 +710,7 @@ mod tests {
         let mut retx = Vec::new();
         for i in 0..5 {
             let now = Time::from_millis(20 + i);
-            let out = s.on_ack(0, false, Time::ZERO, true, NOSACK, now);
+            let out = ack(&mut s, 0, false, Time::ZERO, true, NOSACK, now);
             retx.extend(
                 out.packets
                     .iter()
@@ -937,10 +727,10 @@ mod tests {
         let mut s = sender_nosack(CcKind::NewReno);
         s.start(Time::from_millis(1));
         for i in 0..3 {
-            s.on_ack(0, false, Time::ZERO, true, NOSACK, Time::from_millis(20 + i));
+            ack(&mut s, 0, false, Time::ZERO, true, NOSACK, Time::from_millis(20 + i));
         }
         assert!(s.in_recovery());
-        let out = s.on_ack(MSS as u64, false, Time::ZERO, true, NOSACK, Time::from_millis(30));
+        let out = ack(&mut s, MSS as u64, false, Time::ZERO, true, NOSACK, Time::from_millis(30));
         let retx: Vec<_> = out
             .packets
             .iter()
@@ -959,7 +749,7 @@ mod tests {
         let m = MSS as u64;
         let mut retx = Vec::new();
         for i in 1..5u64 {
-            let out = s.on_ack(
+            let out = ack(&mut s, 
                 0,
                 false,
                 Time::ZERO,
@@ -981,7 +771,7 @@ mod tests {
         // Segments 0..10 outstanding; receiver got 3, 5, and 7..10 only.
         let blocks =
             SackBlocks([Some((3 * m, 4 * m)), Some((5 * m, 6 * m)), Some((7 * m, 10 * m))]);
-        let out = s.on_ack(0, false, Time::ZERO, false, &blocks, Time::from_millis(21));
+        let out = ack(&mut s, 0, false, Time::ZERO, false, &blocks, Time::from_millis(21));
         let retx: Vec<_> = out
             .packets
             .iter()
@@ -1025,10 +815,10 @@ mod tests {
                     dropped += 1;
                     continue;
                 }
-                let ack = r.on_data(&pkt, now);
-                let PacketKind::Ack { ack_seq, ece, echo_ts, echo_retx, sack } = ack.kind
+                let PacketKind::Ack { ack_seq, ece, echo_ts, echo_retx, sack } =
+                    r.on_data(&pkt, now).kind
                 else { unreachable!() };
-                let out = s.on_ack(ack_seq, ece, echo_ts, echo_retx, &sack, now);
+                let out = ack(&mut s, ack_seq, ece, echo_ts, echo_retx, &sack, now);
                 net.extend(out.packets);
                 match out.rto {
                     Some(TimerAction::Set(t)) => rto_at = Some(t),
@@ -1041,7 +831,7 @@ mod tests {
             } else if let Some(t) = rto_at {
                 now = now.max(t);
                 rto_fired = true;
-                let out = s.on_rto_timer(now);
+                let out = rto(&mut s, now);
                 net.extend(out.packets);
                 match out.rto {
                     Some(TimerAction::Set(t)) => rto_at = Some(t),
@@ -1069,7 +859,7 @@ mod tests {
         s.start(Time::from_millis(1));
         let m = MSS as u64;
         for i in 1..5u64 {
-            s.on_ack(
+            ack(&mut s, 
                 0,
                 false,
                 Time::ZERO,
@@ -1080,7 +870,7 @@ mod tests {
         }
         assert!(s.in_recovery());
         let recover_point = s.recover;
-        s.on_ack(recover_point, false, Time::ZERO, false, NOSACK, Time::from_millis(40));
+        ack(&mut s, recover_point, false, Time::ZERO, false, NOSACK, Time::from_millis(40));
         assert!(!s.in_recovery());
     }
 
@@ -1089,7 +879,7 @@ mod tests {
         let mut s = sender(CcKind::NewReno);
         s.start(Time::from_millis(1));
         assert!(s.flight() > 0);
-        let out = s.on_rto_timer(Time::from_secs(2));
+        let out = rto(&mut s, Time::from_secs(2));
         assert_eq!(out.packets.len(), 1);
         assert_eq!(data_seq(&out.packets[0]).0, 0);
         assert_eq!(s.flight(), MSS as u64);
@@ -1100,10 +890,10 @@ mod tests {
     fn rto_backoff_doubles() {
         let mut s = sender(CcKind::NewReno);
         s.start(Time::from_millis(1));
-        let out1 = s.on_rto_timer(Time::from_secs(1));
+        let out1 = rto(&mut s, Time::from_secs(1));
         let Some(TimerAction::Set(t1)) = out1.rto else { panic!() };
         let d1 = t1.saturating_since(Time::from_secs(1));
-        let out2 = s.on_rto_timer(Time::from_secs(10));
+        let out2 = rto(&mut s, Time::from_secs(10));
         let Some(TimerAction::Set(t2)) = out2.rto else { panic!() };
         let d2 = t2.saturating_since(Time::from_secs(10));
         assert_eq!(d2.as_nanos(), d1.as_nanos() * 2);
@@ -1118,7 +908,7 @@ mod tests {
         assert_eq!(out.packets.len(), 4, "3 full + 1 partial segment");
         assert_eq!(out.packets[3].payload_bytes(), 100);
         let fin = 3 * MSS as u64 + 100;
-        let out = s.on_ack(fin, false, Time::from_millis(1), false, NOSACK, Time::from_millis(10));
+        let out = ack(&mut s, fin, false, Time::from_millis(1), false, NOSACK, Time::from_millis(10));
         assert!(s.is_complete());
         assert!(out.packets.is_empty());
         assert_eq!(out.rto, Some(TimerAction::Cancel));
@@ -1128,7 +918,7 @@ mod tests {
     fn karn_rule_skips_retx_samples() {
         let mut s = sender(CcKind::NewReno);
         s.start(Time::from_millis(1));
-        s.on_ack(MSS as u64, false, Time::ZERO, true, NOSACK, Time::from_millis(500));
+        ack(&mut s, MSS as u64, false, Time::ZERO, true, NOSACK, Time::from_millis(500));
         assert_eq!(s.srtt(), None, "retx-triggered ACK must not sample RTT");
     }
 
@@ -1139,10 +929,10 @@ mod tests {
         let mut s = TcpSender::new(FlowId(0), cfg);
         s.start(Time::from_millis(1));
         let w0 = s.cwnd();
-        s.on_ack(MSS as u64, true, Time::from_millis(1), false, NOSACK, Time::from_millis(20));
+        ack(&mut s, MSS as u64, true, Time::from_millis(1), false, NOSACK, Time::from_millis(20));
         let w1 = s.cwnd();
         assert!(w1 < w0, "ECE must reduce cwnd");
-        s.on_ack(2 * MSS as u64, true, Time::from_millis(1), false, NOSACK, Time::from_millis(21));
+        ack(&mut s, 2 * MSS as u64, true, Time::from_millis(1), false, NOSACK, Time::from_millis(21));
         assert!(s.cwnd() >= w1, "second ECE in-window must not reduce again");
     }
 
@@ -1157,7 +947,7 @@ mod tests {
         for _ in 0..200 {
             now += Duration::from_millis(5);
             acked += MSS as u64;
-            let out = s.on_ack(acked, false, now - Duration::from_millis(5), false, NOSACK, now);
+            let out = ack(&mut s, acked, false, now - Duration::from_millis(5), false, NOSACK, now);
             saw_pace |= out.pace_at.is_some();
         }
         assert!(saw_pace, "BBR should eventually request pacing wakeups");
@@ -1165,33 +955,17 @@ mod tests {
 
     #[test]
     fn accounting_invariants_hold() {
+        // Mixed clean acks and sacks, half of them landing mid-segment;
+        // `ack` checks the scoreboard after every one.
         let mut s = sender(CcKind::Cubic);
         s.start(Time::from_millis(1));
         let m = MSS as u64;
         let mut now = Time::from_millis(1);
-        // Mixed clean acks and sacks.
         for i in 0..50u64 {
             now += Duration::from_millis(10);
-            let ack = i * m / 2;
-            let sack = sack1(ack + 2 * m, ack + 3 * m);
-            s.on_ack(ack, false, now - Duration::from_millis(10), false, &sack, now);
-            let by_state: u64 = s.segs.values().map(|m| m.len as u64).sum();
-            assert_eq!(s.flight(), by_state);
-            let sacked: u64 = s
-                .segs
-                .values()
-                .filter(|m| m.state == SegState::Sacked)
-                .map(|m| m.len as u64)
-                .sum();
-            assert_eq!(s.sacked_bytes, sacked);
-            let lost: u64 = s
-                .segs
-                .values()
-                .filter(|m| m.state == SegState::Lost)
-                .map(|m| m.len as u64)
-                .sum();
-            assert_eq!(s.lost_bytes, lost);
-            assert!(s.pipe() <= s.flight());
+            let ack_seq = i * m / 2;
+            let sack = sack1(ack_seq + 2 * m, ack_seq + 3 * m);
+            ack(&mut s, ack_seq, false, now - Duration::from_millis(10), false, &sack, now);
         }
     }
 
@@ -1203,7 +977,7 @@ mod tests {
         let blocks = SackBlocks([Some((m, 4 * m)), None, None]);
         let mut retx = Vec::new();
         for i in 0..6 {
-            let out = s.on_ack(0, false, Time::ZERO, false, &blocks, Time::from_millis(20 + i));
+            let out = ack(&mut s, 0, false, Time::ZERO, false, &blocks, Time::from_millis(20 + i));
             retx.extend(out.packets.iter().filter(|p| data_seq(p).1).map(|p| data_seq(p).0));
         }
         for seq in &retx {

@@ -1,0 +1,376 @@
+//! Behaviour pin for the TCP endpoints: `TcpSender`/`TcpReceiver` pairs
+//! driven through a seeded lossy, reordering, duplicating pipe, with the
+//! whole `TcpOutput` stream fingerprinted.
+//!
+//! The engine-level digests (check corpus, `identity_snapshot`) only see
+//! what the sender does on the paper's scenarios. This drives the sender
+//! through what those rarely reach — flights of 12 000 segments with
+//! hundreds of holes, ACK loss and reordering, spurious RTOs whose late
+//! ACKs overtake the rewound `snd_nxt`, back-to-back RTOs — and hashes
+//! every packet, timer action and counter it produces. The expected
+//! values were captured on the `BTreeMap` scoreboard (the commit before
+//! `crates/transport/src/scoreboard.rs` existed); a change to the
+//! scoreboard's data structures must leave every one of them alone.
+
+use std::collections::BTreeMap;
+
+use cebinae_repro::net::{Ecn, FlowId, Packet, PacketKind, MSS};
+use cebinae_repro::sim::rng::DetRng;
+use cebinae_repro::sim::{Duration, Time};
+use cebinae_repro::transport::{
+    CcKind, TcpConfig, TcpOutput, TcpReceiver, TcpSender, TimerAction,
+};
+
+/// One-way delay of the pipe: a 20 ms RTT.
+const ONE_WAY: Duration = Duration(10_000_000);
+const RTT_NS: u64 = 2 * ONE_WAY.0;
+
+/// Sender calls after which a session stops wherever its timeline is. Only
+/// SACK-mode BBR at 12 000 segments gets here (it holds the window full
+/// through every clean stretch): it stops after the blackout's RTOs and
+/// the second lossy span.
+const MAX_CALLS: u64 = 400_000;
+
+/// FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// What the pipe does to traffic sent at a given instant.
+#[derive(Clone, Copy, Default)]
+struct Weather {
+    data_loss: f64,
+    ack_loss: f64,
+    /// Probability a packet (either way) is held back by up to one RTT.
+    reorder: f64,
+    dup: f64,
+    /// Probability a data packet arrives CE-marked.
+    ce: f64,
+    /// Extra delay on everything sent now (a spurious-RTO maker).
+    spike: Duration,
+}
+
+/// Lengths, in RTTs, of the timeline's stretches for one window size.
+#[derive(Clone, Copy)]
+struct Timeline {
+    /// Clean RTTs that let slow start reach the window.
+    ramp: u64,
+    /// Length of each lossy span.
+    span: u64,
+}
+
+impl Timeline {
+    /// Enough ACKs at small windows to see many recoveries, few enough at
+    /// 12 000 segments that an unoptimised build finishes.
+    fn for_window(window_segs: u64) -> Timeline {
+        match window_segs {
+            0..=64 => Timeline { ramp: 4, span: 60 },
+            65..=2048 => Timeline { ramp: 10, span: 20 },
+            _ => Timeline { ramp: 14, span: 6 },
+        }
+    }
+
+    /// RTTs until the last lossy span ends.
+    fn rtts(self) -> u64 {
+        self.ramp + self.span + 25 + (25 + self.ramp) + self.span + 1 + (20 + self.ramp) + self.span
+    }
+}
+
+/// The timeline, in RTTs since the start: clean ramp-ups separate three
+/// lossy spans, a delay spike and a data blackout. An RTO needs 10 RTTs of
+/// silence (`rto_min` is 200 ms), so the spike and the blackout are that
+/// long whatever the window.
+fn weather(rtt_index: u64, Timeline { ramp, span }: Timeline) -> Weather {
+    let mut at = ramp;
+    let mut within = |len: u64| {
+        let hit = (at..at + len).contains(&rtt_index);
+        at += len;
+        hit
+    };
+    let clean = Weather::default();
+    if within(span) {
+        // The t2r14_fifo regime: one in ten segments dropped.
+        return Weather { data_loss: 0.10, reorder: 0.01, ..clean };
+    }
+    if within(25) {
+        // Blackout: two RTOs with backoff (200 ms, then 400 ms).
+        return Weather { data_loss: 1.0, ..clean };
+    }
+    if within(25 + ramp) {
+        return clean;
+    }
+    if within(span) {
+        return Weather {
+            data_loss: 0.03,
+            ack_loss: 0.01,
+            reorder: 0.02,
+            dup: 0.01,
+            ce: 1.0 / 64.0,
+            ..clean
+        };
+    }
+    if within(1) {
+        // One RTT of traffic arrives 350 ms late: the sender times out,
+        // goes back N, and is then overtaken by ACKs for the old flight.
+        return Weather { spike: Duration::from_millis(350), ..clean };
+    }
+    if within(20 + ramp) {
+        return clean;
+    }
+    if within(span) {
+        return Weather { data_loss: 0.02, ack_loss: 0.20, reorder: 0.10, dup: 0.05, ..clean };
+    }
+    clean
+}
+
+struct Session {
+    sender: TcpSender,
+    receiver: TcpReceiver,
+    rng: DetRng,
+    /// Packets in the pipe, by arrival time then send order.
+    pipe: BTreeMap<(u64, u64), Packet>,
+    sent: u64,
+    rto_at: Option<Time>,
+    pace_at: Option<Time>,
+    timeline: Timeline,
+    hash: Fnv,
+    calls: u64,
+    max_flight: u64,
+}
+
+impl Session {
+    fn new(cc: CcKind, window_segs: u64, sack: bool, seed: u64) -> Session {
+        let mut cfg = TcpConfig::with_cc(cc);
+        cfg.rwnd = window_segs * u64::from(MSS);
+        cfg.sack = sack;
+        cfg.ecn = true;
+        let flow = FlowId(0);
+        let mut receiver = TcpReceiver::new(flow);
+        receiver.sack = sack;
+        Session {
+            sender: TcpSender::new(flow, cfg),
+            receiver,
+            rng: DetRng::seed_from_u64(seed),
+            pipe: BTreeMap::new(),
+            sent: 0,
+            rto_at: None,
+            pace_at: None,
+            timeline: Timeline::for_window(window_segs),
+            hash: Fnv::new(),
+            calls: 0,
+            max_flight: 0,
+        }
+    }
+
+    /// Put `pkt`, sent at `now`, into the pipe under the current weather.
+    fn launch(&mut self, pkt: &Packet, now: Time) {
+        let w = weather(now.as_nanos() / RTT_NS, self.timeline);
+        let mut pkt = pkt.clone();
+        let loss = if pkt.is_data() {
+            if self.rng.gen_bool(w.ce) {
+                pkt.ecn = Ecn::CongestionExperienced;
+            }
+            w.data_loss
+        } else {
+            w.ack_loss
+        };
+        if self.rng.gen_bool(loss) {
+            return;
+        }
+        let copies = if self.rng.gen_bool(w.dup) { 2 } else { 1 };
+        for _ in 0..copies {
+            let mut delay = ONE_WAY.0 + w.spike.0;
+            if self.rng.gen_bool(w.reorder) {
+                delay += self.rng.gen_range_u64(0, RTT_NS);
+            }
+            self.sent += 1;
+            self.pipe.insert((now.as_nanos() + delay, self.sent), pkt.clone());
+        }
+    }
+
+    /// Fingerprint one sender call and act on what it asked for.
+    fn absorb(&mut self, tag: u64, out: TcpOutput, now: Time) {
+        self.calls += 1;
+        self.hash.word(tag);
+        self.hash.word(now.as_nanos());
+        self.hash.word(out.packets.len() as u64);
+        for pkt in &out.packets {
+            let PacketKind::Data { seq, is_retx } = pkt.kind else {
+                panic!("senders emit data");
+            };
+            self.hash.word(seq);
+            self.hash.word(u64::from(is_retx));
+            self.hash.word(u64::from(pkt.size));
+            self.hash.word(u64::from(pkt.ecn == Ecn::Capable));
+            self.hash.word(pkt.sent_at.as_nanos());
+        }
+        match out.rto {
+            None => self.hash.word(0),
+            Some(TimerAction::Cancel) => {
+                self.hash.word(1);
+                self.rto_at = None;
+            }
+            Some(TimerAction::Set(t)) => {
+                self.hash.word(2);
+                self.hash.word(t.as_nanos());
+                self.rto_at = Some(t);
+            }
+        }
+        match out.pace_at {
+            None => self.hash.word(0),
+            Some(t) => {
+                self.hash.word(1);
+                self.hash.word(t.as_nanos());
+                self.pace_at = Some(t);
+            }
+        }
+        let s = &self.sender;
+        for w in [
+            s.delivered(),
+            s.retx_count,
+            s.rto_count,
+            s.flight(),
+            s.cwnd(),
+            u64::from(s.in_recovery()),
+            s.srtt().map_or(0, |d| d.as_nanos()),
+        ] {
+            self.hash.word(w);
+        }
+        self.max_flight = self.max_flight.max(s.flight() / u64::from(MSS));
+        for pkt in &out.packets {
+            self.launch(pkt, now);
+        }
+    }
+
+    /// Run the timeline and `tail` clean RTTs after it.
+    fn run(&mut self, tail: u64) {
+        let end = (self.timeline.rtts() + tail) * RTT_NS;
+        let out = self.sender.start(Time::ZERO);
+        self.absorb(1, out, Time::ZERO);
+        loop {
+            let arrival = self.pipe.first_key_value().map(|(&(t, _), _)| t);
+            // Earliest of: a packet arriving, the pacer, the RTO (ties in
+            // that order).
+            let timers = [arrival, self.pace_at.map(Time::as_nanos), self.rto_at.map(Time::as_nanos)];
+            let Some((which, at)) = timers
+                .iter()
+                .enumerate()
+                .filter_map(|(i, t)| t.map(|t| (i, t)))
+                .min_by_key(|&(i, t)| (t, i))
+            else {
+                break;
+            };
+            if at >= end || self.calls >= MAX_CALLS {
+                break;
+            }
+            let now = Time(at);
+            match which {
+                0 => {
+                    let (_, pkt) = self.pipe.pop_first().expect("peeked");
+                    self.deliver(&pkt, now);
+                }
+                1 => {
+                    self.pace_at = None;
+                    let out = self.sender.on_pace_timer(now);
+                    self.absorb(3, out, now);
+                }
+                _ => {
+                    self.rto_at = None;
+                    let out = self.sender.on_rto_timer(now);
+                    self.absorb(4, out, now);
+                }
+            }
+        }
+    }
+
+    fn deliver(&mut self, pkt: &Packet, now: Time) {
+        match pkt.kind {
+            PacketKind::Data { .. } => {
+                let ack = self.receiver.on_data(pkt, now);
+                self.launch(&ack, now);
+            }
+            PacketKind::Ack { ack_seq, ece, echo_ts, echo_retx, sack } => {
+                let out = self.sender.on_ack(ack_seq, ece, echo_ts, echo_retx, &sack, now);
+                self.absorb(2, out, now);
+            }
+        }
+    }
+}
+
+struct Case {
+    cc: CcKind,
+    window_segs: u64,
+    sack: bool,
+    fingerprint: u64,
+}
+
+const fn case(cc: CcKind, window_segs: u64, sack: bool, fingerprint: u64) -> Case {
+    Case { cc, window_segs, sack, fingerprint }
+}
+
+const CASES: [Case; 18] = [
+    case(CcKind::NewReno, 16, true, 0x8329be6efdb278a2),
+    case(CcKind::NewReno, 16, false, 0x8a833cfd7ff5fed1),
+    case(CcKind::NewReno, 1024, true, 0xd5faf5d07327ee93),
+    case(CcKind::NewReno, 1024, false, 0x7b704a16a7f19285),
+    case(CcKind::NewReno, 12_000, true, 0x687a5f1317ffa894),
+    case(CcKind::NewReno, 12_000, false, 0xd076a2d601722ec5),
+    case(CcKind::Cubic, 16, true, 0xb130f61272950db4),
+    case(CcKind::Cubic, 16, false, 0x9814f50de94cb2fd),
+    case(CcKind::Cubic, 1024, true, 0xdf91f13a7b97aea2),
+    case(CcKind::Cubic, 1024, false, 0x7448c100d8005440),
+    case(CcKind::Cubic, 12_000, true, 0xa5693e17e159a65a),
+    case(CcKind::Cubic, 12_000, false, 0xeb876a6a96820f5d),
+    case(CcKind::Bbr, 16, true, 0x0d69f9963cb74b0d),
+    case(CcKind::Bbr, 16, false, 0x601f93f65c183431),
+    case(CcKind::Bbr, 1024, true, 0x0a3e99aa50e0e2f4),
+    case(CcKind::Bbr, 1024, false, 0x766d4a8abcffcf3e),
+    case(CcKind::Bbr, 12_000, true, 0xc1e9ec774902eebb),
+    case(CcKind::Bbr, 12_000, false, 0xe300da08e87f3049),
+];
+
+fn run_case(index: usize, c: &Case) -> Session {
+    let mut s = Session::new(c.cc, c.window_segs, c.sack, 0xceb1 + index as u64);
+    s.run(2);
+    s
+}
+
+/// One test, so each session runs once: every fingerprint must match, and
+/// — the pin is only worth something if the sessions reach the states the
+/// scoreboard is built for — every session must have filled its window,
+/// repaired losses and taken the forced RTOs.
+#[test]
+fn sender_transcripts_match_the_recorded_fingerprints() {
+    let mut wrong = Vec::new();
+    for (i, c) in CASES.iter().enumerate() {
+        let s = run_case(i, c);
+        let label = format!("{:?}/{}/sack={}", c.cc, c.window_segs, c.sack);
+        assert!(s.sender.rto_count >= 2, "{label}: forced RTOs must fire");
+        assert!(s.sender.retx_count > 0, "{label}: losses must be repaired");
+        assert!(
+            s.max_flight * 10 >= c.window_segs * 9,
+            "{label}: flight {} never filled the {}-segment window",
+            s.max_flight,
+            c.window_segs
+        );
+        assert!(s.receiver.delivered() > 0 && s.receiver.dup_pkts > 0, "{label}");
+        if s.hash.0 != c.fingerprint {
+            wrong.push(format!(
+                "    case(CcKind::{:?}, {}, {}, {:#018x}), // calls {} retx {} rto {}",
+                c.cc, c.window_segs, c.sack, s.hash.0, s.calls, s.sender.retx_count, s.sender.rto_count,
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "sender behaviour moved; measured:\n{}", wrong.join("\n"));
+}
