@@ -38,8 +38,8 @@ use shrink::Overrides;
 /// symmetric scenarios (judged at campaign level, see
 /// [`oracle::check_fairness_mean`]), and the total simulator events
 /// processed across every run the check performed (the invariant run
-/// plus, on symmetric seeds, the fairness pair) — the work count the
-/// bench reports as events per second.
+/// plus, on symmetric seeds, the fairness pair) — compared across
+/// scheduler backends and engine versions by the identity tests.
 pub fn check_scenario(
     sc: &GenScenario,
 ) -> (Vec<Violation>, Option<FairnessSample>, u64) {
@@ -90,7 +90,7 @@ pub fn check_scenario(
 /// Check one seed with overrides (the replay path), shrinking on failure.
 pub fn check_seed(seed: u64, overrides: Overrides) -> SeedOutcome {
     let sc = overrides.realize(seed);
-    let (violations, fairness, events) = check_scenario(&sc);
+    let (violations, fairness, _events) = check_scenario(&sc);
     let shrunk = if violations.is_empty() {
         None
     } else {
@@ -106,7 +106,6 @@ pub fn check_seed(seed: u64, overrides: Overrides) -> SeedOutcome {
         violations,
         shrunk,
         fairness,
-        events,
     }
 }
 

@@ -22,11 +22,6 @@ pub struct SeedOutcome {
     /// JFI measurement, when the scenario was symmetric. Judged at
     /// campaign level (mean over seeds), not per seed.
     pub fairness: Option<FairnessSample>,
-    /// Simulator events processed checking this seed (all runs summed).
-    /// Deliberately kept out of [`CampaignReport::render`] so report
-    /// bytes stay comparable across engine versions; the bench reads it
-    /// via [`CampaignReport::total_events`].
-    pub events: u64,
 }
 
 impl SeedOutcome {
@@ -66,14 +61,8 @@ impl CampaignReport {
         self.outcomes.iter().filter(|o| !o.passed()).count()
     }
 
-    /// Total simulator events processed across the campaign — the
-    /// denominator for the bench's events-per-second report.
-    pub fn total_events(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.events).sum()
-    }
-
-    /// FNV-1a over the rendered report: a short stable identity for bench
-    /// baselines and cross-thread-count comparisons.
+    /// FNV-1a over the rendered report: a short stable identity for
+    /// cross-thread-count and cross-version comparisons.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in self.render().bytes() {
@@ -153,16 +142,7 @@ mod tests {
                 faults: None,
             }),
             fairness: None,
-            events: 100,
         }
-    }
-
-    #[test]
-    fn total_events_sums_outcomes() {
-        let r = CampaignReport::new(0, vec![outcome(0, false), outcome(1, true)]);
-        assert_eq!(r.total_events(), 200);
-        // Events never appear in the rendered report.
-        assert!(!r.render().contains("200"), "{}", r.render());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub struct ScenarioParams {
     /// Override the recomputation period P. The harness pins P = 1: with
     /// Equation 2 sizing, dT already exceeds the buffer drain time (and
     /// thus the typical RTT timescale), and a faster control plane tracks
-    /// aggressive flows better; the P-sensitivity bench quantifies this.
+    /// aggressive flows better; the `ablation-p` experiment quantifies this.
     pub cebinae_p: Option<u32>,
     pub duration: Duration,
     pub sample_interval: Duration,

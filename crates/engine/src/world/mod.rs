@@ -233,10 +233,6 @@ impl Simulation {
             express,
             scheduler,
         } = cfg;
-        if telemetry {
-            cebinae_telemetry::set_enabled(true);
-        }
-
         let n_links = topology.links().len();
         let faults_rt = FaultsRt::resolve(&faults, n_links, &monitored_links, seed);
 
@@ -367,9 +363,8 @@ impl Simulation {
             self.events_processed += 1;
             // Span accounting runs on *virtual* time (wall clock is banned
             // by the determinism contract): each event's phase is charged
-            // the gap since the previous event. `enabled()` keeps the
-            // disabled path to one relaxed load.
-            if cebinae_telemetry::enabled() && self.cp.tel.is_some() {
+            // the gap since the previous event.
+            if self.cp.tel.is_some() {
                 let phase = phase_name(&ev);
                 let start = self.cp.last_event_ns;
                 if let Some(tel) = self.cp.tel.as_mut() {

@@ -7,7 +7,7 @@
 //! `buffer_req ≤ BpR × Nq` of schedulable horizon, so its parameters grow
 //! with flow count, RTT, and burstiness. We implement it (with idealized
 //! exact per-flow counters, which is *generous* to AFQ) both as an extra
-//! baseline and to quantify Equation 1 in the scalability bench.
+//! baseline and to quantify Equation 1 (`ext-scalability`).
 
 use std::collections::VecDeque;
 

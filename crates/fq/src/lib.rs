@@ -6,20 +6,18 @@
 //!   defaulting to the idealized one-queue-per-flow configuration the paper
 //!   uses (queue count 2³²−1 in its ns-3 setup);
 //! * [`codel`] — the CoDel control law (RFC 8289) used inside FQ-CoDel;
-//! * [`afq`] — an AFQ-style calendar queue (NSDI '18), the scalability
-//!   comparator of the paper's §2, including the Equation 1 sizing model;
-//! * [`pcq`] — PCQ-style rotating calendar queues (NSDI '20), the paper's
-//!   other calendar-queue citation (§5.5).
+//! * [`afq`] — an AFQ-style calendar queue (NSDI '18), the calendar-queue
+//!   scalability comparator of the paper's §2, including the Equation 1
+//!   sizing model. PCQ (NSDI '20), the paper's other calendar-queue
+//!   citation (§5.5), obeys the same sizing model and is cited, not built.
 
 pub mod afq;
 pub mod codel;
 pub mod fqcodel;
-pub mod pcq;
 
 pub use afq::{afq_min_bpr, AfqConfig, AfqQdisc};
 pub use codel::{Codel, CodelVerdict};
 pub use fqcodel::{FqCoDelConfig, FqCoDelQdisc};
-pub use pcq::{PcqConfig, PcqQdisc};
 
 // Property tests driven by the workspace's seeded generator (64 random
 // cases per property, reproducible from the case index alone).

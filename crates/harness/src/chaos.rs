@@ -71,7 +71,6 @@ pub fn run(ctx: &Ctx) -> String {
             .discipline(Discipline::Cebinae)
             .duration(duration)
             .seed(ctx.seed)
-            .scheduler(ctx.sched)
             .telemetry(true)
             .faults(plan)
             .run(&flows);

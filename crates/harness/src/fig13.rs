@@ -19,10 +19,6 @@ pub struct Accuracy {
     pub fpr: f64,
     pub fnr: f64,
     pub intervals: usize,
-    /// Cache updates performed during the replay — one per packet. This is
-    /// the hot-path work unit of the experiment (it runs no packet
-    /// simulator), so it is what the bench reports as its event count.
-    pub updates: u64,
 }
 
 /// Classify the ⊤ set from (flow, bytes) counts: every flow within δf of
@@ -58,7 +54,6 @@ pub fn measure(
     let mut negatives = 0u64;
     let mut positives = 0u64;
     let mut intervals = 0usize;
-    let mut updates = 0u64;
     while t + round_interval <= end {
         let to = t + round_interval;
         let truth = trace.interval_flow_bytes(t, to);
@@ -68,7 +63,6 @@ pub fn measure(
         }
         for (flow, size) in interval_packets(&truth, &mut rng) {
             cache.update(flow, size as u64);
-            updates += 1;
         }
         let detected_counts = cache.poll_and_reset();
         let truth_top = top_set(&truth);
@@ -86,7 +80,6 @@ pub fn measure(
         fpr: if negatives > 0 { fp as f64 / negatives as f64 } else { 0.0 },
         fnr: if positives > 0 { fn_ as f64 / positives as f64 } else { 0.0 },
         intervals,
-        updates,
     }
 }
 
@@ -107,7 +100,7 @@ pub fn paper_trace_cfg(round_interval: Duration) -> TraceConfig {
 }
 
 /// A ~100x lighter trace model with the same shape, for determinism tests
-/// and bench smoke runs where the paper-scale trace would dominate.
+/// and the ledger's cache replay, where the paper-scale trace would dominate.
 pub fn light_trace_cfg(round_interval: Duration) -> TraceConfig {
     let duration = Duration(round_interval.as_nanos() * 10).max(Duration::from_millis(500));
     TraceConfig {
@@ -124,7 +117,7 @@ pub fn light_trace_cfg(round_interval: Duration) -> TraceConfig {
 const STAGES: [usize; 3] = [1, 2, 4];
 
 /// Core of Figure 13a, parameterized over trace model and sweep size so
-/// tests and benches can run scaled-down versions: measure detection
+/// tests can run scaled-down versions: measure detection
 /// accuracy for every (round interval, stages) cell, averaging `trials`
 /// independent seeded trials per cell.
 ///
@@ -143,23 +136,6 @@ pub fn interval_sweep<F>(
 where
     F: Fn(Duration) -> TraceConfig + Sync,
 {
-    interval_sweep_counted(ctx, intervals_ms, slots, trials, trace_label, cfg_for).0
-}
-
-/// [`interval_sweep`] plus the total cache-update count across every
-/// (interval, stages, trial) job — the work-rate denominator the bench
-/// needs for its events-per-second report.
-pub fn interval_sweep_counted<F>(
-    ctx: &Ctx,
-    intervals_ms: &[u64],
-    slots: usize,
-    trials: u64,
-    trace_label: &str,
-    cfg_for: F,
-) -> (String, u64)
-where
-    F: Fn(Duration) -> TraceConfig + Sync,
-{
     let mut jobs = Vec::new();
     for &ms in intervals_ms {
         for &stages in &STAGES {
@@ -175,9 +151,8 @@ where
         let trace = SyntheticTrace::generate(cfg_for(interval), &mut rng);
         let flows = trace.active_flows(Time::ZERO, Time::ZERO + interval);
         let a = measure(&trace, stages, slots, interval, trial);
-        (a.fpr, a.fnr, flows, a.updates)
+        (a.fpr, a.fnr, flows)
     });
-    let mut total_updates = 0u64;
     let mut t = Table::new(&[
         "interval[ms]", "stages", "FPR[1e-4]", "FNR", "flows/interval",
     ]);
@@ -187,11 +162,10 @@ where
             let mut acc = Accuracy::default();
             let mut flows_per_interval = 0usize;
             for _ in 0..trials {
-                let (fpr, fnr, flows, updates) = it.next().expect("job/result count mismatch");
+                let (fpr, fnr, flows) = it.next().expect("job/result count mismatch");
                 acc.fpr += fpr;
                 acc.fnr += fnr;
                 flows_per_interval = flows;
-                total_updates += updates;
             }
             t.row(vec![
                 ms.to_string(),
@@ -203,7 +177,7 @@ where
         }
         eprintln!("fig13a-style sweep: interval {ms}ms done");
     }
-    (t.render(), total_updates)
+    t.render()
 }
 
 /// Core of Figure 13b: sweep per-stage slot count at a fixed round
@@ -342,16 +316,6 @@ mod tests {
         let a = interval_sweep(&serial, &[20], 64, 3, "fig13-par-test", light_trace_cfg);
         let b = interval_sweep(&parallel, &[20], 64, 3, "fig13-par-test", light_trace_cfg);
         assert_eq!(a, b, "thread count leaked into rendered output");
-    }
-
-    #[test]
-    fn counted_sweep_reports_positive_work() {
-        let ctx = Ctx::serial(false, 1);
-        let (table, updates) =
-            interval_sweep_counted(&ctx, &[20], 64, 2, "fig13-count-test", light_trace_cfg);
-        assert!(updates > 0, "a replayed trace must perform cache updates");
-        let plain = interval_sweep(&ctx, &[20], 64, 2, "fig13-count-test", light_trace_cfg);
-        assert_eq!(table, plain, "counted variant must not change the table");
     }
 
     #[test]

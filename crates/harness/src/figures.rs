@@ -23,8 +23,7 @@ pub fn fig1(ctx: &Ctx) -> String {
         .buffer_mtus(buffer)
         .duration(duration)
         .seed(ctx.seed)
-        .telemetry(ctx.telemetry_enabled())
-        .scheduler(ctx.sched);
+        .telemetry(ctx.telemetry_enabled());
     let mut runs = ctx.pool().map(
         vec![Discipline::Fifo, Discipline::Cebinae],
         |_, d| run.clone().discipline(d).run(&flows),
@@ -80,8 +79,7 @@ pub fn fig7(ctx: &Ctx) -> String {
         .buffer_mtus(850)
         .duration(duration)
         .seed(ctx.seed)
-        .telemetry(ctx.telemetry_enabled())
-        .scheduler(ctx.sched);
+        .telemetry(ctx.telemetry_enabled());
     let mut runs = ctx.pool().map(
         vec![Discipline::Fifo, Discipline::Cebinae],
         |_, d| run.clone().discipline(d).run(&flows),
@@ -127,8 +125,7 @@ pub fn fig8(ctx: &Ctx, variant_b: bool) -> String {
         .buffer_mtus(buffer)
         .duration(duration)
         .seed(ctx.seed)
-        .telemetry(ctx.telemetry_enabled())
-        .scheduler(ctx.sched);
+        .telemetry(ctx.telemetry_enabled());
     let mut runs = ctx.pool().map(
         vec![Discipline::Fifo, Discipline::Cebinae],
         |_, d| run.clone().discipline(d).run(&flows),
@@ -192,8 +189,7 @@ pub fn fig9(ctx: &Ctx) -> String {
         .buffer_mtus(buffer_mtus)
         .duration(duration)
         .seed(ctx.seed)
-        .telemetry(ctx.telemetry_enabled())
-        .scheduler(ctx.sched);
+        .telemetry(ctx.telemetry_enabled());
     let results = ctx.pool().map(jobs, |_, (rtt2, d)| {
         let mut flows: Vec<_> = (0..4).map(|_| DumbbellFlow::new(CcKind::Cubic, 256)).collect();
         flows.extend((0..4).map(|_| DumbbellFlow::new(CcKind::Cubic, rtt2)));
@@ -227,8 +223,7 @@ pub fn fig10(ctx: &Ctx) -> String {
         .buffer_mtus(850)
         .duration(duration)
         .seed(ctx.seed)
-        .telemetry(ctx.telemetry_enabled())
-        .scheduler(ctx.sched);
+        .telemetry(ctx.telemetry_enabled());
     let runs = ctx.pool().map(Discipline::PAPER.to_vec(), |_, d| {
         run.clone().discipline(d).run(&flows)
     });
@@ -292,8 +287,7 @@ pub fn fig12(ctx: &Ctx) -> String {
         .buffer_mtus(buffer)
         .duration(duration)
         .seed(ctx.seed)
-        .telemetry(ctx.telemetry_enabled())
-        .scheduler(ctx.sched);
+        .telemetry(ctx.telemetry_enabled());
     let mut results = ctx.pool().map(specs, |_, spec| match spec {
         Spec::Reference(d) => base.clone().discipline(d).run(&flows),
         Spec::Threshold(pct) => {
@@ -358,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "several minutes; run with --ignored or via the bench harness"]
+    #[ignore = "several minutes; run with --ignored"]
     fn full_fig7_improves_fairness() {
         let out = fig7(&tiny_ctx());
         assert!(out.contains("summary"));

@@ -3,7 +3,8 @@
 //! The experiment harness: one module per table/figure of the paper's
 //! evaluation, each regenerating the corresponding rows or series, plus
 //! design-choice ablations. The `cebinae-experiments` binary is the CLI
-//! front end; the library functions are also driven by the bench targets.
+//! front end; the library functions are also driven by the performance
+//! ledger (`ledger/`).
 //!
 //! Durations are scaled by default (single-core friendly); set
 //! `CEBINAE_FULL=1` or pass `--full` for the paper's 100 s runs and
@@ -27,7 +28,7 @@ pub mod table3;
 
 pub use runner::{run_with_params, Ctx, DumbbellRun, RunMetrics, Table};
 
-/// All experiment names accepted by the CLI and bench harness.
+/// All experiment names accepted by the CLI.
 pub const EXPERIMENTS: &[&str] = &[
     "fig1", "fig2", "table2", "fig7", "fig8a", "fig8b", "fig9", "fig10", "fig11", "fig12", "table3",
     "fig13a", "fig13b", "ablation-p", "ablation-perflow", "ablation-disciplines", "ablation-ecn",

@@ -7,7 +7,7 @@ use cebinae_engine::{
 use cebinae_faults::FaultPlan;
 use cebinae_metrics::jfi;
 use cebinae_par::TrialPool;
-use cebinae_sim::{Duration, SchedulerKind, Time};
+use cebinae_sim::{Duration, Time};
 
 /// Global experiment context: scaled (default) or full paper durations,
 /// trial-pool width, and the telemetry sink.
@@ -27,9 +27,6 @@ pub struct Ctx {
     /// NDJSON telemetry sink path (`CEBINAE_TELEMETRY` / `--telemetry`);
     /// `None` disables collection.
     pub telemetry: Option<String>,
-    /// Event-loop scheduler backend (`CEBINAE_SCHED=heap|wheel`). Every
-    /// experiment is byte-identical under either; the wheel is the default.
-    pub sched: SchedulerKind,
     /// Fault plan applied by fault-aware experiments (`CEBINAE_FAULTS` /
     /// `--faults`, compact [`FaultPlan::parse`] syntax). Empty by default:
     /// the paper's tables and figures always run clean; only experiments
@@ -39,11 +36,9 @@ pub struct Ctx {
 
 impl Ctx {
     /// Context from the environment: `CEBINAE_FULL`, `CEBINAE_THREADS`,
-    /// `CEBINAE_TELEMETRY` (sink path), `CEBINAE_SCHED` (`heap` / `wheel`;
-    /// unknown values fall back to the default backend), and
-    /// `CEBINAE_FAULTS` (compact fault spec; a malformed spec warns on
-    /// stderr and runs clean rather than silently faulting the wrong
-    /// thing).
+    /// `CEBINAE_TELEMETRY` (sink path), and `CEBINAE_FAULTS` (compact
+    /// fault spec; a malformed spec warns on stderr and runs clean rather
+    /// than silently faulting the wrong thing).
     pub fn from_env() -> Ctx {
         Ctx {
             full: std::env::var_os("CEBINAE_FULL").is_some(),
@@ -51,9 +46,6 @@ impl Ctx {
             threads: cebinae_par::threads_from_env(),
             telemetry: std::env::var_os("CEBINAE_TELEMETRY")
                 .map(|v| v.to_string_lossy().into_owned()),
-            sched: std::env::var_os("CEBINAE_SCHED")
-                .and_then(|v| SchedulerKind::parse(&v.to_string_lossy()))
-                .unwrap_or_default(),
             faults: std::env::var_os("CEBINAE_FAULTS")
                 .map(|v| match FaultPlan::parse(&v.to_string_lossy()) {
                     Ok(plan) => plan,
@@ -74,7 +66,6 @@ impl Ctx {
             seed,
             threads: 1,
             telemetry: None,
-            sched: SchedulerKind::default(),
             faults: FaultPlan::default(),
         }
     }
@@ -97,13 +88,6 @@ impl Ctx {
     /// Route telemetry to `path` (`None` disables).
     pub fn with_telemetry(mut self, path: Option<String>) -> Ctx {
         self.telemetry = path;
-        self
-    }
-
-    /// Select the event-loop scheduler backend for every run this context
-    /// drives.
-    pub fn with_scheduler(mut self, sched: SchedulerKind) -> Ctx {
-        self.sched = sched;
         self
     }
 
@@ -165,7 +149,7 @@ impl Ctx {
 /// ```no_run
 /// use cebinae_harness::DumbbellRun;
 /// use cebinae_engine::{Discipline, DumbbellFlow};
-/// use cebinae_sim::{Duration, SchedulerKind};
+/// use cebinae_sim::Duration;
 /// use cebinae_transport::CcKind;
 ///
 /// let flows = vec![DumbbellFlow::new(CcKind::NewReno, 20); 2];
@@ -174,15 +158,11 @@ impl Ctx {
 ///     .discipline(Discipline::Cebinae)
 ///     .duration(Duration::from_secs(10))
 ///     .seed(7)
-///     .scheduler(SchedulerKind::Wheel)
 ///     .run(&flows);
 /// ```
 ///
-/// Defaults: 420-MTU buffer, FIFO, 10 s, seed 1, the default [`Scheduler`]
-/// backend (timing wheel), Cebinae recompute period pinned to P = 1 (the
-/// harness-wide convention).
-///
-/// [`Scheduler`]: cebinae_sim::Scheduler
+/// Defaults: 420-MTU buffer, FIFO, 10 s, seed 1, Cebinae recompute period
+/// pinned to P = 1 (the harness-wide convention).
 #[derive(Clone, Debug)]
 pub struct DumbbellRun {
     params: ScenarioParams,
@@ -218,19 +198,6 @@ impl DumbbellRun {
     /// Collect deterministic telemetry into `RunMetrics::result.telemetry`.
     pub fn telemetry(mut self, on: bool) -> DumbbellRun {
         self.params.telemetry = on;
-        self
-    }
-
-    /// Allow or forbid the engine's express path (default allowed); see
-    /// [`cebinae_engine::SimConfig::express`].
-    pub fn express(mut self, on: bool) -> DumbbellRun {
-        self.params.express = on;
-        self
-    }
-
-    /// Select the event-loop scheduler backend (run-identical either way).
-    pub fn scheduler(mut self, sched: SchedulerKind) -> DumbbellRun {
-        self.params.scheduler = sched;
         self
     }
 
@@ -478,16 +445,13 @@ mod tests {
             .with_threads(3)
             .with_full(true)
             .with_telemetry(Some("t.ndjson".into()))
-            .with_scheduler(SchedulerKind::Heap)
             .with_faults(FaultPlan::uniform_loss(0.01));
         assert_eq!(ctx.seed, 9);
         assert_eq!(ctx.threads, 3);
         assert!(ctx.full);
         assert!(ctx.telemetry_enabled());
-        assert_eq!(ctx.sched, SchedulerKind::Heap);
         assert!(!ctx.faults.is_empty());
         assert!(!Ctx::serial(false, 0).telemetry_enabled());
-        assert_eq!(Ctx::serial(false, 0).sched, SchedulerKind::default());
         assert!(Ctx::serial(false, 0).faults.is_empty(), "experiments run clean by default");
     }
 

@@ -117,7 +117,6 @@ pub fn run_row(ctx: &Ctx, row: &Row, d: Discipline) -> Cell {
         .duration(duration)
         .seed(ctx.seed)
         .telemetry(ctx.telemetry_enabled())
-        .scheduler(ctx.sched)
         .run(&row.flows());
     Cell {
         throughput_bps: m.throughput_bps,

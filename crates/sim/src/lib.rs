@@ -58,11 +58,11 @@ mod proptests {
                 let mut last = Time::ZERO;
                 let mut count = 0;
                 while let Some((t, _)) = q.pop() {
-                    assert!(t >= last, "{} case {case}", kind.label());
+                    assert!(t >= last, "{kind:?} case {case}");
                     last = t;
                     count += 1;
                 }
-                assert_eq!(count, times.len(), "{} case {case}", kind.label());
+                assert_eq!(count, times.len(), "{kind:?} case {case}");
             }
         }
     }
@@ -82,7 +82,7 @@ mod proptests {
                 }
                 let mut expect = 0;
                 while let Some((_, i)) = q.pop() {
-                    assert_eq!(i, expect, "{} case {case}", kind.label());
+                    assert_eq!(i, expect, "{kind:?} case {case}");
                     expect += 1;
                 }
             }

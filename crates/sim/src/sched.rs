@@ -17,10 +17,10 @@
 //!   timing wheel with O(1) schedule/cancel/rearm, built for the
 //!   cancel-heavy RTO/pace timer churn the transport layer generates.
 //!
-//! Backends are selected at construction time via [`SchedulerKind`]
-//! (callers plumb it through their own config; the harness maps the
-//! `CEBINAE_SCHED` environment variable onto it once, at `Ctx`
-//! construction — this crate never reads the environment).
+//! Backends are selected at construction time via [`SchedulerKind`];
+//! callers plumb it through their own config (the engine's
+//! `ScenarioParams.scheduler` / `SimConfig.scheduler` is the one spelling
+//! above this crate, and nothing reads the environment for it).
 
 use crate::time::Time;
 
@@ -129,7 +129,7 @@ pub trait Scheduler<E> {
 
 /// Which [`Scheduler`] backend to construct. Defaults to the timing wheel;
 /// the heap remains available as the reference implementation for
-/// differential testing (`CEBINAE_SCHED=heap` via the harness `Ctx`).
+/// differential testing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Binary heap with lazy-delete tombstones (reference implementation).
@@ -140,26 +140,6 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Parse a backend name as used by `CEBINAE_SCHED` (`heap` / `wheel`,
-    /// case-insensitive, surrounding whitespace ignored — env values are
-    /// hand-typed, and a silent fallback to the default would be worse
-    /// than forgiving the casing).
-    pub fn parse(s: &str) -> Option<SchedulerKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "heap" => Some(SchedulerKind::Heap),
-            "wheel" => Some(SchedulerKind::Wheel),
-            _ => None,
-        }
-    }
-
-    /// Stable lower-case name (`heap` / `wheel`), the `parse` inverse.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Wheel => "wheel",
-        }
-    }
-
     /// Construct a boxed scheduler of this kind.
     pub fn build<E: Send + 'static>(self) -> Box<dyn Scheduler<E> + Send> {
         match self {
@@ -174,16 +154,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_parse_roundtrips() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            assert_eq!(SchedulerKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(SchedulerKind::parse("btree"), None);
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Wheel);
-    }
-
-    #[test]
     fn build_constructs_the_requested_backend() {
+        assert_eq!(SchedulerKind::default(), SchedulerKind::Wheel);
         let mut h = SchedulerKind::Heap.build::<u32>();
         let mut w = SchedulerKind::Wheel.build::<u32>();
         h.post(Time(5), 1);

@@ -16,12 +16,10 @@
 //!   in a fixed order;
 //! * span durations are *simulated* nanoseconds, not wall time.
 //!
-//! The layer is zero-cost when disabled: instrumented crates gate their
-//! hot-path hooks on [`enabled`], a single relaxed `AtomicBool` load
-//! behind an `#[inline]` early return (overhead bounded to < 3% on the
-//! event-queue micro bench by `cebinae-bench --smoke --check`). The flag
-//! is process-wide and only ever flips on; per-run isolation comes from
-//! each simulation owning (or not owning) its own `Registry`.
+//! There is no process-wide switch: a simulation configured without
+//! telemetry owns no `Registry`, so a disabled run costs one `Option`
+//! check per event and on/off runs in one process cannot affect each
+//! other.
 
 pub mod histogram;
 pub mod registry;
@@ -30,42 +28,3 @@ pub mod span;
 pub use histogram::Histogram;
 pub use registry::{Registry, Scope};
 pub use span::{SpanStack, SpanStats};
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide master switch. Off by default; flipped on by the engine
-/// when a simulation is configured with telemetry (or by a harness `Ctx`
-/// carrying a sink). Never flipped back off mid-process: parallel trials
-/// may still be sampling, and per-run isolation is what the per-simulation
-/// `Registry` is for.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Enable the global instrumentation guard.
-pub fn set_enabled(on: bool) {
-    if on {
-        ENABLED.store(true, Ordering::Relaxed);
-    }
-}
-
-/// The zero-cost-when-disabled guard: instrumented hot paths call this
-/// first and early-return. A single relaxed atomic load.
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn enable_is_sticky() {
-        // Default state can be either if another test enabled it first;
-        // after set_enabled(true) it must read true, and set_enabled(false)
-        // must NOT turn it back off (parallel trials may still sample).
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(enabled(), "the guard is one-way by design");
-    }
-}

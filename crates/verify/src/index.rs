@@ -27,7 +27,7 @@ pub struct FnEntry {
 /// Direct intra-workspace dependencies of each crate, mirroring the
 /// `Cargo.toml` graph. Unknown crates (fixture paths, future crates)
 /// resolve permissively: all edges allowed.
-const CRATE_DEPS: [(&str, &[&str]); 15] = [
+const CRATE_DEPS: [(&str, &[&str]); 14] = [
     ("sim", &[]),
     ("net", &["sim"]),
     ("core", &["sim", "net"]),
@@ -50,13 +50,6 @@ const CRATE_DEPS: [(&str, &[&str]); 15] = [
     (
         "harness",
         &["sim", "net", "faults", "transport", "fq", "core", "engine", "traffic", "metrics", "par"],
-    ),
-    (
-        "bench",
-        &[
-            "sim", "net", "faults", "transport", "fq", "core", "engine", "traffic", "metrics",
-            "par", "telemetry", "check", "harness",
-        ],
     ),
 ];
 

@@ -6,7 +6,7 @@
 //! invariants" and "Verify v2"):
 //!
 //! * **R1** — no wall-clock reads (`Instant::now`, `SystemTime`) outside
-//!   the harness/bench/examples allowlist;
+//!   the harness/examples allowlist;
 //! * **R2** — no ambient randomness (`thread_rng`, `rand::random`,
 //!   `RandomState`, OS entropy): all entropy flows through
 //!   `cebinae_sim::rng::DetRng`;
@@ -21,7 +21,7 @@
 //! * **R6** — no `==`/`!=` against float literals in core/metrics;
 //! * **R7** — no `std::thread` in simulation/dataplane crates: a simulated
 //!   timeline is strictly sequential, and parallelism lives only in
-//!   `crates/par` (the trial executor) and the harness/bench drivers;
+//!   `crates/par` (the trial executor) and the harness drivers;
 //! * **R8** — no raw `println!`/`eprintln!` (or `print!`/`eprint!`/`dbg!`)
 //!   in the instrumented sim/net/engine/transport/telemetry crates:
 //!   observability flows through `cebinae-telemetry`, so experiment output
@@ -53,7 +53,7 @@
 //!
 //! The pass runs three ways: `cargo run -p cebinae-verify` (CLI, with
 //! `--format json` for the machine-readable report), this library API,
-//! and the `workspace_gate` integration test, which makes a plain
+//! and the root package's `tests/verify_gate.rs`, which makes a plain
 //! `cargo test -q` fail on any unwaived violation. The workspace entry
 //! points keep an incremental cache (FNV-1a file hashes) under
 //! `<root>/target/` so warm runs re-lex only changed files; warm and

@@ -18,7 +18,7 @@ use std::fmt;
 /// must carry a non-empty reason.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// No wall-clock reads outside the harness/bench/examples allowlist.
+    /// No wall-clock reads outside the harness/examples allowlist.
     R1,
     /// No ambient randomness: all entropy through `cebinae_sim::rng`.
     R2,
@@ -169,11 +169,10 @@ impl fmt::Display for Violation {
 // Path scoping
 // ---------------------------------------------------------------------------
 
-/// Wall-clock allowlist: measurement harness, benches, examples, and the
+/// Wall-clock allowlist: measurement harness, examples, and the
 /// verify tool itself (its CLI reports elapsed wall time).
 fn r1_allowlisted(path: &str) -> bool {
     path.starts_with("crates/harness/")
-        || path.starts_with("crates/bench/")
         || path.starts_with("crates/verify/")
         || path.starts_with("examples/")
         || path.contains("/examples/")
@@ -193,15 +192,15 @@ pub const R5_CRATES: [&str; 3] = ["core", "net", "fq"];
 const R6_CRATES: [&str; 2] = ["core", "metrics"];
 
 /// Crates that must stay thread-free (R7): every simulation/dataplane
-/// crate. Parallelism is legal only in `crates/par`, the harness, the
-/// bench targets, and the verify tool itself.
+/// crate. Parallelism is legal only in `crates/par`, the harness, and the
+/// verify tool itself.
 const R7_CRATES: [&str; 8] = [
     "sim", "net", "core", "engine", "transport", "fq", "traffic", "metrics",
 ];
 
 /// Instrumented crates for R8: anything the telemetry layer covers must
 /// not print directly. `core` keeps its gated `CEBINAE_DEBUG` dump and the
-/// harness/bench report to stdout by design, so neither is listed.
+/// harness reports to stdout by design, so neither is listed.
 const R8_CRATES: [&str; 5] = ["sim", "net", "engine", "transport", "telemetry"];
 
 /// Crates where `std::collections::HashMap`/`HashSet` are banned outright

@@ -34,10 +34,9 @@ fn r1_flags_wall_clock_outside_allowlist() {
 }
 
 #[test]
-fn r1_allows_harness_bench_examples() {
+fn r1_allows_harness_and_examples() {
     for path in [
         "crates/harness/src/fixture.rs",
-        "crates/bench/benches/fixture.rs",
         "examples/fixture.rs",
         "crates/engine/examples/fixture.rs",
     ] {
@@ -125,7 +124,6 @@ fn r7_allows_par_harness_and_tooling() {
     for path in [
         "crates/par/src/fixture.rs",
         "crates/harness/src/fixture.rs",
-        "crates/bench/src/fixture.rs",
         "crates/verify/src/fixture.rs",
     ] {
         assert!(rule_hits(path, R7, Rule::R7).is_empty(), "{path}");
@@ -153,12 +151,11 @@ fn r8_flags_raw_prints_in_instrumented_crates() {
 
 #[test]
 fn r8_allows_harness_core_and_tooling() {
-    // `core` keeps its CEBINAE_DEBUG dump; harness/bench print reports by
+    // `core` keeps its CEBINAE_DEBUG dump; the harness prints reports by
     // design; verify itself prints diagnostics.
     for path in [
         "crates/core/src/fixture.rs",
         "crates/harness/src/fixture.rs",
-        "crates/bench/src/fixture.rs",
         "crates/verify/src/fixture.rs",
         "crates/engine/examples/fixture.rs",
     ] {
@@ -215,7 +212,6 @@ fn r13_allows_tooling_and_check_crates() {
         "crates/harness/src/fixture.rs",
         "crates/check/src/fixture.rs",
         "crates/verify/src/fixture.rs",
-        "crates/bench/src/fixture.rs",
     ] {
         assert!(rule_hits(path, R13, Rule::R13).is_empty(), "{path}");
     }
@@ -241,11 +237,10 @@ fn r14_flags_concrete_backends_in_consumer_crates() {
 
 #[test]
 fn r14_allows_sim_and_tooling_crates() {
-    // `sim` defines the backends; harness/bench/verify report on them.
+    // `sim` defines the backends; harness/verify report on them.
     for path in [
         "crates/sim/src/fixture.rs",
         "crates/harness/src/fixture.rs",
-        "crates/bench/src/fixture.rs",
         "crates/verify/src/fixture.rs",
     ] {
         assert!(rule_hits(path, R14, Rule::R14).is_empty(), "{path}");

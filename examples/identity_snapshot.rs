@@ -87,11 +87,11 @@ fn main() {
     // pairs must agree line for line within one snapshot, and every line
     // must survive engine refactors unchanged.
     for seed in 0..8u64 {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
+        for (kind, name) in [(SchedulerKind::Wheel, "wheel"), (SchedulerKind::Heap, "heap")] {
             let mut sc = GenScenario::generate(seed);
             sc.duration_ms = sc.duration_ms.min(1000);
             sc.scheduler = kind;
-            snapshot(&format!("clean/{}", kind.label()), &sc);
+            snapshot(&format!("clean/{name}"), &sc);
         }
     }
     // Chaos: every fault family, default backend.

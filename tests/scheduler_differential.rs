@@ -10,7 +10,8 @@
 
 use cebinae_check::scenario::GenScenario;
 use cebinae_engine::{Discipline, DumbbellFlow, Simulation};
-use cebinae_harness::runner::{Ctx, DumbbellRun};
+use cebinae_harness::runner::DumbbellRun;
+use cebinae_par::TrialPool;
 use cebinae_sim::{Duration, SchedulerKind};
 use cebinae_transport::CcKind;
 
@@ -98,13 +99,12 @@ fn backend_run(sched: SchedulerKind, threads: usize) -> Vec<String> {
         DumbbellFlow::new(CcKind::Vegas, 80),
     ];
     let seeds = [1u64, 2, 3];
-    let ctx = Ctx::serial(false, 1).with_scheduler(sched).with_threads(threads);
-    DumbbellRun::new(20_000_000)
+    let mut run = DumbbellRun::new(20_000_000)
         .buffer_mtus(100)
         .discipline(Discipline::Cebinae)
-        .duration(Duration::from_secs(2))
-        .scheduler(ctx.sched)
-        .run_trials(ctx.pool(), &flows, &seeds)
+        .duration(Duration::from_secs(2));
+    run.params_mut().scheduler = sched;
+    run.run_trials(TrialPool::with_threads(threads), &flows, &seeds)
         .iter()
         .map(|m| {
             let bits: Vec<String> =
@@ -136,14 +136,14 @@ fn telemetry_ndjson_matches_modulo_sched_scope() {
         DumbbellFlow::new(CcKind::Cubic, 40),
     ];
     let run = |sched: SchedulerKind| {
-        DumbbellRun::new(20_000_000)
+        let mut run = DumbbellRun::new(20_000_000)
             .buffer_mtus(100)
             .discipline(Discipline::Cebinae)
             .duration(Duration::from_secs(2))
             .seed(7)
-            .scheduler(sched)
-            .telemetry(true)
-            .run(&flows)
+            .telemetry(true);
+        run.params_mut().scheduler = sched;
+        run.run(&flows)
     };
     let heap = run(SchedulerKind::Heap);
     let wheel = run(SchedulerKind::Wheel);
@@ -168,17 +168,4 @@ fn telemetry_ndjson_matches_modulo_sched_scope() {
         strip(nd_wheel),
         "telemetry diverged beyond the sys:sched scope"
     );
-}
-
-/// `CEBINAE_SCHED` parsing in the harness context: known labels select
-/// the backend, anything else falls back to the default. (The env var
-/// itself is read once in `Ctx::from_env`; this pins the parse table it
-/// relies on.)
-#[test]
-fn scheduler_kind_labels_round_trip() {
-    assert_eq!(SchedulerKind::parse("heap"), Some(SchedulerKind::Heap));
-    assert_eq!(SchedulerKind::parse("wheel"), Some(SchedulerKind::Wheel));
-    assert_eq!(SchedulerKind::parse("WHEEL"), Some(SchedulerKind::Wheel));
-    assert_eq!(SchedulerKind::parse("fibheap"), None);
-    assert_eq!(SchedulerKind::default(), SchedulerKind::Wheel);
 }

@@ -80,19 +80,31 @@ fn telemetry_off_yields_none_and_same_metrics() {
         DumbbellFlow::new(CcKind::NewReno, 20),
         DumbbellFlow::new(CcKind::Cubic, 40),
     ];
-    // `express(false)` pins full event-driven emulation, isolating the
+    // `express = false` pins full event-driven emulation, isolating the
     // observation cost itself: a telemetry-off run must then be bit-exact
     // against the telemetry-on one (which always runs full emulation).
-    let off = telemetry_run().telemetry(false).express(false).seed(3).run(&flows);
+    let run_off = || {
+        let mut run = telemetry_run().telemetry(false).seed(3);
+        run.params_mut().express = false;
+        run.run(&flows)
+    };
+    // Off -> on -> off in one process: whether a run observes is decided
+    // by its own config alone, so an observed run in between leaves no
+    // trace on the unobserved ones around it.
+    let off = run_off();
     let on = telemetry_run().seed(3).run(&flows);
+    let off_again = run_off();
     assert!(off.result.telemetry.is_none());
     assert!(on.result.telemetry.is_some());
+    assert!(off_again.result.telemetry.is_none());
     // Observation must not perturb the simulation itself.
     assert_eq!(off.result.events_processed, on.result.events_processed);
+    assert_eq!(off.result.events_processed, off_again.result.events_processed);
     let bits = |m: &cebinae_harness::RunMetrics| -> Vec<u64> {
         m.per_flow_bps.iter().map(|b| b.to_bits()).collect()
     };
     assert_eq!(bits(&off), bits(&on), "telemetry changed simulated goodput");
+    assert_eq!(bits(&off), bits(&off_again), "an observed run changed the next unobserved one");
     // With express allowed (the default), the unobserved run serves the
     // access links analytically and does strictly less scheduler work;
     // its behavioral contract is pinned by tests/express_path.rs.

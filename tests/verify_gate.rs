@@ -1,10 +1,9 @@
 //! Tier-1 gate: run `cebinae-verify`'s full determinism & dataplane-safety
-//! pass (rules R1-R12) over the workspace from the root package, so a
-//! plain `cargo test -q` fails on any unwaived violation.
-//! (`crates/verify/tests/workspace_gate.rs` runs the same check when
-//! testing that crate directly.) Uses the incremental cache — warm runs
-//! re-lex only changed files, and the findings are byte-identical to a
-//! cold run by construction.
+//! pass (rules R1-R14) over the workspace from the root package, so a
+//! plain `cargo test -q` fails on any unwaived violation. Uses the
+//! incremental cache — warm runs re-lex only changed files, and the
+//! findings are byte-identical to a cold run (pinned by
+//! `crates/verify/tests/analysis.rs`).
 
 use cebinae_verify::{check_workspace_cached, Config};
 
@@ -16,7 +15,7 @@ fn workspace_passes_determinism_rules() {
     if !violations.is_empty() {
         let listing: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
         panic!(
-            "cebinae-verify found {} violation(s) (rules R1-R12):\n{}\n\n\
+            "cebinae-verify found {} violation(s) (rules R1-R14):\n{}\n\n\
              Fix the code, or waive a line with `// det-ok: <reason>` if the\n\
              behavior is genuinely deterministic.",
             violations.len(),
