@@ -279,13 +279,14 @@ impl Simulation {
 
         let mut events = scheduler.build();
         let mut flow_rts = Vec::with_capacity(flows.len());
+        let mut routes = topology.routes();
         for (i, f) in flows.iter().enumerate() {
             let id = FlowId::from(i);
-            let fwd = topology
-                .shortest_path(f.src, f.dst)
+            let fwd = routes
+                .path(f.src, f.dst)
                 .unwrap_or_else(|| panic!("no path {} -> {}", f.src, f.dst));
-            let rev = topology
-                .shortest_path(f.dst, f.src)
+            let rev = routes
+                .path(f.dst, f.src)
                 .unwrap_or_else(|| panic!("no path {} -> {}", f.dst, f.src));
             assert!(!fwd.is_empty(), "src and dst must differ");
             events.post(f.start, Ev::FlowStart { flow: id });

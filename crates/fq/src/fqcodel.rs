@@ -5,7 +5,7 @@
 //! same idealization (bucket = flow id) and allow a finite bucket count for
 //! realistic configurations.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use cebinae_ds::DetMap;
 use cebinae_sim::Time;
@@ -61,17 +61,53 @@ struct FlowQueue {
     new_flow: bool,
 }
 
+impl FlowQueue {
+    /// Append a packet, keeping `bytes` and this queue's `by_size` entry in
+    /// step.
+    fn push(&mut self, bucket: u64, pkt: Packet, now: Time, by_size: &mut BTreeSet<(u64, u64)>) {
+        if !self.queue.is_empty() {
+            by_size.remove(&(self.bytes, bucket));
+        }
+        // det-ok: occupancy gauge, decremented in pop_head; admission cap bounds it
+        self.bytes += pkt.size as u64;
+        self.queue.push_back((pkt, now));
+        by_size.insert((self.bytes, bucket));
+    }
+
+    /// Remove the head packet, keeping `bytes` and this queue's `by_size`
+    /// entry in step.
+    fn pop_head(
+        &mut self,
+        bucket: u64,
+        by_size: &mut BTreeSet<(u64, u64)>,
+    ) -> Option<(Packet, Time)> {
+        let (pkt, enq_time) = self.queue.pop_front()?;
+        by_size.remove(&(self.bytes, bucket));
+        // det-ok: occupancy gauge; the popped packet's bytes were added in push
+        self.bytes -= pkt.size as u64;
+        if !self.queue.is_empty() {
+            by_size.insert((self.bytes, bucket));
+        }
+        Some((pkt, enq_time))
+    }
+}
+
 /// FQ-CoDel queueing discipline.
 pub struct FqCoDelQdisc {
     cfg: FqCoDelConfig,
     /// Per-bucket queues; DetMap gives O(1) per-packet lookup with
-    /// deterministic layout. The only order-sensitive consumer
-    /// (`drop_from_fattest`) selects by a total-order key, so raw
-    /// insertion-order iteration is safe everywhere.
+    /// deterministic layout. Nothing reads its iteration order: the one
+    /// order-sensitive choice, the overflow victim, is read off `by_size`.
     flows: DetMap<u64, FlowQueue>,
+    /// The non-empty queues ordered by the eviction key, so the fattest is
+    /// `last()`. Invariant: `by_size` is exactly `{(q.bytes, bucket)}` over
+    /// the queues with a packet in them, held by `FlowQueue::{push,
+    /// pop_head}`, the only two places a queue's contents change.
+    by_size: BTreeSet<(u64, u64)>,
     new_list: VecDeque<u64>,
     old_list: VecDeque<u64>,
     total_bytes: u64,
+    total_pkts: usize,
     stats: QdiscStats,
 }
 
@@ -80,9 +116,11 @@ impl FqCoDelQdisc {
         FqCoDelQdisc {
             cfg,
             flows: DetMap::new(),
+            by_size: BTreeSet::new(),
             new_list: VecDeque::new(),
             old_list: VecDeque::new(),
             total_bytes: 0,
+            total_pkts: 0,
             stats: QdiscStats::default(),
         }
     }
@@ -94,32 +132,66 @@ impl FqCoDelQdisc {
         }
     }
 
+    /// The overflow victim: the non-empty queue with the greatest
+    /// `(bytes, bucket)`. Bucket ids are unique, so the key is a total order
+    /// and byte-count ties break toward the highest bucket id.
+    fn fattest(&self) -> Option<u64> {
+        self.by_size.last().map(|&(_, bucket)| bucket)
+    }
+
     /// RFC 8290 overload behavior: drop from the head of the fattest queue.
-    /// The max key is the `(bytes, bucket)` pair: bucket ids are unique, so
-    /// byte-count ties break toward the highest bucket id — the same flow the
-    /// old ascending BTreeMap scan picked (last max wins) — without paying
-    /// for a sort on every overflow drop.
-    fn drop_from_fattest(&mut self, now: Time) {
-        let Some((&bucket, _)) = self
-            .flows
-            .iter()
-            .filter(|(_, q)| !q.queue.is_empty())
-            .max_by_key(|&(&b, q)| (q.bytes, b))
-        else {
-            return;
-        };
+    fn drop_head(&mut self, bucket: u64) {
         let Some(q) = self.flows.get_mut(&bucket) else {
-            return; // bucket vanished between scan and lookup (cannot happen, but no panic)
+            return; // victims come from the non-empty queues (cannot happen, but no panic)
         };
-        if let Some((pkt, _)) = q.queue.pop_front() {
-            // det-ok: occupancy gauges; the popped packet's bytes were added on enqueue
-            q.bytes -= pkt.size as u64;
-            self.total_bytes -= pkt.size as u64; // det-ok: same conservation argument, aggregate gauge
+        if let Some((pkt, _)) = q.pop_head(bucket, &mut self.by_size) {
             // The evicted packet was already admitted and counted by
             // on_enqueue — record it as a post-admission drop.
             self.stats.on_drop_queued(pkt.size);
+            // det-ok: aggregate occupancy gauges; the popped packet was counted on enqueue
+            self.total_bytes -= pkt.size as u64;
+            self.total_pkts -= 1; // det-ok: same conservation argument, packet count
         }
-        let _ = now;
+    }
+
+    /// `Qdisc::enqueue`, with the overflow victim chosen by `victim` so the
+    /// tests can run the linear scan this index replaced against it.
+    fn admit(&mut self, pkt: Packet, now: Time, victim: impl Fn(&Self) -> Option<u64>) {
+        let bucket = self.bucket_of(&pkt);
+        let size = pkt.size;
+        let target = self.cfg.codel_target;
+        let interval = self.cfg.codel_interval;
+        let q = self.flows.get_or_insert_with(bucket, || FlowQueue {
+            queue: VecDeque::new(),
+            bytes: 0,
+            deficit: 0,
+            codel: Codel::new(target, interval),
+            scheduled: false,
+            new_flow: false,
+        });
+        q.push(bucket, pkt, now, &mut self.by_size);
+        // det-ok: aggregate occupancy gauges, decremented on dequeue/drop; admission cap bounds them
+        self.total_bytes += size as u64;
+        self.total_pkts += 1; // det-ok: same argument, packet count
+        self.stats.on_enqueue(size);
+        if !q.scheduled {
+            q.scheduled = true;
+            q.new_flow = true;
+            q.deficit = self.cfg.quantum as i64;
+            self.new_list.push_back(bucket);
+        }
+        // Enforce the shared limit by dropping from the fattest queue
+        // (which may be the one we just fed).
+        while self.total_bytes > self.cfg.limit_bytes {
+            let Some(bucket) = victim(self) else {
+                break;
+            };
+            self.drop_head(bucket);
+        }
+        // Record occupancy only after the limit is enforced: the transient
+        // overshoot inside this call is not an observable queue state, and
+        // the peak gauge must respect `buffer_limit_bytes`.
+        self.stats.note_queued(self.total_bytes);
     }
 
     /// Pull the next deliverable packet from a specific flow queue,
@@ -128,10 +200,10 @@ impl FqCoDelQdisc {
         loop {
             let ecn_mode = self.cfg.ecn;
             let q = self.flows.get_mut(&bucket)?;
-            let (mut pkt, enq_time) = q.queue.pop_front()?;
-            // det-ok: occupancy gauges mirroring enqueue; conservation checked by the fq invariant tests
-            q.bytes -= pkt.size as u64;
-            self.total_bytes -= pkt.size as u64; // det-ok: aggregate occupancy gauge, same argument
+            let (mut pkt, enq_time) = q.pop_head(bucket, &mut self.by_size)?;
+            // det-ok: aggregate occupancy gauges mirroring enqueue; conservation checked by the fq invariant tests
+            self.total_bytes -= pkt.size as u64;
+            self.total_pkts -= 1; // det-ok: same argument, packet count
             match q.codel.on_dequeue(enq_time, now, q.bytes) {
                 CodelVerdict::Deliver => {
                     self.stats.on_tx(pkt.size);
@@ -158,38 +230,7 @@ impl Qdisc for FqCoDelQdisc {
     }
 
     fn enqueue(&mut self, pkt: Packet, now: Time) -> Result<(), (Packet, DropReason)> {
-        let bucket = self.bucket_of(&pkt);
-        let size = pkt.size;
-        let target = self.cfg.codel_target;
-        let interval = self.cfg.codel_interval;
-        let q = self.flows.get_or_insert_with(bucket, || FlowQueue {
-            queue: VecDeque::new(),
-            bytes: 0,
-            deficit: 0,
-            codel: Codel::new(target, interval),
-            scheduled: false,
-            new_flow: false,
-        });
-        q.queue.push_back((pkt, now));
-        // det-ok: occupancy gauges, decremented on dequeue/drop; admission cap bounds them
-        q.bytes += size as u64;
-        self.total_bytes += size as u64; // det-ok: aggregate occupancy gauge, same argument
-        self.stats.on_enqueue(size);
-        if !q.scheduled {
-            q.scheduled = true;
-            q.new_flow = true;
-            q.deficit = self.cfg.quantum as i64;
-            self.new_list.push_back(bucket);
-        }
-        // Enforce the shared limit by dropping from the fattest queue
-        // (which may be the one we just fed).
-        while self.total_bytes > self.cfg.limit_bytes {
-            self.drop_from_fattest(now);
-        }
-        // Record occupancy only after the limit is enforced: the transient
-        // overshoot inside this call is not an observable queue state, and
-        // the peak gauge must respect `buffer_limit_bytes`.
-        self.stats.note_queued(self.total_bytes);
+        self.admit(pkt, now, Self::fattest);
         Ok(())
     }
 
@@ -252,7 +293,7 @@ impl Qdisc for FqCoDelQdisc {
     }
 
     fn pkt_len(&self) -> usize {
-        self.flows.values().map(|q| q.queue.len()).sum()
+        self.total_pkts
     }
 
     fn stats(&self) -> &QdiscStats {
@@ -265,9 +306,42 @@ impl Qdisc for FqCoDelQdisc {
 }
 
 #[cfg(test)]
+impl FqCoDelQdisc {
+    /// The O(flows) victim selection `by_size` replaced, kept as the
+    /// reference the index is tested against.
+    fn fattest_by_scan(&self) -> Option<u64> {
+        self.flows
+            .iter()
+            .filter(|(_, q)| !q.queue.is_empty())
+            .max_by_key(|&(&b, q)| (q.bytes, b))
+            .map(|(&b, _)| b)
+    }
+
+    fn check_invariants(&self) {
+        let nonempty: BTreeSet<(u64, u64)> = self
+            .flows
+            .iter()
+            .filter(|(_, q)| !q.queue.is_empty())
+            .map(|(&b, q)| (q.bytes, b))
+            .collect();
+        assert_eq!(self.by_size, nonempty, "index == non-empty queues");
+        assert_eq!(self.fattest(), self.fattest_by_scan());
+        for q in self.flows.values() {
+            let bytes: u64 = q.queue.iter().map(|(p, _)| p.size as u64).sum();
+            assert_eq!(q.bytes, bytes);
+        }
+        let total_bytes: u64 = self.flows.values().map(|q| q.bytes).sum();
+        assert_eq!(self.total_bytes, total_bytes);
+        let total_pkts: usize = self.flows.values().map(|q| q.queue.len()).sum();
+        assert_eq!(self.total_pkts, total_pkts);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use cebinae_net::{FlowId, PacketKind, MSS};
+    use cebinae_sim::rng::DetRng;
 
     fn pkt(flow: u32, seq: u64) -> Packet {
         Packet::data(FlowId(flow), seq, MSS, false, Time::ZERO)
@@ -423,6 +497,8 @@ mod tests {
         assert_eq!(s.drop_pkts, s.drop_queued_pkts);
         assert_eq!(s.enq_bytes, s.tx_bytes + s.drop_queued_bytes);
         assert_eq!(q.byte_len(), 0);
+        assert_eq!(q.pkt_len(), 0);
+        q.check_invariants();
         // Ack packets aren't data but should flow through fine too.
         let a = Packet::ack(FlowId(9), 0, false, Time::ZERO, false, Time::ZERO);
         q.enqueue(a, Time::ZERO).unwrap();
@@ -430,5 +506,127 @@ mod tests {
             q.dequeue(Time::from_micros(2)).unwrap().kind,
             PacketKind::Ack { .. }
         ));
+    }
+
+    #[test]
+    fn byte_ties_evict_the_highest_bucket() {
+        let mut q = FqCoDelQdisc::new(FqCoDelConfig {
+            limit_bytes: 6 * (MSS + cebinae_net::HEADER_BYTES) as u64,
+            ..FqCoDelConfig::default()
+        });
+        // Insertion order 5, 9, 2 so neither first nor last inserted wins.
+        for f in [5, 9, 2] {
+            for i in 0..2 {
+                q.enqueue(pkt(f, i), Time::ZERO).unwrap();
+            }
+        }
+        q.check_invariants();
+        // Exactly at the limit, three queues tied at two packets each.
+        assert_eq!(q.stats().drop_pkts, 0);
+        assert_eq!(q.fattest(), Some(9));
+        // A 52 B ACK to a fresh flow overflows: of the tied queues the
+        // highest bucket id pays, whatever the insertion order.
+        let a = Packet::ack(FlowId(1), 0, false, Time::ZERO, false, Time::ZERO);
+        q.enqueue(a, Time::ZERO).unwrap();
+        let depth = |f: u64| q.flows.get(&f).unwrap().queue.len();
+        assert_eq!((depth(2), depth(5), depth(9), depth(1)), (2, 2, 1, 1));
+        assert_eq!(q.stats().drop_pkts, 1);
+        // With 9 out of the tie, 5 is next.
+        assert_eq!(q.fattest(), Some(5));
+        q.check_invariants();
+    }
+
+    #[test]
+    fn eviction_can_empty_a_queue() {
+        let mut q = FqCoDelQdisc::new(FqCoDelConfig {
+            limit_bytes: 1000,
+            ..FqCoDelConfig::default()
+        });
+        // One full-size packet is over the limit on its own: it is admitted,
+        // evicted, and its queue leaves the index.
+        q.enqueue(pkt(3, 0), Time::ZERO).unwrap();
+        assert_eq!((q.byte_len(), q.pkt_len()), (0, 0));
+        assert!(q.by_size.is_empty());
+        assert_eq!(q.fattest(), None);
+        assert_eq!(q.stats().drop_queued_pkts, 1);
+        q.check_invariants();
+        // The emptied queue is still on the new list; dequeue retires it.
+        assert!(q.dequeue(Time::from_micros(1)).is_none());
+        // An ACK fits, and the bucket re-enters the index.
+        let a = Packet::ack(FlowId(3), 0, false, Time::ZERO, false, Time::ZERO);
+        q.enqueue(a, Time::ZERO).unwrap();
+        assert_eq!(q.fattest(), Some(3));
+        q.check_invariants();
+        assert!(q.dequeue(Time::from_micros(2)).is_some());
+        q.check_invariants();
+    }
+
+    /// The indexed victim against the linear scan it replaced: two qdiscs
+    /// fed one seeded op stream must be indistinguishable from outside.
+    #[test]
+    fn indexed_eviction_matches_linear_scan() {
+        const CASES: u64 = 64;
+        const OPS: usize = 2000;
+        let (mut arrivals, mut overflows) = (0u64, 0u64);
+        for case in 0..CASES {
+            let mut rng = DetRng::seed_from_u64(0x00F0_C0DE ^ case);
+            let n_flows = rng.gen_range_u64(2, 200) as u32;
+            let cfg = FqCoDelConfig {
+                limit_bytes: rng.gen_range_u64(3_000, 40_000),
+                buckets: if case % 2 == 0 { None } else { Some(7) },
+                ecn: case % 4 >= 2,
+                ..FqCoDelConfig::default()
+            };
+            let mut indexed = FqCoDelQdisc::new(cfg.clone());
+            let mut scanned = FqCoDelQdisc::new(cfg);
+            let mut now = Time::ZERO;
+            for seq in 0..OPS as u64 {
+                now += cebinae_sim::Duration::from_micros(rng.gen_range_u64(1, 3_000));
+                if rng.gen_bool(0.7) {
+                    let flow = FlowId(rng.gen_range_u64(0, n_flows as u64) as u32);
+                    let mut p = if rng.gen_bool(0.2) {
+                        Packet::ack(flow, seq, false, now, false, now)
+                    } else {
+                        let size = rng.gen_range_u64(64, 1501) as u32;
+                        Packet::data(flow, seq, size - cebinae_net::HEADER_BYTES, false, now)
+                    };
+                    if rng.gen_bool(0.5) {
+                        p.ecn = cebinae_net::Ecn::Capable;
+                    }
+                    let drops_before = indexed.stats().drop_pkts;
+                    indexed.admit(p.clone(), now, |q| {
+                        let victim = q.fattest();
+                        assert_eq!(victim, q.fattest_by_scan(), "case {case} op {seq}");
+                        victim
+                    });
+                    scanned.admit(p, now, FqCoDelQdisc::fattest_by_scan);
+                    arrivals += 1;
+                    overflows += (indexed.stats().drop_pkts > drops_before) as u64;
+                } else {
+                    let (a, b) = (indexed.dequeue(now), scanned.dequeue(now));
+                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "case {case} op {seq}");
+                }
+                assert_eq!(indexed.stats(), scanned.stats(), "case {case} op {seq}");
+                assert_eq!(indexed.byte_len(), scanned.byte_len());
+                assert_eq!(indexed.pkt_len(), scanned.pkt_len());
+                indexed.check_invariants();
+            }
+            // Drain: dequeue order to the last packet.
+            now += cebinae_sim::Duration::from_millis(1);
+            loop {
+                let (a, b) = (indexed.dequeue(now), scanned.dequeue(now));
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "case {case} drain");
+                if a.is_none() {
+                    break;
+                }
+            }
+            assert_eq!(indexed.stats(), scanned.stats());
+            assert_eq!((indexed.byte_len(), indexed.pkt_len()), (0, 0));
+            indexed.check_invariants();
+        }
+        assert!(
+            overflows * 10 >= arrivals * 3,
+            "limits must be tight enough to exercise eviction: {overflows}/{arrivals} arrivals overflowed"
+        );
     }
 }

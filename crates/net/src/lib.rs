@@ -19,7 +19,7 @@ pub use fifo::FifoQdisc;
 pub use ids::{FlowId, LinkId, NodeId};
 pub use packet::{Ecn, Packet, PacketKind, SackBlocks, ACK_FRAME_BYTES, DATA_FRAME_BYTES, HEADER_BYTES, MSS};
 pub use qdisc::{BufferConfig, DropReason, Qdisc, QdiscStats};
-pub use topology::{LinkSpec, NodeKind, Topology};
+pub use topology::{LinkSpec, NodeKind, Routes, Topology};
 pub use tracing::{PacketTrace, TraceEvent, TraceRecord};
 
 // Property tests driven by the workspace's seeded generator: a fixed

@@ -8,6 +8,7 @@
 
 use std::collections::VecDeque;
 
+use cebinae_ds::DetMap;
 use cebinae_sim::Duration;
 
 use crate::ids::{LinkId, NodeId};
@@ -122,39 +123,39 @@ impl Topology {
 
     /// Minimum-hop path of link ids from `src` to `dst`, or `None` if
     /// unreachable. Ties are broken deterministically by link insertion
-    /// order (BFS exploration order).
+    /// order (BFS exploration order). Routing many pairs? Use [`routes`],
+    /// which keeps the BFS trees between calls.
+    ///
+    /// [`routes`]: Topology::routes
     pub fn shortest_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
-        if src == dst {
-            return Some(Vec::new());
+        self.routes().path(src, dst)
+    }
+
+    /// A route cache over this topology (see [`Routes`]).
+    pub fn routes(&self) -> Routes<'_> {
+        Routes {
+            topo: self,
+            trees: DetMap::new(),
         }
+    }
+
+    /// Breadth-first search from `root` over the whole graph: for each node,
+    /// the link it was first reached by (`None` for `root` itself and for
+    /// unreachable nodes).
+    fn bfs_tree(&self, root: NodeId) -> Vec<Option<LinkId>> {
         let mut prev: Vec<Option<LinkId>> = vec![None; self.nodes.len()];
-        let mut visited = vec![false; self.nodes.len()];
-        visited[src.index()] = true;
-        let mut frontier = VecDeque::from([src]);
+        let mut frontier = VecDeque::from([root]);
         while let Some(n) = frontier.pop_front() {
             for &lid in &self.out_links[n.index()] {
                 let next = self.links[lid.index()].to;
-                if visited[next.index()] {
-                    continue;
+                if next == root || prev[next.index()].is_some() {
+                    continue; // already reached
                 }
-                visited[next.index()] = true;
                 prev[next.index()] = Some(lid);
-                if next == dst {
-                    // Reconstruct.
-                    let mut path = Vec::new();
-                    let mut cur = dst;
-                    while cur != src {
-                        let lid = prev[cur.index()].expect("broken bfs chain");
-                        path.push(lid);
-                        cur = self.links[lid.index()].from;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
                 frontier.push_back(next);
             }
         }
-        None
+        prev
     }
 
     /// Sum of propagation delays along a path (one direction).
@@ -168,6 +169,48 @@ impl Topology {
             .map(|l| self.link(*l).rate_bps)
             .min()
             .unwrap_or(u64::MAX)
+    }
+}
+
+/// Shortest paths over one [`Topology`], one BFS per distinct *root* rather
+/// than one per query, so routing F flows costs O(roots × nodes + F × hops).
+///
+/// The root of a query is its source — unless the source has exactly one
+/// out-link (every host), in which case that link is peeled off and the
+/// root is the node behind it. This is exact, ties included: a BFS from
+/// such a source visits only that neighbour at depth 1, and the source
+/// adds nothing to the frontier afterwards, so the search it runs is the
+/// neighbour's own. On a dumbbell every flow in a direction therefore
+/// shares one tree.
+pub struct Routes<'a> {
+    topo: &'a Topology,
+    /// `bfs_tree(root)` for each root asked about so far.
+    trees: DetMap<NodeId, Vec<Option<LinkId>>>,
+}
+
+impl Routes<'_> {
+    /// Same result as [`Topology::shortest_path`].
+    pub fn path(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
+        if src == dst {
+            return Some(Vec::new());
+        }
+        let topo = self.topo;
+        let (first_hop, root) = match topo.out_links(src) {
+            [only] => (Some(*only), topo.link(*only).to),
+            _ => (None, src),
+        };
+        let tree = self.trees.get_or_insert_with(root, || topo.bfs_tree(root));
+        // Walk the predecessor links back from `dst`, then flip.
+        let mut path = Vec::new();
+        let mut cur = dst;
+        while cur != root {
+            let lid = tree[cur.index()]?;
+            path.push(lid);
+            cur = topo.link(lid).from;
+        }
+        path.extend(first_hop);
+        path.reverse();
+        Some(path)
     }
 }
 
