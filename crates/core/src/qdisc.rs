@@ -94,7 +94,7 @@ pub struct CebinaeQdisc {
     cp_last_port_tx: u64,
     /// CP aggregation of cache polls over the current window. Accumulation
     /// is per-key independent, so raw DetMap order is fine; the consumers
-    /// that need key order (recompute, the debug dump) sort on demand.
+    /// that need key order (recompute) sort on demand.
     cp_flow_bytes: DetMap<FlowId, u64>,
 
     rotations: u64,
@@ -113,10 +113,6 @@ pub struct CebinaeQdisc {
     /// bursts) lets the cap random-walk upward faster than τ pulls it
     /// down. Cleared on any unsaturated phase.
     last_top_rate_per_flow: Option<f64>,
-
-    /// `CEBINAE_DEBUG` presence, read once at construction: recompute runs
-    /// in the hot control path and must not touch the environment (R4).
-    debug: bool,
 
     stats: QdiscStats,
     xstats: CebinaeXstats,
@@ -141,8 +137,6 @@ impl CebinaeQdisc {
             port_tx_bytes: 0,
             cp_last_port_tx: 0,
             cp_flow_bytes: DetMap::new(),
-            // det-ok: read once at construction; recomputes use the cached flag
-            debug: std::env::var_os("CEBINAE_DEBUG").is_some(),
             rotations: 0,
             next_phase: CtlPhase::Rotate,
             pending: None,
@@ -274,30 +268,6 @@ impl CebinaeQdisc {
                 self.last_top_rate_per_flow = Some(decision.top_rate_bps / n);
             } else if !decision.saturated {
                 self.last_top_rate_per_flow = None;
-            }
-            if self.debug {
-                let util = port_bytes as f64 * 8.0
-                    / (self.capacity_bps as f64 * self.cfg.window().as_secs_f64());
-                let mut fb: Vec<_> = self.cp_flow_bytes.iter().collect();
-                // Bytes descending, FlowId ascending: ties between equal-rate
-                // flows print in a stable order.
-                fb.sort_by_key(|&(f, b)| (std::cmp::Reverse(*b), *f));
-                let tops: Vec<String> = fb
-                    .iter()
-                    .take(5)
-                    .map(|(f, b)| {
-                        format!("{f}:{:.0}M", **b as f64 * 8.0 / self.cfg.window().as_secs_f64() / 1e6)
-                    })
-                    .collect();
-                eprintln!(
-                    "RECOMPUTE t={:?} util={util:.3} sat={} ntop={} top_rate={:.0}M q={}KB {:?}",
-                    self.clock.base_round_time(),
-                    decision.saturated,
-                    decision.top_flows.len(),
-                    decision.top_rate_bps / 1e6,
-                    self.queued_total / 1000,
-                    tops
-                );
             }
             self.cp_flow_bytes.clear();
 

@@ -167,7 +167,7 @@ impl<K: DetKey, V> DetMap<K, V> {
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
         let (_, e) = self.find(key)?;
-        Some(&self.entries[e as usize].1) // det-ok: index returned by find() is live
+        Some(&self.entries[e as usize].1) // index returned by find() is live
     }
 
     #[inline]
@@ -181,16 +181,16 @@ impl<K: DetKey, V> DetMap<K, V> {
         self.grow_for(self.entries.len() + 1);
         let mut pos = fold(key.det_hash()) & self.mask;
         loop {
-            let e = self.index[pos]; // det-ok: pos is masked to the bucket-array length
+            let e = self.index[pos]; // pos is masked to the bucket-array length
             if e == EMPTY {
-                self.index[pos] = self.entries.len() as u32; // det-ok: pos masked; entry count < u32::MAX by the id-space contract
+                self.index[pos] = self.entries.len() as u32; // pos masked; entry count < u32::MAX by the id-space contract
                 self.entries.push((key, value));
                 self.sorted_dirty.set(true);
                 return None;
             }
-            // det-ok: bucket entries hold live indices (table invariant)
+            // bucket entries hold live indices (table invariant)
             if self.entries[e as usize].0 == key {
-                return Some(std::mem::replace(&mut self.entries[e as usize].1, value)); // det-ok: same live index
+                return Some(std::mem::replace(&mut self.entries[e as usize].1, value)); // same live index
             }
             pos = (pos + 1) & self.mask;
         }
@@ -231,12 +231,12 @@ impl<K: DetKey, V> DetMap<K, V> {
         // the old position. Walk its probe chain to repoint it.
         let stale = self.entries.len() as u32;
         if e as u32 != stale {
-            // det-ok: e < entries.len() after the swap (we only get here when an entry moved)
+            // e < entries.len() after the swap (we only get here when an entry moved)
             let mut pos = fold(self.entries[e].0.det_hash()) & self.mask;
             loop {
-                // det-ok: pos is masked; the moved key is present, so its bucket is reachable before any EMPTY
+                // pos is masked; the moved key is present, so its bucket is reachable before any EMPTY
                 if self.index[pos] == stale {
-                    self.index[pos] = e as u32; // det-ok: pos masked
+                    self.index[pos] = e as u32; // pos masked
                     break;
                 }
                 pos = (pos + 1) & self.mask;
@@ -253,20 +253,20 @@ impl<K: DetKey, V> DetMap<K, V> {
         let mut j = pos;
         loop {
             j = (j + 1) & mask;
-            let e = self.index[j]; // det-ok: j is masked to the bucket-array length
+            let e = self.index[j]; // j is masked to the bucket-array length
             if e == EMPTY {
                 break;
             }
-            // det-ok: bucket entries hold live indices (table invariant)
+            // bucket entries hold live indices (table invariant)
             let ideal = fold(self.entries[e as usize].0.det_hash()) & mask;
             // Move the entry into the hole iff its probe distance reaches
             // at least back to the hole (cyclic arithmetic).
             if j.wrapping_sub(ideal) & mask >= j.wrapping_sub(hole) & mask {
-                self.index[hole] = e; // det-ok: hole is a previously visited masked position
+                self.index[hole] = e; // hole is a previously visited masked position
                 hole = j;
             }
         }
-        self.index[hole] = EMPTY; // det-ok: hole is a masked position
+        self.index[hole] = EMPTY; // hole is a masked position
     }
 
     /// Keep only entries for which `f` returns true, preserving the dense
@@ -326,8 +326,8 @@ impl<K: DetKey, V> DetMap<K, V> {
             let mut order = self.sorted_cache.borrow_mut();
             order.clear();
             order.extend(0..self.entries.len() as u32);
-            // det-ok: order holds indices 0..entries.len()
             order.sort_unstable_by(|&a, &b| {
+                // det-ok: order holds indices 0..entries.len()
                 self.entries[a as usize].0.cmp(&self.entries[b as usize].0)
             });
             self.sorted_dirty.set(false);
@@ -386,7 +386,7 @@ impl<'a, K: DetKey, V> Iterator for SortedIter<'a, K, V> {
     fn next(&mut self) -> Option<Self::Item> {
         let &idx = self.order.get(self.i)?;
         self.i += 1;
-        // det-ok: the cache holds a permutation of 0..entries.len(), and no
+        // the cache holds a permutation of 0..entries.len(), and no
         // mutation can happen while this iterator borrows the map
         let (k, v) = &self.map.entries[idx as usize];
         Some((k, v))

@@ -82,7 +82,7 @@ impl FlowSlab {
     /// Remove `key`, compacting by swapping the last slot into the gap.
     pub fn remove(&mut self, key: u32) -> Option<SlabRemoval> {
         let slot = self.get(key)?;
-        self.fwd[key as usize] = VACANT; // det-ok: get() proved key is in range
+        self.fwd[key as usize] = VACANT; // get() proved key is in range
         let last = self.rev.len() as u32 - 1;
         self.rev.swap_remove(slot as usize);
         if slot == last {
@@ -91,8 +91,8 @@ impl FlowSlab {
                 moved_key: None,
             });
         }
-        let moved = self.rev[slot as usize]; // det-ok: slot < rev.len() since slot < last
-        self.fwd[moved as usize] = slot; // det-ok: moved key was live, so in fwd range
+        let moved = self.rev[slot as usize]; // slot < rev.len() since slot < last
+        self.fwd[moved as usize] = slot; // moved key was live, so in fwd range
         Some(SlabRemoval {
             slot,
             moved_key: Some(moved),

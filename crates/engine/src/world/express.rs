@@ -83,7 +83,7 @@ impl ExpressLink {
                 break;
             }
             self.queue.pop_front();
-            self.queued_bytes -= size as u64; // det-ok: occupancy gauge; every entry was added on admission below, so underflow is impossible
+            self.queued_bytes -= size as u64; // occupancy gauge; every entry was added on admission below, so underflow is impossible
             self.stats.on_tx(size);
         }
     }
@@ -123,7 +123,7 @@ pub(crate) fn walk(
             return;
         }
         x.stats.on_enqueue(pkt.size);
-        x.queued_bytes += pkt.size as u64; // det-ok: occupancy gauge, decremented in drain; admission check above bounds it
+        x.queued_bytes += pkt.size as u64; // occupancy gauge, decremented in drain; admission check above bounds it
         x.stats.note_queued(x.queued_bytes);
         let start = t.max(x.free_at);
         x.free_at = start + tx_time(pkt.size as u64, rate_bps);

@@ -103,7 +103,7 @@ impl Qdisc for AfqQdisc {
             self.stats.on_drop(pkt.size);
             return Err((pkt, DropReason::CalendarHorizon));
         }
-        *counter += pkt.size as u64; // det-ok: per-flow bid counter, reset each epoch; u64 cannot overflow within a run
+        *counter += pkt.size as u64; // per-flow bid counter, reset each epoch; u64 cannot overflow within a run
         let qi = (bid_round % self.cfg.n_queues as u64) as usize;
         // det-ok: qi < n_queues by the modulo; queue_bytes is an occupancy gauge mirrored in dequeue
         self.queue_bytes[qi] += pkt.size as u64;

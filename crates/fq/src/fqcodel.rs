@@ -68,7 +68,7 @@ impl FlowQueue {
         if !self.queue.is_empty() {
             by_size.remove(&(self.bytes, bucket));
         }
-        // det-ok: occupancy gauge, decremented in pop_head; admission cap bounds it
+        // occupancy gauge, decremented in pop_head; admission cap bounds it
         self.bytes += pkt.size as u64;
         self.queue.push_back((pkt, now));
         by_size.insert((self.bytes, bucket));
@@ -83,7 +83,7 @@ impl FlowQueue {
     ) -> Option<(Packet, Time)> {
         let (pkt, enq_time) = self.queue.pop_front()?;
         by_size.remove(&(self.bytes, bucket));
-        // det-ok: occupancy gauge; the popped packet's bytes were added in push
+        // occupancy gauge; the popped packet's bytes were added in push
         self.bytes -= pkt.size as u64;
         if !self.queue.is_empty() {
             by_size.insert((self.bytes, bucket));

@@ -70,24 +70,8 @@ impl Ctx {
         }
     }
 
-    pub fn with_seed(mut self, seed: u64) -> Ctx {
-        self.seed = seed;
-        self
-    }
-
     pub fn with_threads(mut self, threads: usize) -> Ctx {
         self.threads = threads;
-        self
-    }
-
-    pub fn with_full(mut self, full: bool) -> Ctx {
-        self.full = full;
-        self
-    }
-
-    /// Route telemetry to `path` (`None` disables).
-    pub fn with_telemetry(mut self, path: Option<String>) -> Ctx {
-        self.telemetry = path;
         self
     }
 
@@ -440,12 +424,10 @@ mod tests {
 
     #[test]
     fn ctx_builder_chains() {
-        let ctx = Ctx::serial(false, 0)
-            .with_seed(9)
+        let mut ctx = Ctx::serial(true, 9)
             .with_threads(3)
-            .with_full(true)
-            .with_telemetry(Some("t.ndjson".into()))
             .with_faults(FaultPlan::uniform_loss(0.01));
+        ctx.telemetry = Some("t.ndjson".into());
         assert_eq!(ctx.seed, 9);
         assert_eq!(ctx.threads, 3);
         assert!(ctx.full);

@@ -115,7 +115,7 @@ impl<E> WheelScheduler<E> {
         if diff < SLOTS as u64 {
             0
         } else {
-            // det-ok: diff >= 64 so leading_zeros <= 57 and the subtraction
+            // diff >= 64 so leading_zeros <= 57 and the subtraction
             // cannot underflow; result is a level index in 1..=10.
             (63 - diff.leading_zeros() as usize) / LEVEL_BITS
         }

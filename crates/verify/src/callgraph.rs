@@ -1,14 +1,15 @@
 //! Call-graph construction and the transitive hot-path analyses.
 //!
 //! Entry points are the enqueue/dequeue/rotate functions defined in the
-//! dataplane crates (`rules::R5_CRATES`). A deterministic BFS over the
-//! resolved call edges yields, for every reachable function, the chain
-//! of calls that makes it hot; rules R5 (panic-freedom) and R12
-//! (overflow-safe counters) are then evaluated over that reachable set,
-//! and every finding carries its reachability trace.
+//! dataplane crates (the scope of R5's row in `rules::RULES`). A
+//! deterministic BFS over the resolved call edges yields, for every
+//! reachable function, the chain of calls that makes it hot; rules R5
+//! (panic-freedom) and R12 (overflow-safe counters) are then evaluated
+//! over that reachable set, and every finding carries its reachability
+//! trace.
 
 use crate::index::SymbolIndex;
-use crate::rules::{hot_fn, in_crate_src, Rule, Violation, R5_CRATES};
+use crate::rules::{hot_fn, Rule, Violation};
 use std::collections::BTreeMap;
 
 /// Fn ids of the hot entry points, ordered by (file, line) so BFS parent
@@ -17,7 +18,7 @@ pub fn hot_entries(ix: &SymbolIndex) -> Vec<usize> {
     let mut out: Vec<usize> = (0..ix.fns.len())
         .filter(|&id| {
             let e = &ix.fns[id];
-            hot_fn(&e.def.name) && in_crate_src(&e.file, &R5_CRATES)
+            hot_fn(&e.def.name) && Rule::R5.info().scope.contains(&e.file)
         })
         .collect();
     out.sort_by(|&a, &b| {
@@ -91,50 +92,37 @@ pub fn is_monotone_counter(name: &str) -> bool {
 }
 
 /// Run the transitive hot-path rules (R5, R12) over the whole index.
-pub fn run_hot_path_rules(
-    ix: &SymbolIndex,
-    enabled: &dyn Fn(Rule) -> bool,
-    out: &mut Vec<Violation>,
-) {
-    if !enabled(Rule::R5) && !enabled(Rule::R12) {
-        return;
-    }
+pub fn run_hot_path_rules(ix: &SymbolIndex, out: &mut Vec<Violation>) {
     let entries = hot_entries(ix);
     let parent = reachable(ix, &entries);
     for (&id, _) in &parent {
         let e = &ix.fns[id];
         let trace = trace_of(ix, &parent, id);
-        if enabled(Rule::R5) {
-            for p in &e.def.panics {
-                out.push(Violation {
-                    file: e.file.clone(),
-                    line: p.line,
-                    rule: Rule::R5,
-                    message: format!(
-                        "{} in `{}`, reachable from an enqueue/dequeue/rotate hot path; \
-                         return an error or restructure so the invariant is type-guaranteed",
-                        p.what, e.def.name
-                    ),
-                    trace: trace.clone(),
-                });
-            }
+        for p in &e.def.panics {
+            out.push(Violation {
+                file: e.file.clone(),
+                line: p.line,
+                rule: Rule::R5,
+                message: format!(
+                    "{} in `{}`, reachable from an enqueue/dequeue/rotate hot path; \
+                     return an error or restructure so the invariant is type-guaranteed",
+                    p.what, e.def.name
+                ),
+                trace: trace.clone(),
+            });
         }
-        if enabled(Rule::R12) {
-            for c in &e.def.counter_ops {
-                if is_monotone_counter(&c.name) {
-                    out.push(Violation {
-                        file: e.file.clone(),
-                        line: c.line,
-                        rule: Rule::R12,
-                        message: format!(
-                            "bare `{}` on counter `{}` in the hot path; use `saturating_*`/\
-                             `checked_*` (or waive a gauge with its conservation invariant)",
-                            c.op, c.name
-                        ),
-                        trace: trace.clone(),
-                    });
-                }
-            }
+        for c in e.def.counter_ops.iter().filter(|c| is_monotone_counter(&c.name)) {
+            out.push(Violation {
+                file: e.file.clone(),
+                line: c.line,
+                rule: Rule::R12,
+                message: format!(
+                    "bare `{}` on counter `{}` in the hot path; use `saturating_*`/\
+                     `checked_*` (or waive a gauge with its conservation invariant)",
+                    c.op, c.name
+                ),
+                trace: trace.clone(),
+            });
         }
     }
 }

@@ -15,6 +15,8 @@
 
 use crate::parser::{CallKind, FileFacts, FnDef};
 use std::collections::BTreeMap;
+use std::fs;
+use std::path::{Path, PathBuf};
 
 /// A function in the index: which file it came from plus its parsed def.
 #[derive(Clone, Debug)]
@@ -24,34 +26,85 @@ pub struct FnEntry {
     pub def: FnDef,
 }
 
-/// Direct intra-workspace dependencies of each crate, mirroring the
-/// `Cargo.toml` graph. Unknown crates (fixture paths, future crates)
-/// resolve permissively: all edges allowed.
-const CRATE_DEPS: [(&str, &[&str]); 14] = [
-    ("sim", &[]),
-    ("net", &["sim"]),
-    ("core", &["sim", "net"]),
-    ("fq", &["sim", "net"]),
-    ("transport", &["sim", "net"]),
-    ("traffic", &["sim", "net"]),
-    ("metrics", &["sim", "net"]),
-    ("telemetry", &[]),
-    ("par", &[]),
-    ("verify", &[]),
-    ("faults", &["sim", "net"]),
-    (
-        "engine",
-        &["sim", "net", "faults", "transport", "fq", "core", "metrics", "telemetry"],
-    ),
-    (
-        "check",
-        &["sim", "net", "faults", "core", "transport", "fq", "engine", "metrics", "par"],
-    ),
-    (
-        "harness",
-        &["sim", "net", "faults", "transport", "fq", "core", "engine", "traffic", "metrics", "par"],
-    ),
-];
+/// The crate-dependency relation of the tree being analysed: for each
+/// `crates/<dir>`, the crate directories its code can call into — its
+/// own plus the transitive closure of its `[dependencies]`. A caller the
+/// relation does not know (a fixture path, a tree without manifests)
+/// resolves permissively: all edges allowed.
+#[derive(Clone, Debug, Default)]
+pub struct CrateDeps {
+    closure: BTreeMap<String, Vec<String>>,
+}
+
+impl CrateDeps {
+    /// Read `[workspace.dependencies]` in `<root>/Cargo.toml` for package
+    /// name → `crates/<dir>`, then each such crate's `[dependencies]`
+    /// table (not `dev-dependencies`) for its edges. A line-based scan; a
+    /// missing manifest contributes nothing.
+    pub fn from_manifests(root: &Path) -> CrateDeps {
+        let read = |p: PathBuf| fs::read_to_string(p).unwrap_or_default();
+        let workspace = read(root.join("Cargo.toml"));
+        let dir_of: BTreeMap<&str, &str> = table_entries(&workspace, "[workspace.dependencies]")
+            .filter_map(|(pkg, rest)| {
+                let path = rest.split_once("path = \"")?.1.split('"').next()?;
+                Some((pkg, path.strip_prefix("crates/")?))
+            })
+            .collect();
+        let direct: BTreeMap<&str, Vec<&str>> = dir_of
+            .values()
+            .map(|&dir| {
+                let manifest = read(root.join("crates").join(dir).join("Cargo.toml"));
+                let deps = table_entries(&manifest, "[dependencies]")
+                    .filter_map(|(pkg, _)| dir_of.get(pkg).copied())
+                    .collect();
+                (dir, deps)
+            })
+            .collect();
+        let mut closure = BTreeMap::new();
+        for &name in direct.keys() {
+            let mut seen = vec![name];
+            let mut stack = vec![name];
+            while let Some(c) = stack.pop() {
+                for &d in &direct[c] {
+                    if !seen.contains(&d) {
+                        seen.push(d);
+                        stack.push(d);
+                    }
+                }
+            }
+            closure.insert(name.to_string(), seen.into_iter().map(String::from).collect());
+        }
+        CrateDeps { closure }
+    }
+
+    /// May code in crate `caller` call into crate `callee`? `None` is a
+    /// path outside `crates/`.
+    pub fn edge_ok(&self, caller: Option<&str>, callee: Option<&str>) -> bool {
+        match (caller.and_then(|a| self.closure.get(a)), callee) {
+            (Some(reach), Some(b)) => reach.iter().any(|d| d == b),
+            _ => true,
+        }
+    }
+}
+
+/// `(key, rest of line)` for each entry of the table under `header` in a
+/// manifest; a key ends at `.`, `=` or whitespace.
+fn table_entries<'a>(
+    manifest: &'a str,
+    header: &'a str,
+) -> impl Iterator<Item = (&'a str, &'a str)> {
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(move |l| *l != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| {
+            let end = l.find(|c: char| c == '.' || c == '=' || c.is_whitespace())?;
+            Some((&l[..end], &l[end..]))
+        })
+}
 
 /// The crate a workspace-relative path belongs to (`crates/<name>/..`),
 /// or `None` for root-package files and unknown layouts.
@@ -74,18 +127,17 @@ pub struct SymbolIndex {
     free_by_name: BTreeMap<String, Vec<usize>>,
     by_ty_and_name: BTreeMap<(String, String), Vec<usize>>,
     by_name: BTreeMap<String, Vec<usize>>,
-    /// Transitive dependency closure per known crate (self included).
-    dep_closure: BTreeMap<&'static str, Vec<&'static str>>,
+    deps: CrateDeps,
 }
 
 impl SymbolIndex {
     /// Build the index from per-file facts. Iteration order of `files`
     /// must be deterministic (callers pass a `BTreeMap` or sorted list).
-    pub fn build<'a>(files: impl IntoIterator<Item = (&'a str, &'a FileFacts)>) -> SymbolIndex {
-        let mut ix = SymbolIndex {
-            dep_closure: dep_closure(),
-            ..SymbolIndex::default()
-        };
+    pub fn build<'a>(
+        files: impl IntoIterator<Item = (&'a str, &'a FileFacts)>,
+        deps: CrateDeps,
+    ) -> SymbolIndex {
+        let mut ix = SymbolIndex { deps, ..SymbolIndex::default() };
         for (file, facts) in files {
             for def in &facts.fns {
                 let id = ix.fns.len();
@@ -108,23 +160,11 @@ impl SymbolIndex {
         ix
     }
 
-    /// May code in `caller_crate` call into `callee_crate`? Unknown
-    /// crates on either side are permissive.
-    fn crate_edge_ok(&self, caller: Option<&str>, callee: Option<&str>) -> bool {
-        match (caller, callee) {
-            (Some(a), Some(b)) => match self.dep_closure.get(a) {
-                Some(deps) => a == b || deps.iter().any(|&d| d == b),
-                None => true,
-            },
-            _ => true,
-        }
-    }
-
     fn admissible(&self, caller_file: &str, ids: &[usize]) -> Vec<usize> {
         let caller_crate = crate_of(caller_file);
         ids.iter()
             .copied()
-            .filter(|&id| crate_edge_ok_entry(self, caller_crate, &self.fns[id].file))
+            .filter(|&id| self.deps.edge_ok(caller_crate, crate_of(&self.fns[id].file)))
             .collect()
     }
 
@@ -185,28 +225,4 @@ impl SymbolIndex {
             }
         }
     }
-}
-
-fn crate_edge_ok_entry(ix: &SymbolIndex, caller_crate: Option<&str>, callee_file: &str) -> bool {
-    ix.crate_edge_ok(caller_crate, crate_of(callee_file))
-}
-
-fn dep_closure() -> BTreeMap<&'static str, Vec<&'static str>> {
-    let direct: BTreeMap<&str, &[&str]> = CRATE_DEPS.iter().copied().collect();
-    let mut out = BTreeMap::new();
-    for (name, _) in CRATE_DEPS {
-        let mut seen = vec![name];
-        let mut stack = vec![name];
-        while let Some(c) = stack.pop() {
-            for &d in direct.get(c).copied().unwrap_or(&[]) {
-                if !seen.contains(&d) {
-                    seen.push(d);
-                    stack.push(d);
-                }
-            }
-        }
-        seen.sort_unstable();
-        out.insert(name, seen);
-    }
-    out
 }

@@ -56,11 +56,16 @@ pub struct Lexed {
     pub unit_bindings: BTreeMap<String, String>,
 }
 
+/// The lines whose waiver covers a diagnostic on `line`: its own and
+/// the one above.
+pub fn waiver_lines(line: usize) -> [usize; 2] {
+    [line, line.saturating_sub(1)]
+}
+
 impl Lexed {
-    /// Is `line` covered by a waiver (same line, or the line above)?
+    /// Is `line` covered by a waiver?
     pub fn waived(&self, line: usize) -> bool {
-        self.waivers.contains_key(&line)
-            || (line > 0 && self.waivers.contains_key(&(line - 1)))
+        waiver_lines(line).iter().any(|l| self.waivers.contains_key(l))
     }
 }
 

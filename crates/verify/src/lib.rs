@@ -3,62 +3,22 @@
 //! A dependency-free static-analysis pass over every `.rs` file in the
 //! workspace, enforcing the determinism and dataplane-safety invariants
 //! the reproduction depends on (see `DESIGN.md`, "Determinism
-//! invariants" and "Verify v2"):
+//! invariants" and "Verify v2"). The rules — R1-R14 plus the waiver
+//! meta-rules W0/W1 — are described once, in [`rules::RULES`];
+//! `cebinae-verify --help` lists them and `--explain RULE` prints one
+//! rule's rationale with a flagged and a preferred snippet.
 //!
-//! * **R1** — no wall-clock reads (`Instant::now`, `SystemTime`) outside
-//!   the harness/examples allowlist;
-//! * **R2** — no ambient randomness (`thread_rng`, `rand::random`,
-//!   `RandomState`, OS entropy): all entropy flows through
-//!   `cebinae_sim::rng::DetRng`;
-//! * **R3** — no order-sensitive iteration over `HashMap`/`HashSet` in the
-//!   sim/net/core/engine/transport crates;
-//! * **R4** — no `std::env` reads in dataplane modules (read once at
-//!   construction, cache the result);
-//! * **R5** — no `unwrap`/`expect`/panic-family macros/indexing-that-can-
-//!   panic anywhere *transitively reachable* from an enqueue/dequeue/
-//!   rotate entry point (workspace call graph, reachability trace per
-//!   finding);
-//! * **R6** — no `==`/`!=` against float literals in core/metrics;
-//! * **R7** — no `std::thread` in simulation/dataplane crates: a simulated
-//!   timeline is strictly sequential, and parallelism lives only in
-//!   `crates/par` (the trial executor) and the harness drivers;
-//! * **R8** — no raw `println!`/`eprintln!` (or `print!`/`eprint!`/`dbg!`)
-//!   in the instrumented sim/net/engine/transport/telemetry crates:
-//!   observability flows through `cebinae-telemetry`, so experiment output
-//!   stays deterministic and machine-readable;
-//! * **R9** — no mutating engine/dataplane/telemetry method calls in the
-//!   fuzzer's oracle modules (`crates/check/src/oracle*`): oracles are
-//!   read-only judges, and replica-driving belongs in `cebinae-check`'s
-//!   model layer;
-//! * **R10** — no cross-unit arithmetic/comparison: identifiers with
-//!   different inferred units (suffix conventions `_ns`/`_bytes`/`_bps`/
-//!   `_pkts`/…, or `// unit: name=u` annotations) must not meet under
-//!   `+`, `-`, or a comparison;
-//! * **R11** — no lossy `as` narrowing casts in sim/net/engine/transport/
-//!   fq dataplane code;
-//! * **R12** — no bare `+=`/`-=` on monotone counters in the hot-path
-//!   reachable set; use `saturating_*`/`checked_*` or waive a gauge with
-//!   its conservation invariant;
-//! * **R13** — no `std::collections::HashMap`/`HashSet` at all in
-//!   simulation/dataplane crate sources (R3 catches iteration; R13 bans
-//!   the entropy-seeded type itself) — use `cebinae_ds::DetMap`/`DetSet`;
-//! * **R14** — no concrete event-queue backend types (`EventQueue`,
-//!   `HeapScheduler`, `WheelScheduler`, `BinaryHeap`) in the engine/
-//!   transport/traffic crates: event-loop consumers name the
-//!   `cebinae_sim::Scheduler` trait so the heap and timing-wheel backends
-//!   stay swappable under identical call sites.
+//! A finding can be suppressed with a `// det-ok: <reason>` comment on
+//! the same line or the line above; the reason is mandatory (W0), and a
+//! marker that suppresses nothing is itself a finding (W1).
 //!
-//! A violation can be suppressed with a `// det-ok: <reason>` comment on
-//! the same line or the line above; the reason is mandatory.
-//!
-//! The pass runs three ways: `cargo run -p cebinae-verify` (CLI, with
+//! There is one analysis path, [`check_workspace`]: every file is lexed,
+//! parsed and matched against the per-file rules, the call-graph rules
+//! run over the whole index, and waivers are applied to the finished
+//! list. It runs three ways: `cargo run -p cebinae-verify` (CLI, with
 //! `--format json` for the machine-readable report), this library API,
 //! and the root package's `tests/verify_gate.rs`, which makes a plain
-//! `cargo test -q` fail on any unwaived violation. The workspace entry
-//! points keep an incremental cache (FNV-1a file hashes) under
-//! `<root>/target/` so warm runs re-lex only changed files; warm and
-//! cold findings are byte-identical because the global rules are always
-//! recomputed from the (cached or fresh) parsed facts.
+//! `cargo test -q` fail on any unwaived violation.
 
 pub mod callgraph;
 pub mod index;
@@ -68,13 +28,11 @@ pub mod report;
 pub mod rules;
 pub mod units;
 
-pub use report::{Cache, CacheStats};
 pub use rules::{Rule, Violation};
 
-use index::SymbolIndex;
+use index::{CrateDeps, SymbolIndex};
 use parser::FileFacts;
-use report::CacheEntry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -103,122 +61,132 @@ impl Config {
     }
 }
 
-/// Per-file analysis product: the file-local findings (all rules — the
-/// caller filters by config) plus the parsed facts for the workspace
-/// index. This is the unit the incremental cache stores.
+/// The result of one analysis.
 #[derive(Clone, Debug, Default)]
-pub struct FileAnalysis {
-    pub local: Vec<Violation>,
-    pub facts: FileFacts,
+pub struct Report {
+    /// Unwaived findings, sorted by (file, line, rule).
+    pub findings: Vec<Violation>,
+    /// Per rule, the number of `det-ok` markers that suppressed at least
+    /// one of its findings (a marker over an R5 and an R12 site counts
+    /// under both).
+    pub waivers_used: BTreeMap<Rule, usize>,
+}
+
+/// Per-file analysis product.
+struct FileAnalysis {
+    /// Per-file rule findings, waived sites included.
+    local: Vec<Violation>,
+    facts: FileFacts,
+    /// Line of each `det-ok` marker that has a reason → whether it sits in
+    /// a test region.
+    waivers: BTreeMap<usize, bool>,
 }
 
 /// Lex + parse + run every per-file rule on one source string, as if it
 /// lived at workspace-relative `path` (forward slashes).
-pub fn analyze_source(path: &str, src: &str) -> FileAnalysis {
+fn analyze(path: &str, src: &str) -> FileAnalysis {
     let lexed = lexer::lex(src);
     let ctx = rules::FileCtx::new(path, &lexed);
     let mut local = Vec::new();
-    rules::run_rules(&ctx, &|_| true, &mut local);
-    FileAnalysis { local, facts: parser::parse(&lexed) }
+    rules::run_rules(&ctx, &mut local);
+    let waivers = lexed.waivers.keys().map(|&line| (line, ctx.in_test(line))).collect();
+    FileAnalysis { local, facts: parser::parse(&lexed), waivers }
 }
 
 /// Check a single source string: per-file rules plus the transitive
-/// hot-path rules evaluated over this file alone. This is the unit used
-/// by the fixture self-tests; the workspace entry points share the same
-/// assembly via [`assemble`].
+/// hot-path rules evaluated over this file alone, with every crate edge
+/// allowed. This is the unit used by the fixture self-tests; it shares
+/// [`assemble`] with [`check_workspace`].
 pub fn check_source(path: &str, src: &str, cfg: &Config) -> Vec<Violation> {
-    let a = analyze_source(path, src);
-    let mut files = BTreeMap::new();
-    files.insert(
-        path.to_string(),
-        CacheEntry { hash: 0, local: a.local, facts: a.facts },
-    );
-    assemble(&files, cfg)
+    source_report(path, src, cfg).findings
 }
 
-/// Combine per-file results into the final findings list: filter local
-/// findings by the active config, build the symbol index, run the
-/// call-graph-transitive rules, and sort deterministically.
-fn assemble(files: &BTreeMap<String, CacheEntry>, cfg: &Config) -> Vec<Violation> {
-    let mut out: Vec<Violation> = files
-        .values()
-        .flat_map(|e| e.local.iter())
-        .filter(|v| cfg.enabled(v.rule))
-        .cloned()
-        .collect();
-    let ix = SymbolIndex::build(files.iter().map(|(p, e)| (p.as_str(), &e.facts)));
-    callgraph::run_hot_path_rules(&ix, &|r| cfg.enabled(r), &mut out);
-    out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+/// [`check_source`] with the used-waiver counts.
+pub fn source_report(path: &str, src: &str, cfg: &Config) -> Report {
+    let files = BTreeMap::from([(path.to_string(), analyze(path, src))]);
+    assemble(&files, CrateDeps::default(), cfg)
+}
+
+/// Combine per-file results into the report: build the symbol index, run
+/// the call-graph-transitive rules, drop disabled rules, apply waivers —
+/// here and nowhere else, so every marker is known to have suppressed
+/// something or not — and sort deterministically.
+fn assemble(files: &BTreeMap<String, FileAnalysis>, deps: CrateDeps, cfg: &Config) -> Report {
+    let mut all: Vec<Violation> = files.values().flat_map(|a| a.local.iter().cloned()).collect();
+    let ix = SymbolIndex::build(files.iter().map(|(p, a)| (p.as_str(), &a.facts)), deps);
+    callgraph::run_hot_path_rules(&ix, &mut all);
+    all.retain(|v| cfg.enabled(v.rule));
+
+    // (file, marker line) → the rules whose findings the marker suppressed.
+    let mut used: BTreeMap<(&str, usize), BTreeSet<Rule>> = BTreeMap::new();
+    let mut findings = Vec::new();
+    for v in all {
+        let (file, analysis) =
+            files.get_key_value(v.file.as_str()).expect("a finding names an analysed file");
+        let covering: Vec<usize> = lexer::waiver_lines(v.line)
+            .into_iter()
+            .filter(|l| analysis.waivers.contains_key(l))
+            .collect();
+        // An empty reason cannot be excused by a neighbouring marker.
+        if covering.is_empty() || v.rule == Rule::Waiver {
+            findings.push(v);
+            continue;
+        }
+        for line in covering {
+            used.entry((file.as_str(), line)).or_default().insert(v.rule);
+        }
+    }
+
+    // W1: with a rule skipped, a marker may be waiting for its findings.
+    if cfg.disabled.is_empty() {
+        for (file, analysis) in files {
+            for (&line, &in_test) in &analysis.waivers {
+                if !in_test && !used.contains_key(&(file.as_str(), line)) {
+                    findings.push(Violation {
+                        file: file.clone(),
+                        line,
+                        rule: Rule::DeadWaiver,
+                        message: "det-ok waiver suppresses no finding; drop the marker (keep \
+                                  the comment) or move it onto the line it is meant to cover"
+                            .into(),
+                        trace: Vec::new(),
+                    });
+                }
+            }
+        }
+    }
+
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     // Two identical sites on one line (e.g. `m[a][b]` indexing twice)
     // collapse to one diagnostic.
-    out.dedup_by(|a, b| {
+    findings.dedup_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message) == (&b.file, b.line, b.rule, &b.message)
     });
-    out
+    let mut waivers_used = BTreeMap::new();
+    for rule in used.values().flatten() {
+        *waivers_used.entry(*rule).or_insert(0) += 1;
+    }
+    Report { findings, waivers_used }
 }
 
-/// Walk the workspace and run all rules, cold (no cache IO).
+/// Walk the workspace and run all rules.
 ///
 /// Skipped directories: build output (`target`), VCS metadata, and rule
 /// fixtures (`fixtures` — those files *intentionally* violate the rules).
-pub fn check_workspace(cfg: &Config) -> io::Result<Vec<Violation>> {
-    let (violations, _) = run_workspace(cfg, None)?;
-    Ok(violations)
-}
-
-/// Walk the workspace with the incremental cache at `cache_path`
-/// (defaulting to `<root>/target/cebinae-verify-cache.tsv`): unchanged
-/// files (by FNV-1a content hash) reuse their cached local findings and
-/// parsed facts; the global rules are recomputed either way, so the
-/// result is byte-identical to a cold run.
-pub fn check_workspace_cached(
-    cfg: &Config,
-    cache_path: Option<&Path>,
-) -> io::Result<(Vec<Violation>, CacheStats)> {
-    let default_path = cfg.root.join("target").join("cebinae-verify-cache.tsv");
-    let path = cache_path.unwrap_or(&default_path);
-    run_workspace(cfg, Some(path))
-}
-
-fn run_workspace(
-    cfg: &Config,
-    cache_path: Option<&Path>,
-) -> io::Result<(Vec<Violation>, CacheStats)> {
-    let mut files = Vec::new();
-    collect_rs_files(&cfg.root, &mut files)?;
-    files.sort();
-
-    let old = cache_path.and_then(Cache::load).unwrap_or_default();
-    let mut fresh = Cache::default();
-    let mut stats = CacheStats::default();
-
-    for f in &files {
+pub fn check_workspace(cfg: &Config) -> io::Result<Report> {
+    let mut paths = Vec::new();
+    collect_rs_files(&cfg.root, &mut paths)?;
+    let mut files = BTreeMap::new();
+    for f in &paths {
         let rel = f
             .strip_prefix(&cfg.root)
             .unwrap_or(f)
             .to_string_lossy()
             .replace('\\', "/");
-        let src = fs::read_to_string(f)?;
-        let hash = report::fnv1a(src.as_bytes());
-        stats.files += 1;
-        let entry = match old.entries.get(&rel) {
-            Some(e) if e.hash == hash => {
-                stats.reused += 1;
-                e.clone()
-            }
-            _ => {
-                stats.analyzed += 1;
-                let a = analyze_source(&rel, &src);
-                CacheEntry { hash, local: a.local, facts: a.facts }
-            }
-        };
-        fresh.entries.insert(rel, entry);
+        let analysis = analyze(&rel, &fs::read_to_string(f)?);
+        files.insert(rel, analysis);
     }
-
-    if let Some(p) = cache_path {
-        fresh.store(p);
-    }
-    Ok((assemble(&fresh.entries, cfg), stats))
+    Ok(assemble(&files, CrateDeps::from_manifests(&cfg.root), cfg))
 }
 
 const SKIP_DIRS: [&str; 4] = ["target", ".git", "fixtures", "node_modules"];

@@ -6,35 +6,33 @@
 //! cargo run -p cebinae-verify -- --root path/to/tree
 //! cargo run -p cebinae-verify -- --format json  # machine-readable report
 //! cargo run -p cebinae-verify -- --explain R12  # rationale + fix example
-//! cargo run -p cebinae-verify -- --no-cache     # force a cold run
 //! ```
 //!
 //! Exit status 0 when clean, 1 on any violation, 2 on usage/IO errors.
 
-use cebinae_verify::{check_workspace, check_workspace_cached, report, Config, Rule};
+use cebinae_verify::rules::RULES;
+use cebinae_verify::{check_workspace, report, Config, Rule};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: cebinae-verify [--root DIR] [--skip R1,..,R14,W0] \
-[--format text|json] [--explain RULE] [--no-cache]";
+const USAGE: &str =
+    "usage: cebinae-verify [--root DIR] [--skip RULE,..] [--format text|json] [--explain RULE]";
 
 fn main() -> ExitCode {
-    let mut root = cebinae_verify::workspace_root();
-    let mut disabled = Vec::new();
+    let mut cfg = Config::new(cebinae_verify::workspace_root());
     let mut json = false;
-    let mut use_cache = true;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => match args.next() {
-                Some(p) => root = p.into(),
+                Some(p) => cfg.root = p.into(),
                 None => return usage("--root needs a path"),
             },
             "--skip" => match args.next() {
                 Some(list) => {
                     for part in list.split(',') {
                         match Rule::parse(part) {
-                            Some(r) => disabled.push(r),
+                            Some(r) => cfg.disabled.push(r),
                             None => return usage(&format!("unknown rule `{part}`")),
                         }
                     }
@@ -51,7 +49,7 @@ fn main() -> ExitCode {
                 Some(r) => {
                     return match Rule::parse(&r) {
                         Some(rule) => {
-                            print!("{}", explain(rule));
+                            print!("{}", rule.explain());
                             ExitCode::SUCCESS
                         }
                         None => usage(&format!("unknown rule `{r}`")),
@@ -59,54 +57,49 @@ fn main() -> ExitCode {
                 }
                 None => return usage("--explain needs a rule id, e.g. R12"),
             },
-            "--no-cache" => use_cache = false,
             "--help" | "-h" => {
-                eprintln!("{USAGE}");
+                eprintln!("{USAGE}\n\nrules ({}):", Rule::span());
+                for i in &RULES {
+                    eprintln!("  {:<4}{}", i.id, i.summary);
+                }
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
 
-    let mut cfg = Config::new(root);
-    cfg.disabled = disabled;
-
-    let result = if use_cache {
-        check_workspace_cached(&cfg, None).map(|(v, _)| v)
-    } else {
-        check_workspace(&cfg)
-    };
-
-    match result {
-        Ok(violations) => {
-            if json {
-                print!("{}", report::render_json(&violations));
-                return if violations.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-            }
-            if violations.is_empty() {
-                if cfg.disabled.is_empty() {
-                    println!("cebinae-verify: workspace clean (rules R1-R14)");
-                } else {
-                    let skipped: Vec<String> =
-                        cfg.disabled.iter().map(|r| r.to_string()).collect();
-                    println!(
-                        "cebinae-verify: workspace clean (skipped: {})",
-                        skipped.join(",")
-                    );
-                }
-                ExitCode::SUCCESS
-            } else {
-                for v in &violations {
-                    println!("{v}");
-                }
-                println!("cebinae-verify: {} violation(s)", violations.len());
-                ExitCode::FAILURE
-            }
-        }
+    let report = match check_workspace(&cfg) {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("cebinae-verify: IO error: {e}");
-            ExitCode::from(2)
+            return ExitCode::from(2);
         }
+    };
+    if json {
+        print!("{}", report::render_json(&report.findings, &report.waivers_used));
+    } else if report.findings.is_empty() {
+        let skipped: Vec<String> = cfg.disabled.iter().map(|r| r.to_string()).collect();
+        let used: Vec<String> =
+            report.waivers_used.iter().map(|(r, n)| format!("{r} {n}")).collect();
+        println!(
+            "cebinae-verify: workspace clean ({}; waivers used: {})",
+            if skipped.is_empty() {
+                format!("rules {}", Rule::span())
+            } else {
+                format!("skipped: {}", skipped.join(","))
+            },
+            if used.is_empty() { "none".into() } else { used.join(", ") }
+        );
+    } else {
+        for v in &report.findings {
+            println!("{v}");
+        }
+        println!("cebinae-verify: {} violation(s)", report.findings.len());
+    }
+    if report.findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -114,114 +107,4 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!("cebinae-verify: {msg}");
     eprintln!("{USAGE}");
     ExitCode::from(2)
-}
-
-/// Rationale + a fix example per rule (`--explain`).
-fn explain(rule: Rule) -> String {
-    let (why, bad, good) = match rule {
-        Rule::R1 => (
-            "Simulated experiments must not observe host time: any wall-clock read makes \
-             a run irreproducible. Time comes from the event loop (`cebinae_sim::Time`).",
-            "let t0 = std::time::Instant::now();",
-            "let now: Time = world.now(); // simulated clock",
-        ),
-        Rule::R2 => (
-            "Ambient entropy (thread_rng, RandomState, OS entropy) breaks run-to-run \
-             determinism. All randomness flows from an explicit seed.",
-            "let x = rand::random::<u64>();",
-            "let x = det_rng.next_u64(); // cebinae_sim::rng::DetRng, seeded",
-        ),
-        Rule::R3 => (
-            "HashMap/HashSet iteration order is unspecified, so any fold over it can \
-             differ between runs or hosts.",
-            "for (k, v) in hash_map.iter() { .. }",
-            "let map: BTreeMap<K, V> = ..; for (k, v) in map.iter() { .. }",
-        ),
-        Rule::R4 => (
-            "Reading the environment mid-run lets ambient state steer the dataplane. \
-             Read once at construction and cache.",
-            "if std::env::var(\"DEBUG\").is_ok() { .. } // inside enqueue",
-            "struct Qdisc { debug: bool } // env read once in new()",
-        ),
-        Rule::R5 => (
-            "A panic anywhere in the transitive closure of an enqueue/dequeue/rotate \
-             entry point can abort a rotation mid-flight. The call graph is analyzed \
-             workspace-wide, and every finding carries its reachability trace.",
-            "let q = self.flows.get_mut(&b).expect(\"exists\"); // called from enqueue",
-            "let Some(q) = self.flows.get_mut(&b) else { return }; // degrade, don't abort",
-        ),
-        Rule::R6 => (
-            "Float equality is representation-sensitive; metrics comparisons need a \
-             tolerance or an ordered predicate.",
-            "if share == 0.25 { .. }",
-            "if (share - 0.25).abs() < 1e-9 { .. }",
-        ),
-        Rule::R7 => (
-            "A simulated timeline is strictly sequential; threads inside the simulation \
-             crates would race the event loop. Parallelism fans across trials in \
-             `cebinae_par::TrialPool`.",
-            "std::thread::spawn(|| run_trial(seed));",
-            "pool.run(trials) // cebinae_par::TrialPool, outside the sim crates",
-        ),
-        Rule::R8 => (
-            "Raw prints from instrumented crates interleave nondeterministically with \
-             harness output; observability goes through cebinae-telemetry.",
-            "println!(\"rotated at {now}\");",
-            "telemetry::counter(\"rotations\").inc(); // or report from the harness",
-        ),
-        Rule::R9 => (
-            "Fuzzer oracles are read-only judges; driving the system under test from an \
-             oracle perturbs the run being checked.",
-            "world.qdisc.enqueue(pkt, now); // inside an oracle",
-            "model.replica.enqueue(pkt, now); // private replica in check::model",
-        ),
-        Rule::R10 => (
-            "Mixing units (ns vs bytes vs bps) under +/-/comparison is the classic \
-             silent rate-math bug. Units are inferred from name suffixes (_ns, _bytes, \
-             _bps, _pkts, ..) and `// unit: name=u` annotations.",
-            "if elapsed_ns > budget_bytes { .. }",
-            "let budget_ns = bytes_to_ns(budget_bytes, rate_bps); if elapsed_ns > budget_ns { .. }",
-        ),
-        Rule::R11 => (
-            "Narrowing `as` casts truncate silently; packet/byte/time quantities in the \
-             dataplane must widen or prove their bound.",
-            "let idx = flow_id as u32;",
-            "let idx = u32::try_from(flow_id).expect(\"bounded by config\"); // or waive with the bound",
-        ),
-        Rule::R12 => (
-            "A bare `+=` on a monotone counter in the hot path wraps in release builds \
-             after ~2^64 bytes/events; saturating arithmetic keeps stats sane, and \
-             occupancy gauges can waive with their conservation invariant.",
-            "self.stats.tx_bytes += pkt.size as u64;",
-            "self.stats.tx_bytes = self.stats.tx_bytes.saturating_add(pkt.size as u64);",
-        ),
-        Rule::R13 => (
-            "`std::collections::HashMap`/`HashSet` seed their layout from per-process \
-             entropy (`RandomState`), so any iteration — or a Debug dump added later — \
-             is a latent nondeterminism bug. R3 only catches the iteration; R13 bans \
-             the type itself in simulation/dataplane crates. `cebinae_ds::DetMap`/`DetSet` \
-             are drop-in: O(1) expected ops, fixed seeded hash, deterministic \
-             insertion-order iteration, and `sorted_iter()` where key order matters.",
-            "let mut flow_bytes: HashMap<FlowId, u64> = HashMap::new();",
-            "let mut flow_bytes: cebinae_ds::DetMap<FlowId, u64> = cebinae_ds::DetMap::new();",
-        ),
-        Rule::R14 => (
-            "Engine, transport and traffic code must talk to the event loop through the \
-             `cebinae_sim::Scheduler` trait, never a concrete backend type. The heap and \
-             the timing wheel are interchangeable by contract — differential tests swap \
-             them under identical call sites — and naming one backend in a consumer \
-             crate silently pins that crate to it.",
-            "fn drive(q: &mut HeapScheduler<Ev>) { .. }",
-            "fn drive(q: &mut dyn Scheduler<Ev>) { .. } // or fn drive<S: Scheduler<Ev>>(q: &mut S)",
-        ),
-        Rule::Waiver => (
-            "`// det-ok:` waivers must say *why* the waived line is deterministic/safe; \
-             an empty reason defeats review.",
-            "// det-ok:",
-            "// det-ok: rate is a [f64; 2] indexed by headq which is always 0 or 1",
-        ),
-    };
-    format!(
-        "{rule}: {why}\n\n  flagged:\n    {bad}\n  preferred:\n    {good}\n"
-    )
 }

@@ -11,9 +11,8 @@
 //! cases (generic fns, trait impls, nested closures, `#[cfg(test)]`
 //! exclusion, body-less trait method declarations).
 //!
-//! Filtering happens at extraction time: sites on waived lines and whole
-//! functions inside test regions are never recorded, so the facts can be
-//! cached and replayed without re-lexing (see `report::Cache`).
+//! Functions inside test regions are never recorded; sites on waived
+//! lines are (waivers are applied to findings, in `crate::assemble`).
 
 use crate::lexer::{Lexed, Tok, Token};
 use crate::rules::test_regions;
@@ -162,7 +161,7 @@ pub fn parse(lexed: &Lexed) -> FileFacts {
                 .filter_map(|(_, other)| other.body)
                 .filter(|&(oa, ob)| oa > a && ob < b)
                 .collect();
-            extract_sites(lexed, (a, b), &nested, &mut def);
+            extract_sites(toks, (a, b), &nested, &mut def);
         }
         out.fns.push(def);
     }
@@ -322,15 +321,14 @@ const PANIC_MACROS: [&str; 7] = [
 ];
 
 /// Walk one fn body and record calls, panic sites, and counter ops.
-/// Skips `nested` fn bodies, `debug_assert*!(..)` arguments (compiled out
-/// of release builds), and — for panic/counter sites — waived lines.
+/// Skips `nested` fn bodies and `debug_assert*!(..)` arguments (compiled
+/// out of release builds).
 fn extract_sites(
-    lexed: &Lexed,
+    toks: &[Token],
     (a, b): (usize, usize),
     nested: &[(usize, usize)],
     def: &mut FnDef,
 ) {
-    let toks = &lexed.tokens;
     let mut i = a;
     while i <= b {
         if let Some(&(_, nb)) = nested.iter().find(|&&(na, _)| na == i) {
@@ -357,9 +355,7 @@ fn extract_sites(
                     && i > 0
                     && toks[i - 1].tok == Tok::Punct(".")
                 {
-                    if !lexed.waived(line) {
-                        def.panics.push(PanicSite { line, what: format!("`.{name}(..)`") });
-                    }
+                    def.panics.push(PanicSite { line, what: format!("`.{name}(..)`") });
                 } else if !is_keyword(name) && name != "self" && name != "Self" {
                     if let Some(kind) = classify_call(toks, i, name) {
                         def.calls.push(CallSite { line, kind });
@@ -371,9 +367,7 @@ fn extract_sites(
                 if PANIC_MACROS.contains(&name.as_str())
                     && toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct("!")) =>
             {
-                if !lexed.waived(line) {
-                    def.panics.push(PanicSite { line, what: format!("`{name}!`") });
-                }
+                def.panics.push(PanicSite { line, what: format!("`{name}!`") });
             }
             // Indexing that can panic: `expr[..]` where `expr` ends in an
             // identifier, `)`, or `]`, and the index is not all-literal.
@@ -390,8 +384,7 @@ fn extract_sites(
                             && inner.iter().all(|t| matches!(t.tok, Tok::Num { .. }));
                         let full_range =
                             inner.len() == 1 && inner[0].tok == Tok::Punct("..");
-                        if !all_literal && !full_range && !inner.is_empty() && !lexed.waived(line)
-                        {
+                        if !all_literal && !full_range && !inner.is_empty() {
                             def.panics.push(PanicSite {
                                 line,
                                 what: "possibly-panicking indexing `[..]`".into(),
@@ -405,9 +398,7 @@ fn extract_sites(
                 if toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct("=")) =>
             {
                 if let Some(name) = assign_target(toks, i) {
-                    if !lexed.waived(line) {
-                        def.counter_ops.push(CounterOp { line, name, op: format!("{op}=") });
-                    }
+                    def.counter_ops.push(CounterOp { line, name, op: format!("{op}=") });
                 }
             }
             _ => {}

@@ -1,40 +1,11 @@
-//! Machine-readable reporting and the incremental analysis cache.
-//!
-//! * [`render_json`] emits the stable `cebinae-verify-report-v1` schema
-//!   (one object per finding: rule, file, line, message, trace) that CI
-//!   archives as a workflow artifact.
-//! * [`Cache`] persists, per file, an FNV-1a hash of the source bytes
-//!   plus the file-local findings and the parsed facts
-//!   ([`parser::FileFacts`]). On a warm run only changed files are
-//!   re-lexed; the workspace-global rules (transitive R5, R12) are
-//!   recomputed from the cached facts, so warm and cold findings are
-//!   byte-identical by construction. The cache lives under
-//!   `<root>/target/`, which the source walk already skips.
-//!
-//! The cache file is a versioned tab-separated line format rather than
-//! JSON: it needs no parser beyond `split('\t')`, and any malformed or
-//! version-mismatched content discards the whole cache (a cold run),
-//! never a partial state.
+//! The machine-readable report: [`render_json`] emits the stable
+//! `cebinae-verify-report-v1` schema (the rule set, the waivers that
+//! suppressed a finding per rule, and one object per finding: rule, file,
+//! line, message, trace) that CI archives as a workflow artifact.
 
-use crate::parser::{CallKind, CallSite, CounterOp, FileFacts, FnDef, PanicSite};
 use crate::rules::{Rule, Violation};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
-
-/// FNV-1a, 64-bit.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-// ---------------------------------------------------------------------------
-// JSON report
-// ---------------------------------------------------------------------------
 
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -54,12 +25,15 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Render findings as the stable `cebinae-verify-report-v1` document.
-pub fn render_json(violations: &[Violation]) -> String {
+/// Render findings and used-waiver counts as the stable
+/// `cebinae-verify-report-v1` document.
+pub fn render_json(violations: &[Violation], waivers_used: &BTreeMap<Rule, usize>) -> String {
     let mut j = String::from("{\n");
     let _ = writeln!(j, "  \"schema\": \"cebinae-verify-report-v1\",");
-    let _ = writeln!(j, "  \"rules\": \"R1-R13,W0\",");
+    let _ = writeln!(j, "  \"rules\": \"{}\",", Rule::span());
     let _ = writeln!(j, "  \"count\": {},", violations.len());
+    let used: Vec<String> = waivers_used.iter().map(|(r, n)| format!("\"{r}\": {n}")).collect();
+    let _ = writeln!(j, "  \"waivers_used\": {{{}}},", used.join(", "));
     let _ = writeln!(j, "  \"findings\": [");
     for (i, v) in violations.iter().enumerate() {
         let _ = writeln!(j, "    {{");
@@ -74,226 +48,4 @@ pub fn render_json(violations: &[Violation]) -> String {
     }
     j.push_str("  ]\n}\n");
     j
-}
-
-// ---------------------------------------------------------------------------
-// Incremental cache
-// ---------------------------------------------------------------------------
-
-const CACHE_VERSION: &str = "cebinae-verify-cache-v1";
-
-/// One cached file: source hash, file-local findings (all rules, filtered
-/// by the active config at assembly time), and parsed facts.
-#[derive(Clone, Debug, Default)]
-pub struct CacheEntry {
-    pub hash: u64,
-    pub local: Vec<Violation>,
-    pub facts: FileFacts,
-}
-
-/// Per-file analysis cache, keyed by workspace-relative path.
-#[derive(Debug, Default)]
-pub struct Cache {
-    pub entries: BTreeMap<String, CacheEntry>,
-}
-
-/// Cold/warm accounting for one cached run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub files: usize,
-    pub reused: usize,
-    pub analyzed: usize,
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\t', "\\t").replace('\n', "\\n")
-}
-
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('t') => out.push('\t'),
-                Some('n') => out.push('\n'),
-                Some('\\') => out.push('\\'),
-                Some(other) => out.push(other),
-                None => {}
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-fn opt(s: &Option<String>) -> String {
-    match s {
-        Some(v) => esc(v),
-        None => "-".into(),
-    }
-}
-
-fn parse_opt(s: &str) -> Option<String> {
-    if s == "-" {
-        None
-    } else {
-        Some(unesc(s))
-    }
-}
-
-impl Cache {
-    /// Serialize to the versioned line format.
-    pub fn serialize(&self) -> String {
-        let mut out = String::from(CACHE_VERSION);
-        out.push('\n');
-        for (path, e) in &self.entries {
-            let _ = writeln!(
-                out,
-                "F\t{}\t{:016x}\t{}\t{}",
-                esc(path),
-                e.hash,
-                e.local.len(),
-                e.facts.fns.len()
-            );
-            for v in &e.local {
-                let _ = writeln!(out, "V\t{}\t{}\t{}", v.rule, v.line, esc(&v.message));
-            }
-            for f in &e.facts.fns {
-                let _ = writeln!(
-                    out,
-                    "D\t{}\t{}\t{}\t{}",
-                    esc(&f.name),
-                    opt(&f.self_ty),
-                    opt(&f.trait_name),
-                    f.line
-                );
-                for c in &f.calls {
-                    let (kind, name, extra) = match &c.kind {
-                        CallKind::Free { name } => ("f", name.clone(), String::from("-")),
-                        CallKind::Method { name, recv_self } => {
-                            ("m", name.clone(), if *recv_self { "1".into() } else { "0".into() })
-                        }
-                        CallKind::Qualified { ty, name } => ("q", name.clone(), esc(ty)),
-                    };
-                    let _ = writeln!(out, "C\t{}\t{}\t{}\t{}", c.line, kind, esc(&name), extra);
-                }
-                for p in &f.panics {
-                    let _ = writeln!(out, "P\t{}\t{}", p.line, esc(&p.what));
-                }
-                for x in &f.counter_ops {
-                    let _ = writeln!(out, "X\t{}\t{}\t{}", x.line, esc(&x.name), x.op);
-                }
-            }
-        }
-        out
-    }
-
-    /// Parse a serialized cache; `None` on any version or shape mismatch
-    /// (callers fall back to a cold run).
-    pub fn deserialize(text: &str) -> Option<Cache> {
-        let mut lines = text.lines();
-        if lines.next()? != CACHE_VERSION {
-            return None;
-        }
-        let mut cache = Cache::default();
-        let mut cur_path: Option<String> = None;
-        for line in lines {
-            let fields: Vec<&str> = line.split('\t').collect();
-            match fields.first().copied() {
-                Some("F") => {
-                    if fields.len() != 5 {
-                        return None;
-                    }
-                    let path = unesc(fields[1]);
-                    let hash = u64::from_str_radix(fields[2], 16).ok()?;
-                    cache
-                        .entries
-                        .insert(path.clone(), CacheEntry { hash, ..CacheEntry::default() });
-                    cur_path = Some(path);
-                }
-                Some("V") => {
-                    if fields.len() != 4 {
-                        return None;
-                    }
-                    let path = cur_path.clone()?;
-                    let entry = cache.entries.get_mut(&path)?;
-                    entry.local.push(Violation {
-                        file: path.clone(),
-                        line: fields[2].parse().ok()?,
-                        rule: Rule::parse(fields[1])?,
-                        message: unesc(fields[3]),
-                        trace: Vec::new(),
-                    });
-                }
-                Some("D") => {
-                    if fields.len() != 5 {
-                        return None;
-                    }
-                    let entry = cache.entries.get_mut(cur_path.as_ref()?)?;
-                    entry.facts.fns.push(FnDef {
-                        name: unesc(fields[1]),
-                        self_ty: parse_opt(fields[2]),
-                        trait_name: parse_opt(fields[3]),
-                        line: fields[4].parse().ok()?,
-                        calls: Vec::new(),
-                        panics: Vec::new(),
-                        counter_ops: Vec::new(),
-                    });
-                }
-                Some("C") => {
-                    if fields.len() != 5 {
-                        return None;
-                    }
-                    let entry = cache.entries.get_mut(cur_path.as_ref()?)?;
-                    let f = entry.facts.fns.last_mut()?;
-                    let name = unesc(fields[3]);
-                    let kind = match fields[2] {
-                        "f" => CallKind::Free { name },
-                        "m" => CallKind::Method { name, recv_self: fields[4] == "1" },
-                        "q" => CallKind::Qualified { ty: unesc(fields[4]), name },
-                        _ => return None,
-                    };
-                    f.calls.push(CallSite { line: fields[1].parse().ok()?, kind });
-                }
-                Some("P") => {
-                    if fields.len() != 3 {
-                        return None;
-                    }
-                    let entry = cache.entries.get_mut(cur_path.as_ref()?)?;
-                    let f = entry.facts.fns.last_mut()?;
-                    f.panics
-                        .push(PanicSite { line: fields[1].parse().ok()?, what: unesc(fields[2]) });
-                }
-                Some("X") => {
-                    if fields.len() != 4 {
-                        return None;
-                    }
-                    let entry = cache.entries.get_mut(cur_path.as_ref()?)?;
-                    let f = entry.facts.fns.last_mut()?;
-                    f.counter_ops.push(CounterOp {
-                        line: fields[1].parse().ok()?,
-                        name: unesc(fields[2]),
-                        op: fields[3].to_string(),
-                    });
-                }
-                Some("") | None => {}
-                _ => return None,
-            }
-        }
-        Some(cache)
-    }
-
-    pub fn load(path: &Path) -> Option<Cache> {
-        Cache::deserialize(&std::fs::read_to_string(path).ok()?)
-    }
-
-    /// Best-effort persist (the analysis result never depends on it).
-    pub fn store(&self, path: &Path) {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let _ = std::fs::write(path, self.serialize());
-    }
 }

@@ -1,143 +1,403 @@
-//! The determinism & dataplane-safety rules (R1-R14).
+//! The rule table ([`RULES`]) and the per-file rules.
 //!
-//! Most rules are token-stream pattern matches over one file, scoped by
-//! the file's workspace-relative path and filtered by test regions and
-//! `// det-ok: <reason>` waivers. R5 and R12 are *workspace-global*:
-//! they run over the call graph (`crate::callgraph`) so a panic or an
-//! overflow-prone counter update anywhere in the transitive closure of
-//! an enqueue/dequeue/rotate entry point is caught, not just in the
-//! entry's own body. The rules are deliberately heuristic — they match
-//! what this workspace actually writes, and the fixture self-tests in
-//! `tests/rules.rs` / `tests/analysis.rs` pin both the positive and
-//! negative cases for every rule.
+//! [`RULES`] is the one description of every rule: id, path scope,
+//! whether test regions are exempt, a one-line summary and the
+//! `--explain` text. `Display`, [`Rule::parse`], `--help`, the clean
+//! line and the JSON `"rules"` field all read it, and the rules that
+//! amount to "this token sequence is banned in these crates" (R1, R2,
+//! R4, R7, R8, R9, R13, R14) are nothing but their table rows, run by one
+//! matcher. R3, R6, R10 and R11 are token-stream pattern matches with
+//! logic of their own; R5 and R12 are *workspace-global* and run over
+//! the call graph (`crate::callgraph`). Scope and test-region exemption
+//! are applied here, once, by [`run_rules`]; `// det-ok: <reason>`
+//! waivers are applied later, once, by `crate::assemble`. The rules are
+//! deliberately heuristic — they match what this workspace actually
+//! writes, and the fixture self-tests in `tests/rules.rs` /
+//! `tests/analysis.rs` pin the positive and negative cases of each.
 
 use crate::lexer::{Lexed, Tok, Token};
 use std::fmt;
 
-/// Rule identifiers. `Waiver` is the meta-rule that a `det-ok` comment
-/// must carry a non-empty reason.
+/// Rule identifiers; [`RULES`] says what each one means.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// No wall-clock reads outside the harness/examples allowlist.
     R1,
-    /// No ambient randomness: all entropy through `cebinae_sim::rng`.
     R2,
-    /// No order-sensitive iteration over `HashMap`/`HashSet` in the
-    /// simulation/dataplane crates.
     R3,
-    /// No `std::env` reads in dataplane modules (cache at construction).
     R4,
-    /// No `unwrap`/`expect`/`panic!` in enqueue/dequeue/rotate hot paths.
     R5,
-    /// No `==`/`!=` against float literals in core/metrics.
     R6,
-    /// No `std::thread` in simulation/dataplane crates: parallelism lives
-    /// only in `crates/par` (the trial executor) and the harness binaries
-    /// that drive it. A single simulated timeline is strictly sequential.
     R7,
-    /// No raw `println!`/`eprintln!` (or `print!`/`eprint!`/`dbg!`) in the
-    /// instrumented crates: observability goes through `cebinae-telemetry`
-    /// so experiment output stays deterministic and machine-readable.
     R8,
-    /// Oracle code must not mutate simulation state: the fuzzer's judge
-    /// modules (`crates/check/src/oracle*`) may only read results and
-    /// drive their own private model replicas via `cebinae-check::model`;
-    /// calling a mutating engine/dataplane/telemetry method there would
-    /// let the act of checking perturb the run being checked.
     R9,
-    /// No cross-unit arithmetic or comparison: identifiers carrying
-    /// different inferred units (`_ns` vs `_bytes` vs `_bps` …, or a
-    /// `// unit: name=u` annotation) must not meet under `+`, `-`, or a
-    /// comparison operator.
     R10,
-    /// No lossy `as` narrowing casts (`as u32`, `as f32`, …) in
-    /// sim/net/engine/transport/fq dataplane code.
     R11,
-    /// No bare `+=`/`-=` on monotone counters in hot paths; use
-    /// `saturating_*`/`checked_*` or waive with the invariant that
-    /// bounds the counter.
     R12,
-    /// No `std::collections::HashMap`/`HashSet` in simulation/dataplane
-    /// crate sources at all — not even without iteration. Their layout
-    /// depends on per-process `RandomState`, so any future `.iter()` (or a
-    /// Debug dump) silently becomes nondeterministic; `cebinae_ds::DetMap`/
-    /// `DetSet` give O(1) ops with a fixed seed and stable order.
     R13,
-    /// Event-loop consumers must stay backend-agnostic: engine, transport
-    /// and traffic sources name the [`Scheduler`] trait, never a concrete
-    /// queue type (`EventQueue`, `HeapScheduler`, `WheelScheduler`,
-    /// `BinaryHeap`). Hard-wiring one backend would quietly defeat the
-    /// pluggable-scheduler contract and the heap-vs-wheel differential
-    /// tests that depend on swapping backends under identical callers.
     R14,
-    /// `// det-ok:` waivers must carry a reason.
+    /// W0: a `det-ok` marker without a reason.
     Waiver,
+    /// W1: a `det-ok` marker that suppresses no finding.
+    DeadWaiver,
+}
+
+/// Which files a rule looks at.
+pub enum Scope {
+    Everywhere,
+    /// `crates/<name>/src/` of each listed crate.
+    Crates(&'static [&'static str]),
+    /// Workspace-relative paths the predicate accepts.
+    Paths(fn(&str) -> bool),
+}
+
+impl Scope {
+    pub fn contains(&self, path: &str) -> bool {
+        match self {
+            Scope::Everywhere => true,
+            Scope::Crates(crates) => {
+                crates.iter().any(|c| path.starts_with(&format!("crates/{c}/src/")))
+            }
+            Scope::Paths(accepts) => accepts(path),
+        }
+    }
+}
+
+/// One banned token sequence. Identifiers match by name, punctuation by
+/// symbol, `a|b` matches either; the finding is reported at `seq[at]`,
+/// whose text replaces `{}` in `msg`.
+struct Ban {
+    seq: &'static [&'static str],
+    at: usize,
+    msg: &'static str,
+}
+
+/// One row of the rule table.
+pub struct RuleInfo {
+    pub rule: Rule,
+    pub id: &'static str,
+    pub scope: Scope,
+    /// Findings inside `#[cfg(test)]` / `#[test]` / `mod *test*` regions
+    /// do not count.
+    pub test_exempt: bool,
+    pub summary: &'static str,
+    /// `--explain`: rationale, a flagged snippet and the preferred one.
+    pub why: &'static str,
+    pub flagged: &'static str,
+    pub preferred: &'static str,
+    /// Non-empty for the rules that are only a token ban.
+    banned: &'static [Ban],
+}
+
+/// Crates whose enqueue/dequeue/rotate functions are the hot entry
+/// points of the transitive rules (R5, R12).
+const HOT_CRATES: Scope = Scope::Crates(&["core", "net", "fq"]);
+
+const R1_MSG: &str =
+    "wall-clock read via `{}`; simulation code must use simulated `cebinae_sim::Time`";
+const R2_MSG: &str =
+    "ambient entropy via `{}`; route all randomness through `cebinae_sim::rng::DetRng`";
+const R7_MSG: &str = "`std::thread` in a simulation/dataplane crate; a simulated timeline is strictly sequential — fan parallelism across trials via `cebinae_par::TrialPool`";
+
+/// Every rule, in report order; `RULES[rule as usize].rule == rule`.
+pub static RULES: [RuleInfo; 16] = [
+    RuleInfo {
+        rule: Rule::R1,
+        id: "R1",
+        // The measurement harness, examples, and the verify tool itself
+        // may read the host clock.
+        scope: Scope::Paths(|p| {
+            !(p.starts_with("crates/harness/")
+                || p.starts_with("crates/verify/")
+                || p.starts_with("examples/")
+                || p.contains("/examples/"))
+        }),
+        test_exempt: true,
+        summary: "no wall-clock reads (`Instant::now`, `SystemTime`) outside the harness/examples allowlist",
+        why: "Simulated experiments must not observe host time: any wall-clock read makes \
+              a run irreproducible. Time comes from the event loop (`cebinae_sim::Time`).",
+        flagged: "let t0 = std::time::Instant::now();",
+        preferred: "let now: Time = world.now(); // simulated clock",
+        // `Instant` only when actually read; `SystemTime` has no
+        // deterministic use at all.
+        banned: &[
+            Ban { seq: &["SystemTime"], at: 0, msg: R1_MSG },
+            Ban { seq: &["Instant", "::", "now"], at: 0, msg: R1_MSG },
+        ],
+    },
+    RuleInfo {
+        rule: Rule::R2,
+        id: "R2",
+        scope: Scope::Everywhere,
+        // Seeded tests are part of the reproducibility contract.
+        test_exempt: false,
+        summary: "no ambient randomness (`thread_rng`, `rand::random`, `RandomState`, OS entropy), tests included",
+        why: "Ambient entropy (thread_rng, RandomState, OS entropy) breaks run-to-run \
+              determinism. All randomness flows from an explicit seed.",
+        flagged: "let x = rand::random::<u64>();",
+        preferred: "let x = det_rng.next_u64(); // cebinae_sim::rng::DetRng, seeded",
+        banned: &[
+            Ban { seq: &["thread_rng|from_entropy|RandomState|getrandom|OsRng"], at: 0, msg: R2_MSG },
+            Ban { seq: &["rand", "::", "random"], at: 0, msg: R2_MSG },
+        ],
+    },
+    RuleInfo {
+        rule: Rule::R3,
+        id: "R3",
+        scope: Scope::Crates(&["sim", "net", "core", "engine", "transport"]),
+        test_exempt: true,
+        summary: "no order-sensitive iteration over `HashMap`/`HashSet` in the simulation crates",
+        why: "HashMap/HashSet iteration order is unspecified, so any fold over it can \
+              differ between runs or hosts.",
+        flagged: "for (k, v) in hash_map.iter() { .. }",
+        preferred: "let map: BTreeMap<K, V> = ..; for (k, v) in map.iter() { .. }",
+        banned: &[],
+    },
+    RuleInfo {
+        rule: Rule::R4,
+        id: "R4",
+        scope: Scope::Crates(&["core", "net", "fq", "transport"]),
+        test_exempt: true,
+        summary: "no `std::env` reads in dataplane crates",
+        why: "Reading the environment mid-run lets ambient state steer the dataplane. \
+              Read once at construction and cache.",
+        flagged: "if std::env::var(\"DEBUG\").is_ok() { .. } // inside enqueue",
+        preferred: "struct Qdisc { debug: bool } // env read once in new()",
+        banned: &[Ban {
+            seq: &["env", "::", "var|var_os|vars"],
+            at: 0,
+            msg: "environment read in dataplane code; read once at construction and cache the result",
+        }],
+    },
+    RuleInfo {
+        rule: Rule::R5,
+        id: "R5",
+        scope: HOT_CRATES,
+        test_exempt: true,
+        summary: "no `unwrap`/`expect`/panic-family macro/fallible indexing transitively reachable from an enqueue/dequeue/rotate entry point",
+        why: "A panic anywhere in the transitive closure of an enqueue/dequeue/rotate \
+              entry point can abort a rotation mid-flight. The call graph is analyzed \
+              workspace-wide, and every finding carries its reachability trace.",
+        flagged: "let q = self.flows.get_mut(&b).expect(\"exists\"); // called from enqueue",
+        preferred: "let Some(q) = self.flows.get_mut(&b) else { return }; // degrade, don't abort",
+        banned: &[],
+    },
+    RuleInfo {
+        rule: Rule::R6,
+        id: "R6",
+        scope: Scope::Crates(&["core", "metrics"]),
+        test_exempt: true,
+        summary: "no `==`/`!=` against float literals in core/metrics",
+        why: "Float equality is representation-sensitive; metrics comparisons need a \
+              tolerance or an ordered predicate.",
+        flagged: "if share == 0.25 { .. }",
+        preferred: "if (share - 0.25).abs() < 1e-9 { .. }",
+        banned: &[],
+    },
+    RuleInfo {
+        rule: Rule::R7,
+        id: "R7",
+        // Parallelism is legal only in `crates/par`, the harness, and the
+        // verify tool itself.
+        scope: Scope::Crates(&["sim", "net", "core", "engine", "transport", "fq", "traffic", "metrics"]),
+        test_exempt: true,
+        summary: "no `std::thread` in simulation/dataplane crates",
+        why: "A simulated timeline is strictly sequential; threads inside the simulation \
+              crates would race the event loop. Parallelism fans across trials in \
+              `cebinae_par::TrialPool`.",
+        flagged: "std::thread::spawn(|| run_trial(seed));",
+        preferred: "pool.run(trials) // cebinae_par::TrialPool, outside the sim crates",
+        // The module always appears as a path (`std::thread`, or
+        // `thread::spawn` after a `use`); a `thread` variable or a
+        // `.thread()` method never matches.
+        banned: &[
+            Ban { seq: &["thread", "::"], at: 0, msg: R7_MSG },
+            Ban { seq: &["std", "::", "thread"], at: 2, msg: R7_MSG },
+        ],
+    },
+    RuleInfo {
+        rule: Rule::R8,
+        id: "R8",
+        // Everything the telemetry layer covers; the harness reports to
+        // stdout by design.
+        scope: Scope::Crates(&["sim", "net", "core", "engine", "transport", "telemetry"]),
+        test_exempt: true,
+        summary: "no raw `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` in the instrumented crates",
+        why: "Raw prints from instrumented crates interleave nondeterministically with \
+              harness output; observability goes through cebinae-telemetry.",
+        flagged: "println!(\"rotated at {now}\");",
+        preferred: "telemetry::counter(\"rotations\").inc(); // or report from the harness",
+        banned: &[Ban {
+            seq: &["println|eprintln|print|eprint|dbg", "!"],
+            at: 0,
+            msg: "raw `{}!` in an instrumented crate; record it through `cebinae-telemetry` (or move reporting to the harness)",
+        }],
+    },
+    RuleInfo {
+        rule: Rule::R9,
+        id: "R9",
+        // `crates/check/src/model.rs` is deliberately out of scope:
+        // driving private replicas is its whole job.
+        scope: Scope::Paths(|p| p.starts_with("crates/check/src/oracle")),
+        test_exempt: true,
+        summary: "no mutating engine/dataplane/telemetry method calls in the fuzzer's oracle modules",
+        why: "Fuzzer oracles are read-only judges; driving the system under test from an \
+              oracle perturbs the run being checked.",
+        flagged: "world.qdisc.enqueue(pkt, now); // inside an oracle",
+        preferred: "model.replica.enqueue(pkt, now); // private replica in check::model",
+        banned: &[Ban {
+            seq: &[
+                ".",
+                "enqueue|dequeue|control|activate|classify|on_rotate|rotate|observe|set_pending_rate|reset_for_phase|set_counter|record|span_enter|span_exit|merge",
+                "(",
+            ],
+            at: 1,
+            msg: "mutating call `.{}(..)` in an oracle module; oracles are read-only judges — move replica-driving into `cebinae-check::model`",
+        }],
+    },
+    RuleInfo {
+        rule: Rule::R10,
+        id: "R10",
+        scope: Scope::Crates(&["sim", "net", "core", "engine", "transport", "fq"]),
+        test_exempt: true,
+        summary: "no `+`/`-`/comparison between identifiers of different inferred units",
+        why: "Mixing units (ns vs bytes vs bps) under +/-/comparison is the classic \
+              silent rate-math bug. Units are inferred from name suffixes (_ns, _bytes, \
+              _bps, _pkts, ..) and `// unit: name=u` annotations.",
+        flagged: "if elapsed_ns > budget_bytes { .. }",
+        preferred: "let budget_ns = bytes_to_ns(budget_bytes, rate_bps); if elapsed_ns > budget_ns { .. }",
+        banned: &[],
+    },
+    RuleInfo {
+        rule: Rule::R11,
+        id: "R11",
+        scope: Scope::Crates(&["sim", "net", "engine", "transport", "fq"]),
+        test_exempt: true,
+        summary: "no lossy `as` narrowing casts in sim/net/engine/transport/fq",
+        why: "Narrowing `as` casts truncate silently; packet/byte/time quantities in the \
+              dataplane must widen or prove their bound.",
+        flagged: "let idx = flow_id as u32;",
+        preferred: "let idx = u32::try_from(flow_id).expect(\"bounded by config\"); // or waive with the bound",
+        banned: &[],
+    },
+    RuleInfo {
+        rule: Rule::R12,
+        id: "R12",
+        scope: HOT_CRATES,
+        test_exempt: true,
+        summary: "no bare `+=`/`-=` on monotone counters in the hot-path reachable set",
+        why: "A bare `+=` on a monotone counter in the hot path wraps in release builds \
+              after ~2^64 bytes/events; saturating arithmetic keeps stats sane, and \
+              occupancy gauges can waive with their conservation invariant.",
+        flagged: "self.stats.tx_bytes += pkt.size as u64;",
+        preferred: "self.stats.tx_bytes = self.stats.tx_bytes.saturating_add(pkt.size as u64);",
+        banned: &[],
+    },
+    RuleInfo {
+        rule: Rule::R13,
+        id: "R13",
+        scope: Scope::Crates(&["sim", "net", "engine", "transport", "fq", "core"]),
+        test_exempt: true,
+        summary: "no `std::collections::HashMap`/`HashSet` at all in simulation/dataplane crates",
+        why: "`std::collections::HashMap`/`HashSet` seed their layout from per-process \
+              entropy (`RandomState`), so any iteration — or a Debug dump added later — \
+              is a latent nondeterminism bug. R3 only catches the iteration; R13 bans \
+              the type itself in simulation/dataplane crates. `cebinae_ds::DetMap`/`DetSet` \
+              are drop-in: O(1) expected ops, fixed seeded hash, deterministic \
+              insertion-order iteration, and `sorted_iter()` where key order matters.",
+        flagged: "let mut flow_bytes: HashMap<FlowId, u64> = HashMap::new();",
+        preferred: "let mut flow_bytes: cebinae_ds::DetMap<FlowId, u64> = cebinae_ds::DetMap::new();",
+        banned: &[
+            Ban {
+                seq: &["HashMap"],
+                at: 0,
+                msg: "`{}` in a simulation/dataplane crate; its layout is seeded from process entropy — use `cebinae_ds::DetMap` (O(1), fixed seed, deterministic order)",
+            },
+            Ban {
+                seq: &["HashSet"],
+                at: 0,
+                msg: "`{}` in a simulation/dataplane crate; its layout is seeded from process entropy — use `cebinae_ds::DetSet` (O(1), fixed seed, deterministic order)",
+            },
+        ],
+    },
+    RuleInfo {
+        rule: Rule::R14,
+        id: "R14",
+        // `sim` itself is exempt — it *defines* the backends.
+        scope: Scope::Crates(&["engine", "transport", "traffic"]),
+        test_exempt: true,
+        summary: "no concrete event-queue backend type in the engine/transport/traffic crates",
+        why: "Engine, transport and traffic code must talk to the event loop through the \
+              `cebinae_sim::Scheduler` trait, never a concrete backend type. The heap and \
+              the timing wheel are interchangeable by contract — differential tests swap \
+              them under identical call sites — and naming one backend in a consumer \
+              crate silently pins that crate to it.",
+        flagged: "fn drive(q: &mut HeapScheduler<Ev>) { .. }",
+        preferred: "fn drive(q: &mut dyn Scheduler<Ev>) { .. } // or fn drive<S: Scheduler<Ev>>(q: &mut S)",
+        banned: &[Ban {
+            seq: &["EventQueue|HeapScheduler|WheelScheduler|BinaryHeap"],
+            at: 0,
+            msg: "concrete event-queue type `{}` in an event-loop consumer crate; name the `cebinae_sim::Scheduler` trait (or `SchedulerKind::build()`) so backends stay swappable",
+        }],
+    },
+    RuleInfo {
+        rule: Rule::Waiver,
+        id: "W0",
+        scope: Scope::Everywhere,
+        test_exempt: false,
+        summary: "a `// det-ok:` waiver must carry a reason",
+        why: "`// det-ok:` waivers must say *why* the waived line is deterministic/safe; \
+              an empty reason defeats review.",
+        flagged: "// det-ok:",
+        preferred: "// det-ok: rate is a [f64; 2] indexed by headq which is always 0 or 1",
+        banned: &[],
+    },
+    RuleInfo {
+        rule: Rule::DeadWaiver,
+        id: "W1",
+        scope: Scope::Everywhere,
+        test_exempt: true,
+        summary: "a `// det-ok:` waiver must suppress a finding (judged only when no rule is skipped)",
+        why: "A waiver over code no rule flags reads as a reviewed exception but guards \
+              nothing, and hides how many real exceptions the tree carries. A marker \
+              covers its own line and the line below.",
+        flagged: "let n = self.len; // det-ok: always in range",
+        preferred: "let n = self.len; // always in range",
+        banned: &[],
+    },
+];
+
+impl Rule {
+    pub fn info(self) -> &'static RuleInfo {
+        &RULES[self as usize]
+    }
+
+    /// Parse a rule id (`"R5"`, `"r12"`, `"W0"`).
+    pub fn parse(s: &str) -> Option<Rule> {
+        RULES.iter().find(|i| i.id.eq_ignore_ascii_case(s.trim())).map(|i| i.rule)
+    }
+
+    /// The `--explain` text: rationale plus a flagged and a preferred snippet.
+    pub fn explain(self) -> String {
+        let i = self.info();
+        format!(
+            "{}: {}\n\n  flagged:\n    {}\n  preferred:\n    {}\n",
+            i.id, i.why, i.flagged, i.preferred
+        )
+    }
+
+    /// The rule set as one string, `"R1-R14,W0,W1"`: the numbered rules as
+    /// a range, the waiver meta-rules by id.
+    pub fn span() -> String {
+        let (r, w): (Vec<&str>, Vec<&str>) =
+            RULES.iter().map(|i| i.id).partition(|id| id.starts_with('R'));
+        format!("{}-{},{}", r[0], r[r.len() - 1], w.join(","))
+    }
 }
 
 impl fmt::Display for Rule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Rule::R1 => "R1",
-            Rule::R2 => "R2",
-            Rule::R3 => "R3",
-            Rule::R4 => "R4",
-            Rule::R5 => "R5",
-            Rule::R6 => "R6",
-            Rule::R7 => "R7",
-            Rule::R8 => "R8",
-            Rule::R9 => "R9",
-            Rule::R10 => "R10",
-            Rule::R11 => "R11",
-            Rule::R12 => "R12",
-            Rule::R13 => "R13",
-            Rule::R14 => "R14",
-            Rule::Waiver => "W0",
-        };
-        f.write_str(s)
+        f.write_str(self.info().id)
     }
-}
-
-impl Rule {
-    /// Parse a rule id (`"R5"`, `"r12"`, `"W0"`).
-    pub fn parse(s: &str) -> Option<Rule> {
-        match s.trim().to_ascii_uppercase().as_str() {
-            "R1" => Some(Rule::R1),
-            "R2" => Some(Rule::R2),
-            "R3" => Some(Rule::R3),
-            "R4" => Some(Rule::R4),
-            "R5" => Some(Rule::R5),
-            "R6" => Some(Rule::R6),
-            "R7" => Some(Rule::R7),
-            "R8" => Some(Rule::R8),
-            "R9" => Some(Rule::R9),
-            "R10" => Some(Rule::R10),
-            "R11" => Some(Rule::R11),
-            "R12" => Some(Rule::R12),
-            "R13" => Some(Rule::R13),
-            "R14" => Some(Rule::R14),
-            "W0" => Some(Rule::Waiver),
-            _ => None,
-        }
-    }
-
-    /// Every rule id, in report order.
-    pub const ALL: [Rule; 15] = [
-        Rule::R1,
-        Rule::R2,
-        Rule::R3,
-        Rule::R4,
-        Rule::R5,
-        Rule::R6,
-        Rule::R7,
-        Rule::R8,
-        Rule::R9,
-        Rule::R10,
-        Rule::R11,
-        Rule::R12,
-        Rule::R13,
-        Rule::R14,
-        Rule::Waiver,
-    ];
 }
 
 /// One diagnostic.
@@ -163,63 +423,6 @@ impl fmt::Display for Violation {
         }
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Path scoping
-// ---------------------------------------------------------------------------
-
-/// Wall-clock allowlist: measurement harness, examples, and the
-/// verify tool itself (its CLI reports elapsed wall time).
-fn r1_allowlisted(path: &str) -> bool {
-    path.starts_with("crates/harness/")
-        || path.starts_with("crates/verify/")
-        || path.starts_with("examples/")
-        || path.contains("/examples/")
-}
-
-/// Order-sensitive simulation crates for R3.
-const R3_CRATES: [&str; 5] = ["sim", "net", "core", "engine", "transport"];
-
-/// Dataplane crates for R4 (env must be read once, at construction).
-const R4_CRATES: [&str; 4] = ["core", "net", "fq", "transport"];
-
-/// Crates whose enqueue/dequeue/rotate paths are hot (R5, R12 entry
-/// points — the transitive analyses in `crate::callgraph` start here).
-pub const R5_CRATES: [&str; 3] = ["core", "net", "fq"];
-
-/// Float-comparison-sensitive crates for R6.
-const R6_CRATES: [&str; 2] = ["core", "metrics"];
-
-/// Crates that must stay thread-free (R7): every simulation/dataplane
-/// crate. Parallelism is legal only in `crates/par`, the harness, and the
-/// verify tool itself.
-const R7_CRATES: [&str; 8] = [
-    "sim", "net", "core", "engine", "transport", "fq", "traffic", "metrics",
-];
-
-/// Instrumented crates for R8: anything the telemetry layer covers must
-/// not print directly. `core` keeps its gated `CEBINAE_DEBUG` dump and the
-/// harness reports to stdout by design, so neither is listed.
-const R8_CRATES: [&str; 5] = ["sim", "net", "engine", "transport", "telemetry"];
-
-/// Crates where `std::collections::HashMap`/`HashSet` are banned outright
-/// (R13). R3 catches *iteration* over an unordered map; R13 forbids the
-/// type itself in simulation/dataplane sources, because a map whose layout
-/// is seeded from process entropy is a nondeterminism hazard even before
-/// anyone iterates it. Use `cebinae_ds::DetMap`/`DetSet` instead.
-const R13_CRATES: [&str; 6] = ["sim", "net", "engine", "transport", "fq", "core"];
-
-/// Event-loop consumer crates for R14: these schedule and cancel timers
-/// but must do so through the `Scheduler` trait, so that the backend can
-/// be swapped (heap vs timing wheel) under identical call sites. `sim`
-/// itself is exempt — it *defines* the backends.
-const R14_CRATES: [&str; 3] = ["engine", "transport", "traffic"];
-
-pub fn in_crate_src(path: &str, crates: &[&str]) -> bool {
-    crates
-        .iter()
-        .any(|c| path.starts_with(&format!("crates/{c}/src/")))
 }
 
 // ---------------------------------------------------------------------------
@@ -260,13 +463,16 @@ pub fn test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
 }
 
 /// If tokens at `start` spell out `pat` (idents by name, punctuation by
-/// symbol), return the index one past the match.
+/// symbol, `a|b` for either), return the index one past the match.
 fn matches_seq(tokens: &[Token], start: usize, pat: &[&str]) -> Option<usize> {
     for (k, want) in pat.iter().enumerate() {
-        match tokens.get(start + k).map(|t| &t.tok) {
-            Some(Tok::Ident(s)) if s == want => {}
-            Some(Tok::Punct(p)) if p == want => {}
+        let text = match tokens.get(start + k).map(|t| &t.tok) {
+            Some(Tok::Ident(s)) => s.as_str(),
+            Some(Tok::Punct(p)) => p,
             _ => return None,
+        };
+        if !want.split('|').any(|w| w == text) {
+            return None;
         }
     }
     Some(start + pat.len())
@@ -296,10 +502,6 @@ fn brace_range_from(tokens: &[Token], from: usize) -> Option<(usize, usize)> {
     Some((tokens[open].line, usize::MAX))
 }
 
-fn in_ranges(ranges: &[(usize, usize)], line: usize) -> bool {
-    ranges.iter().any(|&(a, b)| line >= a && line <= b)
-}
-
 // ---------------------------------------------------------------------------
 // Rule context and entry point
 // ---------------------------------------------------------------------------
@@ -316,11 +518,11 @@ impl<'a> FileCtx<'a> {
         FileCtx { path, lexed, tests }
     }
 
-    pub(crate) fn exempt(&self, line: usize) -> bool {
-        self.lexed.waived(line) || in_ranges(&self.tests, line)
+    pub fn in_test(&self, line: usize) -> bool {
+        self.tests.iter().any(|&(a, b)| line >= a && line <= b)
     }
 
-    fn emit(&self, out: &mut Vec<Violation>, line: usize, rule: Rule, message: String) {
+    pub(crate) fn emit(&self, out: &mut Vec<Violation>, line: usize, rule: Rule, message: String) {
         out.push(Violation {
             file: self.path.to_string(),
             line,
@@ -331,104 +533,48 @@ impl<'a> FileCtx<'a> {
     }
 }
 
-/// Run the enabled rules over one lexed file.
-pub fn run_rules(ctx: &FileCtx<'_>, enabled: &dyn Fn(Rule) -> bool, out: &mut Vec<Violation>) {
+/// Run every per-file rule whose scope contains the file. Waived sites
+/// are reported like any other: `crate::assemble` applies waivers.
+pub fn run_rules(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     for &line in &ctx.lexed.empty_waivers {
         ctx.emit(out, line, Rule::Waiver, "det-ok waiver without a reason; write `// det-ok: <why this is deterministic>`".into());
     }
-    if enabled(Rule::R1) {
-        r1_wall_clock(ctx, out);
-    }
-    if enabled(Rule::R2) {
-        r2_ambient_randomness(ctx, out);
-    }
-    if enabled(Rule::R3) {
-        r3_unordered_iteration(ctx, out);
-    }
-    if enabled(Rule::R4) {
-        r4_env_in_dataplane(ctx, out);
-    }
-    // R5 and R12 are workspace-global (call-graph-transitive): see
-    // `crate::callgraph::run_hot_path_rules`.
-    if enabled(Rule::R6) {
-        r6_float_equality(ctx, out);
-    }
-    if enabled(Rule::R7) {
-        r7_threads_in_sim(ctx, out);
-    }
-    if enabled(Rule::R8) {
-        r8_prints_in_instrumented(ctx, out);
-    }
-    if enabled(Rule::R9) {
-        r9_mutation_in_oracle(ctx, out);
-    }
-    if enabled(Rule::R10) {
-        crate::units::r10_cross_unit(ctx, out);
-    }
-    if enabled(Rule::R11) {
-        crate::units::r11_narrowing_casts(ctx, out);
-    }
-    if enabled(Rule::R13) {
-        r13_std_hash_types(ctx, out);
-    }
-    if enabled(Rule::R14) {
-        r14_concrete_scheduler(ctx, out);
+    for info in RULES.iter().filter(|i| i.scope.contains(ctx.path)) {
+        let mut found = Vec::new();
+        match info.rule {
+            Rule::R3 => r3_unordered_iteration(ctx, &mut found),
+            Rule::R6 => r6_float_equality(ctx, &mut found),
+            Rule::R10 => crate::units::r10_cross_unit(ctx, &mut found),
+            Rule::R11 => crate::units::r11_narrowing_casts(ctx, &mut found),
+            // No banned sequences (R5/R12: call graph; W0/W1): finds nothing.
+            _ => banned_tokens(ctx, info, &mut found),
+        }
+        found.retain(|v| !(info.test_exempt && ctx.in_test(v.line)));
+        out.append(&mut found);
     }
 }
 
-// ---------------------------------------------------------------------------
-// R1: wall clock
-// ---------------------------------------------------------------------------
-
-fn r1_wall_clock(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if r1_allowlisted(ctx.path) {
+/// The banned-token rules: one finding per identifier that sits at the
+/// reporting position of any of the rule's banned sequences.
+fn banned_tokens(ctx: &FileCtx<'_>, info: &RuleInfo, out: &mut Vec<Violation>) {
+    if info.banned.is_empty() {
         return;
     }
     let toks = &ctx.lexed.tokens;
     for (i, t) in toks.iter().enumerate() {
         let Tok::Ident(name) = &t.tok else { continue };
-        let hit = match name.as_str() {
-            // `SystemTime` has no deterministic use in simulation code.
-            "SystemTime" => true,
-            // `Instant` only when actually read (`Instant::now`).
-            "Instant" => matches_seq(toks, i, &["Instant", "::", "now"]).is_some(),
-            _ => false,
-        };
-        if hit && !ctx.exempt(t.line) {
-            ctx.emit(
-                out,
-                t.line,
-                Rule::R1,
-                format!("wall-clock read via `{name}`; simulation code must use simulated `cebinae_sim::Time`"),
-            );
+        let hit = info.banned.iter().find(|ban| {
+            i.checked_sub(ban.at).is_some_and(|start| matches_seq(toks, start, ban.seq).is_some())
+        });
+        if let Some(ban) = hit {
+            ctx.emit(out, t.line, info.rule, ban.msg.replace("{}", name));
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// R2: ambient randomness
-// ---------------------------------------------------------------------------
-
-fn r2_ambient_randomness(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    let toks = &ctx.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        let Tok::Ident(name) = &t.tok else { continue };
-        let hit = match name.as_str() {
-            "thread_rng" | "from_entropy" | "RandomState" | "getrandom" | "OsRng" => true,
-            "rand" => matches_seq(toks, i, &["rand", "::", "random"]).is_some(),
-            _ => false,
-        };
-        // Deliberately no test exemption: seeded tests are part of the
-        // reproducibility contract. Waivers still apply.
-        if hit && !ctx.lexed.waived(t.line) {
-            ctx.emit(
-                out,
-                t.line,
-                Rule::R2,
-                format!("ambient entropy via `{name}`; route all randomness through `cebinae_sim::rng::DetRng`"),
-            );
-        }
-    }
+/// Is `name` an enqueue/dequeue/rotate hot entry point (R5, R12)?
+pub fn hot_fn(name: &str) -> bool {
+    name == "enqueue" || name == "dequeue" || name.contains("rotate")
 }
 
 // ---------------------------------------------------------------------------
@@ -441,9 +587,6 @@ const R3_ITER_METHODS: [&str; 10] = [
 ];
 
 fn r3_unordered_iteration(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if !in_crate_src(ctx.path, &R3_CRATES) {
-        return;
-    }
     let toks = &ctx.lexed.tokens;
 
     // Pass 1: names bound to HashMap/HashSet types (`name: HashMap<..>`,
@@ -492,238 +635,12 @@ fn r3_unordered_iteration(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
         if R3_ITER_METHODS.contains(&method.as_str())
             && toks.get(i + 3).map(|t| &t.tok) == Some(&Tok::Punct("("))
         {
-            let line = toks[i].line;
-            if !ctx.exempt(line) {
-                ctx.emit(
-                    out,
-                    line,
-                    Rule::R3,
-                    format!(
-                        "iteration over unordered `{name}` via `.{method}()`; use BTreeMap/BTreeSet, sort first, or waive with det-ok"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R4: std::env in the dataplane
-// ---------------------------------------------------------------------------
-
-fn r4_env_in_dataplane(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if !in_crate_src(ctx.path, &R4_CRATES) {
-        return;
-    }
-    let toks = &ctx.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if matches_seq(toks, i, &["env", "::", "var"]).is_none()
-            && matches_seq(toks, i, &["env", "::", "var_os"]).is_none()
-            && matches_seq(toks, i, &["env", "::", "vars"]).is_none()
-        {
-            continue;
-        }
-        if !ctx.exempt(t.line) {
             ctx.emit(
                 out,
-                t.line,
-                Rule::R4,
-                "environment read in dataplane code; read once at construction and cache the result".into(),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R5: panics in hot paths (entry-point predicate; the analysis itself is
-// call-graph-transitive and lives in `crate::callgraph`)
-// ---------------------------------------------------------------------------
-
-/// Is `name` an enqueue/dequeue/rotate hot entry point?
-pub fn hot_fn(name: &str) -> bool {
-    name == "enqueue" || name == "dequeue" || name.contains("rotate")
-}
-
-// ---------------------------------------------------------------------------
-// R7: threads in simulation/dataplane crates
-// ---------------------------------------------------------------------------
-
-fn r7_threads_in_sim(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if !in_crate_src(ctx.path, &R7_CRATES) {
-        return;
-    }
-    let toks = &ctx.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        let Tok::Ident(name) = &t.tok else { continue };
-        if name != "thread" {
-            continue;
-        }
-        // `handle.thread()` etc. — a field/method, not the module.
-        if i > 0 && toks[i - 1].tok == Tok::Punct(".") {
-            continue;
-        }
-        // The module use always appears as a path: `std::thread`,
-        // `use std::thread`, or `thread::spawn`/`scope`/`Builder` after a
-        // `use`. A bare `thread` variable never matches.
-        let is_path = matches_seq(toks, i, &["thread", "::"]).is_some()
-            || (i >= 2 && matches_seq(toks, i - 2, &["std", "::", "thread"]).is_some());
-        if is_path && !ctx.exempt(t.line) {
-            ctx.emit(
-                out,
-                t.line,
-                Rule::R7,
-                "`std::thread` in a simulation/dataplane crate; a simulated timeline is strictly sequential — fan parallelism across trials via `cebinae_par::TrialPool`".into(),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R8: raw prints in instrumented crates
-// ---------------------------------------------------------------------------
-
-fn r8_prints_in_instrumented(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if !in_crate_src(ctx.path, &R8_CRATES) {
-        return;
-    }
-    let toks = &ctx.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        let Tok::Ident(name) = &t.tok else { continue };
-        if !matches!(
-            name.as_str(),
-            "println" | "eprintln" | "print" | "eprint" | "dbg"
-        ) {
-            continue;
-        }
-        if toks.get(i + 1).map(|t| &t.tok) != Some(&Tok::Punct("!")) {
-            continue;
-        }
-        if !ctx.exempt(t.line) {
-            ctx.emit(
-                out,
-                t.line,
-                Rule::R8,
+                toks[i].line,
+                Rule::R3,
                 format!(
-                    "raw `{name}!` in an instrumented crate; record it through `cebinae-telemetry` (or move reporting to the harness)"
-                ),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R9: state mutation in oracle modules
-// ---------------------------------------------------------------------------
-
-/// The fuzzer's judge modules. `crates/check/src/model.rs` is deliberately
-/// out of scope: driving private replicas is its whole job.
-fn r9_scoped(path: &str) -> bool {
-    path.starts_with("crates/check/src/oracle")
-}
-
-/// Mutating methods on engine, dataplane, and telemetry state. Calling
-/// any of these from an oracle means the checker is steering the system
-/// it is supposed to be judging.
-const R9_MUTATORS: [&str; 15] = [
-    "enqueue",
-    "dequeue",
-    "control",
-    "activate",
-    "classify",
-    "on_rotate",
-    "rotate",
-    "observe",
-    "set_pending_rate",
-    "reset_for_phase",
-    "set_counter",
-    "record",
-    "span_enter",
-    "span_exit",
-    "merge",
-];
-
-fn r9_mutation_in_oracle(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if !r9_scoped(ctx.path) {
-        return;
-    }
-    let toks = &ctx.lexed.tokens;
-    for i in 0..toks.len() {
-        if toks[i].tok != Tok::Punct(".") {
-            continue;
-        }
-        let Some(Tok::Ident(name)) = toks.get(i + 1).map(|t| &t.tok) else { continue };
-        if !R9_MUTATORS.contains(&name.as_str()) {
-            continue;
-        }
-        if toks.get(i + 2).map(|t| &t.tok) != Some(&Tok::Punct("(")) {
-            continue;
-        }
-        let line = toks[i + 1].line;
-        if !ctx.exempt(line) {
-            ctx.emit(
-                out,
-                line,
-                Rule::R9,
-                format!(
-                    "mutating call `.{name}(..)` in an oracle module; oracles are read-only judges — move replica-driving into `cebinae-check::model`"
-                ),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R13: std hash collections in simulation/dataplane crates
-// ---------------------------------------------------------------------------
-
-fn r13_std_hash_types(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if !in_crate_src(ctx.path, &R13_CRATES) {
-        return;
-    }
-    let toks = &ctx.lexed.tokens;
-    for t in toks.iter() {
-        let Tok::Ident(name) = &t.tok else { continue };
-        if name != "HashMap" && name != "HashSet" {
-            continue;
-        }
-        if !ctx.exempt(t.line) {
-            let det = if name == "HashMap" { "DetMap" } else { "DetSet" };
-            ctx.emit(
-                out,
-                t.line,
-                Rule::R13,
-                format!(
-                    "`{name}` in a simulation/dataplane crate; its layout is seeded from process entropy — use `cebinae_ds::{det}` (O(1), fixed seed, deterministic order)"
-                ),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R14: concrete scheduler backends in event-loop consumer crates
-// ---------------------------------------------------------------------------
-
-fn r14_concrete_scheduler(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if !in_crate_src(ctx.path, &R14_CRATES) {
-        return;
-    }
-    let toks = &ctx.lexed.tokens;
-    for t in toks.iter() {
-        let Tok::Ident(name) = &t.tok else { continue };
-        if !matches!(
-            name.as_str(),
-            "EventQueue" | "HeapScheduler" | "WheelScheduler" | "BinaryHeap"
-        ) {
-            continue;
-        }
-        if !ctx.exempt(t.line) {
-            ctx.emit(
-                out,
-                t.line,
-                Rule::R14,
-                format!(
-                    "concrete event-queue type `{name}` in an event-loop consumer crate; name the `cebinae_sim::Scheduler` trait (or `SchedulerKind::build()`) so backends stay swappable"
+                    "iteration over unordered `{name}` via `.{method}()`; use BTreeMap/BTreeSet, sort first, or waive with det-ok"
                 ),
             );
         }
@@ -735,9 +652,6 @@ fn r14_concrete_scheduler(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
 // ---------------------------------------------------------------------------
 
 fn r6_float_equality(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if !in_crate_src(ctx.path, &R6_CRATES) {
-        return;
-    }
     let toks = &ctx.lexed.tokens;
     for i in 0..toks.len() {
         let op = match toks[i].tok {
@@ -750,7 +664,7 @@ fn r6_float_equality(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
             .flatten()
             .filter_map(|k| toks.get(k))
             .any(|t| t.tok == Tok::Num { is_float: true });
-        if float_adjacent && !ctx.exempt(toks[i].line) {
+        if float_adjacent {
             ctx.emit(
                 out,
                 toks[i].line,

@@ -11,14 +11,7 @@
 //! unit-agnostic code rather than guessing.
 
 use crate::lexer::Tok;
-use crate::rules::{in_crate_src, FileCtx, Rule, Violation};
-
-/// Crates whose arithmetic is unit-sensitive (R10).
-pub const R10_CRATES: [&str; 6] = ["sim", "net", "core", "engine", "transport", "fq"];
-
-/// Dataplane crates where a narrowing cast silently truncates real
-/// packet/byte/time quantities (R11).
-pub const R11_CRATES: [&str; 5] = ["sim", "net", "engine", "transport", "fq"];
+use crate::rules::{FileCtx, Rule, Violation};
 
 /// Suffix → unit, longest-match-first.
 const UNIT_SUFFIXES: [(&str, &str); 10] = [
@@ -49,9 +42,6 @@ fn unit_of(name: &str, ctx: &FileCtx<'_>) -> Option<String> {
 }
 
 pub fn r10_cross_unit(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if !in_crate_src(ctx.path, &R10_CRATES) {
-        return;
-    }
     let toks = &ctx.lexed.tokens;
     let mut i = 0;
     while i < toks.len() {
@@ -87,18 +77,16 @@ pub fn r10_cross_unit(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
             continue;
         };
         if let (Some(lu), Some(ru)) = (unit_of(&lhs, ctx), unit_of(&rhs, ctx)) {
-            let line = toks[i].line;
-            if lu != ru && !ctx.exempt(line) {
-                out.push(Violation {
-                    file: ctx.path.to_string(),
-                    line,
-                    rule: Rule::R10,
-                    message: format!(
+            if lu != ru {
+                ctx.emit(
+                    out,
+                    toks[i].line,
+                    Rule::R10,
+                    format!(
                         "cross-unit `{op}`: `{lhs}` is {lu} but `{rhs}` is {ru}; convert \
                          explicitly (or annotate with `// unit: name={lu}` if the name lies)"
                     ),
-                    trace: Vec::new(),
-                });
+                );
             }
         }
         i = rhs_start;
@@ -147,9 +135,6 @@ fn rhs_chain_last_ident(toks: &[crate::lexer::Token], mut j: usize) -> Option<St
 }
 
 pub fn r11_narrowing_casts(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if !in_crate_src(ctx.path, &R11_CRATES) {
-        return;
-    }
     let toks = &ctx.lexed.tokens;
     for i in 0..toks.len() {
         if toks[i].tok != Tok::Ident("as".into()) {
@@ -163,18 +148,14 @@ pub fn r11_narrowing_casts(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
         if i > 0 && matches!(toks[i - 1].tok, Tok::Num { .. }) {
             continue;
         }
-        let line = toks[i].line;
-        if !ctx.exempt(line) {
-            out.push(Violation {
-                file: ctx.path.to_string(),
-                line,
-                rule: Rule::R11,
-                message: format!(
-                    "lossy narrowing cast `as {ty}` in dataplane code; use `try_from`, widen \
-                     the destination, or waive with the bound that makes truncation impossible"
-                ),
-                trace: Vec::new(),
-            });
-        }
+        ctx.emit(
+            out,
+            toks[i].line,
+            Rule::R11,
+            format!(
+                "lossy narrowing cast `as {ty}` in dataplane code; use `try_from`, widen \
+                 the destination, or waive with the bound that makes truncation impossible"
+            ),
+        );
     }
 }

@@ -1,12 +1,14 @@
 //! Workspace-analysis self-tests: the item parser, the symbol index /
 //! call graph (with reachability traces), the unit rules R10-R12, the
-//! JSON report, and the incremental cache's cold/warm identity.
+//! JSON report, waiver accounting (W1, used counts), the manifest-derived
+//! crate relation, and the rule table.
 
+use cebinae_verify::index::CrateDeps;
 use cebinae_verify::parser::{self, CallKind};
-use cebinae_verify::report::{render_json, Cache};
-use cebinae_verify::{
-    check_source, check_workspace, check_workspace_cached, lexer, Config, Rule, Violation,
-};
+use cebinae_verify::report::render_json;
+use cebinae_verify::rules::RULES;
+use cebinae_verify::{check_source, lexer, source_report, Config, Rule, Violation};
+use std::collections::BTreeMap;
 
 const R10: &str = include_str!("fixtures/r10_units.rs");
 const R11: &str = include_str!("fixtures/r11_narrowing.rs");
@@ -246,9 +248,9 @@ fn r12_is_silent_outside_hot_crates() {
 #[test]
 fn json_report_has_stable_schema_and_escaping() {
     let hits = rule_hits("crates/net/src/planted.rs", PLANTED, Rule::R5);
-    let j = render_json(&hits);
+    let j = render_json(&hits, &BTreeMap::new());
     assert!(j.contains("\"schema\": \"cebinae-verify-report-v1\""), "{j}");
-    assert!(j.contains("\"rules\": \"R1-R13,W0\""), "{j}");
+    assert!(j.contains("\"rules\": \"R1-R14,W0,W1\""), "{j}");
     assert!(j.contains("\"count\": 1"), "{j}");
     assert!(j.contains("\"rule\": \"R5\""), "{j}");
     assert!(j.contains("\"trace\": [\"enqueue ("), "{j}");
@@ -260,61 +262,97 @@ fn json_report_has_stable_schema_and_escaping() {
         message: "quote \" and\nnewline".into(),
         trace: Vec::new(),
     }];
-    let j = render_json(&tricky);
+    let j = render_json(&tricky, &BTreeMap::new());
     assert!(j.contains(r#""file": "a\\b.rs""#), "{j}");
     assert!(j.contains(r#""message": "quote \" and\nnewline""#), "{j}");
 
-    let empty = render_json(&[]);
+    let empty = render_json(&[], &BTreeMap::new());
     assert!(empty.contains("\"count\": 0"), "{empty}");
     assert!(empty.contains("\"findings\": [\n  ]"), "{empty}");
 }
 
 // ---------------------------------------------------------------------------
-// Incremental cache
+// Waiver accounting
+// ---------------------------------------------------------------------------
+
+const DECORATIVE: &str = "fn f() {\n    let x = 1; // det-ok: nothing here to waive\n    let _ = x;\n}\n";
+
+#[test]
+fn w1_flags_a_waiver_that_suppresses_nothing() {
+    let v = check_source("crates/core/src/w.rs", DECORATIVE, &Config::new("."));
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!((v[0].rule, v[0].line), (Rule::DeadWaiver, 2));
+    assert_eq!(v[0].to_string().split(' ').nth(1), Some("[W1]"));
+
+    // The fixtures' markers sit over real R11/R12 sites: used, not W1.
+    assert!(rule_hits("crates/net/src/fixture.rs", R11, Rule::DeadWaiver).is_empty());
+    assert!(rule_hits("crates/core/src/fixture.rs", R12, Rule::DeadWaiver).is_empty());
+    // Out of R11's scope the same marker has nothing to suppress.
+    assert_eq!(rule_hits("crates/core/src/fixture.rs", R11, Rule::DeadWaiver).len(), 1);
+}
+
+#[test]
+fn w1_ignores_test_regions_and_is_not_judged_when_a_rule_is_skipped() {
+    let in_test = format!("#[cfg(test)]\nmod tests {{\n{DECORATIVE}}}\n");
+    let v = check_source("crates/core/src/w.rs", &in_test, &Config::new("."));
+    assert!(v.is_empty(), "{v:?}");
+
+    // With any rule off, the marker may be waiting for that rule's finding.
+    let cfg = Config::new(".").disable(Rule::R6);
+    let v = check_source("crates/core/src/w.rs", DECORATIVE, &cfg);
+    assert!(v.is_empty(), "{v:?}");
+}
+
+#[test]
+fn used_waivers_are_counted_per_suppressed_rule() {
+    let cfg = Config::new(".");
+    let r12 = source_report("crates/core/src/fixture.rs", R12, &cfg);
+    assert_eq!(r12.waivers_used, BTreeMap::from([(Rule::R12, 1)]));
+    let r11 = source_report("crates/net/src/fixture.rs", R11, &cfg);
+    assert_eq!(r11.waivers_used, BTreeMap::from([(Rule::R11, 1)]));
+    let j = render_json(&r11.findings, &r11.waivers_used);
+    assert!(j.contains("\"waivers_used\": {\"R11\": 1}"), "{j}");
+    // A marker that suppresses nothing is not a used waiver.
+    assert!(source_report("crates/core/src/w.rs", DECORATIVE, &cfg).waivers_used.is_empty());
+}
+
+// ---------------------------------------------------------------------------
+// Crate relation and rule table
 // ---------------------------------------------------------------------------
 
 #[test]
-fn cache_serialization_round_trips() {
-    let a = cebinae_verify::analyze_source("crates/core/src/fixture.rs", R12);
-    let mut cache = Cache::default();
-    cache.entries.insert(
-        "crates/core/src/fixture.rs".into(),
-        cebinae_verify::report::CacheEntry { hash: 42, local: a.local.clone(), facts: a.facts },
-    );
-    let text = cache.serialize();
-    let back = Cache::deserialize(&text).expect("round trip");
-    assert_eq!(back.serialize(), text, "serialize . deserialize is identity");
-    let e = &back.entries["crates/core/src/fixture.rs"];
-    assert_eq!(e.hash, 42);
-    assert_eq!(e.local.len(), a.local.len());
-    assert_eq!(e.facts.fns.len(), 3, "{:?}", e.facts);
+fn crate_relation_is_read_from_the_manifests() {
+    let deps = CrateDeps::from_manifests(&cebinae_verify::workspace_root());
+    // engine -> ds directly and through net/sim/core/fq.
+    assert!(deps.edge_ok(Some("engine"), Some("ds")));
+    assert!(deps.edge_ok(Some("engine"), Some("sim")));
+    assert!(!deps.edge_ok(Some("core"), Some("telemetry")));
+    // ds has no dependencies; its dev-dependency on sim is not an edge.
+    assert!(deps.edge_ok(Some("ds"), Some("ds")));
+    for other in ["sim", "net", "core", "engine"] {
+        assert!(!deps.edge_ok(Some("ds"), Some(other)), "ds -> {other}");
+    }
+    // Paths outside `crates/`, unknown crates and manifest-less trees
+    // stay permissive.
+    assert!(deps.edge_ok(None, Some("ds")));
+    assert!(deps.edge_ok(Some("not-a-crate"), Some("ds")));
+    assert!(CrateDeps::default().edge_ok(Some("ds"), Some("engine")));
 }
 
 #[test]
-fn malformed_or_version_mismatched_cache_is_discarded() {
-    assert!(Cache::deserialize("not-a-cache\n").is_none());
-    assert!(Cache::deserialize("cebinae-verify-cache-v0\n").is_none());
-    assert!(Cache::deserialize("cebinae-verify-cache-v1\nZ\tbogus\n").is_none());
-    assert!(Cache::deserialize("cebinae-verify-cache-v1\nF\ttoo\tfew\n").is_none());
-    assert!(Cache::deserialize("cebinae-verify-cache-v1\n").is_some(), "empty cache is valid");
-}
-
-#[test]
-fn warm_cache_findings_are_byte_identical_to_cold() {
-    let root = cebinae_verify::workspace_root();
-    let cfg = Config::new(&root);
-    let cache = root.join("target").join("cebinae-verify-cache-test.tsv");
-    let _ = std::fs::remove_file(&cache);
-
-    let cold = check_workspace(&cfg).expect("cold walk");
-    let (first, s1) = check_workspace_cached(&cfg, Some(&cache)).expect("first cached run");
-    let (warm, s2) = check_workspace_cached(&cfg, Some(&cache)).expect("warm cached run");
-    let _ = std::fs::remove_file(&cache);
-
-    assert_eq!(s1.analyzed, s1.files, "no cache file yet: everything analyzed");
-    assert_eq!(s2.reused, s2.files, "second run must reuse every file");
-    let render =
-        |v: &[Violation]| v.iter().map(|x| x.to_string()).collect::<Vec<_>>().join("\n");
-    assert_eq!(render(&cold), render(&first), "cacheless vs cold-cache");
-    assert_eq!(render(&first), render(&warm), "cold-cache vs warm-cache");
+fn every_rule_round_trips_and_explains_itself() {
+    for (i, info) in RULES.iter().enumerate() {
+        let rule = info.rule;
+        assert_eq!(rule as usize, i, "RULES is indexed by `Rule as usize`");
+        assert_eq!(Rule::parse(&rule.to_string()), Some(rule));
+        assert_eq!(Rule::parse(&format!(" {} ", info.id.to_lowercase())), Some(rule));
+        for text in [info.summary, info.why, info.flagged, info.preferred] {
+            assert!(!text.trim().is_empty(), "{rule}");
+        }
+        let explain = rule.explain();
+        assert!(explain.starts_with(&format!("{rule}: ")), "{explain}");
+        assert!(explain.contains(info.flagged) && explain.contains(info.preferred), "{explain}");
+    }
+    assert_eq!(Rule::parse("R99"), None);
+    assert_eq!(Rule::span(), "R1-R14,W0,W1");
 }

@@ -1,24 +1,21 @@
 //! Tier-1 gate: run `cebinae-verify`'s full determinism & dataplane-safety
-//! pass (rules R1-R14) over the workspace from the root package, so a
-//! plain `cargo test -q` fails on any unwaived violation. Uses the
-//! incremental cache — warm runs re-lex only changed files, and the
-//! findings are byte-identical to a cold run (pinned by
-//! `crates/verify/tests/analysis.rs`).
+//! pass over the workspace from the root package, so a plain
+//! `cargo test -q` fails on any unwaived violation.
 
-use cebinae_verify::{check_workspace_cached, Config};
+use cebinae_verify::{check_workspace, Config, Rule};
 
 #[test]
 fn workspace_passes_determinism_rules() {
     let cfg = Config::new(cebinae_verify::workspace_root());
-    let (violations, _stats) =
-        check_workspace_cached(&cfg, None).expect("workspace walk failed");
+    let violations = check_workspace(&cfg).expect("workspace walk failed").findings;
     if !violations.is_empty() {
         let listing: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
         panic!(
-            "cebinae-verify found {} violation(s) (rules R1-R14):\n{}\n\n\
+            "cebinae-verify found {} violation(s) (rules {}):\n{}\n\n\
              Fix the code, or waive a line with `// det-ok: <reason>` if the\n\
              behavior is genuinely deterministic.",
             violations.len(),
+            Rule::span(),
             listing.join("\n")
         );
     }
