@@ -23,7 +23,7 @@ pub mod report;
 pub mod scenario;
 pub mod shrink;
 
-use cebinae_engine::{Discipline, Simulation};
+use cebinae_engine::{Discipline, SimResult, Simulation};
 use cebinae_faults::FaultFamily;
 use cebinae_par::TrialPool;
 use cebinae_sim::Duration;
@@ -32,6 +32,34 @@ use oracle::{FairnessSample, Violation};
 use report::{CampaignReport, SeedOutcome};
 use scenario::GenScenario;
 use shrink::Overrides;
+
+/// Every per-run oracle applied to `res`, the result of running a config
+/// built from `sc` (trace + telemetry on). Which path the engine served
+/// the unobserved links on is not the oracles' business: the express-path
+/// differential test judges both through this one function.
+pub fn judge_run(sc: &GenScenario, res: &SimResult) -> Vec<Violation> {
+    let end_ns = Duration::from_millis(sc.duration_ms).as_nanos();
+    let mut violations = Vec::new();
+    if let Some(ndjson) = &res.telemetry {
+        violations.extend(oracle::check_conservation(ndjson, end_ns));
+    }
+    let plan = sc.fault_plan();
+    if plan.control.is_empty() {
+        // Control-plane faults park/swallow the qdisc's rotations, which
+        // the replica's free-running round clock cannot model; every
+        // other fault family leaves the offered stream exact (injected
+        // drops are excluded from it), so replay still applies.
+        violations.extend(oracle::check_trace_replay(sc, res));
+    }
+    violations.extend(oracle::check_differential(sc));
+    if !plan.is_empty() {
+        if let Some(ndjson) = &res.telemetry {
+            violations.extend(oracle::check_fault_accounting(&res.trace, ndjson));
+        }
+        violations.extend(oracle::check_degradation(sc, res));
+    }
+    violations
+}
 
 /// Run one scenario through the engine and every applicable oracle.
 /// Returns the per-seed violations, the fairness measurement for
@@ -44,29 +72,9 @@ pub fn check_scenario(
     sc: &GenScenario,
 ) -> (Vec<Violation>, Option<FairnessSample>, u64) {
     let (cfg, _bnecks) = sc.build();
-    let end_ns = Duration::from_millis(sc.duration_ms).as_nanos();
     let res = Simulation::new(cfg).run();
     let mut events = res.events_processed;
-
-    let mut violations = Vec::new();
-    if let Some(ndjson) = &res.telemetry {
-        violations.extend(oracle::check_conservation(ndjson, end_ns));
-    }
-    let plan = sc.fault_plan();
-    if plan.control.is_empty() {
-        // Control-plane faults park/swallow the qdisc's rotations, which
-        // the replica's free-running round clock cannot model; every
-        // other fault family leaves the offered stream exact (injected
-        // drops are excluded from it), so replay still applies.
-        violations.extend(oracle::check_trace_replay(sc, &res));
-    }
-    violations.extend(oracle::check_differential(sc));
-    if !plan.is_empty() {
-        if let Some(ndjson) = &res.telemetry {
-            violations.extend(oracle::check_fault_accounting(&res.trace, ndjson));
-        }
-        violations.extend(oracle::check_degradation(sc, &res));
-    }
+    let mut violations = judge_run(sc, &res);
 
     let mut fairness = None;
     if sc.symmetric {

@@ -60,8 +60,9 @@ pub struct ScenarioParams {
     pub seed: u64,
     /// Collect deterministic telemetry into [`SimResult::telemetry`](crate::SimResult).
     pub telemetry: bool,
-    /// Allow the engine's express path on eligible links (default true);
-    /// see [`SimConfig::express`](crate::SimConfig).
+    /// `false` forces full event-driven emulation on every link, the
+    /// reference path for differential tests (default true); see
+    /// [`SimConfig::express`](crate::SimConfig).
     pub express: bool,
     /// Scheduler backend for the event loop (run-identical either way).
     pub scheduler: SchedulerKind,

@@ -67,6 +67,11 @@ pub struct SimResult {
     /// their analytic overlay — the same counters the event-driven path
     /// would have produced).
     pub link_stats: Vec<QdiscStats>,
+    /// Bytes still queued on every link when the run ended (indexed like
+    /// `link_stats`; an express-served link reports its analytic
+    /// backlog), closing the per-link conservation identity
+    /// `enq_bytes == tx_bytes + drop_queued_bytes + queued`.
+    pub link_queued_bytes: Vec<u64>,
     /// Hard buffer limit of every link's qdisc, bytes (indexed like
     /// `link_stats`) — the bound `peak_queued_bytes` must respect.
     pub link_limits: Vec<u64>,

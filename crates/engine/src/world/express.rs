@@ -13,23 +13,36 @@
 //! whole per-hop event chain; the packet itself waits in the
 //! [`PacketStash`](super::links::PacketStash).
 //!
-//! Eligibility is static, decided at construction per link: the link must
-//! carry the default (unmanaged) FIFO, and must not be traced or
-//! monitored; the run must have telemetry disabled (the observability
-//! contract is full-fidelity event accounting — every telemetry export
-//! keeps the exact legacy event stream) and an empty fault plan (fault
-//! fates draw RNG per enqueue, and express hops must not perturb draw
-//! order). Every identity surface — corpus fingerprints, traces, oracle
-//! verdicts, telemetry NDJSON — runs with telemetry on and therefore
-//! never takes this path.
+//! Eligibility is static and purely per link, decided at construction: the
+//! link must carry the default (unmanaged) FIFO, must not be traced or
+//! monitored, and must not be touched by the fault plan
+//! ([`FaultsRt::touches`]). Nothing about the run as a whole enters into
+//! it. Telemetry scrapes only monitored ports and flows, so an observed
+//! run dispatches the same event stream as an unobserved one; fault RNG
+//! streams are private per `(link, family)`, so an express hop on an
+//! untouched link cannot perturb a draw, and a plan keeps only the links
+//! it names on the event-driven path. `SimConfig::express = false` makes
+//! no link eligible: the reference path differential tests compare
+//! against.
 //!
-//! One documented deviation from the event-driven path remains: when two
-//! packets reach the same queue at the *same nanosecond*, their relative
-//! order follows event insertion order, and express markers are inserted
-//! at segment start rather than at last-hop dequeue. Express runs are
-//! deterministic and backend/thread invariant, but exact-tie interleaving
-//! across flows may differ from full emulation; single-chain timing is
-//! bit-exact (see `tests/express_path.rs`).
+//! With one flow express is bit-exact against that reference, faulted
+//! bottleneck included (`tests/express_path.rs`). Two documented
+//! properties differ from it:
+//!
+//! * A *shared* express link serves packets in the order their segments
+//!   started ([`walk`] claims every hop of a segment at once), the
+//!   reference in the order they arrive. The orders differ only for
+//!   packets of different flows that reach the link within the difference
+//!   of their upstream latencies of each other — the same nanosecond on a
+//!   dumbbell. Express runs are deterministic and backend/thread
+//!   invariant, conserved per-link totals are exact, but timing-sensitive
+//!   outcomes can drift; `crates/check/tests/express_differential.rs`
+//!   measures and bounds the drift under every oracle.
+//! * For the same reason an express link's admission counters (`enq_*`,
+//!   tail `drop_*`), backlog and peak gauge run ahead of virtual time by
+//!   the packets already walked onto it, so at end of run they include
+//!   packets still on their way there. `tx_*` is settled against the end
+//!   time, and `enq == tx + drop_queued + queued` holds regardless.
 
 use std::collections::VecDeque;
 
@@ -41,7 +54,7 @@ use super::links::{LinkPlane, Stash};
 use super::{endpoints, links, Ev, FlowPlane, SchedDyn};
 
 /// Analytic per-link express state. Inert (`eligible = false`, all zero)
-/// for managed/traced/monitored links.
+/// for managed/traced/monitored/fault-touched links.
 pub(crate) struct ExpressLink {
     pub(crate) eligible: bool,
     /// Instant the line finishes its last accepted serialization.
@@ -106,8 +119,8 @@ pub(crate) fn walk(
         let link = path[pkt.hop as usize];
         let li = link.index();
         if !lp.express[li].eligible {
-            // Managed hop: hand over to the event-driven path at the
-            // arrival instant (the previous hop's propagation end).
+            // Event-driven hop: hand over at the arrival instant (the
+            // previous hop's propagation end).
             let slot = lp.stash.put(Stash::Enqueue { link, pkt });
             ev.post(t, Ev::Express { slot });
             return;
@@ -151,7 +164,7 @@ pub(crate) fn on_express(
     slot: u32,
 ) {
     match lp.stash.take(slot) {
-        Some(Stash::Enqueue { link, pkt }) => links::deliver_to_qdisc(lp, fx, ev, now, link, pkt),
+        Some(Stash::Enqueue { link, pkt }) => links::offer(lp, fx, ev, now, link, pkt),
         Some(Stash::Deliver { pkt }) => endpoints::deliver(lp, fp, fx, ev, now, pkt),
         Some(Stash::Release { .. }) | None => {
             debug_assert!(false, "express marker resolved to a foreign stash slot")
@@ -161,15 +174,16 @@ pub(crate) fn on_express(
 
 /// End of run: retire everything that started serializing by `end` (the
 /// event-driven path only dequeues while events still fire), then return
-/// the overlay stats to merge into the per-link results. Express links
+/// each link's overlay stats and analytic backlog (bytes admitted but not
+/// yet serializing) to merge into the per-link results. Express links
 /// report their overlay; all other links report zeroes here and their
-/// real qdisc stats elsewhere.
-pub(crate) fn final_stats(lp: &mut LinkPlane, end: Time) -> Vec<QdiscStats> {
+/// real qdisc state elsewhere.
+pub(crate) fn final_stats(lp: &mut LinkPlane, end: Time) -> Vec<(QdiscStats, u64)> {
     lp.express
         .iter_mut()
         .map(|x| {
             x.drain(end);
-            x.stats
+            (x.stats, x.queued_bytes)
         })
         .collect()
 }

@@ -13,7 +13,10 @@ use super::{Ev, SchedDyn};
 /// Apply the link's fault model to an offered packet. Returns the packet
 /// to enqueue, or `None` if it was dropped or held back (a held packet is
 /// stashed and re-enters via `Ev::FaultRelease`; its fate was already
-/// drawn here, at the original enqueue instant).
+/// drawn here, at the original enqueue instant). Reached only through
+/// [`links::offer`], once per arrival at an event-driven link, whether
+/// the packet came hop by hop or out of an express segment; links the
+/// plan does not touch draw nothing.
 pub(crate) fn apply_fate(
     lp: &mut LinkPlane,
     fx: &mut FaultsRt,
@@ -22,9 +25,6 @@ pub(crate) fn apply_fate(
     link: LinkId,
     mut pkt: Packet,
 ) -> Option<Packet> {
-    if !fx.any() {
-        return Some(pkt);
-    }
     let fate = fx.on_enqueue(link, pkt.size);
     if fate.drop {
         if lp.traced[link.index()] {

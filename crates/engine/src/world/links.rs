@@ -37,8 +37,8 @@ pub(crate) struct LinkRt {
 pub(crate) enum Stash {
     /// `Ev::FaultRelease`: a reorder-held packet re-enters `link`'s queue.
     Release { link: LinkId, pkt: Packet },
-    /// `Ev::Express`: an express segment ended at a managed link; enqueue
-    /// there.
+    /// `Ev::Express`: an express segment ended at an event-driven link;
+    /// offer the packet there.
     Enqueue { link: LinkId, pkt: Packet },
     /// `Ev::Express`: an express segment ended at the destination host.
     Deliver { pkt: Packet },
@@ -95,9 +95,6 @@ pub(crate) struct LinkPlane {
     pub(crate) traced: Vec<bool>,
     pub(crate) trace: PacketTrace,
     pub(crate) stash: PacketStash,
-    /// True when any link may take the analytic express path (telemetry
-    /// off and no fault plan).
-    pub(crate) express_on: bool,
     /// Express-path state per link (`eligible = false` entries are inert).
     pub(crate) express: Vec<ExpressLink>,
 }
@@ -114,14 +111,35 @@ pub(crate) fn enqueue_link(
     link: LinkId,
     pkt: Packet,
 ) {
-    if lp.express_on && lp.express[link.index()].eligible {
+    if lp.express[link.index()].eligible {
         express::walk(lp, ev, path, now, pkt);
         return;
     }
-    let Some(pkt) = faults::apply_fate(lp, fx, ev, now, link, pkt) else {
-        return;
-    };
-    deliver_to_qdisc(lp, fx, ev, now, link, pkt);
+    offer(lp, fx, ev, now, link, pkt);
+}
+
+/// A packet reaches an event-driven link's queue for the first time: draw
+/// its fate from the link's fault model, then enqueue what survives. Both
+/// ways of getting here — hop by hop, or at the end of an express segment
+/// — go through this, so a link's fault stream sees every arrival once.
+#[inline]
+pub(crate) fn offer(
+    lp: &mut LinkPlane,
+    fx: &mut FaultsRt,
+    ev: &mut SchedDyn,
+    now: Time,
+    link: LinkId,
+    pkt: Packet,
+) {
+    // An inert plan goes straight to the queue: the gate sits here, not
+    // in `apply_fate`, so the common case never moves the packet through
+    // the fate step.
+    if !fx.any() {
+        return deliver_to_qdisc(lp, fx, ev, now, link, pkt);
+    }
+    if let Some(pkt) = faults::apply_fate(lp, fx, ev, now, link, pkt) {
+        deliver_to_qdisc(lp, fx, ev, now, link, pkt);
+    }
 }
 
 /// Enqueue a packet on a link's qdisc and start transmission if idle.
@@ -225,7 +243,6 @@ mod tests {
             traced: vec![false],
             trace: PacketTrace::with_capacity(16),
             stash: PacketStash::default(),
-            express_on: false,
             express: vec![ExpressLink::inert()],
         };
         let fx = FaultsRt::resolve(&FaultPlan::default(), 1, &[], 0);

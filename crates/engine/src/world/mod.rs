@@ -31,9 +31,11 @@
 //! (`Ev::Arrive` pops the head; see [`links`] for the ordering proof), and
 //! parked packets (fault holdbacks, express handoffs) live in the
 //! [`PacketStash`](links::PacketStash) addressed by a `u32` slot. On top
-//! of that, unmanaged/unobserved FIFO links skip event-driven emulation
-//! entirely via the [`express`] path, collapsing whole multi-hop segments
-//! into a single event.
+//! of that, FIFO links that nothing manages, traces, monitors or faults
+//! skip event-driven emulation entirely via the [`express`] path,
+//! collapsing whole multi-hop segments into a single event. Which links
+//! those are is decided per link at construction; whether the run is
+//! observed, or faulted somewhere else, plays no part.
 
 mod control;
 mod endpoints;
@@ -123,14 +125,14 @@ pub struct SimConfig {
     pub trace_capacity: usize,
     /// Collect deterministic telemetry (counters/gauges/histograms/spans,
     /// sampled on virtual-time boundaries) into `SimResult::telemetry`.
-    /// Also pins the run to full event-driven emulation on every link (no
-    /// [`express`] path), so exported event counts and spans describe the
-    /// exact legacy event stream.
+    /// Observation only: the run dispatches the same event stream with
+    /// this on as with it off, so exported event counts and spans describe
+    /// what every run of this configuration executes.
     pub telemetry: bool,
-    /// Allow the [`express`] path on eligible links (the default). Set
-    /// `false` to force full event-driven emulation everywhere — the knob
-    /// the observation-neutrality tests use to compare a telemetry-off
-    /// run bit-for-bit against a telemetry-on one.
+    /// `true` (the default): links that nothing manages, traces, monitors
+    /// or faults are served by the [`express`] path. `false` forces full
+    /// event-driven emulation on every link — the reference path that
+    /// differential tests compare express against.
     pub express: bool,
     /// Which [`Scheduler`] backend drives the event loop. Either backend
     /// produces the byte-identical run; the wheel is the default because
@@ -241,14 +243,8 @@ impl Simulation {
             traced[l.index()] = true;
         }
         let monitored_set: DetSet<LinkId> = monitored_links.iter().copied().collect();
-        // The express path is a whole-run property (telemetry demands full
-        // event accounting; fault fates draw RNG per event-driven enqueue)
-        // plus a per-link one (managed/traced/monitored links need real
-        // qdisc objects and real events).
-        let express_on = express && !telemetry && !faults_rt.any();
-
         let mut limits = Vec::with_capacity(n_links);
-        let mut express = Vec::with_capacity(n_links);
+        let mut express_links = Vec::with_capacity(n_links);
         let links: Vec<LinkRt> = topology
             .links()
             .iter()
@@ -258,11 +254,16 @@ impl Simulation {
                 let managed = qdiscs.contains_key(&id);
                 let qspec = qdiscs.get(&id).cloned().unwrap_or_else(default_fifo);
                 limits.push(qspec.limit_bytes());
-                let eligible = express_on
+                // Express eligibility is a per-link fact: a link needs a
+                // real qdisc object and real events only if something
+                // manages, traces, samples or faults *it*. Whether the run
+                // is observed plays no part.
+                let eligible = express
                     && !managed
                     && !traced[i]
-                    && !monitored_set.contains(&id);
-                express.push(if eligible {
+                    && !monitored_set.contains(&id)
+                    && !faults_rt.touches(id);
+                express_links.push(if eligible {
                     ExpressLink::eligible()
                 } else {
                     ExpressLink::inert()
@@ -313,8 +314,7 @@ impl Simulation {
                 traced,
                 trace: PacketTrace::with_capacity(trace_capacity),
                 stash: PacketStash::default(),
-                express_on,
-                express,
+                express: express_links,
             },
             fp: FlowPlane {
                 flows: flow_rts,
@@ -395,13 +395,15 @@ impl Simulation {
         // fold their analytic overlays into the per-link stats (exactly
         // one side of each merge is nonzero).
         let overlays = express::final_stats(&mut self.lp, end);
-        let link_stats = self
+        let (link_stats, link_queued_bytes) = self
             .lp
             .links
             .iter()
-            .zip(&overlays)
-            .map(|(l, o)| express::merge_stats(l.qdisc.stats(), o))
-            .collect();
+            .zip(overlays)
+            .map(|(l, (overlay, backlog))| {
+                (express::merge_stats(l.qdisc.stats(), &overlay), l.qdisc.byte_len() + backlog)
+            })
+            .unzip();
         SimResult {
             flow_debug: self
                 .fp
@@ -422,6 +424,7 @@ impl Simulation {
             flow_starts: self.fp.flows.iter().map(|f| f.start).collect(),
             completed_at: self.fp.flows.iter().map(|f| f.completed_at).collect(),
             link_stats,
+            link_queued_bytes,
             link_limits: self.lp.limits,
             goodput: self.cp.goodput,
             link_tx_series: self.cp.link_tx_series,

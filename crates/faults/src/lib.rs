@@ -686,6 +686,17 @@ impl FaultsRt {
         self.any
     }
 
+    /// Does the plan carry any state for `link` — a stochastic model or
+    /// timeline on it, or a control-stall window resolved onto it? The
+    /// engine serves only untouched links analytically; since every
+    /// `(link, family)` stream is private, what happens on those links
+    /// cannot perturb a draw on a touched one.
+    pub fn touches(&self, link: LinkId) -> bool {
+        let i = link.index();
+        self.links.get(i).is_some_and(Option::is_some)
+            || self.control.get(i).is_some_and(Option::is_some)
+    }
+
     pub fn stats(&self) -> &FaultStats {
         &self.stats
     }
@@ -844,6 +855,41 @@ mod tests {
         assert_eq!(rt.on_enqueue(LinkId(2), 1500), EnqueueFate::default());
         assert_eq!(rt.control_verdict(LinkId(2), Time(1)), ControlVerdict::Proceed);
         assert_eq!(*rt.stats(), FaultStats::default());
+    }
+
+    #[test]
+    fn touches_names_exactly_the_links_a_plan_resolves_onto() {
+        let bottlenecks = [LinkId(2), LinkId(5)];
+        let touched = |plan: &FaultPlan| -> Vec<u32> {
+            let rt = FaultsRt::resolve(plan, 8, &bottlenecks, 42);
+            (0..8).filter(|&i| rt.touches(LinkId(i))).collect()
+        };
+        // An inert plan touches nothing, out-of-range links included.
+        assert!(touched(&FaultPlan::default()).is_empty());
+        assert!(!FaultsRt::inert().touches(LinkId(99)));
+        // `AllLinks` pins everything ...
+        assert_eq!(touched(&FaultPlan::uniform_loss(0.1)), (0..8).collect::<Vec<_>>());
+        // ... `Bottlenecks` (what `parse` targets) only the monitored set.
+        let parsed = FaultPlan::parse("loss:0.02,dup:0.01").expect("valid spec");
+        assert_eq!(touched(&parsed), vec![2, 5]);
+        // A control stall counts even with no link model beside it.
+        let stall = FaultPlan {
+            links: Vec::new(),
+            control: vec![(
+                FaultTarget::Link(LinkId(6)),
+                ControlFaultSpec {
+                    windows: vec![StallWindow {
+                        from: Time(1_000),
+                        until: Time(2_000),
+                        mode: StallMode::Skip,
+                    }],
+                },
+            )],
+        };
+        assert_eq!(touched(&stall), vec![6]);
+        let mut both = parsed;
+        both.merge(stall);
+        assert_eq!(touched(&both), vec![2, 5, 6]);
     }
 
     #[test]

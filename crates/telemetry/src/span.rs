@@ -20,16 +20,21 @@ pub struct SpanStats {
 }
 
 struct ActiveSpan {
-    name: &'static str,
+    /// Index into [`SpanStack::done`].
+    id: usize,
     start_ns: u64,
     child_ns: u64,
 }
 
 /// A stack of active spans plus per-name accumulated totals.
+///
+/// Names are interned on `enter` into a small vector (an event loop has
+/// about ten phases), so the per-event `exit` is an indexed add; the
+/// totals are put in name order only when exported.
 #[derive(Default)]
 pub struct SpanStack {
     active: Vec<ActiveSpan>,
-    done: BTreeMap<&'static str, SpanStats>,
+    done: Vec<(&'static str, SpanStats)>,
 }
 
 impl SpanStack {
@@ -37,11 +42,25 @@ impl SpanStack {
         SpanStack::default()
     }
 
+    /// Slot of `name` in `done`, added on first sight. A call site passes
+    /// the same literal every time, so the address-and-length test
+    /// settles a hit without reading the string; the comparison behind it
+    /// merges equal literals the compiler placed at different addresses.
+    #[inline]
+    fn intern(&mut self, name: &'static str) -> usize {
+        let found = self.done.iter().position(|&(n, _)| std::ptr::eq(n, name) || n == name);
+        found.unwrap_or_else(|| {
+            self.done.push((name, SpanStats::default()));
+            self.done.len() - 1
+        })
+    }
+
     /// Open a span at virtual time `now_ns`.
     #[inline]
     pub fn enter(&mut self, name: &'static str, now_ns: u64) {
+        let id = self.intern(name);
         self.active.push(ActiveSpan {
-            name,
+            id,
             start_ns: now_ns,
             child_ns: 0,
         });
@@ -57,11 +76,11 @@ impl SpanStack {
         if let Some(parent) = self.active.last_mut() {
             parent.child_ns = parent.child_ns.saturating_add(elapsed);
         }
-        let stats = self.done.entry(span.name).or_default();
+        let (name, stats) = self.done.get_mut(span.id)?;
         stats.entries += 1;
         stats.self_ns = stats.self_ns.saturating_add(elapsed.saturating_sub(span.child_ns));
         stats.total_ns = stats.total_ns.saturating_add(elapsed);
-        Some(span.name)
+        Some(name)
     }
 
     /// Currently open spans.
@@ -69,9 +88,10 @@ impl SpanStack {
         self.active.len()
     }
 
-    /// Accumulated stats of completed spans, in name order.
-    pub fn stats(&self) -> &BTreeMap<&'static str, SpanStats> {
-        &self.done
+    /// Accumulated stats of completed spans, in name order. A span that
+    /// was entered but has never exited is not listed.
+    pub fn stats(&self) -> BTreeMap<&'static str, SpanStats> {
+        self.done.iter().filter(|(_, st)| st.entries > 0).copied().collect()
     }
 }
 
@@ -124,6 +144,28 @@ mod tests {
         assert_eq!(s.stats()["c"].self_ns, 10);
         assert_eq!(s.stats()["b"].self_ns, 20);
         assert_eq!(s.stats()["a"].self_ns, 30);
+    }
+
+    #[test]
+    fn export_is_name_ordered_and_lists_only_completed_spans() {
+        // Names are interned in first-seen order; the export must not
+        // show that, nor a span that is still open (the `sample` phase is
+        // open while the sample it triggers is rendered).
+        let mut s = SpanStack::new();
+        s.enter("sample", 0);
+        s.enter("dequeue", 0);
+        s.exit(4);
+        s.enter("arrive", 4);
+        s.exit(9);
+        let names: Vec<&str> = s.stats().into_keys().collect();
+        assert_eq!(names, vec!["arrive", "dequeue"]);
+        s.exit(9);
+        // An equal name from another allocation lands in the same slot.
+        let other: &'static str = String::from("arrive").leak();
+        s.enter(other, 9);
+        s.exit(10);
+        assert_eq!(s.stats()["arrive"].entries, 2);
+        assert_eq!(s.stats().len(), 3);
     }
 
     #[test]

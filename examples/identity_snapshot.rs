@@ -17,6 +17,14 @@
 //! `sys:engine` `sched_*` counters — the only telemetry allowed to move
 //! when scheduler mechanics change (backend swaps, op-count refactors).
 //! Everything else on a line must never change for these seeds.
+//!
+//! Each scenario is printed twice: as configured (unmanaged, unobserved
+//! links served by the express path) and as a `ref:` row with
+//! `express = false`, the full event-driven reference. A change to which
+//! links are express-served moves only the first kind; a `ref:` row moves
+//! only if the simulated behaviour itself did. The `single/*` scenarios
+//! have one flow, so their two rows must agree on everything but `ev` and
+//! the telemetry digests.
 
 use cebinae_check::scenario::GenScenario;
 use cebinae_engine::Simulation;
@@ -45,8 +53,9 @@ fn stable_telemetry(nd: &str) -> String {
         .join("\n")
 }
 
-fn snapshot(tag: &str, sc: &GenScenario) {
-    let (cfg, _) = sc.build();
+fn snapshot(tag: &str, sc: &GenScenario, express: bool) {
+    let (mut cfg, _) = sc.build();
+    cfg.express = express;
     let r = Simulation::new(cfg).run();
     let delivered: Vec<String> = r.delivered.iter().map(|d| d.to_string()).collect();
     let trace: String = r.trace.records().map(|rec| format!("{rec:?};")).collect();
@@ -56,8 +65,7 @@ fn snapshot(tag: &str, sc: &GenScenario) {
         "{:?}|{:?}|{:?}|{:?}|{:?}",
         r.link_tx_series, r.saturated_series, r.cebinae_series, r.completed_at, r.flow_starts
     );
-    let (violations, fairness, check_events) = cebinae_check::check_scenario(sc);
-    println!("[{tag}] {}", sc.describe());
+    println!("[{}{tag}] {}", if express { "" } else { "ref:" }, sc.describe());
     println!(
         "  delivered={} ev={} trace_n={} trace_h={:016x} series_h={:016x}",
         delivered.join(","),
@@ -73,6 +81,16 @@ fn snapshot(tag: &str, sc: &GenScenario) {
         fnv(stable.as_bytes()),
         stable.len(),
     );
+    if !express {
+        let violations = cebinae_check::judge_run(sc, &r);
+        println!(
+            "  oracle: violations_h={:016x} n_viol={}",
+            fnv(format!("{violations:?}").as_bytes()),
+            violations.len(),
+        );
+        return;
+    }
+    let (violations, fairness, check_events) = cebinae_check::check_scenario(sc);
     println!(
         "  oracle: check_ev={} violations_h={:016x} n_viol={} fairness={:?}",
         check_events,
@@ -80,6 +98,12 @@ fn snapshot(tag: &str, sc: &GenScenario) {
         violations.len(),
         fairness,
     );
+}
+
+/// Both rows of one scenario: as configured, then the reference path.
+fn snapshot_pair(tag: &str, sc: &GenScenario) {
+    snapshot(tag, sc, true);
+    snapshot(tag, sc, false);
 }
 
 fn main() {
@@ -91,7 +115,7 @@ fn main() {
             let mut sc = GenScenario::generate(seed);
             sc.duration_ms = sc.duration_ms.min(1000);
             sc.scheduler = kind;
-            snapshot(&format!("clean/{name}"), &sc);
+            snapshot_pair(&format!("clean/{name}"), &sc);
         }
     }
     // Chaos: every fault family, default backend.
@@ -99,6 +123,15 @@ fn main() {
         let mut sc = GenScenario::generate(seed as u64);
         sc.duration_ms = sc.duration_ms.min(1000);
         sc.fault_family = Some(*fam);
-        snapshot(&format!("chaos/{fam}"), &sc);
+        snapshot_pair(&format!("chaos/{fam}"), &sc);
+    }
+    // One flow: nothing can tie, so express and reference rows must agree
+    // on deliveries, trace and series — clean and under every family.
+    for (seed, fam) in [None].into_iter().chain(FaultFamily::ALL.iter().map(Some)).enumerate() {
+        let mut sc = GenScenario::generate(seed as u64);
+        sc.duration_ms = sc.duration_ms.min(1000);
+        sc.n_flows = 1;
+        sc.fault_family = fam.copied();
+        snapshot_pair(&format!("single/{}", fam.map_or("clean", |f| f.label())), &sc);
     }
 }

@@ -80,14 +80,11 @@ fn telemetry_off_yields_none_and_same_metrics() {
         DumbbellFlow::new(CcKind::NewReno, 20),
         DumbbellFlow::new(CcKind::Cubic, 40),
     ];
-    // `express = false` pins full event-driven emulation, isolating the
-    // observation cost itself: a telemetry-off run must then be bit-exact
-    // against the telemetry-on one (which always runs full emulation).
-    let run_off = || {
-        let mut run = telemetry_run().telemetry(false).seed(3);
-        run.params_mut().express = false;
-        run.run(&flows)
-    };
+    // Default configuration on both sides: which links the engine serves
+    // analytically is decided per link, never by whether the run is
+    // observed, so switching telemetry on must leave the simulation —
+    // down to its event count — exactly where it was.
+    let run_off = || telemetry_run().telemetry(false).seed(3).run(&flows);
     // Off -> on -> off in one process: whether a run observes is decided
     // by its own config alone, so an observed run in between leaves no
     // trace on the unobserved ones around it.
@@ -98,21 +95,28 @@ fn telemetry_off_yields_none_and_same_metrics() {
     assert!(on.result.telemetry.is_some());
     assert!(off_again.result.telemetry.is_none());
     // Observation must not perturb the simulation itself.
-    assert_eq!(off.result.events_processed, on.result.events_processed);
-    assert_eq!(off.result.events_processed, off_again.result.events_processed);
     let bits = |m: &cebinae_harness::RunMetrics| -> Vec<u64> {
         m.per_flow_bps.iter().map(|b| b.to_bits()).collect()
     };
-    assert_eq!(bits(&off), bits(&on), "telemetry changed simulated goodput");
-    assert_eq!(bits(&off), bits(&off_again), "an observed run changed the next unobserved one");
-    // With express allowed (the default), the unobserved run serves the
-    // access links analytically and does strictly less scheduler work;
-    // its behavioral contract is pinned by tests/express_path.rs.
-    let fast = telemetry_run().telemetry(false).seed(3).run(&flows);
+    for (name, other) in [("observed", &on), ("second unobserved", &off_again)] {
+        assert_eq!(
+            off.result.events_processed, other.result.events_processed,
+            "{name} run dispatched a different event stream"
+        );
+        assert_eq!(off.result.delivered, other.result.delivered, "{name} run: delivered");
+        assert_eq!(bits(&off), bits(other), "{name} run: simulated goodput");
+        assert_eq!(off.result.link_stats, other.result.link_stats, "{name} run: link stats");
+    }
+    // Full emulation (`express = false`, the reference path pinned by
+    // tests/express_path.rs) does strictly more scheduler work, so the
+    // equalities above were established on the express path.
+    let mut full = telemetry_run().seed(3);
+    full.params_mut().express = false;
+    let full = full.run(&flows);
     assert!(
-        fast.result.events_processed < off.result.events_processed,
-        "express run should dispatch fewer events ({} vs {})",
-        fast.result.events_processed,
-        off.result.events_processed
+        on.result.events_processed < full.result.events_processed,
+        "observed run should dispatch fewer events than full emulation ({} vs {})",
+        on.result.events_processed,
+        full.result.events_processed
     );
 }
