@@ -90,40 +90,65 @@ mod proptests {
     }
 
     /// Heap and wheel produce the identical `(Time, seq)` pop stream under
-    /// randomized schedule / cancel / rearm / interleaved-pop workloads,
-    /// including same-timestamp bursts and far-future deadlines that force
-    /// wheel cascades. The heap is the ordering oracle; any divergence in
-    /// the fired sequence is a wheel bug.
+    /// randomized schedule / post / cancel / rearm / peek / interleaved-pop
+    /// workloads: same-timestamp bursts (small ones the wheel stages whole,
+    /// big ones it cascades and whose buffers it releases), far-future
+    /// deadlines up to `u64::MAX`, and schedules at `now` and `now + 1`
+    /// right after a peek has staged a run in front of them. The heap is
+    /// the ordering oracle; any divergence is a wheel bug.
     #[test]
     fn heap_and_wheel_pop_streams_are_identical() {
+        type Sched = Box<dyn Scheduler<u64> + Send>;
+        // One entry into both backends, fire-and-forget or cancellable.
+        // Payload = the entry's sequence number, so a popped event
+        // identifies which handle just died.
+        fn put(heap: &mut Sched, wheel: &mut Sched, live: &mut Vec<TimerId>, at: u64, post: bool) {
+            let tag = heap.scheduled_total();
+            if post {
+                heap.post(Time(at), tag);
+                wheel.post(Time(at), tag);
+            } else {
+                let h = heap.schedule(Time(at), tag);
+                assert_eq!(h, wheel.schedule(Time(at), tag), "TimerId streams diverged");
+                live.push(h);
+            }
+        }
+
         for case in 0..192u64 {
-            let mut heap = SchedulerKind::Heap.build();
-            let mut wheel = SchedulerKind::Wheel.build();
+            let mut heap: Sched = SchedulerKind::Heap.build();
+            let mut wheel: Sched = SchedulerKind::Wheel.build();
             let mut rng = DetRng::seed_from_u64(0x5c4ed ^ case);
             let mut live: Vec<TimerId> = Vec::new();
             let mut fired: Vec<(Time, u64)> = Vec::new();
-            let mut horizon = 0u64; // max of both clocks, in ns
+            // Max of both clocks, in ns. Once an end-of-range deadline has
+            // fired it sits near `u64::MAX`, hence the saturating adds.
+            let mut horizon = 0u64;
 
             for _ in 0..400u64 {
                 let op = rng.gen_range_u64(0, 100);
                 if op < 55 {
                     // Schedule: mostly near-future, sometimes a burst at one
                     // instant, occasionally far enough out to span several
-                    // wheel levels (up to ~2^40 ns ahead).
+                    // wheel levels (up to ~2^40 ns ahead) or in the last
+                    // four nanoseconds of the range.
                     let at = if op < 8 {
-                        horizon + (1u64 << rng.gen_range_u64(10, 41))
+                        horizon.saturating_add(1u64 << rng.gen_range_u64(10, 41))
+                    } else if op == 18 {
+                        (u64::MAX - rng.gen_range_u64(0, 4)).max(horizon)
                     } else {
-                        horizon + rng.gen_range_u64(0, 5_000)
+                        horizon.saturating_add(rng.gen_range_u64(0, 5_000))
                     };
-                    let burst = if op < 16 { rng.gen_range_u64(2, 6) } else { 1 };
+                    // A burst of 33..80 in one slot is past both of the
+                    // wheel's private bounds: too big to stage (16) and its
+                    // buffer too big to keep once drained (32).
+                    let burst = match op {
+                        16 | 17 => rng.gen_range_u64(33, 80),
+                        0..=15 => rng.gen_range_u64(2, 6),
+                        _ => 1,
+                    };
                     for _ in 0..burst {
-                        // Payload = the entry's sequence number, so a popped
-                        // event identifies which handle just died.
-                        let tag = heap.scheduled_total();
-                        let ha = heap.schedule(Time(at), tag);
-                        let wa = wheel.schedule(Time(at), tag);
-                        assert_eq!(ha, wa, "case {case}: TimerId streams diverged");
-                        live.push(ha);
+                        let post = rng.gen_range_u64(0, 2) == 0;
+                        put(&mut heap, &mut wheel, &mut live, at, post);
                     }
                 } else if op < 75 && !live.is_empty() {
                     // Cancel or rearm a random still-live timer.
@@ -132,17 +157,24 @@ mod proptests {
                     if op < 65 {
                         assert_eq!(heap.cancel(id), wheel.cancel(id), "case {case}");
                     } else {
-                        let at = horizon + rng.gen_range_u64(0, 100_000);
+                        let at = horizon.saturating_add(rng.gen_range_u64(0, 100_000));
                         let tag = heap.scheduled_total();
                         let h = heap.rearm(id, Time(at), tag);
                         let w = wheel.rearm(id, Time(at), tag);
                         assert_eq!(h, w, "case {case}");
                         live.push(h);
                     }
+                } else if op < 82 {
+                    // Peek, then schedule at `now` and `now + 1`: in front
+                    // of (or into) the run the peek just staged, and behind
+                    // the wheel's advanced cursor.
+                    assert_eq!(heap.peek_time(), wheel.peek_time(), "case {case}");
+                    for at in [horizon, horizon.saturating_add(1)] {
+                        let post = rng.gen_range_u64(0, 2) == 0;
+                        put(&mut heap, &mut wheel, &mut live, at, post);
+                    }
                 } else {
                     // Drain a few events, checking byte-identity as we go.
-                    // The peek exercises the wheel's cursor-ahead-of-clock
-                    // path: later schedules may land behind the cursor.
                     assert_eq!(heap.peek_time(), wheel.peek_time(), "case {case}");
                     for _ in 0..rng.gen_range_u64(1, 4) {
                         let h = heap.pop();
@@ -154,6 +186,25 @@ mod proptests {
                         live.retain(|id| id.0 != tag);
                     }
                 }
+                // Odd cases peek after every op, so the wheel is always
+                // settled; even cases only where an op above does, so runs
+                // of ops hit it unsettled.
+                if case % 2 == 1 {
+                    assert_eq!(heap.peek_time(), wheel.peek_time(), "case {case}");
+                }
+                assert_eq!(heap.len(), wheel.len(), "case {case}");
+                assert_eq!(heap.now(), wheel.now(), "case {case}");
+                assert_eq!(heap.now(), Time(horizon), "case {case}");
+                assert_eq!(
+                    heap.scheduled_total(),
+                    wheel.scheduled_total(),
+                    "case {case}"
+                );
+                assert_eq!(
+                    heap.cancelled_total(),
+                    wheel.cancelled_total(),
+                    "case {case}"
+                );
             }
 
             // Final drain: the tails must match exactly too.
@@ -161,22 +212,11 @@ mod proptests {
                 let h = heap.pop();
                 let w = wheel.pop();
                 assert_eq!(h, w, "case {case}: tail diverged");
-                if h.is_none() {
-                    break;
-                }
+                let Some(f) = h else { break };
+                fired.push(f);
             }
             assert_eq!(heap.len(), 0, "case {case}");
             assert_eq!(wheel.len(), 0, "case {case}");
-            assert_eq!(
-                heap.scheduled_total(),
-                wheel.scheduled_total(),
-                "case {case}"
-            );
-            assert_eq!(
-                heap.cancelled_total(),
-                wheel.cancelled_total(),
-                "case {case}"
-            );
             // Non-decreasing fired timeline (sanity on the oracle itself).
             assert!(fired.windows(2).all(|p| p[0].0 <= p[1].0), "case {case}");
         }

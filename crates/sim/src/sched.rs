@@ -14,8 +14,9 @@
 //!   reference implementation: O(log n) schedule/pop, lazy-delete
 //!   cancellation.
 //! * [`WheelScheduler`](crate::wheel::WheelScheduler) — a hierarchical
-//!   timing wheel with O(1) schedule/cancel/rearm, built for the
-//!   cancel-heavy RTO/pace timer churn the transport layer generates.
+//!   timing wheel with O(1) schedule/cancel/rearm whose steady state
+//!   neither allocates nor hashes: slots drain in place, and the earliest
+//!   small slot is sorted whole into one staging run that `pop` reads.
 //!
 //! Backends are selected at construction time via [`SchedulerKind`];
 //! callers plumb it through their own config (the engine's
@@ -58,7 +59,10 @@ pub trait Scheduler<E> {
     fn schedule(&mut self, at: Time, event: E) -> TimerId;
 
     /// Fire-and-forget [`schedule`](Scheduler::schedule): for events that
-    /// are never cancelled, so the `TimerId` would only be dropped.
+    /// are never cancelled, so the `TimerId` would only be dropped. Same
+    /// sequence numbering and ordering as `schedule`. A backend may
+    /// override it to remember that no handle exists: the wheel marks
+    /// posted entries so they never probe its tombstone set.
     fn post(&mut self, at: Time, event: E) {
         let _ = self.schedule(at, event);
     }

@@ -148,8 +148,19 @@ impl Duration {
 #[inline]
 pub fn tx_time(bytes: u64, rate_bps: u64) -> Duration {
     debug_assert!(rate_bps > 0, "link rate must be positive");
-    let bits = bytes as u128 * 8 * NANOS_PER_SEC as u128;
-    Duration(bits.div_ceil(rate_bps as u128) as u64)
+    // Below 2.3 GB the numerator fits in 64 bits, which keeps the 128-bit
+    // division (`__udivti3`) off the per-packet path.
+    match bytes.checked_mul(8 * NANOS_PER_SEC) {
+        Some(bit_ns) => Duration(bit_ns.div_ceil(rate_bps)),
+        None => Duration(tx_time_wide(bytes, rate_bps)),
+    }
+}
+
+/// [`tx_time`] in 128-bit arithmetic: the overflow arm, and the reference
+/// the fast path is tested against.
+fn tx_time_wide(bytes: u64, rate_bps: u64) -> u64 {
+    let bit_ns = bytes as u128 * 8 * NANOS_PER_SEC as u128;
+    bit_ns.div_ceil(rate_bps as u128) as u64
 }
 
 /// Bytes a link of `rate_bps` can carry in `dur` (rounded down).
@@ -337,6 +348,46 @@ mod tests {
         assert_eq!(tx_time(1500, 1_000_000_000), Duration::from_micros(12));
         // 1500 bytes at 100 Mbps = 120 us.
         assert_eq!(tx_time(1500, 100_000_000), Duration::from_micros(120));
+    }
+
+    #[test]
+    fn tx_time_fast_path_matches_wide_arithmetic() {
+        // The last `bytes` whose numerator fits in 64 bits.
+        let edge = u64::MAX / (8 * NANOS_PER_SEC);
+        let mut rng = crate::rng::DetRng::seed_from_u64(0x7a7e);
+        let mut pairs = vec![
+            (0, 1),
+            (1, 1),
+            (edge - 1, 1),
+            (edge, 1),
+            (edge, u64::MAX),
+            // Exact multiples: nothing to round up.
+            (1500, 1_000_000_000),
+            (125, 8 * NANOS_PER_SEC),
+            (edge, 8 * NANOS_PER_SEC),
+            // Past the edge the numerator overflows: the wide arm serves
+            // (and truncates a quotient that does not fit, as it always did).
+            (edge + 1, 1),
+            (edge + 1, 3),
+            (1 << 40, 100_000_000_000),
+            (u64::MAX, 100_000_000_000),
+        ];
+        for _ in 0..4096 {
+            let bytes = match rng.gen_range_u64(0, 4) {
+                0 => rng.gen_range_u64(0, 65_536),
+                1 => rng.gen_range_u64(edge - 1_000, edge + 1),
+                _ => rng.gen_range_u64(0, edge + 1),
+            };
+            let rate = 1u64 << rng.gen_range_u64(0, 48);
+            pairs.push((bytes, rate + rng.gen_range_u64(0, rate)));
+        }
+        for (bytes, rate) in pairs {
+            assert_eq!(
+                tx_time(bytes, rate).0,
+                tx_time_wide(bytes, rate),
+                "{bytes} B at {rate} bps"
+            );
+        }
     }
 
     #[test]

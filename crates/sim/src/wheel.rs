@@ -3,39 +3,56 @@
 //! A Varghese/Lauck-style hashed hierarchical wheel specialised for the
 //! simulator's nanosecond clock: 11 levels of 64 slots each (6 bits per
 //! level, 66 bits ≥ the full `u64` time range), so **schedule, cancel and
-//! rearm are O(1)** — the operations the transport layer's RTO/pace timer
-//! churn hammers, and exactly where the binary heap's O(log n) +
-//! tombstone-compaction costs concentrate.
+//! rearm are O(1)** however many events are pending. It is the default not
+//! for its cancels (paper workloads barely cancel: the lazy RTO costs zero
+//! scheduler ops per ACK, `sim.sched_cancel_share` is 7e-6 to 1.5e-2) but
+//! for a hot path that in steady state neither allocates nor hashes, and
+//! moves most events once.
 //!
 //! ## Placement
 //!
-//! The wheel keeps a `cursor`: the lower bound of all stored deadlines
-//! (everything before it has been drained). An entry for time `t` lives at
-//! level `k` = index of the highest 6-bit group in which `t` differs from
-//! the cursor, in slot `(t >> 6k) & 63`. Level 0 slots are exact
-//! nanoseconds; higher levels are power-of-two buckets that get **cascaded**
-//! (re-filed one or more levels down) when the cursor reaches them. Each
-//! entry cascades at most 10 times over its lifetime, so the amortised cost
-//! stays constant.
+//! `cursor` is the lower bound of all deadlines stored in `slots`. An entry
+//! for time `t` lives at level `k` = the highest 6-bit group in which `t`
+//! differs from the cursor, in slot `(t >> 6k) & 63`: level-0 slots are
+//! exact nanoseconds, higher levels power-of-two windows. When the cursor
+//! reaches the earliest occupied slot, that slot is drained in place (its
+//! buffer stays with it up to `KEEP_CAP`, so the next push does not
+//! allocate) and is either
+//!
+//! * **staged**, if it is at level 0 or holds at most `STAGE_MAX` entries:
+//!   sorted by `(deadline, key)` straight into the staging run `ready`,
+//!   whose end `run_end` becomes the end of the slot's window, so most
+//!   events go slot → run → pop and never see the lower levels; or
+//! * **cascaded**: re-filed against the new cursor, landing strictly below
+//!   level `k`. `cascades_total` counts only these.
 //!
 //! ## Determinism
 //!
 //! Pop order must be byte-identical to the heap backend's `(time, seq)`
-//! ordering. Two properties deliver that:
+//! ordering. Every entry carries `key = seq << 1 | cancellable`, so key
+//! order is insertion order, and:
 //!
-//! * a level-0 slot holds events of exactly one nanosecond, so draining it
-//!   and sorting by insertion sequence reproduces FIFO tie-breaking;
+//! * `ready` is sorted by `(deadline, key)` and holds **every** pending
+//!   deadline below `run_end`: a staged slot was the earliest occupied
+//!   one, so the rest of the wheel is at or past its window's end;
+//! * `slots` only receives deadlines at or past `run_end` (which is never
+//!   below `cursor`, so that covers a deadline behind a peek-advanced
+//!   cursor). An earlier one is merged into `ready` by binary search,
+//!   *after* every equal deadline: right, because the newcomer's key is
+//!   the largest yet. A run already `RUN_MAX` long ends at the newcomer
+//!   instead, and hands its later entries back to the wheel;
 //! * cascades only move entries *down* levels and never reorder distinct
-//!   times relative to each other (placement is a pure function of
-//!   `(t, cursor)`).
+//!   times (placement is a pure function of `(t, cursor)`).
 //!
-//! The drained slot is staged in a `ready` queue; a small `pre` stash
-//! catches the peek-then-schedule pattern where the caller schedules an
-//! event *behind* the already-advanced cursor (but never behind `now`).
-//! Cancellation is lazy exactly like the heap: tombstoned sequence numbers
-//! are discarded when their entry surfaces, with the same
-//! outnumber-the-live-entries compaction sweep so cancelled far-future
-//! timers cannot pin memory.
+//! So `pop`/`peek_time` are "settle the front of `ready`, read it".
+//!
+//! ## Cancellation
+//!
+//! Lazy, like the heap's: a tombstoned sequence number is discarded when
+//! its entry surfaces, with the same outnumber-the-live-entries compaction
+//! sweep so cancelled far-future timers cannot pin memory. Only `schedule`
+//! sets the key's low bit; a `post`ed event (nearly all of them) never
+//! probes the tombstone set, and nothing probes it while it is empty.
 
 use std::collections::VecDeque;
 
@@ -50,31 +67,41 @@ const LEVEL_BITS: usize = 6;
 const SLOTS: usize = 64;
 /// Levels: `ceil(64 / LEVEL_BITS)` covers the whole `u64` range.
 const LEVELS: usize = 11;
+/// Largest slot above level 0 that is sorted straight into `ready`; a
+/// handful of entries sort faster than they re-file (flat from 4 to 64).
+const STAGE_MAX: usize = 16;
+/// Longest run a merge may extend: a wide sparse window staged just before
+/// traffic picks up would otherwise turn every insertion into a memmove.
+const RUN_MAX: usize = 64;
+/// Largest buffer capacity a drained slot keeps; bounds idle memory at
+/// `LEVELS * SLOTS * KEEP_CAP` entries however large a burst once was.
+const KEEP_CAP: usize = 32;
+
+/// `(deadline_ns, key, event)` with `key = seq << 1 | cancellable`.
+type Entry<E> = (u64, u64, E);
 
 /// A hierarchical timing wheel: O(1) schedule/cancel/rearm, pop order
 /// byte-identical to [`HeapScheduler`](crate::heap::HeapScheduler).
 pub struct WheelScheduler<E> {
-    /// `LEVELS * SLOTS` buckets, indexed `level * SLOTS + slot`. Each
-    /// bucket holds `(deadline_ns, seq, event)` in insertion order.
-    slots: Vec<Vec<(u64, u64, E)>>,
+    /// `LEVELS * SLOTS` buckets, indexed `level * SLOTS + slot`, each in
+    /// insertion order. Every deadline in here is `>= run_end`.
+    slots: Vec<Vec<Entry<E>>>,
     /// Per-level occupancy bitmap: bit `s` set iff `slots[k*SLOTS+s]` is
     /// non-empty. Turns find-next-slot into a trailing_zeros.
     occ: [u64; LEVELS],
-    /// Lower bound (ns) of every deadline stored in `slots`; advances
-    /// monotonically as slots are drained.
+    /// Lower bound (ns) of every deadline stored in `slots`: the window
+    /// start of the slot drained last. Advances monotonically.
     cursor: u64,
     now: Time,
     next_seq: u64,
-    /// Physical entries across `slots` + `ready` + `pre`, tombstones
-    /// included.
+    /// Physical entries across `slots` + `ready`, tombstones included.
     stored: usize,
-    /// The drained level-0 slot, sorted by seq; all share `ready_at`.
-    ready: VecDeque<(u64, E)>,
-    ready_at: Time,
-    /// Entries scheduled behind the cursor (only possible between a peek
-    /// that advanced the wheel and the pops that drain `ready`); always
-    /// strictly earlier than `ready_at`, so they pop first.
-    pre: Vec<(Time, u64, E)>,
+    /// The staging run: every pending entry with a deadline below
+    /// `run_end`, sorted by `(deadline, key)`.
+    ready: VecDeque<Entry<E>>,
+    /// End (exclusive, saturating at `u64::MAX`) of the staging run;
+    /// never below `cursor`.
+    run_end: u64,
     /// Sequence numbers of cancelled-but-still-stored entries.
     cancelled: DetSet<u64>,
     cancelled_total: u64,
@@ -98,8 +125,7 @@ impl<E> WheelScheduler<E> {
             next_seq: 0,
             stored: 0,
             ready: VecDeque::new(),
-            ready_at: Time::ZERO,
-            pre: Vec::new(),
+            run_end: 0,
             cancelled: DetSet::new(),
             cancelled_total: 0,
             discarded_total: 0,
@@ -123,71 +149,69 @@ impl<E> WheelScheduler<E> {
 
     /// File a live entry (deadline `t >= self.cursor`) into its slot.
     #[inline]
-    fn file(&mut self, t: u64, seq: u64, event: E) {
+    fn file(&mut self, t: u64, key: u64, event: E) {
         debug_assert!(t >= self.cursor);
         let k = Self::level_for(t, self.cursor);
         let s = ((t >> (LEVEL_BITS * k)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[k * SLOTS + s].push((t, seq, event));
+        self.slots[k * SLOTS + s].push((t, key, event));
         self.occ[k] |= 1u64 << s;
     }
 
-    /// Empty `slots[k*SLOTS+s]`, dropping tombstones and re-filing live
-    /// entries against the *current* cursor. By construction every re-filed
-    /// entry lands strictly below level `k`.
-    fn cascade_slot(&mut self, k: usize, s: usize) {
-        let entries = std::mem::take(&mut self.slots[k * SLOTS + s]);
-        self.occ[k] &= !(1u64 << s);
-        for (t, seq, event) in entries {
-            if self.cancelled.remove(&seq) {
-                self.discarded_total += 1;
-                self.stored -= 1;
-                continue;
+    /// Store a new entry, merged into the staging run when its deadline is
+    /// below the run's end and filed otherwise; returns its sequence number.
+    #[inline]
+    fn insert(&mut self, at: Time, cancellable: bool, event: E) -> u64 {
+        debug_assert!(
+            at >= self.now,
+            "scheduled event in the past: at={at:?} now={:?}",
+            self.now
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.stored += 1;
+        let key = seq << 1 | u64::from(cancellable);
+        if at.0 < self.run_end {
+            // `key` is the largest yet, so after every equal deadline.
+            let i = self.ready.partition_point(|e| e.0 <= at.0);
+            if self.ready.len() < RUN_MAX || at.0 < self.cursor {
+                self.ready.insert(i, (at.0, key, event));
+                return seq;
             }
-            self.file(t, seq, event);
+            // The run outgrew its bound: end it at `at` and hand everything
+            // later (all `> at >= cursor`) back to the wheel.
+            self.run_end = at.0;
+            while self.ready.len() > i {
+                let (t, k, e) = self.ready.pop_back().expect("len > i");
+                self.file(t, k, e);
+            }
         }
+        self.file(at.0, key, event);
+        seq
     }
 
-    /// Advance the wheel until the next level-0 slot with a live entry has
-    /// been drained into `ready` (sorted by seq), or everything left was a
-    /// tombstone and `stored` hit zero. Precondition: `pre` and `ready`
-    /// are empty.
+    /// If the entry under `key` was cancelled, consume its tombstone and
+    /// account for the discard. Posted entries and an empty tombstone set
+    /// cost a bit test, not a hash probe.
+    #[inline]
+    fn reap(&mut self, key: u64) -> bool {
+        let dead = key & 1 == 1 && !self.cancelled.is_empty() && self.cancelled.remove(&(key >> 1));
+        if dead {
+            self.discarded_total += 1;
+            self.stored -= 1;
+        }
+        dead
+    }
+
+    /// Drain earliest occupied slots, cascading the full ones, until one
+    /// has been staged with a live entry, or everything left was a
+    /// tombstone and `stored` hit zero. Precondition: `ready` is empty.
     fn fill_ready(&mut self) {
-        debug_assert!(self.pre.is_empty() && self.ready.is_empty());
-        while self.stored > 0 {
-            // Level-0 slots at or after the cursor's index. Slots before it
-            // are necessarily empty (every stored time is >= cursor, and a
-            // level-0 time shares the cursor's upper 58 bits).
-            // det-ok: masked to 0..64 by `& (SLOTS - 1)`, so u32 cannot truncate
-            let c0 = (self.cursor & (SLOTS as u64 - 1)) as u32;
-            let m0 = self.occ[0] & (u64::MAX << c0);
-            if m0 != 0 {
-                let s = m0.trailing_zeros() as usize;
-                let tt = (self.cursor & !(SLOTS as u64 - 1)) | s as u64;
-                self.cursor = tt;
-                let mut entries = std::mem::take(&mut self.slots[s]);
-                self.occ[0] &= !(1u64 << s);
-                // One level-0 slot == one nanosecond; seq order is FIFO.
-                entries.sort_unstable_by_key(|e| e.1);
-                self.ready_at = Time(tt);
-                let mut any_live = false;
-                for (t, seq, event) in entries {
-                    debug_assert_eq!(t, tt);
-                    if self.cancelled.remove(&seq) {
-                        self.discarded_total += 1;
-                        self.stored -= 1;
-                        continue;
-                    }
-                    self.ready.push_back((seq, event));
-                    any_live = true;
-                }
-                if any_live {
-                    return;
-                }
-                continue;
-            }
-            // Level 0 empty: advance the cursor to the lowest occupied
-            // higher-level slot's window start and cascade it down.
-            let Some(k) = (1..LEVELS).find(|&k| self.occ[k] != 0) else {
+        debug_assert!(self.ready.is_empty());
+        while self.stored > 0 && self.ready.is_empty() {
+            // The earliest entries are in the lowest occupied slot of the
+            // lowest occupied level k: they share the cursor's groups above
+            // k, while a higher level's lie past that whole window.
+            let Some(k) = (0..LEVELS).find(|&k| self.occ[k] != 0) else {
                 debug_assert_eq!(self.stored, 0, "stored entries but empty wheel");
                 return;
             };
@@ -197,22 +221,53 @@ impl<E> WheelScheduler<E> {
             // det-ok: at most LEVEL_BITS * LEVELS = 66, far below u32::MAX
             let shift = (LEVEL_BITS * (k + 1)) as u32;
             let keep = if shift >= 64 { 0 } else { u64::MAX << shift };
-            self.cursor = (self.cursor & keep) | ((s as u64) << (LEVEL_BITS * k));
-            self.cascades_total += 1;
-            self.cascade_slot(k, s);
+            let start = (self.cursor & keep) | ((s as u64) << (LEVEL_BITS * k));
+            debug_assert!(start >= self.cursor, "wheel cursor went backwards");
+            self.cursor = start;
+            self.occ[k] &= !(1u64 << s);
+            let i = k * SLOTS + s;
+            let mut buf = std::mem::take(&mut self.slots[i]);
+            if k == 0 || buf.len() <= STAGE_MAX {
+                buf.sort_unstable_by_key(|e| (e.0, e.1));
+                // The top slot's window ends at 2^64: saturate.
+                self.run_end = start.saturating_add(1u64 << (LEVEL_BITS * k));
+                for e in buf.drain(..) {
+                    if !self.reap(e.1) {
+                        self.ready.push_back(e);
+                    }
+                }
+            } else {
+                self.cascades_total += 1;
+                self.run_end = start;
+                for (t, key, event) in buf.drain(..) {
+                    if !self.reap(key) {
+                        self.file(t, key, event);
+                    }
+                }
+            }
+            if buf.capacity() <= KEEP_CAP {
+                self.slots[i] = buf;
+            }
         }
     }
 
-    /// Index of the earliest `(time, seq)` entry in `pre`, if any.
-    fn pre_min(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, (t, seq, _)) in self.pre.iter().enumerate() {
-            match best {
-                Some(b) if (self.pre[b].0, self.pre[b].1) <= (*t, *seq) => {}
-                _ => best = Some(i),
+    /// Discard tombstones at the front of the run, refilling it from the
+    /// wheel when it empties; returns the earliest live deadline, which is
+    /// then `ready`'s front.
+    #[inline]
+    fn settle(&mut self) -> Option<Time> {
+        loop {
+            match self.ready.front() {
+                Some(&(t, key, _)) => {
+                    if !self.reap(key) {
+                        return Some(Time(t));
+                    }
+                    self.ready.pop_front();
+                }
+                None if self.stored == 0 => return None,
+                None => self.fill_ready(),
             }
         }
-        best
     }
 
     /// One O(n) sweep dropping every tombstoned entry, run when cancelled
@@ -229,20 +284,20 @@ impl<E> WheelScheduler<E> {
         // removes exactly `cancelled.len()` of them.
         self.discarded_total += cancelled.len() as u64;
         self.stored -= cancelled.len();
+        let live = |e: &Entry<E>| e.1 & 1 == 0 || !cancelled.contains(&(e.1 >> 1));
         for k in 0..LEVELS {
             let mut occ = self.occ[k];
             while occ != 0 {
                 let s = occ.trailing_zeros() as usize;
                 occ &= occ - 1;
                 let slot = &mut self.slots[k * SLOTS + s];
-                slot.retain(|e| !cancelled.contains(&e.1));
+                slot.retain(live);
                 if slot.is_empty() {
                     self.occ[k] &= !(1u64 << s);
                 }
             }
         }
-        self.ready.retain(|e| !cancelled.contains(&e.0));
-        self.pre.retain(|e| !cancelled.contains(&e.1));
+        self.ready.retain(live);
     }
 }
 
@@ -253,22 +308,11 @@ impl<E> Scheduler<E> for WheelScheduler<E> {
     }
 
     fn schedule(&mut self, at: Time, event: E) -> TimerId {
-        debug_assert!(
-            at >= self.now,
-            "scheduled event in the past: at={at:?} now={:?}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.stored += 1;
-        if at.0 < self.cursor {
-            // Behind the already-advanced cursor (peek-then-schedule):
-            // strictly earlier than `ready_at`, delivered before `ready`.
-            self.pre.push((at, seq, event));
-        } else {
-            self.file(at.0, seq, event);
-        }
-        TimerId(seq)
+        TimerId(self.insert(at, true, event))
+    }
+
+    fn post(&mut self, at: Time, event: E) {
+        self.insert(at, false, event);
     }
 
     fn cancel(&mut self, id: TimerId) -> bool {
@@ -282,61 +326,16 @@ impl<E> Scheduler<E> for WheelScheduler<E> {
     }
 
     fn pop(&mut self) -> Option<(Time, E)> {
-        loop {
-            if let Some(i) = self.pre_min() {
-                let (t, seq, event) = self.pre.swap_remove(i);
-                self.stored -= 1;
-                if self.cancelled.remove(&seq) {
-                    self.discarded_total += 1;
-                    continue;
-                }
-                debug_assert!(t >= self.now, "event queue went backwards");
-                self.now = t;
-                return Some((t, event));
-            }
-            if let Some((seq, event)) = self.ready.pop_front() {
-                self.stored -= 1;
-                if self.cancelled.remove(&seq) {
-                    self.discarded_total += 1;
-                    continue;
-                }
-                debug_assert!(self.ready_at >= self.now, "event queue went backwards");
-                self.now = self.ready_at;
-                return Some((self.ready_at, event));
-            }
-            if self.stored == 0 {
-                return None;
-            }
-            self.fill_ready();
-        }
+        let at = self.settle()?;
+        let (_, _, event) = self.ready.pop_front()?;
+        self.stored -= 1;
+        debug_assert!(at >= self.now, "event queue went backwards");
+        self.now = at;
+        Some((at, event))
     }
 
     fn peek_time(&mut self) -> Option<Time> {
-        loop {
-            if let Some(i) = self.pre_min() {
-                let seq = self.pre[i].1;
-                if self.cancelled.remove(&seq) {
-                    self.pre.swap_remove(i);
-                    self.discarded_total += 1;
-                    self.stored -= 1;
-                    continue;
-                }
-                return Some(self.pre[i].0);
-            }
-            if let Some(&(seq, _)) = self.ready.front() {
-                if self.cancelled.remove(&seq) {
-                    self.ready.pop_front();
-                    self.discarded_total += 1;
-                    self.stored -= 1;
-                    continue;
-                }
-                return Some(self.ready_at);
-            }
-            if self.stored == 0 {
-                return None;
-            }
-            self.fill_ready();
-        }
+        self.settle()
     }
 
     #[inline]
@@ -364,8 +363,7 @@ impl<E> Scheduler<E> for WheelScheduler<E> {
         self.cascades_total
     }
 
-    /// Physical entries across slots, ready staging and the pre stash,
-    /// tombstones included.
+    /// Physical entries in slots and the staging run, tombstones included.
     #[inline]
     fn occupied(&self) -> usize {
         self.stored
@@ -557,8 +555,18 @@ mod tests {
         q.post(Time(u64::MAX), "max");
         q.post(Time(1), "near");
         q.post(Time(1 << 40), "far");
+        // One slot fuller than the staging bound, filed latest-first: it
+        // has to cascade (a small slot would be staged instead).
+        let crowd = STAGE_MAX as u64 + 1;
+        for i in (1..=crowd).rev() {
+            q.post(Time((1 << 40) + i), "crowd");
+        }
         assert_eq!(q.pop(), Some((Time(1), "near")));
+        assert_eq!(q.cascades_total(), 0, "small slots are staged");
         assert_eq!(q.pop(), Some((Time(1 << 40), "far")));
+        for i in 1..=crowd {
+            assert_eq!(q.pop(), Some((Time((1 << 40) + i), "crowd")));
+        }
         assert_eq!(q.pop(), Some((Time(u64::MAX), "max")));
         assert!(q.pop().is_none());
         assert!(q.cascades_total() > 0);
@@ -632,5 +640,150 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, u64::MAX);
         let fired: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(fired, (0..50).collect::<Vec<_>>());
+    }
+
+    // ------------------------------------------------------------------
+    // The staging run.
+
+    #[test]
+    fn staged_and_merged_entries_at_one_deadline_pop_fifo() {
+        let mut q = WheelScheduler::new();
+        q.post(Time(1000), "staged");
+        q.post(Time(1001), "staged-later");
+        assert_eq!(q.peek_time(), Some(Time(1000)));
+        assert_eq!(q.ready.len(), 2, "both sit in the run");
+        q.post(Time(1000), "merged");
+        q.post(Time(1001), "merged-later");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["staged", "merged", "staged-later", "merged-later"]);
+    }
+
+    #[test]
+    fn merged_entry_earlier_than_the_run_pops_first() {
+        let mut q = WheelScheduler::new();
+        for i in 0..4u64 {
+            q.post(Time(5000 + i), i);
+        }
+        assert_eq!(q.peek_time(), Some(Time(5000)));
+        q.post(Time(4999), 99);
+        q.post(Time(0), 98);
+        assert_eq!(q.peek_time(), Some(Time(0)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, [98, 99, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn cancel_entries_sitting_in_the_run() {
+        let mut q = WheelScheduler::new();
+        let ids: Vec<_> = (0..5u64).map(|i| q.schedule(Time(710 + i), i)).collect();
+        assert_eq!(q.peek_time(), Some(Time(710)));
+        assert_eq!(q.ready.len(), 5);
+        // Front and middle of the run.
+        assert!(q.cancel(ids[0]));
+        assert!(q.cancel(ids[2]));
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_time(), Some(Time(711)));
+        assert_eq!(q.now(), Time::ZERO, "discarding never moves the clock");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, [1, 3, 4]);
+        assert_eq!(q.discarded_total(), 2);
+        assert_eq!(q.occupied(), 0);
+    }
+
+    #[test]
+    fn deadline_at_u64_max_saturates_the_run_end() {
+        // The top slot's window ends at 2^64. The run end must saturate:
+        // a debug build would panic on the overflow, a release build wrap
+        // to a tiny bound and file the late arrivals behind the cursor.
+        let mut q = WheelScheduler::new();
+        q.post(Time(u64::MAX), "max");
+        q.post(Time(u64::MAX - 3), "max-3");
+        assert_eq!(q.peek_time(), Some(Time(u64::MAX - 3)));
+        q.post(Time(u64::MAX), "max-again");
+        q.post(Time(u64::MAX - 1), "max-1");
+        q.post(Time(u64::MAX - 3), "max-3-again");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            [
+                (Time(u64::MAX - 3), "max-3"),
+                (Time(u64::MAX - 3), "max-3-again"),
+                (Time(u64::MAX - 1), "max-1"),
+                (Time(u64::MAX), "max"),
+                (Time(u64::MAX), "max-again"),
+            ]
+        );
+        // Alone in the very last nanosecond, staged before the next post.
+        q.post(Time(u64::MAX), "last");
+        assert_eq!(q.peek_time(), Some(Time(u64::MAX)));
+        q.post(Time(u64::MAX), "really-last");
+        assert_eq!(q.pop(), Some((Time(u64::MAX), "last")));
+        assert_eq!(q.pop(), Some((Time(u64::MAX), "really-last")));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn compaction_sweeps_the_run_too() {
+        let mut q = WheelScheduler::new();
+        let t = Time::from_secs(3);
+        let ids: Vec<_> = (0..200u64).map(|i| q.schedule(t, i)).collect();
+        assert_eq!(q.peek_time(), Some(t));
+        assert_eq!(q.ready.len(), 200, "one nanosecond, staged whole");
+        // The 101st tombstone outnumbers the 99 live entries: sweep.
+        for id in &ids[..101] {
+            q.cancel(*id);
+        }
+        assert_eq!(q.ready.len(), 99, "tombstones left the run");
+        assert_eq!(q.occupied(), 99);
+        assert!(q.cancelled.is_empty());
+        for id in &ids[101..150] {
+            q.cancel(*id);
+        }
+        let fired: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(fired, (150..200u64).collect::<Vec<_>>());
+        assert_eq!(q.discarded_total(), 150);
+    }
+
+    #[test]
+    fn run_past_its_bound_spills_back_into_the_wheel() {
+        // Two timers alone in a ~1 s window are staged with a run end far
+        // ahead; the traffic that then starts inside the window must not
+        // pile into the run (each merge would be a memmove).
+        let mut q = WheelScheduler::new();
+        let base = 5_000_000_000u64;
+        q.post(Time(base), 0u64);
+        q.post(Time(base + 300_000_000), 1);
+        assert_eq!(q.pop(), Some((Time(base), 0)));
+        let n = 4 * RUN_MAX as u64;
+        // Deadlines in a scrambled order (37 is coprime to n), two each.
+        let mut expect = vec![(Time(base + 300_000_000), 1)];
+        for i in 0..2 * n {
+            let at = Time(base + 1 + (i * 37) % n * 1000);
+            q.post(at, 2 + i);
+            assert!(q.ready.len() <= RUN_MAX, "run grew to {}", q.ready.len());
+            expect.push((at, 2 + i));
+        }
+        expect.sort();
+        let fired: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(fired, expect);
+    }
+
+    #[test]
+    fn drained_slots_keep_small_buffers_and_release_big_ones() {
+        let mut q = WheelScheduler::new();
+        let occupied = |q: &WheelScheduler<u64>| q.slots.iter().position(|s| !s.is_empty());
+        q.post(Time::from_millis(7), 0);
+        let small = occupied(&q).unwrap();
+        assert_eq!(q.pop(), Some((Time::from_millis(7), 0)));
+        assert_eq!(occupied(&q), None);
+        assert!(q.slots[small].capacity() > 0, "a small buffer is reused");
+        // A burst larger than the keep bound gives its memory back.
+        for i in 0..4 * KEEP_CAP as u64 {
+            q.post(Time::from_secs(70), i);
+        }
+        let big = occupied(&q).unwrap();
+        assert!(q.slots[big].capacity() > KEEP_CAP);
+        assert_eq!(q.pop(), Some((Time::from_secs(70), 0)));
+        assert_eq!(q.slots[big].capacity(), 0);
     }
 }
