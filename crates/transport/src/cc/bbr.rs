@@ -466,10 +466,6 @@ impl CongestionControl for Bbr {
         self.pacing_rate
     }
 
-    fn reduces_on_loss(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &'static str {
         "bbr"
     }
@@ -604,7 +600,6 @@ mod tests {
         let w = cc.cwnd();
         cc.on_loss(d.now, w / 2);
         assert_eq!(cc.cwnd(), w, "BBRv1 must not reduce cwnd on loss");
-        assert!(!cc.reduces_on_loss());
     }
 
     #[test]

@@ -92,8 +92,7 @@ impl CongestionControl for Bic {
         }
     }
 
-    fn on_loss(&mut self, _now: Time, flight: u64) {
-        let _ = flight;
+    fn on_loss(&mut self, _now: Time, _flight: u64) {
         let base = self.cwnd as f64;
         // Fast convergence.
         if base < self.prior_w_max {
@@ -107,8 +106,7 @@ impl CongestionControl for Bic {
         self.acked_accum = 0.0;
     }
 
-    fn on_rto(&mut self, _now: Time, flight: u64) {
-        let _ = flight;
+    fn on_rto(&mut self, _now: Time, _flight: u64) {
         let base = self.cwnd as f64;
         self.w_max = base;
         self.prior_w_max = base;

@@ -121,8 +121,7 @@ impl CongestionControl for Cubic {
         }
     }
 
-    fn on_loss(&mut self, _now: Time, flight: u64) {
-        let _ = flight;
+    fn on_loss(&mut self, _now: Time, _flight: u64) {
         let base = self.cwnd as f64;
         // Fast convergence (RFC 8312 §4.6): if the loss happened below the
         // previous w_max, release bandwidth faster.
@@ -136,8 +135,7 @@ impl CongestionControl for Cubic {
         self.epoch_start = None;
     }
 
-    fn on_rto(&mut self, _now: Time, flight: u64) {
-        let _ = flight;
+    fn on_rto(&mut self, _now: Time, _flight: u64) {
         let base = self.cwnd as f64;
         self.w_max = base;
         self.ssthresh = ((base * BETA) as u64).max(self.min_cwnd);

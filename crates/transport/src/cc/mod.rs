@@ -14,14 +14,12 @@
 mod bbr;
 mod bic;
 mod cubic;
-mod extra;
 mod newreno;
 mod vegas;
 
 pub use bbr::Bbr;
 pub use bic::Bic;
 pub use cubic::Cubic;
-pub use extra::{Dctcp, Htcp, Hybla, Illinois, Scalable, Veno};
 pub use newreno::NewReno;
 pub use vegas::Vegas;
 
@@ -54,8 +52,8 @@ pub struct AckEvent {
     pub rtt: Option<Duration>,
     /// Minimum RTT observed over the connection lifetime.
     pub min_rtt: Option<Duration>,
-    /// Bytes newly marked lost by this ACK's SACK evidence (0 when SACK is
-    /// off; RTOs are reported via `on_rto`).
+    /// Bytes newly marked lost by this ACK's SACK evidence (RTOs are
+    /// reported via `on_rto`).
     pub newly_lost: u64,
     /// Bytes in flight *after* processing this ACK.
     pub flight: u64,
@@ -104,12 +102,6 @@ pub trait CongestionControl: Send {
         None
     }
 
-    /// Whether the CCA wants the cwnd to also bound dup-ACK-inflated
-    /// recovery sending (loss-based CCAs do; BBR manages inflight itself).
-    fn reduces_on_loss(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str;
 }
 
@@ -121,13 +113,6 @@ pub enum CcKind {
     Bic,
     Vegas,
     Bbr,
-    // Extended zoo (paper related-work corpus + DCTCP for the ECN path).
-    Scalable,
-    Htcp,
-    Illinois,
-    Veno,
-    Hybla,
-    Dctcp,
 }
 
 impl CcKind {
@@ -140,12 +125,6 @@ impl CcKind {
             CcKind::Bic => Box::new(Bic::new(mss, init_cwnd)),
             CcKind::Vegas => Box::new(Vegas::new(mss, init_cwnd)),
             CcKind::Bbr => Box::new(Bbr::new(mss, init_cwnd)),
-            CcKind::Scalable => Box::new(Scalable::new(mss, init_cwnd)),
-            CcKind::Htcp => Box::new(Htcp::new(mss, init_cwnd)),
-            CcKind::Illinois => Box::new(Illinois::new(mss, init_cwnd)),
-            CcKind::Veno => Box::new(Veno::new(mss, init_cwnd)),
-            CcKind::Hybla => Box::new(Hybla::new(mss, init_cwnd)),
-            CcKind::Dctcp => Box::new(Dctcp::new(mss, init_cwnd)),
         }
     }
 
@@ -156,12 +135,6 @@ impl CcKind {
             CcKind::Bic => "Bic",
             CcKind::Vegas => "Vegas",
             CcKind::Bbr => "BBR",
-            CcKind::Scalable => "Scalable",
-            CcKind::Htcp => "H-TCP",
-            CcKind::Illinois => "Illinois",
-            CcKind::Veno => "Veno",
-            CcKind::Hybla => "Hybla",
-            CcKind::Dctcp => "DCTCP",
         }
     }
 
@@ -172,21 +145,6 @@ impl CcKind {
         CcKind::Bic,
         CcKind::Vegas,
         CcKind::Bbr,
-    ];
-
-    /// Every implemented algorithm, including the extended zoo.
-    pub const EVERY: [CcKind; 11] = [
-        CcKind::NewReno,
-        CcKind::Cubic,
-        CcKind::Bic,
-        CcKind::Vegas,
-        CcKind::Bbr,
-        CcKind::Scalable,
-        CcKind::Htcp,
-        CcKind::Illinois,
-        CcKind::Veno,
-        CcKind::Hybla,
-        CcKind::Dctcp,
     ];
 }
 
@@ -200,12 +158,6 @@ impl std::str::FromStr for CcKind {
             "bic" => Ok(CcKind::Bic),
             "vegas" => Ok(CcKind::Vegas),
             "bbr" | "bbrv1" => Ok(CcKind::Bbr),
-            "scalable" | "stcp" => Ok(CcKind::Scalable),
-            "htcp" | "h-tcp" => Ok(CcKind::Htcp),
-            "illinois" => Ok(CcKind::Illinois),
-            "veno" => Ok(CcKind::Veno),
-            "hybla" => Ok(CcKind::Hybla),
-            "dctcp" => Ok(CcKind::Dctcp),
             other => Err(format!("unknown congestion control algorithm: {other}")),
         }
     }
@@ -268,13 +220,13 @@ mod tests {
     #[test]
     fn labels_are_distinct() {
         let labels: std::collections::HashSet<_> =
-            CcKind::EVERY.iter().map(|k| k.label()).collect();
-        assert_eq!(labels.len(), CcKind::EVERY.len());
+            CcKind::ALL.iter().map(|k| k.label()).collect();
+        assert_eq!(labels.len(), CcKind::ALL.len());
     }
 
     #[test]
     fn every_kind_builds_and_parses() {
-        for kind in CcKind::EVERY {
+        for kind in CcKind::ALL {
             let cc = kind.build(1448, 10 * 1448);
             assert_eq!(cc.cwnd(), 10 * 1448, "{}", kind.label());
             let lowered = kind.label().to_ascii_lowercase().replace('-', "");

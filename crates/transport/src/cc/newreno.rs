@@ -60,17 +60,16 @@ impl CongestionControl for NewReno {
         }
     }
 
-    fn on_loss(&mut self, _now: Time, flight: u64) {
-        // RFC 6582: ssthresh = max(FlightSize / 2, 2*MSS).
-        let _ = flight;
+    fn on_loss(&mut self, _now: Time, _flight: u64) {
+        // Halve cwnd, not RFC 6582's FlightSize: during SACK recovery the
+        // raw flight legitimately exceeds cwnd (EXPERIMENTS.md finding 5).
         let base = self.cwnd;
         self.ssthresh = (base / 2).max(self.min_cwnd);
         self.cwnd = self.ssthresh;
         self.acked_accum = 0;
     }
 
-    fn on_rto(&mut self, _now: Time, flight: u64) {
-        let _ = flight;
+    fn on_rto(&mut self, _now: Time, _flight: u64) {
         let base = self.cwnd;
         self.ssthresh = (base / 2).max(self.min_cwnd);
         self.cwnd = self.mss;

@@ -123,17 +123,15 @@ impl CongestionControl for Vegas {
         // else: hold — the operating point is inside [alpha, beta].
     }
 
-    fn on_loss(&mut self, _now: Time, flight: u64) {
+    fn on_loss(&mut self, _now: Time, _flight: u64) {
         // Vegas reacts to loss like Reno (halve), per the original paper's
         // loss recovery and Linux behavior.
-        let _ = flight;
         let base = self.cwnd;
         self.ssthresh = (base / 2).max(self.min_cwnd);
         self.cwnd = self.ssthresh;
     }
 
-    fn on_rto(&mut self, _now: Time, flight: u64) {
-        let _ = flight;
+    fn on_rto(&mut self, _now: Time, _flight: u64) {
         let base = self.cwnd;
         self.ssthresh = (base / 2).max(self.min_cwnd);
         self.cwnd = self.mss;

@@ -12,13 +12,14 @@
 //!
 //! Intentional simplifications (documented for reviewers):
 //!
-//! * SACK (RFC 2018/6675) is on by default, as in the paper's ns-3.35
-//!   stack; a NewReno RFC 6582 mode is available for ablations.
+//! * SACK (RFC 2018/6675) is always on, as in the paper's ns-3.35 stack
+//!   (EXPERIMENTS.md, substrate finding 1: Table 2 is unreachable without).
 //! * ACK-per-packet (no delayed ACKs) for even ACK clocking.
 //! * ECN echo is per-packet rather than latched-until-CWR; the sender's
 //!   once-per-window reaction makes the two equivalent for window dynamics.
 
 pub mod cc;
+mod range_set;
 pub mod receiver;
 pub mod rtt;
 mod scoreboard;

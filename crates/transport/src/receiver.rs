@@ -2,10 +2,10 @@
 //! (every packet — no delayed ACKs, for even ACK clocking), duplicate-ACK
 //! emission for out-of-order arrivals, and ECN echo.
 
-use std::collections::BTreeMap;
-
 use cebinae_sim::Time;
 use cebinae_net::{Ecn, FlowId, Packet, PacketKind, SackBlocks};
+
+use crate::range_set::RangeSet;
 
 /// One TCP receiver endpoint.
 pub struct TcpReceiver {
@@ -13,15 +13,12 @@ pub struct TcpReceiver {
     /// Next expected in-order byte (== total in-order bytes delivered to
     /// the application, our goodput numerator).
     rcv_nxt: u64,
-    /// Out-of-order segments: start -> end (exclusive), non-overlapping.
-    ooo: BTreeMap<u64, u64>,
+    /// Bytes received above `rcv_nxt` (out of order).
+    ooo: RangeSet,
     /// Data packets received (including duplicates).
     pub rx_pkts: u64,
     /// Duplicate (already-delivered) data packets seen.
     pub dup_pkts: u64,
-    /// Generate SACK blocks on ACKs (RFC 2018); on by default, matching the
-    /// paper's ns-3.35 stack.
-    pub sack: bool,
     /// The OOO range containing the most recent arrival (reported first,
     /// per RFC 2018).
     last_block: Option<(u64, u64)>,
@@ -32,10 +29,9 @@ impl TcpReceiver {
         TcpReceiver {
             flow,
             rcv_nxt: 0,
-            ooo: BTreeMap::new(),
+            ooo: RangeSet::default(),
             rx_pkts: 0,
             dup_pkts: 0,
-            sack: true,
             last_block: None,
         }
     }
@@ -64,34 +60,16 @@ impl TcpReceiver {
         } else if seq <= self.rcv_nxt {
             // In-order (possibly partially duplicate): advance and drain
             // any now-contiguous buffered segments.
-            self.rcv_nxt = end;
-            while let Some((&s, &e)) = self.ooo.first_key_value() {
-                if s > self.rcv_nxt {
-                    break;
-                }
-                self.ooo.remove(&s);
-                if e > self.rcv_nxt {
-                    self.rcv_nxt = e;
-                }
-            }
+            self.rcv_nxt = self.ooo.take_through(end);
         } else {
-            // Out of order: buffer (merge overlaps conservatively).
-            self.insert_ooo(seq, end);
-            // Remember the (merged) range containing this arrival.
-            self.last_block = self
-                .ooo
-                .range(..=seq)
-                .next_back()
-                .map(|(&s, &e)| (s, e))
-                .filter(|&(s, e)| s <= seq && end <= e);
+            // Out of order: buffer, and remember the (merged) range
+            // containing this arrival.
+            self.ooo.insert(seq, end);
+            self.last_block = self.ooo.containing(seq);
         }
 
         let ece = pkt.ecn == Ecn::CongestionExperienced;
-        let sack = if self.sack {
-            self.sack_blocks()
-        } else {
-            SackBlocks::EMPTY
-        };
+        let sack = self.sack_blocks();
         Packet::ack_with_sack(self.flow, self.rcv_nxt, ece, pkt.sent_at, is_retx, sack, now)
     }
 
@@ -103,12 +81,12 @@ impl TcpReceiver {
         let mut n = 0;
         if let Some((s, e)) = self.last_block {
             // The range may since have been delivered or re-merged.
-            if self.ooo.get(&s) == Some(&e) && s >= self.rcv_nxt {
+            if self.ooo.containing(s) == Some((s, e)) && s >= self.rcv_nxt {
                 blocks.0[n] = Some((s, e));
                 n += 1;
             }
         }
-        for (&s, &e) in self.ooo.iter() {
+        for (s, e) in self.ooo.iter() {
             if n == 3 {
                 break;
             }
@@ -119,25 +97,6 @@ impl TcpReceiver {
             n += 1;
         }
         blocks
-    }
-
-    fn insert_ooo(&mut self, mut start: u64, mut end: u64) {
-        // Merge with any overlapping/adjacent ranges. Ranges are disjoint,
-        // so those are the last few that begin at or below `end`: walk back
-        // from there rather than over every buffered range.
-        let overlapping: Vec<u64> = self
-            .ooo
-            .range(..=end)
-            .rev()
-            .take_while(|(_, &e)| e >= start)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.ooo.remove(&s).expect("present");
-            start = start.min(s);
-            end = end.max(e);
-        }
-        self.ooo.insert(start, end);
     }
 }
 
@@ -204,7 +163,7 @@ mod tests {
         r.on_data(&data(2 * M, 0), Time::from_millis(1));
         r.on_data(&data(3 * M, 0), Time::from_millis(1));
         r.on_data(&data(2 * M, 0), Time::from_millis(1));
-        assert_eq!(r.ooo.len(), 1);
+        assert_eq!(r.ooo.iter().count(), 1);
         assert_eq!(r.ooo_bytes(), 2 * M);
     }
 

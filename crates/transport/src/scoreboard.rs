@@ -28,66 +28,12 @@
 //!   the front (or all at once), so an offset between two entries that are
 //!   both still in the ring never changes.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use cebinae_net::SackBlocks;
 use cebinae_sim::{Duration, Time};
 
-/// Set of disjoint byte ranges already counted as delivered (SACK-time
-/// accounting that must survive go-back-N clears without double counting).
-#[derive(Debug, Default)]
-pub(crate) struct CountedRanges {
-    /// start -> end (exclusive); ranges that touch are merged.
-    ranges: BTreeMap<u64, u64>,
-}
-
-impl CountedRanges {
-    /// Insert `[start, end)`; returns the number of bytes not previously
-    /// present.
-    pub(crate) fn insert(&mut self, start: u64, end: u64) -> u64 {
-        if start >= end {
-            return 0;
-        }
-        // Ranges are disjoint, so the ones that overlap or touch
-        // `[start, end]` are the last few that begin at or below `end`.
-        let (mut merged_start, mut merged_end, mut covered) = (start, end, 0);
-        while let Some((&s, &e)) = self.ranges.range(..=end).next_back() {
-            if e < start {
-                break;
-            }
-            self.ranges.remove(&s);
-            covered += e.min(end) - s.max(start);
-            merged_start = merged_start.min(s);
-            merged_end = merged_end.max(e);
-        }
-        self.ranges.insert(merged_start, merged_end);
-        (end - start) - covered
-    }
-
-    /// Bytes of `[start, end)` already present.
-    pub(crate) fn overlap(&self, start: u64, end: u64) -> u64 {
-        self.ranges
-            .range(..end)
-            .rev()
-            .take_while(|(_, &e)| e > start)
-            .map(|(&s, &e)| e.min(end) - s.max(start))
-            .sum()
-    }
-
-    /// Drop all state below `upto` (fully acknowledged).
-    pub(crate) fn prune(&mut self, upto: u64) {
-        while let Some(entry) = self.ranges.first_entry() {
-            if *entry.key() >= upto {
-                break;
-            }
-            let e = entry.remove();
-            if e > upto {
-                self.ranges.insert(upto, e);
-                break;
-            }
-        }
-    }
-}
+use crate::range_set::RangeSet;
 
 /// Where an unacknowledged segment currently stands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -226,11 +172,11 @@ pub(crate) struct Scoreboard {
     high_sacked: u64,
     /// Byte ranges above `snd_una` already counted as delivered (via
     /// SACK); survives `clear` so nothing is counted twice.
-    delivered_counted: CountedRanges,
+    delivered_counted: RangeSet,
     /// Start of the first segment the loss-marking pass has not yet found
     /// wholly below `high_sacked`.
     mark_cursor: u64,
-    /// `(seq, sent_at)` of every SACK-mode retransmission, oldest first.
+    /// `(seq, sent_at)` of every retransmission, oldest first.
     /// An entry is stale once its segment is gone, no longer in flight, or
     /// has left again since (`sent_at` differs).
     retx_age: VecDeque<(u64, Time)>,
@@ -250,7 +196,7 @@ impl Scoreboard {
             sacked_bytes: 0,
             lost_bytes: 0,
             high_sacked: 0,
-            delivered_counted: CountedRanges::default(),
+            delivered_counted: RangeSet::default(),
             mark_cursor: 0,
             retx_age: VecDeque::new(),
             lost: BTreeSet::new(),
@@ -352,15 +298,14 @@ impl Scoreboard {
     }
 
     /// Lowest `Lost` segment below `max(high_sacked, snd_una + 1)`: the
-    /// next SACK-mode retransmission.
+    /// next retransmission.
     pub(crate) fn next_lost(&self, snd_una: u64) -> Option<u64> {
         let below = self.high_sacked.max(snd_una + 1);
         self.lost.first().copied().filter(|&seq| seq < below)
     }
 
-    /// Retransmit the `Lost` segment at `seq` (SACK mode): back in flight
-    /// under a fresh stamp, and queued for age-based re-marking. Returns
-    /// its length.
+    /// Retransmit the `Lost` segment at `seq`: back in flight under a fresh
+    /// stamp, and queued for age-based re-marking. Returns its length.
     pub(crate) fn retransmit(&mut self, seq: u64, stamp: SendStamp) -> u32 {
         let i = self.index_of(seq).expect("lost segment is in the ring");
         let len = self.len_at(i);
@@ -372,17 +317,6 @@ impl Scoreboard {
         self.unmark_lost(seq, u64::from(len));
         self.retx_age.push_back((seq, stamp.sent_at));
         len
-    }
-
-    /// Retransmit the segment at `seq` in place (non-SACK fast retransmit
-    /// and partial ACKs): a fresh stamp, state and counters untouched.
-    /// Returns its length, or `None` if no segment starts at `seq`.
-    pub(crate) fn restamp(&mut self, seq: u64, stamp: SendStamp) -> Option<u32> {
-        let i = self.index_of(seq)?;
-        let seg = &mut self.ring[i];
-        seg.retx = true;
-        seg.stamp = stamp;
-        Some(self.len_at(i))
     }
 
     /// Mark the in-flight segment starting exactly at `seq` lost without
@@ -554,9 +488,7 @@ impl Scoreboard {
 impl Scoreboard {
     /// Everything the counters, the lost index, the age queue, the cursor
     /// and the run hints claim, recomputed from the ring by brute force.
-    /// `sack_mode`: retransmissions went through [`Scoreboard::retransmit`]
-    /// (so each must be queued), not [`Scoreboard::restamp`].
-    pub(crate) fn check_invariants(&self, sack_mode: bool) {
+    pub(crate) fn check_invariants(&self) {
         let segs: Vec<(u64, u64, SegMeta)> = (0..self.ring.len())
             .map(|i| (self.span(i).0, self.span(i).1, self.ring[i]))
             .collect();
@@ -578,14 +510,14 @@ impl Scoreboard {
             "age queue is sorted by send time"
         );
         for (i, (seq, _, m)) in segs.iter().enumerate() {
-            if m.state == SegState::InFlight && m.retx && sack_mode {
+            if m.state == SegState::InFlight && m.retx {
                 assert!(
                     self.retx_age.contains(&(*seq, m.stamp.sent_at)),
                     "retransmitted in-flight segment {seq} is queued for ageing"
                 );
             }
             if m.state == SegState::InFlight && !m.retx {
-                assert!(*seq >= self.mark_cursor || !sack_mode, "cursor passed in-flight segment {seq}");
+                assert!(*seq >= self.mark_cursor, "cursor passed in-flight segment {seq}");
             }
             if m.state == SegState::Sacked {
                 let run = m.sacked_run as usize;
@@ -647,39 +579,8 @@ mod tests {
 
     fn sack(sb: &mut Scoreboard, blocks: &SackBlocks, snd_una: u64, now_ms: u64, reo_ms: u64) -> (u64, u64) {
         let out = sb.apply_sack(blocks, snd_una, Time::from_millis(now_ms), Duration::from_millis(reo_ms));
-        sb.check_invariants(true);
+        sb.check_invariants();
         out
-    }
-
-    #[test]
-    fn counted_ranges_dedup_and_merge() {
-        let mut r = CountedRanges::default();
-        assert_eq!(r.insert(0, 100), 100);
-        assert_eq!(r.insert(0, 100), 0, "exact duplicate");
-        assert_eq!(r.insert(50, 150), 50, "half overlap");
-        assert_eq!(r.insert(200, 300), 100, "disjoint");
-        assert_eq!(r.overlap(0, 400), 250);
-        // Merge across: [150,200) bridges the two ranges.
-        assert_eq!(r.insert(100, 250), 50);
-        assert_eq!(r.ranges.len(), 1);
-        assert_eq!(r.overlap(0, 400), 300);
-        // Touching ranges merge; ones further down are left alone.
-        assert_eq!(r.insert(400, 500), 100);
-        assert_eq!(r.insert(300, 400), 100);
-        assert_eq!(r.ranges.len(), 1);
-        assert_eq!(r.overlap(250, 450), 200);
-    }
-
-    #[test]
-    fn counted_ranges_prune() {
-        let mut r = CountedRanges::default();
-        r.insert(0, 100);
-        r.insert(200, 300);
-        r.prune(250);
-        assert_eq!(r.overlap(0, 1000), 50);
-        assert_eq!(r.overlap(250, 300), 50);
-        r.prune(1000);
-        assert_eq!(r.overlap(0, u64::MAX / 2), 0);
     }
 
     #[test]
@@ -697,7 +598,7 @@ mod tests {
                 assert_eq!(newest.expect("one segment acked").stamp.sent_at, Time::from_millis(i - 2));
             }
             assert!(sb.ring.blocks.len() <= 2, "a 3-segment window spans at most two blocks");
-            sb.check_invariants(true);
+            sb.check_invariants();
         }
         assert_eq!(sb.flight(), 2 * M);
     }
@@ -776,7 +677,7 @@ mod tests {
         sb.retransmit(0, stamp(2));
         assert_eq!(states(&sb), "Fllsssff");
         sb.clear(0);
-        sb.check_invariants(true);
+        sb.check_invariants();
         assert_eq!((sb.flight(), sb.sacked_bytes(), sb.lost_bytes()), (0, 0, 0));
         assert_eq!((sb.ring.len(), sb.retx_age.len(), sb.lost.len()), (0, 0, 0));
         assert_eq!((sb.high_sacked, sb.mark_cursor), (0, 0));
@@ -788,7 +689,7 @@ mod tests {
         assert_eq!(states(&sb), "lllsssff");
         // The cumulative ACK counts only what SACK never did.
         assert_eq!(sb.cum_ack(0, 800).0, 500);
-        sb.check_invariants(true);
+        sb.check_invariants();
     }
 
     /// The behaviour the scoreboard must reproduce, written as plain scans
@@ -953,7 +854,7 @@ mod tests {
                     }
                     _ => {}
                 }
-                sb.check_invariants(true);
+                sb.check_invariants();
                 let got: Vec<SpecSeg> = (0..sb.ring.len())
                     .map(|i| SpecSeg {
                         seq: sb.span(i).0,

@@ -1,9 +1,8 @@
 //! The TCP sender state machine.
 //!
 //! Responsibilities: sequence-space bookkeeping, loss detection and
-//! recovery (SACK-based pipe accounting per RFC 6675 by default — matching
-//! the paper's ns-3.35 stack — with a NewReno RFC 6582 fallback when SACK
-//! is disabled), RTO with exponential backoff and go-back-N, RTT sampling
+//! recovery (SACK-based pipe accounting per RFC 6675, matching the paper's
+//! ns-3.35 stack), RTO with exponential backoff and go-back-N, RTT sampling
 //! under Karn's rule, delivery-rate samples for BBR, optional pacing, and
 //! ECN reaction (once per window, RFC 3168 style). Window *policy* is
 //! delegated to the pluggable [`CongestionControl`]; the per-segment
@@ -21,27 +20,25 @@ use crate::cc::{AckEvent, CcKind, CongestionControl, RateSample};
 use crate::rtt::RttEstimator;
 use crate::scoreboard::{Scoreboard, SendStamp};
 
+/// Segment size in bytes: every segment but a flow's last is this long.
+const MSS_BYTES: u64 = MSS as u64;
+/// Initial window in segments (RFC 6928).
+const INIT_CWND_SEGS: u64 = 10;
+const RTO_MIN: Duration = Duration(200_000_000);
+const RTO_MAX: Duration = Duration(60_000_000_000);
+/// Duplicate-ACK threshold for fast retransmit.
+const DUPACK_THRESHOLD: u32 = 3;
+
 /// Transport configuration for one flow.
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
     pub cc: CcKind,
-    /// Maximum segment size (payload bytes per packet).
-    pub mss: u32,
-    /// Initial window in segments (RFC 6928 default).
-    pub init_cwnd_segs: u32,
-    pub rto_min: Duration,
-    pub rto_max: Duration,
     /// Negotiate ECN: data packets are sent ECT and the sender reacts to
     /// ECE once per window.
     pub ecn: bool,
-    /// Use SACK-based recovery (RFC 6675-style pipe). Default on, as in
-    /// ns-3.35 and every modern OS stack.
-    pub sack: bool,
     /// Application demand in bytes; `None` = unlimited (the paper's
     /// "infinite demand" long-lived flows).
     pub app_bytes: Option<u64>,
-    /// Duplicate-ACK threshold for fast retransmit.
-    pub dupack_threshold: u32,
     /// Receiver window: hard cap on unacknowledged bytes (the advertised
     /// window of a real connection).
     pub rwnd: u64,
@@ -51,14 +48,8 @@ impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             cc: CcKind::NewReno,
-            mss: MSS,
-            init_cwnd_segs: 10,
-            rto_min: Duration::from_millis(200),
-            rto_max: Duration::from_secs(60),
             ecn: false,
-            sack: true,
             app_bytes: None,
-            dupack_threshold: 3,
             rwnd: 16 * 1024 * 1024,
         }
     }
@@ -93,6 +84,21 @@ pub struct TcpOutput {
     pub pace_at: Option<Time>,
 }
 
+/// Where the sender stands with respect to loss.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// No loss episode in progress.
+    Open,
+    /// Fast recovery, until a cumulative ACK reaches `recover` (`snd_nxt`
+    /// when it was entered).
+    Recovery { recover: u64 },
+    /// Go-back-N after an RTO, until `snd_una` reaches `recover` (`snd_nxt`
+    /// when the timer fired): dup-ACKs and SACKs from the pre-RTO flight
+    /// must not start a fast-recovery episode (they describe losses the
+    /// go-back-N already answered).
+    Loss { recover: u64 },
+}
+
 /// One TCP sender endpoint.
 pub struct TcpSender {
     flow: FlowId,
@@ -108,15 +114,7 @@ pub struct TcpSender {
     sb: Scoreboard,
 
     dup_acks: u32,
-    in_recovery: bool,
-    /// Recovery point: `snd_nxt` when recovery was entered.
-    recover: u64,
-    /// High-water mark at the last RTO: until cumulatively acked, dup-ACKs
-    /// from the pre-RTO flight must not trigger a fresh fast-recovery
-    /// episode (they describe losses the go-back-N already answered).
-    rto_recover: u64,
-    /// RFC 6582 window inflation (non-SACK mode only).
-    recovery_inflation: u64,
+    state: State,
 
     /// Total bytes known delivered — advanced by cumulative ACKs *and* by
     /// SACKs as they arrive (Linux `tp->delivered` semantics). Counting
@@ -151,23 +149,16 @@ pub struct TcpSender {
 
 impl TcpSender {
     pub fn new(flow: FlowId, cfg: TcpConfig) -> TcpSender {
-        let init_cwnd = cfg.init_cwnd_segs as u64 * cfg.mss as u64;
-        let cc = cfg.cc.build(cfg.mss, init_cwnd);
-        let rtt = RttEstimator::new(cfg.rto_min, cfg.rto_max);
-        let sb = Scoreboard::new(cfg.mss);
         TcpSender {
             flow,
+            cc: cfg.cc.build(MSS, INIT_CWND_SEGS * MSS_BYTES),
             cfg,
-            cc,
-            rtt,
+            rtt: RttEstimator::new(RTO_MIN, RTO_MAX),
             snd_una: 0,
             snd_nxt: 0,
-            sb,
+            sb: Scoreboard::new(MSS),
             dup_acks: 0,
-            in_recovery: false,
-            recover: 0,
-            rto_recover: 0,
-            recovery_inflation: 0,
+            state: State::Open,
             delivered: 0,
             delivered_time: Time::ZERO,
             ecn_reacted_until: 0,
@@ -253,7 +244,7 @@ impl TcpSender {
 
         // SACK processing.
         let mut newly_lost = 0;
-        if self.cfg.sack && !sack.is_empty() {
+        if !sack.is_empty() {
             let reo_wnd = self.rtt.srtt().unwrap_or(Duration::from_millis(100));
             let (fresh, lost) = self.sb.apply_sack(sack, self.snd_una, now, reo_wnd);
             self.delivered += fresh;
@@ -261,42 +252,24 @@ impl TcpSender {
         }
 
         if newly_acked > 0 {
-            if self.in_recovery {
-                if ack_seq >= self.recover {
-                    self.exit_recovery(now);
-                } else if !self.cfg.sack {
-                    // NewReno partial ACK (RFC 6582): the next hole is also
-                    // lost; retransmit it and deflate the inflated window.
-                    self.recovery_inflation = self
-                        .recovery_inflation
-                        .saturating_sub(newly_acked)
-                        + self.cfg.mss as u64;
-                    self.retransmit_front(now, &mut out);
-                }
-            } else {
-                self.dup_acks = 0;
+            match self.state {
+                State::Recovery { recover } if ack_seq >= recover => self.exit_recovery(now),
+                // A partial ACK: the pipe loop retransmits the next hole.
+                State::Recovery { .. } => {}
+                State::Open | State::Loss { .. } => self.dup_acks = 0,
             }
         } else if ack_seq == self.snd_una && self.sb.flight() > 0 {
-            // Duplicate ACK.
             self.dup_acks += 1;
-            if self.in_recovery {
-                if !self.cfg.sack {
-                    // RFC 6582 inflation, bounded by the flight.
-                    self.recovery_inflation = (self.recovery_inflation
-                        + self.cfg.mss as u64)
-                        .min(self.sb.flight());
-                }
-            } else if self.loss_detected() && self.snd_una >= self.rto_recover {
-                self.enter_recovery(now, &mut out);
-            }
         }
-        // SACK can reveal loss even while cumulative ACKs advance.
-        if self.cfg.sack
-            && !self.in_recovery
-            && self.snd_una >= self.rto_recover
-            && self.loss_detected()
-        {
-            self.enter_recovery(now, &mut out);
+        // Checked on every ACK, not only those that advance: a late ACK for
+        // a pre-RTO flight can carry `snd_una` past the rewound `snd_nxt`,
+        // and an RTO taken then records a mark already behind `snd_una`.
+        if matches!(self.state, State::Loss { recover } if self.snd_una >= recover) {
+            self.state = State::Open;
+        }
+        // Dup-ACKs, or SACKs even while cumulative ACKs advance, reveal loss.
+        if self.state == State::Open && self.loss_detected() {
+            self.enter_recovery(now);
         }
 
         // ECN reaction, once per window of data.
@@ -312,7 +285,7 @@ impl TcpSender {
             min_rtt: self.rtt.min_rtt(),
             newly_lost,
             flight: self.sb.pipe(),
-            in_recovery: self.in_recovery,
+            in_recovery: self.in_recovery(),
             rate: rate_sample,
             ece,
         });
@@ -335,13 +308,11 @@ impl TcpSender {
         }
         self.rto_count += 1;
         // Go-back-N: everything outstanding is presumed lost.
-        self.rto_recover = self.snd_nxt;
+        self.state = State::Loss { recover: self.snd_nxt };
         self.cc.on_rto(now, self.sb.flight());
         self.sb.clear(self.snd_una);
         self.snd_nxt = self.snd_una;
         self.dup_acks = 0;
-        self.in_recovery = false;
-        self.recovery_inflation = 0;
         self.rto_backoff = (self.rto_backoff + 1).min(10);
         self.next_send_time = now;
         self.maybe_send(now, &mut out);
@@ -362,28 +333,18 @@ impl TcpSender {
 
     // ----- internals -----
 
+    /// RFC 6675's entry condition: the dup-ACK threshold, or as much
+    /// SACKed data above a hole.
     fn loss_detected(&self) -> bool {
-        if self.dup_acks >= self.cfg.dupack_threshold {
-            return true;
-        }
-        if self.cfg.sack {
-            // RFC 6675 entry condition: enough SACKed data above a hole.
-            return self.sb.lost_bytes() > 0
-                && self.sb.sacked_bytes()
-                    >= (self.cfg.dupack_threshold as u64) * self.cfg.mss as u64;
-        }
-        false
+        self.dup_acks >= DUPACK_THRESHOLD
+            || (self.sb.lost_bytes() > 0
+                && self.sb.sacked_bytes() >= u64::from(DUPACK_THRESHOLD) * MSS_BYTES)
     }
 
-    fn enter_recovery(&mut self, now: Time, out: &mut TcpOutput) {
-        self.in_recovery = true;
-        self.recover = self.snd_nxt;
-        // RFC 6582 initial inflation (non-SACK mode).
-        self.recovery_inflation = 3 * self.cfg.mss as u64;
+    fn enter_recovery(&mut self, now: Time) {
+        self.state = State::Recovery { recover: self.snd_nxt };
         self.cc.on_loss(now, self.sb.flight());
-        if !self.cfg.sack {
-            self.retransmit_front(now, out);
-        } else if self.sb.lost_bytes() == 0 {
+        if self.sb.lost_bytes() == 0 {
             // Dup-ACK-triggered without SACK evidence: mark the front
             // segment lost so the pipe loop retransmits it.
             self.sb.mark_lost_at(self.snd_una);
@@ -391,20 +352,9 @@ impl TcpSender {
     }
 
     fn exit_recovery(&mut self, now: Time) {
-        self.in_recovery = false;
+        self.state = State::Open;
         self.dup_acks = 0;
-        self.recovery_inflation = 0;
         self.cc.on_recovery_exit(now);
-    }
-
-    /// Retransmit the segment at `snd_una` (non-SACK fast retransmit /
-    /// partial-ACK path).
-    fn retransmit_front(&mut self, now: Time, out: &mut TcpOutput) {
-        let Some(len) = self.sb.restamp(self.snd_una, self.stamp(now)) else {
-            return;
-        };
-        self.retx_count += 1;
-        self.emit(self.snd_una, len, true, now, out);
     }
 
     /// What a segment leaving at `now` records for its rate sample.
@@ -425,25 +375,6 @@ impl TcpSender {
         out.packets.push(pkt);
     }
 
-    /// Effective congestion window for admission decisions.
-    fn effective_window(&self) -> u64 {
-        let mut w = self.cc.cwnd();
-        if self.in_recovery && !self.cfg.sack && self.cc.reduces_on_loss() {
-            w += self.recovery_inflation;
-        }
-        w
-    }
-
-    /// Bytes the window currently charges: the SACK pipe (accurate) or the
-    /// raw flight (non-SACK mode, where lost data cannot be distinguished).
-    fn outstanding(&self) -> u64 {
-        if self.cfg.sack {
-            self.sb.pipe()
-        } else {
-            self.sb.flight()
-        }
-    }
-
     /// Remaining unsent application bytes.
     fn app_remaining(&self) -> u64 {
         match self.cfg.app_bytes {
@@ -452,32 +383,24 @@ impl TcpSender {
         }
     }
 
-    /// First lost, not-yet-retransmitted segment (SACK mode).
-    fn next_lost_seg(&self) -> Option<u64> {
-        if !self.cfg.sack {
-            return None;
-        }
-        self.sb.next_lost(self.snd_una)
-    }
-
     fn maybe_send(&mut self, now: Time, out: &mut TcpOutput) {
         let pacing = self.cc.pacing_rate();
         loop {
-            // A SACK-driven retransmission takes priority over new data.
-            let retx_seq = self.next_lost_seg();
+            // A retransmission takes priority over new data.
+            let retx_seq = self.sb.next_lost(self.snd_una);
             let remaining = self.app_remaining();
             if retx_seq.is_none() && remaining == 0 {
                 break;
             }
-            let window = self.effective_window();
-            let outstanding = self.outstanding();
-            let deadlocked = outstanding == 0;
-            if outstanding + self.cfg.mss as u64 > window && !deadlocked {
+            // The window charges the SACK pipe; an empty pipe may always
+            // send one segment.
+            let pipe = self.sb.pipe();
+            if pipe + MSS_BYTES > self.cc.cwnd() && pipe != 0 {
                 break;
             }
             // Advertised-window cap on raw unacked bytes (bounds memory when
             // the pipe drains via SACK while a front hole persists).
-            if retx_seq.is_none() && self.sb.flight() + self.cfg.mss as u64 > self.cfg.rwnd {
+            if retx_seq.is_none() && self.sb.flight() + MSS_BYTES > self.cfg.rwnd {
                 break;
             }
             if let Some(rate) = pacing {
@@ -488,7 +411,7 @@ impl TcpSender {
                 if rate > 0.0 {
                     // Clamp the inter-packet gap: a transiently tiny rate
                     // estimate must not push the pacer into the far future.
-                    let delta = Duration::from_secs_f64(self.cfg.mss as f64 / rate)
+                    let delta = Duration::from_secs_f64(MSS as f64 / rate)
                         .min(Duration::from_millis(100));
                     let base = if self.next_send_time > now {
                         self.next_send_time
@@ -505,8 +428,8 @@ impl TcpSender {
                 continue;
             }
             // New data.
-            let len = (remaining.min(self.cfg.mss as u64)) as u32; // det-ok: min() clamps to mss, which is u32
-            let app_limited = remaining <= self.cfg.mss as u64 && self.cfg.app_bytes.is_some();
+            let len = (remaining.min(MSS_BYTES)) as u32; // det-ok: min() clamps to mss, which is u32
+            let app_limited = remaining <= MSS_BYTES && self.cfg.app_bytes.is_some();
             let seq = self.snd_nxt;
             if self.sb.flight() == 0 {
                 self.first_sent_time = now;
@@ -521,8 +444,7 @@ impl TcpSender {
         if self.sb.flight() == 0 {
             out.rto = Some(TimerAction::Cancel);
         } else {
-            let rto = Duration(self.rtt.rto().as_nanos() << self.rto_backoff)
-                .min(self.cfg.rto_max);
+            let rto = Duration(self.rtt.rto().as_nanos() << self.rto_backoff).min(RTO_MAX);
             out.rto = Some(TimerAction::Set(now + rto));
         }
     }
@@ -554,7 +476,7 @@ impl TcpSender {
     }
 
     pub fn in_recovery(&self) -> bool {
-        self.in_recovery
+        matches!(self.state, State::Recovery { .. })
     }
 
     pub fn cc_name(&self) -> &'static str {
@@ -576,7 +498,7 @@ impl TcpSender {
         SenderSnapshot {
             cwnd: self.cc.cwnd(),
             flight: self.sb.flight(),
-            in_recovery: self.in_recovery,
+            in_recovery: self.in_recovery(),
             retx: self.retx_count,
             rto: self.rto_count,
             srtt_ns: self.rtt.srtt().map(|d| d.as_nanos()).unwrap_or(0),
@@ -610,12 +532,6 @@ mod tests {
         TcpSender::new(FlowId(0), TcpConfig::with_cc(cc))
     }
 
-    fn sender_nosack(cc: CcKind) -> TcpSender {
-        let mut cfg = TcpConfig::with_cc(cc);
-        cfg.sack = false;
-        TcpSender::new(FlowId(0), cfg)
-    }
-
     fn data_seq(p: &Packet) -> (u64, bool) {
         match p.kind {
             PacketKind::Data { seq, is_retx } => (seq, is_retx),
@@ -627,13 +543,19 @@ mod tests {
         SackBlocks([Some((start, end)), None, None])
     }
 
-    /// The scoreboard's invariants, plus the two that span calls:
-    /// `delivered` never goes back, and nothing SACKed is retransmitted.
+    /// The scoreboard's invariants, plus those that span calls: `delivered`
+    /// never goes back, nothing SACKed is retransmitted, and a call that
+    /// sent anything left the pipe within the window (`flight()` may exceed
+    /// it: that gauge counts SACKed and lost bytes too).
     fn check(s: &TcpSender, delivered_before: u64, out: &TcpOutput) {
-        s.sb.check_invariants(s.cfg.sack);
+        s.sb.check_invariants();
         assert!(s.delivered >= delivered_before, "delivered went backwards");
         for (seq, is_retx) in out.packets.iter().map(data_seq) {
             assert!(!(is_retx && s.sb.is_sacked(seq)), "retransmitted SACKed segment {seq}");
+        }
+        if !out.packets.is_empty() {
+            let cap = s.cc.cwnd().max(MSS_BYTES);
+            assert!(s.sb.pipe() <= cap, "pipe {} over the window {cap}", s.sb.pipe());
         }
     }
 
@@ -704,44 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn nosack_triple_dupack_fast_retransmit_once() {
-        let mut s = sender_nosack(CcKind::NewReno);
-        s.start(Time::from_millis(1));
-        let mut retx = Vec::new();
-        for i in 0..5 {
-            let now = Time::from_millis(20 + i);
-            let out = ack(&mut s, 0, false, Time::ZERO, true, NOSACK, now);
-            retx.extend(
-                out.packets
-                    .iter()
-                    .filter(|p| data_seq(p).1)
-                    .map(|p| data_seq(p).0),
-            );
-        }
-        assert_eq!(retx, vec![0], "exactly one fast retransmit of seq 0");
-        assert!(s.in_recovery());
-    }
-
-    #[test]
-    fn nosack_partial_ack_retransmits_next_hole() {
-        let mut s = sender_nosack(CcKind::NewReno);
-        s.start(Time::from_millis(1));
-        for i in 0..3 {
-            ack(&mut s, 0, false, Time::ZERO, true, NOSACK, Time::from_millis(20 + i));
-        }
-        assert!(s.in_recovery());
-        let out = ack(&mut s, MSS as u64, false, Time::ZERO, true, NOSACK, Time::from_millis(30));
-        let retx: Vec<_> = out
-            .packets
-            .iter()
-            .filter(|p| data_seq(p).1)
-            .map(|p| data_seq(p).0)
-            .collect();
-        assert_eq!(retx, vec![MSS as u64]);
-        assert!(s.in_recovery(), "partial ack keeps recovery open");
-    }
-
-    #[test]
     fn sack_triggers_selective_retransmissions() {
         let mut s = sender(CcKind::NewReno);
         s.start(Time::from_millis(1));
@@ -788,9 +672,8 @@ mod tests {
 
     #[test]
     fn sack_burst_loss_recovers_without_rto() {
-        // The scenario that cripples non-SACK NewReno: half a large window
-        // dropped at once. With SACK, recovery completes purely via fast
-        // retransmissions (no RTO) and without spurious retransmits.
+        // Half a large window dropped at once: recovery completes purely
+        // via fast retransmissions (no RTO) and without spurious retransmits.
         let mut s = sender(CcKind::NewReno);
         let mut r = crate::receiver::TcpReceiver::new(FlowId(0));
         let mut now = Time::from_millis(100);
@@ -869,8 +752,8 @@ mod tests {
             );
         }
         assert!(s.in_recovery());
-        let recover_point = s.recover;
-        ack(&mut s, recover_point, false, Time::ZERO, false, NOSACK, Time::from_millis(40));
+        let State::Recovery { recover } = s.state else { unreachable!() };
+        ack(&mut s, recover, false, Time::ZERO, false, NOSACK, Time::from_millis(40));
         assert!(!s.in_recovery());
     }
 
@@ -951,6 +834,79 @@ mod tests {
             saw_pace |= out.pace_at.is_some();
         }
         assert!(saw_pace, "BBR should eventually request pacing wakeups");
+    }
+
+    /// ROADMAP's `transport.max_flight_segs` lead: BBR's 2×BDP window is
+    /// applied to the pipe, so `flight()` (every unacknowledged byte, SACKed
+    /// and lost included) may pass it while holes are open; `check` holds
+    /// the pipe itself to the window on every step.
+    #[test]
+    fn bbr_window_caps_the_pipe_while_flight_exceeds_it() {
+        // A 1000-segment BDP: 20 ms RTT behind a link serving one segment
+        // per 20 µs. Both directions are FIFO, so deques stay time-ordered.
+        let (one_way, per_seg) = (Duration::from_millis(10), Duration::from_micros(20));
+        let lossy = Time::from_millis(200)..Time::from_millis(210);
+        let mut s = sender(CcKind::Bbr);
+        let mut r = crate::receiver::TcpReceiver::new(FlowId(0));
+        let mut data = std::collections::VecDeque::<(Time, Packet)>::new();
+        let mut acks = std::collections::VecDeque::<(Time, Packet)>::new();
+        let (mut link_free, mut pace_at, mut rto_at) = (Time::ZERO, None, None);
+        let mut now = Time::from_millis(1);
+        let mut out = s.start(now);
+        let mut widest_excess = 0;
+        while now < Time::from_millis(260) {
+            for pkt in out.packets.drain(..) {
+                link_free = link_free.max(now) + per_seg;
+                // Every other first transmission sent in the lossy span.
+                let (seq, is_retx) = data_seq(&pkt);
+                if !(lossy.contains(&now) && !is_retx && seq / MSS_BYTES % 2 == 0) {
+                    data.push_back((link_free + one_way, pkt));
+                }
+            }
+            match out.rto {
+                Some(TimerAction::Set(t)) => rto_at = Some(t),
+                Some(TimerAction::Cancel) => rto_at = None,
+                None => {}
+            }
+            pace_at = out.pace_at.or(pace_at);
+            if s.flight() > s.cwnd() {
+                widest_excess = widest_excess.max(s.cwnd());
+            }
+
+            let arrivals = [data.front().map(|d| d.0), acks.front().map(|a| a.0), pace_at, rto_at];
+            let (which, at) = (0..4)
+                .filter_map(|i| arrivals[i].map(|t| (i, t)))
+                .min_by_key(|&(i, t)| (t, i))
+                .expect("the RTO is armed while data is outstanding");
+            now = at;
+            let before = s.delivered;
+            out = match which {
+                0 => {
+                    let (_, pkt) = data.pop_front().expect("peeked");
+                    acks.push_back((now + one_way, r.on_data(&pkt, now)));
+                    out = TcpOutput::default();
+                    continue;
+                }
+                1 => {
+                    let PacketKind::Ack { ack_seq, ece, echo_ts, echo_retx, sack } =
+                        acks.pop_front().expect("peeked").1.kind
+                    else { unreachable!() };
+                    s.on_ack(ack_seq, ece, echo_ts, echo_retx, &sack, now)
+                }
+                2 => {
+                    pace_at = None;
+                    s.on_pace_timer(now)
+                }
+                _ => s.on_rto_timer(now),
+            };
+            check(&s, before, &out);
+        }
+        assert!(s.retx_count >= 100, "the holes were repaired: {} retransmissions", s.retx_count);
+        assert!(
+            widest_excess >= 1024 * MSS_BYTES,
+            "flight passed a window of {} segments",
+            widest_excess / MSS_BYTES
+        );
     }
 
     #[test]

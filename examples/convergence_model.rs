@@ -50,11 +50,11 @@ fn main() {
         );
     }
 
-    // Packet-level counterpart: a Scalable-TCP hog vs 4 NewReno flows on a
-    // 10 Mbps Cebinae link with matching τ.
-    println!("\nPacket-level counterpart (Scalable-TCP hog vs 4 NewReno, 10 Mbps):");
+    // Packet-level counterpart: a BBR hog (the paper's own aggressive flow)
+    // vs 4 NewReno flows on a 10 Mbps Cebinae link with matching τ.
+    println!("\nPacket-level counterpart (BBR hog vs 4 NewReno, 10 Mbps):");
     let mut flows: Vec<_> = (0..4).map(|_| DumbbellFlow::new(CcKind::NewReno, 40)).collect();
-    flows.push(DumbbellFlow::new(CcKind::Scalable, 40));
+    flows.push(DumbbellFlow::new(CcKind::Bbr, 40));
     let mut p = ScenarioParams::new(10_000_000, 100, Discipline::Cebinae);
     p.duration = Duration::from_secs(30);
     p.cebinae_thresholds = (0.01, 0.01, tau);

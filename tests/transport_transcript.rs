@@ -26,7 +26,7 @@ const ONE_WAY: Duration = Duration(10_000_000);
 const RTT_NS: u64 = 2 * ONE_WAY.0;
 
 /// Sender calls after which a session stops wherever its timeline is. Only
-/// SACK-mode BBR at 12 000 segments gets here (it holds the window full
+/// BBR at 12 000 segments gets here (it holds the window full
 /// through every clean stretch): it stops after the blackout's RTOs and
 /// the second lossy span.
 const MAX_CALLS: u64 = 400_000;
@@ -150,17 +150,14 @@ struct Session {
 }
 
 impl Session {
-    fn new(cc: CcKind, window_segs: u64, sack: bool, seed: u64) -> Session {
+    fn new(cc: CcKind, window_segs: u64, seed: u64) -> Session {
         let mut cfg = TcpConfig::with_cc(cc);
         cfg.rwnd = window_segs * u64::from(MSS);
-        cfg.sack = sack;
         cfg.ecn = true;
         let flow = FlowId(0);
-        let mut receiver = TcpReceiver::new(flow);
-        receiver.sack = sack;
         Session {
             sender: TcpSender::new(flow, cfg),
-            receiver,
+            receiver: TcpReceiver::new(flow),
             rng: DetRng::seed_from_u64(seed),
             pipe: BTreeMap::new(),
             sent: 0,
@@ -309,39 +306,33 @@ impl Session {
 }
 
 struct Case {
+    /// Offset of the session's seed from `0xceb1`. Each session was
+    /// recorded beside a non-SACK twin that took the odd offset; keeping
+    /// the even ones keeps the fingerprints the recorded literals.
+    seed: u64,
     cc: CcKind,
     window_segs: u64,
-    sack: bool,
     fingerprint: u64,
 }
 
-const fn case(cc: CcKind, window_segs: u64, sack: bool, fingerprint: u64) -> Case {
-    Case { cc, window_segs, sack, fingerprint }
+const fn case(seed: u64, cc: CcKind, window_segs: u64, fingerprint: u64) -> Case {
+    Case { seed, cc, window_segs, fingerprint }
 }
 
-const CASES: [Case; 18] = [
-    case(CcKind::NewReno, 16, true, 0x8329be6efdb278a2),
-    case(CcKind::NewReno, 16, false, 0x8a833cfd7ff5fed1),
-    case(CcKind::NewReno, 1024, true, 0xd5faf5d07327ee93),
-    case(CcKind::NewReno, 1024, false, 0x7b704a16a7f19285),
-    case(CcKind::NewReno, 12_000, true, 0x687a5f1317ffa894),
-    case(CcKind::NewReno, 12_000, false, 0xd076a2d601722ec5),
-    case(CcKind::Cubic, 16, true, 0xb130f61272950db4),
-    case(CcKind::Cubic, 16, false, 0x9814f50de94cb2fd),
-    case(CcKind::Cubic, 1024, true, 0xdf91f13a7b97aea2),
-    case(CcKind::Cubic, 1024, false, 0x7448c100d8005440),
-    case(CcKind::Cubic, 12_000, true, 0xa5693e17e159a65a),
-    case(CcKind::Cubic, 12_000, false, 0xeb876a6a96820f5d),
-    case(CcKind::Bbr, 16, true, 0x0d69f9963cb74b0d),
-    case(CcKind::Bbr, 16, false, 0x601f93f65c183431),
-    case(CcKind::Bbr, 1024, true, 0x0a3e99aa50e0e2f4),
-    case(CcKind::Bbr, 1024, false, 0x766d4a8abcffcf3e),
-    case(CcKind::Bbr, 12_000, true, 0xc1e9ec774902eebb),
-    case(CcKind::Bbr, 12_000, false, 0xe300da08e87f3049),
+const CASES: [Case; 9] = [
+    case(0, CcKind::NewReno, 16, 0x8329be6efdb278a2),
+    case(2, CcKind::NewReno, 1024, 0xd5faf5d07327ee93),
+    case(4, CcKind::NewReno, 12_000, 0x687a5f1317ffa894),
+    case(6, CcKind::Cubic, 16, 0xb130f61272950db4),
+    case(8, CcKind::Cubic, 1024, 0xdf91f13a7b97aea2),
+    case(10, CcKind::Cubic, 12_000, 0xa5693e17e159a65a),
+    case(12, CcKind::Bbr, 16, 0x0d69f9963cb74b0d),
+    case(14, CcKind::Bbr, 1024, 0x0a3e99aa50e0e2f4),
+    case(16, CcKind::Bbr, 12_000, 0xc1e9ec774902eebb),
 ];
 
-fn run_case(index: usize, c: &Case) -> Session {
-    let mut s = Session::new(c.cc, c.window_segs, c.sack, 0xceb1 + index as u64);
+fn run_case(c: &Case) -> Session {
+    let mut s = Session::new(c.cc, c.window_segs, 0xceb1 + c.seed);
     s.run(2);
     s
 }
@@ -353,9 +344,9 @@ fn run_case(index: usize, c: &Case) -> Session {
 #[test]
 fn sender_transcripts_match_the_recorded_fingerprints() {
     let mut wrong = Vec::new();
-    for (i, c) in CASES.iter().enumerate() {
-        let s = run_case(i, c);
-        let label = format!("{:?}/{}/sack={}", c.cc, c.window_segs, c.sack);
+    for c in &CASES {
+        let s = run_case(c);
+        let label = format!("{:?}/{}", c.cc, c.window_segs);
         assert!(s.sender.rto_count >= 2, "{label}: forced RTOs must fire");
         assert!(s.sender.retx_count > 0, "{label}: losses must be repaired");
         assert!(
@@ -367,8 +358,8 @@ fn sender_transcripts_match_the_recorded_fingerprints() {
         assert!(s.receiver.delivered() > 0 && s.receiver.dup_pkts > 0, "{label}");
         if s.hash.0 != c.fingerprint {
             wrong.push(format!(
-                "    case(CcKind::{:?}, {}, {}, {:#018x}), // calls {} retx {} rto {}",
-                c.cc, c.window_segs, c.sack, s.hash.0, s.calls, s.sender.retx_count, s.sender.rto_count,
+                "    case({}, CcKind::{:?}, {}, {:#018x}), // calls {} retx {} rto {}",
+                c.seed, c.cc, c.window_segs, s.hash.0, s.calls, s.sender.retx_count, s.sender.rto_count,
             ));
         }
     }
