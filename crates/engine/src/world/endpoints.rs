@@ -30,10 +30,16 @@ pub(crate) struct FlowRt {
     pub(crate) pace_timer: Option<(Time, TimerId)>,
 }
 
-/// The flow-side hot-path context: every TCP endpoint plus the engine's
-/// timer-cancellation telemetry counters.
+/// The flow-side hot-path context: every TCP endpoint, the one sender
+/// output buffer they all write into, and the engine's timer-cancellation
+/// telemetry counters.
 pub(crate) struct FlowPlane {
     pub(crate) flows: Vec<FlowRt>,
+    /// The output of the sender call being applied, drained by
+    /// [`apply_output`]. ACKs and pace wake-ups write into it in place
+    /// (`TcpSender::*_into`), so those paths allocate nothing; the rare
+    /// flow start and RTO replace it.
+    pub(crate) out: TcpOutput,
     pub(crate) rto_cancels: u64,
     pub(crate) pace_cancels: u64,
 }
@@ -96,11 +102,11 @@ pub(crate) fn deliver(
             echo_retx,
             sack,
         } => {
-            let out =
-                fp.flows[flow.index()]
-                    .sender
-                    .on_ack(ack_seq, ece, echo_ts, echo_retx, &sack, now);
-            apply_output(lp, fp, fx, ev, now, flow, out);
+            let FlowPlane { flows, out, .. } = fp;
+            flows[flow.index()]
+                .sender
+                .on_ack_into(ack_seq, ece, echo_ts, echo_retx, &sack, now, out);
+            apply_output(lp, fp, fx, ev, now, flow);
         }
     }
 }
@@ -113,8 +119,8 @@ pub(crate) fn on_flow_start(
     now: Time,
     flow: FlowId,
 ) {
-    let out = fp.flows[flow.index()].sender.start(now);
-    apply_output(lp, fp, fx, ev, now, flow, out);
+    fp.out = fp.flows[flow.index()].sender.start(now);
+    apply_output(lp, fp, fx, ev, now, flow);
 }
 
 pub(crate) fn on_pace(
@@ -129,8 +135,8 @@ pub(crate) fn on_pace(
     // fires is current.
     let f = &mut fp.flows[flow.index()];
     f.pace_timer = None;
-    let out = f.sender.on_pace_timer(now);
-    apply_output(lp, fp, fx, ev, now, flow, out);
+    f.sender.on_pace_timer_into(now, &mut fp.out);
+    apply_output(lp, fp, fx, ev, now, flow);
 }
 
 pub(crate) fn on_rto(
@@ -146,8 +152,8 @@ pub(crate) fn on_rto(
         Some(d) if d <= now => {
             let f = &mut fp.flows[flow.index()];
             f.rto_deadline = None;
-            let out = f.sender.on_rto_timer(now);
-            apply_output(lp, fp, fx, ev, now, flow, out);
+            fp.out = f.sender.on_rto_timer(now);
+            apply_output(lp, fp, fx, ev, now, flow);
         }
         Some(d) => {
             // Deadline moved later (ACKs arrived); re-arm lazily.
@@ -158,8 +164,9 @@ pub(crate) fn on_rto(
     }
 }
 
-/// Apply a TCP stack's output: completion bookkeeping, fresh packets onto
-/// the first forward hop, and the timer discipline.
+/// Apply the sender output in `fp.out`: completion bookkeeping, fresh
+/// packets onto the first forward hop (draining the buffer for the next
+/// call), and the timer discipline.
 pub(crate) fn apply_output(
     lp: &mut LinkPlane,
     fp: &mut FlowPlane,
@@ -167,20 +174,19 @@ pub(crate) fn apply_output(
     ev: &mut SchedDyn,
     now: Time,
     flow: FlowId,
-    out: TcpOutput,
 ) {
-    {
-        let f = &mut fp.flows[flow.index()];
-        if f.completed_at.is_none() && f.sender.is_complete() {
-            f.completed_at = Some(now);
-        }
+    let FlowPlane { flows, out, .. } = fp;
+    let f = &mut flows[flow.index()];
+    if f.completed_at.is_none() && f.sender.is_complete() {
+        f.completed_at = Some(now);
     }
-    let first = fp.flows[flow.index()].fwd_path[0];
-    for mut pkt in out.packets {
+    let first = f.fwd_path[0];
+    for mut pkt in out.packets.drain(..) {
         pkt.hop = 0;
-        links::enqueue_link(lp, fx, ev, &fp.flows[flow.index()].fwd_path, now, first, pkt);
+        links::enqueue_link(lp, fx, ev, &f.fwd_path, now, first, pkt);
     }
-    match out.rto {
+    let (rto, pace_at) = (out.rto, out.pace_at);
+    match rto {
         Some(TimerAction::Set(t)) => {
             fp.flows[flow.index()].rto_deadline = Some(t);
             // Deadlines that move later are handled lazily at fire time
@@ -209,7 +215,7 @@ pub(crate) fn apply_output(
         }
         None => {}
     }
-    if let Some(at) = out.pace_at {
+    if let Some(at) = pace_at {
         let timer = fp.flows[flow.index()].pace_timer;
         let rearmed = match timer {
             None => Some(ev.schedule(at.max(now), Ev::Pace { flow })),

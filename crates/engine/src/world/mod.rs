@@ -54,7 +54,7 @@ use cebinae_metrics::GoodputSeries;
 use cebinae_net::{BufferConfig, FifoQdisc, FlowId, LinkId, NodeId, PacketTrace, Qdisc, Topology};
 use cebinae_sim::{Duration, Scheduler, SchedulerKind, Time};
 use cebinae_telemetry::Registry;
-use cebinae_transport::{TcpConfig, TcpReceiver, TcpSender};
+use cebinae_transport::{TcpConfig, TcpOutput, TcpReceiver, TcpSender};
 
 use control::ControlPlane;
 use endpoints::FlowRt;
@@ -318,6 +318,7 @@ impl Simulation {
             },
             fp: FlowPlane {
                 flows: flow_rts,
+                out: TcpOutput::default(),
                 rto_cancels: 0,
                 pace_cancels: 0,
             },

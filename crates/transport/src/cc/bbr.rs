@@ -5,6 +5,9 @@
 //! flows (Figure 8a) — which stems from exactly the mechanisms implemented
 //! here (bandwidth-probe pacing with a 2×BDP inflight cap).
 
+use std::cmp::Ordering;
+use std::collections::VecDeque;
+
 use cebinae_sim::{Duration, Time};
 
 use super::{AckEvent, CongestionControl};
@@ -44,29 +47,50 @@ enum Mode {
     ProbeRtt,
 }
 
-/// Windowed max filter over (round, value) samples.
+/// Windowed max filter over (round, value) samples: an exact monotone
+/// deque, O(1) amortised per update and O(1) per read.
+///
+/// Invariant, front to back: rounds non-decreasing, values strictly
+/// decreasing (`front.v > next.v`), so the front is the window's max.
+/// `update` evicts every sample that is not `>` the new one — equal values
+/// included — before pushing it, and rounds only grow, so expiry removes a
+/// prefix. This holds exactly the samples of the `retain(v > value)` list
+/// it replaced, in the same order, so `0.0.max(front)` equals that list's
+/// `fold(0.0, f64::max)` bit for bit, NaN included (a NaN sample evicts
+/// everything before it and is evicted by whatever comes next). Linux's
+/// 3-sample `minmax` is deliberately not used: it approximates, and would
+/// move every BBR result.
 #[derive(Clone, Debug, Default)]
 struct MaxFilter {
-    samples: Vec<(u64, f64)>,
+    samples: VecDeque<(u64, f64)>,
 }
 
 impl MaxFilter {
     fn update(&mut self, round: u64, value: f64) {
-        self.samples.retain(|&(r, v)| {
-            r + BW_WINDOW_ROUNDS > round && v > value
-        });
-        self.samples.push((round, value));
+        self.expire(round);
+        // NaN on either side is not greater: it evicts, or is evicted.
+        while self
+            .samples
+            .back()
+            .is_some_and(|&(_, v)| v.partial_cmp(&value) != Some(Ordering::Greater))
+        {
+            self.samples.pop_back();
+        }
+        self.samples.push_back((round, value));
     }
 
     fn expire(&mut self, round: u64) {
-        self.samples.retain(|&(r, _)| r + BW_WINDOW_ROUNDS > round);
+        while self
+            .samples
+            .front()
+            .is_some_and(|&(r, _)| r + BW_WINDOW_ROUNDS <= round)
+        {
+            self.samples.pop_front();
+        }
     }
 
     fn get(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(0.0, f64::max)
+        self.samples.front().map_or(0.0, |&(_, v)| 0.0_f64.max(v))
     }
 }
 
@@ -638,5 +662,82 @@ mod tests {
         assert_eq!(f.get(), 50.0);
         f.expire(BW_WINDOW_ROUNDS + 5);
         assert_eq!(f.get(), 0.0);
+    }
+
+    /// The list the deque replaced: every update `retain`s, every read folds.
+    #[derive(Default)]
+    struct RetainFilter {
+        samples: Vec<(u64, f64)>,
+    }
+
+    impl RetainFilter {
+        fn update(&mut self, round: u64, value: f64) {
+            self.samples
+                .retain(|&(r, v)| r + BW_WINDOW_ROUNDS > round && v > value);
+            self.samples.push((round, value));
+        }
+
+        fn expire(&mut self, round: u64) {
+            self.samples.retain(|&(r, _)| r + BW_WINDOW_ROUNDS > round);
+        }
+
+        fn get(&self) -> f64 {
+            self.samples.iter().map(|&(_, v)| v).fold(0.0, f64::max)
+        }
+    }
+
+    /// The deque holds the list's samples and reads its max bit for bit,
+    /// under frequent ties (an equal value evicts), signed zeros, NaN,
+    /// expire-only steps and window-wiping round jumps.
+    #[test]
+    fn max_filter_matches_the_retain_list() {
+        const VALUES: [f64; 9] = [1.0, 2.0, 3.0, 5.0, 8.0, 0.0, -0.0, -1.0, f64::NAN];
+        fn bits<'a>(s: impl Iterator<Item = &'a (u64, f64)>) -> Vec<(u64, u64)> {
+            s.map(|&(r, v)| (r, v.to_bits())).collect()
+        }
+        let mut boundary_hits = 0u64;
+        for case in 0..256u64 {
+            let mut rng = cebinae_sim::rng::DetRng::seed_from_u64(0xbb2_f17e ^ case);
+            let (mut deque, mut list) = (MaxFilter::default(), RetainFilter::default());
+            let mut round = rng.gen_range_u64(0, 4);
+            for op in 0..2_000 {
+                round += if rng.gen_bool(0.02) {
+                    BW_WINDOW_ROUNDS + rng.gen_range_u64(0, 3)
+                } else {
+                    rng.gen_range_u64(0, 4)
+                };
+                // Most draws come from the first five values: ties galore.
+                let pool = if rng.gen_bool(0.9) { 5 } else { VALUES.len() };
+                let value = VALUES[rng.gen_range_usize(0, pool)];
+                if list
+                    .samples
+                    .iter()
+                    .any(|&(r, _)| r + BW_WINDOW_ROUNDS == round)
+                {
+                    boundary_hits += 1;
+                }
+                if rng.gen_bool(0.25) {
+                    deque.expire(round);
+                    list.expire(round);
+                } else {
+                    deque.update(round, value);
+                    list.update(round, value);
+                }
+                assert_eq!(
+                    bits(deque.samples.iter()),
+                    bits(list.samples.iter()),
+                    "case {case} op {op}: sample sequences differ"
+                );
+                assert_eq!(
+                    deque.get().to_bits(),
+                    list.get().to_bits(),
+                    "case {case} op {op}"
+                );
+            }
+        }
+        assert!(
+            boundary_hits > 1_000,
+            "the r + {BW_WINDOW_ROUNDS} == round edge: {boundary_hits}"
+        );
     }
 }

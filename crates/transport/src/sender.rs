@@ -11,7 +11,9 @@
 //! The sender is callback-free: every entry point returns a [`TcpOutput`]
 //! describing packets to transmit and timer adjustments, which the engine
 //! applies. This keeps the state machine purely functional with respect to
-//! the simulator and directly unit-testable.
+//! the simulator and directly unit-testable. The per-event calls (`on_ack`,
+//! `on_pace_timer`) also have `_into` forms writing into a caller-owned
+//! `TcpOutput`, which the engine reuses across events.
 
 use cebinae_net::{Ecn, FlowId, Packet, SackBlocks, MSS};
 use cebinae_sim::{Duration, Time};
@@ -82,6 +84,14 @@ pub struct TcpOutput {
     pub rto: Option<TimerAction>,
     /// If set, the sender is pacing and wants a wakeup at this time.
     pub pace_at: Option<Time>,
+}
+
+impl TcpOutput {
+    /// Forget the previous event's timer requests (the `_into` entry rule).
+    fn reset_timers(&mut self) {
+        self.rto = None;
+        self.pace_at = None;
+    }
 }
 
 /// Where the sender stands with respect to loss.
@@ -193,8 +203,29 @@ impl TcpSender {
         now: Time,
     ) -> TcpOutput {
         let mut out = TcpOutput::default();
+        self.on_ack_into(ack_seq, ece, echo_ts, echo_retx, sack, now, &mut out);
+        out
+    }
+
+    /// [`on_ack`](Self::on_ack) into a caller-owned buffer. The `_into`
+    /// forms of the two per-event calls let a caller that keeps one
+    /// `TcpOutput` allocate nothing per ACK or pace wake-up: each resets
+    /// `rto` and `pace_at` on entry and *appends* to `packets`, which the
+    /// caller drains before the next call.
+    #[allow(clippy::too_many_arguments)] // `on_ack`'s six, plus the buffer
+    pub fn on_ack_into(
+        &mut self,
+        ack_seq: u64,
+        ece: bool,
+        echo_ts: Time,
+        echo_retx: bool,
+        sack: &SackBlocks,
+        now: Time,
+        out: &mut TcpOutput,
+    ) {
+        out.reset_timers();
         if !self.started {
-            return out;
+            return;
         }
 
         // RTT sample (Karn: never from an ACK triggered by a retransmission).
@@ -290,14 +321,13 @@ impl TcpSender {
             ece,
         });
 
-        self.maybe_send(now, &mut out);
+        self.maybe_send(now, out);
         // RFC 6298 (5.3): restart the RTO only when new data is acked (or
         // everything is acked — cancel). Dup-ACKs must NOT push the timer,
         // or a lost retransmission could evade it forever.
         if newly_acked > 0 || self.sb.flight() == 0 {
-            self.arm_rto(now, &mut out);
+            self.arm_rto(now, out);
         }
-        out
     }
 
     /// The retransmission timer fired.
@@ -323,12 +353,21 @@ impl TcpSender {
     /// Pacing wakeup.
     pub fn on_pace_timer(&mut self, now: Time) -> TcpOutput {
         let mut out = TcpOutput::default();
-        if !self.started {
-            return out;
-        }
-        self.maybe_send(now, &mut out);
-        self.arm_rto(now, &mut out);
+        self.on_pace_timer_into(now, &mut out);
         out
+    }
+
+    /// [`on_pace_timer`](Self::on_pace_timer) into a caller-owned buffer
+    /// (see [`on_ack_into`](Self::on_ack_into)).
+    pub fn on_pace_timer_into(&mut self, now: Time, out: &mut TcpOutput) {
+        out.reset_timers();
+        if !self.started {
+            return;
+        }
+        self.maybe_send(now, out);
+        // Known deviation (DESIGN §4d): this restarts a running RTO on every
+        // pace wake-up, which RFC 6298 §5.1 does not.
+        self.arm_rto(now, out);
     }
 
     // ----- internals -----

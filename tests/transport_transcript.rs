@@ -147,17 +147,26 @@ struct Session {
     hash: Fnv,
     calls: u64,
     max_flight: u64,
+    /// A second sender driven the engine's way, through one `TcpOutput`
+    /// reused across every call: ACKs and pace wake-ups write into it
+    /// (`TcpSender::*_into`), start and RTO replace it. See
+    /// [`Session::mirror`].
+    twin: Option<(TcpSender, TcpOutput)>,
+}
+
+/// An ECN sender whose receiver window is `window_segs` segments.
+fn sender(cc: CcKind, window_segs: u64) -> TcpSender {
+    let mut cfg = TcpConfig::with_cc(cc);
+    cfg.rwnd = window_segs * u64::from(MSS);
+    cfg.ecn = true;
+    TcpSender::new(FlowId(0), cfg)
 }
 
 impl Session {
     fn new(cc: CcKind, window_segs: u64, seed: u64) -> Session {
-        let mut cfg = TcpConfig::with_cc(cc);
-        cfg.rwnd = window_segs * u64::from(MSS);
-        cfg.ecn = true;
-        let flow = FlowId(0);
         Session {
-            sender: TcpSender::new(flow, cfg),
-            receiver: TcpReceiver::new(flow),
+            sender: sender(cc, window_segs),
+            receiver: TcpReceiver::new(FlowId(0)),
             rng: DetRng::seed_from_u64(seed),
             pipe: BTreeMap::new(),
             sent: 0,
@@ -167,7 +176,25 @@ impl Session {
             hash: Fnv::new(),
             calls: 0,
             max_flight: 0,
+            twin: None,
         }
+    }
+
+    /// Make the call `out` answered on the twin too, into its reused
+    /// buffer, and require the same packets and timer requests. The buffer
+    /// is drained as the engine drains it; its `rto`/`pace_at` are left
+    /// for the next call to reset.
+    fn mirror(&mut self, out: &TcpOutput, call: impl FnOnce(&mut TcpSender, &mut TcpOutput)) {
+        let Some((twin, buf)) = &mut self.twin else { return };
+        call(twin, buf);
+        let wire = |p: &Packet| (p.flow, p.size, p.kind, p.ecn, p.sent_at, p.hop, p.corrupted);
+        assert!(
+            buf.packets.iter().map(wire).eq(out.packets.iter().map(wire)),
+            "call {}: packets differ",
+            self.calls
+        );
+        assert_eq!((buf.rto, buf.pace_at), (out.rto, out.pace_at), "call {}", self.calls);
+        buf.packets.clear();
     }
 
     /// Put `pkt`, sent at `now`, into the pipe under the current weather.
@@ -254,6 +281,7 @@ impl Session {
     fn run(&mut self, tail: u64) {
         let end = (self.timeline.rtts() + tail) * RTT_NS;
         let out = self.sender.start(Time::ZERO);
+        self.mirror(&out, |s, buf| *buf = s.start(Time::ZERO));
         self.absorb(1, out, Time::ZERO);
         loop {
             let arrival = self.pipe.first_key_value().map(|(&(t, _), _)| t);
@@ -280,11 +308,13 @@ impl Session {
                 1 => {
                     self.pace_at = None;
                     let out = self.sender.on_pace_timer(now);
+                    self.mirror(&out, |s, buf| s.on_pace_timer_into(now, buf));
                     self.absorb(3, out, now);
                 }
                 _ => {
                     self.rto_at = None;
                     let out = self.sender.on_rto_timer(now);
+                    self.mirror(&out, |s, buf| *buf = s.on_rto_timer(now));
                     self.absorb(4, out, now);
                 }
             }
@@ -299,6 +329,9 @@ impl Session {
             }
             PacketKind::Ack { ack_seq, ece, echo_ts, echo_retx, sack } => {
                 let out = self.sender.on_ack(ack_seq, ece, echo_ts, echo_retx, &sack, now);
+                self.mirror(&out, |s, buf| {
+                    s.on_ack_into(ack_seq, ece, echo_ts, echo_retx, &sack, now, buf)
+                });
                 self.absorb(2, out, now);
             }
         }
@@ -335,6 +368,19 @@ fn run_case(c: &Case) -> Session {
     let mut s = Session::new(c.cc, c.window_segs, 0xceb1 + c.seed);
     s.run(2);
     s
+}
+
+/// The engine's calling convention — one `TcpOutput` reused by every call,
+/// drained between them — answers every call of every session exactly as
+/// the by-value methods do: a stale `rto` or `pace_at` would differ on the
+/// first dup-ACK or unpaced call after one that set it.
+#[test]
+fn reused_output_buffer_matches_by_value_calls() {
+    for c in &CASES {
+        let mut s = Session::new(c.cc, c.window_segs, 0xceb1 + c.seed);
+        s.twin = Some((sender(c.cc, c.window_segs), TcpOutput::default()));
+        s.run(2);
+    }
 }
 
 /// One test, so each session runs once: every fingerprint must match, and
