@@ -13,8 +13,10 @@ use super::{Ev, SchedDyn};
 pub(crate) struct FlowRt {
     pub(crate) sender: TcpSender,
     pub(crate) receiver: TcpReceiver,
-    pub(crate) fwd_path: Vec<LinkId>,
-    pub(crate) rev_path: Vec<LinkId>,
+    /// The data (`fwd`) and ACK (`rev`) paths, as `(start, end)` spans of
+    /// [`FlowPlane::paths`].
+    pub(crate) fwd: (u32, u32),
+    pub(crate) rev: (u32, u32),
     pub(crate) start: Time,
     /// First instant at which all application data was acknowledged.
     pub(crate) completed_at: Option<Time>,
@@ -30,18 +32,24 @@ pub(crate) struct FlowRt {
     pub(crate) pace_timer: Option<(Time, TimerId)>,
 }
 
-/// The flow-side hot-path context: every TCP endpoint, the one sender
-/// output buffer they all write into, and the engine's timer-cancellation
-/// telemetry counters.
+/// The flow-side hot-path context: every TCP endpoint, their paths, the
+/// one sender output buffer they all write into, and the engine's
+/// timer-cancellation telemetry counters.
 pub(crate) struct FlowPlane {
     pub(crate) flows: Vec<FlowRt>,
+    /// Every flow's forward and reverse path, back to back in one arena.
+    pub(crate) paths: Vec<LinkId>,
     /// The output of the sender call being applied, drained by
-    /// [`apply_output`]. ACKs and pace wake-ups write into it in place
-    /// (`TcpSender::*_into`), so those paths allocate nothing; the rare
-    /// flow start and RTO replace it.
+    /// [`apply_output`]. Every sender call writes into it in place
+    /// (`TcpSender::*_into`), so no event allocates an output.
     pub(crate) out: TcpOutput,
     pub(crate) rto_cancels: u64,
     pub(crate) pace_cancels: u64,
+}
+
+/// The links of one `(start, end)` span of the path arena.
+fn span(paths: &[LinkId], (start, end): (u32, u32)) -> &[LinkId] {
+    &paths[start as usize..end as usize]
 }
 
 /// `Ev::Arrive { link }`: pop the link's in-flight ring head — the
@@ -60,7 +68,7 @@ pub(crate) fn on_arrive(
         return;
     };
     let f = &fp.flows[pkt.flow.index()];
-    let path = if pkt.is_data() { &f.fwd_path } else { &f.rev_path };
+    let path = span(&fp.paths, if pkt.is_data() { f.fwd } else { f.rev });
     let hop = pkt.hop as usize;
     debug_assert_eq!(path.get(hop), Some(&link), "packet took an unexpected link");
     if hop + 1 < path.len() {
@@ -90,10 +98,11 @@ pub(crate) fn deliver(
     let flow = pkt.flow;
     match pkt.kind {
         PacketKind::Data { .. } => {
-            let mut ack = fp.flows[flow.index()].receiver.on_data(&pkt, now);
+            let f = &mut fp.flows[flow.index()];
+            let mut ack = f.receiver.on_data(&pkt, now);
             ack.hop = 0;
-            let first = fp.flows[flow.index()].rev_path[0];
-            links::enqueue_link(lp, fx, ev, &fp.flows[flow.index()].rev_path, now, first, ack);
+            let path = span(&fp.paths, f.rev);
+            links::enqueue_link(lp, fx, ev, path, now, path[0], ack);
         }
         PacketKind::Ack {
             ack_seq,
@@ -119,7 +128,7 @@ pub(crate) fn on_flow_start(
     now: Time,
     flow: FlowId,
 ) {
-    fp.out = fp.flows[flow.index()].sender.start(now);
+    fp.flows[flow.index()].sender.start_into(now, &mut fp.out);
     apply_output(lp, fp, fx, ev, now, flow);
 }
 
@@ -152,7 +161,7 @@ pub(crate) fn on_rto(
         Some(d) if d <= now => {
             let f = &mut fp.flows[flow.index()];
             f.rto_deadline = None;
-            fp.out = f.sender.on_rto_timer(now);
+            f.sender.on_rto_timer_into(now, &mut fp.out);
             apply_output(lp, fp, fx, ev, now, flow);
         }
         Some(d) => {
@@ -175,15 +184,15 @@ pub(crate) fn apply_output(
     now: Time,
     flow: FlowId,
 ) {
-    let FlowPlane { flows, out, .. } = fp;
+    let FlowPlane { flows, paths, out, .. } = fp;
     let f = &mut flows[flow.index()];
     if f.completed_at.is_none() && f.sender.is_complete() {
         f.completed_at = Some(now);
     }
-    let first = f.fwd_path[0];
+    let path = span(paths, f.fwd);
     for mut pkt in out.packets.drain(..) {
         pkt.hop = 0;
-        links::enqueue_link(lp, fx, ev, &f.fwd_path, now, first, pkt);
+        links::enqueue_link(lp, fx, ev, path, now, path[0], pkt);
     }
     let (rto, pace_at) = (out.rto, out.pace_at);
     match rto {

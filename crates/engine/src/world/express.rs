@@ -48,17 +48,25 @@ use std::collections::VecDeque;
 
 use cebinae_faults::FaultsRt;
 use cebinae_net::{LinkId, Packet, QdiscStats};
-use cebinae_sim::{tx_time, Time};
+use cebinae_sim::{tx_time, Duration, Time};
 
 use super::links::{LinkPlane, Stash};
 use super::{endpoints, links, Ev, FlowPlane, SchedDyn};
 
-/// Analytic per-link express state. Inert (`eligible = false`, all zero)
-/// for managed/traced/monitored/fault-touched links.
+/// Analytic per-link express state. Every link has one; only those marked
+/// in `LinkPlane::express_on` ever use it, and the rest stay all zero.
 pub(crate) struct ExpressLink {
-    pub(crate) eligible: bool,
+    /// The link's rate, propagation delay and buffer limit, copied here so
+    /// a hop touches one struct. Scripted rate changes rewrite only
+    /// `LinkRt::rate_bps`, and only on fault-touched links, which are never
+    /// express.
+    rate_bps: u64,
+    delay: Duration,
+    cap: u64,
     /// Instant the line finishes its last accepted serialization.
     free_at: Time,
+    /// Service start of the newest `queue` entry.
+    last_start: Time,
     /// Accepted-but-not-yet-serializing packets as `(service_start,
     /// size)`, drained lazily as virtual time passes each start. Entries
     /// are pushed with non-decreasing `service_start`, so the head is
@@ -71,26 +79,37 @@ pub(crate) struct ExpressLink {
 }
 
 impl ExpressLink {
-    pub(crate) fn inert() -> ExpressLink {
+    pub(crate) fn new(rate_bps: u64, delay: Duration, cap: u64) -> ExpressLink {
         ExpressLink {
-            eligible: false,
+            rate_bps,
+            delay,
+            cap,
             free_at: Time::ZERO,
+            last_start: Time::ZERO,
             queue: VecDeque::new(),
             queued_bytes: 0,
             stats: QdiscStats::default(),
         }
     }
 
-    pub(crate) fn eligible() -> ExpressLink {
-        ExpressLink {
-            eligible: true,
-            ..ExpressLink::inert()
+    /// Retire every packet whose serialization has started by `now`:
+    /// the analytic mirror of the event-driven dequeue. Starts are
+    /// non-decreasing, so once the newest has started the whole backlog
+    /// retires at once, without reading it.
+    fn drain(&mut self, now: Time) {
+        if self.last_start > now {
+            return self.drain_by_scan(now);
         }
+        // The same saturating sums `on_tx` would reach entry by entry.
+        self.stats.tx_pkts = self.stats.tx_pkts.saturating_add(self.queue.len() as u64);
+        self.stats.tx_bytes = self.stats.tx_bytes.saturating_add(self.queued_bytes);
+        self.queued_bytes = 0;
+        self.queue.clear();
     }
 
-    /// Retire every packet whose serialization has started by `now`:
-    /// the analytic mirror of the event-driven dequeue.
-    fn drain(&mut self, now: Time) {
+    /// [`drain`](Self::drain) entry by entry, for a backlog whose tail has
+    /// not started yet.
+    fn drain_by_scan(&mut self, now: Time) {
         while let Some(&(start, size)) = self.queue.front() {
             if start > now {
                 break;
@@ -99,6 +118,24 @@ impl ExpressLink {
             self.queued_bytes -= size as u64; // occupancy gauge; every entry was added on admission below, so underflow is impossible
             self.stats.on_tx(size);
         }
+    }
+
+    /// Exact drop-tail admission at `t`, mirroring `FifoQdisc::enqueue`
+    /// (the caller has drained to `t`). `None` is a tail drop; otherwise
+    /// the instant the packet reaches the far end of the link.
+    fn admit(&mut self, t: Time, size: u32) -> Option<Time> {
+        if self.queued_bytes + size as u64 > self.cap {
+            self.stats.on_drop(size);
+            return None;
+        }
+        self.stats.on_enqueue(size);
+        self.queued_bytes += size as u64; // occupancy gauge, decremented in drain; admission check above bounds it
+        self.stats.note_queued(self.queued_bytes);
+        let start = t.max(self.free_at);
+        self.free_at = start + tx_time(size as u64, self.rate_bps);
+        self.queue.push_back((start, size));
+        self.last_start = start;
+        Some(self.free_at + self.delay)
     }
 }
 
@@ -118,30 +155,19 @@ pub(crate) fn walk(
     loop {
         let link = path[pkt.hop as usize];
         let li = link.index();
-        if !lp.express[li].eligible {
+        if !lp.express_on[li] {
             // Event-driven hop: hand over at the arrival instant (the
             // previous hop's propagation end).
             let slot = lp.stash.put(Stash::Enqueue { link, pkt });
             ev.post(t, Ev::Express { slot });
             return;
         }
-        let rate_bps = lp.links[li].rate_bps;
-        let delay = lp.links[li].delay;
-        let cap = lp.limits[li];
         let x = &mut lp.express[li];
         x.drain(t);
-        // Exact drop-tail admission, mirroring `FifoQdisc::enqueue`.
-        if x.queued_bytes + pkt.size as u64 > cap {
-            x.stats.on_drop(pkt.size);
+        let Some(arrive) = x.admit(t, pkt.size) else {
             return;
-        }
-        x.stats.on_enqueue(pkt.size);
-        x.queued_bytes += pkt.size as u64; // occupancy gauge, decremented in drain; admission check above bounds it
-        x.stats.note_queued(x.queued_bytes);
-        let start = t.max(x.free_at);
-        x.free_at = start + tx_time(pkt.size as u64, rate_bps);
-        x.queue.push_back((start, pkt.size));
-        t = x.free_at + delay;
+        };
+        t = arrive;
         if (pkt.hop as usize) + 1 < path.len() {
             pkt.hop += 1;
             continue;
@@ -203,5 +229,58 @@ pub(crate) fn merge_stats(qdisc: &QdiscStats, overlay: &QdiscStats) -> QdiscStat
         drop_queued_pkts: qdisc.drop_queued_pkts + overlay.drop_queued_pkts,
         drop_queued_bytes: qdisc.drop_queued_bytes + overlay.drop_queued_bytes,
         peak_queued_bytes: qdisc.peak_queued_bytes.max(overlay.peak_queued_bytes),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cebinae_sim::rng::DetRng;
+
+    /// `drain`'s whole-backlog retire against the per-entry loop, on two
+    /// links fed one seeded admission stream. Arrival times sometimes go
+    /// backwards (a reverse link shared by paths of different latencies)
+    /// and sometimes equal the newest entry's service start exactly.
+    #[test]
+    fn fast_retire_matches_per_entry_drain() {
+        let (mut bulk, mut partial, mut exact) = (0u32, 0u32, 0u32);
+        for case in 0..32u64 {
+            let mut rng = DetRng::seed_from_u64(0xe4a5 ^ case);
+            let rate = rng.gen_range_u64(1_000_000, 1_000_000_000);
+            let cap = rng.gen_range_u64(3_000, 60_000);
+            let delay = Duration::from_micros(rng.gen_range_u64(1, 500));
+            let mut fast = ExpressLink::new(rate, delay, cap);
+            let mut scan = ExpressLink::new(rate, delay, cap);
+            let mut t = Time::ZERO;
+            for op in 0..2_000 {
+                t = match rng.gen_range_u64(0, 10) {
+                    0 | 1 => Time(t.0.saturating_sub(rng.gen_range_u64(0, 200_000))),
+                    2 => fast.last_start,
+                    _ => t + Duration(rng.gen_range_u64(0, 100_000)),
+                };
+                if !fast.queue.is_empty() {
+                    bulk += (fast.last_start < t) as u32;
+                    exact += (fast.last_start == t) as u32;
+                    partial += (fast.last_start > t) as u32;
+                }
+                fast.drain(t);
+                scan.drain_by_scan(t);
+                let size = rng.gen_range_u64(52, 1501) as u32;
+                assert_eq!(fast.admit(t, size), scan.admit(t, size), "case {case} op {op}");
+                assert_eq!(fast.stats, scan.stats, "case {case} op {op}");
+                assert_eq!(fast.queued_bytes, scan.queued_bytes, "case {case} op {op}");
+                assert_eq!(fast.queue, scan.queue, "case {case} op {op}");
+            }
+            // `final_stats`' drain at the end of the run.
+            let end = t + Duration::from_micros(rng.gen_range_u64(0, 5_000));
+            fast.drain(end);
+            scan.drain_by_scan(end);
+            assert_eq!(fast.stats, scan.stats, "case {case} end");
+            assert_eq!(fast.queued_bytes, scan.queued_bytes, "case {case} end");
+        }
+        assert!(
+            bulk > 1_000 && partial > 1_000 && exact > 100,
+            "every drain shape must occur: bulk {bulk}, partial {partial}, exact {exact}"
+        );
     }
 }

@@ -244,6 +244,7 @@ impl Simulation {
         }
         let monitored_set: DetSet<LinkId> = monitored_links.iter().copied().collect();
         let mut limits = Vec::with_capacity(n_links);
+        let mut express_on = Vec::with_capacity(n_links);
         let mut express_links = Vec::with_capacity(n_links);
         let links: Vec<LinkRt> = topology
             .links()
@@ -253,21 +254,20 @@ impl Simulation {
                 let id = LinkId::from(i);
                 let managed = qdiscs.contains_key(&id);
                 let qspec = qdiscs.get(&id).cloned().unwrap_or_else(default_fifo);
-                limits.push(qspec.limit_bytes());
+                let limit = qspec.limit_bytes();
+                limits.push(limit);
                 // Express eligibility is a per-link fact: a link needs a
                 // real qdisc object and real events only if something
                 // manages, traces, samples or faults *it*. Whether the run
                 // is observed plays no part.
-                let eligible = express
-                    && !managed
-                    && !traced[i]
-                    && !monitored_set.contains(&id)
-                    && !faults_rt.touches(id);
-                express_links.push(if eligible {
-                    ExpressLink::eligible()
-                } else {
-                    ExpressLink::inert()
-                });
+                express_on.push(
+                    express
+                        && !managed
+                        && !traced[i]
+                        && !monitored_set.contains(&id)
+                        && !faults_rt.touches(id),
+                );
+                express_links.push(ExpressLink::new(spec.rate_bps, spec.delay, limit));
                 LinkRt {
                     qdisc: qspec.build(spec.rate_bps, seed ^ (i as u64) << 8),
                     busy: false,
@@ -280,22 +280,28 @@ impl Simulation {
 
         let mut events = scheduler.build();
         let mut flow_rts = Vec::with_capacity(flows.len());
+        // Every path goes straight into one arena; a flow keeps its spans.
+        let mut paths = Vec::new();
         let mut routes = topology.routes();
+        let mut span = |src: NodeId, dst: NodeId| {
+            let start = paths.len();
+            routes
+                .path_into(src, dst, &mut paths)
+                .unwrap_or_else(|| panic!("no path {src} -> {dst}"));
+            let bound = |i: usize| u32::try_from(i).expect("path arena fits u32 indices");
+            (bound(start), bound(paths.len()))
+        };
         for (i, f) in flows.iter().enumerate() {
             let id = FlowId::from(i);
-            let fwd = routes
-                .path(f.src, f.dst)
-                .unwrap_or_else(|| panic!("no path {} -> {}", f.src, f.dst));
-            let rev = routes
-                .path(f.dst, f.src)
-                .unwrap_or_else(|| panic!("no path {} -> {}", f.dst, f.src));
-            assert!(!fwd.is_empty(), "src and dst must differ");
+            let fwd = span(f.src, f.dst);
+            let rev = span(f.dst, f.src);
+            assert!(fwd.0 < fwd.1, "src and dst must differ");
             events.post(f.start, Ev::FlowStart { flow: id });
             flow_rts.push(FlowRt {
                 sender: TcpSender::new(id, f.tcp.clone()),
                 receiver: TcpReceiver::new(id),
-                fwd_path: fwd,
-                rev_path: rev,
+                fwd,
+                rev,
                 start: f.start,
                 completed_at: None,
                 rto_deadline: None,
@@ -314,10 +320,12 @@ impl Simulation {
                 traced,
                 trace: PacketTrace::with_capacity(trace_capacity),
                 stash: PacketStash::default(),
+                express_on,
                 express: express_links,
             },
             fp: FlowPlane {
                 flows: flow_rts,
+                paths,
                 out: TcpOutput::default(),
                 rto_cancels: 0,
                 pace_cancels: 0,

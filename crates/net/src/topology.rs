@@ -191,8 +191,16 @@ pub struct Routes<'a> {
 impl Routes<'_> {
     /// Same result as [`Topology::shortest_path`].
     pub fn path(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
+        let mut path = Vec::new();
+        self.path_into(src, dst, &mut path)?;
+        Some(path)
+    }
+
+    /// [`path`](Self::path), appended to `out`, which is left as it was
+    /// when there is no path.
+    pub fn path_into(&mut self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) -> Option<()> {
         if src == dst {
-            return Some(Vec::new());
+            return Some(());
         }
         let topo = self.topo;
         let (first_hop, root) = match topo.out_links(src) {
@@ -200,17 +208,19 @@ impl Routes<'_> {
             _ => (None, src),
         };
         let tree = self.trees.get_or_insert_with(root, || topo.bfs_tree(root));
-        // Walk the predecessor links back from `dst`, then flip.
-        let mut path = Vec::new();
+        // Walk the predecessor links back from `dst`, then flip. Every node
+        // the tree reaches chains back to the root, so only `dst` itself
+        // can fail the lookup, before anything is pushed.
+        let start = out.len();
         let mut cur = dst;
         while cur != root {
             let lid = tree[cur.index()]?;
-            path.push(lid);
+            out.push(lid);
             cur = topo.link(lid).from;
         }
-        path.extend(first_hop);
-        path.reverse();
-        Some(path)
+        out.extend(first_hop);
+        out[start..].reverse();
+        Some(())
     }
 }
 

@@ -183,13 +183,20 @@ impl TcpSender {
 
     /// Begin transmitting (flow start event).
     pub fn start(&mut self, now: Time) -> TcpOutput {
+        let mut out = TcpOutput::default();
+        self.start_into(now, &mut out);
+        out
+    }
+
+    /// [`start`](Self::start) into a caller-owned buffer (see
+    /// [`on_ack_into`](Self::on_ack_into)).
+    pub fn start_into(&mut self, now: Time, out: &mut TcpOutput) {
+        out.reset_timers();
         debug_assert!(!self.started, "start called twice");
         self.started = true;
         self.delivered_time = now;
-        let mut out = TcpOutput::default();
-        self.maybe_send(now, &mut out);
-        self.arm_rto(now, &mut out);
-        out
+        self.maybe_send(now, out);
+        self.arm_rto(now, out);
     }
 
     /// Process an incoming cumulative ACK.
@@ -208,10 +215,10 @@ impl TcpSender {
     }
 
     /// [`on_ack`](Self::on_ack) into a caller-owned buffer. The `_into`
-    /// forms of the two per-event calls let a caller that keeps one
-    /// `TcpOutput` allocate nothing per ACK or pace wake-up: each resets
-    /// `rto` and `pace_at` on entry and *appends* to `packets`, which the
-    /// caller drains before the next call.
+    /// form of every sender call lets a caller that keeps one `TcpOutput`
+    /// allocate nothing per event: each resets `rto` and `pace_at` on entry
+    /// and *appends* to `packets`, which the caller drains before the next
+    /// call.
     #[allow(clippy::too_many_arguments)] // `on_ack`'s six, plus the buffer
     pub fn on_ack_into(
         &mut self,
@@ -333,8 +340,16 @@ impl TcpSender {
     /// The retransmission timer fired.
     pub fn on_rto_timer(&mut self, now: Time) -> TcpOutput {
         let mut out = TcpOutput::default();
+        self.on_rto_timer_into(now, &mut out);
+        out
+    }
+
+    /// [`on_rto_timer`](Self::on_rto_timer) into a caller-owned buffer
+    /// (see [`on_ack_into`](Self::on_ack_into)).
+    pub fn on_rto_timer_into(&mut self, now: Time, out: &mut TcpOutput) {
+        out.reset_timers();
         if !self.started || self.sb.flight() == 0 {
-            return out;
+            return;
         }
         self.rto_count += 1;
         // Go-back-N: everything outstanding is presumed lost.
@@ -345,9 +360,8 @@ impl TcpSender {
         self.dup_acks = 0;
         self.rto_backoff = (self.rto_backoff + 1).min(10);
         self.next_send_time = now;
-        self.maybe_send(now, &mut out);
-        self.arm_rto(now, &mut out);
-        out
+        self.maybe_send(now, out);
+        self.arm_rto(now, out);
     }
 
     /// Pacing wakeup.

@@ -83,6 +83,13 @@ fn line_one_way_and_self() {
     assert_eq!(routes.path(b, a), None);
     assert_eq!(routes.path(a, c), None);
     assert_eq!(routes.path(c, c), Some(Vec::new()));
+    // `path_into` appends behind what `out` already holds (the engine's
+    // path arena), and leaves it as it was when there is no path.
+    let mut out = vec![ab];
+    assert_eq!(routes.path_into(a, b, &mut out), Some(()));
+    assert_eq!(routes.path_into(b, a, &mut out), None);
+    assert_eq!(routes.path_into(c, a, &mut out), None);
+    assert_eq!(out, vec![ab, ab]);
 
     // One-way ring: every node is single-homed, so every query peels.
     let mut t = Topology::new();

@@ -148,9 +148,8 @@ struct Session {
     calls: u64,
     max_flight: u64,
     /// A second sender driven the engine's way, through one `TcpOutput`
-    /// reused across every call: ACKs and pace wake-ups write into it
-    /// (`TcpSender::*_into`), start and RTO replace it. See
-    /// [`Session::mirror`].
+    /// reused across every call: start, ACKs, pace wake-ups and RTOs all
+    /// write into it (`TcpSender::*_into`). See [`Session::mirror`].
     twin: Option<(TcpSender, TcpOutput)>,
 }
 
@@ -281,7 +280,7 @@ impl Session {
     fn run(&mut self, tail: u64) {
         let end = (self.timeline.rtts() + tail) * RTT_NS;
         let out = self.sender.start(Time::ZERO);
-        self.mirror(&out, |s, buf| *buf = s.start(Time::ZERO));
+        self.mirror(&out, |s, buf| s.start_into(Time::ZERO, buf));
         self.absorb(1, out, Time::ZERO);
         loop {
             let arrival = self.pipe.first_key_value().map(|(&(t, _), _)| t);
@@ -314,7 +313,7 @@ impl Session {
                 _ => {
                     self.rto_at = None;
                     let out = self.sender.on_rto_timer(now);
-                    self.mirror(&out, |s, buf| *buf = s.on_rto_timer(now));
+                    self.mirror(&out, |s, buf| s.on_rto_timer_into(now, buf));
                     self.absorb(4, out, now);
                 }
             }
