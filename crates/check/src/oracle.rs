@@ -5,8 +5,9 @@
 //! 1. **Conservation** — invariants scraped from the telemetry NDJSON
 //!    export: every enqueued byte is transmitted, dropped-from-queue, or
 //!    still queued at each sample instant; occupancy never exceeds the
-//!    buffer limit; counters never decrease; sample time is monotone and
-//!    never passes the configured end of the simulation.
+//!    buffer limit; counters never decrease; the per-kind `ev_*` event
+//!    counters sum to `events`; sample time is monotone and never passes
+//!    the configured end of the simulation.
 //! 2. **Trace replay / differential** — the packet trace of a
 //!    never-saturated Cebinae run is replayed through a model filter that
 //!    must agree drop-for-drop (see [`crate::model::replay_cebinae`]), and
@@ -144,6 +145,21 @@ pub fn check_conservation(ndjson: &str, end_ns: u64) -> Vec<Violation> {
                         format!("t={t} {scope}: peak_queued_bytes {peak} > buffer_limit_bytes {limit}"),
                     ));
                 }
+            }
+        }
+        // Event accounting: every dispatched event is counted under
+        // exactly one kind.
+        if let Some(&events) = vals.get(&("sys:engine", "events")) {
+            let by_kind: u64 = vals
+                .iter()
+                .filter(|((scope, name), _)| *scope == "sys:engine" && name.starts_with("ev_"))
+                .map(|(_, &v)| v)
+                .sum();
+            if by_kind != events {
+                out.push(Violation::new(
+                    ORACLE,
+                    format!("t={t} sys:engine: ev_* counters sum to {by_kind}, events is {events}"),
+                ));
             }
         }
         batch.clear();
@@ -585,6 +601,22 @@ mod tests {
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().any(|v| v.detail.contains("peak_queued_bytes 2000")), "{v:?}");
         assert!(v.iter().any(|v| v.detail.contains("decreased")), "{v:?}");
+    }
+
+    #[test]
+    fn conservation_flags_event_counters_that_miss_the_total() {
+        let export = |arrive: u64| {
+            let mut s = String::new();
+            s += &row(100, "sys:engine", "ev_arrive", "counter", arrive);
+            s += &row(100, "sys:engine", "ev_sample", "counter", 4);
+            s += &row(100, "sys:engine", "events", "counter", 10);
+            s += &row(100, "sys:engine", "sched_live", "gauge", 3);
+            s
+        };
+        assert_eq!(check_conservation(&export(6), 100), Vec::new());
+        let v = check_conservation(&export(5), 100);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].detail.contains("sum to 9, events is 10"), "{v:?}");
     }
 
     #[test]

@@ -71,18 +71,16 @@ pub fn recompute(cfg: &CebinaeConfig, input: &RecomputeInput<'_>) -> RecomputeDe
     let threshold = c_max as f64 * (1.0 - cfg.delta_f);
     let mut top: Vec<(FlowId, u64)> = Vec::new();
     let mut bottleneck_bytes = 0u64;
-    // `sorted_iter` visits flows in FlowId order (the order the BTreeMap
-    // used to provide), so `top` and the downstream per-flow rate split
-    // are byte-identical to the pre-DetMap traces.
-    for (&f, &b) in input.flow_bytes.sorted_iter() {
+    // The saturating byte sum does not depend on visiting order, and the
+    // sort puts `top` (and so the per-flow rate split downstream) in
+    // FlowId order, the order the `BTreeMap` this map replaced visited.
+    for (&f, &b) in input.flow_bytes.iter() {
         if b as f64 >= threshold {
             top.push((f, b));
             bottleneck_bytes = bottleneck_bytes.saturating_add(b);
         }
     }
-    // Iteration above is FlowId-ordered; the sort documents and enforces
-    // the contract.
-    top.sort();
+    top.sort_unstable();
     let top_flows: Vec<FlowId> = top.iter().map(|&(f, _)| f).collect();
     let top_flow_bytes: Vec<u64> = top.iter().map(|&(_, b)| b).collect();
 

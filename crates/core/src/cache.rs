@@ -111,10 +111,6 @@ impl HeavyHitterCache {
         self.occupied
     }
 
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
     pub fn slots_per_stage(&self) -> usize {
         self.slots_per_stage
     }

@@ -25,7 +25,6 @@
 //!   with the delete history (and the table state stays a function of the
 //!   *current* contents plus entry order, not of dead keys).
 
-use std::cell::{Cell, Ref, RefCell};
 use std::fmt;
 
 /// Key trait for [`DetMap`]/[`crate::DetSet`]: equality, a total order
@@ -93,18 +92,6 @@ pub struct DetMap<K, V> {
     index: Vec<u32>,
     /// `index.len() - 1` (valid only when `index` is allocated).
     mask: usize,
-    /// Cached ascending-key permutation of `entries` indices, rebuilt
-    /// lazily by [`DetMap::sorted_iter`] when `sorted_dirty` is set.
-    /// Interior mutability keeps the sorted view a `&self` operation;
-    /// the cost is that `DetMap` is `!Sync` — shared-reference readers
-    /// must live on one thread (the trial pools only ever *move* maps
-    /// into jobs, which stays legal: the map is still `Send`).
-    sorted_cache: RefCell<Vec<u32>>,
-    /// Set by every operation that can change the key set or the dense
-    /// indices (insert of a new key, remove, retain, clear). Pure value
-    /// updates — `insert` over an existing key, `get_mut` — leave the
-    /// permutation valid and deliberately do not touch it.
-    sorted_dirty: Cell<bool>,
 }
 
 impl<K: DetKey, V> DetMap<K, V> {
@@ -113,8 +100,6 @@ impl<K: DetKey, V> DetMap<K, V> {
             entries: Vec::new(),
             index: Vec::new(),
             mask: 0,
-            sorted_cache: RefCell::new(Vec::new()),
-            sorted_dirty: Cell::new(true),
         }
     }
 
@@ -185,7 +170,6 @@ impl<K: DetKey, V> DetMap<K, V> {
             if e == EMPTY {
                 self.index[pos] = self.entries.len() as u32; // pos masked; entry count < u32::MAX by the id-space contract
                 self.entries.push((key, value));
-                self.sorted_dirty.set(true);
                 return None;
             }
             // bucket entries hold live indices (table invariant)
@@ -207,7 +191,6 @@ impl<K: DetKey, V> DetMap<K, V> {
                 let new = self.entries.len() as u32;
                 self.index[pos] = new; // det-ok: pos masked
                 self.entries.push((key, make()));
-                self.sorted_dirty.set(true);
                 break new;
             }
             // det-ok: bucket entries hold live indices (table invariant)
@@ -223,7 +206,6 @@ impl<K: DetKey, V> DetMap<K, V> {
     /// of the probe chain plus a swap-remove of the dense entry.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let (pos, e) = self.find(key)?;
-        self.sorted_dirty.set(true);
         self.backward_shift(pos);
         let e = e as usize;
         let (_, value) = self.entries.swap_remove(e);
@@ -272,7 +254,6 @@ impl<K: DetKey, V> DetMap<K, V> {
     /// Keep only entries for which `f` returns true, preserving the dense
     /// order of the survivors (unlike `remove`, which swaps). O(n).
     pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
-        self.sorted_dirty.set(true);
         self.entries.retain_mut(|(k, v)| f(k, v));
         if !self.index.is_empty() {
             let cap = self.index.len();
@@ -283,7 +264,6 @@ impl<K: DetKey, V> DetMap<K, V> {
     /// Drop all entries, keeping both allocations for hot reuse (the CP
     /// window accumulator clears every recompute).
     pub fn clear(&mut self) {
-        self.sorted_dirty.set(true);
         self.entries.clear();
         self.index.fill(EMPTY);
     }
@@ -316,26 +296,14 @@ impl<K: DetKey, V> DetMap<K, V> {
         self.entries.iter_mut().map(|(_, v)| v)
     }
 
-    /// Ascending-key view — the `BTreeMap` iteration order. The key
-    /// permutation is cached behind a dirty flag: the O(n log n) sort runs
-    /// only after an operation changed the key set (or the dense indices),
-    /// so repeated sorted walks over a stable key set — the control-plane
-    /// pattern — cost O(n) like the B-tree they replaced.
+    /// Ascending-key view — the `BTreeMap` iteration order. Each call
+    /// sorts a fresh O(n log n) permutation of the entries; code that only
+    /// needs every entry once, in any fixed order, walks [`DetMap::iter`].
     pub fn sorted_iter(&self) -> SortedIter<'_, K, V> {
-        if self.sorted_dirty.get() {
-            let mut order = self.sorted_cache.borrow_mut();
-            order.clear();
-            order.extend(0..self.entries.len() as u32);
-            order.sort_unstable_by(|&a, &b| {
-                // det-ok: order holds indices 0..entries.len()
-                self.entries[a as usize].0.cmp(&self.entries[b as usize].0)
-            });
-            self.sorted_dirty.set(false);
-        }
+        let mut order: Vec<&(K, V)> = self.entries.iter().collect();
+        order.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         SortedIter {
-            map: self,
-            order: self.sorted_cache.borrow(),
-            i: 0,
+            order: order.into_iter(),
         }
     }
 
@@ -370,31 +338,21 @@ impl<K: DetKey, V> DetMap<K, V> {
     }
 }
 
-/// Ascending-key iterator over a [`DetMap`], borrowing the map's cached
-/// permutation. While one of these is alive the map is immutably borrowed,
-/// so the cache cannot be invalidated under it; a second concurrent
-/// `sorted_iter()` only takes another shared borrow and is fine.
+/// Ascending-key iterator over a [`DetMap`]: the entries of one
+/// [`DetMap::sorted_iter`] call, sorted by key.
 pub struct SortedIter<'a, K, V> {
-    map: &'a DetMap<K, V>,
-    order: Ref<'a, Vec<u32>>,
-    i: usize,
+    order: std::vec::IntoIter<&'a (K, V)>,
 }
 
 impl<'a, K: DetKey, V> Iterator for SortedIter<'a, K, V> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let &idx = self.order.get(self.i)?;
-        self.i += 1;
-        // the cache holds a permutation of 0..entries.len(), and no
-        // mutation can happen while this iterator borrows the map
-        let (k, v) = &self.map.entries[idx as usize];
-        Some((k, v))
+        self.order.next().map(|(k, v)| (k, v))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.order.len() - self.i;
-        (n, Some(n))
+        self.order.size_hint()
     }
 }
 
@@ -422,10 +380,6 @@ impl<K: DetKey + Clone, V: Clone> Clone for DetMap<K, V> {
             entries: self.entries.clone(),
             index: self.index.clone(),
             mask: self.mask,
-            // The clone re-derives its own permutation on first use; a
-            // cache is an acceleration, never part of the map's value.
-            sorted_cache: RefCell::new(Vec::new()),
-            sorted_dirty: Cell::new(true),
         }
     }
 }
@@ -597,11 +551,11 @@ mod tests {
             m.sorted_iter().map(|(&k, _)| k).collect()
         };
         assert_eq!(sorted(&m), vec![2, 5, 7, 9]);
-        // Warm cache + value-only update: order unchanged, still correct.
+        // A value-only update leaves the key order alone.
         m.insert(5, 500);
         assert_eq!(sorted(&m), vec![2, 5, 7, 9]);
         assert_eq!(m.get(&5), Some(&500));
-        // Remove swaps dense indices; the cached permutation must refresh.
+        // Remove swaps dense indices; the view must still be key-ordered.
         m.remove(&2);
         assert_eq!(sorted(&m), vec![5, 7, 9]);
         m.insert(1, 1);
@@ -612,7 +566,7 @@ mod tests {
         assert_eq!(sorted(&m), vec![5, 7, 9]);
         m.clear();
         assert_eq!(sorted(&m), Vec::<u64>::new());
-        // A clone never shares (or trusts) the original's cache.
+        // A clone and its original are views of separate maps.
         let mut a: DetMap<u64, u64> = DetMap::new();
         a.insert(4, 4);
         assert_eq!(sorted(&a), vec![4]);
@@ -630,7 +584,7 @@ mod tests {
         }
         let it = m.sorted_iter();
         assert_eq!(it.len(), 10);
-        // Two live sorted views at once: both read the shared cache.
+        // Two live sorted views at once.
         let a: Vec<u64> = m.sorted_iter().map(|(&k, _)| k).collect();
         let b: Vec<u64> = it.map(|(&k, _)| k).collect();
         assert_eq!(a, b);

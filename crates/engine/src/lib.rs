@@ -215,9 +215,9 @@ mod tests {
         let (cfg, _) = dumbbell(&flows, &p);
         let r = Simulation::new(cfg).run();
         let saturated_samples = r
-            .saturated_series
+            .cebinae_series
             .iter()
-            .filter(|(_, s)| s.iter().any(|&b| b))
+            .filter(|(_, s)| s.iter().any(|c| c.saturated))
             .count();
         assert!(
             saturated_samples > 0,

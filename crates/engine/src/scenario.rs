@@ -89,23 +89,6 @@ impl ScenarioParams {
         }
     }
 
-    /// Validate the parameters a scenario builder cannot meaningfully use:
-    /// a zero-capacity bottleneck (division by zero in serialization
-    /// delays), an empty buffer, or a zero-length run. Returns the first
-    /// violation; the harness surfaces this instead of panicking.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.bottleneck_bps == 0 {
-            return Err("bottleneck capacity must be > 0 bps".into());
-        }
-        if self.buffer.bytes == 0 {
-            return Err("bottleneck buffer must be > 0 bytes".into());
-        }
-        if self.duration == Duration::ZERO {
-            return Err("duration must be > 0".into());
-        }
-        Ok(())
-    }
-
     /// Build the qdisc spec for one bottleneck link.
     fn bottleneck_qdisc(&self, max_rtt: Duration) -> QdiscSpec {
         match self.discipline {
@@ -392,22 +375,6 @@ mod tests {
         assert!(path.contains(&bnecks[1]));
         assert!(!path.contains(&bnecks[0]));
         assert!(!path.contains(&bnecks[2]));
-    }
-
-    #[test]
-    fn validate_rejects_degenerate_params() {
-        let ok = ScenarioParams::new(10_000_000, 100, Discipline::Fifo);
-        assert!(ok.validate().is_ok());
-
-        let zero_rate = ScenarioParams::new(0, 100, Discipline::Fifo);
-        assert!(zero_rate.validate().unwrap_err().contains("capacity"));
-
-        let zero_buf = ScenarioParams::new(10_000_000, 0, Discipline::Fifo);
-        assert!(zero_buf.validate().unwrap_err().contains("buffer"));
-
-        let mut zero_dur = ScenarioParams::new(10_000_000, 100, Discipline::Fifo);
-        zero_dur.duration = Duration::ZERO;
-        assert!(zero_dur.validate().unwrap_err().contains("duration"));
     }
 
     #[test]

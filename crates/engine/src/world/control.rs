@@ -2,6 +2,8 @@
 //! rotations), periodic sampling, the telemetry scrape, and the result
 //! types a run produces.
 
+use std::cmp::Ordering;
+
 use cebinae::CebinaeQdisc;
 use cebinae_ds::DetMap;
 use cebinae_faults::{ControlVerdict, FaultsRt};
@@ -11,7 +13,7 @@ use cebinae_sim::{Duration, Time};
 use cebinae_telemetry::{Registry, Scope};
 
 use super::links::{self, LinkPlane};
-use super::{Ev, FlowPlane, SchedDyn};
+use super::{Ev, FlowPlane, SchedDyn, EV_COUNTERS};
 
 /// Per-flow diagnostic snapshot at simulation end.
 #[derive(Clone, Copy, Debug)]
@@ -51,11 +53,8 @@ pub struct SimResult {
     pub goodput: GoodputSeries,
     /// Per-monitored-link cumulative tx bytes at each sample instant.
     pub link_tx_series: Vec<(Time, Vec<u64>)>,
-    /// Cebinae saturation state per monitored link at each sample (false
-    /// for non-Cebinae qdiscs) — Figure 1's background series.
-    pub saturated_series: Vec<(Time, Vec<bool>)>,
-    /// Full Cebinae control-state samples per monitored link (zeroed for
-    /// non-Cebinae qdiscs).
+    /// Cebinae control-state samples per monitored link (zeroed for
+    /// non-Cebinae qdiscs); `saturated` is Figure 1's background series.
     pub cebinae_series: Vec<(Time, Vec<CebinaeSample>)>,
     /// Final per-flow delivered bytes (receiver side).
     pub delivered: Vec<u64>,
@@ -122,22 +121,23 @@ impl SimResult {
     }
 }
 
-/// Observation state: the sampled series, the telemetry registry, and the
-/// bookkeeping both need. Updated only on virtual-time boundaries, which
-/// is what keeps every export thread-count invariant.
+/// Observation state: the sampled series, the event counters, the
+/// telemetry registry, and the bookkeeping they need. Exported only on
+/// virtual-time boundaries, which is what keeps every export
+/// thread-count invariant.
 pub(crate) struct ControlPlane {
     pub(crate) monitored: Vec<LinkId>,
     pub(crate) goodput: GoodputSeries,
     pub(crate) link_tx_series: Vec<(Time, Vec<u64>)>,
-    pub(crate) saturated_series: Vec<(Time, Vec<bool>)>,
     pub(crate) cebinae_series: Vec<(Time, Vec<CebinaeSample>)>,
+    /// Events dispatched so far.
+    pub(crate) events_processed: u64,
+    /// Events dispatched so far per kind, indexed like [`EV_COUNTERS`];
+    /// they sum to `events_processed`.
+    pub(crate) ev_counts: [u64; EV_COUNTERS.len()],
     /// Telemetry registry, owned per-simulation so parallel trials never
     /// share mutable state (the thread-count-invariance contract).
     pub(crate) tel: Option<Registry>,
-    /// Virtual instant of the previously dispatched event; event-loop
-    /// spans attribute the gap `[last_event_ns, now]` to the current
-    /// event's phase.
-    pub(crate) last_event_ns: u64,
     /// Last-seen sorted ⊤-flow sets per monitored-link index, for the
     /// membership-churn counter.
     pub(crate) prev_top: DetMap<usize, Vec<FlowId>>,
@@ -183,7 +183,6 @@ pub(crate) fn take_sample(
     fp: &FlowPlane,
     fx: &FaultsRt,
     sched: &SchedDyn,
-    events_processed: u64,
     now: Time,
 ) {
     let delivered: Vec<u64> = fp.flows.iter().map(|f| f.receiver.delivered()).collect();
@@ -219,12 +218,10 @@ pub(crate) fn take_sample(
                     .unwrap_or_default()
             })
             .collect();
-        cp.saturated_series
-            .push((now, samples.iter().map(|s| s.saturated).collect()));
         cp.cebinae_series.push((now, samples));
     }
     if cp.tel.is_some() {
-        scrape_telemetry(cp, lp, fp, fx, sched, events_processed, now);
+        scrape_telemetry(cp, lp, fp, fx, sched, now);
     }
 }
 
@@ -238,7 +235,6 @@ fn scrape_telemetry(
     fp: &FlowPlane,
     fx: &FaultsRt,
     sched: &SchedDyn,
-    events_processed: u64,
     now: Time,
 ) {
     // Take the registry so scraping can borrow links/flows freely.
@@ -280,9 +276,7 @@ fn scrape_telemetry(
             let mut top: Vec<FlowId> = c.top_flows().collect();
             top.sort_unstable();
             let prev = cp.prev_top.get_or_insert_with(idx, Vec::new);
-            let changed = top.iter().filter(|f| !prev.contains(f)).count()
-                + prev.iter().filter(|f| !top.contains(f)).count();
-            tel.add(scope, "ceb_top_churn", changed as u64);
+            tel.add(scope, "ceb_top_churn", sym_diff_len(&top, prev) as u64);
             *prev = top;
         }
     }
@@ -298,22 +292,17 @@ fn scrape_telemetry(
         tel.set_counter(scope, "delivered_bytes", f.receiver.delivered());
     }
     let eng = Scope::Sys("engine");
-    tel.set_counter(eng, "events", events_processed);
+    tel.set_counter(eng, "events", cp.events_processed);
+    for (name, &n) in EV_COUNTERS.iter().zip(&cp.ev_counts) {
+        tel.set_counter(eng, name, n);
+    }
     tel.set_counter(eng, "rto_timer_cancels", fp.rto_cancels);
     tel.set_counter(eng, "pace_timer_cancels", fp.pace_cancels);
-    // Backend-invariant scheduler counters: pure functions of the
-    // schedule/cancel/pop history, so they must agree between the heap
-    // and the wheel (the differential tests rely on that).
+    // Scheduler counters: pure functions of the schedule/cancel/pop
+    // history, so the export is byte-identical under either backend.
     tel.set_counter(eng, "sched_scheduled", sched.scheduled_total());
     tel.set_counter(eng, "sched_cancelled", sched.cancelled_total());
     tel.set(eng, "sched_live", sched.len() as u64);
-    // Backend-*specific* diagnostics (lazy-discard timing, wheel cascades,
-    // physical occupancy) live under their own scope so the differential
-    // telemetry comparison can strip `sys:sched` lines.
-    let sched_scope = Scope::Sys("sched");
-    tel.set_counter(sched_scope, "discarded", sched.discarded_total());
-    tel.set_counter(sched_scope, "cascades", sched.cascades_total());
-    tel.set(sched_scope, "occupied", sched.occupied() as u64);
     // Fault-injection accounting, present only when a plan is active so
     // faultless exports stay byte-identical.
     if fx.any() {
@@ -340,4 +329,64 @@ fn scrape_telemetry(
 /// Downcast to the Cebinae qdisc for state sampling.
 fn as_cebinae(q: &dyn Qdisc) -> Option<&CebinaeQdisc> {
     q.as_any().downcast_ref::<CebinaeQdisc>()
+}
+
+/// Size of the symmetric difference of two ascending, duplicate-free
+/// lists, in one merge walk.
+fn sym_diff_len<T: Ord>(a: &[T], b: &[T]) -> usize {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    let mut n = 0;
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        match x.cmp(y) {
+            Ordering::Less => {
+                a.next();
+                n += 1;
+            }
+            Ordering::Greater => {
+                b.next();
+                n += 1;
+            }
+            Ordering::Equal => {
+                a.next();
+                b.next();
+            }
+        }
+    }
+    n + a.count() + b.count()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cebinae_sim::rng::DetRng;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn sym_diff_len_matches_btreeset_symmetric_difference() {
+        let check = |a: &BTreeSet<u32>, b: &BTreeSet<u32>| {
+            let (va, vb): (Vec<u32>, Vec<u32>) =
+                (a.iter().copied().collect(), b.iter().copied().collect());
+            assert_eq!(
+                sym_diff_len(&va, &vb),
+                a.symmetric_difference(b).count(),
+                "{va:?} vs {vb:?}"
+            );
+        };
+        let set = |xs: &[u32]| xs.iter().copied().collect::<BTreeSet<u32>>();
+        check(&set(&[]), &set(&[]));
+        check(&set(&[1, 2]), &set(&[]));
+        check(&set(&[]), &set(&[3]));
+        check(&set(&[1, 3, 5]), &set(&[2, 4, 6])); // interleaved, disjoint
+        check(&set(&[1, 2]), &set(&[7, 8])); // disjoint, one after the other
+        check(&set(&[4, 5, 6]), &set(&[4, 5, 6])); // equal
+        let mut rng = DetRng::seed_from_u64(11);
+        for _ in 0..256 {
+            let mut draw = || -> BTreeSet<u32> {
+                let n = rng.gen_range_usize(0, 24);
+                (0..n).map(|_| rng.gen_range_u64(0, 48) as u32).collect()
+            };
+            let (a, b) = (draw(), draw());
+            check(&a, &b);
+        }
+    }
 }

@@ -123,11 +123,11 @@ pub struct SimConfig {
     pub traced_links: Vec<LinkId>,
     /// Maximum records retained per run.
     pub trace_capacity: usize,
-    /// Collect deterministic telemetry (counters/gauges/histograms/spans,
+    /// Collect deterministic telemetry (counters/gauges/histograms,
     /// sampled on virtual-time boundaries) into `SimResult::telemetry`.
     /// Observation only: the run dispatches the same event stream with
-    /// this on as with it off, so exported event counts and spans describe
-    /// what every run of this configuration executes.
+    /// this on as with it off, so exported event counts describe what
+    /// every run of this configuration executes.
     pub telemetry: bool,
     /// `true` (the default): links that nothing manages, traces, monitors
     /// or faults are served by the [`express`] path. `false` forces full
@@ -201,6 +201,40 @@ const _: () = assert!(std::mem::size_of::<Ev>() <= 24, "Ev grew past 24 bytes");
 const fn assert_copy<T: Copy>() {}
 const _: () = assert_copy::<Ev>();
 
+impl Ev {
+    /// This event's slot in [`EV_COUNTERS`].
+    #[inline]
+    fn kind(self) -> usize {
+        match self {
+            Ev::Arrive { .. } => 0,
+            Ev::TxDone { .. } => 1,
+            Ev::Express { .. } => 2,
+            Ev::QdiscControl { .. } => 3,
+            Ev::FlowStart { .. } => 4,
+            Ev::Rto { .. } => 5,
+            Ev::Pace { .. } => 6,
+            Ev::Sample => 7,
+            Ev::FaultRelease { .. } => 8,
+            Ev::FaultTimeline { .. } => 9,
+        }
+    }
+}
+
+/// The `sys:engine` counter of each event kind, indexed by [`Ev::kind`]:
+/// how many events of that kind the run has dispatched.
+pub(crate) const EV_COUNTERS: [&str; 10] = [
+    "ev_arrive",
+    "ev_dequeue",
+    "ev_express",
+    "ev_qdisc_control",
+    "ev_flow_start",
+    "ev_transport_rto",
+    "ev_transport_pace",
+    "ev_sample",
+    "ev_fault_release",
+    "ev_fault_timeline",
+];
+
 /// The scheduler trait object the event handlers post into. Handlers take
 /// `&mut SchedDyn` so they stay backend-agnostic (verify rule R14).
 pub(crate) type SchedDyn = dyn Scheduler<Ev> + Send;
@@ -213,7 +247,6 @@ pub struct Simulation {
     events: Box<dyn Scheduler<Ev> + Send>,
     /// Resolved fault plan; inert (no state, no draws) when empty.
     faults: FaultsRt,
-    events_processed: u64,
     cfg_duration: Duration,
     sample_interval: Duration,
 }
@@ -334,15 +367,14 @@ impl Simulation {
                 monitored: monitored_links,
                 goodput,
                 link_tx_series: Vec::new(),
-                saturated_series: Vec::new(),
                 cebinae_series: Vec::new(),
+                events_processed: 0,
+                ev_counts: [0; EV_COUNTERS.len()],
                 tel: telemetry.then(Registry::default),
-                last_event_ns: 0,
                 prev_top: DetMap::new(),
             },
             events,
             faults: faults_rt,
-            events_processed: 0,
             cfg_duration: duration,
             sample_interval,
         };
@@ -370,35 +402,12 @@ impl Simulation {
                 break;
             }
             let (now, ev) = self.events.pop().expect("peeked");
-            self.events_processed += 1;
-            // Span accounting runs on *virtual* time (wall clock is banned
-            // by the determinism contract): each event's phase is charged
-            // the gap since the previous event.
-            if self.cp.tel.is_some() {
-                let phase = phase_name(&ev);
-                let start = self.cp.last_event_ns;
-                if let Some(tel) = self.cp.tel.as_mut() {
-                    tel.span_enter(phase, start);
-                }
-                self.dispatch(now, ev);
-                if let Some(tel) = self.cp.tel.as_mut() {
-                    tel.span_exit(now.0);
-                }
-                self.cp.last_event_ns = now.0;
-            } else {
-                self.dispatch(now, ev);
-            }
+            self.cp.events_processed += 1;
+            self.cp.ev_counts[ev.kind()] += 1;
+            self.dispatch(now, ev);
         }
         // Final sample at the end time for complete series.
-        control::take_sample(
-            &mut self.cp,
-            &self.lp,
-            &self.fp,
-            &self.faults,
-            &*self.events,
-            self.events_processed,
-            end,
-        );
+        control::take_sample(&mut self.cp, &self.lp, &self.fp, &self.faults, &*self.events, end);
         let telemetry = self.cp.tel.take().map(Registry::into_ndjson);
         // Retire everything express links had in service by `end`, then
         // fold their analytic overlays into the per-link stats (exactly
@@ -437,11 +446,10 @@ impl Simulation {
             link_limits: self.lp.limits,
             goodput: self.cp.goodput,
             link_tx_series: self.cp.link_tx_series,
-            saturated_series: self.cp.saturated_series,
             cebinae_series: self.cp.cebinae_series,
             monitored_links: self.cp.monitored,
             duration: self.cfg_duration,
-            events_processed: self.events_processed,
+            events_processed: self.cp.events_processed,
             trace: self.lp.trace,
             telemetry,
         }
@@ -455,7 +463,6 @@ impl Simulation {
             cp,
             events,
             faults: fx,
-            events_processed,
             cfg_duration,
             sample_interval,
         } = self;
@@ -469,7 +476,7 @@ impl Simulation {
             Ev::Rto { flow } => endpoints::on_rto(lp, fp, fx, ev_q, now, flow),
             Ev::Pace { flow } => endpoints::on_pace(lp, fp, fx, ev_q, now, flow),
             Ev::Sample => {
-                control::take_sample(cp, lp, fp, fx, &**events, *events_processed, now);
+                control::take_sample(cp, lp, fp, fx, &**events, now);
                 let next = now + *sample_interval;
                 if next <= Time::ZERO + *cfg_duration {
                     events.post(next, Ev::Sample);
@@ -478,22 +485,6 @@ impl Simulation {
             Ev::FaultRelease { slot } => faults::on_release(lp, fx, ev_q, now, slot),
             Ev::FaultTimeline { link } => faults::on_timeline(lp, fx, ev_q, now, link),
         }
-    }
-}
-
-/// Event-loop phase label for span profiling.
-fn phase_name(ev: &Ev) -> &'static str {
-    match ev {
-        Ev::Arrive { .. } => "arrive",
-        Ev::TxDone { .. } => "dequeue",
-        Ev::Express { .. } => "express",
-        Ev::QdiscControl { .. } => "qdisc_control",
-        Ev::FlowStart { .. } => "flow_start",
-        Ev::Rto { .. } => "transport_rto",
-        Ev::Pace { .. } => "transport_pace",
-        Ev::Sample => "sample",
-        Ev::FaultRelease { .. } => "fault_release",
-        Ev::FaultTimeline { .. } => "fault_timeline",
     }
 }
 

@@ -8,7 +8,7 @@
 //! * `disciplines` — all five disciplines (incl. AFQ) on one scenario;
 //! * `ecn` — Cebinae's ECN marking path with ECN-enabled NewReno.
 
-use cebinae_engine::{Discipline, DumbbellFlow, ScenarioParams};
+use cebinae_engine::{Discipline, DumbbellFlow};
 use cebinae_transport::CcKind;
 
 use crate::runner::{mbps, run_with_params, Ctx, Table};
@@ -28,22 +28,15 @@ pub fn p_sensitivity(ctx: &Ctx) -> String {
     let mut t = Table::new(&["P", "JFI", "goodput[Mbps]", "saturated-frac"]);
     const P_VALUES: [u32; 5] = [1, 2, 4, 8, 16];
     let results = ctx.pool().map(P_VALUES.to_vec(), |_, p_val| {
-        let mut p = ScenarioParams::new(400_000_000, 2000, Discipline::Cebinae);
-        p.duration = duration;
-        p.seed = ctx.seed;
+        let mut p = ctx.params(400_000_000, 2000, Discipline::Cebinae, duration);
         p.cebinae_p = Some(p_val);
-        p.telemetry = ctx.telemetry_enabled();
         run_with_params(&flows, &p)
     });
     ctx.export_runs("ablation-p", &results);
     for (p_val, m) in P_VALUES.iter().zip(&results) {
-        let sat = m
-            .result
-            .saturated_series
-            .iter()
-            .filter(|(_, s)| s[0])
-            .count() as f64
-            / m.result.saturated_series.len().max(1) as f64;
+        let series = &m.result.cebinae_series;
+        let sat = series.iter().filter(|(_, s)| s[0].saturated).count() as f64
+            / series.len().max(1) as f64;
         t.row(vec![
             p_val.to_string(),
             format!("{:.3}", m.jfi),
@@ -62,12 +55,7 @@ pub fn per_flow_top(ctx: &Ctx) -> String {
     let mut t = Table::new(&["variant", "JFI", "goodput[Mbps]", "hog[Mbps]"]);
     let variants = vec![Discipline::Cebinae, Discipline::CebinaePerFlowTop];
     let results = ctx.pool().map(variants.clone(), |_, d| {
-        let mut p = ScenarioParams::new(100_000_000, 850, d);
-        p.duration = duration;
-        p.seed = ctx.seed;
-        p.cebinae_p = Some(1);
-        p.telemetry = ctx.telemetry_enabled();
-        run_with_params(&flows, &p)
+        run_with_params(&flows, &ctx.params(100_000_000, 850, d, duration))
     });
     ctx.export_runs("ablation-perflow", &results);
     for (d, m) in variants.iter().zip(&results) {
@@ -96,12 +84,7 @@ pub fn disciplines(ctx: &Ctx) -> String {
         Discipline::CebinaePerFlowTop,
     ];
     let results = ctx.pool().map(all.clone(), |_, d| {
-        let mut p = ScenarioParams::new(100_000_000, 850, d);
-        p.duration = duration;
-        p.seed = ctx.seed;
-        p.cebinae_p = Some(1);
-        p.telemetry = ctx.telemetry_enabled();
-        run_with_params(&flows, &p)
+        run_with_params(&flows, &ctx.params(100_000_000, 850, d, duration))
     });
     ctx.export_runs("ablation-disciplines", &results);
     for (d, m) in all.iter().zip(&results) {
@@ -125,11 +108,7 @@ pub fn ecn(ctx: &Ctx) -> String {
             .map(|_| DumbbellFlow::new(CcKind::NewReno, 40))
             .collect();
         flows.push(DumbbellFlow::new(CcKind::Cubic, 40));
-        let mut p = ScenarioParams::new(100_000_000, 850, Discipline::Cebinae);
-        p.duration = duration;
-        p.seed = ctx.seed;
-        p.cebinae_p = Some(1);
-        p.telemetry = ctx.telemetry_enabled();
+        let mut p = ctx.params(100_000_000, 850, Discipline::Cebinae, duration);
         let mut ccfg = cebinae::CebinaeConfig::for_link(
             100_000_000,
             cebinae_net::BufferConfig::mtus(850),
@@ -186,14 +165,12 @@ mod tests {
     fn ecn_ablation_smoke() {
         // A very short run just exercising both paths end to end.
         let ctx = Ctx::serial(false, 1);
-        let _ = ctx;
         let flows = vec![
             DumbbellFlow::new(CcKind::NewReno, 20),
             DumbbellFlow::new(CcKind::NewReno, 20),
         ];
-        let mut p = ScenarioParams::new(20_000_000, 100, Discipline::Cebinae);
-        p.duration = cebinae_sim::Duration::from_secs(3);
-        p.cebinae_p = Some(1);
+        let duration = cebinae_sim::Duration::from_secs(3);
+        let p = ctx.params(20_000_000, 100, Discipline::Cebinae, duration);
         let m = run_with_params(&flows, &p);
         assert!(m.goodput_bps > 1e6);
     }

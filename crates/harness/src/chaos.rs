@@ -12,7 +12,7 @@ use cebinae_engine::{Discipline, DumbbellFlow};
 use cebinae_faults::FaultPlan;
 use cebinae_transport::CcKind;
 
-use crate::runner::{mbps, Ctx, DumbbellRun, Table};
+use crate::runner::{mbps, run_with_params, Ctx, Table};
 
 /// Last `sys:faults` value of `name` in a telemetry export, or 0.
 fn fault_counter(ndjson: Option<&str>, name: &str) -> u64 {
@@ -66,14 +66,11 @@ pub fn run(ctx: &Ctx) -> String {
     ]);
     let jobs = plans(ctx);
     let rows = ctx.pool().map(jobs, |_, (label, plan)| {
-        let m = DumbbellRun::new(25_000_000)
-            .buffer_mtus(150)
-            .discipline(Discipline::Cebinae)
-            .duration(duration)
-            .seed(ctx.seed)
-            .telemetry(true)
-            .faults(plan)
-            .run(&flows);
+        // The fault ledger columns read the export, so every run observes.
+        let mut p = ctx.params(25_000_000, 150, Discipline::Cebinae, duration);
+        p.telemetry = true;
+        p.faults = plan;
+        let m = run_with_params(&flows, &p);
         let nd = m.result.telemetry.as_deref();
         let min_flow = m.per_flow_bps.iter().cloned().fold(f64::INFINITY, f64::min);
         let cells = vec![

@@ -7,7 +7,7 @@
 //! headroom should buy new flows a faster start than a FIFO full of
 //! elephant queue.
 
-use cebinae_engine::{dumbbell, Discipline, DumbbellFlow, ScenarioParams, Simulation};
+use cebinae_engine::{dumbbell, Discipline, DumbbellFlow, Simulation};
 use cebinae_metrics::percentile;
 use cebinae_sim::rng::experiment_rng;
 use cebinae_sim::{Duration, Time};
@@ -52,12 +52,7 @@ pub fn fct(ctx: &Ctx) -> String {
             );
         }
 
-        let mut p = ScenarioParams::new(rate, 850, d);
-        p.duration = duration;
-        p.seed = ctx.seed;
-        p.cebinae_p = Some(1);
-        p.telemetry = ctx.telemetry_enabled();
-        let (cfg, _) = dumbbell(&flows, &p);
+        let (cfg, _) = dumbbell(&flows, &ctx.params(rate, 850, d, duration));
         let r = Simulation::new(cfg).run();
 
         let mut fcts_ms = Vec::new();
@@ -116,9 +111,8 @@ mod tests {
                 .starting_at(Time::from_secs(3))
                 .with_bytes(200_000),
         ];
-        let mut p = ScenarioParams::new(20_000_000, 100, Discipline::Cebinae);
-        p.duration = Duration::from_secs(8);
-        p.cebinae_p = Some(1);
+        let ctx = Ctx::serial(false, 1);
+        let p = ctx.params(20_000_000, 100, Discipline::Cebinae, Duration::from_secs(8));
         let (cfg, _) = dumbbell(&flows, &p);
         let r = Simulation::new(cfg).run();
         assert!(r.completed_at[0].is_none(), "elephant never completes");

@@ -4,7 +4,7 @@
 //! under FIFO and Cebinae against the ideal max-min allocation, plus the
 //! max-min-normalized JFI of §5.3.
 
-use cebinae_engine::{parking_lot, Discipline, ParkingLotGroup, ScenarioParams, Simulation};
+use cebinae_engine::{parking_lot, Discipline, ParkingLotGroup, Simulation};
 use cebinae_metrics::{jfi_maxmin_normalized, water_filling, MaxMinFlow};
 use cebinae_sim::{Duration, Time};
 use cebinae_transport::CcKind;
@@ -80,11 +80,7 @@ pub fn run(ctx: &Ctx) -> String {
     let mut per_disc = Vec::new();
     let mut exports = Vec::new();
     for d in [Discipline::Fifo, Discipline::Cebinae] {
-        let mut p = ScenarioParams::new(spec.rate_bps, 850, d);
-        p.duration = duration;
-        p.seed = ctx.seed;
-        p.cebinae_p = Some(1);
-        p.telemetry = ctx.telemetry_enabled();
+        let p = ctx.params(spec.rate_bps, 850, d, duration);
         let (cfg, _links) = parking_lot(spec.segments, &spec.groups, &p);
         let r = Simulation::new(cfg).run();
         let g = r.goodputs_bps(Time::ZERO + duration / 10);

@@ -6,7 +6,7 @@ use cebinae_metrics::{cdf, jfi};
 use cebinae_sim::Time;
 use cebinae_transport::CcKind;
 
-use crate::runner::{mbps, Ctx, DumbbellRun, Table};
+use crate::runner::{mbps, run_with_params, Ctx, Table};
 
 /// Figure 1: two NewReno flows (RTT 20.4 / 40 ms) over 1 Gbps, goodput
 /// time series under FIFO and Cebinae, plus Cebinae's saturation state.
@@ -19,15 +19,9 @@ pub fn fig1(ctx: &Ctx) -> String {
     let rate = 1_000_000_000;
     let buffer = 850;
 
-    let run = DumbbellRun::new(rate)
-        .buffer_mtus(buffer)
-        .duration(duration)
-        .seed(ctx.seed)
-        .telemetry(ctx.telemetry_enabled());
-    let mut runs = ctx.pool().map(
-        vec![Discipline::Fifo, Discipline::Cebinae],
-        |_, d| run.clone().discipline(d).run(&flows),
-    );
+    let mut runs = ctx.pool().map(vec![Discipline::Fifo, Discipline::Cebinae], |_, d| {
+        run_with_params(&flows, &ctx.params(rate, buffer, d, duration))
+    });
     ctx.export_runs("fig1", &runs);
     let ceb = runs.pop().expect("two runs");
     let fifo = runs.pop().expect("two runs");
@@ -44,12 +38,11 @@ pub fn fig1(ctx: &Ctx) -> String {
         }
         let sat = ceb
             .result
-            .saturated_series
+            .cebinae_series
             .iter()
             .rev()
             .find(|(st, _)| st <= ts)
-            .map(|(_, s)| s[0])
-            .unwrap_or(false);
+            .is_some_and(|(_, s)| s[0].saturated);
         t.row(vec![
             format!("{:.0}", ts.as_secs_f64()),
             format!("{:.1}", fr[0] / 1e6),
@@ -75,15 +68,9 @@ pub fn fig7(ctx: &Ctx) -> String {
     let mut flows: Vec<_> = (0..16).map(|_| DumbbellFlow::new(CcKind::Vegas, 50)).collect();
     flows.push(DumbbellFlow::new(CcKind::NewReno, 50));
     let duration = ctx.secs(40, 100);
-    let run = DumbbellRun::new(100_000_000)
-        .buffer_mtus(850)
-        .duration(duration)
-        .seed(ctx.seed)
-        .telemetry(ctx.telemetry_enabled());
-    let mut runs = ctx.pool().map(
-        vec![Discipline::Fifo, Discipline::Cebinae],
-        |_, d| run.clone().discipline(d).run(&flows),
-    );
+    let mut runs = ctx.pool().map(vec![Discipline::Fifo, Discipline::Cebinae], |_, d| {
+        run_with_params(&flows, &ctx.params(100_000_000, 850, d, duration))
+    });
     ctx.export_runs("fig7", &runs);
     let ceb = runs.pop().expect("two runs");
     let fifo = runs.pop().expect("two runs");
@@ -121,15 +108,9 @@ pub fn fig8(ctx: &Ctx, variant_b: bool) -> String {
         (f, 4200, "8a: 128 NewReno vs 2 BBR")
     };
     let duration = ctx.secs(15, 100);
-    let run = DumbbellRun::new(1_000_000_000)
-        .buffer_mtus(buffer)
-        .duration(duration)
-        .seed(ctx.seed)
-        .telemetry(ctx.telemetry_enabled());
-    let mut runs = ctx.pool().map(
-        vec![Discipline::Fifo, Discipline::Cebinae],
-        |_, d| run.clone().discipline(d).run(&flows),
-    );
+    let mut runs = ctx.pool().map(vec![Discipline::Fifo, Discipline::Cebinae], |_, d| {
+        run_with_params(&flows, &ctx.params(1_000_000_000, buffer, d, duration))
+    });
     ctx.export_runs(if variant_b { "fig8b" } else { "fig8a" }, &runs);
     let ceb = runs.pop().expect("two runs");
     let fifo = runs.pop().expect("two runs");
@@ -185,15 +166,10 @@ pub fn fig9(ctx: &Ctx) -> String {
             jobs.push((rtt2, d));
         }
     }
-    let run = DumbbellRun::new(400_000_000)
-        .buffer_mtus(buffer_mtus)
-        .duration(duration)
-        .seed(ctx.seed)
-        .telemetry(ctx.telemetry_enabled());
     let results = ctx.pool().map(jobs, |_, (rtt2, d)| {
         let mut flows: Vec<_> = (0..4).map(|_| DumbbellFlow::new(CcKind::Cubic, 256)).collect();
         flows.extend((0..4).map(|_| DumbbellFlow::new(CcKind::Cubic, rtt2)));
-        run.clone().discipline(d).run(&flows)
+        run_with_params(&flows, &ctx.params(400_000_000, buffer_mtus, d, duration))
     });
     ctx.export_runs("fig9", &results);
     for (i, &rtt2) in RTT2.iter().enumerate() {
@@ -219,13 +195,8 @@ pub fn fig10(ctx: &Ctx) -> String {
     flows.push(DumbbellFlow::new(CcKind::NewReno, 40).starting_at(Time::from_secs(5)));
     flows.push(DumbbellFlow::new(CcKind::Cubic, 40).starting_at(Time::from_secs(25)));
 
-    let run = DumbbellRun::new(100_000_000)
-        .buffer_mtus(850)
-        .duration(duration)
-        .seed(ctx.seed)
-        .telemetry(ctx.telemetry_enabled());
     let runs = ctx.pool().map(Discipline::PAPER.to_vec(), |_, d| {
-        run.clone().discipline(d).run(&flows)
+        run_with_params(&flows, &ctx.params(100_000_000, 850, d, duration))
     });
     ctx.export_runs("fig10", &runs);
 
@@ -283,18 +254,13 @@ pub fn fig12(ctx: &Ctx) -> String {
         Spec::Reference(Discipline::FqCoDel),
     ];
     specs.extend(PCTS.iter().map(|&pct| Spec::Threshold(pct)));
-    let base = DumbbellRun::new(rate)
-        .buffer_mtus(buffer)
-        .duration(duration)
-        .seed(ctx.seed)
-        .telemetry(ctx.telemetry_enabled());
     let mut results = ctx.pool().map(specs, |_, spec| match spec {
-        Spec::Reference(d) => base.clone().discipline(d).run(&flows),
+        Spec::Reference(d) => run_with_params(&flows, &ctx.params(rate, buffer, d, duration)),
         Spec::Threshold(pct) => {
             let th = pct / 100.0;
-            let mut run = base.clone().discipline(Discipline::Cebinae);
-            run.params_mut().cebinae_thresholds = (th, th, th);
-            run.run(&flows)
+            let mut p = ctx.params(rate, buffer, Discipline::Cebinae, duration);
+            p.cebinae_thresholds = (th, th, th);
+            run_with_params(&flows, &p)
         }
     });
     ctx.export_runs("fig12", &results);
@@ -335,11 +301,9 @@ mod tests {
             DumbbellFlow::new(CcKind::NewReno, 20),
             DumbbellFlow::new(CcKind::NewReno, 40),
         ];
-        let m = DumbbellRun::new(100_000_000)
-            .buffer_mtus(350)
-            .discipline(Discipline::Cebinae)
-            .duration(cebinae_sim::Duration::from_secs(4))
-            .run(&flows);
+        let duration = cebinae_sim::Duration::from_secs(4);
+        let p = tiny_ctx().params(100_000_000, 350, Discipline::Cebinae, duration);
+        let m = run_with_params(&flows, &p);
         assert_eq!(m.per_flow_bps.len(), 2);
         assert!(m.goodput_bps > 10e6);
     }

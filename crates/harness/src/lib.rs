@@ -26,7 +26,7 @@ pub mod runner;
 pub mod table2;
 pub mod table3;
 
-pub use runner::{run_with_params, Ctx, DumbbellRun, RunMetrics, Table};
+pub use runner::{run_with_params, Ctx, RunMetrics, Table};
 
 /// All experiment names accepted by the CLI.
 pub const EXPERIMENTS: &[&str] = &[
@@ -40,7 +40,13 @@ pub fn run_experiment(name: &str, ctx: &Ctx, rows: Option<&[usize]>) -> Result<S
     Ok(match name {
         "fig1" => figures::fig1(ctx),
         "fig2" => fig2::run(),
-        "table2" => table2::run(ctx, rows),
+        "table2" => {
+            let valid = 1..=table2::ROWS;
+            if let Some(id) = rows.into_iter().flatten().find(|id| !valid.contains(*id)) {
+                return Err(format!("table2 has no row {id}; valid rows are {valid:?}"));
+            }
+            table2::run(ctx, rows)
+        }
         "fig7" => figures::fig7(ctx),
         "fig8a" => figures::fig8(ctx, false),
         "fig8b" => figures::fig8(ctx, true),
@@ -70,6 +76,13 @@ mod tests {
     fn unknown_experiment_is_an_error() {
         let ctx = Ctx::serial(false, 1);
         assert!(run_experiment("fig99", &ctx, None).is_err());
+    }
+
+    #[test]
+    fn unknown_table2_row_is_an_error() {
+        let ctx = Ctx::serial(false, 1);
+        let err = run_experiment("table2", &ctx, Some(&[99])).unwrap_err();
+        assert!(err.contains("99") && err.contains("1..=25"), "{err}");
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Shared experiment-running machinery: scaled-vs-full durations, dumbbell
 //! runs with the standard metric set, and table formatting.
 
-use cebinae_engine::{
-    dumbbell, BufferConfig, Discipline, DumbbellFlow, ScenarioParams, SimResult, Simulation,
-};
+use cebinae_engine::{dumbbell, Discipline, DumbbellFlow, ScenarioParams, SimResult, Simulation};
 use cebinae_faults::FaultPlan;
 use cebinae_metrics::jfi;
 use cebinae_par::TrialPool;
@@ -85,6 +83,36 @@ impl Ctx {
         self.telemetry.is_some()
     }
 
+    /// Scenario parameters under the harness's run convention: seed and
+    /// telemetry from this context, and the Cebinae recompute period
+    /// pinned to P = 1.
+    ///
+    /// ```no_run
+    /// use cebinae_engine::{Discipline, DumbbellFlow};
+    /// use cebinae_harness::{run_with_params, Ctx};
+    /// use cebinae_sim::Duration;
+    /// use cebinae_transport::CcKind;
+    ///
+    /// let flows = vec![DumbbellFlow::new(CcKind::NewReno, 20); 2];
+    /// let ctx = Ctx::serial(false, 7);
+    /// let p = ctx.params(100_000_000, 420, Discipline::Cebinae, Duration::from_secs(10));
+    /// let m = run_with_params(&flows, &p);
+    /// ```
+    pub fn params(
+        &self,
+        rate_bps: u64,
+        buffer_mtus: u64,
+        discipline: Discipline,
+        duration: Duration,
+    ) -> ScenarioParams {
+        let mut p = ScenarioParams::new(rate_bps, buffer_mtus, discipline);
+        p.duration = duration;
+        p.seed = self.seed;
+        p.telemetry = self.telemetry_enabled();
+        p.cebinae_p = Some(1);
+        p
+    }
+
     /// The trial pool experiments fan their independent seeded jobs onto.
     pub fn pool(&self) -> TrialPool {
         TrialPool::with_threads(self.threads)
@@ -125,130 +153,6 @@ impl Ctx {
         let exports: Vec<Option<&str>> =
             runs.iter().map(|m| m.result.telemetry.as_deref()).collect();
         self.export_telemetry(label, &exports);
-    }
-}
-
-/// Builder for the standard single-bottleneck dumbbell run.
-///
-/// ```no_run
-/// use cebinae_harness::DumbbellRun;
-/// use cebinae_engine::{Discipline, DumbbellFlow};
-/// use cebinae_sim::Duration;
-/// use cebinae_transport::CcKind;
-///
-/// let flows = vec![DumbbellFlow::new(CcKind::NewReno, 20); 2];
-/// let m = DumbbellRun::new(100_000_000)
-///     .buffer_mtus(420)
-///     .discipline(Discipline::Cebinae)
-///     .duration(Duration::from_secs(10))
-///     .seed(7)
-///     .run(&flows);
-/// ```
-///
-/// Defaults: 420-MTU buffer, FIFO, 10 s, seed 1, Cebinae recompute period
-/// pinned to P = 1 (the harness-wide convention).
-#[derive(Clone, Debug)]
-pub struct DumbbellRun {
-    params: ScenarioParams,
-}
-
-impl DumbbellRun {
-    pub fn new(rate_bps: u64) -> DumbbellRun {
-        let mut params = ScenarioParams::new(rate_bps, 420, Discipline::Fifo);
-        params.cebinae_p = Some(1);
-        DumbbellRun { params }
-    }
-
-    pub fn buffer_mtus(mut self, mtus: u64) -> DumbbellRun {
-        self.params.buffer = BufferConfig::mtus(mtus);
-        self
-    }
-
-    pub fn discipline(mut self, d: Discipline) -> DumbbellRun {
-        self.params.discipline = d;
-        self
-    }
-
-    pub fn duration(mut self, d: Duration) -> DumbbellRun {
-        self.params.duration = d;
-        self
-    }
-
-    pub fn seed(mut self, seed: u64) -> DumbbellRun {
-        self.params.seed = seed;
-        self
-    }
-
-    /// Collect deterministic telemetry into `RunMetrics::result.telemetry`.
-    pub fn telemetry(mut self, on: bool) -> DumbbellRun {
-        self.params.telemetry = on;
-        self
-    }
-
-    /// Apply a [`FaultPlan`] to every run built from this builder.
-    pub fn faults(mut self, plan: FaultPlan) -> DumbbellRun {
-        self.params.faults = plan;
-        self
-    }
-
-    /// The underlying scenario parameters, for sweeps the builder doesn't
-    /// cover (thresholds, sample interval, ...).
-    pub fn params(&self) -> &ScenarioParams {
-        &self.params
-    }
-
-    pub fn params_mut(&mut self) -> &mut ScenarioParams {
-        &mut self.params
-    }
-
-    /// Validate the configuration against `flows`: the builder accepts any
-    /// values so sweeps can be composed freely, but a run needs a non-empty
-    /// flow set and physically meaningful parameters.
-    pub fn check(&self, flows: &[DumbbellFlow]) -> Result<(), String> {
-        if flows.is_empty() {
-            return Err("dumbbell run needs at least one flow".into());
-        }
-        self.params.validate()
-    }
-
-    /// Run once and compute the standard metric set.
-    ///
-    /// Panics on an invalid configuration; use [`DumbbellRun::try_run`] to
-    /// get the rejection as an error instead.
-    pub fn run(&self, flows: &[DumbbellFlow]) -> RunMetrics {
-        self.try_run(flows).expect("invalid dumbbell configuration")
-    }
-
-    /// Fallible [`DumbbellRun::run`]: rejects invalid configs (empty flow
-    /// set, zero-capacity link, zero buffer/duration) with a description.
-    pub fn try_run(&self, flows: &[DumbbellFlow]) -> Result<RunMetrics, String> {
-        self.check(flows)?;
-        Ok(run_with_params(flows, &self.params))
-    }
-
-    /// Run one independent simulation per seed, fanned across `pool`.
-    /// Results come back in seed order regardless of thread count.
-    pub fn run_trials(
-        &self,
-        pool: TrialPool,
-        flows: &[DumbbellFlow],
-        seeds: &[u64],
-    ) -> Vec<RunMetrics> {
-        self.try_run_trials(pool, flows, seeds)
-            .expect("invalid dumbbell configuration")
-    }
-
-    /// Fallible [`DumbbellRun::run_trials`]: the configuration is checked
-    /// once up front, so a bad config fails fast instead of panicking on a
-    /// worker thread.
-    pub fn try_run_trials(
-        &self,
-        pool: TrialPool,
-        flows: &[DumbbellFlow],
-        seeds: &[u64],
-    ) -> Result<Vec<RunMetrics>, String> {
-        self.check(flows)?;
-        Ok(pool.map(seeds.to_vec(), |_, seed| self.clone().seed(seed).run(flows)))
     }
 }
 
@@ -349,68 +253,24 @@ mod tests {
     use super::*;
     use cebinae_transport::CcKind;
 
+    /// The small Fifo dumbbell the runner tests share.
+    fn small(seed: u64, secs: u64) -> ScenarioParams {
+        let duration = Duration::from_secs(secs);
+        Ctx::serial(false, seed).params(10_000_000, 100, Discipline::Fifo, duration)
+    }
+
     #[test]
     fn run_dumbbell_produces_consistent_metrics() {
         let flows = vec![
             DumbbellFlow::new(CcKind::NewReno, 20),
             DumbbellFlow::new(CcKind::NewReno, 20),
         ];
-        let m = DumbbellRun::new(10_000_000)
-            .buffer_mtus(100)
-            .duration(Duration::from_secs(4))
-            .run(&flows);
+        let m = run_with_params(&flows, &small(1, 4));
         assert_eq!(m.per_flow_bps.len(), 2);
         assert!((m.goodput_bps - m.per_flow_bps.iter().sum::<f64>()).abs() < 1.0);
         assert!(m.goodput_bps < m.throughput_bps);
         assert!(m.jfi > 0.0 && m.jfi <= 1.0);
         assert!(m.result.telemetry.is_none(), "telemetry off by default");
-    }
-
-    #[test]
-    fn invalid_configs_rejected_with_errors() {
-        let flows = vec![DumbbellFlow::new(CcKind::NewReno, 20)];
-
-        // Empty flow set.
-        let err = DumbbellRun::new(10_000_000).try_run(&[]).err().expect("config should be rejected");
-        assert!(err.contains("at least one flow"), "{err}");
-
-        // Zero-capacity bottleneck.
-        let err = DumbbellRun::new(0).try_run(&flows).err().expect("config should be rejected");
-        assert!(err.contains("capacity"), "{err}");
-
-        // Zero buffer.
-        let err = DumbbellRun::new(10_000_000)
-            .buffer_mtus(0)
-            .try_run(&flows)
-            .err().expect("config should be rejected");
-        assert!(err.contains("buffer"), "{err}");
-
-        // Zero duration.
-        let err = DumbbellRun::new(10_000_000)
-            .duration(Duration::ZERO)
-            .try_run(&flows)
-            .err().expect("config should be rejected");
-        assert!(err.contains("duration"), "{err}");
-
-        // Trials reject up front, before any worker runs.
-        let err = DumbbellRun::new(0)
-            .try_run_trials(cebinae_par::TrialPool::with_threads(2), &flows, &[1, 2])
-            .err().expect("config should be rejected");
-        assert!(err.contains("capacity"), "{err}");
-    }
-
-    #[test]
-    fn try_run_matches_run_on_valid_configs() {
-        let flows = vec![DumbbellFlow::new(CcKind::Cubic, 30)];
-        let run = DumbbellRun::new(10_000_000)
-            .buffer_mtus(100)
-            .discipline(Discipline::Cebinae)
-            .duration(Duration::from_secs(2))
-            .seed(7);
-        let a = run.try_run(&flows).unwrap();
-        let b = run.run(&flows);
-        assert_eq!(a.per_flow_bps, b.per_flow_bps);
-        assert_eq!(a.result.events_processed, b.result.events_processed);
     }
 
     #[test]
@@ -443,12 +303,10 @@ mod tests {
             DumbbellFlow::new(CcKind::NewReno, 20),
             DumbbellFlow::new(CcKind::NewReno, 20),
         ];
-        let base = DumbbellRun::new(10_000_000)
-            .buffer_mtus(100)
-            .duration(Duration::from_secs(3))
-            .seed(7);
-        let clean = base.clone().run(&flows);
-        let lossy = base.faults(FaultPlan::uniform_loss(0.03)).run(&flows);
+        let mut p = small(7, 3);
+        let clean = run_with_params(&flows, &p);
+        p.faults = FaultPlan::uniform_loss(0.03);
+        let lossy = run_with_params(&flows, &p);
         assert!(
             lossy.goodput_bps < clean.goodput_bps,
             "3% loss must cost goodput: {} vs {}",
@@ -491,13 +349,11 @@ mod tests {
             DumbbellFlow::new(CcKind::NewReno, 20),
         ];
         let seeds = [1u64, 2, 3];
-        let run = DumbbellRun::new(10_000_000)
-            .buffer_mtus(100)
-            .duration(Duration::from_secs(2));
-        let batch = run.run_trials(cebinae_par::TrialPool::with_threads(4), &flows, &seeds);
+        let batch = TrialPool::with_threads(4)
+            .map(seeds.to_vec(), |_, seed| run_with_params(&flows, &small(seed, 2)));
         assert_eq!(batch.len(), seeds.len());
         for (m, &seed) in batch.iter().zip(&seeds) {
-            let solo = run.clone().seed(seed).run(&flows);
+            let solo = run_with_params(&flows, &small(seed, 2));
             assert_eq!(m.per_flow_bps, solo.per_flow_bps, "seed {seed}");
             assert_eq!(
                 m.result.events_processed, solo.result.events_processed,

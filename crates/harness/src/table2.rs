@@ -4,7 +4,7 @@
 use cebinae_engine::{cca_mix, Discipline, DumbbellFlow};
 use cebinae_transport::CcKind;
 
-use crate::runner::{mbps, Ctx, DumbbellRun, Table};
+use crate::runner::{mbps, run_with_params, Ctx, Table};
 
 /// One Table 2 row specification.
 #[derive(Clone, Debug)]
@@ -16,13 +16,16 @@ pub struct Row {
     pub mix: &'static [(CcKind, usize)],
 }
 
+/// Number of Table 2 rows; ids run `1..=ROWS`.
+pub const ROWS: usize = 25;
+
 /// The paper's 25 configurations, row for row.
 pub fn rows() -> Vec<Row> {
     use CcKind::*;
     const M100: u64 = 100_000_000;
     const G1: u64 = 1_000_000_000;
     const G10: u64 = 10_000_000_000;
-    let specs: [(u64, &'static [u64], u64, &'static [(CcKind, usize)]); 25] = [
+    let specs: [(u64, &'static [u64], u64, &'static [(CcKind, usize)]); ROWS] = [
         (M100, &[20, 28], 250, &[(NewReno, 2), (NewReno, 8)]),
         (M100, &[20, 40], 350, &[(Cubic, 8), (Cubic, 2)]),
         (M100, &[20, 60], 500, &[(Vegas, 2), (Vegas, 8)]),
@@ -111,13 +114,8 @@ pub struct Cell {
 /// Run one row under one discipline.
 pub fn run_row(ctx: &Ctx, row: &Row, d: Discipline) -> Cell {
     let duration = ctx.secs(row.scaled_secs(), 100);
-    let m = DumbbellRun::new(row.rate_bps)
-        .buffer_mtus(row.buffer_mtus)
-        .discipline(d)
-        .duration(duration)
-        .seed(ctx.seed)
-        .telemetry(ctx.telemetry_enabled())
-        .run(&row.flows());
+    let p = ctx.params(row.rate_bps, row.buffer_mtus, d, duration);
+    let m = run_with_params(&row.flows(), &p);
     Cell {
         throughput_bps: m.throughput_bps,
         goodput_bps: m.goodput_bps,
@@ -177,7 +175,7 @@ mod tests {
     #[test]
     fn twenty_five_rows_matching_paper_structure() {
         let rs = rows();
-        assert_eq!(rs.len(), 25);
+        assert_eq!(rs.len(), ROWS);
         // Spot checks against the printed table.
         assert_eq!(rs[0].rate_bps, 100_000_000);
         assert_eq!(rs[8].mix, &[(CcKind::Vegas, 128), (CcKind::NewReno, 1)]);
@@ -204,11 +202,9 @@ mod tests {
         // Row 1 at a very short duration: just verify plumbing end-to-end.
         let ctx = Ctx::serial(false, 1);
         let row = &rows()[0];
-        let m = DumbbellRun::new(row.rate_bps)
-            .buffer_mtus(row.buffer_mtus)
-            .duration(cebinae_sim::Duration::from_secs(2))
-            .seed(ctx.seed)
-            .run(&row.flows());
+        let duration = cebinae_sim::Duration::from_secs(2);
+        let p = ctx.params(row.rate_bps, row.buffer_mtus, Discipline::Fifo, duration);
+        let m = run_with_params(&row.flows(), &p);
         assert!(m.throughput_bps > 50e6, "row 1 must load the link");
     }
 }

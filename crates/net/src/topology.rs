@@ -97,16 +97,6 @@ impl Topology {
     }
 
     #[inline]
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
-    #[inline]
-    pub fn node_kind(&self, n: NodeId) -> NodeKind {
-        self.nodes[n.index()]
-    }
-
-    #[inline]
     pub fn link(&self, l: LinkId) -> &LinkSpec {
         &self.links[l.index()]
     }

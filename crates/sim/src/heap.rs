@@ -88,6 +88,13 @@ impl<E> HeapScheduler<E> {
         }
     }
 
+    /// Cancelled entries physically removed so far, lazily or by
+    /// compaction (diagnostic; the remainder still sit in the heap as
+    /// tombstones).
+    pub fn discarded_total(&self) -> u64 {
+        self.discarded_total
+    }
+
     /// One O(n) sweep dropping every tombstoned entry, run when cancelled
     /// entries outnumber live ones (and there are enough to matter).
     fn maybe_compact(&mut self) {
@@ -171,17 +178,6 @@ impl<E> Scheduler<E> for HeapScheduler<E> {
         self.cancelled_total
     }
 
-    #[inline]
-    fn discarded_total(&self) -> u64 {
-        self.discarded_total
-    }
-
-    /// The heap stores tombstones in place, so occupancy is the physical
-    /// heap length.
-    #[inline]
-    fn occupied(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 #[cfg(test)]

@@ -112,23 +112,6 @@ pub trait Scheduler<E> {
 
     /// Total number of cancellations requested (diagnostic).
     fn cancelled_total(&self) -> u64;
-
-    /// Cancelled entries physically removed so far, lazily or by
-    /// compaction (diagnostic; the remainder still sit in the backend as
-    /// tombstones).
-    fn discarded_total(&self) -> u64;
-
-    /// Overflow cascades performed (diagnostic; hierarchical backends
-    /// only — the heap reports 0).
-    fn cascades_total(&self) -> u64 {
-        0
-    }
-
-    /// Physically stored entries, live *and* tombstoned (diagnostic;
-    /// backends without tombstones report `len`).
-    fn occupied(&self) -> usize {
-        self.len()
-    }
 }
 
 /// Which [`Scheduler`] backend to construct. Defaults to the timing wheel;
@@ -166,6 +149,5 @@ mod tests {
         w.post(Time(5), 1);
         assert_eq!(h.pop(), Some((Time(5), 1)));
         assert_eq!(w.pop(), Some((Time(5), 1)));
-        assert_eq!(h.cascades_total(), 0);
     }
 }

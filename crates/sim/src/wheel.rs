@@ -133,6 +133,25 @@ impl<E> WheelScheduler<E> {
         }
     }
 
+    /// Cancelled entries physically removed so far, lazily or by
+    /// compaction (diagnostic; the remainder still sit in the wheel as
+    /// tombstones).
+    pub fn discarded_total(&self) -> u64 {
+        self.discarded_total
+    }
+
+    /// Slots re-filed one or more levels down (diagnostic; a staged slot
+    /// is not a cascade).
+    pub fn cascades_total(&self) -> u64 {
+        self.cascades_total
+    }
+
+    /// Physical entries in slots and the staging run, tombstones included
+    /// (diagnostic).
+    pub fn occupied(&self) -> usize {
+        self.stored
+    }
+
     /// Level of deadline `t` relative to `cursor`: the highest 6-bit group
     /// where they differ (0 when equal or within the same 64 ns window).
     #[inline]
@@ -353,21 +372,6 @@ impl<E> Scheduler<E> for WheelScheduler<E> {
         self.cancelled_total
     }
 
-    #[inline]
-    fn discarded_total(&self) -> u64 {
-        self.discarded_total
-    }
-
-    #[inline]
-    fn cascades_total(&self) -> u64 {
-        self.cascades_total
-    }
-
-    /// Physical entries in slots and the staging run, tombstones included.
-    #[inline]
-    fn occupied(&self) -> usize {
-        self.stored
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
 //! # cebinae-telemetry
 //!
 //! Deterministic observability for the reproduction: a [`Registry`] of
-//! named counters, gauges, and histograms keyed by `(scope, name)`, a
-//! virtual-time [`span`] stack for profiling event-loop phases, and an
+//! named counters, gauges, and histograms keyed by `(scope, name)`, and an
 //! NDJSON exporter whose output is *byte-identical across thread counts*.
 //!
 //! Determinism contract:
@@ -13,18 +12,14 @@
 //!   `Sample` events plus the final end-of-run sample), never on wall
 //!   clocks;
 //! * every export walks `BTreeMap`s, so scopes and metric names serialize
-//!   in a fixed order;
-//! * span durations are *simulated* nanoseconds, not wall time.
+//!   in a fixed order.
 //!
 //! There is no process-wide switch: a simulation configured without
-//! telemetry owns no `Registry`, so a disabled run costs one `Option`
-//! check per event and on/off runs in one process cannot affect each
-//! other.
+//! telemetry owns no `Registry`, so a disabled run skips the scrape at
+//! each sample and on/off runs in one process cannot affect each other.
 
 pub mod histogram;
 pub mod registry;
-pub mod span;
 
 pub use histogram::Histogram;
 pub use registry::{Registry, Scope};
-pub use span::{SpanStack, SpanStats};

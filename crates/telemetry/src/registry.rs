@@ -1,13 +1,11 @@
 //! The metric registry: counters, gauges, and histograms keyed by
-//! `(scope, name)`, plus the span stack, with NDJSON sampling on virtual
-//! time boundaries.
+//! `(scope, name)`, with NDJSON sampling on virtual-time boundaries.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
 use crate::histogram::Histogram;
-use crate::span::SpanStack;
 
 /// What a metric is about: a switch egress port (link), a flow, or a named
 /// subsystem. `Ord` is derived, so exports list ports, then flows, then
@@ -16,7 +14,7 @@ use crate::span::SpanStack;
 pub enum Scope {
     Port(u32),
     Flow(u32),
-    /// A named subsystem ("engine", "span", ...). Must be a JSON-safe
+    /// A named subsystem ("engine", "faults", ...). Must be a JSON-safe
     /// identifier (compile-time literals only).
     Sys(&'static str),
 }
@@ -41,10 +39,8 @@ pub struct Registry {
     counters: BTreeMap<Key, u64>,
     gauges: BTreeMap<Key, u64>,
     hists: BTreeMap<Key, Histogram>,
-    spans: SpanStack,
     /// Accumulated NDJSON export.
     out: String,
-    samples: u64,
 }
 
 impl Registry {
@@ -77,18 +73,6 @@ impl Registry {
         self.hists.entry((scope, name)).or_default().record(value);
     }
 
-    /// Open a virtual-time span.
-    #[inline]
-    pub fn span_enter(&mut self, name: &'static str, now_ns: u64) {
-        self.spans.enter(name, now_ns);
-    }
-
-    /// Close the innermost span.
-    #[inline]
-    pub fn span_exit(&mut self, now_ns: u64) {
-        let _ = self.spans.exit(now_ns);
-    }
-
     /// Current counter value (tests / assertions).
     pub fn counter(&self, scope: Scope, name: &'static str) -> u64 {
         self.counters.get(&(scope, name)).copied().unwrap_or(0)
@@ -99,16 +83,11 @@ impl Registry {
         self.gauges.get(&(scope, name)).copied().unwrap_or(0)
     }
 
-    pub fn samples_taken(&self) -> u64 {
-        self.samples
-    }
-
     /// Emit one NDJSON row per registered metric at virtual time `t_ns`.
     /// Row order is fully determined by the `BTreeMap` keys, so the export
     /// is byte-identical for identical simulations regardless of thread
     /// count or host.
     pub fn sample(&mut self, t_ns: u64) {
-        self.samples += 1;
         for (&(scope, name), &v) in &self.counters {
             let _ = writeln!(
                 self.out,
@@ -135,13 +114,6 @@ impl Registry {
                 h.count(),
                 h.sum(),
                 h.max()
-            );
-        }
-        for (name, st) in self.spans.stats() {
-            let _ = writeln!(
-                self.out,
-                "{{\"t\":{t_ns},\"scope\":\"sys:span\",\"name\":\"{name}\",\"kind\":\"span\",\"n\":{},\"self_ns\":{},\"total_ns\":{}}}",
-                st.entries, st.self_ns, st.total_ns
             );
         }
     }
@@ -190,11 +162,9 @@ mod tests {
         r.set(Scope::Port(0), "queued_bytes", 3000);
         r.set_counter(Scope::Port(0), "tx_pkts", 7);
         r.observe(Scope::Port(0), "occupancy_bytes", 1500);
-        r.span_enter("arrive", 0);
-        r.span_exit(50);
         r.sample(100_000_000);
         let lines: Vec<&str> = r.ndjson().lines().collect();
-        assert_eq!(lines.len(), 5);
+        assert_eq!(lines.len(), 4);
         assert_eq!(
             lines[0],
             "{\"t\":100000000,\"scope\":\"port:0\",\"name\":\"tx_pkts\",\"kind\":\"counter\",\"v\":7}"
@@ -205,10 +175,8 @@ mod tests {
         );
         assert!(lines[2].contains("\"kind\":\"gauge\""));
         assert!(lines[3].contains("\"kind\":\"hist\""));
-        assert!(lines[4].contains("\"kind\":\"span\""));
-        // Histogram row carries its buckets; span row its attribution.
+        // The histogram row carries its buckets.
         assert!(r.ndjson().contains("\"buckets\":[[1024,1]]"), "{}", r.ndjson());
-        assert!(r.ndjson().contains("\"name\":\"arrive\",\"kind\":\"span\",\"n\":1,\"self_ns\":50"));
     }
 
     #[test]

@@ -532,10 +532,6 @@ impl TcpSender {
         matches!(self.state, State::Recovery { .. })
     }
 
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
     /// All application data sent and acknowledged.
     pub fn is_complete(&self) -> bool {
         match self.cfg.app_bytes {

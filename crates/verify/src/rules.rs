@@ -247,7 +247,7 @@ pub static RULES: [RuleInfo; 16] = [
         banned: &[Ban {
             seq: &[
                 ".",
-                "enqueue|dequeue|control|activate|classify|on_rotate|rotate|observe|set_pending_rate|reset_for_phase|set_counter|record|span_enter|span_exit|merge",
+                "enqueue|dequeue|control|activate|classify|on_rotate|rotate|observe|set_pending_rate|reset_for_phase|set_counter|record|merge",
                 "(",
             ],
             at: 1,

@@ -13,9 +13,9 @@
 //! ```
 //!
 //! Each scenario prints two telemetry digests: `tel_full` covers the raw
-//! NDJSON export, `tel_stable` strips the `sys:sched` scope and the
-//! `sys:engine` `sched_*` counters — the only telemetry allowed to move
-//! when scheduler mechanics change (backend swaps, op-count refactors).
+//! NDJSON export, `tel_stable` strips the `sys:engine` `sched_*` counters
+//! — the only telemetry allowed to move when scheduler op counts change
+//! (op-count refactors).
 //! Everything else on a line must never change for these seeds.
 //!
 //! Each scenario is printed twice: as configured (unmanaged, unobserved
@@ -42,12 +42,11 @@ fn fnv(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Drop the telemetry lines scheduler-mechanics changes may legitimately
-/// alter: the backend-specific `sys:sched` scope and the API-op counters
-/// (`sched_scheduled` / `sched_cancelled` / `sched_live`) in `sys:engine`.
+/// Drop the telemetry lines scheduler op-count changes may legitimately
+/// alter: the API-op counters (`sched_scheduled` / `sched_cancelled` /
+/// `sched_live`) in `sys:engine`.
 fn stable_telemetry(nd: &str) -> String {
     nd.lines()
-        .filter(|l| !l.contains("\"scope\":\"sys:sched\""))
         .filter(|l| !(l.contains("\"scope\":\"sys:engine\"") && l.contains("\"name\":\"sched_")))
         .collect::<Vec<_>>()
         .join("\n")
@@ -62,8 +61,8 @@ fn snapshot(tag: &str, sc: &GenScenario, express: bool) {
     let nd = r.telemetry.as_deref().unwrap_or("");
     let stable = stable_telemetry(nd);
     let series = format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}",
-        r.link_tx_series, r.saturated_series, r.cebinae_series, r.completed_at, r.flow_starts
+        "{:?}|{:?}|{:?}|{:?}",
+        r.link_tx_series, r.cebinae_series, r.completed_at, r.flow_starts
     );
     println!("[{}{tag}] {}", if express { "" } else { "ref:" }, sc.describe());
     println!(

@@ -25,8 +25,8 @@
 //! * **Express runs stay deterministic and backend-invariant**: heap and
 //!   wheel produce identical results, and repeated runs are identical.
 //! * **Observed express runs export deterministically**: the telemetry
-//!   NDJSON is byte-identical across thread counts and (minus the
-//!   backend-specific `sys:sched` scope) across scheduler backends.
+//!   NDJSON is byte-identical across thread counts and across scheduler
+//!   backends.
 
 use cebinae_engine::Simulation;
 use cebinae_engine::{dumbbell, Discipline, DumbbellFlow, ScenarioParams, SimResult};
@@ -194,8 +194,7 @@ fn single_flow_express_is_bit_exact_under_faults() {
 }
 
 /// An observed express run exports the same bytes whatever executed it:
-/// one thread or eight, heap or wheel (minus the backend-specific
-/// `sys:sched` scope).
+/// one thread or eight, heap or wheel.
 #[test]
 fn observed_express_ndjson_is_thread_and_backend_invariant() {
     let flows = vec![
@@ -214,21 +213,17 @@ fn observed_express_ndjson_is_thread_and_backend_invariant() {
             })
             .concat()
     };
-    let strip = |nd: &str| -> String {
-        nd.lines()
-            .filter(|l| !l.contains("\"scope\":\"sys:sched\""))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
     let wheel_1 = export(SchedulerKind::Wheel, 1);
     assert!(
-        wheel_1.contains("\"name\":\"express\",\"kind\":\"span\""),
+        wheel_1
+            .lines()
+            .any(|l| l.contains("\"name\":\"ev_express\"") && !l.ends_with("\"v\":0}")),
         "the observed run did not take the express path"
     );
     assert_eq!(wheel_1, export(SchedulerKind::Wheel, 8), "NDJSON depends on thread count");
     assert_eq!(
-        strip(&wheel_1),
-        strip(&export(SchedulerKind::Heap, 1)),
-        "NDJSON diverged beyond the sys:sched scope"
+        wheel_1,
+        export(SchedulerKind::Heap, 1),
+        "NDJSON diverged between scheduler backends"
     );
 }

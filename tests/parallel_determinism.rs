@@ -7,7 +7,7 @@
 
 use cebinae_engine::{Discipline, DumbbellFlow};
 use cebinae_harness::fig13;
-use cebinae_harness::runner::{Ctx, DumbbellRun};
+use cebinae_harness::runner::{run_with_params, Ctx};
 use cebinae_par::TrialPool;
 use cebinae_sim::Duration;
 use cebinae_transport::CcKind;
@@ -48,11 +48,11 @@ fn dumbbell_trial_batch_is_identical_across_thread_counts() {
     ];
     let seeds = [1u64, 2, 3, 4];
     let run = |pool: TrialPool| {
-        DumbbellRun::new(20_000_000)
-            .buffer_mtus(100)
-            .discipline(Discipline::Cebinae)
-            .duration(Duration::from_secs(2))
-            .run_trials(pool, &flows, &seeds)
+        pool.map(seeds.to_vec(), |_, seed| {
+            let ctx = Ctx::serial(false, seed);
+            let p = ctx.params(20_000_000, 100, Discipline::Cebinae, Duration::from_secs(2));
+            run_with_params(&flows, &p)
+        })
     };
     let a = fingerprints(&run(TrialPool::with_threads(1)));
     let b = fingerprints(&run(TrialPool::with_threads(8)));

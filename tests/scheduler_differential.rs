@@ -3,31 +3,19 @@
 //! byte. Every simulation outcome — delivered bytes, event counts, the
 //! fuzzer's oracle verdicts, rendered telemetry — must be a pure function
 //! of (scenario, seed), never of which backend ordered the event loop.
-//!
-//! The only sanctioned divergence is the `sys:sched` telemetry scope,
-//! which reports backend-specific mechanics (tombstone discards, wheel
-//! cascades, physical occupancy) and is stripped before comparing NDJSON.
 
 use cebinae_check::scenario::GenScenario;
-use cebinae_engine::{Discipline, DumbbellFlow, Simulation};
-use cebinae_harness::runner::DumbbellRun;
+use cebinae_engine::{Discipline, DumbbellFlow, ScenarioParams, Simulation};
+use cebinae_harness::runner::{run_with_params, Ctx};
 use cebinae_par::TrialPool;
 use cebinae_sim::{Duration, SchedulerKind};
 use cebinae_transport::CcKind;
 
-/// Bit-exact identity of one engine run, minus the backend-specific
-/// `sys:sched` telemetry scope.
+/// Bit-exact identity of one engine run.
 fn run_fingerprint(sc: &GenScenario) -> String {
     let (cfg, _) = sc.build();
     let r = Simulation::new(cfg).run();
-    let telemetry = r
-        .telemetry
-        .as_deref()
-        .unwrap_or("")
-        .lines()
-        .filter(|l| !l.contains("\"scope\":\"sys:sched\""))
-        .collect::<Vec<_>>()
-        .join("\n");
+    let telemetry = r.telemetry.as_deref().unwrap_or("");
     let delivered: Vec<String> = r.delivered.iter().map(|d| d.to_string()).collect();
     format!(
         "delivered={} ev={} tel_len={}\n{telemetry}",
@@ -38,7 +26,7 @@ fn run_fingerprint(sc: &GenScenario) -> String {
 }
 
 /// The fuzzer's generated corpus, replayed under both backends: same
-/// deliveries, same event counts, same telemetry (modulo `sys:sched`),
+/// deliveries, same event counts, same telemetry,
 /// and the same oracle verdicts, across every sampled topology kind.
 #[test]
 fn check_corpus_is_byte_identical_across_backends() {
@@ -92,19 +80,22 @@ fn chaos_scenarios_are_byte_identical_across_backends() {
     }
 }
 
+/// The 20 Mbps, 2 s Cebinae dumbbell of the tests below, on `sched`.
+fn cebinae_params(seed: u64, sched: SchedulerKind) -> ScenarioParams {
+    let ctx = Ctx::serial(false, seed);
+    let mut p = ctx.params(20_000_000, 100, Discipline::Cebinae, Duration::from_secs(2));
+    p.scheduler = sched;
+    p
+}
+
 fn backend_run(sched: SchedulerKind, threads: usize) -> Vec<String> {
     let flows = vec![
         DumbbellFlow::new(CcKind::NewReno, 20),
         DumbbellFlow::new(CcKind::Cubic, 40),
         DumbbellFlow::new(CcKind::Vegas, 80),
     ];
-    let seeds = [1u64, 2, 3];
-    let mut run = DumbbellRun::new(20_000_000)
-        .buffer_mtus(100)
-        .discipline(Discipline::Cebinae)
-        .duration(Duration::from_secs(2));
-    run.params_mut().scheduler = sched;
-    run.run_trials(TrialPool::with_threads(threads), &flows, &seeds)
+    TrialPool::with_threads(threads)
+        .map(vec![1u64, 2, 3], |_, seed| run_with_params(&flows, &cebinae_params(seed, sched)))
         .iter()
         .map(|m| {
             let bits: Vec<String> =
@@ -125,47 +116,25 @@ fn backends_and_thread_counts_commute() {
     assert_eq!(wheel_1, wheel_8, "thread count leaked into trial results");
 }
 
-/// Telemetry NDJSON under both backends: identical except the
-/// `sys:sched` scope, and the backend-invariant `sys:engine` scheduler
-/// counters (`sched_scheduled`/`sched_cancelled`/`sched_live`) agree
-/// exactly — they count API-level traffic, not backend mechanics.
+/// Telemetry NDJSON under both backends is byte-identical, the
+/// `sys:engine` scheduler counters (`sched_scheduled`/`sched_cancelled`/
+/// `sched_live`) included: they count API-level traffic, not backend
+/// mechanics.
 #[test]
-fn telemetry_ndjson_matches_modulo_sched_scope() {
+fn telemetry_ndjson_is_identical_across_backends() {
     let flows = vec![
         DumbbellFlow::new(CcKind::NewReno, 20),
         DumbbellFlow::new(CcKind::Cubic, 40),
     ];
     let run = |sched: SchedulerKind| {
-        let mut run = DumbbellRun::new(20_000_000)
-            .buffer_mtus(100)
-            .discipline(Discipline::Cebinae)
-            .duration(Duration::from_secs(2))
-            .seed(7)
-            .telemetry(true);
-        run.params_mut().scheduler = sched;
-        run.run(&flows)
+        let mut p = cebinae_params(7, sched);
+        p.telemetry = true;
+        run_with_params(&flows, &p).result.telemetry.expect("telemetry requested")
     };
-    let heap = run(SchedulerKind::Heap);
-    let wheel = run(SchedulerKind::Wheel);
-    let nd_heap = heap.result.telemetry.as_deref().expect("telemetry requested");
-    let nd_wheel = wheel.result.telemetry.as_deref().expect("telemetry requested");
-    let strip = |nd: &str| -> String {
-        nd.lines()
-            .filter(|l| !l.contains("\"scope\":\"sys:sched\""))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
+    let (nd_heap, nd_wheel) = (run(SchedulerKind::Heap), run(SchedulerKind::Wheel));
     assert!(
-        nd_wheel.contains("\"scope\":\"sys:sched\""),
-        "expected backend-specific sched scope in the export"
+        nd_heap.contains("sched_scheduled"),
+        "scheduler counters missing from sys:engine"
     );
-    assert!(
-        strip(nd_heap).contains("sched_scheduled"),
-        "backend-invariant scheduler counters missing from sys:engine"
-    );
-    assert_eq!(
-        strip(nd_heap),
-        strip(nd_wheel),
-        "telemetry diverged beyond the sys:sched scope"
-    );
+    assert_eq!(nd_heap, nd_wheel, "telemetry diverged between backends");
 }

@@ -4,18 +4,18 @@
 //! `Registry`, samples only at virtual-time boundaries, and renders with
 //! `BTreeMap` ordering, so the rendered bytes must match exactly.
 
-use cebinae_engine::{Discipline, DumbbellFlow};
-use cebinae_harness::runner::DumbbellRun;
+use cebinae_engine::{Discipline, DumbbellFlow, ScenarioParams};
+use cebinae_harness::runner::{run_with_params, Ctx};
 use cebinae_par::TrialPool;
 use cebinae_sim::Duration;
 use cebinae_transport::CcKind;
 
-fn telemetry_run() -> DumbbellRun {
-    DumbbellRun::new(20_000_000)
-        .buffer_mtus(100)
-        .discipline(Discipline::Cebinae)
-        .duration(Duration::from_secs(2))
-        .telemetry(true)
+/// The observed 20 Mbps, 2 s Cebinae dumbbell every test here runs.
+fn telemetry_params(seed: u64) -> ScenarioParams {
+    let ctx = Ctx::serial(false, seed);
+    let mut p = ctx.params(20_000_000, 100, Discipline::Cebinae, Duration::from_secs(2));
+    p.telemetry = true;
+    p
 }
 
 /// Concatenated NDJSON across the batch, in trial order.
@@ -38,7 +38,9 @@ fn telemetry_ndjson_is_identical_across_thread_counts() {
         DumbbellFlow::new(CcKind::Cubic, 40),
     ];
     let seeds = [1u64, 2, 3, 4];
-    let run = |pool: TrialPool| telemetry_run().run_trials(pool, &flows, &seeds);
+    let run = |pool: TrialPool| {
+        pool.map(seeds.to_vec(), |_, seed| run_with_params(&flows, &telemetry_params(seed)))
+    };
     let a = batch_ndjson(&run(TrialPool::with_threads(1)));
     let b = batch_ndjson(&run(TrialPool::with_threads(8)));
     assert!(!a.is_empty(), "telemetry-enabled run rendered no NDJSON");
@@ -51,7 +53,7 @@ fn telemetry_ndjson_is_wellformed_and_scoped() {
         DumbbellFlow::new(CcKind::NewReno, 20),
         DumbbellFlow::new(CcKind::Cubic, 40),
     ];
-    let m = telemetry_run().seed(7).run(&flows);
+    let m = run_with_params(&flows, &telemetry_params(7));
     let nd = m.result.telemetry.as_deref().expect("telemetry requested");
     // Every line is one JSON object; no raw braces leak mid-line.
     let mut stamps = std::collections::BTreeSet::new();
@@ -69,7 +71,7 @@ fn telemetry_ndjson_is_wellformed_and_scoped() {
         stamps.len()
     );
     // The instrumented subsystems all report under their scopes.
-    for needle in ["port:", "flow:", "sys:engine", "enq_pkts", "cwnd", "span"] {
+    for needle in ["port:", "flow:", "sys:engine", "enq_pkts", "cwnd", "ev_arrive"] {
         assert!(nd.contains(needle), "NDJSON is missing {needle}:\n{nd}");
     }
 }
@@ -84,12 +86,16 @@ fn telemetry_off_yields_none_and_same_metrics() {
     // analytically is decided per link, never by whether the run is
     // observed, so switching telemetry on must leave the simulation —
     // down to its event count — exactly where it was.
-    let run_off = || telemetry_run().telemetry(false).seed(3).run(&flows);
+    let run_off = || {
+        let mut p = telemetry_params(3);
+        p.telemetry = false;
+        run_with_params(&flows, &p)
+    };
     // Off -> on -> off in one process: whether a run observes is decided
     // by its own config alone, so an observed run in between leaves no
     // trace on the unobserved ones around it.
     let off = run_off();
-    let on = telemetry_run().seed(3).run(&flows);
+    let on = run_with_params(&flows, &telemetry_params(3));
     let off_again = run_off();
     assert!(off.result.telemetry.is_none());
     assert!(on.result.telemetry.is_some());
@@ -110,9 +116,9 @@ fn telemetry_off_yields_none_and_same_metrics() {
     // Full emulation (`express = false`, the reference path pinned by
     // tests/express_path.rs) does strictly more scheduler work, so the
     // equalities above were established on the express path.
-    let mut full = telemetry_run().seed(3);
-    full.params_mut().express = false;
-    let full = full.run(&flows);
+    let mut full = telemetry_params(3);
+    full.express = false;
+    let full = run_with_params(&flows, &full);
     assert!(
         on.result.events_processed < full.result.events_processed,
         "observed run should dispatch fewer events than full emulation ({} vs {})",
