@@ -9,7 +9,7 @@ use cebinae_ds::DetMap;
 use cebinae_faults::{ControlVerdict, FaultsRt};
 use cebinae_metrics::GoodputSeries;
 use cebinae_net::{FlowId, LinkId, PacketTrace, Qdisc, QdiscStats};
-use cebinae_sim::{Duration, Time};
+use cebinae_sim::{Duration, Scheduler, Time};
 use cebinae_telemetry::{Registry, Scope};
 
 use super::links::{self, LinkPlane};

@@ -3,7 +3,7 @@
 
 use cebinae_faults::FaultsRt;
 use cebinae_net::{FlowId, LinkId, Packet, PacketKind};
-use cebinae_sim::{Time, TimerId};
+use cebinae_sim::{Scheduler, Time, TimerId};
 use cebinae_transport::{TcpOutput, TcpReceiver, TcpSender, TimerAction};
 
 use super::links::{self, LinkPlane};

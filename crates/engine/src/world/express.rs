@@ -48,7 +48,7 @@ use std::collections::VecDeque;
 
 use cebinae_faults::FaultsRt;
 use cebinae_net::{LinkId, Packet, QdiscStats};
-use cebinae_sim::{tx_time, Duration, Time};
+use cebinae_sim::{tx_time, Duration, Scheduler, Time};
 
 use super::links::{LinkPlane, Stash};
 use super::{endpoints, links, Ev, FlowPlane, SchedDyn};

@@ -5,7 +5,7 @@
 
 use cebinae_faults::{FaultsRt, LinkEventKind};
 use cebinae_net::{LinkId, Packet, TraceEvent, TraceRecord};
-use cebinae_sim::Time;
+use cebinae_sim::{Scheduler, Time};
 
 use super::links::{self, LinkPlane, Stash};
 use super::{Ev, SchedDyn};

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 
 use cebinae_net::{LinkId, Packet, PacketTrace, Qdisc, TraceEvent, TraceRecord};
 use cebinae_faults::FaultsRt;
-use cebinae_sim::{tx_time, Duration, Time};
+use cebinae_sim::{tx_time, Duration, Scheduler, Time};
 
 use super::express::{self, ExpressLink};
 use super::{faults, Ev, SchedDyn};
@@ -250,7 +250,7 @@ mod tests {
     use super::*;
     use cebinae_faults::{FaultPlan, FaultTarget, LinkFaultSpec, ReorderSpec};
     use cebinae_net::{BufferConfig, FifoQdisc, FlowId, PacketKind, DATA_FRAME_BYTES, MSS};
-    use cebinae_sim::{Scheduler, SchedulerKind};
+    use cebinae_sim::SchedulerKind;
 
     fn pkt(flow: u32, seq: u64) -> Packet {
         Packet::data(FlowId(flow), seq, MSS, false, Time::ZERO)
@@ -264,7 +264,7 @@ mod tests {
     }
 
     /// One 10 Mbps / 1 ms link with a 16-MTU FIFO and no faults.
-    fn plane() -> (LinkPlane, FaultsRt, Box<dyn Scheduler<Ev> + Send>) {
+    fn plane() -> (LinkPlane, FaultsRt, SchedDyn) {
         let lp = LinkPlane {
             links: vec![LinkRt {
                 qdisc: Box::new(FifoQdisc::new(BufferConfig::mtus(16))),
@@ -285,7 +285,7 @@ mod tests {
             )],
         };
         let fx = FaultsRt::resolve(&FaultPlan::default(), 1, &[], 0);
-        (lp, fx, SchedulerKind::default().build())
+        (lp, fx, SchedulerKind::default().backend())
     }
 
     #[test]
@@ -293,13 +293,13 @@ mod tests {
         let (mut lp, mut fx, mut ev) = plane();
         let link = LinkId(0);
         for i in 0..5u64 {
-            enqueue_link(&mut lp, &mut fx, &mut *ev, &[link], Time::ZERO, link, pkt(0, i));
+            enqueue_link(&mut lp, &mut fx, &mut ev, &[link], Time::ZERO, link, pkt(0, i));
         }
         // Drain the scheduler; every Arrive must pop the matching head.
         let mut arrived = Vec::new();
         while let Some((now, e)) = ev.pop() {
             match e {
-                Ev::TxDone { link } => on_tx_done(&mut lp, &fx, &mut *ev, now, link),
+                Ev::TxDone { link } => on_tx_done(&mut lp, &fx, &mut ev, now, link),
                 Ev::Arrive { link } => {
                     let p = lp.links[link.index()].inflight.pop_front().expect("ring head");
                     arrived.push((now, seq_of(&p)));
@@ -323,7 +323,7 @@ mod tests {
         let (mut lp, mut fx, mut ev) = plane();
         let link = LinkId(0);
         for i in 0..3u64 {
-            enqueue_link(&mut lp, &mut fx, &mut *ev, &[link], Time::ZERO, link, pkt(0, i));
+            enqueue_link(&mut lp, &mut fx, &mut ev, &[link], Time::ZERO, link, pkt(0, i));
         }
         // Only the head is serializing; the rest wait in the qdisc.
         assert_eq!(lp.links[0].inflight.len(), 1);
@@ -333,7 +333,7 @@ mod tests {
             match e {
                 Ev::TxDone { link } => {
                     tx_dones.push(now);
-                    on_tx_done(&mut lp, &fx, &mut *ev, now, link);
+                    on_tx_done(&mut lp, &fx, &mut ev, now, link);
                 }
                 Ev::Arrive { link } => {
                     lp.links[link.index()].inflight.pop_front().expect("ring head");
@@ -374,7 +374,7 @@ mod tests {
             control: Vec::new(),
         };
         let mut fx = FaultsRt::resolve(&plan, 1, &[], 7);
-        enqueue_link(&mut lp, &mut fx, &mut *ev, &[link], Time::ZERO, link, pkt(0, 42));
+        enqueue_link(&mut lp, &mut fx, &mut ev, &[link], Time::ZERO, link, pkt(0, 42));
         // Held: nothing on the qdisc yet, one stashed packet, one event.
         assert_eq!(lp.links[0].qdisc.pkt_len() + lp.links[0].inflight.len(), 0);
         assert_eq!(lp.stash.live(), 1);
@@ -383,7 +383,7 @@ mod tests {
         let Ev::FaultRelease { slot } = e else {
             panic!("expected FaultRelease")
         };
-        faults::on_release(&mut lp, &mut fx, &mut *ev, now, slot);
+        faults::on_release(&mut lp, &mut fx, &mut ev, now, slot);
         assert_eq!(lp.stash.live(), 0, "slot freed on release");
         // The packet is now serializing (ring head), with its TxDone and
         // Arrive markers posted.

@@ -52,7 +52,7 @@ use cebinae_faults::{FaultsRt, FaultPlan};
 use cebinae_fq::{AfqConfig, AfqQdisc, FqCoDelConfig, FqCoDelQdisc};
 use cebinae_metrics::GoodputSeries;
 use cebinae_net::{BufferConfig, FifoQdisc, FlowId, LinkId, NodeId, PacketTrace, Qdisc, Topology};
-use cebinae_sim::{Duration, Scheduler, SchedulerKind, Time};
+use cebinae_sim::{Duration, Scheduler, SchedulerBackend, SchedulerKind, Time};
 use cebinae_telemetry::Registry;
 use cebinae_transport::{TcpConfig, TcpOutput, TcpReceiver, TcpSender};
 
@@ -235,16 +235,18 @@ pub(crate) const EV_COUNTERS: [&str; 10] = [
     "ev_fault_timeline",
 ];
 
-/// The scheduler trait object the event handlers post into. Handlers take
-/// `&mut SchedDyn` so they stay backend-agnostic (verify rule R14).
-pub(crate) type SchedDyn = dyn Scheduler<Ev> + Send;
+/// The scheduler the event handlers post into: either backend, called by
+/// `match` rather than through a vtable. Handlers take `&mut SchedDyn`
+/// and name neither backend type, so they stay backend-agnostic (verify
+/// rule R14).
+pub(crate) type SchedDyn = SchedulerBackend<Ev>;
 
 /// The simulator.
 pub struct Simulation {
     lp: LinkPlane,
     fp: FlowPlane,
     cp: ControlPlane,
-    events: Box<dyn Scheduler<Ev> + Send>,
+    events: SchedDyn,
     /// Resolved fault plan; inert (no state, no draws) when empty.
     faults: FaultsRt,
     cfg_duration: Duration,
@@ -311,7 +313,7 @@ impl Simulation {
             })
             .collect();
 
-        let mut events = scheduler.build();
+        let mut events = scheduler.backend();
         let mut flow_rts = Vec::with_capacity(flows.len());
         // Every path goes straight into one arena; a flow keeps its spans.
         let mut paths = Vec::new();
@@ -407,7 +409,7 @@ impl Simulation {
             self.dispatch(now, ev);
         }
         // Final sample at the end time for complete series.
-        control::take_sample(&mut self.cp, &self.lp, &self.fp, &self.faults, &*self.events, end);
+        control::take_sample(&mut self.cp, &self.lp, &self.fp, &self.faults, &self.events, end);
         let telemetry = self.cp.tel.take().map(Registry::into_ndjson);
         // Retire everything express links had in service by `end`, then
         // fold their analytic overlays into the per-link stats (exactly
@@ -461,12 +463,11 @@ impl Simulation {
             lp,
             fp,
             cp,
-            events,
+            events: ev_q,
             faults: fx,
             cfg_duration,
             sample_interval,
         } = self;
-        let ev_q: &mut SchedDyn = &mut **events;
         match ev {
             Ev::Arrive { link } => endpoints::on_arrive(lp, fp, fx, ev_q, now, link),
             Ev::TxDone { link } => links::on_tx_done(lp, fx, ev_q, now, link),
@@ -476,10 +477,10 @@ impl Simulation {
             Ev::Rto { flow } => endpoints::on_rto(lp, fp, fx, ev_q, now, flow),
             Ev::Pace { flow } => endpoints::on_pace(lp, fp, fx, ev_q, now, flow),
             Ev::Sample => {
-                control::take_sample(cp, lp, fp, fx, &**events, now);
+                control::take_sample(cp, lp, fp, fx, ev_q, now);
                 let next = now + *sample_interval;
                 if next <= Time::ZERO + *cfg_duration {
-                    events.post(next, Ev::Sample);
+                    ev_q.post(next, Ev::Sample);
                 }
             }
             Ev::FaultRelease { slot } => faults::on_release(lp, fx, ev_q, now, slot),

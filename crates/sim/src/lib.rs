@@ -29,7 +29,7 @@ pub mod time;
 pub mod wheel;
 
 pub use heap::HeapScheduler;
-pub use sched::{Scheduler, SchedulerKind, TimerId};
+pub use sched::{Scheduler, SchedulerBackend, SchedulerKind, TimerId};
 pub use time::{bytes_in, tx_time, Duration, Time, NANOS_PER_SEC};
 pub use wheel::WheelScheduler;
 
@@ -95,32 +95,60 @@ mod proptests {
     /// big ones it cascades and whose buffers it releases), far-future
     /// deadlines up to `u64::MAX`, and schedules at `now` and `now + 1`
     /// right after a peek has staged a run in front of them. The heap is
-    /// the ordering oracle; any divergence is a wheel bug.
+    /// the ordering oracle; any divergence is a wheel bug. Each backend
+    /// runs twice, boxed by `build()` and as the `backend()` enum, so the
+    /// enum's dispatch is held to the trait objects call for call.
     #[test]
     fn heap_and_wheel_pop_streams_are_identical() {
-        type Sched = Box<dyn Scheduler<u64> + Send>;
-        // One entry into both backends, fire-and-forget or cancellable.
-        // Payload = the entry's sequence number, so a popped event
-        // identifies which handle just died.
-        fn put(heap: &mut Sched, wheel: &mut Sched, live: &mut Vec<TimerId>, at: u64, post: bool) {
-            let tag = heap.scheduled_total();
-            if post {
-                heap.post(Time(at), tag);
-                wheel.post(Time(at), tag);
-            } else {
-                let h = heap.schedule(Time(at), tag);
-                assert_eq!(h, wheel.schedule(Time(at), tag), "TimerId streams diverged");
-                live.push(h);
+        /// The four schedulers, driven in lockstep.
+        struct Lockstep {
+            heap: Box<dyn Scheduler<u64> + Send>,
+            wheel: Box<dyn Scheduler<u64> + Send>,
+            heap_enum: SchedulerBackend<u64>,
+            wheel_enum: SchedulerBackend<u64>,
+            case: u64,
+        }
+
+        impl Lockstep {
+            /// Apply `f` to all four; every result must equal the heap's.
+            fn all<R: PartialEq + std::fmt::Debug>(&mut self, mut f: impl FnMut(&mut dyn Scheduler<u64>) -> R) -> R {
+                let want = f(&mut *self.heap);
+                let got = [
+                    ("wheel", f(&mut *self.wheel)),
+                    ("heap backend()", f(&mut self.heap_enum)),
+                    ("wheel backend()", f(&mut self.wheel_enum)),
+                ];
+                for (name, got) in got {
+                    assert_eq!(got, want, "case {}: {name} diverged from the heap", self.case);
+                }
+                want
+            }
+
+            /// One entry into every scheduler, fire-and-forget or
+            /// cancellable. Payload = the entry's sequence number, so a
+            /// popped event identifies which handle just died.
+            fn put(&mut self, live: &mut Vec<TimerId>, at: u64, post: bool) {
+                let tag = self.heap.scheduled_total();
+                if post {
+                    self.all(|q| q.post(Time(at), tag));
+                } else {
+                    live.push(self.all(|q| q.schedule(Time(at), tag)));
+                }
             }
         }
 
         for case in 0..192u64 {
-            let mut heap: Sched = SchedulerKind::Heap.build();
-            let mut wheel: Sched = SchedulerKind::Wheel.build();
+            let mut q = Lockstep {
+                heap: SchedulerKind::Heap.build(),
+                wheel: SchedulerKind::Wheel.build(),
+                heap_enum: SchedulerKind::Heap.backend(),
+                wheel_enum: SchedulerKind::Wheel.backend(),
+                case,
+            };
             let mut rng = DetRng::seed_from_u64(0x5c4ed ^ case);
             let mut live: Vec<TimerId> = Vec::new();
             let mut fired: Vec<(Time, u64)> = Vec::new();
-            // Max of both clocks, in ns. Once an end-of-range deadline has
+            // Max of the clocks, in ns. Once an end-of-range deadline has
             // fired it sits near `u64::MAX`, hence the saturating adds.
             let mut horizon = 0u64;
 
@@ -148,39 +176,33 @@ mod proptests {
                     };
                     for _ in 0..burst {
                         let post = rng.gen_range_u64(0, 2) == 0;
-                        put(&mut heap, &mut wheel, &mut live, at, post);
+                        q.put(&mut live, at, post);
                     }
                 } else if op < 75 && !live.is_empty() {
                     // Cancel or rearm a random still-live timer.
                     let i = rng.gen_range_usize(0, live.len());
                     let id = live.swap_remove(i);
                     if op < 65 {
-                        assert_eq!(heap.cancel(id), wheel.cancel(id), "case {case}");
+                        q.all(|q| q.cancel(id));
                     } else {
                         let at = horizon.saturating_add(rng.gen_range_u64(0, 100_000));
-                        let tag = heap.scheduled_total();
-                        let h = heap.rearm(id, Time(at), tag);
-                        let w = wheel.rearm(id, Time(at), tag);
-                        assert_eq!(h, w, "case {case}");
-                        live.push(h);
+                        let tag = q.heap.scheduled_total();
+                        live.push(q.all(|q| q.rearm(id, Time(at), tag)));
                     }
                 } else if op < 82 {
                     // Peek, then schedule at `now` and `now + 1`: in front
                     // of (or into) the run the peek just staged, and behind
                     // the wheel's advanced cursor.
-                    assert_eq!(heap.peek_time(), wheel.peek_time(), "case {case}");
+                    q.all(|q| q.peek_time());
                     for at in [horizon, horizon.saturating_add(1)] {
                         let post = rng.gen_range_u64(0, 2) == 0;
-                        put(&mut heap, &mut wheel, &mut live, at, post);
+                        q.put(&mut live, at, post);
                     }
                 } else {
                     // Drain a few events, checking byte-identity as we go.
-                    assert_eq!(heap.peek_time(), wheel.peek_time(), "case {case}");
+                    q.all(|q| q.peek_time());
                     for _ in 0..rng.gen_range_u64(1, 4) {
-                        let h = heap.pop();
-                        let w = wheel.pop();
-                        assert_eq!(h, w, "case {case}: pop streams diverged");
-                        let Some((t, tag)) = h else { break };
+                        let Some((t, tag)) = q.all(|q| q.pop()) else { break };
                         fired.push((t, tag));
                         horizon = horizon.max(t.0);
                         live.retain(|id| id.0 != tag);
@@ -190,33 +212,19 @@ mod proptests {
                 // settled; even cases only where an op above does, so runs
                 // of ops hit it unsettled.
                 if case % 2 == 1 {
-                    assert_eq!(heap.peek_time(), wheel.peek_time(), "case {case}");
+                    q.all(|q| q.peek_time());
                 }
-                assert_eq!(heap.len(), wheel.len(), "case {case}");
-                assert_eq!(heap.now(), wheel.now(), "case {case}");
-                assert_eq!(heap.now(), Time(horizon), "case {case}");
-                assert_eq!(
-                    heap.scheduled_total(),
-                    wheel.scheduled_total(),
-                    "case {case}"
-                );
-                assert_eq!(
-                    heap.cancelled_total(),
-                    wheel.cancelled_total(),
-                    "case {case}"
-                );
+                q.all(|q| q.len());
+                assert_eq!(q.all(|q| q.now()), Time(horizon), "case {case}");
+                q.all(|q| q.scheduled_total());
+                q.all(|q| q.cancelled_total());
             }
 
             // Final drain: the tails must match exactly too.
-            loop {
-                let h = heap.pop();
-                let w = wheel.pop();
-                assert_eq!(h, w, "case {case}: tail diverged");
-                let Some(f) = h else { break };
+            while let Some(f) = q.all(|q| q.pop()) {
                 fired.push(f);
             }
-            assert_eq!(heap.len(), 0, "case {case}");
-            assert_eq!(wheel.len(), 0, "case {case}");
+            assert_eq!(q.all(|q| q.len()), 0, "case {case}");
             // Non-decreasing fired timeline (sanity on the oracle itself).
             assert!(fired.windows(2).all(|p| p[0].0 <= p[1].0), "case {case}");
         }

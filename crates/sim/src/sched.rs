@@ -22,8 +22,14 @@
 //! callers plumb it through their own config (the engine's
 //! `ScenarioParams.scheduler` / `SimConfig.scheduler` is the one spelling
 //! above this crate, and nothing reads the environment for it).
+//! [`SchedulerKind::backend`] returns the choice as a [`SchedulerBackend`],
+//! an enum whose calls are a `match` the compiler can inline rather than
+//! a vtable call; [`SchedulerKind::build`] boxes the same backend as a
+//! trait object.
 
+use crate::heap::HeapScheduler;
 use crate::time::Time;
+use crate::wheel::WheelScheduler;
 
 /// Handle to a scheduled event, for cancellation or re-arming. Ids are
 /// unique for the lifetime of the scheduler (they are the insertion
@@ -130,9 +136,88 @@ impl SchedulerKind {
     /// Construct a boxed scheduler of this kind.
     pub fn build<E: Send + 'static>(self) -> Box<dyn Scheduler<E> + Send> {
         match self {
-            SchedulerKind::Heap => Box::new(crate::heap::HeapScheduler::new()),
-            SchedulerKind::Wheel => Box::new(crate::wheel::WheelScheduler::new()),
+            SchedulerKind::Heap => Box::new(HeapScheduler::new()),
+            SchedulerKind::Wheel => Box::new(WheelScheduler::new()),
         }
+    }
+
+    /// Construct a scheduler of this kind, dispatched statically.
+    pub fn backend<E>(self) -> SchedulerBackend<E> {
+        match self {
+            SchedulerKind::Heap => SchedulerBackend::Heap(HeapScheduler::new()),
+            SchedulerKind::Wheel => SchedulerBackend::Wheel(WheelScheduler::new()),
+        }
+    }
+}
+
+/// Either backend behind one concrete type: every [`Scheduler`] call is a
+/// two-way `match` instead of a vtable call, so an event loop that holds
+/// one by value gets its scheduler calls inlined while the backend is
+/// still chosen at run time.
+pub enum SchedulerBackend<E> {
+    Heap(HeapScheduler<E>),
+    Wheel(WheelScheduler<E>),
+}
+
+/// Evaluate `$call` on whichever backend `$self` holds, bound as `$q`.
+macro_rules! on_backend {
+    ($self:expr, $q:ident => $call:expr) => {
+        match $self {
+            SchedulerBackend::Heap($q) => $call,
+            SchedulerBackend::Wheel($q) => $call,
+        }
+    };
+}
+
+impl<E> Scheduler<E> for SchedulerBackend<E> {
+    #[inline]
+    fn now(&self) -> Time {
+        on_backend!(self, q => q.now())
+    }
+
+    #[inline]
+    fn schedule(&mut self, at: Time, event: E) -> TimerId {
+        on_backend!(self, q => q.schedule(at, event))
+    }
+
+    #[inline]
+    fn post(&mut self, at: Time, event: E) {
+        on_backend!(self, q => q.post(at, event))
+    }
+
+    #[inline]
+    fn cancel(&mut self, id: TimerId) -> bool {
+        on_backend!(self, q => q.cancel(id))
+    }
+
+    #[inline]
+    fn rearm(&mut self, id: TimerId, at: Time, event: E) -> TimerId {
+        on_backend!(self, q => q.rearm(id, at, event))
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(Time, E)> {
+        on_backend!(self, q => q.pop())
+    }
+
+    #[inline]
+    fn peek_time(&mut self) -> Option<Time> {
+        on_backend!(self, q => q.peek_time())
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        on_backend!(self, q => q.len())
+    }
+
+    #[inline]
+    fn scheduled_total(&self) -> u64 {
+        on_backend!(self, q => q.scheduled_total())
+    }
+
+    #[inline]
+    fn cancelled_total(&self) -> u64 {
+        on_backend!(self, q => q.cancelled_total())
     }
 }
 
@@ -149,5 +234,7 @@ mod tests {
         w.post(Time(5), 1);
         assert_eq!(h.pop(), Some((Time(5), 1)));
         assert_eq!(w.pop(), Some((Time(5), 1)));
+        assert!(matches!(SchedulerKind::Heap.backend::<u32>(), SchedulerBackend::Heap(_)));
+        assert!(matches!(SchedulerKind::Wheel.backend::<u32>(), SchedulerBackend::Wheel(_)));
     }
 }

@@ -4,15 +4,18 @@
 //! above `snd_una` it already counted as delivered at SACK time, and the
 //! receiver buffers what arrived out of order. Ranges that overlap *or
 //! touch* are merged on insert, so two stored ranges are always separated
-//! by at least one missing byte and every operation costs O(log ranges)
-//! plus the ranges it removes.
-
-use std::collections::BTreeMap;
+//! by at least one missing byte.
+//!
+//! The ranges sit in one sorted vector, one per hole in a flight: a
+//! handful for most flows, a few thousand for a BBR flow in heavy loss. At
+//! either size a binary search plus a memmove of contiguous pairs beats
+//! walking B-tree nodes, and the buffer keeps its capacity across loss
+//! episodes instead of allocating and freeing a leaf for each.
 
 #[derive(Debug, Default)]
 pub(crate) struct RangeSet {
-    /// start -> end (exclusive).
-    ranges: BTreeMap<u64, u64>,
+    /// `(start, end)` pairs, `end` exclusive, sorted and never touching.
+    ranges: Vec<(u64, u64)>,
 }
 
 impl RangeSet {
@@ -22,29 +25,28 @@ impl RangeSet {
         if start >= end {
             return 0;
         }
-        // Ranges are disjoint, so the ones that overlap or touch
-        // `[start, end]` are the last few that begin at or below `end`.
-        let (mut merged_start, mut merged_end, mut covered) = (start, end, 0);
-        while let Some((&s, &e)) = self.ranges.range(..=end).next_back() {
-            if e < start {
-                break;
-            }
-            self.ranges.remove(&s);
-            covered += e.min(end) - s.max(start);
-            merged_start = merged_start.min(s);
-            merged_end = merged_end.max(e);
+        // Ranges `lo..hi` overlap or touch `[start, end]`: the first that
+        // ends at or after `start` up to the last that begins at or below
+        // `end`.
+        let lo = self.ranges.partition_point(|&(_, e)| e < start);
+        let hi = lo + self.ranges[lo..].partition_point(|&(s, _)| s <= end);
+        if lo == hi {
+            self.ranges.insert(lo, (start, end));
+            return end - start;
         }
-        self.ranges.insert(merged_start, merged_end);
+        let covered: u64 = self.ranges[lo..hi].iter().map(|&(s, e)| e.min(end) - s.max(start)).sum();
+        self.ranges[lo] = (self.ranges[lo].0.min(start), self.ranges[hi - 1].1.max(end));
+        self.ranges.drain(lo + 1..hi);
         (end - start) - covered
     }
 
     /// Bytes of `[start, end)` already present.
     pub(crate) fn overlap(&self, start: u64, end: u64) -> u64 {
-        self.ranges
-            .range(..end)
-            .rev()
-            .take_while(|(_, &e)| e > start)
-            .map(|(&s, &e)| e.min(end) - s.max(start))
+        let lo = self.ranges.partition_point(|&(_, e)| e <= start);
+        self.ranges[lo..]
+            .iter()
+            .take_while(|&&(s, _)| s < end)
+            .map(|&(s, e)| e.min(end) - s.max(start))
             .sum()
     }
 
@@ -52,13 +54,12 @@ impl RangeSet {
     /// furthest end among them, or `upto` if none reaches past it. (At most
     /// one can: the next range begins beyond that one's end.)
     pub(crate) fn take_through(&mut self, upto: u64) -> u64 {
-        let mut reach = upto;
-        while let Some(entry) = self.ranges.first_entry() {
-            if *entry.key() > upto {
-                break;
-            }
-            reach = reach.max(entry.remove());
-        }
+        let n = self.ranges.partition_point(|&(s, _)| s <= upto);
+        let reach = match n {
+            0 => upto,
+            n => upto.max(self.ranges[n - 1].1),
+        };
+        self.ranges.drain(..n);
         reach
     }
 
@@ -66,19 +67,19 @@ impl RangeSet {
     pub(crate) fn prune(&mut self, upto: u64) {
         let reach = self.take_through(upto);
         if reach > upto {
-            self.ranges.insert(upto, reach);
+            self.ranges.insert(0, (upto, reach));
         }
     }
 
     /// The range holding byte `seq`, if it is present.
     pub(crate) fn containing(&self, seq: u64) -> Option<(u64, u64)> {
-        let (&s, &e) = self.ranges.range(..=seq).next_back()?;
-        (seq < e).then_some((s, e))
+        let i = self.ranges.partition_point(|&(_, e)| e <= seq);
+        self.ranges.get(i).copied().filter(|&(s, _)| s <= seq)
     }
 
     /// The ranges in ascending order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.ranges.iter().map(|(&s, &e)| (s, e))
+        self.ranges.iter().copied()
     }
 }
 
@@ -137,7 +138,60 @@ mod tests {
         assert_eq!((r.containing(399), r.containing(500)), (None, None));
     }
 
-    /// Every operation against a one-bool-per-byte bitmap.
+    /// One operation on a [`RangeSet`] and on a one-bool-per-byte bitmap.
+    #[derive(Clone, Copy)]
+    enum Op {
+        Insert,
+        Prune,
+        TakeThrough,
+        Probe,
+    }
+
+    /// Apply `op` at `[a, b)` to both, then check every query against the
+    /// bitmap: the op's own result, `overlap(a, b)`, `containing(a)`, and
+    /// that iteration yields the bitmap's maximal runs in order (sorted,
+    /// disjoint, and never touching).
+    fn step(r: &mut RangeSet, bits: &mut [bool], op: Op, a: u64, b: u64, at: &str) {
+        let space = bits.len() as u64;
+        let count = |bits: &[bool], a: u64, b: u64| -> u64 {
+            (a..b.max(a)).filter(|&i| bits[i as usize]).count() as u64
+        };
+        match op {
+            Op::Insert => {
+                let fresh = r.insert(a, b);
+                assert_eq!(fresh, (b.max(a) - a) - count(bits, a, b), "{at}");
+                bits[a as usize..b.max(a) as usize].fill(true);
+            }
+            Op::Prune => {
+                r.prune(a);
+                bits[..a as usize].fill(false);
+            }
+            Op::TakeThrough => {
+                let run = (a..space).take_while(|&i| bits[i as usize]).count() as u64;
+                assert_eq!(r.take_through(a), a + run, "{at}");
+                bits[..(a + run) as usize].fill(false);
+            }
+            Op::Probe => {}
+        }
+        assert_eq!(r.overlap(a, b.max(a)), count(bits, a, b), "{at}");
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < space {
+            let len = (i..space).take_while(|&j| bits[j as usize]).count() as u64;
+            if len > 0 {
+                runs.push((i, i + len));
+            }
+            i += len.max(1);
+        }
+        assert_eq!(ranges(r), runs, "{at}");
+        let inside = runs.iter().copied().find(|&(s, e)| (s..e).contains(&a));
+        assert_eq!(r.containing(a), inside, "{at}");
+    }
+
+    /// Every operation against a one-bool-per-byte bitmap: first in a
+    /// narrow space where ranges come and go a few at a time, then in a
+    /// wide one fragmented into hundreds of live ranges, where inserts
+    /// bridge hundreds of them at once and prefixes take hundreds away.
     #[test]
     fn matches_a_bitmap_model() {
         const SPACE: u64 = 96;
@@ -145,12 +199,9 @@ mod tests {
             let mut rng = DetRng::seed_from_u64(0x4a5e_0000 + case);
             let mut r = RangeSet::default();
             let mut bits = vec![false; SPACE as usize];
-            let count = |bits: &[bool], a: u64, b: u64| -> u64 {
-                (a..b.max(a)).filter(|&i| bits[i as usize]).count() as u64
-            };
             // The last insert's end, so the next can begin exactly there.
             let mut last_end = 0;
-            for step in 0..200 {
+            for step_no in 0..200 {
                 let a = if rng.gen_bool(0.25) { last_end } else { rng.gen_range_u64(0, SPACE) };
                 // Mostly short ranges; one in ten is empty or inverted.
                 let b = if rng.gen_bool(0.1) {
@@ -158,39 +209,57 @@ mod tests {
                 } else {
                     (a + rng.gen_range_u64(1, 12)).min(SPACE)
                 };
-                match rng.gen_range_u64(0, 10) {
+                let op = match rng.gen_range_u64(0, 10) {
                     0..=5 => {
-                        let fresh = r.insert(a, b);
-                        assert_eq!(fresh, (b.max(a) - a) - count(&bits, a, b), "case {case} step {step}");
-                        bits[a as usize..b.max(a) as usize].fill(true);
                         last_end = b.max(a) % SPACE;
+                        Op::Insert
                     }
-                    6 => {
-                        r.prune(a);
-                        bits[..a as usize].fill(false);
-                    }
-                    7 => {
-                        let run = (a..SPACE).take_while(|&i| bits[i as usize]).count() as u64;
-                        assert_eq!(r.take_through(a), a + run, "case {case} step {step}");
-                        bits[..(a + run) as usize].fill(false);
-                    }
-                    _ => {}
+                    6 => Op::Prune,
+                    7 => Op::TakeThrough,
+                    _ => Op::Probe,
+                };
+                step(&mut r, &mut bits, op, a, b, &format!("case {case} step {step_no}"));
+            }
+        }
+
+        const WIDE: u64 = 4096;
+        for case in 0..8u64 {
+            let mut rng = DetRng::seed_from_u64(0x4a5e_1000 + case);
+            let mut r = RangeSet::default();
+            let mut bits = vec![false; WIDE as usize];
+            for round in 0..4 {
+                // Fragment: runs of 1..=6 bytes behind holes of 1-2 bytes,
+                // inserted in random order so most land between others.
+                let mut frags = Vec::new();
+                let mut p = rng.gen_range_u64(0, 3);
+                while p < WIDE {
+                    let len = rng.gen_range_u64(1, 7).min(WIDE - p);
+                    frags.push((p, p + len));
+                    p += len + rng.gen_range_u64(1, 3);
                 }
-                assert_eq!(r.overlap(a, b.max(a)), count(&bits, a, b), "case {case} step {step}");
-                // Iteration is the bitmap's maximal runs, in order: sorted,
-                // disjoint, and never touching.
-                let mut runs = Vec::new();
-                let mut i = 0;
-                while i < SPACE {
-                    let len = (i..SPACE).take_while(|&j| bits[j as usize]).count() as u64;
-                    if len > 0 {
-                        runs.push((i, i + len));
-                    }
-                    i += len.max(1);
+                for i in (1..frags.len()).rev() {
+                    frags.swap(i, rng.gen_range_usize(0, i + 1));
                 }
-                assert_eq!(ranges(&r), runs, "case {case} step {step}");
-                let inside = runs.iter().copied().find(|&(s, e)| (s..e).contains(&a));
-                assert_eq!(r.containing(a), inside, "case {case} step {step}");
+                for (i, &(a, b)) in frags.iter().enumerate() {
+                    step(&mut r, &mut bits, Op::Insert, a, b, &format!("wide {case}/{round} frag {i}"));
+                }
+                if round == 0 {
+                    let live = r.iter().count();
+                    assert!(live >= 500, "wide {case}: only {live} ranges live");
+                }
+                for step_no in 0..24 {
+                    let a = rng.gen_range_u64(0, WIDE);
+                    let (op, b) = match rng.gen_range_u64(0, 8) {
+                        // Bridges: 200..2000 bytes span 40..400 ranges.
+                        0..=2 => (Op::Insert, (a + rng.gen_range_u64(200, 2000)).min(WIDE)),
+                        // Fills one hole, merging its two neighbours.
+                        3 => (Op::Insert, (a + rng.gen_range_u64(1, 3)).min(WIDE)),
+                        4 => (Op::TakeThrough, a),
+                        5 => (Op::Prune, a),
+                        _ => (Op::Probe, (a + rng.gen_range_u64(1, 1000)).min(WIDE)),
+                    };
+                    step(&mut r, &mut bits, op, a, b, &format!("wide {case}/{round} step {step_no}"));
+                }
             }
         }
     }

@@ -10,7 +10,8 @@
 //!   space and MSS-sized except possibly the newest (asserted on `push`),
 //!   so they sit in a deque ([`SegRing`]) and a sequence number maps to an
 //!   index by arithmetic. A cumulative ACK pops the front; an RTO clears
-//!   the ring.
+//!   the ring. The ring parks one freed block and reuses it before
+//!   allocating, so a sliding window does not allocate at all.
 //! * **Loss-mark cursor.** A never-retransmitted segment is marked lost
 //!   the first time `high_sacked` passes it, and nothing behind that point
 //!   can become never-retransmitted-and-in-flight again (`Sacked` is
@@ -20,15 +21,18 @@
 //!   lost once a reordering window has passed since they left. They leave
 //!   in time order, so a FIFO of them is sorted by age and the ones to
 //!   re-mark are a prefix of it under whatever window the current ACK uses.
-//! * **Lost index.** An ordered set of the `Lost` segments' sequence
+//! * **Lost index.** A sorted deque of the `Lost` segments' sequence
 //!   numbers answers "lowest lost segment" without walking SACKed runs.
+//!   Segments are mostly marked in ascending order (appended) and
+//!   retransmitted lowest first (popped from the front); a SACK, a
+//!   cumulative ACK or an age re-mark inserts or removes by binary search.
 //! * **SACKed-run hints.** A `Sacked` entry remembers how many `Sacked`
 //!   entries are known to follow it, so re-applying a block the receiver
 //!   repeats on every ACK jumps its run in one step. Entries only leave at
 //!   the front (or all at once), so an offset between two entries that are
 //!   both still in the ring never changes.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use cebinae_net::SackBlocks;
 use cebinae_sim::{Duration, Time};
@@ -90,9 +94,15 @@ const BLOCK: usize = 4;
 /// 650 KB ring could not reuse what they freed, costing 10% of the
 /// process's peak memory. Blocks are allocated as the flight grows, freed
 /// as it is acknowledged, and fit wherever the allocator has a hole.
+///
+/// One freed block is parked in `spare` and taken before allocating, so a
+/// window sliding forward (or refilled after an RTO) recycles its own
+/// blocks. That costs at most one block per ring beyond its flight, and
+/// an empty ring still owns nothing.
 #[derive(Debug, Default)]
 struct SegRing {
     blocks: VecDeque<Box<[SegMeta; BLOCK]>>,
+    spare: Option<Box<[SegMeta; BLOCK]>>,
     /// Slots of the first block already popped.
     head: usize,
     len: usize,
@@ -110,7 +120,14 @@ impl SegRing {
     fn push_back(&mut self, seg: SegMeta) {
         let at = self.head + self.len;
         if at == self.blocks.len() * BLOCK {
-            self.blocks.push_back(Box::new([seg; BLOCK]));
+            let block = match self.spare.take() {
+                Some(mut block) => {
+                    block[0] = seg;
+                    block
+                }
+                None => Box::new([seg; BLOCK]),
+            };
+            self.blocks.push_back(block);
         } else {
             self.blocks[at / BLOCK][at % BLOCK] = seg;
         }
@@ -122,7 +139,7 @@ impl SegRing {
         self.head += 1;
         self.len -= 1;
         if self.head == BLOCK {
-            self.blocks.pop_front();
+            self.park_front();
             self.head = 0;
         } else if self.len == 0 {
             // Drained mid-block: start over in the block already held.
@@ -131,9 +148,18 @@ impl SegRing {
     }
 
     fn clear(&mut self) {
+        self.park_front();
         self.blocks.clear();
         self.head = 0;
         self.len = 0;
+    }
+
+    /// Free the first block, keeping it as the spare if none is parked.
+    fn park_front(&mut self) {
+        let block = self.blocks.pop_front();
+        if self.spare.is_none() {
+            self.spare = block;
+        }
     }
 }
 
@@ -180,8 +206,8 @@ pub(crate) struct Scoreboard {
     /// An entry is stale once its segment is gone, no longer in flight, or
     /// has left again since (`sent_at` differs).
     retx_age: VecDeque<(u64, Time)>,
-    /// Start sequence of every `Lost` segment.
-    lost: BTreeSet<u64>,
+    /// Start sequence of every `Lost` segment, ascending.
+    lost: VecDeque<u64>,
 }
 
 impl Scoreboard {
@@ -199,7 +225,7 @@ impl Scoreboard {
             delivered_counted: RangeSet::default(),
             mark_cursor: 0,
             retx_age: VecDeque::new(),
-            lost: BTreeSet::new(),
+            lost: VecDeque::new(),
         }
     }
 
@@ -263,14 +289,23 @@ impl Scoreboard {
         debug_assert_eq!(self.ring[i].state, SegState::InFlight);
         self.ring[i].state = SegState::Lost;
         self.lost_bytes += len;
-        self.lost.insert(seq);
+        if self.lost.back().is_none_or(|&last| last < seq) {
+            self.lost.push_back(seq);
+        } else {
+            let at = self.lost.partition_point(|&s| s < seq);
+            self.lost.insert(at, seq);
+        }
         len
     }
 
     /// Account for the `Lost` segment `[seq, seq + len)` leaving that state.
     fn unmark_lost(&mut self, seq: u64, len: u64) {
         self.lost_bytes -= len;
-        self.lost.remove(&seq);
+        if self.lost.front() == Some(&seq) {
+            self.lost.pop_front();
+        } else if let Ok(at) = self.lost.binary_search(&seq) {
+            self.lost.remove(at);
+        }
     }
 
     // ----- transmissions -----
@@ -301,7 +336,7 @@ impl Scoreboard {
     /// next retransmission.
     pub(crate) fn next_lost(&self, snd_una: u64) -> Option<u64> {
         let below = self.high_sacked.max(snd_una + 1);
-        self.lost.first().copied().filter(|&seq| seq < below)
+        self.lost.front().copied().filter(|&seq| seq < below)
     }
 
     /// Retransmit the `Lost` segment at `seq`: back in flight under a fresh
@@ -501,9 +536,14 @@ impl Scoreboard {
         assert!(self.pipe() <= self.flight());
         assert_eq!(segs.last().map_or(self.front_seq, |(seq, len, _)| seq + len), self.end_seq());
 
-        let lost: BTreeSet<u64> =
+        assert!(
+            self.lost.iter().zip(self.lost.iter().skip(1)).all(|(a, b)| a < b),
+            "lost index is strictly increasing: {:?}",
+            self.lost
+        );
+        let lost: Vec<u64> =
             segs.iter().filter(|(_, _, m)| m.state == SegState::Lost).map(|(seq, ..)| *seq).collect();
-        assert_eq!(self.lost, lost, "lost index = the Lost segments");
+        assert!(self.lost.iter().eq(&lost), "lost index = the Lost segments");
 
         assert!(
             self.retx_age.iter().zip(self.retx_age.iter().skip(1)).all(|(a, b)| a.1 <= b.1),
@@ -537,6 +577,7 @@ impl Scoreboard {
 mod tests {
     use super::*;
     use cebinae_sim::rng::DetRng;
+    use std::collections::BTreeSet;
 
     const M: u64 = 100;
 
@@ -587,6 +628,7 @@ mod tests {
     fn ring_slides_across_blocks_and_frees_them() {
         let mut sb = Scoreboard::new(100);
         assert_eq!(sb.ring.blocks.capacity(), 0, "an empty scoreboard allocates nothing");
+        assert!(sb.ring.spare.is_none(), "an empty scoreboard allocates nothing");
         let mut snd_una = 0;
         for i in 0..10 * BLOCK as u64 {
             sb.push(i * M, 100, stamp(i), false);
@@ -601,6 +643,41 @@ mod tests {
             sb.check_invariants();
         }
         assert_eq!(sb.flight(), 2 * M);
+    }
+
+    #[test]
+    fn ring_reuses_its_spare_block() {
+        let addr = |b: &[SegMeta; BLOCK]| std::ptr::from_ref(b) as usize;
+        let mut sb = Scoreboard::new(100);
+        assert!(sb.ring.spare.is_none(), "an empty scoreboard parks nothing");
+        let mut seen = BTreeSet::new();
+        let mut snd_una = 0;
+        for i in 0..10_000u64 {
+            sb.push(i * M, 100, stamp(i), false);
+            if i >= 2 {
+                sb.cum_ack(snd_una, snd_una + M);
+                snd_una += M;
+            }
+            seen.extend(sb.ring.blocks.iter().map(|b| addr(b)));
+            seen.extend(sb.ring.spare.as_deref().map(addr));
+        }
+        assert!(seen.len() <= 3, "a sliding window recycles its blocks: {} seen", seen.len());
+        assert!(sb.ring.spare.is_some());
+
+        // An RTO with several blocks in flight and none parked parks the
+        // first one (not the one freed last), and the regrown ring starts
+        // in it.
+        let mut sb = board(3 * BLOCK as u64);
+        assert!(sb.ring.spare.is_none());
+        let first = addr(&sb.ring.blocks[0]);
+        sb.clear(0);
+        sb.check_invariants();
+        assert!(sb.ring.blocks.is_empty());
+        assert_eq!(sb.ring.spare.as_deref().map(addr), Some(first));
+        sb.push(0, 100, stamp(1), false);
+        assert_eq!(addr(&sb.ring.blocks[0]), first, "regrowth takes the parked block");
+        assert!(sb.ring.spare.is_none());
+        sb.check_invariants();
     }
 
     #[test]

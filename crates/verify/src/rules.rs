@@ -327,16 +327,17 @@ pub static RULES: [RuleInfo; 16] = [
         test_exempt: true,
         summary: "no concrete event-queue backend type in the engine/transport/traffic crates",
         why: "Engine, transport and traffic code must talk to the event loop through the \
-              `cebinae_sim::Scheduler` trait, never a concrete backend type. The heap and \
-              the timing wheel are interchangeable by contract — differential tests swap \
-              them under identical call sites — and naming one backend in a consumer \
-              crate silently pins that crate to it.",
+              `cebinae_sim::Scheduler` trait or the `cebinae_sim::SchedulerBackend` enum \
+              (either backend, dispatched by `match`), never a concrete backend type. The \
+              heap and the timing wheel are interchangeable by contract — differential \
+              tests swap them under identical call sites — and naming one backend in a \
+              consumer crate silently pins that crate to it.",
         flagged: "fn drive(q: &mut HeapScheduler<Ev>) { .. }",
-        preferred: "fn drive(q: &mut dyn Scheduler<Ev>) { .. } // or fn drive<S: Scheduler<Ev>>(q: &mut S)",
+        preferred: "fn drive(q: &mut SchedulerBackend<Ev>) { .. } // from SchedulerKind::backend(); or &mut dyn Scheduler<Ev>",
         banned: &[Ban {
             seq: &["EventQueue|HeapScheduler|WheelScheduler|BinaryHeap"],
             at: 0,
-            msg: "concrete event-queue type `{}` in an event-loop consumer crate; name the `cebinae_sim::Scheduler` trait (or `SchedulerKind::build()`) so backends stay swappable",
+            msg: "concrete event-queue type `{}` in an event-loop consumer crate; name the `cebinae_sim::Scheduler` trait or the `SchedulerBackend` enum (`SchedulerKind::backend()`) so backends stay swappable",
         }],
     },
     RuleInfo {

@@ -16,6 +16,8 @@ const R8: &str = include_str!("fixtures/r8_prints.rs");
 const R9: &str = include_str!("fixtures/r9_oracle_mutation.rs");
 const R13: &str = include_str!("fixtures/r13_std_hash.rs");
 const R14: &str = include_str!("fixtures/r14_concrete_scheduler.rs");
+const R14_ENUM: &str = include_str!("fixtures/r14_dispatch_enum.rs");
+const R14_NAMED: &str = include_str!("fixtures/r14_named_backend.rs");
 const CLEAN: &str = include_str!("fixtures/clean.rs");
 
 fn rule_hits(path: &str, src: &str, rule: Rule) -> Vec<Violation> {
@@ -245,6 +247,16 @@ fn r14_allows_sim_and_tooling_crates() {
     ] {
         assert!(rule_hits(path, R14, Rule::R14).is_empty(), "{path}");
     }
+}
+
+#[test]
+fn r14_allows_the_dispatch_enum_but_not_a_named_backend() {
+    let path = "crates/engine/src/world/mod.rs";
+    let clean = check_source(path, R14_ENUM, &Config::new("."));
+    assert!(clean.is_empty(), "{clean:?}");
+    let hits = rule_hits(path, R14_NAMED, Rule::R14);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert!(hits[0].message.contains("WheelScheduler"), "{hits:?}");
 }
 
 #[test]
