@@ -13,10 +13,6 @@ use super::{Ev, SchedDyn};
 pub(crate) struct FlowRt {
     pub(crate) sender: TcpSender,
     pub(crate) receiver: TcpReceiver,
-    /// The data (`fwd`) and ACK (`rev`) paths, as `(start, end)` spans of
-    /// [`FlowPlane::paths`].
-    pub(crate) fwd: (u32, u32),
-    pub(crate) rev: (u32, u32),
     pub(crate) start: Time,
     /// First instant at which all application data was acknowledged.
     pub(crate) completed_at: Option<Time>,
@@ -39,6 +35,10 @@ pub(crate) struct FlowPlane {
     pub(crate) flows: Vec<FlowRt>,
     /// Every flow's forward and reverse path, back to back in one arena.
     pub(crate) paths: Vec<LinkId>,
+    /// Per flow, its data and ACK paths as `(start, end)` spans of
+    /// `paths`. Dense beside `flows`, so routing a packet one hop on does
+    /// not read the flow's endpoint state.
+    pub(crate) spans: Vec<[(u32, u32); 2]>,
     /// The output of the sender call being applied, drained by
     /// [`apply_output`]. Every sender call writes into it in place
     /// (`TcpSender::*_into`), so no event allocates an output.
@@ -67,8 +67,8 @@ pub(crate) fn on_arrive(
         debug_assert!(false, "Arrive fired on an empty in-flight ring");
         return;
     };
-    let f = &fp.flows[pkt.flow.index()];
-    let path = span(&fp.paths, if pkt.is_data() { f.fwd } else { f.rev });
+    let [fwd, rev] = fp.spans[pkt.flow.index()];
+    let path = span(&fp.paths, if pkt.is_data() { fwd } else { rev });
     let hop = pkt.hop as usize;
     debug_assert_eq!(path.get(hop), Some(&link), "packet took an unexpected link");
     if hop + 1 < path.len() {
@@ -98,10 +98,10 @@ pub(crate) fn deliver(
     let flow = pkt.flow;
     match pkt.kind {
         PacketKind::Data { .. } => {
-            let f = &mut fp.flows[flow.index()];
-            let mut ack = f.receiver.on_data(&pkt, now);
+            let mut ack = fp.flows[flow.index()].receiver.on_data(&pkt, now);
             ack.hop = 0;
-            let path = span(&fp.paths, f.rev);
+            let [_, rev] = fp.spans[flow.index()];
+            let path = span(&fp.paths, rev);
             links::enqueue_link(lp, fx, ev, path, now, path[0], ack);
         }
         PacketKind::Ack {
@@ -184,12 +184,13 @@ pub(crate) fn apply_output(
     now: Time,
     flow: FlowId,
 ) {
-    let FlowPlane { flows, paths, out, .. } = fp;
+    let FlowPlane { flows, paths, spans, out, .. } = fp;
     let f = &mut flows[flow.index()];
     if f.completed_at.is_none() && f.sender.is_complete() {
         f.completed_at = Some(now);
     }
-    let path = span(paths, f.fwd);
+    let [fwd, _] = spans[flow.index()];
+    let path = span(paths, fwd);
     for mut pkt in out.packets.drain(..) {
         pkt.hop = 0;
         links::enqueue_link(lp, fx, ev, path, now, path[0], pkt);

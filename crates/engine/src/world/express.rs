@@ -41,8 +41,9 @@
 //! * For the same reason an express link's admission counters (`enq_*`,
 //!   tail `drop_*`), backlog and peak gauge run ahead of virtual time by
 //!   the packets already walked onto it, so at end of run they include
-//!   packets still on their way there. `tx_*` is settled against the end
-//!   time, and `enq == tx + drop_queued + queued` holds regardless.
+//!   packets still on their way there. `tx_*` is derived at the end time
+//!   as admitted less still waiting, so `enq == tx + drop_queued + queued`
+//!   holds regardless.
 
 use std::collections::VecDeque;
 
@@ -55,6 +56,12 @@ use super::{endpoints, links, Ev, FlowPlane, SchedDyn};
 
 /// Analytic per-link express state. Every link has one; only those marked
 /// in `LinkPlane::express_on` ever use it, and the rest stay all zero.
+///
+/// One 128-byte, line-aligned block (two cache lines, which the adjacent
+/// line prefetcher fetches together) that touches no heap memory unless
+/// the line is backlogged: the newest admitted entry lives inline, and
+/// `older` holds entries only while two or more packets wait.
+#[repr(align(64))]
 pub(crate) struct ExpressLink {
     /// The link's rate, propagation delay and buffer limit, copied here so
     /// a hop touches one struct. Scripted rate changes rewrite only
@@ -65,17 +72,25 @@ pub(crate) struct ExpressLink {
     cap: u64,
     /// Instant the line finishes its last accepted serialization.
     free_at: Time,
-    /// Service start of the newest `queue` entry.
-    last_start: Time,
-    /// Accepted-but-not-yet-serializing packets as `(service_start,
-    /// size)`, drained lazily as virtual time passes each start. Entries
-    /// are pushed with non-decreasing `service_start`, so the head is
-    /// always the next to leave.
-    queue: VecDeque<(Time, u32)>,
+    /// Bytes admitted but not yet serializing. The newest entry waits
+    /// exactly while this is nonzero; then it counts `last_size` plus
+    /// everything in `older`.
     queued_bytes: u64,
-    /// Stats overlay standing in for the untouched qdisc object; merged
-    /// into `SimResult::link_stats` at end of run.
-    stats: QdiscStats,
+    /// Service start and size of the newest admitted entry.
+    last_start: Time,
+    last_size: u32,
+    /// Entries admitted before the newest that had not started when it
+    /// arrived, as `(service_start, size)`, drained lazily as virtual time
+    /// passes each start. Starts strictly increase, so the head is always
+    /// the next to leave.
+    older: VecDeque<(Time, u32)>,
+    /// The admission counters and peak gauge a qdisc would keep; `tx_*`
+    /// is derived from them in [`stats`](Self::stats).
+    enq_pkts: u64,
+    enq_bytes: u64,
+    drop_pkts: u64,
+    drop_bytes: u64,
+    peak_queued_bytes: u64,
 }
 
 impl ExpressLink {
@@ -85,38 +100,37 @@ impl ExpressLink {
             delay,
             cap,
             free_at: Time::ZERO,
-            last_start: Time::ZERO,
-            queue: VecDeque::new(),
             queued_bytes: 0,
-            stats: QdiscStats::default(),
+            last_start: Time::ZERO,
+            last_size: 0,
+            older: VecDeque::new(),
+            enq_pkts: 0,
+            enq_bytes: 0,
+            drop_pkts: 0,
+            drop_bytes: 0,
+            peak_queued_bytes: 0,
         }
     }
 
-    /// Retire every packet whose serialization has started by `now`:
-    /// the analytic mirror of the event-driven dequeue. Starts are
-    /// non-decreasing, so once the newest has started the whole backlog
-    /// retires at once, without reading it.
+    /// Retire every packet whose serialization has started by `now`: the
+    /// analytic mirror of the event-driven dequeue. An idle line returns
+    /// at once; starts strictly increase, so once the newest has started
+    /// the whole backlog retires without reading `older`'s buffer.
     fn drain(&mut self, now: Time) {
-        if self.last_start > now {
-            return self.drain_by_scan(now);
+        if self.queued_bytes == 0 {
+            return;
         }
-        // The same saturating sums `on_tx` would reach entry by entry.
-        self.stats.tx_pkts = self.stats.tx_pkts.saturating_add(self.queue.len() as u64);
-        self.stats.tx_bytes = self.stats.tx_bytes.saturating_add(self.queued_bytes);
-        self.queued_bytes = 0;
-        self.queue.clear();
-    }
-
-    /// [`drain`](Self::drain) entry by entry, for a backlog whose tail has
-    /// not started yet.
-    fn drain_by_scan(&mut self, now: Time) {
-        while let Some(&(start, size)) = self.queue.front() {
+        if self.last_start <= now {
+            self.queued_bytes = 0;
+            self.older.clear();
+            return;
+        }
+        while let Some(&(start, size)) = self.older.front() {
             if start > now {
                 break;
             }
-            self.queue.pop_front();
+            self.older.pop_front();
             self.queued_bytes -= size as u64; // occupancy gauge; every entry was added on admission below, so underflow is impossible
-            self.stats.on_tx(size);
         }
     }
 
@@ -125,17 +139,48 @@ impl ExpressLink {
     /// the instant the packet reaches the far end of the link.
     fn admit(&mut self, t: Time, size: u32) -> Option<Time> {
         if self.queued_bytes + size as u64 > self.cap {
-            self.stats.on_drop(size);
+            self.drop_pkts = self.drop_pkts.saturating_add(1);
+            self.drop_bytes = self.drop_bytes.saturating_add(size as u64);
             return None;
         }
-        self.stats.on_enqueue(size);
+        self.enq_pkts = self.enq_pkts.saturating_add(1);
+        self.enq_bytes = self.enq_bytes.saturating_add(size as u64);
+        if self.queued_bytes > 0 {
+            // The previous newest entry has not started: it keeps waiting.
+            self.older.push_back((self.last_start, self.last_size));
+        }
         self.queued_bytes += size as u64; // occupancy gauge, decremented in drain; admission check above bounds it
-        self.stats.note_queued(self.queued_bytes);
+        self.peak_queued_bytes = self.peak_queued_bytes.max(self.queued_bytes);
         let start = t.max(self.free_at);
         self.free_at = start + tx_time(size as u64, self.rate_bps);
-        self.queue.push_back((start, size));
         self.last_start = start;
+        self.last_size = size;
         Some(self.free_at + self.delay)
+    }
+
+    /// The counters a drop-tail qdisc would report. Every admitted packet
+    /// either still waits (the inline newest while `queued_bytes > 0`, and
+    /// each `older` entry) or has started serializing, so `tx_*` is what
+    /// was admitted less what waits.
+    fn stats(&self) -> QdiscStats {
+        let pending_pkts = self.older.len() as u64 + u64::from(self.queued_bytes > 0);
+        QdiscStats {
+            enq_pkts: self.enq_pkts,
+            enq_bytes: self.enq_bytes,
+            drop_pkts: self.drop_pkts,
+            drop_bytes: self.drop_bytes,
+            tx_pkts: self.enq_pkts - pending_pkts,
+            tx_bytes: self.enq_bytes - self.queued_bytes,
+            peak_queued_bytes: self.peak_queued_bytes,
+            ..QdiscStats::default()
+        }
+    }
+
+    /// End of run: retire what started by `end`, then report the stats
+    /// and the bytes still waiting.
+    fn settle(&mut self, end: Time) -> (QdiscStats, u64) {
+        self.drain(end);
+        (self.stats(), self.queued_bytes)
     }
 }
 
@@ -205,13 +250,7 @@ pub(crate) fn on_express(
 /// report their overlay; all other links report zeroes here and their
 /// real qdisc state elsewhere.
 pub(crate) fn final_stats(lp: &mut LinkPlane, end: Time) -> Vec<(QdiscStats, u64)> {
-    lp.express
-        .iter_mut()
-        .map(|x| {
-            x.drain(end);
-            (x.stats, x.queued_bytes)
-        })
-        .collect()
+    lp.express.iter_mut().map(|x| x.settle(end)).collect()
 }
 
 /// Merge an express overlay into a qdisc's own stats. Exactly one side is
@@ -237,50 +276,131 @@ mod tests {
     use super::*;
     use cebinae_sim::rng::DetRng;
 
-    /// `drain`'s whole-backlog retire against the per-entry loop, on two
-    /// links fed one seeded admission stream. Arrival times sometimes go
+    /// Reference model of an express link's backlog: every admitted entry
+    /// waits in one deque until its service start passes, and `tx_*` is
+    /// counted entry by entry as it leaves.
+    struct PerEntryLink {
+        rate_bps: u64,
+        delay: Duration,
+        cap: u64,
+        free_at: Time,
+        queue: VecDeque<(Time, u32)>,
+        queued_bytes: u64,
+        stats: QdiscStats,
+    }
+
+    impl PerEntryLink {
+        fn new(rate_bps: u64, delay: Duration, cap: u64) -> PerEntryLink {
+            PerEntryLink {
+                rate_bps,
+                delay,
+                cap,
+                free_at: Time::ZERO,
+                queue: VecDeque::new(),
+                queued_bytes: 0,
+                stats: QdiscStats::default(),
+            }
+        }
+
+        fn drain(&mut self, now: Time) {
+            while let Some(&(start, size)) = self.queue.front() {
+                if start > now {
+                    break;
+                }
+                self.queue.pop_front();
+                self.queued_bytes -= size as u64;
+                self.stats.on_tx(size);
+            }
+        }
+
+        fn admit(&mut self, t: Time, size: u32) -> Option<Time> {
+            if self.queued_bytes + size as u64 > self.cap {
+                self.stats.on_drop(size);
+                return None;
+            }
+            self.stats.on_enqueue(size);
+            self.queued_bytes += size as u64;
+            self.stats.note_queued(self.queued_bytes);
+            let start = t.max(self.free_at);
+            self.free_at = start + tx_time(size as u64, self.rate_bps);
+            self.queue.push_back((start, size));
+            Some(self.free_at + self.delay)
+        }
+    }
+
+    /// Every waiting entry of the compact backlog, oldest first.
+    fn backlog(x: &ExpressLink) -> VecDeque<(Time, u32)> {
+        let newest = (x.queued_bytes > 0).then_some((x.last_start, x.last_size));
+        x.older.iter().copied().chain(newest).collect()
+    }
+
+    /// The compact backlog (inline newest entry, `older` only while
+    /// backlogged, derived `tx_*`) against the per-entry queue, on one
+    /// seeded admission stream per case. Arrival times sometimes go
     /// backwards (a reverse link shared by paths of different latencies)
-    /// and sometimes equal the newest entry's service start exactly.
+    /// and sometimes equal the newest entry's service start exactly; the
+    /// small buffers of some cases force tail drops.
     #[test]
-    fn fast_retire_matches_per_entry_drain() {
-        let (mut bulk, mut partial, mut exact) = (0u32, 0u32, 0u32);
+    fn compact_backlog_matches_per_entry_queue() {
+        let (mut idle, mut full, mut partial, mut ties) = (0u32, 0u32, 0u32, 0u32);
+        let (mut drops, mut waiting_at_end) = (0u64, 0u32);
         for case in 0..32u64 {
             let mut rng = DetRng::seed_from_u64(0xe4a5 ^ case);
             let rate = rng.gen_range_u64(1_000_000, 1_000_000_000);
-            let cap = rng.gen_range_u64(3_000, 60_000);
+            let cap = if case % 4 == 0 {
+                rng.gen_range_u64(1_500, 4_500)
+            } else {
+                rng.gen_range_u64(3_000, 60_000)
+            };
             let delay = Duration::from_micros(rng.gen_range_u64(1, 500));
-            let mut fast = ExpressLink::new(rate, delay, cap);
-            let mut scan = ExpressLink::new(rate, delay, cap);
+            // Arrivals step forward by up to `gap`: from a quarter of one
+            // full frame's serialization time (overload) to two frames'
+            // (mostly idle).
+            let gap = tx_time(3_000, rate).0 * rng.gen_range_u64(1, 9) / 8;
+            let mut x = ExpressLink::new(rate, delay, cap);
+            let mut m = PerEntryLink::new(rate, delay, cap);
             let mut t = Time::ZERO;
             for op in 0..2_000 {
                 t = match rng.gen_range_u64(0, 10) {
-                    0 | 1 => Time(t.0.saturating_sub(rng.gen_range_u64(0, 200_000))),
-                    2 => fast.last_start,
-                    _ => t + Duration(rng.gen_range_u64(0, 100_000)),
+                    0 | 1 => Time(t.0.saturating_sub(rng.gen_range_u64(0, 2 * gap))),
+                    2 => x.last_start,
+                    _ => t + Duration(rng.gen_range_u64(0, gap)),
                 };
-                if !fast.queue.is_empty() {
-                    bulk += (fast.last_start < t) as u32;
-                    exact += (fast.last_start == t) as u32;
-                    partial += (fast.last_start > t) as u32;
+                if x.queued_bytes == 0 {
+                    idle += 1;
+                } else if x.last_start <= t {
+                    full += 1;
+                    ties += (x.last_start == t) as u32;
+                } else {
+                    partial += 1;
                 }
-                fast.drain(t);
-                scan.drain_by_scan(t);
-                let size = rng.gen_range_u64(52, 1501) as u32;
-                assert_eq!(fast.admit(t, size), scan.admit(t, size), "case {case} op {op}");
-                assert_eq!(fast.stats, scan.stats, "case {case} op {op}");
-                assert_eq!(fast.queued_bytes, scan.queued_bytes, "case {case} op {op}");
-                assert_eq!(fast.queue, scan.queue, "case {case} op {op}");
+                x.drain(t);
+                m.drain(t);
+                // Every admission drains first, so only a drain without
+                // one (the end-of-run settle) can leave the line idle for
+                // the next; stand in for it now and then.
+                if rng.gen_range_u64(0, 8) != 0 {
+                    let size = rng.gen_range_u64(52, 1501) as u32;
+                    assert_eq!(x.admit(t, size), m.admit(t, size), "case {case} op {op}");
+                }
+                assert_eq!(x.stats(), m.stats, "case {case} op {op}");
+                assert_eq!(x.queued_bytes, m.queued_bytes, "case {case} op {op}");
+                assert_eq!(backlog(&x), m.queue, "case {case} op {op}");
             }
-            // `final_stats`' drain at the end of the run.
-            let end = t + Duration::from_micros(rng.gen_range_u64(0, 5_000));
-            fast.drain(end);
-            scan.drain_by_scan(end);
-            assert_eq!(fast.stats, scan.stats, "case {case} end");
-            assert_eq!(fast.queued_bytes, scan.queued_bytes, "case {case} end");
+            // `final_stats`' settle at the end of the run, sometimes before
+            // the newest entry starts.
+            let end = t + Duration(rng.gen_range_u64(0, 4 * gap));
+            m.drain(end);
+            assert_eq!(x.settle(end), (m.stats, m.queued_bytes), "case {case} end");
+            assert_eq!(backlog(&x), m.queue, "case {case} end");
+            drops += m.stats.drop_pkts;
+            waiting_at_end += !m.queue.is_empty() as u32;
         }
         assert!(
-            bulk > 1_000 && partial > 1_000 && exact > 100,
-            "every drain shape must occur: bulk {bulk}, partial {partial}, exact {exact}"
+            idle > 1_000 && full > 1_000 && partial > 1_000 && ties > 100,
+            "every drain shape must occur: idle {idle}, full {full}, partial {partial}, ties {ties}"
         );
+        assert!(drops > 1_000, "tail drops must occur: {drops}");
+        assert!(waiting_at_end > 8, "a backlog must outlive the end: {waiting_at_end}");
     }
 }

@@ -200,6 +200,9 @@ pub(crate) enum Ev {
 const _: () = assert!(std::mem::size_of::<Ev>() <= 24, "Ev grew past 24 bytes");
 const fn assert_copy<T: Copy>() {}
 const _: () = assert_copy::<Ev>();
+// An express hop reads one `ExpressLink`: keep it two whole cache lines.
+const _: () = assert!(std::mem::size_of::<ExpressLink>() == 128, "ExpressLink left 128 bytes");
+const _: () = assert!(std::mem::align_of::<ExpressLink>() == 64, "ExpressLink lost its line alignment");
 
 impl Ev {
     /// This event's slot in [`EV_COUNTERS`].
@@ -315,7 +318,9 @@ impl Simulation {
 
         let mut events = scheduler.backend();
         let mut flow_rts = Vec::with_capacity(flows.len());
-        // Every path goes straight into one arena; a flow keeps its spans.
+        let mut spans = Vec::with_capacity(flows.len());
+        // Every path goes straight into one arena; `spans` keeps each
+        // flow's two spans of it.
         let mut paths = Vec::new();
         let mut routes = topology.routes();
         let mut span = |src: NodeId, dst: NodeId| {
@@ -332,11 +337,10 @@ impl Simulation {
             let rev = span(f.dst, f.src);
             assert!(fwd.0 < fwd.1, "src and dst must differ");
             events.post(f.start, Ev::FlowStart { flow: id });
+            spans.push([fwd, rev]);
             flow_rts.push(FlowRt {
                 sender: TcpSender::new(id, f.tcp.clone()),
                 receiver: TcpReceiver::new(id),
-                fwd,
-                rev,
                 start: f.start,
                 completed_at: None,
                 rto_deadline: None,
@@ -361,6 +365,7 @@ impl Simulation {
             fp: FlowPlane {
                 flows: flow_rts,
                 paths,
+                spans,
                 out: TcpOutput::default(),
                 rto_cancels: 0,
                 pace_cancels: 0,

@@ -11,27 +11,12 @@
 //! expected value was captured on the commit before BBR's bandwidth filter
 //! became a monotone deque; a speed-only change leaves it alone.
 
-use cebinae_engine::{dumbbell, Discipline, ScenarioParams, SimResult, Simulation};
+mod support;
+
+use cebinae_engine::{dumbbell, Discipline, ScenarioParams, Simulation};
 use cebinae_harness::table2;
 use cebinae_sim::Duration;
 use cebinae_transport::CcKind;
-
-/// FNV-1a over `delivered`, `events_processed` and per-link enq/tx/drop:
-/// the ledger's `sim_digest`.
-fn sim_digest(r: &SimResult) -> u64 {
-    r.delivered
-        .iter()
-        .copied()
-        .chain([r.events_processed])
-        .chain(
-            r.link_stats
-                .iter()
-                .flat_map(|s| [s.enq_pkts, s.tx_pkts, s.drop_pkts]),
-        )
-        .fold(cebinae_ds::FNV_OFFSET, |h, w| {
-            cebinae_ds::fnv1a_bytes(h, &w.to_le_bytes())
-        })
-}
 
 #[test]
 fn t2r14_fifo_matches_the_recorded_digest() {
@@ -47,7 +32,7 @@ fn t2r14_fifo_matches_the_recorded_digest() {
     p.seed = 1;
     let (cfg, _) = dumbbell(&row.flows(), &p);
     let r = Simulation::new(cfg).run();
-    let digest = sim_digest(&r);
+    let digest = support::sim_digest(&r);
     assert!(
         digest == 0xbc90_f256_e7a0_58e7,
         "t2r14_fifo moved: digest {digest:#018x}, events {}, BBR delivered {:?}",

@@ -30,6 +30,24 @@ pub fn run_mixed(discipline: Discipline, faults: &FaultPlan, seed: u64, secs: u6
     Simulation::new(cfg).run()
 }
 
+/// FNV-1a over `delivered`, `events_processed` and per-link enq/tx/drop:
+/// the performance ledger's `sim_digest`, which the engine-level pins
+/// compare against.
+pub fn sim_digest(r: &SimResult) -> u64 {
+    r.delivered
+        .iter()
+        .copied()
+        .chain([r.events_processed])
+        .chain(
+            r.link_stats
+                .iter()
+                .flat_map(|s| [s.enq_pkts, s.tx_pkts, s.drop_pkts]),
+        )
+        .fold(cebinae_ds::FNV_OFFSET, |h, w| {
+            cebinae_ds::fnv1a_bytes(h, &w.to_le_bytes())
+        })
+}
+
 /// One handcrafted plan per scripted/stochastic fault family, each
 /// scoped so a multi-second run has time to recover: bursty
 /// (Gilbert–Elliott) loss, bounded-delay reordering, a link flap, and a
