@@ -151,9 +151,10 @@ pub struct CorpusEntry {
     pub overrides: Overrides,
 }
 
-/// Parse a regression corpus: one `seed [flows=N] [dur_ms=M]` per line,
-/// `#` comments and blank lines ignored. Returns `Err` on malformed lines
-/// (a corrupted corpus must fail loudly, not silently shrink coverage).
+/// Parse a regression corpus: one `seed [flows=N] [dur_ms=M] [faults=F]`
+/// per line, `#` comments and blank lines ignored. Returns `Err` naming
+/// the line on a bad seed or override (a corrupted corpus must fail
+/// loudly, not silently shrink coverage).
 pub fn parse_corpus(text: &str) -> Result<Vec<CorpusEntry>, String> {
     let mut entries = Vec::new();
     for (ln, raw) in text.lines().enumerate() {
@@ -166,10 +167,9 @@ pub fn parse_corpus(text: &str) -> Result<Vec<CorpusEntry>, String> {
             .next()
             .and_then(|t| t.parse().ok())
             .ok_or_else(|| format!("corpus line {}: bad seed in {raw:?}", ln + 1))?;
-        entries.push(CorpusEntry {
-            seed,
-            overrides: Overrides::from_corpus_tokens(tokens),
-        });
+        let overrides = Overrides::from_corpus_tokens(tokens)
+            .map_err(|e| format!("corpus line {}: {e} in {raw:?}", ln + 1))?;
+        entries.push(CorpusEntry { seed, overrides });
     }
     Ok(entries)
 }
@@ -241,5 +241,11 @@ mod tests {
     fn malformed_corpus_is_an_error() {
         assert!(parse_corpus("not-a-seed\n").is_err());
         assert!(parse_corpus("# fine\n").unwrap().is_empty());
+        // Typos in an override fail loudly and name their line.
+        for bad in ["dur-ms=500", "faults=stal", "flows=two", "dur_ms=", "flows"] {
+            let err = parse_corpus(&format!("7\n12 {bad}\n")).unwrap_err();
+            assert!(err.starts_with("corpus line 2:"), "{bad}: {err}");
+            assert!(err.contains(bad), "{bad}: {err}");
+        }
     }
 }

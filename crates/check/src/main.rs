@@ -83,8 +83,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--corpus" => a.corpus = Some(value("--corpus")?),
             "--threads" => {
-                a.threads =
-                    Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?);
+                let n: usize = value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?;
+                if n == 0 {
+                    return Err("--threads: must be at least 1".into());
+                }
+                a.threads = Some(n);
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -101,10 +104,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let pool = match args.threads {
-        Some(n) => TrialPool::with_threads(n),
-        None => TrialPool::from_env(),
-    };
+    let pool = args.threads.map_or_else(TrialPool::default, TrialPool::with_threads);
 
     if let Some(seed) = args.replay {
         let overrides = Overrides {
@@ -163,4 +163,22 @@ fn main() {
 
     eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn threads_must_be_positive() {
+        assert_eq!(parse(&["--smoke", "--threads", "2"]).unwrap().threads, Some(2));
+        assert_eq!(parse(&["--smoke"]).unwrap().threads, None);
+        assert!(parse(&["--smoke", "--threads", "0"]).is_err());
+        assert!(parse(&["--smoke", "--threads", "-1"]).is_err());
+        assert!(parse(&["--smoke", "--threads"]).is_err());
+    }
 }

@@ -234,10 +234,6 @@ impl GenScenario {
         p.seed = self.seed;
         p.telemetry = true;
         p.scheduler = self.scheduler;
-        p.cebinae_thresholds = self.thresholds;
-        if matches!(disc, Discipline::Cebinae | Discipline::CebinaePerFlowTop) {
-            p.cebinae_override = Some(self.cebinae_config(self.bottleneck_bps));
-        }
         p
     }
 
@@ -302,6 +298,13 @@ impl GenScenario {
             }
             TopologyKind::MultiBottleneck => self.build_multi_bottleneck(disc),
         };
+        // Every Cebinae bottleneck runs the fuzzed config, not the
+        // builders' Equation-2 default.
+        for (link, rate) in bnecks.iter().zip(self.bottleneck_rates()) {
+            if let Some(QdiscSpec::Cebinae(c)) = cfg.qdiscs.get_mut(link) {
+                *c = self.cebinae_config(rate);
+            }
+        }
         cfg.traced_links = bnecks.clone();
         // Large enough that the generated scenarios never truncate; the
         // trace-replay oracle requires the complete offered stream.

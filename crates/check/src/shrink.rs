@@ -86,20 +86,24 @@ impl Overrides {
         s
     }
 
-    /// Parse `key=value` corpus tokens (ignores unknown keys).
-    pub fn from_corpus_tokens<'a>(tokens: impl Iterator<Item = &'a str>) -> Overrides {
+    /// Parse `key=value` corpus tokens. An unknown key, a token without
+    /// `=`, or an unparseable value is an error naming the token, so a
+    /// typo never silently replays the plain seed.
+    pub fn from_corpus_tokens<'a>(
+        tokens: impl Iterator<Item = &'a str>,
+    ) -> Result<Overrides, String> {
         let mut o = Overrides::default();
         for tok in tokens {
-            if let Some((k, v)) = tok.split_once('=') {
-                match k {
-                    "flows" => o.flows = v.parse().ok(),
-                    "dur_ms" => o.dur_ms = v.parse().ok(),
-                    "faults" => o.faults = FaultFamily::parse(v),
-                    _ => {}
-                }
+            let bad = || format!("bad override {tok:?}");
+            let (k, v) = tok.split_once('=').ok_or_else(bad)?;
+            match k {
+                "flows" => o.flows = Some(v.parse().map_err(|_| bad())?),
+                "dur_ms" => o.dur_ms = Some(v.parse().map_err(|_| bad())?),
+                "faults" => o.faults = Some(FaultFamily::parse(v).ok_or_else(bad)?),
+                _ => return Err(bad()),
             }
         }
-        o
+        Ok(o)
     }
 }
 
@@ -181,8 +185,8 @@ mod tests {
         let suffix = o.corpus_suffix();
         assert_eq!(suffix, " flows=2 dur_ms=500 faults=burst");
         let parsed = Overrides::from_corpus_tokens(suffix.split_whitespace());
-        assert_eq!(parsed, o);
-        assert_eq!(Overrides::from_corpus_tokens("".split_whitespace()), Overrides::default());
+        assert_eq!(parsed, Ok(o));
+        assert_eq!(Overrides::from_corpus_tokens("".split_whitespace()), Ok(Overrides::default()));
     }
 
     #[test]

@@ -47,9 +47,6 @@ pub struct ScenarioParams {
     pub discipline: Discipline,
     /// Cebinae thresholds (δp, δf, τ); the paper's conservative default.
     pub cebinae_thresholds: (f64, f64, f64),
-    /// Override the auto-computed Cebinae config entirely (thresholds from
-    /// `cebinae_thresholds` still apply afterwards).
-    pub cebinae_override: Option<CebinaeConfig>,
     /// Override the recomputation period P. The harness pins P = 1: with
     /// Equation 2 sizing, dT already exceeds the buffer drain time (and
     /// thus the typical RTT timescale), and a faster control plane tracks
@@ -77,7 +74,6 @@ impl ScenarioParams {
             buffer: BufferConfig::mtus(buffer_mtus),
             discipline,
             cebinae_thresholds: (0.01, 0.01, 0.01),
-            cebinae_override: None,
             cebinae_p: None,
             duration: Duration::from_secs(10),
             sample_interval: Duration::from_millis(100),
@@ -101,11 +97,9 @@ impl ScenarioParams {
                 ..AfqConfig::default()
             }),
             Discipline::Cebinae | Discipline::CebinaePerFlowTop => {
-                let mut cfg = self.cebinae_override.clone().unwrap_or_else(|| {
-                    CebinaeConfig::for_link(self.bottleneck_bps, self.buffer, max_rtt)
-                });
                 let (dp, df, tau) = self.cebinae_thresholds;
-                cfg = cfg.with_thresholds(dp, df, tau);
+                let mut cfg = CebinaeConfig::for_link(self.bottleneck_bps, self.buffer, max_rtt)
+                    .with_thresholds(dp, df, tau);
                 if let Some(p) = self.cebinae_p {
                     cfg.p = p;
                 }

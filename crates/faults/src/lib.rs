@@ -8,7 +8,8 @@
 //! declarative [`FaultPlan`]:
 //! per-link stochastic models (loss, reorder, duplication, corruption),
 //! scripted link timelines (down/up flaps, rate changes), and
-//! control-plane stall windows that delay or collapse Cebinae rotations.
+//! control-plane stall windows that hold Cebinae rotations until the
+//! window ends.
 //!
 //! ## Determinism contract
 //!
@@ -58,10 +59,6 @@ pub enum FaultTarget {
     AllLinks,
     /// Every monitored bottleneck link.
     Bottlenecks,
-    /// The `i`-th monitored bottleneck (index into `monitored_links`).
-    Bottleneck(usize),
-    /// One concrete link.
-    Link(LinkId),
 }
 
 /// Stochastic loss model for a link.
@@ -149,25 +146,14 @@ impl LinkFaultSpec {
     }
 }
 
-/// What a control-plane stall does to rotation events inside its window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StallMode {
-    /// The recompute is late: the first rotation due inside the window
-    /// fires at the window's end.
-    Delay,
-    /// Rotations due inside the window are collapsed into the single one
-    /// that fires at the window's end (the intermediate recomputes are
-    /// skipped).
-    Skip,
-}
-
 /// A half-open window `[from, until)` of virtual time during which the
-/// control plane of the targeted link is stalled.
+/// control plane of the targeted link is stalled: the first control event
+/// due inside the window is parked until `until`, later ones are absorbed
+/// into it (see [`FaultsRt::control_verdict`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StallWindow {
     pub from: Time,
     pub until: Time,
-    pub mode: StallMode,
 }
 
 /// Control-plane faults for one link's qdisc.
@@ -213,14 +199,6 @@ impl FaultPlan {
         }
     }
 
-    /// Append another plan's specs to this one. Stochastic families
-    /// compose first-spec-wins, so an appended spec never overrides an
-    /// explicit spec already present for the same family.
-    pub fn merge(&mut self, other: FaultPlan) {
-        self.links.extend(other.links);
-        self.control.extend(other.control);
-    }
-
     /// The virtual time by which every *scripted* fault has cleared: the
     /// latest timeline event or stall-window end. `None` when the plan
     /// has no scripted component (purely stochastic plans never
@@ -252,10 +230,12 @@ impl FaultPlan {
         })
     }
 
-    /// Parse a compact comma-separated fault spec, the `CEBINAE_FAULTS` /
-    /// `--faults` surface. Each token is `family[:params]`, with
-    /// `+`-separated parameters; bare names use defaults. All stochastic
-    /// and scripted tokens target the monitored bottleneck links.
+    /// Parse a compact comma-separated fault spec, the `--faults`
+    /// surface. Each token is `family[:params]`, with `+`-separated
+    /// parameters; bare names use defaults. All stochastic and scripted
+    /// tokens target the monitored bottleneck links. A spec sets each
+    /// stochastic family at most once (`loss` and `burst` are both the
+    /// loss model); timeline tokens and stall windows accumulate.
     ///
     /// | token | meaning |
     /// |---|---|
@@ -266,15 +246,28 @@ impl FaultPlan {
     /// | `corrupt[:p]` | corruption (receive drop), default `p = 0.005` |
     /// | `flap[:at_ms+down_ms]` | link down at `at_ms` for `down_ms`, default `500+200` |
     /// | `rate[:at_ms+bps]` | capacity change at `at_ms`, default halves nothing (requires params) |
-    /// | `stall[:from_ms+for_ms]` | delayed rotations in the window, default `400+300` |
-    /// | `skip[:from_ms+for_ms]` | skipped rotations in the window, default `400+300` |
+    /// | `stall[:from_ms+for_ms]` | control-plane stall window, default `400+300` |
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
+        let mut families: Vec<&str> = Vec::new();
         for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
             let (name, params) = match token.split_once(':') {
                 Some((n, p)) => (n, Some(p)),
                 None => (token, None),
             };
+            // Resolution keeps the first spec per stochastic family, so a
+            // second one would be silently ignored: refuse it here.
+            let family = match name {
+                "loss" | "burst" => Some("loss"),
+                "reorder" | "dup" | "corrupt" => Some(name),
+                _ => None,
+            };
+            if let Some(family) = family {
+                if families.contains(&family) {
+                    return Err(format!("token {token:?} sets the {family} family a second time"));
+                }
+                families.push(family);
+            }
             let nums: Vec<f64> = match params {
                 None => Vec::new(),
                 Some(p) => p
@@ -325,22 +318,14 @@ impl FaultPlan {
                         kind: LinkEventKind::Rate(*bps as u64),
                     }];
                 }
-                "stall" | "skip" => {
+                "stall" => {
                     let from = Time(Duration::from_millis(p0(400.0) as u64).0);
                     let len =
                         Duration::from_millis(nums.get(1).copied().unwrap_or(300.0) as u64);
                     plan.control.push((
                         FaultTarget::Bottlenecks,
                         ControlFaultSpec {
-                            windows: vec![StallWindow {
-                                from,
-                                until: Time(from.0 + len.0),
-                                mode: if name == "stall" {
-                                    StallMode::Delay
-                                } else {
-                                    StallMode::Skip
-                                },
-                            }],
+                            windows: vec![StallWindow { from, until: Time(from.0 + len.0) }],
                         },
                     ));
                     continue;
@@ -453,10 +438,9 @@ pub fn chaos_plan(seed: u64, family: FaultFamily, duration_ms: u64) -> FaultPlan
         FaultFamily::Stall => {
             let from = frac(&mut rng, 0.25, 0.35);
             let until = Time(from.0 + frac(&mut rng, 0.15, 0.25).0);
-            let mode = if rng.gen_bool(0.5) { StallMode::Delay } else { StallMode::Skip };
             plan.control.push((
                 FaultTarget::Bottlenecks,
-                ControlFaultSpec { windows: vec![StallWindow { from, until, mode }] },
+                ControlFaultSpec { windows: vec![StallWindow { from, until }] },
             ));
         }
         FaultFamily::Mix => {
@@ -533,10 +517,10 @@ pub struct FaultStats {
     pub link_up_events: u64,
     /// Scripted rate changes applied.
     pub rate_changes: u64,
-    /// Rotations deferred to a stall-window end (Delay mode parks).
+    /// Control events parked until a stall window's end (one per window).
     pub control_delayed: u64,
-    /// Rotations absorbed into an already-parked one, plus Skip-mode
-    /// parks — the recomputes that never ran on schedule.
+    /// Control events absorbed into the one already parked for their
+    /// window.
     pub control_skipped: u64,
 }
 
@@ -593,16 +577,6 @@ impl FaultsRt {
             match target {
                 FaultTarget::AllLinks => (0..n_links).collect(),
                 FaultTarget::Bottlenecks => bottlenecks.iter().map(|l| l.index()).collect(),
-                FaultTarget::Bottleneck(i) => {
-                    bottlenecks.get(i).map(|l| l.index()).into_iter().collect()
-                }
-                FaultTarget::Link(l) => {
-                    if l.index() < n_links {
-                        vec![l.index()]
-                    } else {
-                        Vec::new()
-                    }
-                }
             }
         };
 
@@ -805,7 +779,9 @@ impl FaultsRt {
     /// Judge a control-plane (rotation) event due now on `link`. At most
     /// one event is parked per stall window; the parked event fires at
     /// the window's end (`until` is outside the half-open window, so it
-    /// proceeds and re-arms normal operation).
+    /// proceeds and re-arms normal operation). The qdisc's round clock
+    /// advances one dT per control call, so the rounds it missed inside
+    /// the window then replay back to back at `until`.
     pub fn control_verdict(&mut self, link: LinkId, now: Time) -> ControlVerdict {
         let Some(rt) = self.control.get_mut(link.index()).and_then(Option::as_mut) else {
             return ControlVerdict::Proceed;
@@ -819,10 +795,7 @@ impl FaultsRt {
             return ControlVerdict::Swallow;
         }
         rt.parked = true;
-        match w.mode {
-            StallMode::Delay => self.stats.control_delayed += 1,
-            StallMode::Skip => self.stats.control_skipped += 1,
-        }
+        self.stats.control_delayed += 1;
         ControlVerdict::Park(w.until)
     }
 }
@@ -876,20 +849,12 @@ mod tests {
         let stall = FaultPlan {
             links: Vec::new(),
             control: vec![(
-                FaultTarget::Link(LinkId(6)),
-                ControlFaultSpec {
-                    windows: vec![StallWindow {
-                        from: Time(1_000),
-                        until: Time(2_000),
-                        mode: StallMode::Skip,
-                    }],
-                },
+                FaultTarget::AllLinks,
+                ControlFaultSpec { windows: vec![StallWindow { from: Time(1_000), until: Time(2_000) }] },
             )],
         };
-        assert_eq!(touched(&stall), vec![6]);
-        let mut both = parsed;
-        both.merge(stall);
-        assert_eq!(touched(&both), vec![2, 5, 6]);
+        assert_eq!(touched(&stall), (0..8).collect::<Vec<_>>());
+        assert_eq!(touched(&FaultPlan::parse("stall").expect("valid spec")), vec![2, 5]);
     }
 
     #[test]
@@ -963,7 +928,7 @@ mod tests {
     fn timeline_resolves_in_order_and_flips_down_state() {
         let plan = FaultPlan {
             links: vec![(
-                FaultTarget::Bottleneck(0),
+                FaultTarget::Bottlenecks,
                 LinkFaultSpec {
                     timeline: vec![
                         LinkEvent { at: Time(500), kind: LinkEventKind::Up },
@@ -998,13 +963,7 @@ mod tests {
             links: Vec::new(),
             control: vec![(
                 FaultTarget::AllLinks,
-                ControlFaultSpec {
-                    windows: vec![StallWindow {
-                        from: Time(1_000),
-                        until: Time(2_000),
-                        mode: StallMode::Delay,
-                    }],
-                },
+                ControlFaultSpec { windows: vec![StallWindow { from: Time(1_000), until: Time(2_000) }] },
             )],
         };
         let mut rt = FaultsRt::resolve(&plan, 1, &[], 0);
@@ -1020,9 +979,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_shim_never_overrides_explicit_spec() {
+    fn first_spec_per_family_wins_at_resolution() {
         let mut plan = FaultPlan::uniform_loss(0.2);
-        plan.merge(FaultPlan::uniform_loss(0.9));
+        plan.links.extend(FaultPlan::uniform_loss(0.9).links);
+        assert_eq!(plan.links.len(), 2);
         let mut rt = FaultsRt::resolve(&plan, 1, &[], 5);
         let (drops, ..) = rates(&mut rt, LinkId(0), 10_000);
         assert!((1700..2300).contains(&drops), "first-spec-wins violated: drops={drops}");
@@ -1085,17 +1045,59 @@ mod tests {
         );
         assert_eq!(
             plan.control[0].1.windows,
-            vec![StallWindow {
-                from: Time(200_000_000),
-                until: Time(300_000_000),
-                mode: StallMode::Delay,
-            }]
+            vec![StallWindow { from: Time(200_000_000), until: Time(300_000_000) }]
         );
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse("gremlins").is_err());
+        assert!(FaultPlan::parse("skip:400+300").is_err());
         assert!(FaultPlan::parse("loss:abc").is_err());
         assert!(FaultPlan::parse("rate").is_err());
-        assert!(FaultPlan::parse("burst,reorder,corrupt,skip").is_ok());
+        assert!(FaultPlan::parse("burst,reorder,corrupt").is_ok());
+    }
+
+    #[test]
+    fn parse_sets_each_stochastic_family_once() {
+        for spec in [
+            "loss:0.01,burst:0.3",
+            "loss:0.01,loss:0.05",
+            "burst,burst",
+            "reorder,reorder:0.1",
+            "dup,corrupt,dup",
+            "corrupt,corrupt",
+        ] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert!(err.contains("second time"), "{spec}: {err}");
+        }
+        // Timeline tokens and stall windows accumulate.
+        let plan = FaultPlan::parse("flap:100+50,flap:300+50,rate:500+1000000,stall,stall:700+10")
+            .unwrap();
+        assert_eq!((plan.links.len(), plan.control.len()), (3, 2));
+        // The ledger's chaos spec keeps one entry per family.
+        let on_bottlenecks = |spec: LinkFaultSpec| (FaultTarget::Bottlenecks, spec);
+        let chaos = FaultPlan {
+            links: vec![
+                on_bottlenecks(LinkFaultSpec {
+                    loss: LossModel::GilbertElliott {
+                        p_enter: 0.01,
+                        p_exit: 0.25,
+                        loss_good: 0.0,
+                        loss_bad: 0.25,
+                    },
+                    ..LinkFaultSpec::default()
+                }),
+                on_bottlenecks(LinkFaultSpec {
+                    reorder: Some(ReorderSpec {
+                        p: 0.02,
+                        min_hold: Duration::from_micros(500),
+                        max_hold: Duration::from_millis(3),
+                    }),
+                    ..LinkFaultSpec::default()
+                }),
+                on_bottlenecks(LinkFaultSpec { duplicate: 0.01, ..LinkFaultSpec::default() }),
+            ],
+            control: Vec::new(),
+        };
+        assert_eq!(FaultPlan::parse("burst:0.25,reorder:0.02,dup:0.01"), Ok(chaos));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * `disciplines` — all five disciplines (incl. AFQ) on one scenario;
 //! * `ecn` — Cebinae's ECN marking path with ECN-enabled NewReno.
 
-use cebinae_engine::{Discipline, DumbbellFlow};
+use cebinae_engine::{Discipline, DumbbellFlow, QdiscSpec};
 use cebinae_transport::CcKind;
 
 use crate::runner::{mbps, run_with_params, Ctx, Table};
@@ -108,17 +108,12 @@ pub fn ecn(ctx: &Ctx) -> String {
             .map(|_| DumbbellFlow::new(CcKind::NewReno, 40))
             .collect();
         flows.push(DumbbellFlow::new(CcKind::Cubic, 40));
-        let mut p = ctx.params(100_000_000, 850, Discipline::Cebinae, duration);
-        let mut ccfg = cebinae::CebinaeConfig::for_link(
-            100_000_000,
-            cebinae_net::BufferConfig::mtus(850),
-            cebinae_sim::Duration::from_millis(80),
-        );
-        ccfg.enable_ecn = enable_ecn;
-        ccfg.p = 1;
-        p.cebinae_override = Some(ccfg);
-        // ECN-capable endpoints.
+        let p = ctx.params(100_000_000, 850, Discipline::Cebinae, duration);
         let (mut cfg, bneck) = cebinae_engine::dumbbell(&flows, &p);
+        if let Some(QdiscSpec::Cebinae(ccfg)) = cfg.qdiscs.get_mut(&bneck) {
+            ccfg.enable_ecn = enable_ecn;
+        }
+        // ECN-capable endpoints.
         if enable_ecn {
             for f in &mut cfg.flows {
                 f.tcp.ecn = true;

@@ -8,6 +8,7 @@
 //! ```
 
 use cebinae_harness::{run_experiment, Ctx, EXPERIMENTS};
+use cebinae_par::TrialPool;
 
 fn usage() -> ! {
     eprintln!(
@@ -19,14 +20,12 @@ fn usage() -> ! {
          flags:       --full      paper-duration runs (100 s, 100 trials)\n\
                       --rows      table2 row filter (comma-separated ids)\n\
                       --seed      RNG seed / trial index (default 1)\n\
-                      --threads   trial-pool workers (default CEBINAE_THREADS\n\
-                                  or the machine's cores; output is identical\n\
-                                  for any value)\n\
-                      --telemetry append deterministic NDJSON telemetry to\n\
-                                  PATH (also: CEBINAE_TELEMETRY=PATH)\n\
+                      --threads   trial-pool workers (default: the machine's\n\
+                                  cores; output is identical for any value)\n\
+                      --telemetry append deterministic NDJSON telemetry to PATH\n\
                       --faults    fault plan for fault-aware experiments, e.g.\n\
-                                  'burst:0.3,flap:500+200' (also:\n\
-                                  CEBINAE_FAULTS=SPEC; see the chaos experiment)",
+                                  'burst:0.3,flap:500+200' (see the chaos\n\
+                                  experiment)",
         EXPERIMENTS.join(", ")
     );
     std::process::exit(2);
@@ -37,7 +36,7 @@ fn main() {
     if args.is_empty() {
         usage();
     }
-    let mut ctx = Ctx::from_env();
+    let mut ctx = Ctx::serial(false, 1).with_threads(TrialPool::default().threads());
     let mut rows: Option<Vec<usize>> = None;
     let mut experiments: Vec<String> = Vec::new();
     let mut it = args.into_iter();

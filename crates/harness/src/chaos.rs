@@ -2,8 +2,8 @@
 //!
 //! The paper's tables run on clean links; this experiment replays the
 //! standard mixed-CCA dumbbell under each fault family of
-//! `cebinae-faults` (plus whatever plan the user armed via
-//! `CEBINAE_FAULTS` / `--faults`) and reports what the adversity costs:
+//! `cebinae-faults` (plus whatever plan the user armed via `--faults`)
+//! and reports what the adversity costs:
 //! goodput, fairness, and the injected-drop ledger scraped from the
 //! `sys:faults` telemetry scope. Everything is seed-deterministic, so a
 //! surprising row is a replayable row.

@@ -6,12 +6,11 @@
 //! front end; the library functions are also driven by the performance
 //! ledger (`ledger/`).
 //!
-//! Durations are scaled by default (single-core friendly); set
-//! `CEBINAE_FULL=1` or pass `--full` for the paper's 100 s runs and
-//! 100-trial Figure 13 sweeps.
+//! Durations are scaled by default (single-core friendly); pass `--full`
+//! for the paper's 100 s runs and 100-trial Figure 13 sweeps.
 //!
 //! Independent seeded trials fan out across a [`cebinae_par::TrialPool`]
-//! sized by `CEBINAE_THREADS` (or `--threads`); results are always
+//! sized by `--threads` (default: the machine's cores); results are always
 //! collected in job order, so experiment output is byte-identical for any
 //! thread count.
 

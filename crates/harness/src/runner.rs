@@ -10,52 +10,30 @@ use cebinae_sim::{Duration, Time};
 /// Global experiment context: scaled (default) or full paper durations,
 /// trial-pool width, and the telemetry sink.
 ///
-/// All environment reads live in [`Ctx::from_env`]; experiment modules
-/// take a `&Ctx` instead of consulting `std::env` themselves.
+/// The context is plain configuration: the `cebinae-experiments` CLI fills
+/// it from its flags, and experiment modules take a `&Ctx` instead of
+/// consulting the process environment.
 #[derive(Clone, Debug)]
 pub struct Ctx {
     /// Run the paper's full 100 s experiments instead of scaled ones.
     pub full: bool,
     /// Base RNG seed / trial index.
     pub seed: u64,
-    /// Worker threads for independent seeded trials (`CEBINAE_THREADS`).
+    /// Worker threads for independent seeded trials (`--threads`).
     /// Experiment output is byte-identical for any value — trials are
     /// collected in job order, never completion order.
     pub threads: usize,
-    /// NDJSON telemetry sink path (`CEBINAE_TELEMETRY` / `--telemetry`);
-    /// `None` disables collection.
+    /// NDJSON telemetry sink path (`--telemetry`); `None` disables
+    /// collection.
     pub telemetry: Option<String>,
-    /// Fault plan applied by fault-aware experiments (`CEBINAE_FAULTS` /
-    /// `--faults`, compact [`FaultPlan::parse`] syntax). Empty by default:
-    /// the paper's tables and figures always run clean; only experiments
-    /// that opt in (the `chaos` experiment) consult this.
+    /// Fault plan applied by fault-aware experiments (`--faults`, compact
+    /// [`FaultPlan::parse`] syntax). Empty by default: the paper's tables
+    /// and figures always run clean; only experiments that opt in (the
+    /// `chaos` experiment) consult this.
     pub faults: FaultPlan,
 }
 
 impl Ctx {
-    /// Context from the environment: `CEBINAE_FULL`, `CEBINAE_THREADS`,
-    /// `CEBINAE_TELEMETRY` (sink path), and `CEBINAE_FAULTS` (compact
-    /// fault spec; a malformed spec warns on stderr and runs clean rather
-    /// than silently faulting the wrong thing).
-    pub fn from_env() -> Ctx {
-        Ctx {
-            full: std::env::var_os("CEBINAE_FULL").is_some(),
-            seed: 1,
-            threads: cebinae_par::threads_from_env(),
-            telemetry: std::env::var_os("CEBINAE_TELEMETRY")
-                .map(|v| v.to_string_lossy().into_owned()),
-            faults: std::env::var_os("CEBINAE_FAULTS")
-                .map(|v| match FaultPlan::parse(&v.to_string_lossy()) {
-                    Ok(plan) => plan,
-                    Err(e) => {
-                        eprintln!("CEBINAE_FAULTS ignored: {e}");
-                        FaultPlan::default()
-                    }
-                })
-                .unwrap_or_default(),
-        }
-    }
-
     /// Serial context with the given flags — the configuration every unit
     /// test uses, and the reproducibility reference for parallel runs.
     pub fn serial(full: bool, seed: u64) -> Ctx {

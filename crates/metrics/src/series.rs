@@ -1,5 +1,5 @@
 //! Per-flow time-series collection: goodput sampled on a fixed interval,
-//! for Figure 1's goodput traces and Figure 10's per-second JFI series.
+//! for Figure 1's goodput traces.
 
 use cebinae_net::FlowId;
 use cebinae_sim::{Duration, Time};
@@ -84,19 +84,6 @@ impl GoodputSeries {
             .collect()
     }
 
-    /// Per-sample Jain's index over interval rates (Figure 10's series).
-    pub fn jfi_series(&self) -> Vec<(Time, f64)> {
-        self.rates()
-            .into_iter()
-            .map(|(t, rs)| {
-                // Only count flows that have started (nonzero cumulative
-                // history would be better, but rate > 0 at any prior point
-                // is equivalent for long-lived flows).
-                (t, crate::jfi::jfi(&rs))
-            })
-            .collect()
-    }
-
     pub fn len(&self) -> usize {
         self.samples.len()
     }
@@ -135,17 +122,6 @@ mod tests {
         assert_eq!(s.average_rates(Time::ZERO), vec![1000.0, 1000.0]);
         // From t=1s: only the second interval counts.
         assert_eq!(s.average_rates(Time::from_secs(1)), vec![1000.0, 2000.0]);
-    }
-
-    #[test]
-    fn jfi_series_tracks_fairness_over_time() {
-        let mut s = series();
-        s.record(Time::from_secs(0), vec![0, 0]);
-        s.record(Time::from_secs(1), vec![1000, 1000]); // fair interval
-        s.record(Time::from_secs(2), vec![3000, 1000]); // unfair interval
-        let j = s.jfi_series();
-        assert!((j[0].1 - 1.0).abs() < 1e-12);
-        assert!(j[1].1 < 0.6);
     }
 
     #[test]

@@ -152,14 +152,6 @@ impl Topology {
     pub fn path_delay(&self, path: &[LinkId]) -> Duration {
         path.iter().map(|l| self.link(*l).delay).sum()
     }
-
-    /// Minimum link rate along a path.
-    pub fn path_min_rate(&self, path: &[LinkId]) -> u64 {
-        path.iter()
-            .map(|l| self.link(*l).rate_bps)
-            .min()
-            .unwrap_or(u64::MAX)
-    }
 }
 
 /// Shortest paths over one [`Topology`], one BFS per distinct *root* rather
@@ -249,7 +241,6 @@ mod tests {
         let (t, n) = line_topology();
         let p = t.shortest_path(n[0], n[3]).unwrap();
         assert_eq!(t.path_delay(&p), Duration::from_micros(20));
-        assert_eq!(t.path_min_rate(&p), 100_000_000);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! simulated timeline.** A single `Simulation` is one deterministic event
 //! loop; this crate runs many of them at once and collects their results
 //! **by job index**, so the output of [`TrialPool::run`] is byte-identical
-//! regardless of thread count or OS scheduling — `CEBINAE_THREADS=1`
-//! reproduces the parallel output exactly, which the tier-1 test
+//! regardless of thread count or OS scheduling — one thread reproduces the
+//! parallel output exactly, which the tier-1 test
 //! `tests/parallel_determinism.rs` asserts.
 //!
 //! Scheduling is dynamic self-scheduling over a shared bag: each worker
@@ -42,17 +42,6 @@ impl TrialPool {
         TrialPool {
             threads: threads.max(1),
         }
-    }
-
-    /// A pool sized from `CEBINAE_THREADS`, falling back to the machine's
-    /// available parallelism (see [`threads_from_env`]).
-    pub fn from_env() -> TrialPool {
-        TrialPool::with_threads(threads_from_env())
-    }
-
-    /// Serial pool: everything runs inline on the calling thread.
-    pub fn serial() -> TrialPool {
-        TrialPool::with_threads(1)
     }
 
     /// The configured worker count.
@@ -137,33 +126,11 @@ impl TrialPool {
     }
 }
 
+/// A pool as wide as the machine's available parallelism (1 if unknown).
 impl Default for TrialPool {
     fn default() -> Self {
-        TrialPool::from_env()
+        TrialPool::with_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
-}
-
-/// Thread count from the environment: `CEBINAE_THREADS` if set to a
-/// positive integer, else the machine's available parallelism, else 1.
-pub fn threads_from_env() -> usize {
-    parse_threads(std::env::var("CEBINAE_THREADS").ok().as_deref())
-}
-
-/// Pure parsing core of [`threads_from_env`], split out for testing.
-pub fn parse_threads(var: Option<&str>) -> usize {
-    match var.map(str::trim) {
-        Some(s) if !s.is_empty() => match s.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => default_threads(),
-        },
-        _ => default_threads(),
-    }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -249,15 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_parsing() {
-        assert_eq!(parse_threads(Some("4")), 4);
-        assert_eq!(parse_threads(Some(" 2 ")), 2);
-        // Invalid or empty values fall back to machine parallelism (>= 1).
-        assert!(parse_threads(Some("0")) >= 1);
-        assert!(parse_threads(Some("nope")) >= 1);
-        assert!(parse_threads(None) >= 1);
-        assert!(TrialPool::from_env().threads() >= 1);
+    fn pool_width_defaults_to_the_machine_and_clamps_to_one() {
+        assert!(TrialPool::default().threads() >= 1);
         assert_eq!(TrialPool::with_threads(0).threads(), 1);
-        assert_eq!(TrialPool::serial().threads(), 1);
+        assert_eq!(TrialPool::with_threads(3).threads(), 3);
     }
 }

@@ -22,6 +22,9 @@
 //! buys nothing (parallelism across *trials* is achieved by running multiple
 //! independent simulations).
 
+#[cfg(test)]
+#[macro_use]
+mod contract;
 pub mod heap;
 pub mod rng;
 pub mod sched;

@@ -65,19 +65,6 @@ impl MiceWorkload {
         }
         out
     }
-
-    /// Expected offered load in bits/sec (mean size × arrival rate × 8).
-    pub fn expected_load_bps(&self) -> f64 {
-        // Bounded Pareto mean.
-        let (l, h, a) = (self.min_bytes as f64, self.max_bytes as f64, self.alpha);
-        let mean = if (a - 1.0).abs() < 1e-9 {
-            (h / l).ln() * l * h / (h - l)
-        } else {
-            (l.powf(a) / (1.0 - (l / h).powf(a))) * (a / (a - 1.0))
-                * (1.0 / l.powf(a - 1.0) - 1.0 / h.powf(a - 1.0))
-        };
-        mean * self.arrivals_per_sec * 8.0
-    }
 }
 
 #[cfg(test)]
@@ -120,15 +107,6 @@ mod tests {
         let median = sizes[sizes.len() / 2] as f64;
         let mean = sizes.iter().sum::<u64>() as f64 / sizes.len() as f64;
         assert!(mean > 1.5 * median, "mean {mean} vs median {median}");
-    }
-
-    #[test]
-    fn expected_load_is_sane() {
-        let w = MiceWorkload::default();
-        let bps = w.expected_load_bps();
-        // 10 flows/s of 10KB..1MB pareto(1.2) mice: mean ≈ 40-60 KB →
-        // ~3-5 Mbps.
-        assert!(bps > 1e6 && bps < 2e7, "{bps}");
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod prelude {
     };
     pub use cebinae_faults::{
         chaos_plan, ControlFaultSpec, FaultFamily, FaultPlan, FaultTarget, LinkEvent,
-        LinkEventKind, LinkFaultSpec, LossModel, ReorderSpec, StallMode, StallWindow,
+        LinkEventKind, LinkFaultSpec, LossModel, ReorderSpec, StallWindow,
     };
     pub use cebinae_metrics::{jfi, jfi_maxmin_normalized, water_filling, MaxMinFlow};
     pub use cebinae_net::{BufferConfig, FlowId, LinkId, Packet, Qdisc, Topology};

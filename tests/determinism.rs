@@ -97,7 +97,6 @@ fn chaos_plans_are_bit_deterministic() {
             windows: vec![StallWindow {
                 from: Time::from_secs(3),
                 until: Time::from_secs(4),
-                mode: StallMode::Delay,
             }],
         },
     ));

@@ -105,7 +105,6 @@ pub fn fault_family_plans() -> Vec<(&'static str, FaultPlan)> {
                         windows: vec![StallWindow {
                             from: Time::from_secs(1),
                             until: Time::from_secs(2),
-                            mode: StallMode::Skip,
                         }],
                     },
                 )],
