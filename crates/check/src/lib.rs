@@ -44,7 +44,7 @@ pub fn judge_run(sc: &GenScenario, res: &SimResult) -> Vec<Violation> {
         violations.extend(oracle::check_conservation(ndjson, end_ns));
     }
     let plan = sc.fault_plan();
-    if plan.control.is_empty() {
+    if plan.stalls.is_empty() {
         // Control-plane faults park/swallow the qdisc's rotations, which
         // the replica's free-running round clock cannot model; every
         // other fault family leaves the offered stream exact (injected

@@ -639,7 +639,7 @@ mod tests {
         assert_eq!(check_conservation(&s, 100), Vec::new());
     }
 
-    use cebinae_faults::{FaultTarget, LinkEvent, LinkEventKind, LinkFaultSpec};
+    use cebinae_faults::{LinkEvent, LinkEventKind, LinkFaultSpec};
     use cebinae_net::{FlowId, LinkId, TraceRecord};
 
     /// A trace holding `injected` fault drops plus one ordinary enqueue.
@@ -705,18 +705,16 @@ mod tests {
 
     /// A plan whose only fault is a scripted flap clearing at 400ms.
     fn flap_plan() -> FaultPlan {
-        let mut p = FaultPlan::default();
-        p.links.push((
-            FaultTarget::Bottlenecks,
-            LinkFaultSpec {
+        FaultPlan {
+            link: LinkFaultSpec {
                 timeline: vec![
                     LinkEvent { at: Time(300_000_000), kind: LinkEventKind::Down },
                     LinkEvent { at: Time(400_000_000), kind: LinkEventKind::Up },
                 ],
                 ..LinkFaultSpec::default()
             },
-        ));
-        p
+            ..FaultPlan::default()
+        }
     }
 
     /// Per-100ms rate samples over a 1s run, constant per flow.
@@ -841,7 +839,7 @@ mod tests {
         // The same tail under a plan that also carries persistent noise
         // is exempt from the JFI clause (noise keeps perturbing flows).
         let mut noisy = flap_plan();
-        noisy.links[0].1.loss = cebinae_faults::LossModel::Uniform { p: 0.01 };
+        noisy.link.loss = cebinae_faults::LossModel::Uniform { p: 0.01 };
         assert!(noisy.has_persistent_noise());
         let v = degradation_violations(
             &noisy,
@@ -859,7 +857,7 @@ mod tests {
         // Quiesce at 900ms of a 1s run: tail shorter than the minimum,
         // only the liveness clause applies.
         let mut plan = flap_plan();
-        plan.links[0].1.timeline[1].at = Time(900_000_000);
+        plan.link.timeline[1].at = Time(900_000_000);
         assert_eq!(plan.quiesce_ns(), Some(900_000_000));
         let v = degradation_violations(
             &plan,

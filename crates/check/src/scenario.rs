@@ -10,14 +10,14 @@
 
 use cebinae::CebinaeConfig;
 use cebinae_engine::{
-    dumbbell, parking_lot, Discipline, DumbbellFlow, ParkingLotGroup, QdiscSpec, ScenarioParams,
-    SimConfig,
+    chain, dumbbell, parking_lot, Discipline, DumbbellFlow, ParkingLotGroup, QdiscSpec,
+    ScenarioParams, SimConfig,
 };
 use cebinae_faults::{chaos_plan, FaultFamily, FaultPlan};
-use cebinae_net::{BufferConfig, LinkId, Topology};
+use cebinae_net::{BufferConfig, LinkId};
 use cebinae_sim::rng::DetRng;
 use cebinae_sim::{tx_time, Duration, SchedulerKind, Time};
-use cebinae_transport::{CcKind, TcpConfig};
+use cebinae_transport::CcKind;
 
 /// Topology families the fuzzer samples from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -245,11 +245,8 @@ impl GenScenario {
     /// oracles, which must hold for any configuration.
     pub fn build_fairness(&self, disc: Discipline) -> (SimConfig, Vec<LinkId>) {
         debug_assert_eq!(self.kind, TopologyKind::Dumbbell, "fairness regime is symmetric dumbbells");
-        let mut p = ScenarioParams::new(self.bottleneck_bps, self.buffer_mtus, disc);
-        p.duration = Duration::from_millis(self.duration_ms);
-        p.sample_interval = Duration::from_millis(100);
-        p.seed = self.seed;
-        p.scheduler = self.scheduler;
+        let mut p = self.params(disc);
+        p.telemetry = false;
         let (cfg, b) = dumbbell(&self.dumbbell_flows(), &p);
         (cfg, vec![b])
     }
@@ -296,7 +293,13 @@ impl GenScenario {
                 }
                 parking_lot(segments, &groups, &self.params(disc))
             }
-            TopologyKind::MultiBottleneck => self.build_multi_bottleneck(disc),
+            TopologyKind::MultiBottleneck => {
+                // Even flows cross both bottlenecks; odd ones enter at the
+                // middle switch and cross only B.
+                let flows =
+                    self.dumbbell_flows().into_iter().enumerate().map(|(i, f)| (f, i % 2, 2));
+                chain(&self.bottleneck_rates(), flows, &self.params(disc))
+            }
         };
         // Every Cebinae bottleneck runs the fuzzed config, not the
         // builders' Equation-2 default.
@@ -330,80 +333,12 @@ impl GenScenario {
             TopologyKind::Dumbbell => vec![self.bottleneck_bps],
             // Both parking-lot segments run at the sampled rate.
             TopologyKind::ParkingLot => vec![self.bottleneck_bps; 2],
+            // Link A at the sampled rate, link B at half of it.
             TopologyKind::MultiBottleneck => {
                 vec![self.bottleneck_bps, self.bottleneck_bps / 2]
             }
         }
     }
-
-    /// Two chained bottlenecks with *different* rates: link A at the
-    /// sampled rate, link B at half of it. Half the flows cross both; the
-    /// rest enter at the middle switch and cross only B.
-    fn build_multi_bottleneck(&self, disc: Discipline) -> (SimConfig, Vec<LinkId>) {
-        let rate_a = self.bottleneck_bps;
-        let rate_b = self.bottleneck_bps / 2;
-        let mut topo = Topology::new();
-        let s0 = topo.add_switch();
-        let s1 = topo.add_switch();
-        let s2 = topo.add_switch();
-        let bneck_delay = Duration::from_micros(5);
-        let (link_a, _) = topo.add_duplex_link(s0, s1, rate_a, bneck_delay);
-        let (link_b, _) = topo.add_duplex_link(s1, s2, rate_b, bneck_delay);
-        let access_rate = rate_a.saturating_mul(4);
-
-        let mut specs = Vec::new();
-        let mut max_rtt = Duration::ZERO;
-        for i in 0..self.n_flows {
-            let rtt = Duration::from_millis(self.rtts_ms[i % self.rtts_ms.len()]);
-            max_rtt = max_rtt.max(rtt);
-            let src = topo.add_host();
-            let dst = topo.add_host();
-            let crosses_both = i % 2 == 0;
-            let entry = if crosses_both { s0 } else { s1 };
-            let hops = if crosses_both { 2u64 } else { 1 };
-            let d_dst = Duration::from_micros(5);
-            let d_src = (rtt / 2).saturating_sub(bneck_delay * hops + d_dst);
-            topo.add_duplex_link(src, entry, access_rate, d_src);
-            topo.add_duplex_link(s2, dst, access_rate, d_dst);
-            specs.push(cebinae_engine::FlowSpec {
-                src,
-                dst,
-                tcp: TcpConfig::with_cc(self.ccas[i % self.ccas.len()]),
-                start: Time::from_millis(self.starts_ms[i % self.starts_ms.len()]),
-            });
-        }
-
-        let buffer = BufferConfig::mtus(self.buffer_mtus);
-        let mut qdiscs = cebinae_ds::DetMap::new();
-        for (link, rate) in [(link_a, rate_a), (link_b, rate_b)] {
-            let spec = match disc {
-                Discipline::Fifo => QdiscSpec::Fifo { buffer },
-                Discipline::FqCoDel => QdiscSpec::FqCoDel(
-                    cebinae_fq_config(buffer.bytes),
-                ),
-                Discipline::Afq => unreachable!("AFQ is not in the sampled set"),
-                Discipline::Cebinae | Discipline::CebinaePerFlowTop => {
-                    QdiscSpec::Cebinae(self.cebinae_config(rate))
-                }
-            };
-            qdiscs.insert(link, spec);
-        }
-        let mut cfg = SimConfig::new(topo, specs);
-        cfg.qdiscs = qdiscs;
-        cfg.monitored_links = vec![link_a, link_b];
-        cfg.duration = Duration::from_millis(self.duration_ms);
-        cfg.sample_interval = Duration::from_millis(100);
-        cfg.seed = self.seed;
-        cfg.telemetry = true;
-        cfg.scheduler = self.scheduler;
-        (cfg, vec![link_a, link_b])
-    }
-}
-
-/// FQ-CoDel config for the hand-built topology (mirrors the engine's
-/// `ideal_with_limit` so multi-bottleneck FQ runs match the dumbbell path).
-fn cebinae_fq_config(limit_bytes: u64) -> cebinae_fq::FqCoDelConfig {
-    cebinae_fq::FqCoDelConfig::ideal_with_limit(limit_bytes)
 }
 
 /// Deterministic choice from a non-empty slice.
@@ -453,7 +388,9 @@ mod tests {
             let (cfg, bnecks) = sc.build();
             assert!(!bnecks.is_empty());
             assert_eq!(cfg.flows.len(), sc.n_flows, "seed {seed}");
-            for f in &cfg.flows {
+            let rates: Vec<u64> = bnecks.iter().map(|&b| cfg.topology.link(b).rate_bps).collect();
+            assert_eq!(rates, sc.bottleneck_rates(), "seed {seed}");
+            for (i, f) in cfg.flows.iter().enumerate() {
                 let path = cfg
                     .topology
                     .shortest_path(f.src, f.dst)
@@ -462,6 +399,11 @@ mod tests {
                     bnecks.iter().any(|b| path.contains(b)),
                     "seed {seed}: flow avoids every bottleneck"
                 );
+                if sc.kind == TopologyKind::MultiBottleneck {
+                    // Even flows cross A and B, odd ones only B.
+                    assert_eq!(path.contains(&bnecks[0]), i % 2 == 0, "seed {seed} flow {i}");
+                    assert!(path.contains(&bnecks[1]), "seed {seed} flow {i}");
+                }
             }
         }
     }

@@ -2,7 +2,8 @@
 //!
 //! The whole-network discrete-event simulator of the Cebinae reproduction:
 //! [`world`] runs the event loop over links, qdiscs, and TCP endpoints;
-//! [`scenario`] builds the paper's dumbbell and parking-lot topologies.
+//! [`scenario`] builds the paper's dumbbell and parking-lot topologies, both
+//! as chains of bottleneck links.
 //!
 //! This crate plays the role ns-3 plays in the paper: a controlled,
 //! instrumentable substrate on which Cebinae, FIFO, and FQ-CoDel can be
@@ -14,7 +15,8 @@ pub mod world;
 pub use cebinae_faults::{FaultPlan, FaultTarget, LinkFaultSpec};
 pub use cebinae_net::BufferConfig;
 pub use scenario::{
-    cca_mix, dumbbell, parking_lot, Discipline, DumbbellFlow, ParkingLotGroup, ScenarioParams,
+    cca_mix, chain, dumbbell, parking_lot, Discipline, DumbbellFlow, ParkingLotGroup,
+    ScenarioParams,
 };
 pub use world::{CebinaeSample, FlowDebug, FlowSpec, QdiscSpec, SimConfig, SimResult, Simulation};
 

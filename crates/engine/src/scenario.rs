@@ -1,6 +1,8 @@
-//! Canonical experiment scenarios: the dumbbell and parking-lot topologies
-//! used throughout the paper's evaluation, parameterized by per-flow CCA,
-//! RTT and start time, bottleneck rate, buffer, and discipline under test.
+//! Canonical experiment scenarios. Every topology of the paper's
+//! evaluation is a [`chain`] of switches joined by bottleneck links with
+//! per-flow access links: the dumbbell is a one-segment chain, the parking
+//! lot a chain of equal-rate segments. Parameterized by per-flow CCA, RTT
+//! and start time, bottleneck rates, buffer, and discipline under test.
 
 use cebinae::CebinaeConfig;
 use cebinae_faults::FaultPlan;
@@ -39,7 +41,8 @@ impl Discipline {
 /// Tunables shared by the scenario builders.
 #[derive(Clone, Debug)]
 pub struct ScenarioParams {
-    /// Bottleneck line rate, bits/sec.
+    /// Bottleneck line rate, bits/sec, of every segment `dumbbell` and
+    /// `parking_lot` build ([`chain`] takes per-segment rates).
     pub bottleneck_bps: u64,
     /// Bottleneck buffer (Table 2 "Buf." column).
     pub buffer: BufferConfig,
@@ -85,8 +88,8 @@ impl ScenarioParams {
         }
     }
 
-    /// Build the qdisc spec for one bottleneck link.
-    fn bottleneck_qdisc(&self, max_rtt: Duration) -> QdiscSpec {
+    /// Build the qdisc spec for one bottleneck link of `rate_bps`.
+    fn bottleneck_qdisc(&self, rate_bps: u64, max_rtt: Duration) -> QdiscSpec {
         match self.discipline {
             Discipline::Fifo => QdiscSpec::Fifo { buffer: self.buffer },
             Discipline::FqCoDel => {
@@ -98,7 +101,7 @@ impl ScenarioParams {
             }),
             Discipline::Cebinae | Discipline::CebinaePerFlowTop => {
                 let (dp, df, tau) = self.cebinae_thresholds;
-                let mut cfg = CebinaeConfig::for_link(self.bottleneck_bps, self.buffer, max_rtt)
+                let mut cfg = CebinaeConfig::for_link(rate_bps, self.buffer, max_rtt)
                     .with_thresholds(dp, df, tau);
                 if let Some(p) = self.cebinae_p {
                     cfg.p = p;
@@ -157,32 +160,44 @@ pub fn cca_mix(groups: &[(CcKind, usize)], rtts_ms: &[u64]) -> Vec<DumbbellFlow>
     flows
 }
 
-/// Build a dumbbell: per-flow host pairs on both sides of a single
-/// bottleneck `s0 → s1`. Returns the sim config and the forward bottleneck
-/// link id.
-pub fn dumbbell(flows: &[DumbbellFlow], p: &ScenarioParams) -> (SimConfig, LinkId) {
-    assert!(!flows.is_empty());
+/// Build a chain of switches `s0 → s1 → … → sN` joined by one bottleneck
+/// per entry of `rates` (segment `i` runs `s_i → s_{i+1}` at `rates[i]`),
+/// with a host pair per flow: the source hangs off switch `enter`, the
+/// destination off switch `exit`, so the flow crosses segments
+/// `[enter, exit)`. Every scenario topology is built here; `rates`, not
+/// `p.bottleneck_bps`, sets the segment rates. Returns the sim config and
+/// the forward bottleneck link ids, in segment order.
+pub fn chain(
+    rates: &[u64],
+    flows: impl IntoIterator<Item = (DumbbellFlow, usize, usize)>,
+    p: &ScenarioParams,
+) -> (SimConfig, Vec<LinkId>) {
     let mut topo = Topology::new();
-    let s0 = topo.add_switch();
-    let s1 = topo.add_switch();
-    // Bottleneck: small propagation delay; RTT lives on the access links.
+    let switches: Vec<_> = (0..=rates.len()).map(|_| topo.add_switch()).collect();
+    // Bottlenecks: small propagation delay; RTT lives on the access links.
     let bneck_delay = Duration::from_micros(5);
-    let (bneck_fwd, _bneck_rev) = topo.add_duplex_link(s0, s1, p.bottleneck_bps, bneck_delay);
+    let bnecks: Vec<LinkId> = rates
+        .iter()
+        .zip(switches.windows(2))
+        .map(|(&rate, w)| topo.add_duplex_link(w[0], w[1], rate, bneck_delay).0)
+        .collect();
 
-    // Access links run 4x the bottleneck (so they are never the constraint)
-    // with per-flow delay placing the configured RTT.
-    let access_rate = p.bottleneck_bps.saturating_mul(4).max(p.bottleneck_bps);
-    let mut specs = Vec::with_capacity(flows.len());
+    // Access links run 4x the fastest bottleneck (so they are never the
+    // constraint) with per-flow delay placing the configured RTT.
+    let access_rate = rates.iter().max().expect("a chain has a segment").saturating_mul(4);
+    let flows = flows.into_iter();
+    let mut specs = Vec::with_capacity(flows.size_hint().0);
     let mut max_rtt = Duration::ZERO;
-    for f in flows {
+    for (f, enter, exit) in flows {
+        assert!(enter < exit && exit <= rates.len());
         let src = topo.add_host();
         let dst = topo.add_host();
         max_rtt = max_rtt.max(f.rtt);
-        // RTT = 2*(d_src + d_bneck + d_dst); put the bulk at the source.
+        // RTT = 2*(d_src + crossed*d_bneck + d_dst); put the bulk at the source.
         let d_dst = Duration::from_micros(5);
-        let d_src = (f.rtt / 2).saturating_sub(bneck_delay + d_dst);
-        topo.add_duplex_link(src, s0, access_rate, d_src);
-        topo.add_duplex_link(s1, dst, access_rate, d_dst);
+        let d_src = (f.rtt / 2).saturating_sub(bneck_delay * (exit - enter) as u64 + d_dst);
+        topo.add_duplex_link(src, switches[enter], access_rate, d_src);
+        topo.add_duplex_link(switches[exit], dst, access_rate, d_dst);
         let mut tcp = TcpConfig::with_cc(f.cc);
         tcp.app_bytes = f.app_bytes;
         specs.push(FlowSpec {
@@ -194,10 +209,12 @@ pub fn dumbbell(flows: &[DumbbellFlow], p: &ScenarioParams) -> (SimConfig, LinkI
     }
 
     let mut qdiscs = cebinae_ds::DetMap::new();
-    qdiscs.insert(bneck_fwd, p.bottleneck_qdisc(max_rtt * 2));
+    for (&link, &rate) in bnecks.iter().zip(rates) {
+        qdiscs.insert(link, p.bottleneck_qdisc(rate, max_rtt * 2));
+    }
     let mut cfg = SimConfig::new(topo, specs);
     cfg.qdiscs = qdiscs;
-    cfg.monitored_links = vec![bneck_fwd];
+    cfg.monitored_links = bnecks.clone();
     cfg.duration = p.duration;
     cfg.sample_interval = p.sample_interval;
     cfg.seed = p.seed;
@@ -205,7 +222,16 @@ pub fn dumbbell(flows: &[DumbbellFlow], p: &ScenarioParams) -> (SimConfig, LinkI
     cfg.express = p.express;
     cfg.scheduler = p.scheduler;
     cfg.faults = p.faults.clone();
-    (cfg, bneck_fwd)
+    (cfg, bnecks)
+}
+
+/// Build a dumbbell: per-flow host pairs on both sides of a single
+/// bottleneck `s0 → s1`. Returns the sim config and the forward bottleneck
+/// link id.
+pub fn dumbbell(flows: &[DumbbellFlow], p: &ScenarioParams) -> (SimConfig, LinkId) {
+    assert!(!flows.is_empty());
+    let (cfg, bnecks) = chain(&[p.bottleneck_bps], flows.iter().map(|f| (f.clone(), 0, 1)), p);
+    (cfg, bnecks[0])
 }
 
 /// One group of flows in the parking lot.
@@ -228,53 +254,16 @@ pub fn parking_lot(
     groups: &[ParkingLotGroup],
     p: &ScenarioParams,
 ) -> (SimConfig, Vec<LinkId>) {
-    assert!(segments >= 1);
-    let mut topo = Topology::new();
-    let switches: Vec<_> = (0..=segments).map(|_| topo.add_switch()).collect();
-    let bneck_delay = Duration::from_micros(5);
-    let mut bnecks = Vec::new();
-    for i in 0..segments {
-        let (fwd, _rev) =
-            topo.add_duplex_link(switches[i], switches[i + 1], p.bottleneck_bps, bneck_delay);
-        bnecks.push(fwd);
-    }
-    let access_rate = p.bottleneck_bps.saturating_mul(4);
-    let mut specs = Vec::new();
-    let mut max_rtt = Duration::ZERO;
-    for g in groups {
-        assert!(g.enter < g.exit && g.exit <= segments);
-        max_rtt = max_rtt.max(g.rtt);
-        for _ in 0..g.count {
-            let src = topo.add_host();
-            let dst = topo.add_host();
-            let d_dst = Duration::from_micros(5);
-            let crossed = (g.exit - g.enter) as u64;
-            let d_src = (g.rtt / 2).saturating_sub(bneck_delay * crossed + d_dst);
-            topo.add_duplex_link(src, switches[g.enter], access_rate, d_src);
-            topo.add_duplex_link(switches[g.exit], dst, access_rate, d_dst);
-            specs.push(FlowSpec {
-                src,
-                dst,
-                tcp: TcpConfig::with_cc(g.cc),
-                start: Time::ZERO,
-            });
-        }
-    }
-    let mut qdiscs = cebinae_ds::DetMap::new();
-    for &l in &bnecks {
-        qdiscs.insert(l, p.bottleneck_qdisc(max_rtt * 2));
-    }
-    let mut cfg = SimConfig::new(topo, specs);
-    cfg.qdiscs = qdiscs;
-    cfg.monitored_links = bnecks.clone();
-    cfg.duration = p.duration;
-    cfg.sample_interval = p.sample_interval;
-    cfg.seed = p.seed;
-    cfg.telemetry = p.telemetry;
-    cfg.express = p.express;
-    cfg.scheduler = p.scheduler;
-    cfg.faults = p.faults.clone();
-    (cfg, bnecks)
+    let flows = groups.iter().flat_map(|g| {
+        let flow = DumbbellFlow {
+            cc: g.cc,
+            rtt: g.rtt,
+            start: Time::ZERO,
+            app_bytes: None,
+        };
+        std::iter::repeat_n((flow, g.enter, g.exit), g.count)
+    });
+    chain(&vec![p.bottleneck_bps; segments], flows, p)
 }
 
 #[cfg(test)]
@@ -331,6 +320,32 @@ mod tests {
         assert_eq!(flows[0].rtt, Duration::from_millis(100));
         assert_eq!(flows[3].cc, CcKind::NewReno);
         assert_eq!(flows[3].rtt, Duration::from_millis(64));
+    }
+
+    #[test]
+    fn chain_sizes_each_segment_by_its_own_rate() {
+        let r = 100_000_000;
+        let p = ScenarioParams::new(r, 420, Discipline::Cebinae);
+        let flows = [
+            (DumbbellFlow::new(CcKind::NewReno, 40), 0, 2),
+            (DumbbellFlow::new(CcKind::Cubic, 20), 1, 2),
+        ];
+        let (cfg, bnecks) = chain(&[r, r / 2], flows, &p);
+        assert_eq!(bnecks.len(), 2);
+        // Equation 2 sizing at each rate, for twice the longest RTT.
+        let want = |rate| {
+            let cfg = CebinaeConfig::for_link(rate, p.buffer, Duration::from_millis(80))
+                .with_thresholds(0.01, 0.01, 0.01);
+            format!("{cfg:?}")
+        };
+        assert_ne!(want(r), want(r / 2), "the two rates must size differently");
+        for (link, rate) in bnecks.iter().zip([r, r / 2]) {
+            assert_eq!(cfg.topology.link(*link).rate_bps, rate);
+            let Some(QdiscSpec::Cebinae(got)) = cfg.qdiscs.get(link) else {
+                panic!("segment {link:?} runs no Cebinae qdisc");
+            };
+            assert_eq!(format!("{got:?}"), want(rate));
+        }
     }
 
     #[test]

@@ -360,18 +360,16 @@ mod tests {
         let (mut lp, _, mut ev) = plane();
         let link = LinkId(0);
         let plan = FaultPlan {
-            links: vec![(
-                FaultTarget::AllLinks,
-                LinkFaultSpec {
-                    reorder: Some(ReorderSpec {
-                        p: 1.0,
-                        min_hold: Duration::from_millis(5),
-                        max_hold: Duration::from_millis(5),
-                    }),
-                    ..LinkFaultSpec::default()
-                },
-            )],
-            control: Vec::new(),
+            target: FaultTarget::AllLinks,
+            link: LinkFaultSpec {
+                reorder: Some(ReorderSpec {
+                    p: 1.0,
+                    min_hold: Duration::from_millis(5),
+                    max_hold: Duration::from_millis(5),
+                }),
+                ..LinkFaultSpec::default()
+            },
+            ..FaultPlan::default()
         };
         let mut fx = FaultsRt::resolve(&plan, 1, &[], 7);
         enqueue_link(&mut lp, &mut fx, &mut ev, &[link], Time::ZERO, link, pkt(0, 42));

@@ -111,11 +111,12 @@ pub struct SimConfig {
     pub monitored_links: Vec<LinkId>,
     pub duration: Duration,
     pub sample_interval: Duration,
-    /// Declarative fault plan (loss/reorder/duplication/corruption models,
-    /// link flaps and rate changes, control-plane stalls). Empty by
-    /// default; an empty plan is inert — no RNG draws, no scheduled
-    /// events, byte-identical runs. For plain uniform loss use
-    /// [`FaultPlan::uniform_loss`].
+    /// Declarative fault plan: one spec (loss/reorder/duplication/
+    /// corruption models, link flaps and rate changes) and control-plane
+    /// stall windows, applied to every link of its target (the
+    /// `monitored_links` by default). Empty by default; an empty plan is
+    /// inert — no RNG draws, no scheduled events, byte-identical runs. For
+    /// plain uniform loss on every link use [`FaultPlan::uniform_loss`].
     pub faults: FaultPlan,
     pub seed: u64,
     /// Links to record a packet trace for (smoltcp-pcap style); empty

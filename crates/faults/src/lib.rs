@@ -5,11 +5,11 @@
 //! The paper evaluates Cebinae's control loop only on clean links; real
 //! deployments see bursty loss, reordering, flapping links, and a control
 //! plane that occasionally stalls. This crate gives the engine a
-//! declarative [`FaultPlan`]:
-//! per-link stochastic models (loss, reorder, duplication, corruption),
-//! scripted link timelines (down/up flaps, rate changes), and
-//! control-plane stall windows that hold Cebinae rotations until the
-//! window ends.
+//! declarative [`FaultPlan`]: one [`LinkFaultSpec`] — stochastic models
+//! (loss, reorder, duplication, corruption) and a scripted timeline
+//! (down/up flaps, rate changes) — plus control-plane stall windows that
+//! hold Cebinae rotations until the window ends, all applied to every link
+//! of one [`FaultTarget`].
 //!
 //! ## Determinism contract
 //!
@@ -22,9 +22,9 @@
 //! * an **empty plan is inert**: no RNG draws, no scheduled events, no
 //!   telemetry scope — runs are byte-identical to a build without the
 //!   subsystem;
-//! * **composing families is stable**: adding duplication to a plan does
-//!   not perturb the loss stream, and faulting link 3 does not perturb
-//!   link 5;
+//! * **composing families is stable**: adding duplication to a plan's
+//!   spec does not perturb its loss stream, and faulting link 3 does not
+//!   perturb link 5;
 //! * results are byte-identical across thread counts and scheduler
 //!   backends, so chaos campaigns replay and shrink like any other seed.
 //!
@@ -51,13 +51,14 @@ const FAULT_SEED_SALT: u64 = 0xfa17_ab1e_0000_0001;
 /// not share randomness, or changing one would perturb the other).
 const CHAOS_SEED_SALT: u64 = 0xc4a0_5b1a_5000_0002;
 
-/// Which links a fault spec applies to, resolved against the topology at
+/// Which links a fault plan applies to, resolved against the topology at
 /// simulation construction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FaultTarget {
     /// Every link in the topology.
     AllLinks,
     /// Every monitored bottleneck link.
+    #[default]
     Bottlenecks,
 }
 
@@ -117,7 +118,7 @@ pub struct LinkEvent {
     pub kind: LinkEventKind,
 }
 
-/// The full fault specification for one link (or link set).
+/// What goes wrong on each link a [`FaultPlan`] targets.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LinkFaultSpec {
     /// Random loss at enqueue (drawn before every other family; a lost
@@ -147,7 +148,7 @@ impl LinkFaultSpec {
 }
 
 /// A half-open window `[from, until)` of virtual time during which the
-/// control plane of the targeted link is stalled: the first control event
+/// control plane of a targeted link is stalled: the first control event
 /// due inside the window is parked until `until`, later ones are absorbed
 /// into it (see [`FaultsRt::control_verdict`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -156,29 +157,23 @@ pub struct StallWindow {
     pub until: Time,
 }
 
-/// Control-plane faults for one link's qdisc.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ControlFaultSpec {
-    pub windows: Vec<StallWindow>,
-}
-
-/// A declarative fault plan: what goes wrong, where, and when. Resolved
+/// A declarative fault plan: what goes wrong, where, and when. One spec
+/// and its stall windows, applied to every link of one target. Resolved
 /// against a concrete topology into a [`FaultsRt`] by the engine.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Per-target link fault specs. Multiple entries may resolve to the
-    /// same link; stochastic families compose first-spec-wins per family,
-    /// timelines concatenate.
-    pub links: Vec<(FaultTarget, LinkFaultSpec)>,
-    /// Per-target control-plane fault specs.
-    pub control: Vec<(FaultTarget, ControlFaultSpec)>,
+    /// The links the plan applies to (default: the monitored bottlenecks).
+    pub target: FaultTarget,
+    /// Stochastic models and scripted timeline of every targeted link.
+    pub link: LinkFaultSpec,
+    /// Control-plane stall windows on every targeted link's qdisc.
+    pub stalls: Vec<StallWindow>,
 }
 
 impl FaultPlan {
     /// True when the plan injects nothing: the engine's inert fast path.
     pub fn is_empty(&self) -> bool {
-        self.links.iter().all(|(_, s)| s.is_empty())
-            && self.control.iter().all(|(_, c)| c.windows.is_empty())
+        self.link.is_empty() && self.stalls.is_empty()
     }
 
     /// Independent uniform loss with probability `p` on every link —
@@ -188,14 +183,9 @@ impl FaultPlan {
             return FaultPlan::default();
         }
         FaultPlan {
-            links: vec![(
-                FaultTarget::AllLinks,
-                LinkFaultSpec {
-                    loss: LossModel::Uniform { p },
-                    ..LinkFaultSpec::default()
-                },
-            )],
-            control: Vec::new(),
+            target: FaultTarget::AllLinks,
+            link: LinkFaultSpec { loss: LossModel::Uniform { p }, ..LinkFaultSpec::default() },
+            stalls: Vec::new(),
         }
     }
 
@@ -205,16 +195,8 @@ impl FaultPlan {
     /// quiesce). Graceful-degradation oracles use this to place their
     /// post-fault recovery window.
     pub fn quiesce_ns(&self) -> Option<u64> {
-        let link_max = self
-            .links
-            .iter()
-            .flat_map(|(_, s)| s.timeline.iter().map(|e| e.at.0))
-            .max();
-        let ctl_max = self
-            .control
-            .iter()
-            .flat_map(|(_, c)| c.windows.iter().map(|w| w.until.0))
-            .max();
+        let link_max = self.link.timeline.iter().map(|e| e.at.0).max();
+        let ctl_max = self.stalls.iter().map(|w| w.until.0).max();
         match (link_max, ctl_max) {
             (None, None) => None,
             (a, b) => Some(a.unwrap_or(0).max(b.unwrap_or(0))),
@@ -225,17 +207,18 @@ impl FaultPlan {
     /// (loss/reorder/duplication/corruption). Oracles relax their
     /// post-fault recovery checks to plain liveness for such plans.
     pub fn has_persistent_noise(&self) -> bool {
-        self.links.iter().any(|(_, s)| {
-            !s.loss.is_none() || s.reorder.is_some() || s.duplicate > 0.0 || s.corrupt > 0.0
-        })
+        let s = &self.link;
+        !s.loss.is_none() || s.reorder.is_some() || s.duplicate > 0.0 || s.corrupt > 0.0
     }
 
     /// Parse a compact comma-separated fault spec, the `--faults`
     /// surface. Each token is `family[:params]`, with `+`-separated
-    /// parameters; bare names use defaults. All stochastic and scripted
-    /// tokens target the monitored bottleneck links. A spec sets each
-    /// stochastic family at most once (`loss` and `burst` are both the
-    /// loss model); timeline tokens and stall windows accumulate.
+    /// parameters; bare names use defaults. The plan targets the monitored
+    /// bottleneck links. A spec sets each stochastic family at most once
+    /// (`loss` and `burst` are both the loss model); timeline tokens and
+    /// stall windows accumulate. Every number must be finite and
+    /// non-negative, a probability at most 1, a rate at least 1 bps, and an
+    /// outage or stall at least 1 ms long; the error names the token.
     ///
     /// | token | meaning |
     /// |---|---|
@@ -255,8 +238,8 @@ impl FaultPlan {
                 Some((n, p)) => (n, Some(p)),
                 None => (token, None),
             };
-            // Resolution keeps the first spec per stochastic family, so a
-            // second one would be silently ignored: refuse it here.
+            // A family holds one setting, so a second one would silently
+            // replace the first: refuse it.
             let family = match name {
                 "loss" | "burst" => Some("loss"),
                 "reorder" | "dup" | "corrupt" => Some(name),
@@ -272,67 +255,68 @@ impl FaultPlan {
                 None => Vec::new(),
                 Some(p) => p
                     .split('+')
-                    .map(|x| {
-                        x.trim()
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad number {x:?} in token {token:?}"))
+                    .map(|x| match x.trim().parse::<f64>() {
+                        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+                        Ok(_) => Err(format!(
+                            "{x:?} in token {token:?} is not a finite, non-negative number"
+                        )),
+                        Err(_) => Err(format!("bad number {x:?} in token {token:?}")),
                     })
                     .collect::<Result<_, _>>()?,
             };
             let p0 = |default: f64| nums.first().copied().unwrap_or(default);
-            let mut link_spec = LinkFaultSpec::default();
+            let prob = |default: f64| match p0(default) {
+                p if p <= 1.0 => Ok(p),
+                p => Err(format!("probability {p} in token {token:?} is outside [0, 1]")),
+            };
+            let length = |default: f64| match nums.get(1).copied().unwrap_or(default) {
+                ms if ms >= 1.0 => Ok(Duration::from_millis(ms as u64)),
+                ms => Err(format!("length {ms} ms in token {token:?} is shorter than 1 ms")),
+            };
+            let link = &mut plan.link;
             match name {
-                "loss" => link_spec.loss = LossModel::Uniform { p: p0(0.01) },
+                "loss" => link.loss = LossModel::Uniform { p: prob(0.01)? },
                 "burst" => {
-                    link_spec.loss = LossModel::GilbertElliott {
+                    link.loss = LossModel::GilbertElliott {
                         p_enter: 0.01,
                         p_exit: 0.25,
                         loss_good: 0.0,
-                        loss_bad: p0(0.25),
+                        loss_bad: prob(0.25)?,
                     }
                 }
                 "reorder" => {
-                    link_spec.reorder = Some(ReorderSpec {
-                        p: p0(0.02),
+                    link.reorder = Some(ReorderSpec {
+                        p: prob(0.02)?,
                         min_hold: Duration::from_micros(500),
                         max_hold: Duration::from_millis(3),
                     })
                 }
-                "dup" => link_spec.duplicate = p0(0.01),
-                "corrupt" => link_spec.corrupt = p0(0.005),
+                "dup" => link.duplicate = prob(0.01)?,
+                "corrupt" => link.corrupt = prob(0.005)?,
                 "flap" => {
-                    let at = Duration::from_millis(p0(500.0) as u64);
-                    let down =
-                        Duration::from_millis(nums.get(1).copied().unwrap_or(200.0) as u64);
-                    link_spec.timeline = vec![
-                        LinkEvent { at: Time(at.0), kind: LinkEventKind::Down },
-                        LinkEvent { at: Time(at.0 + down.0), kind: LinkEventKind::Up },
-                    ];
+                    let at = Time::from_millis(p0(500.0) as u64);
+                    let down = length(200.0)?;
+                    link.timeline.push(LinkEvent { at, kind: LinkEventKind::Down });
+                    link.timeline.push(LinkEvent { at: at + down, kind: LinkEventKind::Up });
                 }
                 "rate" => {
-                    let (Some(at), Some(bps)) = (nums.first(), nums.get(1)) else {
+                    let (Some(&at), Some(&bps)) = (nums.first(), nums.get(1)) else {
                         return Err(format!("token {token:?} needs at_ms+bps"));
                     };
-                    link_spec.timeline = vec![LinkEvent {
-                        at: Time(Duration::from_millis(*at as u64).0),
-                        kind: LinkEventKind::Rate(*bps as u64),
-                    }];
+                    if bps < 1.0 {
+                        return Err(format!("rate {bps} bps in token {token:?} is below 1 bps"));
+                    }
+                    link.timeline.push(LinkEvent {
+                        at: Time::from_millis(at as u64),
+                        kind: LinkEventKind::Rate(bps as u64),
+                    });
                 }
                 "stall" => {
-                    let from = Time(Duration::from_millis(p0(400.0) as u64).0);
-                    let len =
-                        Duration::from_millis(nums.get(1).copied().unwrap_or(300.0) as u64);
-                    plan.control.push((
-                        FaultTarget::Bottlenecks,
-                        ControlFaultSpec {
-                            windows: vec![StallWindow { from, until: Time(from.0 + len.0) }],
-                        },
-                    ));
-                    continue;
+                    let from = Time::from_millis(p0(400.0) as u64);
+                    plan.stalls.push(StallWindow { from, until: from + length(300.0)? });
                 }
                 _ => return Err(format!("unknown fault token {name:?}")),
             }
-            plan.links.push((FaultTarget::Bottlenecks, link_spec));
         }
         Ok(plan)
     }
@@ -407,7 +391,7 @@ pub fn chaos_plan(seed: u64, family: FaultFamily, duration_ms: u64) -> FaultPlan
         Time(Duration::from_millis((duration_ms as f64 * rng.gen_range_f64(lo, hi)) as u64).0)
     };
     let mut plan = FaultPlan::default();
-    let mut spec = LinkFaultSpec::default();
+    let spec = &mut plan.link;
     match family {
         FaultFamily::Loss => spec.loss = LossModel::Uniform { p: rng.gen_range_f64(0.002, 0.02) },
         FaultFamily::Burst => {
@@ -438,10 +422,7 @@ pub fn chaos_plan(seed: u64, family: FaultFamily, duration_ms: u64) -> FaultPlan
         FaultFamily::Stall => {
             let from = frac(&mut rng, 0.25, 0.35);
             let until = Time(from.0 + frac(&mut rng, 0.15, 0.25).0);
-            plan.control.push((
-                FaultTarget::Bottlenecks,
-                ControlFaultSpec { windows: vec![StallWindow { from, until }] },
-            ));
+            plan.stalls.push(StallWindow { from, until });
         }
         FaultFamily::Mix => {
             spec.loss = LossModel::GilbertElliott {
@@ -462,9 +443,6 @@ pub fn chaos_plan(seed: u64, family: FaultFamily, duration_ms: u64) -> FaultPlan
                 LinkEvent { at: up, kind: LinkEventKind::Up },
             ];
         }
-    }
-    if !spec.is_empty() {
-        plan.links.push((FaultTarget::Bottlenecks, spec));
     }
     plan
 }
@@ -573,80 +551,43 @@ impl FaultsRt {
         if plan.is_empty() {
             return FaultsRt::inert();
         }
-        let expand = |target: FaultTarget| -> Vec<usize> {
-            match target {
-                FaultTarget::AllLinks => (0..n_links).collect(),
-                FaultTarget::Bottlenecks => bottlenecks.iter().map(|l| l.index()).collect(),
-            }
+        let targets: Vec<usize> = match plan.target {
+            FaultTarget::AllLinks => (0..n_links).collect(),
+            FaultTarget::Bottlenecks => bottlenecks.iter().map(|l| l.index()).collect(),
         };
+        // Earliest event last, so applying pops from the back.
+        let mut timeline = plan.link.timeline.clone();
+        timeline.sort_by_key(|e| e.at);
+        timeline.reverse();
+        let mut windows = plan.stalls.clone();
+        windows.sort_by_key(|w| (w.from, w.until));
 
-        // Merge specs per link: stochastic families compose
-        // first-spec-wins, timelines concatenate.
-        let mut merged: Vec<Option<LinkFaultSpec>> = vec![None; n_links];
-        for (target, spec) in &plan.links {
-            if spec.is_empty() {
-                continue;
-            }
-            for i in expand(*target) {
-                let slot = merged[i].get_or_insert_with(LinkFaultSpec::default);
-                if slot.loss.is_none() {
-                    slot.loss = spec.loss;
-                }
-                if slot.reorder.is_none() {
-                    slot.reorder = spec.reorder;
-                }
-                if slot.duplicate == 0.0 {
-                    slot.duplicate = spec.duplicate;
-                }
-                if slot.corrupt == 0.0 {
-                    slot.corrupt = spec.corrupt;
-                }
-                slot.timeline.extend_from_slice(&spec.timeline);
-            }
-        }
-
-        let links: Vec<Option<LinkRt>> = merged
-            .into_iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let mut spec = spec?;
-                // Earliest event last, so applying pops from the back.
-                spec.timeline.sort_by_key(|e| e.at);
-                spec.timeline.reverse();
+        let mut links: Vec<Option<LinkRt>> = (0..n_links).map(|_| None).collect();
+        let mut control: Vec<Option<ControlRt>> = (0..n_links).map(|_| None).collect();
+        for i in targets {
+            if !plan.link.is_empty() {
                 // One independent stream per (link, family): seeded from
                 // the link index alone, and only ever advanced when its
                 // family draws — the composition property.
                 let link_seed = splitmix64(seed ^ FAULT_SEED_SALT ^ ((i as u64) << 16));
                 let mut root = DetRng::seed_from_u64(link_seed);
-                Some(LinkRt {
-                    loss: spec.loss,
-                    reorder: spec.reorder,
-                    duplicate: spec.duplicate,
-                    corrupt: spec.corrupt,
+                links[i] = Some(LinkRt {
+                    loss: plan.link.loss,
+                    reorder: plan.link.reorder,
+                    duplicate: plan.link.duplicate,
+                    corrupt: plan.link.corrupt,
                     burst: false,
                     r_loss: root.fork(),
                     r_corrupt: root.fork(),
                     r_dup: root.fork(),
                     r_reorder: root.fork(),
-                    timeline: spec.timeline,
+                    timeline: timeline.clone(),
                     down: false,
-                })
-            })
-            .collect();
-
-        let mut control: Vec<Option<ControlRt>> = (0..n_links).map(|_| None).collect();
-        for (target, spec) in &plan.control {
-            if spec.windows.is_empty() {
-                continue;
+                });
             }
-            for i in expand(*target) {
-                let slot =
-                    control[i].get_or_insert_with(|| ControlRt { windows: Vec::new(), parked: false });
-                slot.windows.extend_from_slice(&spec.windows);
+            if !windows.is_empty() {
+                control[i] = Some(ControlRt { windows: windows.clone(), parked: false });
             }
-        }
-        for slot in control.iter_mut().flatten() {
-            slot.windows.sort_by_key(|w| (w.from, w.until));
         }
 
         let any = links.iter().any(Option::is_some) || control.iter().any(Option::is_some);
@@ -847,11 +788,9 @@ mod tests {
         assert_eq!(touched(&parsed), vec![2, 5]);
         // A control stall counts even with no link model beside it.
         let stall = FaultPlan {
-            links: Vec::new(),
-            control: vec![(
-                FaultTarget::AllLinks,
-                ControlFaultSpec { windows: vec![StallWindow { from: Time(1_000), until: Time(2_000) }] },
-            )],
+            target: FaultTarget::AllLinks,
+            stalls: vec![StallWindow { from: Time(1_000), until: Time(2_000) }],
+            ..FaultPlan::default()
         };
         assert_eq!(touched(&stall), (0..8).collect::<Vec<_>>());
         assert_eq!(touched(&FaultPlan::parse("stall").expect("valid spec")), vec![2, 5]);
@@ -871,19 +810,17 @@ mod tests {
     #[test]
     fn gilbert_elliott_losses_cluster_in_bursts() {
         let plan = FaultPlan {
-            links: vec![(
-                FaultTarget::AllLinks,
-                LinkFaultSpec {
-                    loss: LossModel::GilbertElliott {
-                        p_enter: 0.01,
-                        p_exit: 0.2,
-                        loss_good: 0.0,
-                        loss_bad: 0.5,
-                    },
-                    ..LinkFaultSpec::default()
+            target: FaultTarget::AllLinks,
+            link: LinkFaultSpec {
+                loss: LossModel::GilbertElliott {
+                    p_enter: 0.01,
+                    p_exit: 0.2,
+                    loss_good: 0.0,
+                    loss_bad: 0.5,
                 },
-            )],
-            control: Vec::new(),
+                ..LinkFaultSpec::default()
+            },
+            ..FaultPlan::default()
         };
         let mut rt = FaultsRt::resolve(&plan, 1, &[], 3);
         let mut drops = Vec::new();
@@ -909,8 +846,8 @@ mod tests {
         // Loss-only plan vs loss+dup plan: identical loss outcomes.
         let base = FaultPlan::uniform_loss(0.05);
         let mut composed = base.clone();
-        composed.links[0].1.duplicate = 0.1;
-        composed.links[0].1.corrupt = 0.02;
+        composed.link.duplicate = 0.1;
+        composed.link.corrupt = 0.02;
         let mut a = FaultsRt::resolve(&base, 2, &[], 99);
         let mut b = FaultsRt::resolve(&composed, 2, &[], 99);
         for _ in 0..5_000 {
@@ -927,18 +864,15 @@ mod tests {
     #[test]
     fn timeline_resolves_in_order_and_flips_down_state() {
         let plan = FaultPlan {
-            links: vec![(
-                FaultTarget::Bottlenecks,
-                LinkFaultSpec {
-                    timeline: vec![
-                        LinkEvent { at: Time(500), kind: LinkEventKind::Up },
-                        LinkEvent { at: Time(100), kind: LinkEventKind::Down },
-                        LinkEvent { at: Time(900), kind: LinkEventKind::Rate(1_000) },
-                    ],
-                    ..LinkFaultSpec::default()
-                },
-            )],
-            control: Vec::new(),
+            link: LinkFaultSpec {
+                timeline: vec![
+                    LinkEvent { at: Time(500), kind: LinkEventKind::Up },
+                    LinkEvent { at: Time(100), kind: LinkEventKind::Down },
+                    LinkEvent { at: Time(900), kind: LinkEventKind::Rate(1_000) },
+                ],
+                ..LinkFaultSpec::default()
+            },
+            ..FaultPlan::default()
         };
         let mut rt = FaultsRt::resolve(&plan, 4, &[LinkId(3)], 0);
         assert_eq!(
@@ -960,11 +894,9 @@ mod tests {
     #[test]
     fn control_window_parks_once_then_swallows() {
         let plan = FaultPlan {
-            links: Vec::new(),
-            control: vec![(
-                FaultTarget::AllLinks,
-                ControlFaultSpec { windows: vec![StallWindow { from: Time(1_000), until: Time(2_000) }] },
-            )],
+            target: FaultTarget::AllLinks,
+            stalls: vec![StallWindow { from: Time(1_000), until: Time(2_000) }],
+            ..FaultPlan::default()
         };
         let mut rt = FaultsRt::resolve(&plan, 1, &[], 0);
         assert!(rt.any());
@@ -976,16 +908,6 @@ mod tests {
         assert_eq!(rt.control_verdict(LinkId(0), Time(2_500)), ControlVerdict::Proceed);
         let s = rt.stats();
         assert_eq!((s.control_delayed, s.control_skipped), (1, 1));
-    }
-
-    #[test]
-    fn first_spec_per_family_wins_at_resolution() {
-        let mut plan = FaultPlan::uniform_loss(0.2);
-        plan.links.extend(FaultPlan::uniform_loss(0.9).links);
-        assert_eq!(plan.links.len(), 2);
-        let mut rt = FaultsRt::resolve(&plan, 1, &[], 5);
-        let (drops, ..) = rates(&mut rt, LinkId(0), 10_000);
-        assert!((1700..2300).contains(&drops), "first-spec-wins violated: drops={drops}");
     }
 
     #[test]
@@ -1032,19 +954,18 @@ mod tests {
     #[test]
     fn parse_spec_tokens() {
         let plan = FaultPlan::parse("loss:0.02, dup, flap:100+50, stall:200+100").unwrap();
-        assert_eq!(plan.links.len(), 3);
-        assert_eq!(plan.control.len(), 1);
-        assert!(matches!(plan.links[0].1.loss, LossModel::Uniform { p } if (p - 0.02).abs() < 1e-12));
-        assert_eq!(plan.links[1].1.duplicate, 0.01);
+        assert_eq!(plan.target, FaultTarget::Bottlenecks);
+        assert!(matches!(plan.link.loss, LossModel::Uniform { p } if (p - 0.02).abs() < 1e-12));
+        assert_eq!(plan.link.duplicate, 0.01);
         assert_eq!(
-            plan.links[2].1.timeline,
+            plan.link.timeline,
             vec![
                 LinkEvent { at: Time(100_000_000), kind: LinkEventKind::Down },
                 LinkEvent { at: Time(150_000_000), kind: LinkEventKind::Up },
             ]
         );
         assert_eq!(
-            plan.control[0].1.windows,
+            plan.stalls,
             vec![StallWindow { from: Time(200_000_000), until: Time(300_000_000) }]
         );
         assert!(FaultPlan::parse("").unwrap().is_empty());
@@ -1071,50 +992,64 @@ mod tests {
         // Timeline tokens and stall windows accumulate.
         let plan = FaultPlan::parse("flap:100+50,flap:300+50,rate:500+1000000,stall,stall:700+10")
             .unwrap();
-        assert_eq!((plan.links.len(), plan.control.len()), (3, 2));
-        // The ledger's chaos spec keeps one entry per family.
-        let on_bottlenecks = |spec: LinkFaultSpec| (FaultTarget::Bottlenecks, spec);
+        assert_eq!((plan.link.timeline.len(), plan.stalls.len()), (5, 2));
+        // The ledger's chaos spec sets three families of one spec.
         let chaos = FaultPlan {
-            links: vec![
-                on_bottlenecks(LinkFaultSpec {
-                    loss: LossModel::GilbertElliott {
-                        p_enter: 0.01,
-                        p_exit: 0.25,
-                        loss_good: 0.0,
-                        loss_bad: 0.25,
-                    },
-                    ..LinkFaultSpec::default()
+            link: LinkFaultSpec {
+                loss: LossModel::GilbertElliott {
+                    p_enter: 0.01,
+                    p_exit: 0.25,
+                    loss_good: 0.0,
+                    loss_bad: 0.25,
+                },
+                reorder: Some(ReorderSpec {
+                    p: 0.02,
+                    min_hold: Duration::from_micros(500),
+                    max_hold: Duration::from_millis(3),
                 }),
-                on_bottlenecks(LinkFaultSpec {
-                    reorder: Some(ReorderSpec {
-                        p: 0.02,
-                        min_hold: Duration::from_micros(500),
-                        max_hold: Duration::from_millis(3),
-                    }),
-                    ..LinkFaultSpec::default()
-                }),
-                on_bottlenecks(LinkFaultSpec { duplicate: 0.01, ..LinkFaultSpec::default() }),
-            ],
-            control: Vec::new(),
+                duplicate: 0.01,
+                ..LinkFaultSpec::default()
+            },
+            ..FaultPlan::default()
         };
         assert_eq!(FaultPlan::parse("burst:0.25,reorder:0.02,dup:0.01"), Ok(chaos));
     }
 
     #[test]
+    fn parse_rejects_out_of_range_numbers() {
+        for token in [
+            "loss:1.5",
+            "burst:2",
+            "dup:-0.1",
+            "reorder:nan",
+            "loss:inf",
+            "rate:100+0",
+            "rate:100+0.5",
+            "flap:500+-200",
+            "flap:500+0",
+            "flap:-1+200",
+            "stall:400+0",
+        ] {
+            let err = FaultPlan::parse(&format!("corrupt,{token}")).unwrap_err();
+            assert!(err.contains(&format!("{token:?}")), "{token}: {err}");
+        }
+        // The bounds themselves are valid.
+        assert!(FaultPlan::parse("loss:0,dup:1,rate:0+1,flap:0+1,stall:0+1").is_ok());
+    }
+
+    #[test]
     fn reorder_holds_are_bounded() {
         let plan = FaultPlan {
-            links: vec![(
-                FaultTarget::AllLinks,
-                LinkFaultSpec {
-                    reorder: Some(ReorderSpec {
-                        p: 0.5,
-                        min_hold: Duration(1_000),
-                        max_hold: Duration(5_000),
-                    }),
-                    ..LinkFaultSpec::default()
-                },
-            )],
-            control: Vec::new(),
+            target: FaultTarget::AllLinks,
+            link: LinkFaultSpec {
+                reorder: Some(ReorderSpec {
+                    p: 0.5,
+                    min_hold: Duration(1_000),
+                    max_hold: Duration(5_000),
+                }),
+                ..LinkFaultSpec::default()
+            },
+            ..FaultPlan::default()
         };
         let mut rt = FaultsRt::resolve(&plan, 1, &[], 13);
         let mut held = 0;

@@ -119,13 +119,6 @@ pub fn experiment_rng(label: &str, trial: u64) -> DetRng {
     DetRng::seed_from_u64(seed)
 }
 
-/// Derive an independent child RNG (e.g. one per flow) from a parent.
-/// Equivalent to [`DetRng::fork`] modulo the extra splitmix64 whitening the
-/// method applies; kept for existing call sites.
-pub fn child_rng(parent: &mut DetRng) -> DetRng {
-    DetRng::seed_from_u64(parent.next_u64())
-}
-
 /// The splitmix64 mixing function — a tiny, high-quality 64-bit bijection
 /// used both for seed derivation and as the hash primitive in the
 /// heavy-hitter cache (where independence across stages matters more than
@@ -176,14 +169,6 @@ mod tests {
         // Nearby inputs should differ in many bits (avalanche sanity check).
         let diff = (a ^ b).count_ones();
         assert!(diff > 16, "poor avalanche: {diff} bits");
-    }
-
-    #[test]
-    fn child_rngs_are_independent_streams() {
-        let mut parent = experiment_rng("x", 0);
-        let mut c1 = child_rng(&mut parent);
-        let mut c2 = child_rng(&mut parent);
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

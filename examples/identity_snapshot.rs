@@ -3,14 +3,16 @@
 //! backends — delivered bytes, event counts, packet traces, telemetry
 //! NDJSON, and the fuzzer's oracle verdicts.
 //!
-//! Run it before and after an engine change and diff the output:
+//! The expected output is committed as `examples/identity_snapshot.golden`,
+//! and CI diffs a fresh run against it:
 //!
 //! ```text
-//! cargo run --release --example identity_snapshot > /tmp/pre.txt
-//! # ... refactor ...
 //! cargo run --release --example identity_snapshot > /tmp/post.txt
-//! diff /tmp/pre.txt /tmp/post.txt
+//! diff examples/identity_snapshot.golden /tmp/post.txt
 //! ```
+//!
+//! A change that deliberately moves simulated behaviour regenerates the
+//! golden file in the same commit.
 //!
 //! Each scenario prints two telemetry digests: `tel_full` covers the raw
 //! NDJSON export, `tel_stable` strips the `sys:engine` `sched_*` counters

@@ -23,12 +23,12 @@ pub use cebinae_transport as transport;
 pub mod prelude {
     pub use cebinae::{CebinaeConfig, CebinaeQdisc};
     pub use cebinae_engine::{
-        cca_mix, dumbbell, parking_lot, Discipline, DumbbellFlow, ParkingLotGroup,
+        cca_mix, chain, dumbbell, parking_lot, Discipline, DumbbellFlow, ParkingLotGroup,
         ScenarioParams, SimConfig, SimResult, Simulation,
     };
     pub use cebinae_faults::{
-        chaos_plan, ControlFaultSpec, FaultFamily, FaultPlan, FaultTarget, LinkEvent,
-        LinkEventKind, LinkFaultSpec, LossModel, ReorderSpec, StallWindow,
+        chaos_plan, FaultFamily, FaultPlan, FaultTarget, LinkEvent, LinkEventKind,
+        LinkFaultSpec, LossModel, ReorderSpec, StallWindow,
     };
     pub use cebinae_metrics::{jfi, jfi_maxmin_normalized, water_filling, MaxMinFlow};
     pub use cebinae_net::{BufferConfig, FlowId, LinkId, Packet, Qdisc, Topology};

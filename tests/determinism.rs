@@ -66,40 +66,29 @@ fn chaos_plans_are_bit_deterministic() {
     // duplication, corruption, a flap, and a control stall — replays to
     // the same trace bit-for-bit, because every draw forks off the
     // scenario seed.
-    let mut plan = FaultPlan {
-        links: vec![(
-            FaultTarget::Bottlenecks,
-            LinkFaultSpec {
-                loss: LossModel::GilbertElliott {
-                    p_enter: 0.002,
-                    p_exit: 0.2,
-                    loss_good: 0.0,
-                    loss_bad: 0.3,
-                },
-                reorder: Some(ReorderSpec {
-                    p: 0.02,
-                    min_hold: Duration::from_millis(1),
-                    max_hold: Duration::from_millis(8),
-                }),
-                duplicate: 0.005,
-                corrupt: 0.002,
-                timeline: vec![
-                    LinkEvent { at: Time::from_secs(1), kind: LinkEventKind::Down },
-                    LinkEvent { at: Time(1_300_000_000), kind: LinkEventKind::Up },
-                ],
+    let plan = FaultPlan {
+        target: FaultTarget::Bottlenecks,
+        link: LinkFaultSpec {
+            loss: LossModel::GilbertElliott {
+                p_enter: 0.002,
+                p_exit: 0.2,
+                loss_good: 0.0,
+                loss_bad: 0.3,
             },
-        )],
-        control: Vec::new(),
-    };
-    plan.control.push((
-        FaultTarget::Bottlenecks,
-        ControlFaultSpec {
-            windows: vec![StallWindow {
-                from: Time::from_secs(3),
-                until: Time::from_secs(4),
-            }],
+            reorder: Some(ReorderSpec {
+                p: 0.02,
+                min_hold: Duration::from_millis(1),
+                max_hold: Duration::from_millis(8),
+            }),
+            duplicate: 0.005,
+            corrupt: 0.002,
+            timeline: vec![
+                LinkEvent { at: Time::from_secs(1), kind: LinkEventKind::Down },
+                LinkEvent { at: Time(1_300_000_000), kind: LinkEventKind::Up },
+            ],
         },
-    ));
+        stalls: vec![StallWindow { from: Time::from_secs(3), until: Time::from_secs(4) }],
+    };
     let a = traced_run(Discipline::Cebinae, &plan, 0xfa_0175);
     let b = traced_run(Discipline::Cebinae, &plan, 0xfa_0175);
     assert_identical(&a, &b, "chaos");

@@ -54,10 +54,7 @@ pub fn sim_digest(r: &SimResult) -> u64 {
 /// control-plane stall. Uniform loss, duplication, and corruption are
 /// covered by the dedicated migration and engine tests.
 pub fn fault_family_plans() -> Vec<(&'static str, FaultPlan)> {
-    let on_bottleneck = |spec: LinkFaultSpec| FaultPlan {
-        links: vec![(FaultTarget::Bottlenecks, spec)],
-        control: Vec::new(),
-    };
+    let on_bottleneck = |link: LinkFaultSpec| FaultPlan { link, ..FaultPlan::default() };
     vec![
         (
             "bursty-loss",
@@ -98,16 +95,8 @@ pub fn fault_family_plans() -> Vec<(&'static str, FaultPlan)> {
         (
             "control-stall",
             FaultPlan {
-                links: Vec::new(),
-                control: vec![(
-                    FaultTarget::Bottlenecks,
-                    ControlFaultSpec {
-                        windows: vec![StallWindow {
-                            from: Time::from_secs(1),
-                            until: Time::from_secs(2),
-                        }],
-                    },
-                )],
+                stalls: vec![StallWindow { from: Time::from_secs(1), until: Time::from_secs(2) }],
+                ..FaultPlan::default()
             },
         ),
     ]
