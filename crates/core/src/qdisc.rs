@@ -81,7 +81,7 @@ pub struct CebinaeQdisc {
     top_grp: GroupLbf,
     bottom_grp: GroupLbf,
     /// Per-flow ⊤ filters (extension mode, cfg.per_flow_top). DetMap keeps
-    /// every control-plane sweep deterministic (verify rules R3/R13) while
+    /// every control-plane sweep deterministic (verify rule R13) while
     /// making the per-packet membership test and filter lookup O(1).
     top_flow_grps: DetMap<FlowId, GroupLbf>,
     top_flows: DetSet<FlowId>,
@@ -481,10 +481,6 @@ impl Qdisc for CebinaeQdisc {
 
     fn stats(&self) -> &QdiscStats {
         &self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "cebinae"
     }
 }
 

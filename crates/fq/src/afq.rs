@@ -143,10 +143,6 @@ impl Qdisc for AfqQdisc {
     fn stats(&self) -> &QdiscStats {
         &self.stats
     }
-
-    fn name(&self) -> &'static str {
-        "afq"
-    }
 }
 
 /// Equation 1 of the paper: the buffer a flow's protocol requires must not

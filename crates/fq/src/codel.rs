@@ -1,15 +1,20 @@
 //! The CoDel AQM control law (RFC 8289), applied per flow-queue inside
-//! FQ-CoDel. Drops (or ECN-marks) at the head of a queue when packets'
-//! sojourn times stay above `target` for longer than `interval`, with the
-//! square-root control law for the drop cadence.
+//! FQ-CoDel. Drops at the head of a queue when packets' sojourn times stay
+//! above [`TARGET`] for longer than [`INTERVAL`], with the square-root
+//! control law for the drop cadence.
 
 use cebinae_sim::{Duration, Time};
 
-/// Per-queue CoDel state.
-#[derive(Clone, Debug)]
+/// RFC 8289 target: the acceptable standing sojourn time.
+pub const TARGET: Duration = Duration::from_millis(5);
+/// RFC 8289 interval: how long the sojourn may stay above [`TARGET`]
+/// before the first drop.
+pub const INTERVAL: Duration = Duration::from_millis(100);
+
+/// Per-queue CoDel state; `Codel::default()` is a queue that has never
+/// been above target.
+#[derive(Clone, Debug, Default)]
 pub struct Codel {
-    pub target: Duration,
-    pub interval: Duration,
     /// Time when the sojourn time went (and stayed) above target.
     first_above_time: Option<Time>,
     /// Next scheduled drop while in the dropping state.
@@ -26,31 +31,14 @@ pub struct Codel {
 pub enum CodelVerdict {
     /// Forward this packet.
     Deliver,
-    /// Drop (or ECN-mark) this packet and ask again for the next one.
+    /// Drop this packet and ask again for the next one.
     Drop,
 }
 
 impl Codel {
-    pub fn new(target: Duration, interval: Duration) -> Codel {
-        Codel {
-            target,
-            interval,
-            first_above_time: None,
-            drop_next: Time::ZERO,
-            count: 0,
-            last_count: 0,
-            dropping: false,
-        }
-    }
-
-    /// RFC 8289 defaults: 5 ms target, 100 ms interval.
-    pub fn with_defaults() -> Codel {
-        Codel::new(Duration::from_millis(5), Duration::from_millis(100))
-    }
-
     fn control_law(&self, t: Time) -> Time {
         let count = self.count.max(1);
-        t + Duration((self.interval.as_nanos() as f64 / (count as f64).sqrt()) as u64)
+        t + Duration((INTERVAL.as_nanos() as f64 / (count as f64).sqrt()) as u64)
     }
 
     /// Decide the fate of the head packet which was enqueued at `enq_time`
@@ -58,7 +46,7 @@ impl Codel {
     /// after removing this packet (CoDel exits dropping on small queues).
     pub fn on_dequeue(&mut self, enq_time: Time, now: Time, queue_bytes: u64) -> CodelVerdict {
         let sojourn = now.saturating_since(enq_time);
-        let ok_to_deliver = sojourn < self.target || queue_bytes < 1500;
+        let ok_to_deliver = sojourn < TARGET || queue_bytes < 1500;
         if ok_to_deliver {
             self.first_above_time = None;
             if self.dropping {
@@ -70,7 +58,7 @@ impl Codel {
         if !self.dropping {
             match self.first_above_time {
                 None => {
-                    self.first_above_time = Some(now + self.interval);
+                    self.first_above_time = Some(now + INTERVAL);
                     return CodelVerdict::Deliver;
                 }
                 Some(fat) if now < fat => {
@@ -119,7 +107,7 @@ mod tests {
 
     #[test]
     fn low_delay_always_delivers() {
-        let mut c = Codel::with_defaults();
+        let mut c = Codel::default();
         for t in 0..100 {
             let v = c.on_dequeue(ms(t), ms(t + 2), 100_000);
             assert_eq!(v, CodelVerdict::Deliver);
@@ -129,7 +117,7 @@ mod tests {
 
     #[test]
     fn sustained_delay_triggers_drop_after_interval() {
-        let mut c = Codel::with_defaults();
+        let mut c = Codel::default();
         // Sojourn of 50ms, well above the 5ms target.
         let mut drops = 0;
         for t in 0..300 {
@@ -140,7 +128,7 @@ mod tests {
         }
         assert!(drops > 0, "must start dropping");
         // First drop happens only after a full interval above target.
-        let mut c2 = Codel::with_defaults();
+        let mut c2 = Codel::default();
         assert_eq!(c2.on_dequeue(ms(0), ms(50), 100_000), CodelVerdict::Deliver);
         assert_eq!(
             c2.on_dequeue(ms(10), ms(60), 100_000),
@@ -156,7 +144,7 @@ mod tests {
 
     #[test]
     fn drop_cadence_accelerates() {
-        let mut c = Codel::with_defaults();
+        let mut c = Codel::default();
         // Force into dropping state.
         c.on_dequeue(ms(0), ms(50), 100_000);
         let mut now = ms(151);
@@ -179,7 +167,7 @@ mod tests {
 
     #[test]
     fn small_queue_exits_dropping() {
-        let mut c = Codel::with_defaults();
+        let mut c = Codel::default();
         c.on_dequeue(ms(0), ms(50), 100_000);
         c.on_dequeue(ms(101), ms(151), 100_000); // enter dropping
         assert!(c.is_dropping());
@@ -191,7 +179,7 @@ mod tests {
 
     #[test]
     fn recovery_resets_state() {
-        let mut c = Codel::with_defaults();
+        let mut c = Codel::default();
         c.on_dequeue(ms(0), ms(50), 100_000);
         // Delay clears before the interval elapses.
         assert_eq!(c.on_dequeue(ms(60), ms(61), 100_000), CodelVerdict::Deliver);

@@ -1,9 +1,8 @@
-//! FQ-CoDel (RFC 8290): Deficit Round Robin across hashed per-flow queues,
+//! FQ-CoDel (RFC 8290): Deficit Round Robin across per-flow queues,
 //! each policed by CoDel. This is the paper's "FQ" baseline — its ns-3
 //! evaluation runs FQ-CoDel with the queue count raised to 2³²−1 so every
-//! flow gets a dedicated queue ("ideal per-flow queue"). We default to the
-//! same idealization (bucket = flow id) and allow a finite bucket count for
-//! realistic configurations.
+//! flow gets a dedicated queue ("ideal per-flow queue"). We use the same
+//! idealization: a flow's bucket is its id.
 //!
 //! # Layout
 //!
@@ -31,43 +30,22 @@ use crate::codel::{Codel, CodelVerdict};
 #[cfg(test)]
 mod model;
 
-/// Configuration for [`FqCoDelQdisc`].
+/// Configuration for [`FqCoDelQdisc`]: everything but the buffer is an
+/// RFC 8289/8290 default.
 #[derive(Clone, Debug)]
 pub struct FqCoDelConfig {
     /// Shared buffer limit in bytes.
     pub limit_bytes: u64,
-    /// DRR quantum per round, bytes (RFC suggests one MTU).
-    pub quantum: u32,
-    /// Number of hash buckets. `None` = one bucket per flow id (the paper's
-    /// idealized setting).
-    pub buckets: Option<u32>,
-    pub codel_target: cebinae_sim::Duration,
-    pub codel_interval: cebinae_sim::Duration,
-    /// Mark ECN-capable packets instead of dropping them.
-    pub ecn: bool,
-}
-
-impl Default for FqCoDelConfig {
-    fn default() -> Self {
-        FqCoDelConfig {
-            limit_bytes: 10 * 1024 * 1500,
-            quantum: 1500,
-            buckets: None,
-            codel_target: cebinae_sim::Duration::from_millis(5),
-            codel_interval: cebinae_sim::Duration::from_millis(100),
-            ecn: false,
-        }
-    }
 }
 
 impl FqCoDelConfig {
     pub fn ideal_with_limit(limit_bytes: u64) -> FqCoDelConfig {
-        FqCoDelConfig {
-            limit_bytes,
-            ..FqCoDelConfig::default()
-        }
+        FqCoDelConfig { limit_bytes }
     }
 }
+
+/// DRR quantum per round, bytes: one MTU, as RFC 8290 suggests.
+const QUANTUM: i64 = 1500;
 
 /// "No node" in a chain or on the free list, and "not in the heap" in
 /// [`FatHeap::pos`]. As a `usize` index it is out of range of any arena.
@@ -277,7 +255,7 @@ impl FlowQueue {
 
 /// FQ-CoDel queueing discipline.
 pub struct FqCoDelQdisc {
-    cfg: FqCoDelConfig,
+    limit_bytes: u64,
     /// Bucket → dense slot. Slots are never freed, so a slot names one
     /// bucket for the qdisc's life.
     slots: FlowSlab,
@@ -299,7 +277,7 @@ pub struct FqCoDelQdisc {
 impl FqCoDelQdisc {
     pub fn new(cfg: FqCoDelConfig) -> FqCoDelQdisc {
         FqCoDelQdisc {
-            cfg,
+            limit_bytes: cfg.limit_bytes,
             slots: FlowSlab::new(),
             queues: Vec::new(),
             arena: Arena { nodes: Vec::new(), free: NIL },
@@ -309,14 +287,6 @@ impl FqCoDelQdisc {
             total_bytes: 0,
             total_pkts: 0,
             stats: QdiscStats::default(),
-        }
-    }
-
-    fn bucket_of(&self, pkt: &Packet) -> u32 {
-        match self.cfg.buckets {
-            // det-ok: the remainder is below n, itself a u32
-            Some(n) => (cebinae_sim::rng::splitmix64(pkt.flow.0 as u64) % n as u64) as u32,
-            None => pkt.flow.0,
         }
     }
 
@@ -342,23 +312,13 @@ impl FqCoDelQdisc {
     /// CoDel, and charge it to the queue's deficit. Returns None if the
     /// queue emptied.
     fn codel_dequeue(&mut self, slot: u32, now: Time) -> Option<Packet> {
-        let ecn_mode = self.cfg.ecn;
         let q = self.queues.get_mut(slot as usize)?;
         loop {
-            let (mut pkt, enq_time) = q.pop_head(slot, &mut self.arena, &mut self.heap)?;
+            let (pkt, enq_time) = q.pop_head(slot, &mut self.arena, &mut self.heap)?;
             // det-ok: aggregate occupancy gauges mirroring enqueue; conservation checked by the fq invariant tests
             self.total_bytes -= pkt.size as u64;
             self.total_pkts -= 1; // det-ok: same argument, packet count
-            let deliver = match q.codel.on_dequeue(enq_time, now, q.bytes) {
-                CodelVerdict::Deliver => true,
-                // Mark instead of dropping (RFC 8290 §4.2).
-                CodelVerdict::Drop if ecn_mode && pkt.try_mark_ce() => {
-                    self.stats.ecn_marked = self.stats.ecn_marked.saturating_add(1);
-                    true
-                }
-                CodelVerdict::Drop => false,
-            };
-            if deliver {
+            if q.codel.on_dequeue(enq_time, now, q.bytes) == CodelVerdict::Deliver {
                 self.stats.on_tx(pkt.size);
                 q.deficit -= pkt.size as i64;
                 return Some(pkt);
@@ -383,7 +343,7 @@ impl Qdisc for FqCoDelQdisc {
     }
 
     fn enqueue(&mut self, pkt: Packet, now: Time) -> Result<(), (Packet, DropReason)> {
-        let bucket = self.bucket_of(&pkt);
+        let bucket = pkt.flow.0;
         let size = pkt.size;
         let slot = self.slots.slot_of(bucket);
         if slot as usize == self.queues.len() {
@@ -394,7 +354,7 @@ impl Qdisc for FqCoDelQdisc {
                 len: 0,
                 bytes: 0,
                 deficit: 0,
-                codel: Codel::new(self.cfg.codel_target, self.cfg.codel_interval),
+                codel: Codel::default(),
                 scheduled: false,
             });
             self.heap.pos.push(NIL);
@@ -407,7 +367,7 @@ impl Qdisc for FqCoDelQdisc {
         q.push(slot, pkt, now, &mut self.arena, &mut self.heap);
         if !q.scheduled {
             q.scheduled = true;
-            q.deficit = self.cfg.quantum as i64;
+            q.deficit = QUANTUM;
             self.new_list.push_back(slot);
         }
         // det-ok: aggregate occupancy gauges, decremented on dequeue/drop; admission cap bounds them
@@ -416,7 +376,7 @@ impl Qdisc for FqCoDelQdisc {
         self.stats.on_enqueue(size);
         // Enforce the shared limit by dropping from the fattest queue
         // (which may be the one we just fed).
-        while self.total_bytes > self.cfg.limit_bytes {
+        while self.total_bytes > self.limit_bytes {
             match self.heap.top() {
                 Some(victim) if self.drop_head(victim) => {}
                 _ => break,
@@ -436,13 +396,12 @@ impl Qdisc for FqCoDelQdisc {
                 Some(&s) => (s, true),
                 None => (*self.old_list.front()?, false),
             };
-            let quantum = self.cfg.quantum as i64;
             // The scheduling lists only hold slots that have a queue.
             let q = self.queues.get_mut(slot as usize)?;
             if q.deficit <= 0 {
                 // Exhausted its quantum: move to the back of old list with a
                 // fresh quantum.
-                q.deficit += quantum;
+                q.deficit += QUANTUM;
                 self.pop_list(from_new);
                 self.old_list.push_back(slot);
                 continue;
@@ -470,10 +429,6 @@ impl Qdisc for FqCoDelQdisc {
 
     fn stats(&self) -> &QdiscStats {
         &self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "fq-codel"
     }
 }
 
@@ -552,9 +507,14 @@ mod tests {
         p.flow.0
     }
 
+    /// A qdisc whose buffer never overflows in these tests.
+    fn unlimited() -> FqCoDelQdisc {
+        FqCoDelQdisc::new(FqCoDelConfig { limit_bytes: 10 * 1024 * 1500 })
+    }
+
     #[test]
     fn round_robin_across_flows() {
-        let mut q = FqCoDelQdisc::new(FqCoDelConfig::default());
+        let mut q = unlimited();
         // Backlog 6 packets from flow 0, then 6 from flow 1.
         for i in 0..6 {
             q.enqueue(pkt(0, i), Time::ZERO).unwrap();
@@ -576,7 +536,7 @@ mod tests {
 
     #[test]
     fn fair_shares_with_unequal_backlogs() {
-        let mut q = FqCoDelQdisc::new(FqCoDelConfig::default());
+        let mut q = unlimited();
         // Flow 0 has a huge backlog, flows 1..4 have small ones.
         for i in 0..100 {
             q.enqueue(pkt(0, i), Time::ZERO).unwrap();
@@ -599,10 +559,7 @@ mod tests {
 
     #[test]
     fn overload_drops_from_fattest_flow() {
-        let mut q = FqCoDelQdisc::new(FqCoDelConfig {
-            limit_bytes: 10 * 1500,
-            ..FqCoDelConfig::default()
-        });
+        let mut q = FqCoDelQdisc::new(FqCoDelConfig { limit_bytes: 10 * 1500 });
         for i in 0..9 {
             q.enqueue(pkt(0, i), Time::ZERO).unwrap();
         }
@@ -624,7 +581,7 @@ mod tests {
 
     #[test]
     fn codel_drops_under_standing_queue() {
-        let mut q = FqCoDelQdisc::new(FqCoDelConfig::default());
+        let mut q = unlimited();
         // Build a standing queue and dequeue slowly (sojourn > target).
         let mut now = Time::ZERO;
         let mut seq = 0;
@@ -647,41 +604,8 @@ mod tests {
     }
 
     #[test]
-    fn ecn_marks_instead_of_dropping() {
-        let mut q = FqCoDelQdisc::new(FqCoDelConfig {
-            ecn: true,
-            ..FqCoDelConfig::default()
-        });
-        let mut now = Time::ZERO;
-        let mut seq = 0;
-        for _ in 0..400 {
-            now = now + cebinae_sim::Duration::from_millis(2);
-            for _ in 0..2 {
-                let mut p = pkt(0, seq);
-                p.ecn = cebinae_net::Ecn::Capable;
-                q.enqueue(p, now).unwrap();
-                seq += 1;
-            }
-            q.dequeue(now);
-        }
-        assert!(q.stats().ecn_marked > 0, "ECN-capable packets get marked");
-        assert_eq!(q.stats().drop_pkts, 0, "no drops when marking suffices");
-    }
-
-    #[test]
-    fn finite_buckets_hash_flows_together() {
-        let mut q = FqCoDelQdisc::new(FqCoDelConfig {
-            buckets: Some(1),
-            ..FqCoDelConfig::default()
-        });
-        q.enqueue(pkt(0, 0), Time::ZERO).unwrap();
-        q.enqueue(pkt(1, 0), Time::ZERO).unwrap();
-        assert_eq!(q.queues.len(), 1, "both flows share the single bucket");
-    }
-
-    #[test]
     fn conservation() {
-        let mut q = FqCoDelQdisc::new(FqCoDelConfig::default());
+        let mut q = unlimited();
         for f in 0..5 {
             for i in 0..20 {
                 q.enqueue(pkt(f, i), Time::ZERO).unwrap();
@@ -711,10 +635,8 @@ mod tests {
 
     #[test]
     fn byte_ties_evict_the_highest_bucket() {
-        let mut q = FqCoDelQdisc::new(FqCoDelConfig {
-            limit_bytes: 6 * (MSS + cebinae_net::HEADER_BYTES) as u64,
-            ..FqCoDelConfig::default()
-        });
+        let limit_bytes = 6 * (MSS + cebinae_net::HEADER_BYTES) as u64;
+        let mut q = FqCoDelQdisc::new(FqCoDelConfig { limit_bytes });
         // Insertion order 5, 9, 2 so neither first nor last inserted wins.
         for f in [5, 9, 2] {
             for i in 0..2 {
@@ -738,10 +660,7 @@ mod tests {
 
     #[test]
     fn eviction_can_empty_a_queue() {
-        let mut q = FqCoDelQdisc::new(FqCoDelConfig {
-            limit_bytes: 1000,
-            ..FqCoDelConfig::default()
-        });
+        let mut q = FqCoDelQdisc::new(FqCoDelConfig { limit_bytes: 1000 });
         // One full-size packet is over the limit on its own: it is admitted,
         // evicted, and its queue leaves the index.
         q.enqueue(pkt(3, 0), Time::ZERO).unwrap();
@@ -774,14 +693,9 @@ mod tests {
         for case in 0..CASES {
             let mut rng = DetRng::seed_from_u64(0x00F0_C0DE ^ case);
             let n_flows = rng.gen_range_u64(2, 200) as u32;
-            let cfg = FqCoDelConfig {
-                limit_bytes: rng.gen_range_u64(3_000, 40_000),
-                buckets: if case % 2 == 0 { None } else { Some(7) },
-                ecn: case % 4 >= 2,
-                ..FqCoDelConfig::default()
-            };
-            let mut q = FqCoDelQdisc::new(cfg.clone());
-            let mut model = model::MapModel::new(cfg);
+            let limit_bytes = rng.gen_range_u64(3_000, 40_000);
+            let mut q = FqCoDelQdisc::new(FqCoDelConfig { limit_bytes });
+            let mut model = model::MapModel::new(limit_bytes);
             let mut now = Time::ZERO;
             for seq in 0..OPS as u64 {
                 now += cebinae_sim::Duration::from_micros(rng.gen_range_u64(1, 3_000));
@@ -821,6 +735,7 @@ mod tests {
             }
             assert_eq!(q.stats(), &model.stats);
             assert_eq!((q.byte_len(), q.pkt_len()), (0, 0));
+            assert_eq!(q.stats().ecn_marked, 0, "ECN-capable packets are dropped, never marked");
             q.check_invariants();
         }
         assert!(

@@ -11,7 +11,7 @@ use cebinae_ds::DetMap;
 use cebinae_net::{Packet, QdiscStats};
 use cebinae_sim::Time;
 
-use super::FqCoDelConfig;
+use super::QUANTUM;
 use crate::codel::{Codel, CodelVerdict};
 
 struct Queue {
@@ -23,7 +23,7 @@ struct Queue {
 }
 
 pub(super) struct MapModel {
-    cfg: FqCoDelConfig,
+    limit_bytes: u64,
     flows: DetMap<u64, Queue>,
     new_list: VecDeque<u64>,
     old_list: VecDeque<u64>,
@@ -33,9 +33,9 @@ pub(super) struct MapModel {
 }
 
 impl MapModel {
-    pub(super) fn new(cfg: FqCoDelConfig) -> MapModel {
+    pub(super) fn new(limit_bytes: u64) -> MapModel {
         MapModel {
-            cfg,
+            limit_bytes,
             flows: DetMap::new(),
             new_list: VecDeque::new(),
             old_list: VecDeque::new(),
@@ -64,16 +64,12 @@ impl MapModel {
     }
 
     pub(super) fn offer(&mut self, pkt: Packet, now: Time) {
-        let bucket = match self.cfg.buckets {
-            Some(n) => cebinae_sim::rng::splitmix64(pkt.flow.0 as u64) % n as u64,
-            None => pkt.flow.0 as u64,
-        };
-        let (target, interval) = (self.cfg.codel_target, self.cfg.codel_interval);
+        let bucket = pkt.flow.0 as u64;
         let q = self.flows.get_or_insert_with(bucket, || Queue {
             pkts: VecDeque::new(),
             bytes: 0,
             deficit: 0,
-            codel: Codel::new(target, interval),
+            codel: Codel::default(),
             scheduled: false,
         });
         q.bytes += pkt.size as u64;
@@ -83,10 +79,10 @@ impl MapModel {
         q.pkts.push_back((pkt, now));
         if !q.scheduled {
             q.scheduled = true;
-            q.deficit = self.cfg.quantum as i64;
+            q.deficit = QUANTUM;
             self.new_list.push_back(bucket);
         }
-        while self.total_bytes > self.cfg.limit_bytes {
+        while self.total_bytes > self.limit_bytes {
             let Some((pkt, _)) = self.victim().and_then(|b| self.take_head(b)) else { break };
             self.stats.on_drop_queued(pkt.size);
         }
@@ -100,21 +96,16 @@ impl MapModel {
             let bucket = *list.front()?;
             let q = self.flows.get_mut(&bucket)?;
             if q.deficit <= 0 {
-                q.deficit += self.cfg.quantum as i64;
+                q.deficit += QUANTUM;
                 list.pop_front();
                 self.old_list.push_back(bucket);
                 continue;
             }
-            while let Some((mut pkt, enq)) = self.take_head(bucket) {
+            while let Some((pkt, enq)) = self.take_head(bucket) {
                 let q = self.flows.get_mut(&bucket)?;
                 match q.codel.on_dequeue(enq, now, q.bytes) {
-                    CodelVerdict::Drop if !(self.cfg.ecn && pkt.try_mark_ce()) => {
-                        self.stats.on_drop_queued(pkt.size);
-                    }
-                    verdict => {
-                        if verdict == CodelVerdict::Drop {
-                            self.stats.ecn_marked += 1;
-                        }
+                    CodelVerdict::Drop => self.stats.on_drop_queued(pkt.size),
+                    CodelVerdict::Deliver => {
                         self.stats.on_tx(pkt.size);
                         q.deficit -= pkt.size as i64;
                         return Some(pkt);

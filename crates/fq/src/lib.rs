@@ -3,8 +3,8 @@
 //! Fair-queuing baselines for the Cebinae reproduction:
 //!
 //! * [`fqcodel`] — FQ-CoDel (RFC 8290), the paper's "FQ" comparison point,
-//!   defaulting to the idealized one-queue-per-flow configuration the paper
-//!   uses (queue count 2³²−1 in its ns-3 setup);
+//!   in the idealized one-queue-per-flow configuration the paper uses
+//!   (queue count 2³²−1 in its ns-3 setup);
 //! * [`codel`] — the CoDel control law (RFC 8289) used inside FQ-CoDel;
 //! * [`afq`] — an AFQ-style calendar queue (NSDI '18), the calendar-queue
 //!   scalability comparator of the paper's §2, including the Equation 1
@@ -35,10 +35,7 @@ mod proptests {
         for case in 0..64u64 {
             let mut rng = DetRng::seed_from_u64(0xf9c0 ^ case);
             let n = rng.gen_range_usize(1, 300);
-            let mut q = FqCoDelQdisc::new(FqCoDelConfig {
-                limit_bytes: 20 * 1500,
-                ..FqCoDelConfig::default()
-            });
+            let mut q = FqCoDelQdisc::new(FqCoDelConfig { limit_bytes: 20 * 1500 });
             let mut now = Time::ZERO;
             for _ in 0..n {
                 let flow = rng.gen_range_u64(0, 8) as u32;
@@ -64,10 +61,7 @@ mod proptests {
             let mut rng = DetRng::seed_from_u64(0xf9c1 ^ case);
             let n = rng.gen_range_usize(1, 400);
             let limit_mtus = rng.gen_range_u64(2, 32);
-            let mut q = FqCoDelQdisc::new(FqCoDelConfig {
-                limit_bytes: limit_mtus * 1500,
-                ..FqCoDelConfig::default()
-            });
+            let mut q = FqCoDelQdisc::new(FqCoDelConfig { limit_bytes: limit_mtus * 1500 });
             for i in 0..n {
                 let _ = q.enqueue(
                     Packet::data(FlowId((i % 5) as u32), i as u64, MSS, false, Time::ZERO),

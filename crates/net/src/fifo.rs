@@ -66,10 +66,6 @@ impl Qdisc for FifoQdisc {
     fn stats(&self) -> &QdiscStats {
         &self.stats
     }
-
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
 }
 
 #[cfg(test)]

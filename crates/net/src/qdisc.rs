@@ -129,9 +129,6 @@ pub trait Qdisc: Send + std::any::Any {
     /// telemetry scrapes and tests (no `as_any` downcasting), required of
     /// every discipline.
     fn stats(&self) -> &QdiscStats;
-
-    /// Short discipline name for reports ("fifo", "fq-codel", "cebinae"...).
-    fn name(&self) -> &'static str;
 }
 
 /// Configuration shared by buffer-limited disciplines: capacity expressed in

@@ -33,7 +33,7 @@ pub mod wheel;
 
 pub use heap::HeapScheduler;
 pub use sched::{Scheduler, SchedulerBackend, SchedulerKind, TimerId};
-pub use time::{bytes_in, tx_time, Duration, Time, NANOS_PER_SEC};
+pub use time::{tx_time, Duration, Time, NANOS_PER_SEC};
 pub use wheel::WheelScheduler;
 
 // Property tests driven by the crate's own seeded generator: each test

@@ -88,7 +88,7 @@ impl Duration {
     }
 
     #[inline]
-    pub fn from_millis(ms: u64) -> Duration {
+    pub const fn from_millis(ms: u64) -> Duration {
         Duration(ms * 1_000_000)
     }
 
@@ -161,12 +161,6 @@ pub fn tx_time(bytes: u64, rate_bps: u64) -> Duration {
 fn tx_time_wide(bytes: u64, rate_bps: u64) -> u64 {
     let bit_ns = bytes as u128 * 8 * NANOS_PER_SEC as u128;
     bit_ns.div_ceil(rate_bps as u128) as u64
-}
-
-/// Bytes a link of `rate_bps` can carry in `dur` (rounded down).
-#[inline]
-pub fn bytes_in(rate_bps: u64, dur: Duration) -> u64 {
-    (rate_bps as u128 * dur.0 as u128 / (8 * NANOS_PER_SEC as u128)) as u64
 }
 
 impl Add<Duration> for Time {
@@ -395,14 +389,6 @@ mod tests {
         // 1 byte at 3 bps: 8/3 s -> ceil in ns.
         let d = tx_time(1, 3);
         assert_eq!(d.0, (8 * NANOS_PER_SEC).div_ceil(3));
-    }
-
-    #[test]
-    fn bytes_in_inverts_tx_time_approximately() {
-        let rate = 100_000_000;
-        let d = tx_time(100_000, rate);
-        let b = bytes_in(rate, d);
-        assert!(b >= 100_000 && b <= 100_001, "b = {b}");
     }
 
     #[test]

@@ -23,8 +23,6 @@ pub struct TraceConfig {
     pub aggregate_rate_bps: f64,
     /// New-flow arrival rate per minute (the paper's headline statistic).
     pub flows_per_minute: f64,
-    /// Zipf exponent for per-flow rate skew.
-    pub zipf_s: f64,
     /// Flow duration bounds (bounded Pareto, tail index 1.2).
     pub min_duration: Duration,
     pub max_duration: Duration,
@@ -36,7 +34,6 @@ impl Default for TraceConfig {
             duration: Duration::from_secs(2),
             aggregate_rate_bps: 10e9,
             flows_per_minute: 400_000.0,
-            zipf_s: 1.1,
             min_duration: Duration::from_millis(20),
             max_duration: Duration::from_secs(10),
         }
@@ -59,6 +56,9 @@ pub struct SyntheticTrace {
     pub cfg: TraceConfig,
 }
 
+/// Zipf exponent for per-flow rate skew.
+const ZIPF_S: f64 = 1.1;
+
 impl SyntheticTrace {
     /// Generate a trace with Poisson flow arrivals, Zipf-assigned rates,
     /// and Pareto durations.
@@ -68,7 +68,7 @@ impl SyntheticTrace {
         let n = expected_flows.max(1);
         // Zipf rate weights over all flows, scaled so the *expected
         // concurrent* aggregate matches aggregate_rate_bps.
-        let weights = zipf_weights(n, cfg.zipf_s);
+        let weights = zipf_weights(n, ZIPF_S);
         // Average concurrency factor: E[duration] / trace duration.
         let mut flows = Vec::with_capacity(n);
         let mut total_weighted_time = 0.0;

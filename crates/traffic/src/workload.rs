@@ -19,10 +19,6 @@ pub struct FlowArrival {
 pub struct MiceWorkload {
     /// Mean arrival rate, flows per second.
     pub arrivals_per_sec: f64,
-    /// Flow size bounds (bounded Pareto, tail index `alpha`).
-    pub min_bytes: u64,
-    pub max_bytes: u64,
-    pub alpha: f64,
     /// Arrival window.
     pub from: Time,
     pub until: Time,
@@ -32,15 +28,17 @@ impl Default for MiceWorkload {
     fn default() -> Self {
         MiceWorkload {
             arrivals_per_sec: 10.0,
-            // Web-like mice: 10 KB .. 1 MB, heavy-tailed.
-            min_bytes: 10_000,
-            max_bytes: 1_000_000,
-            alpha: 1.2,
             from: Time::from_secs(1),
             until: Time::from_secs(10),
         }
     }
 }
+
+/// Flow size bounds and tail index (bounded Pareto): web-like mice,
+/// 10 KB .. 1 MB, heavy-tailed.
+const MIN_BYTES: u64 = 10_000;
+const MAX_BYTES: u64 = 1_000_000;
+const ALPHA: f64 = 1.2;
 
 impl MiceWorkload {
     /// Materialize the arrival sequence.
@@ -55,12 +53,7 @@ impl MiceWorkload {
             if t >= self.until {
                 break;
             }
-            let bytes = bounded_pareto(
-                rng,
-                self.min_bytes as f64,
-                self.max_bytes as f64,
-                self.alpha,
-            ) as u64;
+            let bytes = bounded_pareto(rng, MIN_BYTES as f64, MAX_BYTES as f64, ALPHA) as u64;
             out.push(FlowArrival { start: t, bytes });
         }
         out
@@ -79,14 +72,13 @@ mod tests {
             arrivals_per_sec: 100.0,
             from: Time::from_secs(2),
             until: Time::from_secs(12),
-            ..MiceWorkload::default()
         };
         let flows = w.generate(&mut rng);
         // ~1000 expected; Poisson stddev ~32.
         assert!((850..1150).contains(&flows.len()), "{}", flows.len());
         for f in &flows {
             assert!(f.start >= w.from && f.start < w.until);
-            assert!((w.min_bytes..=w.max_bytes).contains(&f.bytes));
+            assert!((MIN_BYTES..=MAX_BYTES).contains(&f.bytes));
         }
         // Sorted by construction.
         for pair in flows.windows(2) {

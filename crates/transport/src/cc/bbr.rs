@@ -489,10 +489,6 @@ impl CongestionControl for Bbr {
     fn pacing_rate(&self) -> Option<f64> {
         self.pacing_rate
     }
-
-    fn name(&self) -> &'static str {
-        "bbr"
-    }
 }
 
 #[cfg(test)]

@@ -122,10 +122,6 @@ impl CongestionControl for Bic {
     fn ssthresh(&self) -> u64 {
         self.ssthresh
     }
-
-    fn name(&self) -> &'static str {
-        "bic"
-    }
 }
 
 #[cfg(test)]

@@ -150,10 +150,6 @@ impl CongestionControl for Cubic {
     fn ssthresh(&self) -> u64 {
         self.ssthresh
     }
-
-    fn name(&self) -> &'static str {
-        "cubic"
-    }
 }
 
 #[cfg(test)]

@@ -101,8 +101,6 @@ pub trait CongestionControl: Send {
     fn pacing_rate(&self) -> Option<f64> {
         None
     }
-
-    fn name(&self) -> &'static str;
 }
 
 /// Selector for constructing CCAs from experiment configs.
@@ -213,7 +211,6 @@ mod tests {
         for kind in CcKind::ALL {
             let cc = kind.build(1448, 10 * 1448);
             assert_eq!(cc.cwnd(), 10 * 1448, "{}", kind.label());
-            assert!(!cc.name().is_empty());
         }
     }
 

@@ -83,10 +83,6 @@ impl CongestionControl for NewReno {
     fn ssthresh(&self) -> u64 {
         self.ssthresh
     }
-
-    fn name(&self) -> &'static str {
-        "newreno"
-    }
 }
 
 #[cfg(test)]

@@ -144,10 +144,6 @@ impl CongestionControl for Vegas {
     fn ssthresh(&self) -> u64 {
         self.ssthresh
     }
-
-    fn name(&self) -> &'static str {
-        "vegas"
-    }
 }
 
 #[cfg(test)]

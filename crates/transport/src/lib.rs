@@ -131,7 +131,8 @@ mod proptests {
         for case in 0..32u64 {
             let mut rng = DetRng::seed_from_u64(0x7c9_0003 ^ case);
             let n = rng.gen_range_usize(1, 400);
-            let mut cc = CcKind::ALL[rng.gen_range_usize(0, 5)].build(MSS, 10 * MSS as u64);
+            let kind = CcKind::ALL[rng.gen_range_usize(0, 5)];
+            let mut cc = kind.build(MSS, 10 * MSS as u64);
             let mut now = Time::from_millis(1);
             let mut delivered = 0u64;
             for _ in 0..n {
@@ -161,8 +162,8 @@ mod proptests {
                         });
                     }
                 }
-                assert!(cc.cwnd() >= MSS as u64, "case {case}: {} cwnd collapsed", cc.name());
-                assert!(cc.cwnd() < u32::MAX as u64, "case {case}: {} cwnd exploded", cc.name());
+                assert!(cc.cwnd() >= MSS as u64, "case {case}: {} cwnd collapsed", kind.label());
+                assert!(cc.cwnd() < u32::MAX as u64, "case {case}: {} cwnd exploded", kind.label());
             }
         }
     }

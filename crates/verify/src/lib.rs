@@ -37,30 +37,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Which rules to run, and where.
-#[derive(Clone, Debug)]
-pub struct Config {
-    /// Workspace root to walk.
-    pub root: PathBuf,
-    /// Disabled rules (all rules run by default).
-    pub disabled: Vec<Rule>,
-}
-
-impl Config {
-    pub fn new(root: impl Into<PathBuf>) -> Self {
-        Config { root: root.into(), disabled: Vec::new() }
-    }
-
-    pub fn disable(mut self, rule: Rule) -> Self {
-        self.disabled.push(rule);
-        self
-    }
-
-    fn enabled(&self, rule: Rule) -> bool {
-        !self.disabled.contains(&rule)
-    }
-}
-
 /// The result of one analysis.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
@@ -97,25 +73,24 @@ fn analyze(path: &str, src: &str) -> FileAnalysis {
 /// hot-path rules evaluated over this file alone, with every crate edge
 /// allowed. This is the unit used by the fixture self-tests; it shares
 /// [`assemble`] with [`check_workspace`].
-pub fn check_source(path: &str, src: &str, cfg: &Config) -> Vec<Violation> {
-    source_report(path, src, cfg).findings
+pub fn check_source(path: &str, src: &str) -> Vec<Violation> {
+    source_report(path, src).findings
 }
 
 /// [`check_source`] with the used-waiver counts.
-pub fn source_report(path: &str, src: &str, cfg: &Config) -> Report {
+pub fn source_report(path: &str, src: &str) -> Report {
     let files = BTreeMap::from([(path.to_string(), analyze(path, src))]);
-    assemble(&files, CrateDeps::default(), cfg)
+    assemble(&files, CrateDeps::default())
 }
 
 /// Combine per-file results into the report: build the symbol index, run
-/// the call-graph-transitive rules, drop disabled rules, apply waivers —
-/// here and nowhere else, so every marker is known to have suppressed
-/// something or not — and sort deterministically.
-fn assemble(files: &BTreeMap<String, FileAnalysis>, deps: CrateDeps, cfg: &Config) -> Report {
+/// the call-graph-transitive rules, apply waivers — here and nowhere else,
+/// so every marker is known to have suppressed something or not — and
+/// sort deterministically.
+fn assemble(files: &BTreeMap<String, FileAnalysis>, deps: CrateDeps) -> Report {
     let mut all: Vec<Violation> = files.values().flat_map(|a| a.local.iter().cloned()).collect();
     let ix = SymbolIndex::build(files.iter().map(|(p, a)| (p.as_str(), &a.facts)), deps);
     callgraph::run_hot_path_rules(&ix, &mut all);
-    all.retain(|v| cfg.enabled(v.rule));
 
     // (file, marker line) → the rules whose findings the marker suppressed.
     let mut used: BTreeMap<(&str, usize), BTreeSet<Rule>> = BTreeMap::new();
@@ -137,21 +112,19 @@ fn assemble(files: &BTreeMap<String, FileAnalysis>, deps: CrateDeps, cfg: &Confi
         }
     }
 
-    // W1: with a rule skipped, a marker may be waiting for its findings.
-    if cfg.disabled.is_empty() {
-        for (file, analysis) in files {
-            for (&line, &in_test) in &analysis.waivers {
-                if !in_test && !used.contains_key(&(file.as_str(), line)) {
-                    findings.push(Violation {
-                        file: file.clone(),
-                        line,
-                        rule: Rule::DeadWaiver,
-                        message: "det-ok waiver suppresses no finding; drop the marker (keep \
-                                  the comment) or move it onto the line it is meant to cover"
-                            .into(),
-                        trace: Vec::new(),
-                    });
-                }
+    // W1: every marker outside a test region that suppressed nothing.
+    for (file, analysis) in files {
+        for (&line, &in_test) in &analysis.waivers {
+            if !in_test && !used.contains_key(&(file.as_str(), line)) {
+                findings.push(Violation {
+                    file: file.clone(),
+                    line,
+                    rule: Rule::DeadWaiver,
+                    message: "det-ok waiver suppresses no finding; drop the marker (keep the \
+                              comment) or move it onto the line it is meant to cover"
+                        .into(),
+                    trace: Vec::new(),
+                });
             }
         }
     }
@@ -169,24 +142,24 @@ fn assemble(files: &BTreeMap<String, FileAnalysis>, deps: CrateDeps, cfg: &Confi
     Report { findings, waivers_used }
 }
 
-/// Walk the workspace and run all rules.
+/// Walk the workspace under `root` and run all rules.
 ///
 /// Skipped directories: build output (`target`), VCS metadata, and rule
 /// fixtures (`fixtures` — those files *intentionally* violate the rules).
-pub fn check_workspace(cfg: &Config) -> io::Result<Report> {
+pub fn check_workspace(root: &Path) -> io::Result<Report> {
     let mut paths = Vec::new();
-    collect_rs_files(&cfg.root, &mut paths)?;
+    collect_rs_files(root, &mut paths)?;
     let mut files = BTreeMap::new();
     for f in &paths {
         let rel = f
-            .strip_prefix(&cfg.root)
+            .strip_prefix(root)
             .unwrap_or(f)
             .to_string_lossy()
             .replace('\\', "/");
         let analysis = analyze(&rel, &fs::read_to_string(f)?);
         files.insert(rel, analysis);
     }
-    Ok(assemble(&files, CrateDeps::from_manifests(&cfg.root), cfg))
+    Ok(assemble(&files, CrateDeps::from_manifests(root)))
 }
 
 const SKIP_DIRS: [&str; 4] = ["target", ".git", "fixtures", "node_modules"];

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run -p cebinae-verify                   # check the whole workspace
-//! cargo run -p cebinae-verify -- --skip R5,R8
 //! cargo run -p cebinae-verify -- --root path/to/tree
 //! cargo run -p cebinae-verify -- --format json  # machine-readable report
 //! cargo run -p cebinae-verify -- --explain R12  # rationale + fix example
@@ -11,33 +10,22 @@
 //! Exit status 0 when clean, 1 on any violation, 2 on usage/IO errors.
 
 use cebinae_verify::rules::RULES;
-use cebinae_verify::{check_workspace, report, Config, Rule};
+use cebinae_verify::{check_workspace, report, Rule};
 use std::process::ExitCode;
 
 const USAGE: &str =
-    "usage: cebinae-verify [--root DIR] [--skip RULE,..] [--format text|json] [--explain RULE]";
+    "usage: cebinae-verify [--root DIR] [--format text|json] [--explain RULE]";
 
 fn main() -> ExitCode {
-    let mut cfg = Config::new(cebinae_verify::workspace_root());
+    let mut root = cebinae_verify::workspace_root();
     let mut json = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => match args.next() {
-                Some(p) => cfg.root = p.into(),
+                Some(p) => root = p.into(),
                 None => return usage("--root needs a path"),
-            },
-            "--skip" => match args.next() {
-                Some(list) => {
-                    for part in list.split(',') {
-                        match Rule::parse(part) {
-                            Some(r) => cfg.disabled.push(r),
-                            None => return usage(&format!("unknown rule `{part}`")),
-                        }
-                    }
-                }
-                None => return usage("--skip needs a rule list, e.g. R5,R6"),
             },
             "--format" => match args.next().as_deref() {
                 Some("json") => json = true,
@@ -68,7 +56,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let report = match check_workspace(&cfg) {
+    let report = match check_workspace(&root) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("cebinae-verify: IO error: {e}");
@@ -78,16 +66,11 @@ fn main() -> ExitCode {
     if json {
         print!("{}", report::render_json(&report.findings, &report.waivers_used));
     } else if report.findings.is_empty() {
-        let skipped: Vec<String> = cfg.disabled.iter().map(|r| r.to_string()).collect();
         let used: Vec<String> =
             report.waivers_used.iter().map(|(r, n)| format!("{r} {n}")).collect();
         println!(
-            "cebinae-verify: workspace clean ({}; waivers used: {})",
-            if skipped.is_empty() {
-                format!("rules {}", Rule::span())
-            } else {
-                format!("skipped: {}", skipped.join(","))
-            },
+            "cebinae-verify: workspace clean (rules {}; waivers used: {})",
+            Rule::span(),
             if used.is_empty() { "none".into() } else { used.join(", ") }
         );
     } else {

@@ -6,7 +6,7 @@
 //! line and the JSON `"rules"` field all read it, and the rules that
 //! amount to "this token sequence is banned in these crates" (R1, R2,
 //! R4, R7, R8, R9, R13, R14) are nothing but their table rows, run by one
-//! matcher. R3, R6, R10 and R11 are token-stream pattern matches with
+//! matcher. R6, R10 and R11 are token-stream pattern matches with
 //! logic of their own; R5 and R12 are *workspace-global* and run over
 //! the call graph (`crate::callgraph`). Scope and test-region exemption
 //! are applied here, once, by [`run_rules`]; `// det-ok: <reason>`
@@ -23,7 +23,6 @@ use std::fmt;
 pub enum Rule {
     R1,
     R2,
-    R3,
     R4,
     R5,
     R6,
@@ -99,7 +98,7 @@ const R2_MSG: &str =
 const R7_MSG: &str = "`std::thread` in a simulation/dataplane crate; a simulated timeline is strictly sequential — fan parallelism across trials via `cebinae_par::TrialPool`";
 
 /// Every rule, in report order; `RULES[rule as usize].rule == rule`.
-pub static RULES: [RuleInfo; 16] = [
+pub static RULES: [RuleInfo; 15] = [
     RuleInfo {
         rule: Rule::R1,
         id: "R1",
@@ -139,18 +138,6 @@ pub static RULES: [RuleInfo; 16] = [
             Ban { seq: &["thread_rng|from_entropy|RandomState|getrandom|OsRng"], at: 0, msg: R2_MSG },
             Ban { seq: &["rand", "::", "random"], at: 0, msg: R2_MSG },
         ],
-    },
-    RuleInfo {
-        rule: Rule::R3,
-        id: "R3",
-        scope: Scope::Crates(&["sim", "net", "core", "engine", "transport"]),
-        test_exempt: true,
-        summary: "no order-sensitive iteration over `HashMap`/`HashSet` in the simulation crates",
-        why: "HashMap/HashSet iteration order is unspecified, so any fold over it can \
-              differ between runs or hosts.",
-        flagged: "for (k, v) in hash_map.iter() { .. }",
-        preferred: "let map: BTreeMap<K, V> = ..; for (k, v) in map.iter() { .. }",
-        banned: &[],
     },
     RuleInfo {
         rule: Rule::R4,
@@ -300,8 +287,8 @@ pub static RULES: [RuleInfo; 16] = [
         summary: "no `std::collections::HashMap`/`HashSet` at all in simulation/dataplane crates",
         why: "`std::collections::HashMap`/`HashSet` seed their layout from per-process \
               entropy (`RandomState`), so any iteration — or a Debug dump added later — \
-              is a latent nondeterminism bug. R3 only catches the iteration; R13 bans \
-              the type itself in simulation/dataplane crates. `cebinae_ds::DetMap`/`DetSet` \
+              is a latent nondeterminism bug. R13 bans the type itself in \
+              simulation/dataplane crates. `cebinae_ds::DetMap`/`DetSet` \
               are drop-in: O(1) expected ops, fixed seeded hash, deterministic \
               insertion-order iteration, and `sorted_iter()` where key order matters.",
         flagged: "let mut flow_bytes: HashMap<FlowId, u64> = HashMap::new();",
@@ -335,7 +322,7 @@ pub static RULES: [RuleInfo; 16] = [
         flagged: "fn drive(q: &mut HeapScheduler<Ev>) { .. }",
         preferred: "fn drive(q: &mut SchedulerBackend<Ev>) { .. } // from SchedulerKind::backend(); or &mut dyn Scheduler<Ev>",
         banned: &[Ban {
-            seq: &["EventQueue|HeapScheduler|WheelScheduler|BinaryHeap"],
+            seq: &["HeapScheduler|WheelScheduler|BinaryHeap"],
             at: 0,
             msg: "concrete event-queue type `{}` in an event-loop consumer crate; name the `cebinae_sim::Scheduler` trait or the `SchedulerBackend` enum (`SchedulerKind::backend()`) so backends stay swappable",
         }],
@@ -357,7 +344,7 @@ pub static RULES: [RuleInfo; 16] = [
         id: "W1",
         scope: Scope::Everywhere,
         test_exempt: true,
-        summary: "a `// det-ok:` waiver must suppress a finding (judged only when no rule is skipped)",
+        summary: "a `// det-ok:` waiver must suppress a finding",
         why: "A waiver over code no rule flags reads as a reviewed exception but guards \
               nothing, and hides how many real exceptions the tree carries. A marker \
               covers its own line and the line below.",
@@ -387,7 +374,8 @@ impl Rule {
     }
 
     /// The rule set as one string, `"R1-R14,W0,W1"`: the numbered rules as
-    /// a range, the waiver meta-rules by id.
+    /// a range (retired R3, which R13 subsumed, is a gap in it), the waiver
+    /// meta-rules by id.
     pub fn span() -> String {
         let (r, w): (Vec<&str>, Vec<&str>) =
             RULES.iter().map(|i| i.id).partition(|id| id.starts_with('R'));
@@ -543,7 +531,6 @@ pub fn run_rules(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     for info in RULES.iter().filter(|i| i.scope.contains(ctx.path)) {
         let mut found = Vec::new();
         match info.rule {
-            Rule::R3 => r3_unordered_iteration(ctx, &mut found),
             Rule::R6 => r6_float_equality(ctx, &mut found),
             Rule::R10 => crate::units::r10_cross_unit(ctx, &mut found),
             Rule::R11 => crate::units::r11_narrowing_casts(ctx, &mut found),
@@ -576,76 +563,6 @@ fn banned_tokens(ctx: &FileCtx<'_>, info: &RuleInfo, out: &mut Vec<Violation>) {
 /// Is `name` an enqueue/dequeue/rotate hot entry point (R5, R12)?
 pub fn hot_fn(name: &str) -> bool {
     name == "enqueue" || name == "dequeue" || name.contains("rotate")
-}
-
-// ---------------------------------------------------------------------------
-// R3: unordered-map iteration
-// ---------------------------------------------------------------------------
-
-const R3_ITER_METHODS: [&str; 10] = [
-    "iter", "iter_mut", "values", "values_mut", "keys", "drain", "into_iter", "retain",
-    "into_values", "into_keys",
-];
-
-fn r3_unordered_iteration(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    let toks = &ctx.lexed.tokens;
-
-    // Pass 1: names bound to HashMap/HashSet types (`name: HashMap<..>`,
-    // `name: &mut std::collections::HashMap<..>`, `let name = HashMap::..`).
-    let mut hash_names: Vec<String> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        let Tok::Ident(ty) = &t.tok else { continue };
-        if ty != "HashMap" && ty != "HashSet" {
-            continue;
-        }
-        let mut j = i;
-        // Skip a leading path (`std :: collections ::`).
-        while j >= 2
-            && toks[j - 1].tok == Tok::Punct("::")
-            && matches!(toks[j - 2].tok, Tok::Ident(_))
-        {
-            j -= 2;
-        }
-        // Skip `&`, lifetimes, and `mut`.
-        while j >= 1
-            && (toks[j - 1].tok == Tok::Punct("&")
-                || toks[j - 1].tok == Tok::Lifetime
-                || toks[j - 1].tok == Tok::Ident("mut".into()))
-        {
-            j -= 1;
-        }
-        if j >= 2
-            && (toks[j - 1].tok == Tok::Punct(":") || toks[j - 1].tok == Tok::Punct("="))
-        {
-            if let Tok::Ident(name) = &toks[j - 2].tok {
-                hash_names.push(name.clone());
-            }
-        }
-    }
-
-    // Pass 2: iteration calls on those names.
-    for i in 0..toks.len() {
-        let Tok::Ident(name) = &toks[i].tok else { continue };
-        if !hash_names.contains(name) {
-            continue;
-        }
-        if toks.get(i + 1).map(|t| &t.tok) != Some(&Tok::Punct(".")) {
-            continue;
-        }
-        let Some(Tok::Ident(method)) = toks.get(i + 2).map(|t| &t.tok) else { continue };
-        if R3_ITER_METHODS.contains(&method.as_str())
-            && toks.get(i + 3).map(|t| &t.tok) == Some(&Tok::Punct("("))
-        {
-            ctx.emit(
-                out,
-                toks[i].line,
-                Rule::R3,
-                format!(
-                    "iteration over unordered `{name}` via `.{method}()`; use BTreeMap/BTreeSet, sort first, or waive with det-ok"
-                ),
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

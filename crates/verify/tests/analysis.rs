@@ -7,7 +7,7 @@ use cebinae_verify::index::CrateDeps;
 use cebinae_verify::parser::{self, CallKind};
 use cebinae_verify::report::render_json;
 use cebinae_verify::rules::RULES;
-use cebinae_verify::{check_source, lexer, source_report, Config, Rule, Violation};
+use cebinae_verify::{check_source, lexer, source_report, Rule, Violation};
 use std::collections::BTreeMap;
 
 const R10: &str = include_str!("fixtures/r10_units.rs");
@@ -15,7 +15,7 @@ const R11: &str = include_str!("fixtures/r11_narrowing.rs");
 const R12: &str = include_str!("fixtures/r12_counters.rs");
 
 fn rule_hits(path: &str, src: &str, rule: Rule) -> Vec<Violation> {
-    check_source(path, src, &Config::new("."))
+    check_source(path, src)
         .into_iter()
         .filter(|v| v.rule == rule)
         .collect()
@@ -279,7 +279,7 @@ const DECORATIVE: &str = "fn f() {\n    let x = 1; // det-ok: nothing here to wa
 
 #[test]
 fn w1_flags_a_waiver_that_suppresses_nothing() {
-    let v = check_source("crates/core/src/w.rs", DECORATIVE, &Config::new("."));
+    let v = check_source("crates/core/src/w.rs", DECORATIVE);
     assert_eq!(v.len(), 1, "{v:?}");
     assert_eq!((v[0].rule, v[0].line), (Rule::DeadWaiver, 2));
     assert_eq!(v[0].to_string().split(' ').nth(1), Some("[W1]"));
@@ -292,28 +292,22 @@ fn w1_flags_a_waiver_that_suppresses_nothing() {
 }
 
 #[test]
-fn w1_ignores_test_regions_and_is_not_judged_when_a_rule_is_skipped() {
+fn w1_ignores_test_regions() {
     let in_test = format!("#[cfg(test)]\nmod tests {{\n{DECORATIVE}}}\n");
-    let v = check_source("crates/core/src/w.rs", &in_test, &Config::new("."));
-    assert!(v.is_empty(), "{v:?}");
-
-    // With any rule off, the marker may be waiting for that rule's finding.
-    let cfg = Config::new(".").disable(Rule::R6);
-    let v = check_source("crates/core/src/w.rs", DECORATIVE, &cfg);
+    let v = check_source("crates/core/src/w.rs", &in_test);
     assert!(v.is_empty(), "{v:?}");
 }
 
 #[test]
 fn used_waivers_are_counted_per_suppressed_rule() {
-    let cfg = Config::new(".");
-    let r12 = source_report("crates/core/src/fixture.rs", R12, &cfg);
+    let r12 = source_report("crates/core/src/fixture.rs", R12);
     assert_eq!(r12.waivers_used, BTreeMap::from([(Rule::R12, 1)]));
-    let r11 = source_report("crates/net/src/fixture.rs", R11, &cfg);
+    let r11 = source_report("crates/net/src/fixture.rs", R11);
     assert_eq!(r11.waivers_used, BTreeMap::from([(Rule::R11, 1)]));
     let j = render_json(&r11.findings, &r11.waivers_used);
     assert!(j.contains("\"waivers_used\": {\"R11\": 1}"), "{j}");
     // A marker that suppresses nothing is not a used waiver.
-    assert!(source_report("crates/core/src/w.rs", DECORATIVE, &cfg).waivers_used.is_empty());
+    assert!(source_report("crates/core/src/w.rs", DECORATIVE).waivers_used.is_empty());
 }
 
 // ---------------------------------------------------------------------------

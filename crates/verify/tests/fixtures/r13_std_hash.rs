@@ -1,5 +1,5 @@
 // R13 fixture: std hash collections declared in simulation/dataplane
-// crates, even when nobody iterates them (that part is R3's job).
+// crates, even when nobody iterates them.
 
 use std::collections::HashMap;
 

@@ -1,4 +1,6 @@
-// R3 fixture: order-sensitive iteration over unordered containers.
+// R13 fixture: order-sensitive iteration over unordered containers. R13
+// rejects each `HashMap`/`HashSet` where it is named, so no iteration over
+// one can reach a simulation crate.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -21,8 +23,7 @@ impl State {
         self.members.retain(|m| *m > 0);
     }
 
-    fn waived_sum(&self) -> u64 {
-        // det-ok: summation is order-independent
+    fn order_independent_sum(&self) -> u64 {
         self.table.values().sum()
     }
 

@@ -4,15 +4,14 @@
 //! NDJSON, and the fuzzer's oracle verdicts.
 //!
 //! The expected output is committed as `examples/identity_snapshot.golden`,
-//! and CI diffs a fresh run against it:
+//! and `tests/identity_snapshot.rs` diffs a fresh rendering against it, so
+//! a plain `cargo test` fails when a simulated byte moves. A change that
+//! deliberately moves simulated behaviour regenerates the golden file in
+//! the same commit:
 //!
 //! ```text
-//! cargo run --release --example identity_snapshot > /tmp/post.txt
-//! diff examples/identity_snapshot.golden /tmp/post.txt
+//! cargo run --release --example identity_snapshot > examples/identity_snapshot.golden
 //! ```
-//!
-//! A change that deliberately moves simulated behaviour regenerates the
-//! golden file in the same commit.
 //!
 //! Each scenario prints two telemetry digests: `tel_full` covers the raw
 //! NDJSON export, `tel_stable` strips the `sys:engine` `sched_*` counters
@@ -54,7 +53,8 @@ fn stable_telemetry(nd: &str) -> String {
         .join("\n")
 }
 
-fn snapshot(tag: &str, sc: &GenScenario, express: bool) {
+/// One row of `sc`: its header line and the digests under it.
+fn snapshot(tag: &str, sc: &GenScenario, express: bool) -> String {
     let (mut cfg, _) = sc.build();
     cfg.express = express;
     let r = Simulation::new(cfg).run();
@@ -66,17 +66,17 @@ fn snapshot(tag: &str, sc: &GenScenario, express: bool) {
         "{:?}|{:?}|{:?}|{:?}",
         r.link_tx_series, r.cebinae_series, r.completed_at, r.flow_starts
     );
-    println!("[{}{tag}] {}", if express { "" } else { "ref:" }, sc.describe());
-    println!(
-        "  delivered={} ev={} trace_n={} trace_h={:016x} series_h={:016x}",
+    let mut out = format!("[{}{tag}] {}\n", if express { "" } else { "ref:" }, sc.describe());
+    out += &format!(
+        "  delivered={} ev={} trace_n={} trace_h={:016x} series_h={:016x}\n",
         delivered.join(","),
         r.events_processed,
         r.trace.records().count(),
         fnv(trace.as_bytes()),
         fnv(series.as_bytes()),
     );
-    println!(
-        "  tel_full_h={:016x} tel_full_len={} tel_stable_h={:016x} tel_stable_len={}",
+    out += &format!(
+        "  tel_full_h={:016x} tel_full_len={} tel_stable_h={:016x} tel_stable_len={}\n",
         fnv(nd.as_bytes()),
         nd.len(),
         fnv(stable.as_bytes()),
@@ -84,30 +84,42 @@ fn snapshot(tag: &str, sc: &GenScenario, express: bool) {
     );
     if !express {
         let violations = cebinae_check::judge_run(sc, &r);
-        println!(
-            "  oracle: violations_h={:016x} n_viol={}",
+        out += &format!(
+            "  oracle: violations_h={:016x} n_viol={}\n",
             fnv(format!("{violations:?}").as_bytes()),
             violations.len(),
         );
-        return;
+        return out;
     }
     let (violations, fairness, check_events) = cebinae_check::check_scenario(sc);
-    println!(
-        "  oracle: check_ev={} violations_h={:016x} n_viol={} fairness={:?}",
+    out += &format!(
+        "  oracle: check_ev={} violations_h={:016x} n_viol={} fairness={:?}\n",
         check_events,
         fnv(format!("{violations:?}").as_bytes()),
         violations.len(),
         fairness,
     );
+    out
 }
 
 /// Both rows of one scenario: as configured, then the reference path.
-fn snapshot_pair(tag: &str, sc: &GenScenario) {
-    snapshot(tag, sc, true);
-    snapshot(tag, sc, false);
+pub fn scenario_rows(tag: &str, sc: &GenScenario) -> String {
+    snapshot(tag, sc, true) + &snapshot(tag, sc, false)
 }
 
-fn main() {
+/// The `chaos/*` scenarios: one per fault family, on the default backend.
+pub fn chaos_scenarios() -> impl Iterator<Item = (String, GenScenario)> {
+    FaultFamily::ALL.iter().enumerate().map(|(seed, fam)| {
+        let mut sc = GenScenario::generate(seed as u64);
+        sc.duration_ms = sc.duration_ms.min(1000);
+        sc.fault_family = Some(*fam);
+        (format!("chaos/{fam}"), sc)
+    })
+}
+
+/// The whole snapshot, as `identity_snapshot.golden` holds it.
+pub fn render() -> String {
+    let mut out = String::new();
     // Clean generated scenarios under both backends: the cross-backend
     // pairs must agree line for line within one snapshot, and every line
     // must survive engine refactors unchanged.
@@ -116,15 +128,12 @@ fn main() {
             let mut sc = GenScenario::generate(seed);
             sc.duration_ms = sc.duration_ms.min(1000);
             sc.scheduler = kind;
-            snapshot_pair(&format!("clean/{name}"), &sc);
+            out += &scenario_rows(&format!("clean/{name}"), &sc);
         }
     }
     // Chaos: every fault family, default backend.
-    for (seed, fam) in FaultFamily::ALL.iter().enumerate() {
-        let mut sc = GenScenario::generate(seed as u64);
-        sc.duration_ms = sc.duration_ms.min(1000);
-        sc.fault_family = Some(*fam);
-        snapshot_pair(&format!("chaos/{fam}"), &sc);
+    for (tag, sc) in chaos_scenarios() {
+        out += &scenario_rows(&tag, &sc);
     }
     // One flow: nothing can tie, so express and reference rows must agree
     // on deliveries, trace and series — clean and under every family.
@@ -133,6 +142,11 @@ fn main() {
         sc.duration_ms = sc.duration_ms.min(1000);
         sc.n_flows = 1;
         sc.fault_family = fam.copied();
-        snapshot_pair(&format!("single/{}", fam.map_or("clean", |f| f.label())), &sc);
+        out += &scenario_rows(&format!("single/{}", fam.map_or("clean", |f| f.label())), &sc);
     }
+    out
+}
+
+fn main() {
+    print!("{}", render());
 }

@@ -3,82 +3,15 @@
 //! byte. Every simulation outcome — delivered bytes, event counts, the
 //! fuzzer's oracle verdicts, rendered telemetry — must be a pure function
 //! of (scenario, seed), never of which backend ordered the event loop.
+//! The fuzzer's generated scenarios, clean and under every fault family,
+//! are held to that in `tests/identity_snapshot.rs`; the tests here cover
+//! the harness's trial pool and the telemetry export.
 
-use cebinae_check::scenario::GenScenario;
-use cebinae_engine::{Discipline, DumbbellFlow, ScenarioParams, Simulation};
+use cebinae_engine::{Discipline, DumbbellFlow, ScenarioParams};
 use cebinae_harness::runner::{run_with_params, Ctx};
 use cebinae_par::TrialPool;
 use cebinae_sim::{Duration, SchedulerKind};
 use cebinae_transport::CcKind;
-
-/// Bit-exact identity of one engine run.
-fn run_fingerprint(sc: &GenScenario) -> String {
-    let (cfg, _) = sc.build();
-    let r = Simulation::new(cfg).run();
-    let telemetry = r.telemetry.as_deref().unwrap_or("");
-    let delivered: Vec<String> = r.delivered.iter().map(|d| d.to_string()).collect();
-    format!(
-        "delivered={} ev={} tel_len={}\n{telemetry}",
-        delivered.join(","),
-        r.events_processed,
-        telemetry.len(),
-    )
-}
-
-/// The fuzzer's generated corpus, replayed under both backends: same
-/// deliveries, same event counts, same telemetry,
-/// and the same oracle verdicts, across every sampled topology kind.
-#[test]
-fn check_corpus_is_byte_identical_across_backends() {
-    for seed in 0..8u64 {
-        let mut sc = GenScenario::generate(seed);
-        sc.duration_ms = sc.duration_ms.min(1000);
-        sc.scheduler = SchedulerKind::Heap;
-        let heap_fp = run_fingerprint(&sc);
-        let (heap_viol, heap_fair, heap_ev) = cebinae_check::check_scenario(&sc);
-        sc.scheduler = SchedulerKind::Wheel;
-        let wheel_fp = run_fingerprint(&sc);
-        let (wheel_viol, wheel_fair, wheel_ev) = cebinae_check::check_scenario(&sc);
-        assert_eq!(heap_fp, wheel_fp, "seed {seed}: engine runs diverged");
-        assert_eq!(
-            format!("{heap_viol:?}"),
-            format!("{wheel_viol:?}"),
-            "seed {seed}: oracle verdicts diverged"
-        );
-        assert_eq!(
-            format!("{heap_fair:?}"),
-            format!("{wheel_fair:?}"),
-            "seed {seed}: fairness samples diverged"
-        );
-        assert_eq!(heap_ev, wheel_ev, "seed {seed}: event counts diverged");
-    }
-}
-
-/// Chaos scenarios lean on the scheduler hardest — flaps park and
-/// release links, reorder holdbacks and control stalls add timer churn
-/// the clean corpus never generates. Every fault family must still be
-/// backend-invariant, oracle verdicts included.
-#[test]
-fn chaos_scenarios_are_byte_identical_across_backends() {
-    use cebinae_faults::FaultFamily;
-    for (seed, fam) in FaultFamily::ALL.iter().enumerate() {
-        let mut sc = GenScenario::generate(seed as u64);
-        sc.duration_ms = sc.duration_ms.min(1000);
-        sc.fault_family = Some(*fam);
-        sc.scheduler = SchedulerKind::Heap;
-        let heap_fp = run_fingerprint(&sc);
-        let (heap_viol, ..) = cebinae_check::check_scenario(&sc);
-        sc.scheduler = SchedulerKind::Wheel;
-        let wheel_fp = run_fingerprint(&sc);
-        let (wheel_viol, ..) = cebinae_check::check_scenario(&sc);
-        assert_eq!(heap_fp, wheel_fp, "seed {seed} {fam}: chaos runs diverged");
-        assert_eq!(
-            format!("{heap_viol:?}"),
-            format!("{wheel_viol:?}"),
-            "seed {seed} {fam}: oracle verdicts diverged"
-        );
-    }
-}
 
 /// The 20 Mbps, 2 s Cebinae dumbbell of the tests below, on `sched`.
 fn cebinae_params(seed: u64, sched: SchedulerKind) -> ScenarioParams {

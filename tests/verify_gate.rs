@@ -2,12 +2,11 @@
 //! pass over the workspace from the root package, so a plain
 //! `cargo test -q` fails on any unwaived violation.
 
-use cebinae_verify::{check_workspace, Config, Rule};
+use cebinae_verify::{check_workspace, Rule};
 
 #[test]
 fn workspace_passes_determinism_rules() {
-    let cfg = Config::new(cebinae_verify::workspace_root());
-    let violations = check_workspace(&cfg).expect("workspace walk failed").findings;
+    let violations = check_workspace(&cebinae_verify::workspace_root()).expect("workspace walk failed").findings;
     if !violations.is_empty() {
         let listing: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
         panic!(
