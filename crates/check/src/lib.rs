@@ -151,10 +151,10 @@ pub struct CorpusEntry {
     pub overrides: Overrides,
 }
 
-/// Parse a regression corpus: one `seed [flows=N] [dur_ms=M] [faults=F]`
-/// per line, `#` comments and blank lines ignored. Returns `Err` naming
-/// the line on a bad seed or override (a corrupted corpus must fail
-/// loudly, not silently shrink coverage).
+/// Parse a regression corpus: one `seed [--flows N] [--dur-ms M]
+/// [--faults F]` per line, `#` comments and blank lines ignored. Returns
+/// `Err` naming the line on a bad seed or override (a corrupted corpus
+/// must fail loudly, not silently shrink coverage).
 pub fn parse_corpus(text: &str) -> Result<Vec<CorpusEntry>, String> {
     let mut entries = Vec::new();
     for (ln, raw) in text.lines().enumerate() {
@@ -167,7 +167,7 @@ pub fn parse_corpus(text: &str) -> Result<Vec<CorpusEntry>, String> {
             .next()
             .and_then(|t| t.parse().ok())
             .ok_or_else(|| format!("corpus line {}: bad seed in {raw:?}", ln + 1))?;
-        let overrides = Overrides::from_corpus_tokens(tokens)
+        let overrides = Overrides::from_flags(tokens)
             .map_err(|e| format!("corpus line {}: {e} in {raw:?}", ln + 1))?;
         entries.push(CorpusEntry { seed, overrides });
     }
@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn corpus_parses_seeds_comments_and_overrides() {
-        let text = "# regression corpus\n7\n12 flows=2 dur_ms=500 # shrunk\n\n  42 dur_ms=250 faults=flap\n";
+        let text = "# regression corpus\n7\n12 --flows 2 --dur-ms 500 # shrunk\n\n  42 --dur-ms 250 --faults flap\n";
         let entries = parse_corpus(text).unwrap();
         assert_eq!(
             entries,
@@ -242,7 +242,7 @@ mod tests {
         assert!(parse_corpus("not-a-seed\n").is_err());
         assert!(parse_corpus("# fine\n").unwrap().is_empty());
         // Typos in an override fail loudly and name their line.
-        for bad in ["dur-ms=500", "faults=stal", "flows=two", "dur_ms=", "flows"] {
+        for bad in ["--dur_ms 500", "--faults stal", "--flows two", "--dur-ms", "flows=2"] {
             let err = parse_corpus(&format!("7\n12 {bad}\n")).unwrap_err();
             assert!(err.starts_with("corpus line 2:"), "{bad}: {err}");
             assert!(err.contains(bad), "{bad}: {err}");

@@ -13,7 +13,6 @@
 
 use cebinae_check::shrink::{replay_line, Overrides};
 use cebinae_check::{check_seed, parse_corpus, run_campaign, run_chaos_campaign, run_corpus};
-use cebinae_faults::FaultFamily;
 use cebinae_par::TrialPool;
 
 const USAGE: &str = "usage: cebinae-check --smoke --seeds N [--base-seed S] [--threads N]
@@ -28,9 +27,7 @@ struct Args {
     seeds: u64,
     base_seed: u64,
     replay: Option<u64>,
-    flows: Option<usize>,
-    dur_ms: Option<u64>,
-    faults: Option<FaultFamily>,
+    overrides: Overrides,
     corpus: Option<String>,
     threads: Option<usize>,
 }
@@ -42,9 +39,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         seeds: 32,
         base_seed: 0,
         replay: None,
-        flows: None,
-        dur_ms: None,
-        faults: None,
+        overrides: Overrides::default(),
         corpus: None,
         threads: None,
     };
@@ -68,18 +63,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 a.replay =
                     Some(value("--replay")?.parse().map_err(|e| format!("--replay: {e}"))?);
             }
-            "--flows" => {
-                a.flows = Some(value("--flows")?.parse().map_err(|e| format!("--flows: {e}"))?);
-            }
-            "--dur-ms" => {
-                a.dur_ms =
-                    Some(value("--dur-ms")?.parse().map_err(|e| format!("--dur-ms: {e}"))?);
-            }
-            "--faults" => {
-                let v = value("--faults")?;
-                a.faults = Some(
-                    FaultFamily::parse(&v).ok_or_else(|| format!("--faults: unknown family {v:?}"))?,
-                );
+            flag @ ("--flows" | "--dur-ms" | "--faults") => {
+                let v = value(flag)?;
+                a.overrides.set(flag, &v)?;
             }
             "--corpus" => a.corpus = Some(value("--corpus")?),
             "--threads" => {
@@ -107,12 +93,7 @@ fn main() {
     let pool = args.threads.map_or_else(TrialPool::default, TrialPool::with_threads);
 
     if let Some(seed) = args.replay {
-        let overrides = Overrides {
-            flows: args.flows,
-            dur_ms: args.dur_ms,
-            faults: args.faults,
-        };
-        let outcome = check_seed(seed, overrides);
+        let outcome = check_seed(seed, args.overrides);
         println!("replaying {}", outcome.desc);
         if outcome.passed() {
             println!("result: PASS");
@@ -121,7 +102,7 @@ fn main() {
         for v in &outcome.violations {
             println!("  [{}] {}", v.oracle, v.detail);
         }
-        let shrunk = outcome.shrunk.unwrap_or(overrides);
+        let shrunk = outcome.shrunk.unwrap_or(args.overrides);
         println!("shrunk replay: {}", replay_line(seed, &shrunk));
         println!("result: FAIL");
         std::process::exit(1);

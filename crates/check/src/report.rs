@@ -7,6 +7,8 @@
 
 use std::fmt::Write as _;
 
+use cebinae_ds::{fnv1a_bytes, FNV_OFFSET};
+
 use crate::oracle::{check_fairness_mean, FairnessSample, Violation};
 use crate::shrink::{replay_line, Overrides};
 
@@ -64,12 +66,7 @@ impl CampaignReport {
     /// FNV-1a over the rendered report: a short stable identity for
     /// cross-thread-count and cross-version comparisons.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.render().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h
+        fnv1a_bytes(FNV_OFFSET, self.render().as_bytes())
     }
 
     /// Render the report. Deterministic: seed order, fixed formatting,

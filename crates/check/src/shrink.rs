@@ -17,9 +17,9 @@ use crate::scenario::GenScenario;
 const MIN_DURATION_MS: u64 = 250;
 const MIN_FLOWS: usize = 2;
 
-/// Replayable overrides on top of a generated scenario. Encoded in the
-/// replay one-liner (`--flows N --dur-ms M --faults FAMILY`) and in
-/// corpus lines (`seed flows=N dur_ms=M faults=FAMILY`).
+/// Replayable overrides on top of a generated scenario, spelled as the
+/// replay flags `--flows N --dur-ms M --faults FAMILY` both on the replay
+/// one-liner and after the seed on a corpus line.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Overrides {
     pub flows: Option<usize>,
@@ -71,37 +71,26 @@ impl Overrides {
         s
     }
 
-    /// Corpus-line suffix (`flows=N dur_ms=M`, "" when empty).
-    pub fn corpus_suffix(&self) -> String {
-        let mut s = String::new();
-        if let Some(f) = self.flows {
-            s.push_str(&format!(" flows={f}"));
+    /// Set the override a replay flag names. An unknown flag or an
+    /// unparseable value is an error naming it, so a typo never silently
+    /// replays the plain seed.
+    pub fn set(&mut self, flag: &str, value: &str) -> Result<(), String> {
+        let bad = || format!("bad value {value:?} for {flag}");
+        match flag {
+            "--flows" => self.flows = Some(value.parse().map_err(|_| bad())?),
+            "--dur-ms" => self.dur_ms = Some(value.parse().map_err(|_| bad())?),
+            "--faults" => self.faults = Some(FaultFamily::parse(value).ok_or_else(bad)?),
+            _ => return Err(format!("unknown override {flag:?}")),
         }
-        if let Some(d) = self.dur_ms {
-            s.push_str(&format!(" dur_ms={d}"));
-        }
-        if let Some(fam) = self.faults {
-            s.push_str(&format!(" faults={}", fam.label()));
-        }
-        s
+        Ok(())
     }
 
-    /// Parse `key=value` corpus tokens. An unknown key, a token without
-    /// `=`, or an unparseable value is an error naming the token, so a
-    /// typo never silently replays the plain seed.
-    pub fn from_corpus_tokens<'a>(
-        tokens: impl Iterator<Item = &'a str>,
-    ) -> Result<Overrides, String> {
+    /// Parse a run of replay flags, as a corpus line carries them after
+    /// its seed (a missing last value reads as "").
+    pub fn from_flags<'a>(mut tokens: impl Iterator<Item = &'a str>) -> Result<Overrides, String> {
         let mut o = Overrides::default();
-        for tok in tokens {
-            let bad = || format!("bad override {tok:?}");
-            let (k, v) = tok.split_once('=').ok_or_else(bad)?;
-            match k {
-                "flows" => o.flows = Some(v.parse().map_err(|_| bad())?),
-                "dur_ms" => o.dur_ms = Some(v.parse().map_err(|_| bad())?),
-                "faults" => o.faults = Some(FaultFamily::parse(v).ok_or_else(bad)?),
-                _ => return Err(bad()),
-            }
+        while let Some(flag) = tokens.next() {
+            o.set(flag, tokens.next().unwrap_or_default())?;
         }
         Ok(o)
     }
@@ -182,11 +171,10 @@ mod tests {
             dur_ms: Some(500),
             faults: Some(FaultFamily::Burst),
         };
-        let suffix = o.corpus_suffix();
-        assert_eq!(suffix, " flows=2 dur_ms=500 faults=burst");
-        let parsed = Overrides::from_corpus_tokens(suffix.split_whitespace());
-        assert_eq!(parsed, Ok(o));
-        assert_eq!(Overrides::from_corpus_tokens("".split_whitespace()), Ok(Overrides::default()));
+        let flags = o.replay_args();
+        assert_eq!(flags, " --flows 2 --dur-ms 500 --faults burst");
+        assert_eq!(Overrides::from_flags(flags.split_whitespace()), Ok(o));
+        assert_eq!(Overrides::from_flags("".split_whitespace()), Ok(Overrides::default()));
     }
 
     #[test]

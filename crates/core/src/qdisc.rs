@@ -68,7 +68,6 @@ pub struct CebinaeQdisc {
     capacity_bps: u64,
 
     queues: [VecDeque<Packet>; 2],
-    queue_bytes: [u64; 2],
     queued_total: u64,
     headq: usize,
 
@@ -97,7 +96,6 @@ pub struct CebinaeQdisc {
     /// that need key order (recompute) sort on demand.
     cp_flow_bytes: DetMap<FlowId, u64>,
 
-    rotations: u64,
     next_phase: CtlPhase,
     /// Decision awaiting the membership-application window.
     pending: Option<RecomputeDecision>,
@@ -137,12 +135,10 @@ impl CebinaeQdisc {
             port_tx_bytes: 0,
             cp_last_port_tx: 0,
             cp_flow_bytes: DetMap::new(),
-            rotations: 0,
             next_phase: CtlPhase::Rotate,
             pending: None,
             last_top_rate_per_flow: None,
             queues: [VecDeque::new(), VecDeque::new()],
-            queue_bytes: [0, 0],
             queued_total: 0,
             headq: 0,
             active: false,
@@ -185,21 +181,18 @@ impl CebinaeQdisc {
     }
 
     /// ROTATE (Figure 5 lines 8-12 + Figure 4 line 5).
-    fn do_rotate(&mut self, now: Time) {
+    fn do_rotate(&mut self) {
         let retiring = self.headq;
         // Any leftover in the retiring headq would be scheduled *behind* the
         // new headq by priority, reordering flows across rounds. Hardware
         // prevents this via the Equation 2 drain guarantee; we splice the
         // (rare, boundary-serialization) leftovers to the front of the new
         // head queue to preserve order, and count occurrences.
-        // det-ok: queues/queue_bytes are 2-arrays and retiring/other are always 0/1
+        // det-ok: queues is a 2-array and retiring/other are always 0/1
         if !self.queues[retiring].is_empty() {
             self.xstats.leftover_rotations = self.xstats.leftover_rotations.saturating_add(1);
             let other = 1 - retiring;
             while let Some(pkt) = self.queues[retiring].pop_back() { // det-ok: 2-array, retiring is 0 or 1
-                // det-ok: same 2-arrays; queue_bytes conservation (enqueue adds, dequeue/splice subtracts) is pinned by the check crate's conservation oracle
-                self.queue_bytes[retiring] -= pkt.size as u64;
-                self.queue_bytes[other] += pkt.size as u64; // det-ok: splice moves bytes between the two queues
                 self.queues[other].push_front(pkt); // det-ok: 2-array, other is 0 or 1
             }
         }
@@ -212,7 +205,6 @@ impl CebinaeQdisc {
         }
         self.clock.rotate();
         self.headq = 1 - self.headq;
-        self.rotations = self.rotations.saturating_add(1);
         self.xstats.rotations = self.xstats.rotations.saturating_add(1);
         if self.saturated {
             self.xstats.saturated_rounds = self.xstats.saturated_rounds.saturating_add(1);
@@ -225,7 +217,7 @@ impl CebinaeQdisc {
         }
 
         // Every P-th rotation: recompute (Figure 4 lines 8-28).
-        if self.rotations % self.cfg.p as u64 == 0 {
+        if self.xstats.rotations % self.cfg.p as u64 == 0 {
             self.xstats.recomputes = self.xstats.recomputes.saturating_add(1);
             let port_bytes = self.port_tx_bytes - self.cp_last_port_tx;
             self.cp_last_port_tx = self.port_tx_bytes;
@@ -279,7 +271,6 @@ impl CebinaeQdisc {
             }
             self.pending = Some(decision);
         }
-        let _ = now;
     }
 
     /// Install the decision's rates as pending per-queue writes.
@@ -299,7 +290,7 @@ impl CebinaeQdisc {
     }
 
     /// Apply membership and phase changes (the t0+vdT+L window of §4.3).
-    fn do_apply(&mut self, _now: Time) {
+    fn do_apply(&mut self) {
         let Some(d) = self.pending.take() else {
             return;
         };
@@ -355,8 +346,6 @@ impl CebinaeQdisc {
     }
 
     fn push(&mut self, queue: usize, pkt: Packet) {
-        // det-ok: queue_bytes is a [u64; 2] indexed by 0/1; it is an occupancy gauge whose conservation the check crate's oracle pins
-        self.queue_bytes[queue] += pkt.size as u64;
         self.queued_total += pkt.size as u64; // det-ok: occupancy gauge, decremented in dequeue; conservation-oracle-checked
         self.stats.on_enqueue(pkt.size);
         self.stats.note_queued(self.queued_total);
@@ -439,8 +428,6 @@ impl Qdisc for CebinaeQdisc {
             return None;
         };
         let pkt = self.queues[q].pop_front()?; // det-ok: q is 0 or 1 from the branch above
-        // det-ok: occupancy gauges mirroring push(); conservation is pinned by the check crate's oracle, and debug tests would catch underflow
-        self.queue_bytes[q] -= pkt.size as u64;
         self.queued_total -= pkt.size as u64; // det-ok: occupancy gauge, matched with push()
         self.stats.on_tx(pkt.size);
         // Egress pipeline: port byte counter (§4.1) + flow cache (§4.2).
@@ -464,15 +451,15 @@ impl Qdisc for CebinaeQdisc {
         Some(self.clock.next_rotation())
     }
 
-    fn control(&mut self, now: Time) -> Option<Time> {
+    fn control(&mut self, _now: Time) -> Option<Time> {
         match self.next_phase {
             CtlPhase::Rotate => {
-                self.do_rotate(now);
+                self.do_rotate();
                 self.next_phase = CtlPhase::Apply;
                 Some(self.clock.base_round_time() + self.cfg.vdt + self.cfg.l)
             }
             CtlPhase::Apply => {
-                self.do_apply(now);
+                self.do_apply();
                 self.next_phase = CtlPhase::Rotate;
                 Some(self.clock.next_rotation())
             }
@@ -716,7 +703,7 @@ mod tests {
             let _ = q.enqueue(pkt(0, i as u64), Time::from_micros(1));
         }
         assert!(
-            q.queue_bytes[1 - q.headq] > 0,
+            !q.queues[1 - q.headq].is_empty(),
             "burst must spill into the future queue"
         );
         // All headq packets come out before any future-queue packet.
@@ -724,7 +711,7 @@ mod tests {
         for _ in 0..head_count {
             q.dequeue(Time::from_micros(2)).unwrap();
         }
-        assert_eq!(q.queue_bytes[q.headq], 0);
+        assert!(q.queues[q.headq].is_empty());
         assert!(q.dequeue(Time::from_micros(3)).is_some());
     }
 

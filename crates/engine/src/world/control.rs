@@ -12,20 +12,40 @@ use cebinae_net::{FlowId, LinkId, PacketTrace, Qdisc, QdiscStats};
 use cebinae_sim::{Duration, Scheduler, Time};
 use cebinae_telemetry::{Registry, Scope};
 
+use super::endpoints::FlowRt;
 use super::links::{self, LinkPlane};
 use super::{Ev, FlowPlane, SchedDyn, EV_COUNTERS};
 
-/// Per-flow diagnostic snapshot at simulation end.
+/// A flow's congestion and delivery state: what the telemetry scrape
+/// exports at every sample and [`SimResult::flow_debug`] holds at the end.
 #[derive(Clone, Copy, Debug)]
 pub struct FlowDebug {
     pub cwnd: u64,
     pub flight: u64,
     pub in_recovery: bool,
+    /// Cumulative retransmissions.
     pub retx_count: u64,
+    /// Cumulative RTO firings.
     pub rto_count: u64,
-    pub srtt_ms: f64,
+    /// Smoothed RTT in simulated nanoseconds; 0 before the first sample.
+    pub srtt_ns: u64,
     pub rx_pkts: u64,
     pub dup_pkts: u64,
+}
+
+impl FlowDebug {
+    pub(crate) fn of(f: &FlowRt) -> FlowDebug {
+        FlowDebug {
+            cwnd: f.sender.cwnd(),
+            flight: f.sender.flight(),
+            in_recovery: f.sender.in_recovery(),
+            retx_count: f.sender.retx_count,
+            rto_count: f.sender.rto_count,
+            srtt_ns: f.sender.srtt().map_or(0, |d| d.as_nanos()),
+            rx_pkts: f.receiver.rx_pkts,
+            dup_pkts: f.receiver.dup_pkts,
+        }
+    }
 }
 
 /// Sampled Cebinae control state of one monitored link.
@@ -282,13 +302,13 @@ fn scrape_telemetry(
     }
     for (i, f) in fp.flows.iter().enumerate() {
         let scope = Scope::Flow(i as u32); // det-ok: flow count is far below u32::MAX; scope ids are u32 by schema
-        let snap = f.sender.telemetry_snapshot();
-        tel.set(scope, "cwnd", snap.cwnd);
-        tel.set(scope, "flight", snap.flight);
-        tel.set(scope, "srtt_ns", snap.srtt_ns);
-        tel.set(scope, "in_recovery", snap.in_recovery as u64);
-        tel.set_counter(scope, "retx", snap.retx);
-        tel.set_counter(scope, "rto", snap.rto);
+        let d = FlowDebug::of(f);
+        tel.set(scope, "cwnd", d.cwnd);
+        tel.set(scope, "flight", d.flight);
+        tel.set(scope, "srtt_ns", d.srtt_ns);
+        tel.set(scope, "in_recovery", d.in_recovery as u64);
+        tel.set_counter(scope, "retx", d.retx_count);
+        tel.set_counter(scope, "rto", d.rto_count);
         tel.set_counter(scope, "delivered_bytes", f.receiver.delivered());
     }
     let eng = Scope::Sys("engine");

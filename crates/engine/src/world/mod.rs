@@ -431,21 +431,7 @@ impl Simulation {
             })
             .unzip();
         SimResult {
-            flow_debug: self
-                .fp
-                .flows
-                .iter()
-                .map(|f| FlowDebug {
-                    cwnd: f.sender.cwnd(),
-                    flight: f.sender.flight(),
-                    in_recovery: f.sender.in_recovery(),
-                    retx_count: f.sender.retx_count,
-                    rto_count: f.sender.rto_count,
-                    srtt_ms: f.sender.srtt().map(|d| d.as_secs_f64() * 1e3).unwrap_or(0.0),
-                    rx_pkts: f.receiver.rx_pkts,
-                    dup_pkts: f.receiver.dup_pkts,
-                })
-                .collect(),
+            flow_debug: self.fp.flows.iter().map(FlowDebug::of).collect(),
             delivered: self.fp.flows.iter().map(|f| f.receiver.delivered()).collect(),
             flow_starts: self.fp.flows.iter().map(|f| f.start).collect(),
             completed_at: self.fp.flows.iter().map(|f| f.completed_at).collect(),

@@ -116,15 +116,61 @@ pub fn light_trace_cfg(round_interval: Duration) -> TraceConfig {
 /// Cache geometries swept by Figure 13 (number of stages).
 const STAGES: [usize; 3] = [1, 2, 4];
 
-/// Core of Figure 13a, parameterized over trace model and sweep size so
-/// tests can run scaled-down versions: measure detection
-/// accuracy for every (round interval, stages) cell, averaging `trials`
-/// independent seeded trials per cell.
+/// The sweep core both figures share: for every `(round interval, slots)`
+/// cell and every stage count, the mean FPR and FNR over `trials` seeded
+/// trials and the flows active in the last trial's first interval.
 ///
-/// Each (interval, stages, trial) triple is one job on the ctx's trial
-/// pool. Per-cell sums are folded **in trial order** during assembly, so
-/// the float accumulation — and therefore the rendered table — is
+/// Each (cell, stages, trial) triple is one job on the ctx's trial pool.
+/// Per-cell sums are folded **in trial order** during assembly, so the
+/// float accumulation — and therefore the rendered table — is
 /// byte-identical for any thread count.
+fn sweep<F>(
+    ctx: &Ctx,
+    cells: &[(Duration, usize)],
+    trials: u64,
+    trace_label: &str,
+    cfg_for: F,
+) -> Vec<[(f64, f64, usize); STAGES.len()]>
+where
+    F: Fn(Duration) -> TraceConfig + Sync,
+{
+    let mut jobs = Vec::new();
+    for &(interval, slots) in cells {
+        for &stages in &STAGES {
+            for trial in 0..trials {
+                jobs.push((interval, slots, stages, trial));
+            }
+        }
+    }
+    let cfg_for = &cfg_for;
+    let results = ctx.pool().map(jobs, |_, (interval, slots, stages, trial)| {
+        let mut rng = experiment_rng(trace_label, trial);
+        let trace = SyntheticTrace::generate(cfg_for(interval), &mut rng);
+        let flows = trace.active_flows(Time::ZERO, Time::ZERO + interval);
+        let a = measure(&trace, stages, slots, interval, trial);
+        (a.fpr, a.fnr, flows)
+    });
+    let mut it = results.into_iter();
+    cells
+        .iter()
+        .map(|_| {
+            STAGES.map(|_| {
+                let (mut fpr, mut fnr, mut flows) = (0.0, 0.0, 0);
+                for _ in 0..trials {
+                    let (p, n, f) = it.next().expect("job/result count mismatch");
+                    fpr += p;
+                    fnr += n;
+                    flows = f;
+                }
+                (fpr / trials as f64, fnr / trials as f64, flows)
+            })
+        })
+        .collect()
+}
+
+/// Core of Figure 13a, parameterized over trace model and sweep size so
+/// tests can run scaled-down versions: detection accuracy for every
+/// (round interval, stages) cell, averaged over `trials` (see `sweep`).
 pub fn interval_sweep<F>(
     ctx: &Ctx,
     intervals_ms: &[u64],
@@ -136,43 +182,19 @@ pub fn interval_sweep<F>(
 where
     F: Fn(Duration) -> TraceConfig + Sync,
 {
-    let mut jobs = Vec::new();
-    for &ms in intervals_ms {
-        for &stages in &STAGES {
-            for trial in 0..trials {
-                jobs.push((ms, stages, trial));
-            }
-        }
-    }
-    let cfg_for = &cfg_for;
-    let results = ctx.pool().map(jobs, |_, (ms, stages, trial)| {
-        let interval = Duration::from_millis(ms);
-        let mut rng = experiment_rng(trace_label, trial);
-        let trace = SyntheticTrace::generate(cfg_for(interval), &mut rng);
-        let flows = trace.active_flows(Time::ZERO, Time::ZERO + interval);
-        let a = measure(&trace, stages, slots, interval, trial);
-        (a.fpr, a.fnr, flows)
-    });
+    let cells: Vec<_> =
+        intervals_ms.iter().map(|&ms| (Duration::from_millis(ms), slots)).collect();
     let mut t = Table::new(&[
         "interval[ms]", "stages", "FPR[1e-4]", "FNR", "flows/interval",
     ]);
-    let mut it = results.into_iter();
-    for &ms in intervals_ms {
-        for &stages in &STAGES {
-            let mut acc = Accuracy::default();
-            let mut flows_per_interval = 0usize;
-            for _ in 0..trials {
-                let (fpr, fnr, flows) = it.next().expect("job/result count mismatch");
-                acc.fpr += fpr;
-                acc.fnr += fnr;
-                flows_per_interval = flows;
-            }
+    for (&ms, row) in intervals_ms.iter().zip(sweep(ctx, &cells, trials, trace_label, cfg_for)) {
+        for (stages, (fpr, fnr, flows)) in STAGES.iter().zip(row) {
             t.row(vec![
                 ms.to_string(),
                 stages.to_string(),
-                format!("{:.3}", acc.fpr / trials as f64 * 1e4),
-                format!("{:.3}", acc.fnr / trials as f64),
-                flows_per_interval.to_string(),
+                format!("{:.3}", fpr * 1e4),
+                format!("{fnr:.3}"),
+                flows.to_string(),
             ]);
         }
         eprintln!("fig13a-style sweep: interval {ms}ms done");
@@ -181,7 +203,7 @@ where
 }
 
 /// Core of Figure 13b: sweep per-stage slot count at a fixed round
-/// interval, parallelized and assembled exactly like [`interval_sweep`].
+/// interval (see `sweep`).
 pub fn slot_sweep<F>(
     ctx: &Ctx,
     slot_counts: &[usize],
@@ -194,36 +216,15 @@ where
     F: Fn(Duration) -> TraceConfig + Sync,
 {
     let interval = Duration::from_millis(interval_ms);
-    let mut jobs = Vec::new();
-    for &slots in slot_counts {
-        for &stages in &STAGES {
-            for trial in 0..trials {
-                jobs.push((slots, stages, trial));
-            }
-        }
-    }
-    let cfg_for = &cfg_for;
-    let results = ctx.pool().map(jobs, |_, (slots, stages, trial)| {
-        let mut rng = experiment_rng(trace_label, trial);
-        let trace = SyntheticTrace::generate(cfg_for(interval), &mut rng);
-        let a = measure(&trace, stages, slots, interval, trial);
-        (a.fpr, a.fnr)
-    });
+    let cells: Vec<_> = slot_counts.iter().map(|&slots| (interval, slots)).collect();
     let mut t = Table::new(&["slots", "stages", "FPR[1e-4]", "FNR"]);
-    let mut it = results.into_iter();
-    for &slots in slot_counts {
-        for &stages in &STAGES {
-            let mut acc = Accuracy::default();
-            for _ in 0..trials {
-                let (fpr, fnr) = it.next().expect("job/result count mismatch");
-                acc.fpr += fpr;
-                acc.fnr += fnr;
-            }
+    for (&slots, row) in slot_counts.iter().zip(sweep(ctx, &cells, trials, trace_label, cfg_for)) {
+        for (stages, (fpr, fnr, _)) in STAGES.iter().zip(row) {
             t.row(vec![
                 slots.to_string(),
                 stages.to_string(),
-                format!("{:.3}", acc.fpr / trials as f64 * 1e4),
-                format!("{:.3}", acc.fnr / trials as f64),
+                format!("{:.3}", fpr * 1e4),
+                format!("{fnr:.3}"),
             ]);
         }
         eprintln!("fig13b-style sweep: slots {slots} done");

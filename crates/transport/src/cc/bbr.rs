@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 use cebinae_sim::{Duration, Time};
 
-use super::{AckEvent, CongestionControl};
+use super::{AckEvent, CongestionControl, INIT_CWND, MSS_BYTES};
 
 /// 2/ln(2): startup/drain gain.
 const HIGH_GAIN: f64 = 2.885;
@@ -95,8 +95,6 @@ impl MaxFilter {
 }
 
 pub struct Bbr {
-    mss: u64,
-    init_cwnd: u64,
     mode: Mode,
     /// Bottleneck bandwidth estimate filter (bytes/sec).
     btl_bw: MaxFilter,
@@ -141,10 +139,8 @@ pub struct Bbr {
 }
 
 impl Bbr {
-    pub fn new(mss: u32, init_cwnd: u64) -> Bbr {
+    pub(crate) fn new() -> Bbr {
         Bbr {
-            mss: mss as u64,
-            init_cwnd,
             mode: Mode::Startup,
             btl_bw: MaxFilter::default(),
             min_rtt: None,
@@ -159,8 +155,8 @@ impl Bbr {
             cycle_stamp: Time::ZERO,
             probe_rtt_done: None,
             min_rtt_expired: false,
-            prior_cwnd: init_cwnd,
-            cwnd: init_cwnd,
+            prior_cwnd: INIT_CWND,
+            cwnd: INIT_CWND,
             pacing_rate: None,
             lt_is_sampling: false,
             lt_use: false,
@@ -288,16 +284,16 @@ impl Bbr {
     fn bdp(&self, gain: f64) -> u64 {
         let bw = self.bw();
         let Some(rtt) = self.min_rtt else {
-            return self.init_cwnd;
+            return INIT_CWND;
         };
         if bw <= 0.0 {
-            return self.init_cwnd;
+            return INIT_CWND;
         }
         (bw * rtt.as_secs_f64() * gain) as u64
     }
 
     fn min_probe_rtt_cwnd(&self) -> u64 {
-        4 * self.mss
+        4 * MSS_BYTES
     }
 
     fn update_round(&mut self, ev: &AckEvent) {
@@ -432,7 +428,7 @@ impl Bbr {
         // cwnd: move toward gain * BDP.
         let target = match self.mode {
             Mode::ProbeRtt => self.min_probe_rtt_cwnd(),
-            _ => self.bdp(self.cwnd_gain()).max(4 * self.mss),
+            _ => self.bdp(self.cwnd_gain()).max(4 * MSS_BYTES),
         };
         if self.mode == Mode::ProbeRtt {
             self.cwnd = self.cwnd.min(target);
@@ -444,7 +440,7 @@ impl Bbr {
                 self.cwnd += ev.newly_acked;
             }
         }
-        self.cwnd = self.cwnd.max(4 * self.mss);
+        self.cwnd = self.cwnd.max(4 * MSS_BYTES);
     }
 }
 
@@ -463,22 +459,22 @@ impl CongestionControl for Bbr {
         self.update_control(ev);
     }
 
-    fn on_loss(&mut self, _now: Time, _flight: u64) {
+    fn on_loss(&mut self) {
         // BBRv1 deliberately does not reduce its model on isolated losses;
         // this is the source of its unfairness against loss-based CCAs.
     }
 
-    fn on_rto(&mut self, _now: Time, flight: u64) {
+    fn on_rto(&mut self, flight: u64) {
         // Severe signal even for BBR: conservatively restart from a small
         // window (Linux bbr sets cwnd to 1 packet on RTO, restoring later;
         // we restore via normal growth). The lost flight feeds the policer
         // detector.
         self.lost_total += flight;
         self.prior_cwnd = self.cwnd;
-        self.cwnd = 4 * self.mss;
+        self.cwnd = 4 * MSS_BYTES;
     }
 
-    fn on_ecn(&mut self, _now: Time, _flight: u64) {
+    fn on_ecn(&mut self) {
         // BBRv1 ignores ECN.
     }
 
@@ -496,7 +492,7 @@ mod tests {
     use super::*;
     use crate::cc::RateSample;
 
-    const MSS: u32 = 1448;
+    const M: u64 = MSS_BYTES;
 
     struct Driver {
         now: Time,
@@ -537,11 +533,9 @@ mod tests {
                     rate: Some(RateSample {
                         delivery_rate: self.bw,
                         is_app_limited: false,
-                        delivered: bytes_per_ack,
                         delivered_total: self.delivered,
                         delivered_at_send: round_start_delivered,
                     }),
-                    ece: false,
                 });
             }
         }
@@ -549,7 +543,7 @@ mod tests {
 
     #[test]
     fn startup_exits_when_bw_plateaus() {
-        let mut cc = Bbr::new(MSS, 10 * MSS as u64);
+        let mut cc = Bbr::new();
         let mut d = Driver::new(20, 100e6);
         assert_eq!(cc.mode, Mode::Startup);
         for _ in 0..20 {
@@ -565,7 +559,7 @@ mod tests {
 
     #[test]
     fn bw_estimate_tracks_delivery_rate() {
-        let mut cc = Bbr::new(MSS, 10 * MSS as u64);
+        let mut cc = Bbr::new();
         let mut d = Driver::new(20, 100e6);
         for _ in 0..15 {
             d.round(&mut cc);
@@ -580,7 +574,7 @@ mod tests {
 
     #[test]
     fn cwnd_converges_to_two_bdp() {
-        let mut cc = Bbr::new(MSS, 10 * MSS as u64);
+        let mut cc = Bbr::new();
         let mut d = Driver::new(20, 100e6);
         for _ in 0..60 {
             d.round(&mut cc);
@@ -595,7 +589,7 @@ mod tests {
 
     #[test]
     fn pacing_rate_cycles_in_probe_bw() {
-        let mut cc = Bbr::new(MSS, 10 * MSS as u64);
+        let mut cc = Bbr::new();
         let mut d = Driver::new(20, 100e6);
         for _ in 0..30 {
             d.round(&mut cc);
@@ -612,19 +606,19 @@ mod tests {
 
     #[test]
     fn loss_is_ignored() {
-        let mut cc = Bbr::new(MSS, 10 * MSS as u64);
+        let mut cc = Bbr::new();
         let mut d = Driver::new(20, 100e6);
         for _ in 0..30 {
             d.round(&mut cc);
         }
         let w = cc.cwnd();
-        cc.on_loss(d.now, w / 2);
+        cc.on_loss();
         assert_eq!(cc.cwnd(), w, "BBRv1 must not reduce cwnd on loss");
     }
 
     #[test]
     fn probe_rtt_entered_after_window_expiry() {
-        let mut cc = Bbr::new(MSS, 10 * MSS as u64);
+        let mut cc = Bbr::new();
         let mut d = Driver::new(20, 100e6);
         for _ in 0..30 {
             d.round(&mut cc);
@@ -643,9 +637,9 @@ mod tests {
 
     #[test]
     fn rto_collapses_cwnd() {
-        let mut cc = Bbr::new(MSS, 100 * MSS as u64);
-        cc.on_rto(Time::from_secs(1), 0);
-        assert_eq!(cc.cwnd(), 4 * MSS as u64);
+        let mut cc = Bbr { cwnd: 100 * M, ..Bbr::new() };
+        cc.on_rto(0);
+        assert_eq!(cc.cwnd(), 4 * M);
     }
 
     #[test]

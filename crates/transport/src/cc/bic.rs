@@ -3,9 +3,7 @@
 //! and one Table 2 row. Binary-searches toward the last loss window, then
 //! probes additively beyond it.
 
-use cebinae_sim::Time;
-
-use super::{AckEvent, CongestionControl};
+use super::{AckEvent, CongestionControl, INIT_CWND, MIN_CWND, MSS_BYTES};
 
 /// Maximum increment per RTT, in segments (Linux `smax` default).
 const S_MAX: f64 = 16.0;
@@ -17,7 +15,6 @@ const BETA: f64 = 0.8;
 const LOW_WINDOW: f64 = 14.0;
 
 pub struct Bic {
-    mss: u64,
     cwnd: u64,
     ssthresh: u64,
     /// Target window of the binary search (bytes).
@@ -26,20 +23,16 @@ pub struct Bic {
     prior_w_max: f64,
     /// Fractional accumulator of acked bytes for sub-MSS increments.
     acked_accum: f64,
-    min_cwnd: u64,
 }
 
 impl Bic {
-    pub fn new(mss: u32, init_cwnd: u64) -> Bic {
-        let mss = mss as u64;
+    pub(crate) fn new() -> Bic {
         Bic {
-            mss,
-            cwnd: init_cwnd,
+            cwnd: INIT_CWND,
             ssthresh: u64::MAX,
             w_max: 0.0,
             prior_w_max: 0.0,
             acked_accum: 0.0,
-            min_cwnd: 2 * mss,
         }
     }
 
@@ -49,8 +42,8 @@ impl Bic {
 
     /// Per-RTT window increment in segments, per the BIC update rule.
     fn increment_per_rtt(&self) -> f64 {
-        let cwnd_seg = self.cwnd as f64 / self.mss as f64;
-        let wmax_seg = self.w_max / self.mss as f64;
+        let cwnd_seg = self.cwnd as f64 / MSS_BYTES as f64;
+        let wmax_seg = self.w_max / MSS_BYTES as f64;
         if cwnd_seg < LOW_WINDOW {
             // Small windows: behave like Reno.
             return 1.0;
@@ -83,7 +76,7 @@ impl CongestionControl for Bic {
         }
         // Spread the per-RTT increment across the window's worth of acks:
         // each acked byte contributes inc/cwnd bytes of growth.
-        let inc_bytes = self.increment_per_rtt() * self.mss as f64;
+        let inc_bytes = self.increment_per_rtt() * MSS_BYTES as f64;
         self.acked_accum += ev.newly_acked as f64 * inc_bytes / self.cwnd as f64;
         if self.acked_accum >= 1.0 {
             let whole = self.acked_accum.floor();
@@ -92,7 +85,7 @@ impl CongestionControl for Bic {
         }
     }
 
-    fn on_loss(&mut self, _now: Time, _flight: u64) {
+    fn on_loss(&mut self) {
         let base = self.cwnd as f64;
         // Fast convergence.
         if base < self.prior_w_max {
@@ -101,35 +94,31 @@ impl CongestionControl for Bic {
             self.w_max = base;
         }
         self.prior_w_max = self.w_max;
-        self.cwnd = ((base * BETA) as u64).max(self.min_cwnd);
+        self.cwnd = ((base * BETA) as u64).max(MIN_CWND);
         self.ssthresh = self.cwnd;
         self.acked_accum = 0.0;
     }
 
-    fn on_rto(&mut self, _now: Time, _flight: u64) {
+    fn on_rto(&mut self, _flight: u64) {
         let base = self.cwnd as f64;
         self.w_max = base;
         self.prior_w_max = base;
-        self.ssthresh = ((base * BETA) as u64).max(self.min_cwnd);
-        self.cwnd = self.mss;
+        self.ssthresh = ((base * BETA) as u64).max(MIN_CWND);
+        self.cwnd = MSS_BYTES;
         self.acked_accum = 0.0;
     }
 
     fn cwnd(&self) -> u64 {
         self.cwnd
     }
-
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cebinae_sim::Duration;
+    use cebinae_sim::{Duration, Time};
 
-    const MSS: u32 = 1448;
+    const M: u64 = MSS_BYTES;
 
     fn ack(newly: u64) -> AckEvent {
         AckEvent {
@@ -141,29 +130,28 @@ mod tests {
             flight: 0,
             in_recovery: false,
             rate: None,
-            ece: false,
         }
     }
 
     #[test]
     fn loss_uses_beta_08() {
-        let mut cc = Bic::new(MSS, 100 * MSS as u64);
-        cc.on_loss(Time::ZERO, 100 * MSS as u64);
-        assert_eq!(cc.cwnd(), (100.0 * MSS as f64 * BETA) as u64);
+        let mut cc = Bic { cwnd: 100 * M, ..Bic::new() };
+        cc.on_loss();
+        assert_eq!(cc.cwnd(), (100.0 * M as f64 * BETA) as u64);
     }
 
     #[test]
     fn binary_search_halves_distance_per_rtt() {
-        let mut cc = Bic::new(MSS, 100 * MSS as u64);
-        cc.on_loss(Time::ZERO, 100 * MSS as u64); // cwnd=80, wmax=100 MSS
-        let cwnd0_seg = cc.cwnd() as f64 / MSS as f64;
+        let mut cc = Bic { cwnd: 100 * M, ..Bic::new() };
+        cc.on_loss(); // cwnd=80, wmax=100 MSS
+        let cwnd0_seg = cc.cwnd() as f64 / M as f64;
         let dist0 = 100.0 - cwnd0_seg;
         // One window of acks.
-        let acks = (cc.cwnd() / MSS as u64) as usize;
+        let acks = (cc.cwnd() / M) as usize;
         for _ in 0..acks {
-            cc.on_ack(&ack(MSS as u64));
+            cc.on_ack(&ack(M));
         }
-        let cwnd1_seg = cc.cwnd() as f64 / MSS as f64;
+        let cwnd1_seg = cc.cwnd() as f64 / M as f64;
         let grew = cwnd1_seg - cwnd0_seg;
         // The increment re-halves continuously as cwnd closes the distance
         // within the RTT, so realized growth lands between dist0/4 (pure
@@ -180,8 +168,8 @@ mod tests {
     fn bic_outruns_reno_far_from_wmax() {
         // Far below w_max, BIC's jump (up to S_MAX segments/RTT) beats
         // Reno's 1 segment/RTT.
-        let mut cc = Bic::new(MSS, 200 * MSS as u64);
-        cc.on_loss(Time::ZERO, 200 * MSS as u64); // cwnd = 160 MSS, wmax = 200
+        let mut cc = Bic { cwnd: 200 * M, ..Bic::new() };
+        cc.on_loss(); // cwnd = 160 MSS, wmax = 200
         let inc = cc.increment_per_rtt();
         assert!(inc > 1.0, "inc = {inc}");
         assert!(inc <= S_MAX);
@@ -189,14 +177,14 @@ mod tests {
 
     #[test]
     fn growth_slows_near_wmax() {
-        let mut cc = Bic::new(MSS, 100 * MSS as u64);
-        cc.on_loss(Time::ZERO, 100 * MSS as u64);
+        let mut cc = Bic { cwnd: 100 * M, ..Bic::new() };
+        cc.on_loss();
         // Drive until cwnd is within 2 segments of wmax.
         for _ in 0..20_000 {
-            if cc.w_max / MSS as f64 - cc.cwnd() as f64 / (MSS as f64) < 2.0 {
+            if cc.w_max / M as f64 - cc.cwnd() as f64 / (M as f64) < 2.0 {
                 break;
             }
-            cc.on_ack(&ack(MSS as u64));
+            cc.on_ack(&ack(M));
         }
         let inc = cc.increment_per_rtt();
         assert!(inc <= 1.0, "near wmax increment should be small: {inc}");
@@ -204,12 +192,12 @@ mod tests {
 
     #[test]
     fn slow_start_then_ca() {
-        let mut cc = Bic::new(MSS, 4 * MSS as u64);
+        let mut cc = Bic { cwnd: 4 * M, ..Bic::new() };
         for _ in 0..4 {
-            cc.on_ack(&ack(MSS as u64));
+            cc.on_ack(&ack(M));
         }
-        assert_eq!(cc.cwnd(), 8 * MSS as u64, "slow start doubles");
-        cc.on_rto(Time::ZERO, 8 * MSS as u64);
-        assert_eq!(cc.cwnd(), MSS as u64);
+        assert_eq!(cc.cwnd(), 8 * M, "slow start doubles");
+        cc.on_rto(8 * M);
+        assert_eq!(cc.cwnd(), M);
     }
 }

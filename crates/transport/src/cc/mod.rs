@@ -23,7 +23,15 @@ pub use cubic::Cubic;
 pub use newreno::NewReno;
 pub use vegas::Vegas;
 
+use cebinae_net::MSS;
 use cebinae_sim::{Duration, Time};
+
+/// Segment size in bytes: every segment but a flow's last is this long.
+pub(crate) const MSS_BYTES: u64 = MSS as u64;
+/// Initial window (RFC 6928's IW10).
+const INIT_CWND: u64 = 10 * MSS_BYTES;
+/// Floor of a loss-based CCA's reduced window.
+const MIN_CWND: u64 = 2 * MSS_BYTES;
 
 /// Delivery-rate sample for model-based CCAs (BBR), in the spirit of
 /// `tcp_rate_sample`: how fast data was delivered over the interval covered
@@ -34,8 +42,6 @@ pub struct RateSample {
     pub delivery_rate: f64,
     /// True if the sender was application-limited over the sample interval.
     pub is_app_limited: bool,
-    /// Bytes newly marked delivered by this ACK.
-    pub delivered: u64,
     /// The total delivered count at this ACK (round tracking).
     pub delivered_total: u64,
     /// The `delivered_total` value recorded when the acked packet was sent.
@@ -61,8 +67,6 @@ pub struct AckEvent {
     pub in_recovery: bool,
     /// Delivery-rate sample, when computable.
     pub rate: Option<RateSample>,
-    /// ECN-echo seen on this ACK.
-    pub ece: bool,
 }
 
 /// A congestion-control algorithm. All window quantities are in bytes.
@@ -72,29 +76,21 @@ pub trait CongestionControl: Send {
     fn on_ack(&mut self, ev: &AckEvent);
 
     /// The sender detected loss via duplicate ACKs and is entering fast
-    /// recovery (called once per recovery episode). `flight` is the bytes
-    /// in flight at detection time.
-    fn on_loss(&mut self, now: Time, flight: u64);
+    /// recovery (called once per recovery episode).
+    fn on_loss(&mut self);
 
-    /// Retransmission timeout fired.
-    fn on_rto(&mut self, now: Time, flight: u64);
-
-    /// Fast recovery completed (the recovery point was acked).
-    fn on_recovery_exit(&mut self, _now: Time) {}
+    /// Retransmission timeout fired with `flight` bytes outstanding, all of
+    /// which the go-back-N presumes lost.
+    fn on_rto(&mut self, flight: u64);
 
     /// An ECN congestion signal should be treated as a (once-per-window)
     /// loss-equivalent (RFC 3168). Default: same as loss.
-    fn on_ecn(&mut self, now: Time, flight: u64) {
-        self.on_loss(now, flight);
+    fn on_ecn(&mut self) {
+        self.on_loss();
     }
 
     /// Current congestion window in bytes.
     fn cwnd(&self) -> u64;
-
-    /// Slow-start threshold in bytes (`u64::MAX` when not meaningful).
-    fn ssthresh(&self) -> u64 {
-        u64::MAX
-    }
 
     /// If `Some`, the sender paces packets at this rate (bytes/sec) instead
     /// of bursting on ACK clocking. BBR uses this.
@@ -114,15 +110,14 @@ pub enum CcKind {
 }
 
 impl CcKind {
-    /// Instantiate the algorithm. `mss` is the sender's segment size and
-    /// `init_cwnd` the initial window, both in bytes.
-    pub fn build(self, mss: u32, init_cwnd: u64) -> Box<dyn CongestionControl> {
+    /// Instantiate the algorithm at the IW10 initial window.
+    pub fn build(self) -> Box<dyn CongestionControl> {
         match self {
-            CcKind::NewReno => Box::new(NewReno::new(mss, init_cwnd)),
-            CcKind::Cubic => Box::new(Cubic::new(mss, init_cwnd)),
-            CcKind::Bic => Box::new(Bic::new(mss, init_cwnd)),
-            CcKind::Vegas => Box::new(Vegas::new(mss, init_cwnd)),
-            CcKind::Bbr => Box::new(Bbr::new(mss, init_cwnd)),
+            CcKind::NewReno => Box::new(NewReno::new()),
+            CcKind::Cubic => Box::new(Cubic::new()),
+            CcKind::Bic => Box::new(Bic::new()),
+            CcKind::Vegas => Box::new(Vegas::new()),
+            CcKind::Bbr => Box::new(Bbr::new()),
         }
     }
 
@@ -166,16 +161,16 @@ pub(crate) mod testutil {
     use super::*;
 
     /// Drive a CCA with `n` full-MSS clean ACKs at a fixed RTT.
-    pub fn feed_clean_acks(cc: &mut dyn CongestionControl, n: usize, mss: u32, rtt_ms: u64) {
+    pub fn feed_clean_acks(cc: &mut dyn CongestionControl, n: usize, rtt_ms: u64) {
         let rtt = Duration::from_millis(rtt_ms);
         let mut now = Time::ZERO;
         let mut delivered = 0u64;
         for _ in 0..n {
             now += Duration::from_millis(1);
-            delivered += mss as u64;
+            delivered += MSS_BYTES;
             cc.on_ack(&AckEvent {
                 now,
-                newly_acked: mss as u64,
+                newly_acked: MSS_BYTES,
                 rtt: Some(rtt),
                 min_rtt: Some(rtt),
                 newly_lost: 0,
@@ -184,11 +179,9 @@ pub(crate) mod testutil {
                 rate: Some(RateSample {
                     delivery_rate: 1e7,
                     is_app_limited: false,
-                    delivered: mss as u64,
                     delivered_total: delivered,
                     delivered_at_send: delivered.saturating_sub(cc.cwnd()),
                 }),
-                ece: false,
             });
         }
     }
@@ -209,8 +202,8 @@ mod tests {
     #[test]
     fn all_kinds_build_with_sane_initial_windows() {
         for kind in CcKind::ALL {
-            let cc = kind.build(1448, 10 * 1448);
-            assert_eq!(cc.cwnd(), 10 * 1448, "{}", kind.label());
+            let cc = kind.build();
+            assert_eq!(cc.cwnd(), INIT_CWND, "{}", kind.label());
         }
     }
 
@@ -224,8 +217,8 @@ mod tests {
     #[test]
     fn every_kind_builds_and_parses() {
         for kind in CcKind::ALL {
-            let cc = kind.build(1448, 10 * 1448);
-            assert_eq!(cc.cwnd(), 10 * 1448, "{}", kind.label());
+            let cc = kind.build();
+            assert_eq!(cc.cwnd(), INIT_CWND, "{}", kind.label());
             let lowered = kind.label().to_ascii_lowercase().replace('-', "");
             let reparsed: Result<CcKind, _> = lowered.parse();
             assert!(reparsed.is_ok(), "{lowered} must parse");

@@ -2,29 +2,22 @@
 //! avoidance, halve-on-loss. The "classic approach to loss-based congestion
 //! control" in the paper's CCA mix.
 
-use cebinae_sim::Time;
-
-use super::{AckEvent, CongestionControl};
+use super::{AckEvent, CongestionControl, INIT_CWND, MIN_CWND, MSS_BYTES};
 
 pub struct NewReno {
-    mss: u64,
     cwnd: u64,
     ssthresh: u64,
     /// Fractional-cwnd accumulator for congestion avoidance (bytes acked
     /// since the last full-MSS window increment).
     acked_accum: u64,
-    min_cwnd: u64,
 }
 
 impl NewReno {
-    pub fn new(mss: u32, init_cwnd: u64) -> NewReno {
-        let mss = mss as u64;
+    pub(crate) fn new() -> NewReno {
         NewReno {
-            mss,
-            cwnd: init_cwnd,
+            cwnd: INIT_CWND,
             ssthresh: u64::MAX,
             acked_accum: 0,
-            min_cwnd: 2 * mss,
         }
     }
 
@@ -55,33 +48,29 @@ impl CongestionControl for NewReno {
         if !self.in_slow_start() {
             while self.acked_accum >= self.cwnd {
                 self.acked_accum -= self.cwnd;
-                self.cwnd += self.mss;
+                self.cwnd += MSS_BYTES;
             }
         }
     }
 
-    fn on_loss(&mut self, _now: Time, _flight: u64) {
+    fn on_loss(&mut self) {
         // Halve cwnd, not RFC 6582's FlightSize: during SACK recovery the
         // raw flight legitimately exceeds cwnd (EXPERIMENTS.md finding 5).
         let base = self.cwnd;
-        self.ssthresh = (base / 2).max(self.min_cwnd);
+        self.ssthresh = (base / 2).max(MIN_CWND);
         self.cwnd = self.ssthresh;
         self.acked_accum = 0;
     }
 
-    fn on_rto(&mut self, _now: Time, _flight: u64) {
+    fn on_rto(&mut self, _flight: u64) {
         let base = self.cwnd;
-        self.ssthresh = (base / 2).max(self.min_cwnd);
-        self.cwnd = self.mss;
+        self.ssthresh = (base / 2).max(MIN_CWND);
+        self.cwnd = MSS_BYTES;
         self.acked_accum = 0;
     }
 
     fn cwnd(&self) -> u64 {
         self.cwnd
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
     }
 }
 
@@ -89,9 +78,9 @@ impl CongestionControl for NewReno {
 mod tests {
     use super::*;
     use crate::cc::testutil::feed_clean_acks;
-    use cebinae_sim::Duration;
+    use cebinae_sim::{Duration, Time};
 
-    const MSS: u32 = 1448;
+    const M: u64 = MSS_BYTES;
 
     fn ack(newly: u64, flight: u64) -> AckEvent {
         AckEvent {
@@ -103,54 +92,53 @@ mod tests {
             flight,
             in_recovery: false,
             rate: None,
-            ece: false,
         }
     }
 
     #[test]
     fn slow_start_doubles_per_window() {
-        let mut cc = NewReno::new(MSS, 10 * MSS as u64);
+        let mut cc = NewReno::new();
         // Ack one full window: cwnd should double.
         for _ in 0..10 {
-            cc.on_ack(&ack(MSS as u64, 0));
+            cc.on_ack(&ack(M, 0));
         }
-        assert_eq!(cc.cwnd(), 20 * MSS as u64);
+        assert_eq!(cc.cwnd(), 20 * M);
     }
 
     #[test]
     fn congestion_avoidance_is_linear() {
-        let mut cc = NewReno::new(MSS, 20 * MSS as u64);
-        cc.on_loss(Time::ZERO, 20 * MSS as u64); // ssthresh = cwnd/2 = 10 MSS
-        assert_eq!(cc.cwnd(), 10 * MSS as u64);
+        let mut cc = NewReno { cwnd: 20 * M, ..NewReno::new() };
+        cc.on_loss(); // ssthresh = cwnd/2 = 10 MSS
+        assert_eq!(cc.cwnd(), 10 * M);
         let before = cc.cwnd();
         // One full window of ACKs in CA -> +1 MSS.
         for _ in 0..10 {
-            cc.on_ack(&ack(MSS as u64, 0));
+            cc.on_ack(&ack(M, 0));
         }
-        assert_eq!(cc.cwnd(), before + MSS as u64);
+        assert_eq!(cc.cwnd(), before + M);
     }
 
     #[test]
     fn loss_halves_and_rto_collapses() {
-        let mut cc = NewReno::new(MSS, 100 * MSS as u64);
-        cc.on_loss(Time::ZERO, 100 * MSS as u64);
-        assert_eq!(cc.cwnd(), 50 * MSS as u64);
-        assert_eq!(cc.ssthresh(), 50 * MSS as u64);
-        cc.on_rto(Time::ZERO, 50 * MSS as u64);
-        assert_eq!(cc.cwnd(), MSS as u64);
-        assert_eq!(cc.ssthresh(), 25 * MSS as u64);
+        let mut cc = NewReno { cwnd: 100 * M, ..NewReno::new() };
+        cc.on_loss();
+        assert_eq!(cc.cwnd(), 50 * M);
+        assert_eq!(cc.ssthresh, 50 * M);
+        cc.on_rto(50 * M);
+        assert_eq!(cc.cwnd(), M);
+        assert_eq!(cc.ssthresh, 25 * M);
     }
 
     #[test]
     fn cwnd_never_below_floor_on_loss() {
-        let mut cc = NewReno::new(MSS, 2 * MSS as u64);
-        cc.on_loss(Time::ZERO, MSS as u64);
-        assert!(cc.cwnd() >= 2 * MSS as u64);
+        let mut cc = NewReno { cwnd: 2 * M, ..NewReno::new() };
+        cc.on_loss();
+        assert!(cc.cwnd() >= 2 * M);
     }
 
     #[test]
     fn dup_acks_do_not_grow_window() {
-        let mut cc = NewReno::new(MSS, 10 * MSS as u64);
+        let mut cc = NewReno::new();
         let w = cc.cwnd();
         for _ in 0..50 {
             cc.on_ack(&ack(0, 0));
@@ -160,10 +148,10 @@ mod tests {
 
     #[test]
     fn sustained_acks_grow_monotonically_without_loss() {
-        let mut cc = NewReno::new(MSS, 10 * MSS as u64);
+        let mut cc = NewReno::new();
         let mut last = cc.cwnd();
         for _ in 0..5 {
-            feed_clean_acks(&mut cc, 100, MSS, 10);
+            feed_clean_acks(&mut cc, 100, 10);
             assert!(cc.cwnd() >= last);
             last = cc.cwnd();
         }
@@ -171,14 +159,14 @@ mod tests {
 
     #[test]
     fn slow_start_exit_is_exact_at_ssthresh() {
-        let mut cc = NewReno::new(MSS, 30 * MSS as u64);
-        cc.on_loss(Time::ZERO, 30 * MSS as u64); // ssthresh = cwnd/2 = 15 MSS
+        let mut cc = NewReno { cwnd: 30 * M, ..NewReno::new() };
+        cc.on_loss(); // ssthresh = cwnd/2 = 15 MSS
         // After the halving, cwnd == ssthresh: growth is linear immediately.
         let w0 = cc.cwnd();
-        assert_eq!(w0, 15 * MSS as u64);
+        assert_eq!(w0, 15 * M);
         for _ in 0..15 {
-            cc.on_ack(&ack(MSS as u64, 0));
+            cc.on_ack(&ack(M, 0));
         }
-        assert_eq!(cc.cwnd(), w0 + MSS as u64);
+        assert_eq!(cc.cwnd(), w0 + M);
     }
 }

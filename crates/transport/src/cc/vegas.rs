@@ -7,7 +7,7 @@
 
 use cebinae_sim::{Duration, Time};
 
-use super::{AckEvent, CongestionControl};
+use super::{AckEvent, CongestionControl, INIT_CWND, MIN_CWND, MSS_BYTES};
 
 /// Lower bound on queued segments (Linux default 2).
 const ALPHA: f64 = 2.0;
@@ -17,7 +17,6 @@ const BETA: f64 = 4.0;
 const GAMMA: f64 = 1.0;
 
 pub struct Vegas {
-    mss: u64,
     cwnd: u64,
     ssthresh: u64,
     /// Minimum RTT observed during the *current* adjustment epoch.
@@ -28,21 +27,17 @@ pub struct Vegas {
     epoch_end: Time,
     /// In Vegas slow start the window grows every *other* RTT.
     ss_grow_this_epoch: bool,
-    min_cwnd: u64,
 }
 
 impl Vegas {
-    pub fn new(mss: u32, init_cwnd: u64) -> Vegas {
-        let mss = mss as u64;
+    pub(crate) fn new() -> Vegas {
         Vegas {
-            mss,
-            cwnd: init_cwnd,
+            cwnd: INIT_CWND,
             ssthresh: u64::MAX,
             epoch_min_rtt: None,
             epoch_samples: 0,
             epoch_end: Time::ZERO,
             ss_grow_this_epoch: true,
-            min_cwnd: 2 * mss,
         }
     }
 
@@ -56,7 +51,7 @@ impl Vegas {
         if rtt.as_nanos() == 0 {
             return 0.0;
         }
-        let cwnd_seg = self.cwnd as f64 / self.mss as f64;
+        let cwnd_seg = self.cwnd as f64 / MSS_BYTES as f64;
         let excess = rtt.as_secs_f64() - base_rtt.as_secs_f64();
         cwnd_seg * excess / rtt.as_secs_f64()
     }
@@ -91,7 +86,7 @@ impl CongestionControl for Vegas {
             // Too few samples to judge delay: grow cautiously like Reno
             // slow start does (Linux vegas falls back to Reno here).
             if self.in_slow_start() {
-                self.cwnd += self.mss;
+                self.cwnd += MSS_BYTES;
             }
             return;
         }
@@ -101,7 +96,7 @@ impl CongestionControl for Vegas {
             if diff > GAMMA {
                 // Leave slow start and settle (cwnd == ssthresh afterwards
                 // so `in_slow_start()` is false).
-                self.cwnd = self.cwnd.saturating_sub(self.mss).max(self.min_cwnd);
+                self.cwnd = self.cwnd.saturating_sub(MSS_BYTES).max(MIN_CWND);
                 self.ssthresh = self.ssthresh.min(self.cwnd);
             } else if self.ss_grow_this_epoch {
                 // Double every other RTT.
@@ -113,9 +108,9 @@ impl CongestionControl for Vegas {
             return;
         }
         if diff < ALPHA {
-            self.cwnd += self.mss;
+            self.cwnd += MSS_BYTES;
         } else if diff > BETA {
-            self.cwnd = self.cwnd.saturating_sub(self.mss).max(self.min_cwnd);
+            self.cwnd = self.cwnd.saturating_sub(MSS_BYTES).max(MIN_CWND);
             // Keep ssthresh at or below cwnd so a deliberate delay-based
             // decrease never re-enters slow start.
             self.ssthresh = self.ssthresh.min(self.cwnd);
@@ -123,26 +118,22 @@ impl CongestionControl for Vegas {
         // else: hold — the operating point is inside [alpha, beta].
     }
 
-    fn on_loss(&mut self, _now: Time, _flight: u64) {
+    fn on_loss(&mut self) {
         // Vegas reacts to loss like Reno (halve), per the original paper's
         // loss recovery and Linux behavior.
         let base = self.cwnd;
-        self.ssthresh = (base / 2).max(self.min_cwnd);
+        self.ssthresh = (base / 2).max(MIN_CWND);
         self.cwnd = self.ssthresh;
     }
 
-    fn on_rto(&mut self, _now: Time, _flight: u64) {
+    fn on_rto(&mut self, _flight: u64) {
         let base = self.cwnd;
-        self.ssthresh = (base / 2).max(self.min_cwnd);
-        self.cwnd = self.mss;
+        self.ssthresh = (base / 2).max(MIN_CWND);
+        self.cwnd = MSS_BYTES;
     }
 
     fn cwnd(&self) -> u64 {
         self.cwnd
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
     }
 }
 
@@ -150,19 +141,18 @@ impl CongestionControl for Vegas {
 mod tests {
     use super::*;
 
-    const MSS: u32 = 1448;
+    const M: u64 = MSS_BYTES;
 
     fn ack_at(now: Time, rtt_ms: f64, base_ms: f64) -> AckEvent {
         AckEvent {
             now,
-            newly_acked: MSS as u64,
+            newly_acked: M,
             rtt: Some(Duration::from_secs_f64(rtt_ms / 1e3)),
             min_rtt: Some(Duration::from_secs_f64(base_ms / 1e3)),
             newly_lost: 0,
             flight: 0,
             in_recovery: false,
             rate: None,
-            ece: false,
         }
     }
 
@@ -180,8 +170,7 @@ mod tests {
     #[test]
     fn grows_when_queue_below_alpha() {
         // cwnd small, rtt == base: diff = 0 < alpha -> grow.
-        let mut cc = Vegas::new(MSS, 20 * MSS as u64);
-        cc.ssthresh = 10 * MSS as u64; // force CA
+        let mut cc = Vegas { cwnd: 20 * M, ssthresh: 10 * M, ..Vegas::new() }; // force CA
         let w0 = cc.cwnd();
         let mut now = Time::from_millis(1);
         epoch(&mut cc, &mut now, 10.0, 10.0);
@@ -192,8 +181,7 @@ mod tests {
     #[test]
     fn shrinks_when_queue_above_beta() {
         // 50 segments, rtt 20ms vs base 10ms: diff = 50*10/20 = 25 > beta.
-        let mut cc = Vegas::new(MSS, 50 * MSS as u64);
-        cc.ssthresh = 10 * MSS as u64;
+        let mut cc = Vegas { cwnd: 50 * M, ssthresh: 10 * M, ..Vegas::new() };
         let w0 = cc.cwnd();
         let mut now = Time::from_millis(1);
         epoch(&mut cc, &mut now, 20.0, 10.0);
@@ -205,8 +193,7 @@ mod tests {
     fn holds_inside_band() {
         // Find an operating point with alpha < diff < beta:
         // cwnd=30seg, base=10ms, rtt s.t. diff=3: 30*(r-10)/r=3 -> r=11.11ms
-        let mut cc = Vegas::new(MSS, 30 * MSS as u64);
-        cc.ssthresh = 10 * MSS as u64;
+        let mut cc = Vegas { cwnd: 30 * M, ssthresh: 10 * M, ..Vegas::new() };
         let w0 = cc.cwnd();
         let mut now = Time::from_millis(1);
         epoch(&mut cc, &mut now, 11.11, 10.0);
@@ -218,18 +205,17 @@ mod tests {
     fn converges_to_stable_operating_point() {
         // Simple closed loop: model queue delay as proportional to
         // cwnd beyond BDP. BDP = 10ms * 10Mbps = 12.5KB ≈ 8.6 segs.
-        let mut cc = Vegas::new(MSS, 4 * MSS as u64);
-        cc.ssthresh = u64::MAX;
+        let mut cc = Vegas { cwnd: 4 * M, ..Vegas::new() };
         let mut now = Time::from_millis(1);
         let bdp_segs = 8.6;
         for _ in 0..200 {
-            let cwnd_segs = cc.cwnd() as f64 / MSS as f64;
+            let cwnd_segs = cc.cwnd() as f64 / M as f64;
             let queued = (cwnd_segs - bdp_segs).max(0.0);
             let rtt_ms = 10.0 * (1.0 + queued / bdp_segs);
             epoch(&mut cc, &mut now, rtt_ms, 10.0);
         }
         // Stable point keeps between ~alpha and ~beta segments queued.
-        let cwnd_segs = cc.cwnd() as f64 / MSS as f64;
+        let cwnd_segs = cc.cwnd() as f64 / M as f64;
         let queued = cwnd_segs - bdp_segs;
         assert!(
             queued > 0.5 && queued < 8.0,
@@ -239,16 +225,16 @@ mod tests {
 
     #[test]
     fn loss_halves() {
-        let mut cc = Vegas::new(MSS, 40 * MSS as u64);
-        cc.on_loss(Time::ZERO, 40 * MSS as u64);
-        assert_eq!(cc.cwnd(), 20 * MSS as u64);
-        cc.on_rto(Time::ZERO, 20 * MSS as u64);
-        assert_eq!(cc.cwnd(), MSS as u64);
+        let mut cc = Vegas { cwnd: 40 * M, ..Vegas::new() };
+        cc.on_loss();
+        assert_eq!(cc.cwnd(), 20 * M);
+        cc.on_rto(20 * M);
+        assert_eq!(cc.cwnd(), M);
     }
 
     #[test]
     fn slow_start_exits_on_queue_buildup() {
-        let mut cc = Vegas::new(MSS, 64 * MSS as u64);
+        let mut cc = Vegas { cwnd: 64 * M, ..Vegas::new() };
         let mut now = Time::from_millis(1);
         // rtt well above base: diff large -> exit slow start immediately.
         epoch(&mut cc, &mut now, 30.0, 10.0);

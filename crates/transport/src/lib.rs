@@ -28,7 +28,7 @@ pub mod sender;
 pub use cc::{AckEvent, CcKind, CongestionControl, RateSample};
 pub use receiver::TcpReceiver;
 pub use rtt::RttEstimator;
-pub use sender::{SenderSnapshot, TcpConfig, TcpOutput, TcpSender, TimerAction};
+pub use sender::{TcpConfig, TcpOutput, TcpSender, TimerAction};
 
 // Property tests driven by the workspace's seeded generator (32 random
 // cases per property, reproducible from the case index alone).
@@ -80,7 +80,8 @@ mod proptests {
             } else if let Some(t) = rto_at {
                 // Nothing in flight toward the receiver: fire the RTO.
                 now = now.max(t);
-                let out = s.on_rto_timer(now);
+                let mut out = TcpOutput::default();
+                s.on_rto_timer_into(now, &mut out);
                 inflight.extend(out.packets);
                 match out.rto {
                     Some(TimerAction::Set(t)) => rto_at = Some(t),
@@ -132,15 +133,15 @@ mod proptests {
             let mut rng = DetRng::seed_from_u64(0x7c9_0003 ^ case);
             let n = rng.gen_range_usize(1, 400);
             let kind = CcKind::ALL[rng.gen_range_usize(0, 5)];
-            let mut cc = kind.build(MSS, 10 * MSS as u64);
+            let mut cc = kind.build();
             let mut now = Time::from_millis(1);
             let mut delivered = 0u64;
             for _ in 0..n {
                 now += Duration::from_millis(3);
                 match rng.gen_range_u64(0, 10) {
-                    0 => cc.on_loss(now, cc.cwnd()),
-                    1 => cc.on_rto(now, cc.cwnd()),
-                    2 => cc.on_ecn(now, cc.cwnd()),
+                    0 => cc.on_loss(),
+                    1 => cc.on_rto(cc.cwnd()),
+                    2 => cc.on_ecn(),
                     _ => {
                         delivered += MSS as u64;
                         cc.on_ack(&AckEvent {
@@ -154,11 +155,9 @@ mod proptests {
                             rate: Some(RateSample {
                                 delivery_rate: 1e6,
                                 is_app_limited: false,
-                                delivered: MSS as u64,
                                 delivered_total: delivered,
                                 delivered_at_send: delivered.saturating_sub(10 * MSS as u64),
                             }),
-                            ece: false,
                         });
                     }
                 }

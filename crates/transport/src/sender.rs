@@ -18,14 +18,10 @@
 use cebinae_net::{Ecn, FlowId, Packet, SackBlocks, MSS};
 use cebinae_sim::{Duration, Time};
 
-use crate::cc::{AckEvent, CcKind, CongestionControl, RateSample};
+use crate::cc::{AckEvent, CcKind, CongestionControl, RateSample, MSS_BYTES};
 use crate::rtt::RttEstimator;
 use crate::scoreboard::{Scoreboard, SendStamp};
 
-/// Segment size in bytes: every segment but a flow's last is this long.
-const MSS_BYTES: u64 = MSS as u64;
-/// Initial window in segments (RFC 6928).
-const INIT_CWND_SEGS: u64 = 10;
 const RTO_MIN: Duration = Duration(200_000_000);
 const RTO_MAX: Duration = Duration(60_000_000_000);
 /// Duplicate-ACK threshold for fast retransmit.
@@ -161,7 +157,7 @@ impl TcpSender {
     pub fn new(flow: FlowId, cfg: TcpConfig) -> TcpSender {
         TcpSender {
             flow,
-            cc: cfg.cc.build(MSS, INIT_CWND_SEGS * MSS_BYTES),
+            cc: cfg.cc.build(),
             cfg,
             rtt: RttEstimator::new(RTO_MIN, RTO_MAX),
             snd_una: 0,
@@ -272,7 +268,6 @@ impl TcpSender {
                         delivery_rate: (self.delivered - m.stamp.delivered) as f64
                             / elapsed.as_secs_f64(),
                         is_app_limited: m.app_limited,
-                        delivered: newly_acked,
                         delivered_total: self.delivered,
                         delivered_at_send: m.stamp.delivered,
                     });
@@ -291,7 +286,7 @@ impl TcpSender {
 
         if newly_acked > 0 {
             match self.state {
-                State::Recovery { recover } if ack_seq >= recover => self.exit_recovery(now),
+                State::Recovery { recover } if ack_seq >= recover => self.exit_recovery(),
                 // A partial ACK: the pipe loop retransmits the next hole.
                 State::Recovery { .. } => {}
                 State::Open | State::Loss { .. } => self.dup_acks = 0,
@@ -307,13 +302,13 @@ impl TcpSender {
         }
         // Dup-ACKs, or SACKs even while cumulative ACKs advance, reveal loss.
         if self.state == State::Open && self.loss_detected() {
-            self.enter_recovery(now);
+            self.enter_recovery();
         }
 
         // ECN reaction, once per window of data.
         if ece && self.cfg.ecn && self.snd_una >= self.ecn_reacted_until {
             self.ecn_reacted_until = self.snd_nxt;
-            self.cc.on_ecn(now, self.sb.flight());
+            self.cc.on_ecn();
         }
 
         self.cc.on_ack(&AckEvent {
@@ -325,7 +320,6 @@ impl TcpSender {
             flight: self.sb.pipe(),
             in_recovery: self.in_recovery(),
             rate: rate_sample,
-            ece,
         });
 
         self.maybe_send(now, out);
@@ -337,14 +331,7 @@ impl TcpSender {
         }
     }
 
-    /// The retransmission timer fired.
-    pub fn on_rto_timer(&mut self, now: Time) -> TcpOutput {
-        let mut out = TcpOutput::default();
-        self.on_rto_timer_into(now, &mut out);
-        out
-    }
-
-    /// [`on_rto_timer`](Self::on_rto_timer) into a caller-owned buffer
+    /// The retransmission timer fired; writes into a caller-owned buffer
     /// (see [`on_ack_into`](Self::on_ack_into)).
     pub fn on_rto_timer_into(&mut self, now: Time, out: &mut TcpOutput) {
         out.reset_timers();
@@ -354,7 +341,7 @@ impl TcpSender {
         self.rto_count += 1;
         // Go-back-N: everything outstanding is presumed lost.
         self.state = State::Loss { recover: self.snd_nxt };
-        self.cc.on_rto(now, self.sb.flight());
+        self.cc.on_rto(self.sb.flight());
         self.sb.clear(self.snd_una);
         self.snd_nxt = self.snd_una;
         self.dup_acks = 0;
@@ -394,9 +381,9 @@ impl TcpSender {
                 && self.sb.sacked_bytes() >= u64::from(DUPACK_THRESHOLD) * MSS_BYTES)
     }
 
-    fn enter_recovery(&mut self, now: Time) {
+    fn enter_recovery(&mut self) {
         self.state = State::Recovery { recover: self.snd_nxt };
-        self.cc.on_loss(now, self.sb.flight());
+        self.cc.on_loss();
         if self.sb.lost_bytes() == 0 {
             // Dup-ACK-triggered without SACK evidence: mark the front
             // segment lost so the pipe loop retransmits it.
@@ -404,10 +391,9 @@ impl TcpSender {
         }
     }
 
-    fn exit_recovery(&mut self, now: Time) {
+    fn exit_recovery(&mut self) {
         self.state = State::Open;
         self.dup_acks = 0;
-        self.cc.on_recovery_exit(now);
     }
 
     /// What a segment leaving at `now` records for its rate sample.
@@ -539,35 +525,6 @@ impl TcpSender {
             None => false,
         }
     }
-
-    /// One-call congestion-state scrape for the telemetry layer: the
-    /// engine samples this on virtual-time boundaries instead of polling
-    /// the individual accessors.
-    pub fn telemetry_snapshot(&self) -> SenderSnapshot {
-        SenderSnapshot {
-            cwnd: self.cc.cwnd(),
-            flight: self.sb.flight(),
-            in_recovery: self.in_recovery(),
-            retx: self.retx_count,
-            rto: self.rto_count,
-            srtt_ns: self.rtt.srtt().map(|d| d.as_nanos()).unwrap_or(0),
-        }
-    }
-}
-
-/// Telemetry snapshot of a sender's congestion state (see
-/// [`TcpSender::telemetry_snapshot`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SenderSnapshot {
-    pub cwnd: u64,
-    pub flight: u64,
-    pub in_recovery: bool,
-    /// Cumulative fast retransmits.
-    pub retx: u64,
-    /// Cumulative RTO firings.
-    pub rto: u64,
-    /// Smoothed RTT in simulated nanoseconds; 0 before the first sample.
-    pub srtt_ns: u64,
 }
 
 #[cfg(test)]
@@ -624,10 +581,11 @@ mod tests {
         out
     }
 
-    /// `on_rto_timer`, then [`check`].
+    /// `on_rto_timer_into`, then [`check`].
     fn rto(s: &mut TcpSender, now: Time) -> TcpOutput {
         let before = s.delivered;
-        let out = s.on_rto_timer(now);
+        let mut out = TcpOutput::default();
+        s.on_rto_timer_into(now, &mut out);
         check(s, before, &out);
         out
     }
@@ -946,7 +904,11 @@ mod tests {
                     pace_at = None;
                     s.on_pace_timer(now)
                 }
-                _ => s.on_rto_timer(now),
+                _ => {
+                    let mut out = TcpOutput::default();
+                    s.on_rto_timer_into(now, &mut out);
+                    out
+                }
             };
             check(&s, before, &out);
         }

@@ -28,6 +28,7 @@
 //! the telemetry digests.
 
 use cebinae_check::scenario::GenScenario;
+use cebinae_ds::{fnv1a_bytes, FNV_OFFSET};
 use cebinae_engine::Simulation;
 use cebinae_faults::FaultFamily;
 use cebinae_sim::SchedulerKind;
@@ -35,12 +36,7 @@ use cebinae_sim::SchedulerKind;
 /// FNV-1a 64-bit, dependency-free: digest equality here is what "byte
 /// identical" means for multi-megabyte artifacts.
 fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_bytes(FNV_OFFSET, bytes)
 }
 
 /// Drop the telemetry lines scheduler op-count changes may legitimately

@@ -14,6 +14,7 @@
 
 use std::collections::BTreeMap;
 
+use cebinae_ds::{fnv1a_bytes, FNV_OFFSET};
 use cebinae_repro::net::{Ecn, FlowId, Packet, PacketKind, MSS};
 use cebinae_repro::sim::rng::DetRng;
 use cebinae_repro::sim::{Duration, Time};
@@ -36,14 +37,11 @@ struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(FNV_OFFSET)
     }
 
     fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a_bytes(self.0, &w.to_le_bytes());
     }
 }
 
@@ -312,7 +310,8 @@ impl Session {
                 }
                 _ => {
                     self.rto_at = None;
-                    let out = self.sender.on_rto_timer(now);
+                    let mut out = TcpOutput::default();
+                    self.sender.on_rto_timer_into(now, &mut out);
                     self.mirror(&out, |s, buf| s.on_rto_timer_into(now, buf));
                     self.absorb(4, out, now);
                 }
