@@ -8,7 +8,7 @@
 //! run) never perturbs the draws of another — the property that makes the
 //! deterministic minimizer in [`crate::shrink`] meaningful.
 
-use cebinae::CebinaeConfig;
+use cebinae::{min_dt, CebinaeConfig};
 use cebinae_engine::{
     chain, dumbbell, parking_lot, Discipline, DumbbellFlow, ParkingLotGroup, QdiscSpec,
     ScenarioParams, SimConfig,
@@ -16,7 +16,7 @@ use cebinae_engine::{
 use cebinae_faults::{chaos_plan, FaultFamily, FaultPlan};
 use cebinae_net::{BufferConfig, LinkId};
 use cebinae_sim::rng::DetRng;
-use cebinae_sim::{tx_time, Duration, SchedulerKind, Time};
+use cebinae_sim::{Duration, SchedulerKind, Time};
 use cebinae_transport::CcKind;
 
 /// Topology families the fuzzer samples from.
@@ -207,18 +207,16 @@ impl GenScenario {
     /// `rate_bps`. The trace-replay oracle rebuilds its model filter from
     /// this, so it must match the installed qdisc bit for bit.
     pub fn cebinae_config(&self, rate_bps: u64) -> CebinaeConfig {
-        let l = Duration(1 << 16);
+        let base = CebinaeConfig::default();
         let vdt = Duration(1u64 << self.vdt_exp);
         let buffer = BufferConfig::mtus(self.buffer_mtus);
-        let drain = tx_time(buffer.bytes, rate_bps);
-        let dt_min = (drain + vdt + l).as_nanos().next_power_of_two();
+        let dt_min = min_dt(rate_bps, buffer, vdt, base.l);
         let mut cfg = CebinaeConfig {
-            dt: Duration(dt_min << self.dt_extra),
+            dt: Duration(dt_min.as_nanos() << self.dt_extra),
             vdt,
-            l,
             p: self.p,
             buffer,
-            ..CebinaeConfig::default()
+            ..base
         };
         let (dp, df, tau) = self.thresholds;
         cfg = cfg.with_thresholds(dp, df, tau);
@@ -391,10 +389,10 @@ mod tests {
             let rates: Vec<u64> = bnecks.iter().map(|&b| cfg.topology.link(b).rate_bps).collect();
             assert_eq!(rates, sc.bottleneck_rates(), "seed {seed}");
             for (i, f) in cfg.flows.iter().enumerate() {
-                let path = cfg
-                    .topology
-                    .shortest_path(f.src, f.dst)
-                    .unwrap_or_else(|| panic!("seed {seed}: no path"));
+                let path = &f.data_path;
+                let (src, dst) = cfg.topology.walk_ends(path).expect("the data path is a walk");
+                let back = cfg.topology.walk_ends(&f.ack_path);
+                assert_eq!(back, Some((dst, src)), "seed {seed}: the ACK path walks back");
                 assert!(
                     bnecks.iter().any(|b| path.contains(b)),
                     "seed {seed}: flow avoids every bottleneck"

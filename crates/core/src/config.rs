@@ -4,6 +4,12 @@
 use cebinae_net::BufferConfig;
 use cebinae_sim::Duration;
 
+/// The smallest dT that Equation 2 allows on a port of `rate_bps`:
+/// `buffer/BW + vdT + L`, rounded up to a power of two.
+pub fn min_dt(rate_bps: u64, buffer: BufferConfig, vdt: Duration, l: Duration) -> Duration {
+    (cebinae_sim::tx_time(buffer.bytes, rate_bps) + vdt + l).next_power_of_two()
+}
+
 /// All tunables of a Cebinae port (paper Table 1).
 #[derive(Clone, Debug)]
 pub struct CebinaeConfig {
@@ -69,19 +75,14 @@ impl CebinaeConfig {
     /// * `P = max(1, ceil(max_rtt / dT))` so the measurement window covers
     ///   an RTT.
     pub fn for_link(rate_bps: u64, buffer: BufferConfig, max_rtt: Duration) -> CebinaeConfig {
-        let l = Duration(1 << 16);
-        let vdt = Duration(1 << 17);
-        let drain = cebinae_sim::tx_time(buffer.bytes, rate_bps);
-        let dt_min = drain + vdt + l;
-        let dt = dt_min.next_power_of_two();
+        let base = CebinaeConfig::default();
+        let dt = min_dt(rate_bps, buffer, base.vdt, base.l);
         let p = (max_rtt.as_nanos().div_ceil(dt.as_nanos()) as u32).max(1);
         CebinaeConfig {
             dt,
-            vdt,
-            l,
             p,
             buffer,
-            ..CebinaeConfig::default()
+            ..base
         }
     }
 

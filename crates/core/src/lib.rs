@@ -65,7 +65,7 @@ pub mod resources;
 pub use agent::{recompute, RecomputeDecision, RecomputeInput};
 pub use convergence::{rounds_to_converge, FluidFlow, FluidModel};
 pub use cache::HeavyHitterCache;
-pub use config::CebinaeConfig;
+pub use config::{min_dt, CebinaeConfig};
 pub use lbf::{GroupLbf, LbfVerdict, RoundClock};
 pub use qdisc::{CebinaeQdisc, CebinaeXstats};
 pub use resources::{model_usage, scalability_point, ResourceUsage, SwitchProfile};

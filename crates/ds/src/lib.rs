@@ -15,7 +15,7 @@
 //!   layout and same iteration order, on every host, in every run. Get,
 //!   insert, and remove are O(1) expected; deletion is tombstone-free
 //!   (backward-shift), so probe chains never degrade over a long run.
-//! * On-demand [`DetMap::sorted_iter`]/[`DetMap::sorted_entries`] views
+//! * An on-demand [`DetMap::sorted_iter`] view
 //!   for the cold control-plane paths whose *semantics* depend on key
 //!   order (the agent's top-k selection, FQ-CoDel's fattest-flow
 //!   tie-break, rotation debug reporting). Paying an O(n log n) sort a

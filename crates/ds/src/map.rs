@@ -18,7 +18,7 @@
 //!   is "insertion order perturbed by the removal history" — still a pure
 //!   function of the operation sequence, just no longer sorted by age.
 //!   Code whose *results* depend on visitation order must use
-//!   [`DetMap::sorted_iter`]/[`DetMap::sorted_entries`], which visit in
+//!   [`DetMap::sorted_iter`], which visits in
 //!   ascending key order exactly like the `BTreeMap` this type replaces.
 //! * Deletion is tombstone-free backward-shift: the probe chain after the
 //!   vacated bucket is compacted immediately, so lookup cost never decays
@@ -305,11 +305,6 @@ impl<K: DetKey, V> DetMap<K, V> {
         SortedIter {
             order: order.into_iter(),
         }
-    }
-
-    /// [`DetMap::sorted_iter`], collected.
-    pub fn sorted_entries(&self) -> Vec<(&K, &V)> {
-        self.sorted_iter().collect()
     }
 
     /// Grow the bucket array if `needed` entries would exceed a 3/4 load

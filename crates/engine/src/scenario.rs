@@ -164,23 +164,24 @@ pub fn cca_mix(groups: &[(CcKind, usize)], rtts_ms: &[u64]) -> Vec<DumbbellFlow>
 /// per entry of `rates` (segment `i` runs `s_i → s_{i+1}` at `rates[i]`),
 /// with a host pair per flow: the source hangs off switch `enter`, the
 /// destination off switch `exit`, so the flow crosses segments
-/// `[enter, exit)`. Every scenario topology is built here; `rates`, not
-/// `p.bottleneck_bps`, sets the segment rates. Returns the sim config and
-/// the forward bottleneck link ids, in segment order.
+/// `[enter, exit)`. Every scenario topology is built here, and each
+/// flow's data and ACK paths are named here as its links are added;
+/// `rates`, not `p.bottleneck_bps`, sets the segment rates. Returns the
+/// sim config and the forward bottleneck link ids, in segment order.
 pub fn chain(
     rates: &[u64],
     flows: impl IntoIterator<Item = (DumbbellFlow, usize, usize)>,
     p: &ScenarioParams,
 ) -> (SimConfig, Vec<LinkId>) {
     let mut topo = Topology::new();
-    let switches: Vec<_> = (0..=rates.len()).map(|_| topo.add_switch()).collect();
+    let switches: Vec<_> = (0..=rates.len()).map(|_| topo.add_node()).collect();
     // Bottlenecks: small propagation delay; RTT lives on the access links.
     let bneck_delay = Duration::from_micros(5);
-    let bnecks: Vec<LinkId> = rates
+    let (bnecks, bnecks_rev): (Vec<LinkId>, Vec<LinkId>) = rates
         .iter()
         .zip(switches.windows(2))
-        .map(|(&rate, w)| topo.add_duplex_link(w[0], w[1], rate, bneck_delay).0)
-        .collect();
+        .map(|(&rate, w)| topo.add_duplex_link(w[0], w[1], rate, bneck_delay))
+        .unzip();
 
     // Access links run 4x the fastest bottleneck (so they are never the
     // constraint) with per-flow delay placing the configured RTT.
@@ -190,19 +191,30 @@ pub fn chain(
     let mut max_rtt = Duration::ZERO;
     for (f, enter, exit) in flows {
         assert!(enter < exit && exit <= rates.len());
-        let src = topo.add_host();
-        let dst = topo.add_host();
+        let src = topo.add_node();
+        let dst = topo.add_node();
         max_rtt = max_rtt.max(f.rtt);
         // RTT = 2*(d_src + crossed*d_bneck + d_dst); put the bulk at the source.
         let d_dst = Duration::from_micros(5);
         let d_src = (f.rtt / 2).saturating_sub(bneck_delay * (exit - enter) as u64 + d_dst);
-        topo.add_duplex_link(src, switches[enter], access_rate, d_src);
-        topo.add_duplex_link(switches[exit], dst, access_rate, d_dst);
+        let (src_in, src_out) = topo.add_duplex_link(src, switches[enter], access_rate, d_src);
+        let (dst_in, dst_out) = topo.add_duplex_link(switches[exit], dst, access_rate, d_dst);
         let mut tcp = TcpConfig::with_cc(f.cc);
         tcp.app_bytes = f.app_bytes;
+        // Exact capacity: one allocation per path, which is most of the
+        // set-up of a many-flow dumbbell.
+        let hops = exit - enter + 2;
+        let mut data_path = Vec::with_capacity(hops);
+        data_path.push(src_in);
+        data_path.extend(&bnecks[enter..exit]);
+        data_path.push(dst_in);
+        let mut ack_path = Vec::with_capacity(hops);
+        ack_path.push(dst_out);
+        ack_path.extend(bnecks_rev[enter..exit].iter().rev());
+        ack_path.push(src_out);
         specs.push(FlowSpec {
-            src,
-            dst,
+            data_path,
+            ack_path,
             tcp,
             start: f.start,
         });
@@ -269,6 +281,78 @@ pub fn parking_lot(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::Simulation;
+
+    fn path_delay(cfg: &SimConfig, path: &[LinkId]) -> Duration {
+        path.iter().map(|&l| cfg.topology.link(l).delay).sum()
+    }
+
+    /// Checks every flow's built paths against the chain it was built on:
+    /// flow `i` entered at `want[i].0`, left at `want[i].1` and asked for
+    /// RTT `want[i].2`.
+    fn assert_chain_paths(cfg: &SimConfig, bnecks: &[LinkId], want: &[(usize, usize, Duration)]) {
+        let topo = &cfg.topology;
+        let reverse_of = |fwd: LinkId| {
+            let (from, to) = (topo.link(fwd).from, topo.link(fwd).to);
+            let rev = topo.links().iter().position(|l| l.from == to && l.to == from);
+            LinkId::from(rev.expect("every cable is duplex"))
+        };
+        assert_eq!(cfg.flows.len(), want.len());
+        for (i, (f, &(enter, exit, rtt))) in cfg.flows.iter().zip(want).enumerate() {
+            let data = &f.data_path;
+            let crossed = exit - enter;
+            assert_eq!(data.len(), crossed + 2, "flow {i}");
+            assert_eq!(data[1..=crossed], bnecks[enter..exit], "flow {i}");
+            let (access_in, access_out) = (topo.link(data[0]), topo.link(data[crossed + 1]));
+            assert_eq!(access_in.to, topo.link(bnecks[enter]).from, "flow {i}");
+            assert_eq!(access_out.from, topo.link(bnecks[exit - 1]).to, "flow {i}");
+            let ack: Vec<LinkId> = data.iter().rev().map(|&l| reverse_of(l)).collect();
+            assert_eq!(f.ack_path, ack, "flow {i}: the reverse halves in reverse order");
+            assert_eq!(path_delay(cfg, data) + path_delay(cfg, &f.ack_path), rtt, "flow {i}");
+        }
+    }
+
+    #[test]
+    fn chain_names_each_flows_data_and_ack_links() {
+        let ms = Duration::from_millis;
+        let r = 100_000_000;
+        let p = ScenarioParams::new(r, 420, Discipline::Cebinae);
+
+        let flows = [DumbbellFlow::new(CcKind::NewReno, 20), DumbbellFlow::new(CcKind::Cubic, 256)];
+        let (cfg, bneck) = dumbbell(&flows, &p);
+        assert_chain_paths(&cfg, &[bneck], &[(0, 1, ms(20)), (0, 1, ms(256))]);
+
+        let group = |count, enter, exit, rtt| ParkingLotGroup {
+            cc: CcKind::NewReno,
+            count,
+            enter,
+            exit,
+            rtt,
+        };
+        let groups = [group(2, 0, 3, ms(30)), group(1, 1, 2, ms(10)), group(1, 2, 3, ms(40))];
+        let (cfg, bnecks) = parking_lot(3, &groups, &p);
+        let want = [(0, 3, ms(30)), (0, 3, ms(30)), (1, 2, ms(10)), (2, 3, ms(40))];
+        assert_chain_paths(&cfg, &bnecks, &want);
+
+        let flows = [
+            (DumbbellFlow::new(CcKind::Vegas, 40), 0, 2),
+            (DumbbellFlow::new(CcKind::Bic, 20), 1, 2),
+            (DumbbellFlow::new(CcKind::Cubic, 64), 0, 1),
+        ];
+        let (cfg, bnecks) = chain(&[r, r / 2], flows, &p);
+        assert_chain_paths(&cfg, &bnecks, &[(0, 2, ms(40)), (1, 2, ms(20)), (0, 1, ms(64))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ACK path does not walk back")]
+    fn simulation_rejects_an_ack_path_that_misses_the_source() {
+        let flows = [20, 40].map(|rtt_ms| DumbbellFlow::new(CcKind::NewReno, rtt_ms));
+        let p = ScenarioParams::new(100_000_000, 420, Discipline::Fifo);
+        let (mut cfg, _) = dumbbell(&flows, &p);
+        // Flow 1's ACKs return to flow 1's source, not flow 0's.
+        cfg.flows[0].ack_path = cfg.flows[1].ack_path.clone();
+        Simulation::new(cfg);
+    }
 
     #[test]
     fn dumbbell_wires_paths_through_bottleneck() {
@@ -280,9 +364,8 @@ mod tests {
         let (cfg, bneck) = dumbbell(&flows, &p);
         assert_eq!(cfg.flows.len(), 2);
         for f in &cfg.flows {
-            let path = cfg.topology.shortest_path(f.src, f.dst).unwrap();
-            assert!(path.contains(&bneck), "flow must cross the bottleneck");
-            assert_eq!(path.len(), 3);
+            assert!(f.data_path.contains(&bneck), "flow must cross the bottleneck");
+            assert_eq!(f.data_path.len(), 3);
         }
     }
 
@@ -295,9 +378,7 @@ mod tests {
         let p = ScenarioParams::new(100_000_000, 420, Discipline::Fifo);
         let (cfg, _) = dumbbell(&flows, &p);
         for (f, want_ms) in cfg.flows.iter().zip([20u64, 256]) {
-            let fwd = cfg.topology.shortest_path(f.src, f.dst).unwrap();
-            let rev = cfg.topology.shortest_path(f.dst, f.src).unwrap();
-            let rtt = cfg.topology.path_delay(&fwd) + cfg.topology.path_delay(&rev);
+            let rtt = path_delay(&cfg, &f.data_path) + path_delay(&cfg, &f.ack_path);
             let want = Duration::from_millis(want_ms);
             let err = rtt.as_secs_f64() - want.as_secs_f64();
             assert!(
@@ -371,16 +452,12 @@ mod tests {
         assert_eq!(bnecks.len(), 3);
         // Long flows cross every bottleneck.
         for f in &cfg.flows[..2] {
-            let path = cfg.topology.shortest_path(f.src, f.dst).unwrap();
             for b in &bnecks {
-                assert!(path.contains(b));
+                assert!(f.data_path.contains(b));
             }
         }
         // The short flow crosses only segment 1.
-        let path = cfg
-            .topology
-            .shortest_path(cfg.flows[2].src, cfg.flows[2].dst)
-            .unwrap();
+        let path = &cfg.flows[2].data_path;
         assert!(path.contains(&bnecks[1]));
         assert!(!path.contains(&bnecks[0]));
         assert!(!path.contains(&bnecks[2]));

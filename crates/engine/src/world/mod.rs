@@ -51,7 +51,7 @@ use cebinae_ds::{DetMap, DetSet};
 use cebinae_faults::{FaultsRt, FaultPlan};
 use cebinae_fq::{AfqConfig, AfqQdisc, FqCoDelConfig, FqCoDelQdisc};
 use cebinae_metrics::GoodputSeries;
-use cebinae_net::{BufferConfig, FifoQdisc, FlowId, LinkId, NodeId, PacketTrace, Qdisc, Topology};
+use cebinae_net::{BufferConfig, FifoQdisc, FlowId, LinkId, PacketTrace, Qdisc, Topology};
 use cebinae_sim::{Duration, Scheduler, SchedulerBackend, SchedulerKind, Time};
 use cebinae_telemetry::Registry;
 use cebinae_transport::{TcpConfig, TcpOutput, TcpReceiver, TcpSender};
@@ -92,11 +92,13 @@ impl QdiscSpec {
     }
 }
 
-/// One flow to simulate.
+/// One flow to simulate, with the links its data and its ACKs cross, in
+/// order. The ACK path must lead from the data path's last node back to
+/// its first; [`Simulation::new`] checks both.
 #[derive(Clone, Debug)]
 pub struct FlowSpec {
-    pub src: NodeId,
-    pub dst: NodeId,
+    pub data_path: Vec<LinkId>,
+    pub ack_path: Vec<LinkId>,
     pub tcp: TcpConfig,
     pub start: Time,
 }
@@ -323,20 +325,24 @@ impl Simulation {
         // Every path goes straight into one arena; `spans` keeps each
         // flow's two spans of it.
         let mut paths = Vec::new();
-        let mut routes = topology.routes();
-        let mut span = |src: NodeId, dst: NodeId| {
+        let mut span = |path: &[LinkId]| {
             let start = paths.len();
-            routes
-                .path_into(src, dst, &mut paths)
-                .unwrap_or_else(|| panic!("no path {src} -> {dst}"));
+            paths.extend_from_slice(path);
             let bound = |i: usize| u32::try_from(i).expect("path arena fits u32 indices");
             (bound(start), bound(paths.len()))
         };
         for (i, f) in flows.iter().enumerate() {
             let id = FlowId::from(i);
-            let fwd = span(f.src, f.dst);
-            let rev = span(f.dst, f.src);
-            assert!(fwd.0 < fwd.1, "src and dst must differ");
+            let (src, dst) = topology
+                .walk_ends(&f.data_path)
+                .unwrap_or_else(|| panic!("flow {id}: the data path is not a walk"));
+            assert_eq!(
+                topology.walk_ends(&f.ack_path),
+                Some((dst, src)),
+                "flow {id}: the ACK path does not walk back to the data path's source"
+            );
+            let fwd = span(&f.data_path);
+            let rev = span(&f.ack_path);
             events.post(f.start, Ev::FlowStart { flow: id });
             spans.push([fwd, rev]);
             flow_rts.push(FlowRt {

@@ -2,7 +2,7 @@
 //!
 //! Network substrate for the Cebinae reproduction: packets, typed ids, the
 //! queueing-discipline trait, the FIFO drop-tail baseline, and static
-//! topologies with shortest-path routing.
+//! topologies whose paths the scenario builder supplies.
 //!
 //! Everything here is *mechanism-free* with respect to fairness: the
 //! interesting disciplines (Cebinae itself, FQ-CoDel, AFQ) live in their own
@@ -19,7 +19,7 @@ pub use fifo::FifoQdisc;
 pub use ids::{FlowId, LinkId, NodeId};
 pub use packet::{Ecn, Packet, PacketKind, SackBlocks, ACK_FRAME_BYTES, DATA_FRAME_BYTES, HEADER_BYTES, MSS};
 pub use qdisc::{BufferConfig, DropReason, Qdisc, QdiscStats};
-pub use topology::{LinkSpec, NodeKind, Routes, Topology};
+pub use topology::{LinkSpec, Topology};
 pub use tracing::{PacketTrace, TraceEvent, TraceRecord};
 
 // Property tests driven by the workspace's seeded generator: a fixed

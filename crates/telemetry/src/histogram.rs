@@ -69,19 +69,6 @@ impl Histogram {
         self.max
     }
 
-    /// Fold another histogram into this one. Because both share the fixed
-    /// power-of-two shape, merging is exact (no re-bucketing error) and —
-    /// together with the saturating `sum` — associative and commutative:
-    /// merging per-trial histograms in any grouping yields the same result.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.total += other.total;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
     /// Non-empty buckets as `(lower_bound, count)`, ascending.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts
@@ -167,46 +154,5 @@ mod tests {
         }
         assert_eq!(h.count(), 3);
         assert_eq!(h.max(), u64::MAX);
-    }
-
-    #[test]
-    fn merge_is_associative_and_commutative() {
-        let fill = |vals: &[u64]| {
-            let mut h = Histogram::new();
-            for &v in vals {
-                h.record(v);
-            }
-            h
-        };
-        let a = fill(&[0, 1, 1500, u64::MAX]);
-        let b = fill(&[7, 8, 1 << 40]);
-        let c = fill(&[u64::MAX, u64::MAX, 3]);
-
-        // (a ⊔ b) ⊔ c == a ⊔ (b ⊔ c)
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
-
-        // a ⊔ b == b ⊔ a
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-
-        // Merged totals equal recording everything into one histogram
-        // (sum saturates identically either way).
-        let all = fill(&[0, 1, 1500, u64::MAX, 7, 8, 1 << 40, u64::MAX, u64::MAX, 3]);
-        assert_eq!(left, all);
-
-        // Merging an empty histogram is the identity.
-        let mut id = a.clone();
-        id.merge(&Histogram::new());
-        assert_eq!(id, a);
     }
 }

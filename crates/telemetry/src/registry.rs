@@ -73,16 +73,6 @@ impl Registry {
         self.hists.entry((scope, name)).or_default().record(value);
     }
 
-    /// Current counter value (tests / assertions).
-    pub fn counter(&self, scope: Scope, name: &'static str) -> u64 {
-        self.counters.get(&(scope, name)).copied().unwrap_or(0)
-    }
-
-    /// Current gauge value (tests / assertions).
-    pub fn gauge(&self, scope: Scope, name: &'static str) -> u64 {
-        self.gauges.get(&(scope, name)).copied().unwrap_or(0)
-    }
-
     /// Emit one NDJSON row per registered metric at virtual time `t_ns`.
     /// Row order is fully determined by the `BTreeMap` keys, so the export
     /// is byte-identical for identical simulations regardless of thread
