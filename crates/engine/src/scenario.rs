@@ -354,6 +354,29 @@ mod tests {
         Simulation::new(cfg);
     }
 
+    /// One NewReno flow over a `segments`-long FIFO chain: a path of
+    /// `segments + 2` links each way.
+    fn long_chain(segments: usize) -> SimConfig {
+        let mut p = ScenarioParams::new(100_000_000, 100, Discipline::Fifo);
+        p.duration = Duration::from_millis(100);
+        let flow = (DumbbellFlow::new(CcKind::NewReno, 20), 0, segments);
+        chain(&vec![p.bottleneck_bps; segments], [flow], &p).0
+    }
+
+    #[test]
+    fn a_256_link_path_runs_and_delivers() {
+        let cfg = long_chain(254);
+        assert_eq!(cfg.flows[0].data_path.len(), 256);
+        let res = Simulation::new(cfg).run();
+        assert!(res.delivered[0] > 0, "the flow delivered nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "flow f0: the data path has 257 links")]
+    fn a_257_link_path_is_rejected_at_construction() {
+        Simulation::new(long_chain(255));
+    }
+
     #[test]
     fn dumbbell_wires_paths_through_bottleneck() {
         let flows = vec![

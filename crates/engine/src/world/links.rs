@@ -44,11 +44,8 @@ pub(crate) enum Stash {
     Deliver { pkt: Packet },
 }
 
-/// One stash slot, cache-line aligned so a 128-byte entry spans two
-/// lines rather than three.
-#[repr(align(64))]
-#[derive(Default)]
-struct Slot(Option<Stash>);
+// A slot is a packet, its link and the tag, stored unpadded: 80 bytes.
+const _: () = assert!(std::mem::size_of::<Option<Stash>>() == 80, "stash slot left 80 bytes");
 
 /// Slot arena for [`Stash`] entries, so the event payload stays one word.
 /// `put` hands out the *lowest* free slot: live entries stay packed at the
@@ -58,7 +55,7 @@ struct Slot(Option<Stash>);
 /// insertion), so the policy is invisible to the simulation.
 #[derive(Default)]
 pub(crate) struct PacketStash {
-    slots: Vec<Slot>,
+    slots: Vec<Option<Stash>>,
     /// Bit `s % 64` of `free[s / 64]` is set iff slot `s` is free.
     free: Vec<u64>,
     /// Bit `w % 64` of `summary[w / 64]` is set iff `free[w] != 0`.
@@ -74,12 +71,12 @@ impl PacketStash {
                 if self.free[w] == 0 {
                     self.summary[w / 64] &= !(1 << (w % 64));
                 }
-                self.slots[s].0 = Some(entry);
+                self.slots[s] = Some(entry);
                 s
             }
             None => {
                 let s = self.slots.len();
-                self.slots.push(Slot(Some(entry)));
+                self.slots.push(Some(entry));
                 if s.is_multiple_of(64) {
                     self.free.push(0);
                     if s.is_multiple_of(64 * 64) {
@@ -94,7 +91,7 @@ impl PacketStash {
 
     pub(crate) fn take(&mut self, slot: u32) -> Option<Stash> {
         let s = slot as usize;
-        let entry = self.slots.get_mut(s)?.0.take();
+        let entry = self.slots.get_mut(s)?.take();
         if entry.is_some() {
             self.free[s / 64] |= 1 << (s % 64);
             self.summary[s / (64 * 64)] |= 1 << (s / 64 % 64);
@@ -110,7 +107,7 @@ impl PacketStash {
 
     #[cfg(test)]
     pub(crate) fn live(&self) -> usize {
-        self.slots.iter().filter(|s| s.0.is_some()).count()
+        self.slots.iter().filter(|s| s.is_some()).count()
     }
 }
 

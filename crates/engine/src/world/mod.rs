@@ -197,8 +197,8 @@ pub(crate) enum Ev {
 }
 
 // Payload-creep guards: the event type must stay a small `Copy` value.
-// `Packet` is not `Copy` (it owns SACK storage), so the `Copy` bound alone
-// proves no packet — and no other owning payload — can sneak back into the
+// `Packet` is deliberately not `Copy`, so the `Copy` bound alone proves no
+// packet — and no other owning payload — can sneak back into the
 // scheduler.
 const _: () = assert!(std::mem::size_of::<Ev>() <= 24, "Ev grew past 24 bytes");
 const fn assert_copy<T: Copy>() {}
@@ -341,6 +341,14 @@ impl Simulation {
                 Some((dst, src)),
                 "flow {id}: the ACK path does not walk back to the data path's source"
             );
+            // `Packet::hop` indexes the path with a `u8`.
+            for (what, path) in [("data", &f.data_path), ("ACK", &f.ack_path)] {
+                assert!(
+                    path.len() <= usize::from(u8::MAX) + 1,
+                    "flow {id}: the {what} path has {} links, more than the 256 a u8 hop index reaches",
+                    path.len()
+                );
+            }
             let fwd = span(&f.data_path);
             let rev = span(&f.ack_path);
             events.post(f.start, Ev::FlowStart { flow: id });

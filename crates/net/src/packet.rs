@@ -15,23 +15,46 @@ use crate::ids::FlowId;
 /// Each block is a received byte range `[start, end)` above the cumulative
 /// ACK. The first block is the one containing the most recently received
 /// segment, as the RFC requires.
+///
+/// A block travels as two `u32` offsets from the ACK's `ack_seq`, packed
+/// from the front, so every ACK (and every data packet, which shares the
+/// layout) carries 24 bytes of SACK state, not 72. `(0, 0)` marks an
+/// unused entry: a real block ends above the ACK, so its end offset is at
+/// least 1. The sender's `rwnd` bound keeps every offset below 4 GiB.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SackBlocks(pub [Option<(u64, u64)>; 3]);
+pub struct SackBlocks([(u32, u32); 3]);
 
 impl SackBlocks {
-    pub const EMPTY: SackBlocks = SackBlocks([None; 3]);
+    pub const EMPTY: SackBlocks = SackBlocks([(0, 0); 3]);
 
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.0.iter().flatten().copied()
+    /// Encode absolute `[start, end)` blocks, in the order given, against
+    /// the ACK's `ack_seq`. Panics on more than three blocks, on an empty
+    /// block, on one that starts below `ack_seq` and on an offset of 4 GiB
+    /// or more.
+    pub fn new(ack_seq: u64, blocks: &[(u64, u64)]) -> SackBlocks {
+        assert!(blocks.len() <= 3, "{} SACK blocks, at most 3 fit", blocks.len());
+        let offset = |seq: u64| {
+            let off = seq.checked_sub(ack_seq).expect("a SACK block starts at or above the ACK");
+            u32::try_from(off).expect("a SACK block lies within 4 GiB of the ACK")
+        };
+        let mut out = SackBlocks::EMPTY;
+        for (slot, &(start, end)) in out.0.iter_mut().zip(blocks) {
+            assert!(start < end, "empty SACK block [{start}, {end})");
+            *slot = (offset(start), offset(end));
+        }
+        out
+    }
+
+    /// The absolute `[start, end)` blocks of an ACK for `ack_seq`.
+    pub fn iter(&self, ack_seq: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.0
+            .iter()
+            .take_while(|&&(_, end)| end != 0)
+            .map(move |&(start, end)| (ack_seq + u64::from(start), ack_seq + u64::from(end)))
     }
 
     pub fn is_empty(&self) -> bool {
-        self.0.iter().all(Option::is_none)
-    }
-
-    /// Highest end covered by any block (0 when empty).
-    pub fn high(&self) -> u64 {
-        self.iter().map(|(_, e)| e).max().unwrap_or(0)
+        self.0[0].1 == 0
     }
 }
 
@@ -111,6 +134,9 @@ pub struct Packet {
     /// and is discarded at the receiving endpoint.
     pub corrupted: bool,
 }
+
+// Every queue, in-flight ring and stash slot holds packets by value.
+const _: () = assert!(std::mem::size_of::<Packet>() == 72, "Packet left 72 bytes");
 
 impl Packet {
     /// Construct a data segment of `payload` bytes at offset `seq`.
@@ -214,6 +240,39 @@ mod tests {
         assert_eq!(a.payload_bytes(), 0);
         assert!(!a.is_data());
         assert_eq!(a.size, ACK_FRAME_BYTES);
+    }
+
+    #[test]
+    fn sack_blocks_round_trip_as_offsets() {
+        let blocks = [(5000, 6448), (2000, 3000), (7000, 7001)];
+        let sack = SackBlocks::new(1000, &blocks);
+        assert!(!sack.is_empty());
+        assert_eq!(sack.iter(1000).collect::<Vec<_>>(), blocks);
+        let one = SackBlocks::new(1000, &[(1000, 1001)]);
+        assert_eq!(one.iter(1000).collect::<Vec<_>>(), [(1000, 1001)], "a block at the ACK");
+        let top = 1000 + u64::from(u32::MAX);
+        assert_eq!(SackBlocks::new(1000, &[(top - 1, top)]).iter(1000).next(), Some((top - 1, top)));
+        assert!(SackBlocks::new(1000, &[]).is_empty());
+        assert_eq!(SackBlocks::new(7, &[]), SackBlocks::EMPTY);
+        assert_eq!(SackBlocks::EMPTY.iter(7).count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "starts at or above the ACK")]
+    fn sack_block_below_the_ack_panics() {
+        SackBlocks::new(1000, &[(999, 2000)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "within 4 GiB of the ACK")]
+    fn sack_block_4gib_above_the_ack_panics() {
+        SackBlocks::new(1000, &[(2000, 1000 + (1 << 32))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "4 SACK blocks")]
+    fn four_sack_blocks_panic() {
+        SackBlocks::new(0, &[(1, 2), (3, 4), (5, 6), (7, 8)]);
     }
 
     #[test]

@@ -77,26 +77,26 @@ impl TcpReceiver {
     /// the lowest remaining ranges (RFC 2018's repetition rule spreads
     /// knowledge of all holes across consecutive ACKs).
     fn sack_blocks(&self) -> SackBlocks {
-        let mut blocks = SackBlocks::EMPTY;
+        let mut blocks = [(0, 0); 3];
         let mut n = 0;
         if let Some((s, e)) = self.last_block {
             // The range may since have been delivered or re-merged.
             if self.ooo.containing(s) == Some((s, e)) && s >= self.rcv_nxt {
-                blocks.0[n] = Some((s, e));
-                n += 1;
+                blocks[0] = (s, e);
+                n = 1;
             }
         }
         for (s, e) in self.ooo.iter() {
             if n == 3 {
                 break;
             }
-            if blocks.0[0] == Some((s, e)) {
+            if n > 0 && blocks[0] == (s, e) {
                 continue;
             }
-            blocks.0[n] = Some((s, e));
+            blocks[n] = (s, e);
             n += 1;
         }
-        blocks
+        SackBlocks::new(self.rcv_nxt, &blocks[..n])
     }
 }
 
@@ -104,6 +104,7 @@ impl TcpReceiver {
 mod tests {
     use super::*;
     use cebinae_net::MSS;
+    use cebinae_sim::rng::DetRng;
 
     const M: u64 = MSS as u64;
 
@@ -199,5 +200,68 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    /// The SACK option as absolute blocks, built the way the receiver
+    /// built it before blocks travelled as offsets: the reference for the
+    /// wire encoding.
+    fn reference_sack_blocks(r: &TcpReceiver) -> Vec<(u64, u64)> {
+        let mut blocks: [Option<(u64, u64)>; 3] = [None; 3];
+        let mut n = 0;
+        if let Some((s, e)) = r.last_block {
+            if r.ooo.containing(s) == Some((s, e)) && s >= r.rcv_nxt {
+                blocks[n] = Some((s, e));
+                n += 1;
+            }
+        }
+        for (s, e) in r.ooo.iter() {
+            if n == 3 {
+                break;
+            }
+            if blocks[0] == Some((s, e)) {
+                continue;
+            }
+            blocks[n] = Some((s, e));
+            n += 1;
+        }
+        blocks.into_iter().flatten().collect()
+    }
+
+    /// In-order, out-of-order, duplicate and gap-filling arrivals, some of
+    /// them short or straddling `rcv_nxt`: every ACK decodes to exactly the
+    /// reference blocks, in the same order.
+    #[test]
+    fn sack_offsets_decode_to_the_reference_blocks() {
+        let mut with_blocks = 0;
+        for case in 0..32u64 {
+            let mut rng = DetRng::seed_from_u64(0x5ac0_0000 + case);
+            let mut r = TcpReceiver::new(FlowId(0));
+            let mut snd_max = 0u64;
+            for step in 0..500 {
+                let rcv_nxt = r.delivered();
+                let seq = match rng.gen_range_u64(0, 10) {
+                    // The next new segment, or a skip ahead past a loss.
+                    0..=3 => snd_max + rng.gen_range_u64(0, 3) * M,
+                    // Fill (part of) a gap, or straddle `rcv_nxt`.
+                    4..=6 => rng.gen_range_u64(rcv_nxt.saturating_sub(M / 2), snd_max.max(rcv_nxt) + 1),
+                    // A duplicate of delivered bytes.
+                    7 => rng.gen_range_u64(rcv_nxt.saturating_sub(4 * M), rcv_nxt + 1),
+                    // Out of order, far ahead.
+                    _ => snd_max + rng.gen_range_u64(3, 40) * M,
+                };
+                let len = if rng.gen_bool(0.8) { MSS } else { rng.gen_range_u64(1, u64::from(MSS)) as u32 };
+                snd_max = snd_max.max(seq + u64::from(len));
+                let pkt = Packet::data(FlowId(0), seq, len, false, Time::from_millis(step));
+                let ack = r.on_data(&pkt, Time::from_millis(step + 1));
+                let PacketKind::Ack { ack_seq, sack, .. } = ack.kind else {
+                    panic!("expected ack");
+                };
+                let want = reference_sack_blocks(&r);
+                assert_eq!(sack.iter(ack_seq).collect::<Vec<_>>(), want, "case {case} step {step}");
+                assert_eq!(sack.is_empty(), want.is_empty(), "case {case} step {step}");
+                with_blocks += usize::from(!want.is_empty());
+            }
+        }
+        assert!(with_blocks > 1000, "the walk must exercise SACK blocks: {with_blocks} ACKs carried any");
     }
 }

@@ -34,7 +34,6 @@
 
 use std::collections::VecDeque;
 
-use cebinae_net::SackBlocks;
 use cebinae_sim::{Duration, Time};
 
 use crate::range_set::RangeSet;
@@ -398,13 +397,13 @@ impl Scoreboard {
     /// Returns the bytes newly delivered and the bytes newly marked lost.
     pub(crate) fn apply_sack(
         &mut self,
-        sack: &SackBlocks,
+        sack: impl IntoIterator<Item = (u64, u64)>,
         snd_una: u64,
         now: Time,
         reo_wnd: Duration,
     ) -> (u64, u64) {
         let mut newly_delivered = 0;
-        for (start, end) in sack.iter() {
+        for (start, end) in sack {
             if end <= snd_una {
                 continue;
             }
@@ -599,10 +598,6 @@ mod tests {
         sb
     }
 
-    fn block(start: u64, end: u64) -> SackBlocks {
-        SackBlocks([Some((start, end)), None, None])
-    }
-
     /// One letter per segment: `f`light, `s`acked, `l`ost; upper case once
     /// retransmitted.
     fn states(sb: &Scoreboard) -> String {
@@ -618,8 +613,8 @@ mod tests {
             .collect()
     }
 
-    fn sack(sb: &mut Scoreboard, blocks: &SackBlocks, snd_una: u64, now_ms: u64, reo_ms: u64) -> (u64, u64) {
-        let out = sb.apply_sack(blocks, snd_una, Time::from_millis(now_ms), Duration::from_millis(reo_ms));
+    fn sack(sb: &mut Scoreboard, block: (u64, u64), snd_una: u64, now_ms: u64, reo_ms: u64) -> (u64, u64) {
+        let out = sb.apply_sack([block], snd_una, Time::from_millis(now_ms), Duration::from_millis(reo_ms));
         sb.check_invariants();
         out
     }
@@ -684,22 +679,22 @@ mod tests {
     fn cursor_waits_at_a_segment_straddling_high_sacked() {
         let mut sb = board(8);
         // [150, 450): segments 2 and 3 whole; 1 and 4 only in part.
-        assert_eq!(sack(&mut sb, &block(150, 450), 0, 10, 5), (200, 200));
+        assert_eq!(sack(&mut sb, (150, 450), 0, 10, 5), (200, 200));
         assert_eq!(states(&sb), "llssffff", "segment 4 straddles high_sacked = 450");
         assert_eq!(sb.mark_cursor, 400);
         // The same block again changes nothing.
-        assert_eq!(sack(&mut sb, &block(150, 450), 0, 11, 5), (0, 0));
+        assert_eq!(sack(&mut sb, (150, 450), 0, 11, 5), (0, 0));
         // Once passed, segment 4 is marked, once.
-        assert_eq!(sack(&mut sb, &block(500, 600), 0, 12, 5), (100, 100));
+        assert_eq!(sack(&mut sb, (500, 600), 0, 12, 5), (100, 100));
         assert_eq!(states(&sb), "llsslsff");
-        assert_eq!(sack(&mut sb, &block(500, 600), 0, 13, 5), (0, 0));
+        assert_eq!(sack(&mut sb, (500, 600), 0, 13, 5), (0, 0));
         assert_eq!(sb.next_lost(0), Some(0));
     }
 
     #[test]
     fn aged_retransmissions_are_a_prefix_whatever_the_window() {
         let mut sb = board(6);
-        sack(&mut sb, &block(400, 500), 0, 1, 50);
+        sack(&mut sb, (400, 500), 0, 1, 50);
         assert_eq!(states(&sb), "llllsf");
         // Retransmit 0 at t=10, 100 at t=20, 200 at t=30.
         for (seq, at) in [(0, 10), (100, 20), (200, 30)] {
@@ -708,17 +703,17 @@ mod tests {
         }
         assert_eq!(states(&sb), "FFFlsf");
         // t=45, window 30: only the first is old enough.
-        assert_eq!(sack(&mut sb, &block(400, 500), 0, 45, 30).1, 100);
+        assert_eq!(sack(&mut sb, (400, 500), 0, 45, 30).1, 100);
         assert_eq!(states(&sb), "LFFlsf");
         // srtt rose: at t=55 a 40 ms window still spares the second...
-        assert_eq!(sack(&mut sb, &block(400, 500), 0, 55, 40).1, 0);
+        assert_eq!(sack(&mut sb, (400, 500), 0, 55, 40).1, 0);
         // ...and at t=75 takes it and the third together.
-        assert_eq!(sack(&mut sb, &block(400, 500), 0, 75, 40).1, 200);
+        assert_eq!(sack(&mut sb, (400, 500), 0, 75, 40).1, 200);
         assert_eq!(states(&sb), "LLLlsf");
         // A re-retransmission makes the old queue entry stale, not a match.
         sb.retransmit(0, stamp(80));
-        assert_eq!(sack(&mut sb, &block(400, 500), 0, 100, 40).1, 0);
-        assert_eq!(sack(&mut sb, &block(400, 500), 0, 121, 40).1, 100);
+        assert_eq!(sack(&mut sb, (400, 500), 0, 100, 40).1, 0);
+        assert_eq!(sack(&mut sb, (400, 500), 0, 121, 40).1, 100);
     }
 
     #[test]
@@ -727,7 +722,7 @@ mod tests {
         // overtook the post-RTO snd_nxt), and a block ending inside the
         // segment at snd_una: high_sacked = 350 passes only what is below.
         let mut sb = board(6);
-        assert_eq!(sack(&mut sb, &block(200, 350), 300, 1, 50), (100, 200));
+        assert_eq!(sack(&mut sb, (200, 350), 300, 1, 50), (100, 200));
         assert_eq!(states(&sb), "llsfff");
         sb.retransmit(0, stamp(5));
         sb.retransmit(100, stamp(5));
@@ -735,22 +730,22 @@ mod tests {
         // the segment at snd_una, SACK evidence or not, and resends it.
         sb.mark_lost_at(300);
         sb.retransmit(300, stamp(10));
-        assert_eq!(sack(&mut sb, &block(200, 350), 300, 70, 50).1, 200);
+        assert_eq!(sack(&mut sb, (200, 350), 300, 70, 50).1, 200);
         assert_eq!(states(&sb), "LLsFff", "300 is old enough but not below high_sacked");
         sb.retransmit(0, stamp(80));
         // 300 stays queued ahead of the younger entry for 0 and must not
         // hide it.
-        assert_eq!(sack(&mut sb, &block(200, 350), 300, 140, 50).1, 100);
+        assert_eq!(sack(&mut sb, (200, 350), 300, 140, 50).1, 100);
         assert_eq!(states(&sb), "LLsFff");
         // When SACKs pass it, it is re-marked like any other.
-        assert_eq!(sack(&mut sb, &block(500, 600), 300, 141, 50), (100, 200));
+        assert_eq!(sack(&mut sb, (500, 600), 300, 141, 50), (100, 200));
         assert_eq!(states(&sb), "LLsLls");
     }
 
     #[test]
     fn rto_clears_everything_but_the_delivered_ranges() {
         let mut sb = board(8);
-        assert_eq!(sack(&mut sb, &block(300, 600), 0, 1, 50), (300, 300));
+        assert_eq!(sack(&mut sb, (300, 600), 0, 1, 50), (300, 300));
         sb.retransmit(0, stamp(2));
         assert_eq!(states(&sb), "Fllsssff");
         sb.clear(0);
@@ -762,7 +757,7 @@ mod tests {
         for i in 0..8 {
             sb.push(i * M, 100, stamp(10), false);
         }
-        assert_eq!(sack(&mut sb, &block(300, 600), 0, 11, 50), (0, 300), "SACKed again, delivered once");
+        assert_eq!(sack(&mut sb, (300, 600), 0, 11, 50), (0, 300), "SACKed again, delivered once");
         assert_eq!(states(&sb), "lllsssff");
         // The cumulative ACK counts only what SACK never did.
         assert_eq!(sb.cum_ack(0, 800).0, 500);
@@ -804,9 +799,9 @@ mod tests {
             (fresh, newest)
         }
 
-        fn apply_sack(&mut self, sack: &SackBlocks, snd_una: u64, now: Time, reo_wnd: Duration) -> (u64, u64) {
+        fn apply_sack(&mut self, sack: &[Option<(u64, u64)>; 3], snd_una: u64, now: Time, reo_wnd: Duration) -> (u64, u64) {
             let mut fresh = 0;
-            for (start, end) in sack.iter() {
+            for (start, end) in sack.iter().flatten().copied() {
                 if end <= snd_una {
                     continue;
                 }
@@ -855,7 +850,7 @@ mod tests {
             let mut spec = Spec::default();
             let (mut snd_una, mut snd_nxt, mut now) = (0u64, 0u64, 0u64);
             let mut short_tail = false;
-            let mut last_blocks = SackBlocks::EMPTY;
+            let mut last_blocks = [None; 3];
             for step in 0..400 {
                 now += rng.gen_range_u64(0, 4);
                 let at = Time::from_millis(now);
@@ -891,7 +886,7 @@ mod tests {
                     }
                     5..=7 => {
                         if rng.gen_bool(0.5) {
-                            for b in &mut last_blocks.0 {
+                            for b in &mut last_blocks {
                                 let start =
                                     rng.gen_range_u64(snd_una.saturating_sub(2 * M), snd_nxt.max(snd_una) + 2 * M);
                                 let (start, len) = if rng.gen_bool(0.9) {
@@ -903,7 +898,7 @@ mod tests {
                             }
                         }
                         let reo = Duration::from_millis(rng.gen_range_u64(1, 12));
-                        let got = sb.apply_sack(&last_blocks, snd_una, at, reo);
+                        let got = sb.apply_sack(last_blocks.iter().flatten().copied(), snd_una, at, reo);
                         assert_eq!(got, spec.apply_sack(&last_blocks, snd_una, at, reo), "case {case} step {step}");
                     }
                     8 => {

@@ -38,9 +38,15 @@ pub struct TcpConfig {
     /// "infinite demand" long-lived flows).
     pub app_bytes: Option<u64>,
     /// Receiver window: hard cap on unacknowledged bytes (the advertised
-    /// window of a real connection).
+    /// window of a real connection). At most [`MAX_RWND`]: a receiver's
+    /// SACK blocks end at most about `rwnd` above its cumulative ACK, and
+    /// [`SackBlocks`] carries them as 32-bit offsets from it.
     pub rwnd: u64,
 }
+
+/// Largest [`TcpConfig::rwnd`] (2 GiB): half the 32-bit SACK offset
+/// range, so no block can reach 4 GiB above the ACK it rides on.
+pub const MAX_RWND: u64 = 1 << 31;
 
 impl Default for TcpConfig {
     fn default() -> Self {
@@ -155,6 +161,11 @@ pub struct TcpSender {
 
 impl TcpSender {
     pub fn new(flow: FlowId, cfg: TcpConfig) -> TcpSender {
+        assert!(
+            cfg.rwnd <= MAX_RWND,
+            "flow {flow}: rwnd {} exceeds {MAX_RWND}, the bound of 32-bit SACK offsets",
+            cfg.rwnd
+        );
         TcpSender {
             flow,
             cc: cfg.cc.build(),
@@ -279,7 +290,7 @@ impl TcpSender {
         let mut newly_lost = 0;
         if !sack.is_empty() {
             let reo_wnd = self.rtt.srtt().unwrap_or(Duration::from_millis(100));
-            let (fresh, lost) = self.sb.apply_sack(sack, self.snd_una, now, reo_wnd);
+            let (fresh, lost) = self.sb.apply_sack(sack.iter(ack_seq), self.snd_una, now, reo_wnd);
             self.delivered += fresh;
             newly_lost = lost;
         }
@@ -545,8 +556,8 @@ mod tests {
         }
     }
 
-    fn sack1(start: u64, end: u64) -> SackBlocks {
-        SackBlocks([Some((start, end)), None, None])
+    fn sack1(ack_seq: u64, start: u64, end: u64) -> SackBlocks {
+        SackBlocks::new(ack_seq, &[(start, end)])
     }
 
     /// The scoreboard's invariants, plus those that span calls: `delivered`
@@ -599,7 +610,7 @@ mod tests {
         let mut s = sender(CcKind::NewReno);
         s.start(Time::from_millis(1));
         // SACK segments 2..5 (3 segs counted via SACK).
-        ack(&mut s, 0, false, Time::ZERO, false, &sack1(2 * m, 5 * m), Time::from_millis(20));
+        ack(&mut s, 0, false, Time::ZERO, false, &sack1(0, 2 * m, 5 * m), Time::from_millis(20));
         let after_sack = s.delivered();
         assert_eq!(after_sack, 3 * m);
         // RTO clears everything.
@@ -645,7 +656,7 @@ mod tests {
                 false,
                 Time::ZERO,
                 false,
-                &sack1(i * m, (i + 1) * m),
+                &sack1(0, i * m, (i + 1) * m),
                 Time::from_millis(20 + i),
             );
             retx.extend(out.packets.iter().filter(|p| data_seq(p).1).map(|p| data_seq(p).0));
@@ -660,8 +671,7 @@ mod tests {
         s.start(Time::from_millis(1));
         let m = MSS as u64;
         // Segments 0..10 outstanding; receiver got 3, 5, and 7..10 only.
-        let blocks =
-            SackBlocks([Some((3 * m, 4 * m)), Some((5 * m, 6 * m)), Some((7 * m, 10 * m))]);
+        let blocks = SackBlocks::new(0, &[(3 * m, 4 * m), (5 * m, 6 * m), (7 * m, 10 * m)]);
         let out = ack(&mut s, 0, false, Time::ZERO, false, &blocks, Time::from_millis(21));
         let retx: Vec<_> = out
             .packets
@@ -754,7 +764,7 @@ mod tests {
                 false,
                 Time::ZERO,
                 false,
-                &sack1(i * m, (i + 1) * m),
+                &sack1(0, i * m, (i + 1) * m),
                 Time::from_millis(20 + i),
             );
         }
@@ -931,7 +941,7 @@ mod tests {
         for i in 0..50u64 {
             now += Duration::from_millis(10);
             let ack_seq = i * m / 2;
-            let sack = sack1(ack_seq + 2 * m, ack_seq + 3 * m);
+            let sack = sack1(ack_seq, ack_seq + 2 * m, ack_seq + 3 * m);
             ack(&mut s, ack_seq, false, now - Duration::from_millis(10), false, &sack, now);
         }
     }
@@ -941,7 +951,7 @@ mod tests {
         let mut s = sender(CcKind::NewReno);
         s.start(Time::from_millis(1));
         let m = MSS as u64;
-        let blocks = SackBlocks([Some((m, 4 * m)), None, None]);
+        let blocks = sack1(0, m, 4 * m);
         let mut retx = Vec::new();
         for i in 0..6 {
             let out = ack(&mut s, 0, false, Time::ZERO, false, &blocks, Time::from_millis(20 + i));
@@ -953,5 +963,18 @@ mod tests {
                 "sacked range retransmitted: {seq}"
             );
         }
+    }
+
+    #[test]
+    fn rwnd_up_to_the_sack_offset_bound_is_accepted() {
+        let cfg = TcpConfig { rwnd: MAX_RWND, ..TcpConfig::default() };
+        TcpSender::new(FlowId(0), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow f3: rwnd 2147483649 exceeds 2147483648")]
+    fn rwnd_past_the_sack_offset_bound_panics() {
+        let cfg = TcpConfig { rwnd: MAX_RWND + 1, ..TcpConfig::default() };
+        TcpSender::new(FlowId(3), cfg);
     }
 }
