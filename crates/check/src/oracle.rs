@@ -2,12 +2,13 @@
 //!
 //! Three oracle families, per the conformance plan:
 //!
-//! 1. **Conservation** — invariants scraped from the telemetry NDJSON
-//!    export: every enqueued byte is transmitted, dropped-from-queue, or
-//!    still queued at each sample instant; occupancy never exceeds the
-//!    buffer limit; counters never decrease; the per-kind `ev_*` event
-//!    counters sum to `events`; sample time is monotone and never passes
-//!    the configured end of the simulation.
+//! 1. **Conservation** — invariants of the telemetry NDJSON export, each
+//!    key's value carried forward from its last row: every enqueued byte
+//!    is transmitted, dropped-from-queue, or still queued at each sample
+//!    instant; occupancy never exceeds the buffer limit; counters never
+//!    decrease; the per-kind `ev_*` event counters sum to `events`; sample
+//!    time is monotone and never passes the configured end of the
+//!    simulation; and no row repeats the value its key last wrote.
 //! 2. **Trace replay / differential** — the packet trace of a
 //!    never-saturated Cebinae run is replayed through a model filter that
 //!    must agree drop-for-drop (see [`crate::model::replay_cebinae`]), and
@@ -85,90 +86,87 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     rest.split('"').next()
 }
 
-/// Conservation oracle over the telemetry NDJSON export.
-pub fn check_conservation(ndjson: &str, end_ns: u64) -> Vec<Violation> {
-    const ORACLE: &str = "conservation";
-    let mut out = Vec::new();
-    // Last value per (scope, name) counter, for monotonicity.
-    let mut last_counter: BTreeMap<(String, String), u64> = BTreeMap::new();
-    let mut last_t = 0u64;
-    // Rows of the sample batch currently being accumulated (same `t`,
-    // consecutive): (scope, name, kind, v).
-    let mut batch: Vec<(String, String, bool, u64)> = Vec::new();
-    let mut batch_t = None::<u64>;
+/// Every key's value as of the rows read so far: `(scope, name)` -> the
+/// last `v` written (a histogram's `count`).
+type Carried<'a> = BTreeMap<(&'a str, &'a str), u64>;
 
-    let flush = |batch: &mut Vec<(String, String, bool, u64)>, t: u64, out: &mut Vec<Violation>| {
-        if batch.is_empty() {
-            return;
-        }
-        let mut vals: BTreeMap<(&str, &str), u64> = BTreeMap::new();
-        for (scope, name, _, v) in batch.iter() {
-            vals.insert((scope.as_str(), name.as_str()), *v);
-        }
-        let scopes: Vec<&str> = {
-            let mut s: Vec<&str> = batch
-                .iter()
-                .filter(|(sc, ..)| sc.starts_with("port:"))
-                .map(|(sc, ..)| sc.as_str())
-                .collect();
-            // A scope shows up once in the counter section and again in the
-            // gauge section; sort so dedup removes the repeats.
-            s.sort_unstable();
-            s.dedup();
-            s
-        };
-        for scope in scopes {
-            let get = |name: &str| vals.get(&(scope, name)).copied();
-            // Byte conservation: accepted = sent + dropped-after-queueing
-            // + still-queued, exactly, at every sample instant.
-            if let (Some(enq), Some(tx), Some(dropq), Some(queued)) = (
-                get("enq_bytes"),
-                get("tx_bytes"),
-                get("drop_queued_bytes"),
-                get("queued_bytes"),
-            ) {
-                if enq != tx + dropq + queued {
-                    out.push(Violation::new(
-                        ORACLE,
-                        format!(
-                            "t={t} {scope}: enq_bytes {enq} != tx {tx} + drop_queued {dropq} + queued {queued}"
-                        ),
-                    ));
-                }
-            }
-            // Occupancy bound: the peak never exceeds the configured limit.
-            if let (Some(peak), Some(limit)) = (get("peak_queued_bytes"), get("buffer_limit_bytes"))
-            {
-                if limit > 0 && peak > limit {
-                    out.push(Violation::new(
-                        ORACLE,
-                        format!("t={t} {scope}: peak_queued_bytes {peak} > buffer_limit_bytes {limit}"),
-                    ));
-                }
-            }
-        }
-        // Event accounting: every dispatched event is counted under
-        // exactly one kind.
-        if let Some(&events) = vals.get(&("sys:engine", "events")) {
-            let by_kind: u64 = vals
-                .iter()
-                .filter(|((scope, name), _)| *scope == "sys:engine" && name.starts_with("ev_"))
-                .map(|(_, &v)| v)
-                .sum();
-            if by_kind != events {
+/// Judge the carried state of every key at sample instant `t`.
+fn judge_instant(state: &Carried<'_>, t: u64, out: &mut Vec<Violation>) {
+    const ORACLE: &str = "conservation";
+    let mut ports: Vec<&str> = state
+        .range(("port:", "")..)
+        .map(|(&(scope, _), _)| scope)
+        .take_while(|scope| scope.starts_with("port:"))
+        .collect();
+    ports.dedup();
+    for scope in ports {
+        let get = |name: &str| state.get(&(scope, name)).copied();
+        // Byte conservation: accepted = sent + dropped-after-queueing
+        // + still-queued, exactly, at every sample instant.
+        if let (Some(enq), Some(tx), Some(dropq), Some(queued)) = (
+            get("enq_bytes"),
+            get("tx_bytes"),
+            get("drop_queued_bytes"),
+            get("queued_bytes"),
+        ) {
+            if enq != tx + dropq + queued {
                 out.push(Violation::new(
                     ORACLE,
-                    format!("t={t} sys:engine: ev_* counters sum to {by_kind}, events is {events}"),
+                    format!(
+                        "t={t} {scope}: enq_bytes {enq} != tx {tx} + drop_queued {dropq} + queued {queued}"
+                    ),
                 ));
             }
         }
-        batch.clear();
-    };
+        // Occupancy bound: the peak never exceeds the configured limit.
+        if let (Some(peak), Some(limit)) = (get("peak_queued_bytes"), get("buffer_limit_bytes")) {
+            if limit > 0 && peak > limit {
+                out.push(Violation::new(
+                    ORACLE,
+                    format!("t={t} {scope}: peak_queued_bytes {peak} > buffer_limit_bytes {limit}"),
+                ));
+            }
+        }
+    }
+    // Event accounting: every dispatched event is counted under exactly
+    // one kind.
+    if let Some(&events) = state.get(&("sys:engine", "events")) {
+        let by_kind: u64 = state
+            .range(("sys:engine", "ev_")..)
+            .take_while(|((scope, name), _)| *scope == "sys:engine" && name.starts_with("ev_"))
+            .map(|(_, &v)| v)
+            .sum();
+        if by_kind != events {
+            out.push(Violation::new(
+                ORACLE,
+                format!("t={t} sys:engine: ev_* counters sum to {by_kind}, events is {events}"),
+            ));
+        }
+    }
+}
 
+/// Conservation oracle over one run's telemetry NDJSON export.
+///
+/// The export writes a key's row only when its value changed since the
+/// key's last row, so the oracle carries every `(scope, name)` forward
+/// across samples and judges the merged state at each sample instant. It
+/// also holds the export to that contract: no row repeats the value its
+/// key last wrote.
+pub fn check_conservation(ndjson: &str, end_ns: u64) -> Vec<Violation> {
+    const ORACLE: &str = "conservation";
+    let mut out = Vec::new();
+    let mut state = Carried::new();
+    let mut last_t = 0u64;
+    // The instant whose rows are being read.
+    let mut block_t = None::<u64>;
     for line in ndjson.lines() {
         let Some(t) = field_u64(line, "t") else {
             continue;
         };
+        if let Some(done) = block_t.filter(|&b| b != t) {
+            judge_instant(&state, done, &mut out);
+        }
+        block_t = Some(t);
         if t < last_t {
             out.push(Violation::new(
                 ORACLE,
@@ -189,33 +187,29 @@ pub fn check_conservation(ndjson: &str, end_ns: u64) -> Vec<Violation> {
         ) else {
             continue;
         };
-        if kind != "counter" && kind != "gauge" {
-            continue;
-        }
-        let Some(v) = field_u64(line, "v") else {
+        let v = match kind {
+            "counter" | "gauge" => field_u64(line, "v"),
+            "hist" => field_u64(line, "count"),
+            _ => None,
+        };
+        let Some(v) = v else {
             continue;
         };
-        if kind == "counter" {
-            let key = (scope.to_string(), name.to_string());
-            if let Some(&prev) = last_counter.get(&key) {
-                if v < prev {
-                    out.push(Violation::new(
-                        ORACLE,
-                        format!("t={t} {scope} counter {name} decreased: {prev} -> {v}"),
-                    ));
-                }
-            }
-            last_counter.insert(key, v);
+        match state.insert((scope, name), v) {
+            Some(prev) if prev == v => out.push(Violation::new(
+                ORACLE,
+                format!("t={t} {scope} {kind} {name} repeats its last written value {v}"),
+            )),
+            Some(prev) if kind == "counter" && v < prev => out.push(Violation::new(
+                ORACLE,
+                format!("t={t} {scope} counter {name} decreased: {prev} -> {v}"),
+            )),
+            _ => {}
         }
-        if batch_t != Some(t) {
-            let done_t = batch_t.unwrap_or(0);
-            flush(&mut batch, done_t, &mut out);
-            batch_t = Some(t);
-        }
-        batch.push((scope.to_string(), name.to_string(), kind == "counter", v));
     }
-    let done_t = batch_t.unwrap_or(0);
-    flush(&mut batch, done_t, &mut out);
+    if let Some(done) = block_t {
+        judge_instant(&state, done, &mut out);
+    }
     out
 }
 
@@ -572,9 +566,84 @@ mod tests {
             s += &row(t, "port:0", "drop_queued_bytes", "counter", 50 * t);
             s += &row(t, "port:0", "queued_bytes", "gauge", 50 * t);
             s += &row(t, "port:0", "peak_queued_bytes", "gauge", 60 * t);
-            s += &row(t, "port:0", "buffer_limit_bytes", "gauge", 1 << 20);
+            if t == 100 {
+                // Unchanged at t=200, so written once.
+                s += &row(t, "port:0", "buffer_limit_bytes", "gauge", 1 << 20);
+            }
         }
         assert_eq!(check_conservation(&s, 200), Vec::new());
+    }
+
+    /// Re-expand a change-only export into full snapshots, as the renderer
+    /// before it wrote them: at each instant, every key's last row so far.
+    fn full_snapshots(delta: &str) -> String {
+        let mut carried: BTreeMap<(String, String), String> = BTreeMap::new();
+        let mut out = String::new();
+        let mut lines = delta.lines().peekable();
+        while let Some(first) = lines.peek() {
+            let t = field_u64(first, "t").expect("row has t");
+            while let Some(l) = lines.next_if(|l| field_u64(l, "t") == Some(t)) {
+                let (scope, name) = (field_str(l, "scope"), field_str(l, "name"));
+                let key = (scope.unwrap_or("").to_string(), name.unwrap_or("").to_string());
+                let tail = l.split_once(',').map_or("", |(_, rest)| rest);
+                carried.insert(key, tail.to_string());
+            }
+            for tail in carried.values() {
+                out += &format!("{{\"t\":{t},{tail}\n");
+            }
+        }
+        out
+    }
+
+    /// Mutation (a): a later block raises a port's `tx_bytes` and says
+    /// nothing of `enq_bytes`. Judged block by block the second block
+    /// holds no `enq_bytes` and would pass; carried forward, `enq_bytes`
+    /// is still 1000 and the bytes do not add up.
+    #[test]
+    fn conservation_carries_unwritten_values_forward() {
+        let mut s = String::new();
+        s += &row(100, "port:0", "enq_bytes", "counter", 1000);
+        s += &row(100, "port:0", "tx_bytes", "counter", 900);
+        s += &row(100, "port:0", "drop_queued_bytes", "counter", 0);
+        s += &row(100, "port:0", "queued_bytes", "gauge", 100);
+        assert_eq!(check_conservation(&s, 300), Vec::new());
+        // Honest: the queue drained, and both moving values were written.
+        let mut drained = s.clone();
+        drained += &row(200, "port:0", "tx_bytes", "counter", 1000);
+        drained += &row(200, "port:0", "queued_bytes", "gauge", 0);
+        assert_eq!(check_conservation(&drained, 300), Vec::new());
+        // Planted: `tx_bytes` rises with nothing else written.
+        s += &row(200, "port:0", "tx_bytes", "counter", 950);
+        let v = check_conservation(&s, 300);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].detail.starts_with("t=200 port:0: enq_bytes 1000 != tx 950"), "{v:?}");
+    }
+
+    /// Mutation (b): the full-snapshot export the change-only renderer
+    /// replaced repeats every unchanged key, and the new rule rejects it
+    /// while the change-only export of the same run passes.
+    #[test]
+    fn full_snapshot_export_breaks_the_change_only_rule() {
+        let mut delta = String::new();
+        for t in [0u64, 100, 200] {
+            delta += &row(t, "port:0", "enq_bytes", "counter", 10 * t);
+            delta += &row(t, "port:0", "tx_bytes", "counter", 10 * t);
+            if t == 0 {
+                delta += &row(t, "port:0", "drop_queued_bytes", "counter", 0);
+                delta += &row(t, "port:0", "queued_bytes", "gauge", 0);
+                delta += &row(t, "port:0", "buffer_limit_bytes", "gauge", 4500);
+            }
+            delta += &row(t, "sys:engine", "ev_arrive", "counter", 2 * t + 1);
+            delta += &row(t, "sys:engine", "events", "counter", 2 * t + 1);
+        }
+        assert_eq!(check_conservation(&delta, 200), Vec::new());
+        let full = full_snapshots(&delta);
+        assert_eq!(full.lines().count(), 3 * 7);
+        let v = check_conservation(&full, 200);
+        // The three keys written once repeat at t=100 and again at t=200.
+        assert_eq!(v.len(), 6, "{v:?}");
+        assert!(v.iter().all(|v| v.detail.contains("repeats its last written value")), "{v:?}");
+        assert!(v[0].detail.starts_with("t=100 port:0 gauge buffer_limit_bytes"), "{v:?}");
     }
 
     #[test]
@@ -598,8 +667,14 @@ mod tests {
         s += &row(100, "port:1", "tx_pkts", "counter", 10);
         s += &row(200, "port:1", "tx_pkts", "counter", 9);
         let v = check_conservation(&s, 300);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|v| v.detail.contains("peak_queued_bytes 2000")), "{v:?}");
+        // The overrun is carried to t=200 and judged there again.
+        assert_eq!(v.len(), 3, "{v:?}");
+        let overruns: Vec<&str> = v
+            .iter()
+            .filter(|v| v.detail.contains("peak_queued_bytes 2000"))
+            .map(|v| &v.detail[..5])
+            .collect();
+        assert_eq!(overruns, ["t=100", "t=200"], "{v:?}");
         assert!(v.iter().any(|v| v.detail.contains("decreased")), "{v:?}");
     }
 
@@ -631,12 +706,17 @@ mod tests {
 
     #[test]
     fn duplicate_end_sample_is_tolerated() {
-        // The engine may emit its final scrape at the same `t` as the last
-        // interval sample; equal timestamps are not "backwards".
+        // A second block at the last interval sample's `t` is not
+        // "backwards"; under the change-only export it carries only rows
+        // whose values moved. A row that did not move is a repeat.
         let mut s = String::new();
         s += &row(100, "port:0", "tx_pkts", "counter", 5);
-        s += &row(100, "port:0", "tx_pkts", "counter", 5);
+        s += &row(100, "port:0", "tx_pkts", "counter", 6);
         assert_eq!(check_conservation(&s, 100), Vec::new());
+        s += &row(100, "port:0", "tx_pkts", "counter", 6);
+        let v = check_conservation(&s, 100);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].detail.contains("tx_pkts repeats its last written value 6"), "{v:?}");
     }
 
     use cebinae_faults::{LinkEvent, LinkEventKind, LinkFaultSpec};

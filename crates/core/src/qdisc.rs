@@ -25,8 +25,6 @@
 //! groups, with the aggregate filter still tracked in the background so the
 //! next phase flip is atomic.
 
-use std::collections::VecDeque;
-
 use cebinae_ds::{DetMap, DetSet};
 use cebinae_net::{DropReason, FlowId, Packet, Qdisc, QdiscStats};
 use cebinae_sim::Time;
@@ -35,6 +33,10 @@ use crate::agent::{recompute, RecomputeDecision, RecomputeInput};
 use crate::cache::HeavyHitterCache;
 use crate::config::CebinaeConfig;
 use crate::lbf::{GroupLbf, LbfVerdict, RoundClock};
+
+mod blocks;
+
+use blocks::BlockQueue;
 
 /// Which control event fires next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,7 +69,8 @@ pub struct CebinaeQdisc {
     cfg: CebinaeConfig,
     capacity_bps: u64,
 
-    queues: [VecDeque<Packet>; 2],
+    /// The two physical queues, each sized by what it holds.
+    queues: [BlockQueue; 2],
     queued_total: u64,
     headq: usize,
 
@@ -138,7 +141,7 @@ impl CebinaeQdisc {
             next_phase: CtlPhase::Rotate,
             pending: None,
             last_top_rate_per_flow: None,
-            queues: [VecDeque::new(), VecDeque::new()],
+            queues: Default::default(),
             queued_total: 0,
             headq: 0,
             active: false,
@@ -188,13 +191,10 @@ impl CebinaeQdisc {
         // prevents this via the Equation 2 drain guarantee; we splice the
         // (rare, boundary-serialization) leftovers to the front of the new
         // head queue to preserve order, and count occurrences.
-        // det-ok: queues is a 2-array and retiring/other are always 0/1
-        if !self.queues[retiring].is_empty() {
+        let (old_head, new_head) = head_first(&mut self.queues, retiring);
+        if !old_head.is_empty() {
             self.xstats.leftover_rotations = self.xstats.leftover_rotations.saturating_add(1);
-            let other = 1 - retiring;
-            while let Some(pkt) = self.queues[retiring].pop_back() { // det-ok: 2-array, retiring is 0 or 1
-                self.queues[other].push_front(pkt); // det-ok: 2-array, other is 0 or 1
-            }
+            new_head.splice_front(old_head);
         }
 
         self.total_grp.on_rotate(retiring, self.cfg.dt);
@@ -345,11 +345,24 @@ impl CebinaeQdisc {
         }
     }
 
-    fn push(&mut self, queue: usize, pkt: Packet) {
+    /// Append to the head queue (`to_head`) or the other one.
+    fn push(&mut self, to_head: bool, pkt: Packet) {
         self.queued_total += pkt.size as u64; // det-ok: occupancy gauge, decremented in dequeue; conservation-oracle-checked
         self.stats.on_enqueue(pkt.size);
         self.stats.note_queued(self.queued_total);
-        self.queues[queue].push_back(pkt); // det-ok: queues is a 2-array indexed by 0/1
+        let (head, next) = head_first(&mut self.queues, self.headq);
+        let q = if to_head { head } else { next };
+        q.push_back(pkt);
+    }
+}
+
+/// The two queues as `(queues[headq], the other)`; `headq` is 0 or 1.
+fn head_first(queues: &mut [BlockQueue; 2], headq: usize) -> (&mut BlockQueue, &mut BlockQueue) {
+    let [a, b] = queues;
+    if headq == 0 {
+        (a, b)
+    } else {
+        (b, a)
     }
 }
 
@@ -396,8 +409,7 @@ impl Qdisc for CebinaeQdisc {
         }
         match verdict {
             LbfVerdict::Head => {
-                let q = self.headq;
-                self.push(q, pkt);
+                self.push(true, pkt);
                 Ok(())
             }
             LbfVerdict::Tail => {
@@ -405,8 +417,7 @@ impl Qdisc for CebinaeQdisc {
                 if self.cfg.enable_ecn && pkt.try_mark_ce() {
                     self.stats.ecn_marked = self.stats.ecn_marked.saturating_add(1);
                 }
-                let q = 1 - self.headq;
-                self.push(q, pkt);
+                self.push(false, pkt);
                 Ok(())
             }
             LbfVerdict::Drop => {
@@ -419,15 +430,9 @@ impl Qdisc for CebinaeQdisc {
 
     fn dequeue(&mut self, _now: Time) -> Option<Packet> {
         // Strict priority: current head queue first.
-        // det-ok: queues is a [VecDeque; 2] and headq is maintained as 0 or 1
-        let q = if !self.queues[self.headq].is_empty() {
-            self.headq
-        } else if !self.queues[1 - self.headq].is_empty() { // det-ok: other element of the 2-array
-            1 - self.headq
-        } else {
-            return None;
-        };
-        let pkt = self.queues[q].pop_front()?; // det-ok: q is 0 or 1 from the branch above
+        let (head, next) = head_first(&mut self.queues, self.headq);
+        let q = if head.is_empty() { next } else { head };
+        let pkt = q.pop_front()?;
         self.queued_total -= pkt.size as u64; // det-ok: occupancy gauge, matched with push()
         self.stats.on_tx(pkt.size);
         // Egress pipeline: port byte counter (§4.1) + flow cache (§4.2).
@@ -441,7 +446,7 @@ impl Qdisc for CebinaeQdisc {
     }
 
     fn pkt_len(&self) -> usize {
-        self.queues[0].len() + self.queues[1].len()
+        self.queues.iter().map(BlockQueue::len).sum()
     }
 
     fn activate(&mut self, now: Time) -> Option<Time> {
@@ -713,6 +718,39 @@ mod tests {
         }
         assert!(q.queues[q.headq].is_empty());
         assert!(q.dequeue(Time::from_micros(3)).is_some());
+    }
+
+    /// Packets left in the retiring head queue at a rotation are spliced
+    /// ahead of the new head queue's: the port still serves everything in
+    /// arrival order.
+    #[test]
+    fn rotation_leftovers_keep_fifo_order_through_the_splice() {
+        let mut cfg =
+            CebinaeConfig::for_link(RATE, BufferConfig::mtus(420), Duration::from_millis(50));
+        cfg.buffer = BufferConfig::mtus(1800);
+        let mut q = CebinaeQdisc::new(cfg, RATE, 1);
+        q.activate(Time::ZERO);
+        let per_round_pkts =
+            (RATE as f64 / 8.0 * q.cfg.dt.as_secs_f64() / 1500.0) as usize;
+        let accepted: Vec<u64> = (0..per_round_pkts as u64 + 50)
+            .filter(|&i| q.enqueue(pkt(0, i), Time::from_micros(1)).is_ok())
+            .collect();
+        let seq = |p: Packet| match p.kind {
+            cebinae_net::PacketKind::Data { seq, .. } => seq,
+            cebinae_net::PacketKind::Ack { .. } => unreachable!("data only"),
+        };
+        // Serve part of the head queue, then rotate with the rest queued.
+        let mut served: Vec<u64> =
+            (0..3).filter_map(|_| q.dequeue(Time::from_micros(2))).map(seq).collect();
+        let (head_left, spilled) = (q.queues[q.headq].len(), q.queues[1 - q.headq].len());
+        assert!(head_left > 0 && spilled > 0, "both queues hold packets: {head_left}, {spilled}");
+        let at = q.clock.next_rotation();
+        q.control(at).expect("rotate");
+        assert_eq!(q.xstats().leftover_rotations, 1);
+        assert_eq!(q.queues[1 - q.headq].len(), 0, "the retired queue is empty");
+        assert_eq!(q.queues[q.headq].len(), head_left + spilled);
+        served.extend(std::iter::from_fn(|| q.dequeue(at)).map(seq));
+        assert_eq!(served, accepted);
     }
 
     #[test]

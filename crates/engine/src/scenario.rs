@@ -377,6 +377,32 @@ mod tests {
         Simulation::new(long_chain(255));
     }
 
+    /// Every sample instant is recorded once: a 1-s run sampled every
+    /// 100 ms keeps 11 samples (0 through 1 s), every rate interval is
+    /// 100 ms long, and the telemetry export has one block per instant.
+    #[test]
+    fn each_sample_instant_is_recorded_once() {
+        let flows = [20, 40].map(|rtt_ms| DumbbellFlow::new(CcKind::NewReno, rtt_ms));
+        let mut p = ScenarioParams::new(100_000_000, 420, Discipline::Cebinae);
+        p.duration = Duration::from_secs(1);
+        p.telemetry = true;
+        let res = Simulation::new(dumbbell(&flows, &p).0).run();
+        let instants: Vec<u64> = (0..=10).map(|k| k * 100_000_000).collect();
+        assert_eq!(res.goodput.len(), 11);
+        let ends: Vec<u64> = res.goodput.rates().iter().map(|(t, _)| t.as_nanos()).collect();
+        assert_eq!(ends, instants[1..]);
+        let series: Vec<u64> = res.link_tx_series.iter().map(|(t, _)| t.as_nanos()).collect();
+        assert_eq!(series, instants);
+        assert_eq!(res.cebinae_series.len(), 11);
+        let nd = res.telemetry.expect("telemetry requested");
+        let mut blocks: Vec<u64> = nd
+            .lines()
+            .filter_map(|l| l.strip_prefix("{\"t\":")?.split(',').next()?.parse().ok())
+            .collect();
+        blocks.dedup();
+        assert_eq!(blocks, instants);
+    }
+
     #[test]
     fn dumbbell_wires_paths_through_bottleneck() {
         let flows = vec![

@@ -17,7 +17,7 @@ use super::links::{self, LinkPlane};
 use super::{Ev, FlowPlane, SchedDyn, EV_COUNTERS};
 
 /// A flow's congestion and delivery state: what the telemetry scrape
-/// exports at every sample and [`SimResult::flow_debug`] holds at the end.
+/// reads at every sample and [`SimResult::flow_debug`] holds at the end.
 #[derive(Clone, Copy, Debug)]
 pub struct FlowDebug {
     pub cwnd: u64,

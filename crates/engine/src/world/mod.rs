@@ -428,7 +428,9 @@ impl Simulation {
             self.cp.ev_counts[ev.kind()] += 1;
             self.dispatch(now, ev);
         }
-        // Final sample at the end time for complete series.
+        // Final sample at the end time for complete series: the only one
+        // at `end`, taken after every event there (an `Ev::Sample` due at
+        // `end` records nothing).
         control::take_sample(&mut self.cp, &self.lp, &self.fp, &self.faults, &self.events, end);
         let telemetry = self.cp.tel.take().map(Registry::into_ndjson);
         // Retire everything express links had in service by `end`, then
@@ -483,10 +485,15 @@ impl Simulation {
             Ev::Rto { flow } => endpoints::on_rto(lp, fp, fx, ev_q, now, flow),
             Ev::Pace { flow } => endpoints::on_pace(lp, fp, fx, ev_q, now, flow),
             Ev::Sample => {
-                control::take_sample(cp, lp, fp, fx, ev_q, now);
-                let next = now + *sample_interval;
-                if next <= Time::ZERO + *cfg_duration {
-                    ev_q.post(next, Ev::Sample);
+                // The instant `end` is recorded once, by the sample `run`
+                // takes after every event at `end`.
+                let end = Time::ZERO + *cfg_duration;
+                if now < end {
+                    control::take_sample(cp, lp, fp, fx, ev_q, now);
+                    let next = now + *sample_interval;
+                    if next <= end {
+                        ev_q.post(next, Ev::Sample);
+                    }
                 }
             }
             Ev::FaultRelease { slot } => faults::on_release(lp, fx, ev_q, now, slot),

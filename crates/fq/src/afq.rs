@@ -9,11 +9,9 @@
 //! exact per-flow counters, which is *generous* to AFQ) both as an extra
 //! baseline and to quantify Equation 1 (`ext-scalability`).
 
-use std::collections::VecDeque;
-
 use cebinae_ds::FlowSlab;
 use cebinae_sim::Time;
-use cebinae_net::{DropReason, Packet, Qdisc, QdiscStats};
+use cebinae_net::{Arena, Chain, DropReason, Packet, Qdisc, QdiscStats};
 
 /// Configuration for [`AfqQdisc`].
 #[derive(Clone, Copy, Debug)]
@@ -40,9 +38,10 @@ impl Default for AfqConfig {
 /// AFQ calendar-queue discipline.
 pub struct AfqQdisc {
     cfg: AfqConfig,
-    /// Calendar queues; index = round % n_queues.
-    queues: Vec<VecDeque<Packet>>,
-    queue_bytes: Vec<u64>,
+    /// Calendar queues, as chains in one packet arena; index = round %
+    /// n_queues.
+    arena: Arena,
+    queues: Vec<Chain>,
     /// Current service round.
     round: u64,
     /// Per-flow cumulative byte counters (idealized exact table; the
@@ -60,8 +59,8 @@ impl AfqQdisc {
         assert!(cfg.n_queues >= 2, "AFQ needs at least two queues");
         assert!(cfg.bpr > 0);
         AfqQdisc {
-            queues: (0..cfg.n_queues).map(|_| VecDeque::new()).collect(),
-            queue_bytes: vec![0; cfg.n_queues],
+            arena: Arena::new(),
+            queues: vec![Chain::EMPTY; cfg.n_queues],
             round: 0,
             flow_slots: FlowSlab::new(),
             flow_bytes: Vec::new(),
@@ -81,7 +80,7 @@ impl Qdisc for AfqQdisc {
         self
     }
 
-    fn enqueue(&mut self, pkt: Packet, _now: Time) -> Result<(), (Packet, DropReason)> {
+    fn enqueue(&mut self, pkt: Packet, now: Time) -> Result<(), (Packet, DropReason)> {
         if self.total_bytes + pkt.size as u64 > self.cfg.limit_bytes {
             self.stats.on_drop(pkt.size);
             return Err((pkt, DropReason::BufferFull));
@@ -105,12 +104,10 @@ impl Qdisc for AfqQdisc {
         }
         *counter += pkt.size as u64; // per-flow bid counter, reset each epoch; u64 cannot overflow within a run
         let qi = (bid_round % self.cfg.n_queues as u64) as usize;
-        // det-ok: qi < n_queues by the modulo; queue_bytes is an occupancy gauge mirrored in dequeue
-        self.queue_bytes[qi] += pkt.size as u64;
         self.total_bytes += pkt.size as u64; // det-ok: aggregate occupancy gauge, decremented in dequeue
         self.stats.on_enqueue(pkt.size);
         self.stats.note_queued(self.total_bytes);
-        self.queues[qi].push_back(pkt); // det-ok: qi < n_queues by the modulo above
+        self.queues[qi].push_back(&mut self.arena, pkt, now); // det-ok: qi < n_queues by the modulo above
         Ok(())
     }
 
@@ -121,10 +118,10 @@ impl Qdisc for AfqQdisc {
         // Serve the current round's queue; advance rounds past empty queues.
         loop {
             let qi = (self.round % self.cfg.n_queues as u64) as usize;
-            if let Some(pkt) = self.queues[qi].pop_front() { // det-ok: qi < n_queues by the modulo
-                // det-ok: occupancy gauges mirroring enqueue; every popped packet's bytes were added there
-                self.queue_bytes[qi] -= pkt.size as u64;
-                self.total_bytes -= pkt.size as u64; // det-ok: aggregate gauge, same argument
+            let q = self.queues.get_mut(qi)?;
+            if let Some((pkt, _)) = q.pop_front(&mut self.arena) {
+                // det-ok: aggregate occupancy gauge mirroring enqueue; every popped packet's bytes were added there
+                self.total_bytes -= pkt.size as u64;
                 self.stats.on_tx(pkt.size);
                 return Some(pkt);
             }
@@ -137,7 +134,7 @@ impl Qdisc for AfqQdisc {
     }
 
     fn pkt_len(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.queues.iter().map(|q| q.len() as usize).sum()
     }
 
     fn stats(&self) -> &QdiscStats {
@@ -155,7 +152,10 @@ pub fn afq_min_bpr(buffer_req_bytes: u64, n_queues: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, VecDeque};
+
     use cebinae_net::{FlowId, MSS};
+    use cebinae_sim::rng::DetRng;
 
     fn pkt(flow: u32, seq: u64) -> Packet {
         Packet::data(FlowId(flow), seq, MSS, false, Time::ZERO)
@@ -249,6 +249,110 @@ mod tests {
         assert_eq!(afq_min_bpr(32 * 1500, 32), 1500);
         // Rounds up.
         assert_eq!(afq_min_bpr(32 * 1500 + 1, 32), 1501);
+    }
+
+    /// The calendar as it was before the packet arena: one `VecDeque` per
+    /// queue and a map of per-flow bids. Entry points are `offer`/`serve`,
+    /// so `cebinae-verify` does not take this test-only code for a qdisc
+    /// hot path.
+    struct DequeModel {
+        cfg: AfqConfig,
+        queues: Vec<VecDeque<Packet>>,
+        round: u64,
+        bids: BTreeMap<u32, u64>,
+        total_bytes: u64,
+        stats: QdiscStats,
+    }
+
+    impl DequeModel {
+        fn new(cfg: AfqConfig) -> DequeModel {
+            let queues = vec![VecDeque::new(); cfg.n_queues];
+            let stats = QdiscStats::default();
+            DequeModel { cfg, queues, round: 0, bids: BTreeMap::new(), total_bytes: 0, stats }
+        }
+
+        fn offer(&mut self, pkt: Packet) -> Result<(), DropReason> {
+            if self.total_bytes + pkt.size as u64 > self.cfg.limit_bytes {
+                self.stats.on_drop(pkt.size);
+                return Err(DropReason::BufferFull);
+            }
+            let bid = self.bids.entry(pkt.flow.0).or_insert(0);
+            *bid = (*bid).max(self.round * self.cfg.bpr);
+            let bid_round = *bid / self.cfg.bpr;
+            if bid_round >= self.round + self.cfg.n_queues as u64 {
+                self.stats.on_drop(pkt.size);
+                return Err(DropReason::CalendarHorizon);
+            }
+            *bid += pkt.size as u64;
+            self.total_bytes += pkt.size as u64;
+            self.stats.on_enqueue(pkt.size);
+            self.stats.note_queued(self.total_bytes);
+            self.queues[(bid_round % self.cfg.n_queues as u64) as usize].push_back(pkt);
+            Ok(())
+        }
+
+        fn serve(&mut self) -> Option<Packet> {
+            if self.total_bytes == 0 {
+                return None;
+            }
+            loop {
+                let qi = (self.round % self.cfg.n_queues as u64) as usize;
+                if let Some(pkt) = self.queues[qi].pop_front() {
+                    self.total_bytes -= pkt.size as u64;
+                    self.stats.on_tx(pkt.size);
+                    return Some(pkt);
+                }
+                self.round += 1;
+            }
+        }
+    }
+
+    /// The arena-backed calendar against [`DequeModel`], fed one seeded
+    /// op stream per case: same verdicts, same packets out in the same
+    /// order, same counters, and never more arena nodes than packets were
+    /// queued at once.
+    #[test]
+    fn calendar_chains_match_a_vecdeque_model() {
+        const CASES: u64 = 64;
+        const OPS: u64 = 2000;
+        let mut horizon_drops = 0;
+        for case in 0..CASES {
+            let mut rng = DetRng::seed_from_u64(0xAF0_C0DE ^ case);
+            let cfg = AfqConfig {
+                n_queues: rng.gen_range_usize(2, 33),
+                bpr: rng.gen_range_u64(1, 9) * 1500,
+                limit_bytes: rng.gen_range_u64(5, 200) * 1500,
+            };
+            let n_flows = rng.gen_range_u64(1, 64) as u32;
+            let (mut q, mut model) = (AfqQdisc::new(cfg), DequeModel::new(cfg));
+            let mut peak = 0;
+            for seq in 0..OPS {
+                if rng.gen_bool(0.6) {
+                    let flow = FlowId(rng.gen_range_u64(0, n_flows as u64) as u32);
+                    let payload = rng.gen_range_u64(12, 1449) as u32;
+                    let p = Packet::data(flow, seq, payload, false, Time::ZERO);
+                    let want = model.offer(p.clone());
+                    let got = q.enqueue(p, Time::ZERO).map_err(|(_, why)| why);
+                    assert_eq!(got, want, "case {case} op {seq}");
+                    horizon_drops += (want == Err(DropReason::CalendarHorizon)) as u32;
+                } else {
+                    let (a, b) = (q.dequeue(Time::ZERO), model.serve());
+                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "case {case} op {seq}");
+                }
+                assert_eq!(q.stats(), &model.stats, "case {case} op {seq}");
+                assert_eq!((q.byte_len(), q.round()), (model.total_bytes, model.round));
+                let queued: usize = model.queues.iter().map(VecDeque::len).sum();
+                assert_eq!(q.pkt_len(), queued, "case {case} op {seq}");
+                peak = peak.max(queued);
+                assert!(q.arena.node_count() <= peak, "case {case} op {seq}: nodes above peak");
+            }
+            q.arena.assert_partition(&q.queues);
+            while let Some(p) = q.dequeue(Time::ZERO) {
+                assert_eq!(format!("{:?}", Some(p)), format!("{:?}", model.serve()), "case {case}");
+            }
+            assert!(model.serve().is_none(), "case {case}");
+        }
+        assert!(horizon_drops > 0, "the cases must exercise the calendar horizon");
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! * a [`FlowSlab`] maps each bucket to a dense slot, and per-flow state
 //!   lives in one `Vec<FlowQueue>` indexed by slot — the scheduling lists
 //!   hold slots, so the per-packet path does no hashing;
-//! * every queued packet of every flow sits in one [`Arena`] of nodes,
-//!   chained head to tail per flow and recycled through an intrusive free
-//!   list, so the arena stays as large as the peak queued-packet count and
-//!   no flow owns a buffer;
+//! * every queued packet of every flow sits in the port's one
+//!   [`Arena`], chained per flow ([`Chain`]), so the arena stays as large
+//!   as the peak queued-packet count and no flow owns a buffer;
 //! * the overflow victim is the root of a [`FatHeap`] over the non-empty
 //!   queues, ordered by `(bytes, bucket)` — the fattest queue, byte ties
 //!   going to the highest bucket id.
@@ -23,7 +22,7 @@ use std::collections::VecDeque;
 
 use cebinae_ds::FlowSlab;
 use cebinae_sim::Time;
-use cebinae_net::{DropReason, Packet, Qdisc, QdiscStats};
+use cebinae_net::{Arena, Chain, DropReason, Packet, Qdisc, QdiscStats};
 
 use crate::codel::{Codel, CodelVerdict};
 
@@ -47,55 +46,8 @@ impl FqCoDelConfig {
 /// DRR quantum per round, bytes: one MTU, as RFC 8290 suggests.
 const QUANTUM: i64 = 1500;
 
-/// "No node" in a chain or on the free list, and "not in the heap" in
-/// [`FatHeap::pos`]. As a `usize` index it is out of range of any arena.
+/// "Not in the heap" in [`FatHeap::pos`].
 const NIL: u32 = u32::MAX;
-
-/// One packet slot of the [`Arena`]. A queued node links to the next
-/// packet of its flow; a free node (`pkt: None`) links to the next free
-/// node.
-struct Node {
-    pkt: Option<Packet>,
-    enq: Time,
-    next: u32,
-}
-
-/// Every queued packet of every flow, with an intrusive LIFO free list
-/// threaded through the free nodes' `next`.
-struct Arena {
-    nodes: Vec<Node>,
-    free: u32,
-}
-
-impl Arena {
-    /// Store a packet in a free node (or a new one) and return its index.
-    fn alloc(&mut self, pkt: Packet, enq: Time) -> u32 {
-        let node = Node { pkt: Some(pkt), enq, next: NIL };
-        match self.nodes.get_mut(self.free as usize) {
-            Some(n) => {
-                let i = self.free;
-                self.free = n.next;
-                *n = node;
-                i
-            }
-            None => {
-                // det-ok: nodes never outnumber queued packets, far below u32::MAX
-                let i = self.nodes.len() as u32;
-                self.nodes.push(node);
-                i
-            }
-        }
-    }
-
-    /// Free node `i`: its packet, enqueue time and successor.
-    fn release(&mut self, i: u32) -> Option<(Packet, Time, u32)> {
-        let n = self.nodes.get_mut(i as usize)?;
-        let pkt = n.pkt.take()?;
-        let next = std::mem::replace(&mut n.next, self.free);
-        self.free = i;
-        Some((pkt, n.enq, next))
-    }
-}
 
 /// A heap entry: `(bytes, bucket, slot)`, the first two being the key.
 type Entry = (u64, u32, u32);
@@ -204,10 +156,7 @@ impl FatHeap {
 /// the [`Arena`].
 struct FlowQueue {
     bucket: u32,
-    /// First and last node of the chain (`NIL` while empty).
-    head: u32,
-    tail: u32,
-    len: u32,
+    pkts: Chain,
     bytes: u64,
     deficit: i64,
     codel: Codel,
@@ -220,13 +169,7 @@ impl FlowQueue {
     fn push(&mut self, slot: u32, pkt: Packet, now: Time, arena: &mut Arena, heap: &mut FatHeap) {
         // occupancy gauge, decremented in pop_head; admission cap bounds it
         self.bytes += pkt.size as u64;
-        let i = arena.alloc(pkt, now);
-        match arena.nodes.get_mut(self.tail as usize) {
-            Some(t) => t.next = i,
-            None => self.head = i,
-        }
-        self.tail = i;
-        self.len += 1;
+        self.pkts.push_back(arena, pkt, now);
         heap.raise(slot, self.bytes, self.bucket);
     }
 
@@ -238,13 +181,10 @@ impl FlowQueue {
         arena: &mut Arena,
         heap: &mut FatHeap,
     ) -> Option<(Packet, Time)> {
-        let (pkt, enq, next) = arena.release(self.head)?;
-        self.head = next;
-        self.len -= 1;
+        let (pkt, enq) = self.pkts.pop_front(arena)?;
         // occupancy gauge; the popped packet's bytes were added in push
         self.bytes -= pkt.size as u64;
-        if self.len == 0 {
-            self.tail = NIL;
+        if self.pkts.is_empty() {
             heap.remove(slot);
         } else {
             heap.lower(slot, self.bytes, self.bucket);
@@ -280,7 +220,7 @@ impl FqCoDelQdisc {
             limit_bytes: cfg.limit_bytes,
             slots: FlowSlab::new(),
             queues: Vec::new(),
-            arena: Arena { nodes: Vec::new(), free: NIL },
+            arena: Arena::new(),
             heap: FatHeap::default(),
             new_list: VecDeque::new(),
             old_list: VecDeque::new(),
@@ -349,9 +289,7 @@ impl Qdisc for FqCoDelQdisc {
         if slot as usize == self.queues.len() {
             self.queues.push(FlowQueue {
                 bucket,
-                head: NIL,
-                tail: NIL,
-                len: 0,
+                pkts: Chain::EMPTY,
                 bytes: 0,
                 deficit: 0,
                 codel: Codel::default(),
@@ -441,11 +379,12 @@ impl FqCoDelQdisc {
 
     /// The O(flows) victim selection the heap replaced.
     fn fattest_by_scan(&self) -> Option<u32> {
-        self.queues.iter().filter(|q| q.len > 0).map(|q| (q.bytes, q.bucket)).max().map(|k| k.1)
+        let live = self.queues.iter().filter(|q| !q.pkts.is_empty());
+        live.map(|q| (q.bytes, q.bucket)).max().map(|k| k.1)
     }
 
     fn depth(&self, bucket: u32) -> u32 {
-        self.slots.get(bucket).map_or(0, |s| self.queues[s as usize].len)
+        self.slots.get(bucket).map_or(0, |s| self.queues[s as usize].pkts.len())
     }
 
     fn check_invariants(&self) {
@@ -462,32 +401,16 @@ impl FqCoDelQdisc {
         }
         assert_eq!(self.fattest(), self.fattest_by_scan());
         // Every node is on exactly one chain or on the free list.
-        let mut seen = vec![false; self.arena.nodes.len()];
-        let mut visit = |i: u32| {
-            assert!(!std::mem::replace(&mut seen[i as usize], true), "node {i} reached twice");
-            &self.arena.nodes[i as usize]
-        };
+        self.arena.assert_partition(self.queues.iter().map(|q| &q.pkts));
         let (mut total_bytes, mut total_pkts) = (0, 0);
         for (slot, q) in self.queues.iter().enumerate() {
             assert_eq!(self.slots.key_at(slot as u32), Some(q.bucket));
-            assert_eq!(h.pos[slot] == NIL, q.len == 0, "in the heap iff non-empty");
-            let (mut i, mut last, mut len, mut bytes) = (q.head, NIL, 0, 0);
-            while i != NIL {
-                let n = visit(i);
-                bytes += n.pkt.as_ref().expect("queued node holds a packet").size as u64;
-                (last, i, len) = (i, n.next, len + 1);
-            }
-            assert_eq!((len, bytes, last), (q.len, q.bytes, q.tail), "chain of slot {slot}");
+            assert_eq!(h.pos[slot] == NIL, q.pkts.is_empty(), "in the heap iff non-empty");
+            let bytes: u64 = self.arena.iter(&q.pkts).map(|p| p.size as u64).sum();
+            assert_eq!(bytes, q.bytes, "bytes of slot {slot}");
             total_bytes += q.bytes;
-            total_pkts += q.len as usize;
+            total_pkts += q.pkts.len() as usize;
         }
-        let (mut i, mut free) = (self.arena.free, 0);
-        while i != NIL {
-            let n = visit(i);
-            assert!(n.pkt.is_none(), "free node {i} holds a packet");
-            (i, free) = (n.next, free + 1);
-        }
-        assert_eq!(total_pkts + free, self.arena.nodes.len(), "live + free == nodes");
         assert_eq!(self.total_bytes, total_bytes);
         assert_eq!(self.total_pkts, total_pkts);
     }

@@ -1,13 +1,15 @@
 //! # cebinae-net
 //!
 //! Network substrate for the Cebinae reproduction: packets, typed ids, the
-//! queueing-discipline trait, the FIFO drop-tail baseline, and static
+//! queueing-discipline trait, the FIFO drop-tail baseline, the packet
+//! arena every multi-queue discipline stores its queues in, and static
 //! topologies whose paths the scenario builder supplies.
 //!
 //! Everything here is *mechanism-free* with respect to fairness: the
 //! interesting disciplines (Cebinae itself, FQ-CoDel, AFQ) live in their own
 //! crates and plug in through [`qdisc::Qdisc`].
 
+pub mod arena;
 pub mod fifo;
 pub mod ids;
 pub mod packet;
@@ -15,6 +17,7 @@ pub mod qdisc;
 pub mod topology;
 pub mod tracing;
 
+pub use arena::{Arena, Chain};
 pub use fifo::FifoQdisc;
 pub use ids::{FlowId, LinkId, NodeId};
 pub use packet::{Ecn, Packet, PacketKind, SackBlocks, ACK_FRAME_BYTES, DATA_FRAME_BYTES, HEADER_BYTES, MSS};

@@ -12,7 +12,10 @@
 //!   `Sample` events plus the final end-of-run sample), never on wall
 //!   clocks;
 //! * every export walks `BTreeMap`s, so scopes and metric names serialize
-//!   in a fixed order.
+//!   in a fixed order;
+//! * a sample writes a metric's row only when its value changed since
+//!   that metric's last row, and every metric at its first sample, so a
+//!   reader carries each metric's last row forward.
 //!
 //! There is no process-wide switch: a simulation configured without
 //! telemetry owns no `Registry`, so a disabled run skips the scrape at

@@ -150,7 +150,7 @@ fn express_runs_are_deterministic_and_backend_invariant() {
 }
 
 /// The `sys:faults` rows of a telemetry export: every injection counter
-/// at every sample instant.
+/// at its first sample and at every sample where it moved.
 fn fault_rows(r: &SimResult) -> Vec<&str> {
     let nd = r.telemetry.as_deref().expect("telemetry requested");
     nd.lines().filter(|l| l.contains("\"scope\":\"sys:faults\"")).collect()
