@@ -109,6 +109,13 @@ impl PacketStash {
     pub(crate) fn live(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
+
+    /// Live entries as (fault holdbacks, express handoffs).
+    #[cfg(test)]
+    pub(crate) fn census(&self) -> (usize, usize) {
+        let held = self.slots.iter().filter(|s| matches!(s, Some(Stash::Release { .. }))).count();
+        (held, self.live() - held)
+    }
 }
 
 /// Everything the per-packet path touches about links: the link array,

@@ -419,6 +419,12 @@ impl Simulation {
     /// Run to completion and return the results.
     pub fn run(mut self) -> SimResult {
         let end = Time::ZERO + self.cfg_duration;
+        self.run_events(end);
+        self.finish(end)
+    }
+
+    /// Dispatch every event due by `end`, in order.
+    fn run_events(&mut self, end: Time) {
         while let Some(t) = self.events.peek_time() {
             if t > end {
                 break;
@@ -428,6 +434,10 @@ impl Simulation {
             self.cp.ev_counts[ev.kind()] += 1;
             self.dispatch(now, ev);
         }
+    }
+
+    /// The events are done: sample `end` once more and build the result.
+    fn finish(mut self, end: Time) -> SimResult {
         // Final sample at the end time for complete series: the only one
         // at `end`, taken after every event there (an `Ev::Sample` due at
         // `end` records nothing).
@@ -505,6 +515,91 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::scenario::{dumbbell, Discipline, DumbbellFlow, ScenarioParams};
+    use cebinae_faults::{LinkFaultSpec, ReorderSpec};
+    use cebinae_transport::CcKind;
+
+    /// A run cut off while packets are still parked: 512 IW10 flows with
+    /// RTTs of 1-4 ms and starts spread over the first millisecond, a
+    /// 5 ms reorder holdback on half the bottleneck's arrivals, and
+    /// `duration = 1 ms`. At `end` the stash holds both fault holdbacks
+    /// and express handoffs; the result must still close every link's
+    /// byte conservation and match the recorded digest.
+    #[test]
+    fn a_run_cut_off_with_packets_parked_keeps_its_result() {
+        let flows: Vec<DumbbellFlow> = (0..512u64)
+            .map(|i| {
+                let cc = if i % 2 == 0 { CcKind::NewReno } else { CcKind::Cubic };
+                DumbbellFlow::new(cc, 1 + i % 4).starting_at(Time(i * 1_953))
+            })
+            .collect();
+        let mut p = ScenarioParams::new(400_000_000, 1024, Discipline::Cebinae);
+        p.cebinae_p = Some(1);
+        p.duration = Duration::from_millis(1);
+        p.faults = FaultPlan {
+            link: LinkFaultSpec {
+                reorder: Some(ReorderSpec {
+                    p: 0.5,
+                    min_hold: Duration::from_millis(5),
+                    max_hold: Duration::from_millis(5),
+                }),
+                ..LinkFaultSpec::default()
+            },
+            ..FaultPlan::default()
+        };
+        let (cfg, _) = dumbbell(&flows, &p);
+        let mut sim = Simulation::new(cfg);
+        let end = Time::ZERO + sim.cfg_duration;
+        sim.run_events(end);
+        let (held, handoffs) = sim.lp.stash.census();
+        assert!(held > 0 && handoffs > 0, "parked at end: {held} held, {handoffs} handoffs");
+        let r = sim.finish(end);
+
+        for (i, (s, &queued)) in r.link_stats.iter().zip(&r.link_queued_bytes).enumerate() {
+            assert_eq!(s.enq_bytes, s.tx_bytes + s.drop_queued_bytes + queued, "link {i}");
+        }
+        let words = r
+            .delivered
+            .iter()
+            .copied()
+            .chain(r.link_stats.iter().flat_map(|s| {
+                [
+                    s.enq_pkts,
+                    s.enq_bytes,
+                    s.drop_pkts,
+                    s.drop_bytes,
+                    s.tx_pkts,
+                    s.tx_bytes,
+                    s.ecn_marked,
+                    s.drop_queued_pkts,
+                    s.drop_queued_bytes,
+                    s.peak_queued_bytes,
+                ]
+            }))
+            .chain(r.link_queued_bytes.iter().copied())
+            .chain(r.flow_debug.iter().flat_map(|f| {
+                [
+                    f.cwnd,
+                    f.flight,
+                    u64::from(f.in_recovery),
+                    f.retx_count,
+                    f.rto_count,
+                    f.srtt_ns,
+                    f.rx_pkts,
+                    f.dup_pkts,
+                ]
+            }))
+            .chain([r.events_processed]);
+        let digest = words.fold(cebinae_ds::FNV_OFFSET, |h, w| {
+            cebinae_ds::fnv1a_bytes(h, &w.to_le_bytes())
+        });
+        assert!(
+            (digest, r.events_processed) == (0x2e73_9616_f816_8d30, 1_167),
+            "moved: digest {digest:#018x}, events {}",
+            r.events_processed
+        );
+    }
 
     #[test]
     fn ev_is_one_word_of_payload() {
