@@ -176,9 +176,12 @@ impl ExpressLink {
         }
     }
 
-    /// End of run: retire what started by `end`, then report the stats
-    /// and the bytes still waiting.
-    fn settle(&mut self, end: Time) -> (QdiscStats, u64) {
+    /// End of run: retire what started by `end` (the event-driven path
+    /// only dequeues while events still fire), then report the overlay
+    /// stats and the bytes still waiting, to merge into the link's
+    /// result. A link that is not express reports zeroes here and its
+    /// real qdisc state elsewhere.
+    pub(crate) fn settle(&mut self, end: Time) -> (QdiscStats, u64) {
         self.drain(end);
         (self.stats(), self.queued_bytes)
     }
@@ -241,16 +244,6 @@ pub(crate) fn on_express(
             debug_assert!(false, "express marker resolved to a foreign stash slot")
         }
     }
-}
-
-/// End of run: retire everything that started serializing by `end` (the
-/// event-driven path only dequeues while events still fire), then return
-/// each link's overlay stats and analytic backlog (bytes admitted but not
-/// yet serializing) to merge into the per-link results. Express links
-/// report their overlay; all other links report zeroes here and their
-/// real qdisc state elsewhere.
-pub(crate) fn final_stats(lp: &mut LinkPlane, end: Time) -> Vec<(QdiscStats, u64)> {
-    lp.express.iter_mut().map(|x| x.settle(end)).collect()
 }
 
 /// Merge an express overlay into a qdisc's own stats. Exactly one side is
@@ -387,8 +380,8 @@ mod tests {
                 assert_eq!(x.queued_bytes, m.queued_bytes, "case {case} op {op}");
                 assert_eq!(backlog(&x), m.queue, "case {case} op {op}");
             }
-            // `final_stats`' settle at the end of the run, sometimes before
-            // the newest entry starts.
+            // The end-of-run settle, sometimes before the newest entry
+            // starts.
             let end = t + Duration(rng.gen_range_u64(0, 4 * gap));
             m.drain(end);
             assert_eq!(x.settle(end), (m.stats, m.queued_bytes), "case {case} end");

@@ -53,14 +53,27 @@ const _: () = assert!(std::mem::size_of::<Option<Stash>>() == 80, "stash slot le
 /// free list would spread reuse over every slot the burst ever touched.
 /// Slot numbers never reach the event order (the scheduler breaks ties by
 /// insertion), so the policy is invisible to the simulation.
+///
+/// Because live entries stay packed, the arena also gives a burst back:
+/// freeing the top slot pops every free slot above the highest live one,
+/// and once that leaves the buffer three-quarters empty the live prefix
+/// moves into a fresh one of twice its length. A trimmed slot was above
+/// every free slot that survives it, so `put` hands out the same slot
+/// sequence as an arena that never shrinks.
 #[derive(Default)]
 pub(crate) struct PacketStash {
     slots: Vec<Option<Stash>>,
-    /// Bit `s % 64` of `free[s / 64]` is set iff slot `s` is free.
+    /// Bit `s % 64` of `free[s / 64]` is set iff slot `s` is free. Holds
+    /// `slots.len().div_ceil(64)` words, so no bit is set at or past the
+    /// top slot.
     free: Vec<u64>,
     /// Bit `w % 64` of `summary[w / 64]` is set iff `free[w] != 0`.
     summary: Vec<u64>,
 }
+
+/// The smallest slot buffer [`PacketStash`] moves to a fresh one: below
+/// it, the buffer is too small for the copy to pay.
+const STASH_SHRINK_FLOOR: usize = 4096;
 
 impl PacketStash {
     pub(crate) fn put(&mut self, entry: Stash) -> u32 {
@@ -93,10 +106,50 @@ impl PacketStash {
         let s = slot as usize;
         let entry = self.slots.get_mut(s)?.take();
         if entry.is_some() {
-            self.free[s / 64] |= 1 << (s % 64);
-            self.summary[s / (64 * 64)] |= 1 << (s / 64 % 64);
+            if s + 1 == self.slots.len() {
+                self.trim();
+            } else {
+                self.free[s / 64] |= 1 << (s % 64);
+                self.summary[s / (64 * 64)] |= 1 << (s / 64 % 64);
+            }
         }
         entry
+    }
+
+    /// The top slot was just emptied: pop it and every free slot below it
+    /// down to the highest live one, drop their bits, and move a buffer
+    /// left three-quarters empty into a fresh one. A few percent of
+    /// `take`s land here, so it stays out of `take`'s inlined body.
+    #[cold]
+    fn trim(&mut self) {
+        while let Some(None) = self.slots.last() {
+            self.slots.pop();
+        }
+        let len = self.slots.len();
+        let words = len.div_ceil(64);
+        self.free.truncate(words);
+        self.summary.truncate(words.div_ceil(64));
+        if let Some(last) = self.free.last_mut() {
+            if !len.is_multiple_of(64) {
+                *last &= (1 << (len % 64)) - 1;
+            }
+            let w = words - 1;
+            let top = self.summary.last_mut().expect("a free word has a summary word");
+            // Keep the bits of the words below `w`; `w`'s own follows its
+            // word.
+            *top &= (1 << (w % 64)) - 1;
+            if *last != 0 {
+                *top |= 1 << (w % 64);
+            }
+        }
+        let cap = self.slots.capacity();
+        if cap >= STASH_SHRINK_FLOOR && len < cap / 4 {
+            // A fresh buffer, not `shrink_to`, which read slower (DESIGN
+            // §4c, *Tried and left out*).
+            let mut fresh = Vec::with_capacity(2 * len);
+            fresh.append(&mut self.slots);
+            self.slots = fresh;
+        }
     }
 
     fn lowest_free(&self) -> Option<usize> {
@@ -115,6 +168,31 @@ impl PacketStash {
     pub(crate) fn census(&self) -> (usize, usize) {
         let held = self.slots.iter().filter(|s| matches!(s, Some(Stash::Release { .. }))).count();
         (held, self.live() - held)
+    }
+
+    /// Both bitmaps describe exactly the free slots below the top: a
+    /// `free` bit on each `None` slot, a `summary` bit on each nonzero
+    /// `free` word, and no bit at or past the top slot.
+    #[cfg(test)]
+    fn assert_consistent(&self) {
+        let len = self.slots.len();
+        assert_eq!(self.free.len(), len.div_ceil(64), "free words for {len} slots");
+        assert_eq!(self.summary.len(), len.div_ceil(64 * 64), "summary words for {len} slots");
+        assert!(len == 0 || self.slots[len - 1].is_some(), "the top slot is live");
+        for (w, &word) in self.free.iter().enumerate() {
+            for b in 0..64 {
+                let s = w * 64 + b;
+                let free = s < len && self.slots[s].is_none();
+                assert_eq!(word >> b & 1 == 1, free, "free bit of slot {s}");
+            }
+        }
+        for (sw, &word) in self.summary.iter().enumerate() {
+            for b in 0..64 {
+                let w = sw * 64 + b;
+                let nonzero = w < self.free.len() && self.free[w] != 0;
+                assert_eq!(word >> b & 1 == 1, nonzero, "summary bit of word {w}");
+            }
+        }
     }
 }
 
@@ -403,10 +481,20 @@ mod tests {
         held: Vec<Option<u64>>,
         live: usize,
         seq: u64,
+        ops: u64,
     }
 
     impl StashRef {
+        /// Every 97 operations, check the stash's bitmaps in full.
+        fn tick(&mut self) {
+            self.ops += 1;
+            if self.ops.is_multiple_of(97) {
+                self.stash.assert_consistent();
+            }
+        }
+
         fn put(&mut self) -> u32 {
+            self.tick();
             self.seq += 1;
             let slot = self.stash.put(Stash::Deliver { pkt: pkt(0, self.seq) });
             let want = self.free.pop_first().unwrap_or(self.held.len() as u32);
@@ -420,6 +508,7 @@ mod tests {
         }
 
         fn take(&mut self, slot: u32) {
+            self.tick();
             let Some(Stash::Deliver { pkt }) = self.stash.take(slot) else {
                 panic!("slot {slot} lost its entry")
             };
@@ -440,9 +529,11 @@ mod tests {
     }
 
     /// `put` hands out the lowest free slot (or appends), checked against
-    /// a `BTreeSet` of free slots; then a start-up-sized burst, a full
-    /// drain and a bounded steady mix, after which every slot handed out
-    /// sits below the steady state's peak live count.
+    /// a `BTreeSet` of free slots, and both bitmaps stay exact as the top
+    /// is trimmed; then a start-up-sized burst, whose drain gives its
+    /// buffer back, and a bounded steady mix, after which every slot
+    /// handed out sits below the steady state's peak live count and the
+    /// buffer holds at most twice that count.
     #[test]
     fn stash_hands_out_the_lowest_free_slot() {
         let mut r = StashRef {
@@ -451,6 +542,7 @@ mod tests {
             held: Vec::new(),
             live: 0,
             seq: 0,
+            ops: 0,
         };
         let mut rng = cebinae_sim::rng::DetRng::seed_from_u64(0x57a5);
         for op in 0..20_000 {
@@ -476,6 +568,9 @@ mod tests {
             r.take_any(&mut rng);
         }
         assert_eq!(r.stash.live(), 0);
+        r.stash.assert_consistent();
+        let cap = r.stash.slots.capacity();
+        assert!(cap < STASH_SHRINK_FLOOR, "the drained burst kept {cap} slots");
         // Steady state with at most 5 000 live entries.
         let (mut peak, mut high_slot) = (0, 0);
         for op in 0..50_000 {
@@ -491,5 +586,8 @@ mod tests {
         }
         assert!((high_slot as usize) < peak, "slot {high_slot} handed out with at most {peak} live");
         assert_eq!(r.stash.live(), r.live);
+        r.stash.assert_consistent();
+        let cap = r.stash.slots.capacity();
+        assert!(cap <= 2 * peak, "{cap} slots kept for at most {peak} live");
     }
 }

@@ -436,41 +436,70 @@ impl Simulation {
         }
     }
 
-    /// The events are done: sample `end` once more and build the result.
+    /// The events are done: sample `end` once more and build the result,
+    /// giving back each plane of the working set once nothing left to
+    /// build reads it, so the result is never allocated beside the whole
+    /// run (see DESIGN §4c, *End of run*).
     fn finish(mut self, end: Time) -> SimResult {
         // Final sample at the end time for complete series: the only one
         // at `end`, taken after every event there (an `Ev::Sample` due at
         // `end` records nothing).
         control::take_sample(&mut self.cp, &self.lp, &self.fp, &self.faults, &self.events, end);
         let telemetry = self.cp.tel.take().map(Registry::into_ndjson);
-        // Retire everything express links had in service by `end`, then
-        // fold their analytic overlays into the per-link stats (exactly
-        // one side of each merge is nonzero).
-        let overlays = express::final_stats(&mut self.lp, end);
-        let (link_stats, link_queued_bytes) = self
-            .lp
-            .links
-            .iter()
-            .zip(overlays)
-            .map(|(l, (overlay, backlog))| {
+        let Simulation {
+            lp,
+            fp,
+            cp,
+            events,
+            faults,
+            cfg_duration,
+            sample_interval: _,
+        } = self;
+        // Still-pending events and the packets parked for them end here.
+        drop(events);
+        drop(faults);
+        let LinkPlane {
+            links,
+            limits,
+            trace,
+            stash,
+            express,
+            ..
+        } = lp;
+        drop(stash);
+        let flows = fp.flows;
+        let flow_debug = flows.iter().map(FlowDebug::of).collect();
+        let delivered = flows.iter().map(|f| f.receiver.delivered()).collect();
+        let flow_starts = flows.iter().map(|f| f.start).collect();
+        let completed_at = flows.iter().map(|f| f.completed_at).collect();
+        drop(flows);
+        // One pass that frees each link as it goes: retire everything its
+        // express overlay had in service by `end`, then fold the overlay
+        // into its qdisc's stats (exactly one side of each merge is
+        // nonzero).
+        let (link_stats, link_queued_bytes) = links
+            .into_iter()
+            .zip(express)
+            .map(|(l, mut x)| {
+                let (overlay, backlog) = x.settle(end);
                 (express::merge_stats(l.qdisc.stats(), &overlay), l.qdisc.byte_len() + backlog)
             })
             .unzip();
         SimResult {
-            flow_debug: self.fp.flows.iter().map(FlowDebug::of).collect(),
-            delivered: self.fp.flows.iter().map(|f| f.receiver.delivered()).collect(),
-            flow_starts: self.fp.flows.iter().map(|f| f.start).collect(),
-            completed_at: self.fp.flows.iter().map(|f| f.completed_at).collect(),
+            flow_debug,
+            delivered,
+            flow_starts,
+            completed_at,
             link_stats,
             link_queued_bytes,
-            link_limits: self.lp.limits,
-            goodput: self.cp.goodput,
-            link_tx_series: self.cp.link_tx_series,
-            cebinae_series: self.cp.cebinae_series,
-            monitored_links: self.cp.monitored,
-            duration: self.cfg_duration,
-            events_processed: self.cp.events_processed,
-            trace: self.lp.trace,
+            link_limits: limits,
+            goodput: cp.goodput,
+            link_tx_series: cp.link_tx_series,
+            cebinae_series: cp.cebinae_series,
+            monitored_links: cp.monitored,
+            duration: cfg_duration,
+            events_processed: cp.events_processed,
+            trace,
             telemetry,
         }
     }
