@@ -823,7 +823,7 @@ mod tests {
     fn degradation_flags_a_wedged_flow() {
         // Flow 1 moved nothing and never took an RTO: it is not waiting
         // on any timer, so no fault intensity can excuse it.
-        let plan = FaultPlan::uniform_loss(0.01);
+        let plan = FaultPlan::parse("loss").unwrap();
         let v = degradation_violations(
             &plan,
             false,

@@ -142,13 +142,13 @@ pub struct ScalabilityPoint {
 
 /// Evaluate Equation 1 for a flow with `buffer_req_bytes` (worst case: its
 /// bandwidth-delay product) against AFQ with `bpr` bytes-per-round or
-/// `n_queues` queues.
-pub fn scalability_point(flows: u64, buffer_req_bytes: u64, bpr: u64, n_queues: u64) -> ScalabilityPoint {
+/// `nq` queues (the paper's BpR and Nq).
+pub fn scalability_point(flows: u64, buffer_req_bytes: u64, bpr: u64, nq: u64) -> ScalabilityPoint {
     ScalabilityPoint {
         flows,
         buffer_req_bytes,
         afq_queues_needed: buffer_req_bytes.div_ceil(bpr),
-        afq_bpr_needed: buffer_req_bytes.div_ceil(n_queues),
+        afq_bpr_needed: buffer_req_bytes.div_ceil(nq),
         cebinae_queues: 2,
     }
 }
@@ -217,6 +217,17 @@ mod tests {
         assert_eq!(big.cebinae_queues, 2);
         assert!(big.afq_queues_needed > 1000 * small.cebinae_queues);
         assert!(big.afq_bpr_needed > small.afq_bpr_needed);
+    }
+
+    #[test]
+    fn min_bpr_matches_equation_1() {
+        let bpr_at_32q = |req| scalability_point(0, req, 1, 32).afq_bpr_needed;
+        // 100ms RTT at 10 Gbps => 125 MB buffer_req; 32 queues.
+        assert_eq!(bpr_at_32q(125_000_000), 3_906_250);
+        // Exact division.
+        assert_eq!(bpr_at_32q(32 * 1500), 1500);
+        // Rounds up.
+        assert_eq!(bpr_at_32q(32 * 1500 + 1), 1501);
     }
 
     #[test]

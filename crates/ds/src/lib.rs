@@ -36,7 +36,7 @@ pub mod slab;
 
 pub use map::{DetKey, DetMap};
 pub use set::DetSet;
-pub use slab::{FlowSlab, SlabRemoval};
+pub use slab::FlowSlab;
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

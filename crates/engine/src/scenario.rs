@@ -95,10 +95,7 @@ impl ScenarioParams {
             Discipline::FqCoDel => {
                 QdiscSpec::FqCoDel(FqCoDelConfig::ideal_with_limit(self.buffer.bytes))
             }
-            Discipline::Afq => QdiscSpec::Afq(AfqConfig {
-                limit_bytes: self.buffer.bytes,
-                ..AfqConfig::default()
-            }),
+            Discipline::Afq => QdiscSpec::Afq(AfqConfig { limit_bytes: self.buffer.bytes }),
             Discipline::Cebinae | Discipline::CebinaePerFlowTop => {
                 let (dp, df, tau) = self.cebinae_thresholds;
                 let mut cfg = CebinaeConfig::for_link(rate_bps, self.buffer, max_rtt)

@@ -2,7 +2,7 @@
 //!
 //! Most links in the paper's topologies are plain access links — default
 //! drop-tail FIFOs that are provisioned to never be the bottleneck and
-//! that nobody traces, monitors, or faults. Emulating them event by event
+//! that nobody traces or monitors. Emulating them event by event
 //! costs two scheduler ops per packet per hop (`TxDone` + `Arrive`) for
 //! state nobody observes. The express path computes the same drop-tail
 //! service *in closed form* at injection time: for each consecutive
@@ -14,16 +14,14 @@
 //! [`PacketStash`](super::links::PacketStash).
 //!
 //! Eligibility is static and purely per link, decided at construction: the
-//! link must carry the default (unmanaged) FIFO, must not be traced or
-//! monitored, and must not be touched by the fault plan
-//! ([`FaultsRt::touches`]). Nothing about the run as a whole enters into
-//! it. Telemetry scrapes only monitored ports and flows, so an observed
-//! run dispatches the same event stream as an unobserved one; fault RNG
-//! streams are private per `(link, family)`, so an express hop on an
-//! untouched link cannot perturb a draw, and a plan keeps only the links
-//! it names on the event-driven path. `SimConfig::express = false` makes
-//! no link eligible: the reference path differential tests compare
-//! against.
+//! link must carry the default (unmanaged) FIFO and must not be traced or
+//! monitored. Nothing about the run as a whole enters into it. Telemetry
+//! scrapes only monitored ports and flows, so an observed run dispatches
+//! the same event stream as an unobserved one; a fault plan lands only on
+//! the monitored links, and its RNG streams are private per `(link,
+//! family)`, so an express hop cannot perturb a draw.
+//! `SimConfig::express = false` makes no link eligible: the reference
+//! path differential tests compare against.
 //!
 //! With one flow express is bit-exact against that reference, faulted
 //! bottleneck included (`tests/express_path.rs`). Two documented

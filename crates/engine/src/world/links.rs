@@ -330,7 +330,7 @@ pub(crate) fn on_tx_done(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cebinae_faults::{FaultPlan, FaultTarget, LinkFaultSpec, ReorderSpec};
+    use cebinae_faults::{FaultPlan, LinkFaultSpec, ReorderSpec};
     use cebinae_net::{BufferConfig, FifoQdisc, FlowId, PacketKind, DATA_FRAME_BYTES, MSS};
     use cebinae_sim::SchedulerKind;
 
@@ -442,7 +442,6 @@ mod tests {
         let (mut lp, _, mut ev) = plane();
         let link = LinkId(0);
         let plan = FaultPlan {
-            target: FaultTarget::AllLinks,
             link: LinkFaultSpec {
                 reorder: Some(ReorderSpec {
                     p: 1.0,
@@ -453,7 +452,7 @@ mod tests {
             },
             ..FaultPlan::default()
         };
-        let mut fx = FaultsRt::resolve(&plan, 1, &[], 7);
+        let mut fx = FaultsRt::resolve(&plan, 1, &[link], 7);
         enqueue_link(&mut lp, &mut fx, &mut ev, &[link], Time::ZERO, link, pkt(0, 42));
         // Held: nothing on the qdisc yet, one stashed packet, one event.
         assert_eq!(lp.links[0].qdisc.pkt_len() + lp.links[0].inflight.len(), 0);

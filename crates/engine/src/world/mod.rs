@@ -31,11 +31,12 @@
 //! (`Ev::Arrive` pops the head; see [`links`] for the ordering proof), and
 //! parked packets (fault holdbacks, express handoffs) live in the
 //! [`PacketStash`](links::PacketStash) addressed by a `u32` slot. On top
-//! of that, FIFO links that nothing manages, traces, monitors or faults
-//! skip event-driven emulation entirely via the [`express`] path,
-//! collapsing whole multi-hop segments into a single event. Which links
-//! those are is decided per link at construction; whether the run is
-//! observed, or faulted somewhere else, plays no part.
+//! of that, FIFO links that nothing manages, traces or monitors skip
+//! event-driven emulation entirely via the [`express`] path, collapsing
+//! whole multi-hop segments into a single event. Which links those are is
+//! decided per link at construction; whether the run is observed or
+//! faulted plays no part (a fault plan lands on the monitored links,
+//! which are event-driven anyway).
 
 mod control;
 mod endpoints;
@@ -115,10 +116,10 @@ pub struct SimConfig {
     pub sample_interval: Duration,
     /// Declarative fault plan: one spec (loss/reorder/duplication/
     /// corruption models, link flaps and rate changes) and control-plane
-    /// stall windows, applied to every link of its target (the
-    /// `monitored_links` by default). Empty by default; an empty plan is
-    /// inert — no RNG draws, no scheduled events, byte-identical runs. For
-    /// plain uniform loss on every link use [`FaultPlan::uniform_loss`].
+    /// stall windows, applied to every one of the `monitored_links`.
+    /// Empty by default; an empty plan is inert — no RNG draws, no
+    /// scheduled events, byte-identical runs. [`FaultPlan::parse`] spells
+    /// one (`loss:0.01` is plain uniform loss).
     pub faults: FaultPlan,
     pub seed: u64,
     /// Links to record a packet trace for (smoltcp-pcap style); empty
@@ -132,8 +133,8 @@ pub struct SimConfig {
     /// this on as with it off, so exported event counts describe what
     /// every run of this configuration executes.
     pub telemetry: bool,
-    /// `true` (the default): links that nothing manages, traces, monitors
-    /// or faults are served by the [`express`] path. `false` forces full
+    /// `true` (the default): links that nothing manages, traces or
+    /// monitors are served by the [`express`] path. `false` forces full
     /// event-driven emulation on every link — the reference path that
     /// differential tests compare express against.
     pub express: bool,
@@ -299,15 +300,10 @@ impl Simulation {
                 limits.push(limit);
                 // Express eligibility is a per-link fact: a link needs a
                 // real qdisc object and real events only if something
-                // manages, traces, samples or faults *it*. Whether the run
-                // is observed plays no part.
-                express_on.push(
-                    express
-                        && !managed
-                        && !traced[i]
-                        && !monitored_set.contains(&id)
-                        && !faults_rt.touches(id),
-                );
+                // manages, traces or samples *it* (the fault plan lands on
+                // the sampled links). Whether the run is observed plays no
+                // part.
+                express_on.push(express && !managed && !traced[i] && !monitored_set.contains(&id));
                 express_links.push(ExpressLink::new(spec.rate_bps, spec.delay, limit));
                 LinkRt {
                     qdisc: qspec.build(spec.rate_bps, seed ^ (i as u64) << 8),
@@ -545,7 +541,9 @@ impl Simulation {
 mod tests {
     use super::*;
 
-    use crate::scenario::{dumbbell, Discipline, DumbbellFlow, ScenarioParams};
+    use crate::scenario::{
+        dumbbell, parking_lot, Discipline, DumbbellFlow, ParkingLotGroup, ScenarioParams,
+    };
     use cebinae_faults::{LinkFaultSpec, ReorderSpec};
     use cebinae_transport::CcKind;
 
@@ -628,6 +626,29 @@ mod tests {
             "moved: digest {digest:#018x}, events {}",
             r.events_processed
         );
+    }
+
+    /// A fault plan lands on the monitored links, which are event-driven
+    /// anyway: arming every fault family leaves the express set as the
+    /// clean run has it.
+    #[test]
+    fn a_fault_plan_leaves_the_express_set_alone() {
+        let rtt = Duration::from_millis(20);
+        let group =
+            |enter, exit| ParkingLotGroup { cc: CcKind::NewReno, count: 2, enter, exit, rtt };
+        let groups = [group(0, 2), group(0, 1), group(1, 2)];
+        let express_on = |faults: FaultPlan| {
+            let mut p = ScenarioParams::new(10_000_000, 100, Discipline::Cebinae);
+            p.faults = faults;
+            let (cfg, bnecks) = parking_lot(2, &groups, &p);
+            (Simulation::new(cfg).lp.express_on, bnecks)
+        };
+        let (clean, bnecks) = express_on(FaultPlan::default());
+        let plan = FaultPlan::parse("burst,reorder,dup,corrupt,flap,stall").expect("valid spec");
+        let (faulted, _) = express_on(plan);
+        assert_eq!(clean, faulted);
+        assert!(bnecks.iter().all(|b| !faulted[b.index()]), "every bottleneck is event-driven");
+        assert!(faulted.contains(&true), "access links still take the express path");
     }
 
     #[test]

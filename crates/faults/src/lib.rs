@@ -8,8 +8,8 @@
 //! declarative [`FaultPlan`]: one [`LinkFaultSpec`] — stochastic models
 //! (loss, reorder, duplication, corruption) and a scripted timeline
 //! (down/up flaps, rate changes) — plus control-plane stall windows that
-//! hold Cebinae rotations until the window ends, all applied to every link
-//! of one [`FaultTarget`].
+//! hold Cebinae rotations until the window ends, all applied to every
+//! monitored link of the scenario (its bottlenecks).
 //!
 //! ## Determinism contract
 //!
@@ -50,17 +50,6 @@ const FAULT_SEED_SALT: u64 = 0xfa17_ab1e_0000_0001;
 /// stream salt: the *shape* of a plan and its *per-packet outcomes* must
 /// not share randomness, or changing one would perturb the other).
 const CHAOS_SEED_SALT: u64 = 0xc4a0_5b1a_5000_0002;
-
-/// Which links a fault plan applies to, resolved against the topology at
-/// simulation construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FaultTarget {
-    /// Every link in the topology.
-    AllLinks,
-    /// Every monitored bottleneck link.
-    #[default]
-    Bottlenecks,
-}
 
 /// Stochastic loss model for a link.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -118,7 +107,7 @@ pub struct LinkEvent {
     pub kind: LinkEventKind,
 }
 
-/// What goes wrong on each link a [`FaultPlan`] targets.
+/// What goes wrong on each link a [`FaultPlan`] applies to.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LinkFaultSpec {
     /// Random loss at enqueue (drawn before every other family; a lost
@@ -148,7 +137,7 @@ impl LinkFaultSpec {
 }
 
 /// A half-open window `[from, until)` of virtual time during which the
-/// control plane of a targeted link is stalled: the first control event
+/// control plane of a faulted link is stalled: the first control event
 /// due inside the window is parked until `until`, later ones are absorbed
 /// into it (see [`FaultsRt::control_verdict`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,16 +146,14 @@ pub struct StallWindow {
     pub until: Time,
 }
 
-/// A declarative fault plan: what goes wrong, where, and when. One spec
-/// and its stall windows, applied to every link of one target. Resolved
-/// against a concrete topology into a [`FaultsRt`] by the engine.
+/// A declarative fault plan: what goes wrong and when. One spec and its
+/// stall windows, applied to every monitored link. Resolved against a
+/// concrete topology into a [`FaultsRt`] by the engine.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
-    /// The links the plan applies to (default: the monitored bottlenecks).
-    pub target: FaultTarget,
-    /// Stochastic models and scripted timeline of every targeted link.
+    /// Stochastic models and scripted timeline of every monitored link.
     pub link: LinkFaultSpec,
-    /// Control-plane stall windows on every targeted link's qdisc.
+    /// Control-plane stall windows on every monitored link's qdisc.
     pub stalls: Vec<StallWindow>,
 }
 
@@ -174,19 +161,6 @@ impl FaultPlan {
     /// True when the plan injects nothing: the engine's inert fast path.
     pub fn is_empty(&self) -> bool {
         self.link.is_empty() && self.stalls.is_empty()
-    }
-
-    /// Independent uniform loss with probability `p` on every link —
-    /// the simplest useful plan.
-    pub fn uniform_loss(p: f64) -> FaultPlan {
-        if p <= 0.0 {
-            return FaultPlan::default();
-        }
-        FaultPlan {
-            target: FaultTarget::AllLinks,
-            link: LinkFaultSpec { loss: LossModel::Uniform { p }, ..LinkFaultSpec::default() },
-            stalls: Vec::new(),
-        }
     }
 
     /// The virtual time by which every *scripted* fault has cleared: the
@@ -212,10 +186,11 @@ impl FaultPlan {
     }
 
     /// Parse a compact comma-separated fault spec, the `--faults`
-    /// surface. Each token is `family[:params]`, with `+`-separated
-    /// parameters; bare names use defaults. The plan targets the monitored
-    /// bottleneck links. A spec sets each stochastic family at most once
-    /// (`loss` and `burst` are both the loss model); timeline tokens and
+    /// surface and the one way to spell a plan. Each token is
+    /// `family[:params]`, with `+`-separated parameters; bare names use
+    /// defaults. A spec sets each stochastic family at most once (`loss`
+    /// and `burst` are both the loss model), and a family at probability 0
+    /// sets no model, so `loss:0` is the empty plan; timeline tokens and
     /// stall windows accumulate. Every number must be finite and
     /// non-negative, a probability at most 1, a rate at least 1 bps, and an
     /// outage or stall at least 1 ms long; the error names the token.
@@ -275,21 +250,32 @@ impl FaultPlan {
             };
             let link = &mut plan.link;
             match name {
-                "loss" => link.loss = LossModel::Uniform { p: prob(0.01)? },
+                "loss" => {
+                    let p = prob(0.01)?;
+                    if p > 0.0 {
+                        link.loss = LossModel::Uniform { p };
+                    }
+                }
                 "burst" => {
-                    link.loss = LossModel::GilbertElliott {
-                        p_enter: 0.01,
-                        p_exit: 0.25,
-                        loss_good: 0.0,
-                        loss_bad: prob(0.25)?,
+                    let loss_bad = prob(0.25)?;
+                    if loss_bad > 0.0 {
+                        link.loss = LossModel::GilbertElliott {
+                            p_enter: 0.01,
+                            p_exit: 0.25,
+                            loss_good: 0.0,
+                            loss_bad,
+                        };
                     }
                 }
                 "reorder" => {
-                    link.reorder = Some(ReorderSpec {
-                        p: prob(0.02)?,
-                        min_hold: Duration::from_micros(500),
-                        max_hold: Duration::from_millis(3),
-                    })
+                    let p = prob(0.02)?;
+                    if p > 0.0 {
+                        link.reorder = Some(ReorderSpec {
+                            p,
+                            min_hold: Duration::from_micros(500),
+                            max_hold: Duration::from_millis(3),
+                        });
+                    }
                 }
                 "dup" => link.duplicate = prob(0.01)?,
                 "corrupt" => link.corrupt = prob(0.005)?,
@@ -543,18 +529,14 @@ impl FaultsRt {
         FaultsRt { links: Vec::new(), control: Vec::new(), any: false, stats: FaultStats::default() }
     }
 
-    /// Resolve `plan` against a topology with `n_links` links whose
-    /// monitored bottlenecks are `bottlenecks`. Each faulted link gets
-    /// family streams seeded from `(seed, link index)` only, so faulting
-    /// one link never perturbs another.
-    pub fn resolve(plan: &FaultPlan, n_links: usize, bottlenecks: &[LinkId], seed: u64) -> FaultsRt {
+    /// Resolve `plan` onto the `monitored` links of a topology with
+    /// `n_links` links. Each faulted link gets family streams seeded from
+    /// `(seed, link index)` only, so faulting one link never perturbs
+    /// another.
+    pub fn resolve(plan: &FaultPlan, n_links: usize, monitored: &[LinkId], seed: u64) -> FaultsRt {
         if plan.is_empty() {
             return FaultsRt::inert();
         }
-        let targets: Vec<usize> = match plan.target {
-            FaultTarget::AllLinks => (0..n_links).collect(),
-            FaultTarget::Bottlenecks => bottlenecks.iter().map(|l| l.index()).collect(),
-        };
         // Earliest event last, so applying pops from the back.
         let mut timeline = plan.link.timeline.clone();
         timeline.sort_by_key(|e| e.at);
@@ -564,7 +546,7 @@ impl FaultsRt {
 
         let mut links: Vec<Option<LinkRt>> = (0..n_links).map(|_| None).collect();
         let mut control: Vec<Option<ControlRt>> = (0..n_links).map(|_| None).collect();
-        for i in targets {
+        for i in monitored.iter().map(|l| l.index()) {
             if !plan.link.is_empty() {
                 // One independent stream per (link, family): seeded from
                 // the link index alone, and only ever advanced when its
@@ -599,17 +581,6 @@ impl FaultsRt {
     #[inline]
     pub fn any(&self) -> bool {
         self.any
-    }
-
-    /// Does the plan carry any state for `link` — a stochastic model or
-    /// timeline on it, or a control-stall window resolved onto it? The
-    /// engine serves only untouched links analytically; since every
-    /// `(link, family)` stream is private, what happens on those links
-    /// cannot perturb a draw on a touched one.
-    pub fn touches(&self, link: LinkId) -> bool {
-        let i = link.index();
-        self.links.get(i).is_some_and(Option::is_some)
-            || self.control.get(i).is_some_and(Option::is_some)
     }
 
     pub fn stats(&self) -> &FaultStats {
@@ -761,7 +732,6 @@ mod tests {
     fn empty_plan_is_inert() {
         let plan = FaultPlan::default();
         assert!(plan.is_empty());
-        assert!(FaultPlan::uniform_loss(0.0).is_empty());
         let mut rt = FaultsRt::resolve(&plan, 8, &[LinkId(2)], 42);
         assert!(!rt.any());
         assert!(rt.timeline_posts().is_empty());
@@ -772,34 +742,17 @@ mod tests {
     }
 
     #[test]
-    fn touches_names_exactly_the_links_a_plan_resolves_onto() {
-        let bottlenecks = [LinkId(2), LinkId(5)];
-        let touched = |plan: &FaultPlan| -> Vec<u32> {
-            let rt = FaultsRt::resolve(plan, 8, &bottlenecks, 42);
-            (0..8).filter(|&i| rt.touches(LinkId(i))).collect()
-        };
-        // An inert plan touches nothing, out-of-range links included.
-        assert!(touched(&FaultPlan::default()).is_empty());
-        assert!(!FaultsRt::inert().touches(LinkId(99)));
-        // `AllLinks` pins everything ...
-        assert_eq!(touched(&FaultPlan::uniform_loss(0.1)), (0..8).collect::<Vec<_>>());
-        // ... `Bottlenecks` (what `parse` targets) only the monitored set.
-        let parsed = FaultPlan::parse("loss:0.02,dup:0.01").expect("valid spec");
-        assert_eq!(touched(&parsed), vec![2, 5]);
-        // A control stall counts even with no link model beside it.
-        let stall = FaultPlan {
-            target: FaultTarget::AllLinks,
-            stalls: vec![StallWindow { from: Time(1_000), until: Time(2_000) }],
-            ..FaultPlan::default()
-        };
-        assert_eq!(touched(&stall), (0..8).collect::<Vec<_>>());
-        assert_eq!(touched(&FaultPlan::parse("stall").expect("valid spec")), vec![2, 5]);
+    fn zero_probability_tokens_set_no_model() {
+        assert!(FaultPlan::parse("loss:0,reorder:0,dup:0,corrupt:0").unwrap().is_empty());
+        assert!(FaultPlan::parse("burst:0").unwrap().is_empty());
+        // The family is still taken: a second setting is refused.
+        assert!(FaultPlan::parse("loss:0,burst").is_err());
     }
 
     #[test]
-    fn uniform_loss_hits_near_rate() {
-        let plan = FaultPlan::uniform_loss(0.1);
-        let mut rt = FaultsRt::resolve(&plan, 4, &[], 7);
+    fn loss_token_hits_near_rate() {
+        let plan = FaultPlan::parse("loss:0.1").unwrap();
+        let mut rt = FaultsRt::resolve(&plan, 4, &[LinkId(1)], 7);
         assert!(rt.any());
         let (drops, ..) = rates(&mut rt, LinkId(1), 10_000);
         assert!((800..1200).contains(&drops), "drops={drops}");
@@ -810,7 +763,6 @@ mod tests {
     #[test]
     fn gilbert_elliott_losses_cluster_in_bursts() {
         let plan = FaultPlan {
-            target: FaultTarget::AllLinks,
             link: LinkFaultSpec {
                 loss: LossModel::GilbertElliott {
                     p_enter: 0.01,
@@ -822,7 +774,7 @@ mod tests {
             },
             ..FaultPlan::default()
         };
-        let mut rt = FaultsRt::resolve(&plan, 1, &[], 3);
+        let mut rt = FaultsRt::resolve(&plan, 1, &[LinkId(0)], 3);
         let mut drops = Vec::new();
         for i in 0..20_000 {
             if rt.on_enqueue(LinkId(0), 100).drop {
@@ -844,18 +796,19 @@ mod tests {
     #[test]
     fn streams_are_isolated_per_family_and_link() {
         // Loss-only plan vs loss+dup plan: identical loss outcomes.
-        let base = FaultPlan::uniform_loss(0.05);
+        let base = FaultPlan::parse("loss:0.05").unwrap();
         let mut composed = base.clone();
         composed.link.duplicate = 0.1;
         composed.link.corrupt = 0.02;
-        let mut a = FaultsRt::resolve(&base, 2, &[], 99);
-        let mut b = FaultsRt::resolve(&composed, 2, &[], 99);
+        let both = [LinkId(0), LinkId(1)];
+        let mut a = FaultsRt::resolve(&base, 2, &both, 99);
+        let mut b = FaultsRt::resolve(&composed, 2, &both, 99);
         for _ in 0..5_000 {
             assert_eq!(a.on_enqueue(LinkId(0), 64).drop, b.on_enqueue(LinkId(0), 64).drop);
         }
         // Per-link isolation: link 1's stream is unaffected by how much
         // link 0 has drawn.
-        let mut c = FaultsRt::resolve(&base, 2, &[], 99);
+        let mut c = FaultsRt::resolve(&base, 2, &both, 99);
         let solo: Vec<bool> = (0..1_000).map(|_| c.on_enqueue(LinkId(1), 64).drop).collect();
         let interleaved: Vec<bool> = (0..1_000).map(|_| a.on_enqueue(LinkId(1), 64).drop).collect();
         assert_eq!(solo, interleaved);
@@ -894,11 +847,10 @@ mod tests {
     #[test]
     fn control_window_parks_once_then_swallows() {
         let plan = FaultPlan {
-            target: FaultTarget::AllLinks,
             stalls: vec![StallWindow { from: Time(1_000), until: Time(2_000) }],
             ..FaultPlan::default()
         };
-        let mut rt = FaultsRt::resolve(&plan, 1, &[], 0);
+        let mut rt = FaultsRt::resolve(&plan, 1, &[LinkId(0)], 0);
         assert!(rt.any());
         assert_eq!(rt.control_verdict(LinkId(0), Time(500)), ControlVerdict::Proceed);
         assert_eq!(rt.control_verdict(LinkId(0), Time(1_000)), ControlVerdict::Park(Time(2_000)));
@@ -913,7 +865,7 @@ mod tests {
     #[test]
     fn quiesce_and_noise_classification() {
         assert_eq!(FaultPlan::default().quiesce_ns(), None);
-        let loss = FaultPlan::uniform_loss(0.01);
+        let loss = FaultPlan::parse("loss").unwrap();
         assert_eq!(loss.quiesce_ns(), None);
         assert!(loss.has_persistent_noise());
         let flap = chaos_plan(1, FaultFamily::Flap, 1_000);
@@ -954,7 +906,6 @@ mod tests {
     #[test]
     fn parse_spec_tokens() {
         let plan = FaultPlan::parse("loss:0.02, dup, flap:100+50, stall:200+100").unwrap();
-        assert_eq!(plan.target, FaultTarget::Bottlenecks);
         assert!(matches!(plan.link.loss, LossModel::Uniform { p } if (p - 0.02).abs() < 1e-12));
         assert_eq!(plan.link.duplicate, 0.01);
         assert_eq!(
@@ -1040,7 +991,6 @@ mod tests {
     #[test]
     fn reorder_holds_are_bounded() {
         let plan = FaultPlan {
-            target: FaultTarget::AllLinks,
             link: LinkFaultSpec {
                 reorder: Some(ReorderSpec {
                     p: 0.5,
@@ -1051,7 +1001,7 @@ mod tests {
             },
             ..FaultPlan::default()
         };
-        let mut rt = FaultsRt::resolve(&plan, 1, &[], 13);
+        let mut rt = FaultsRt::resolve(&plan, 1, &[LinkId(0)], 13);
         let mut held = 0;
         for _ in 0..2_000 {
             if let Some(h) = rt.on_enqueue(LinkId(0), 64).hold {

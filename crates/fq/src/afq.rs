@@ -1,6 +1,6 @@
 //! AFQ-style approximate fair queuing (Sharma et al., NSDI 2018): a
-//! calendar queue of `n_queues` FIFO priorities, each representing one
-//! round of `bpr` (Bytes-per-Round) service per flow.
+//! calendar queue of [`AFQ_N_QUEUES`] FIFO priorities, each representing
+//! one round of [`AFQ_BPR`] (Bytes-per-Round) service per flow.
 //!
 //! This is the comparator the paper argues against on scalability grounds
 //! (§2, Equation 1): AFQ must track every flow's bytes and give each flow
@@ -13,33 +13,33 @@ use cebinae_ds::FlowSlab;
 use cebinae_sim::Time;
 use cebinae_net::{Arena, Chain, DropReason, Packet, Qdisc, QdiscStats};
 
-/// Configuration for [`AfqQdisc`].
+/// Number of calendar queues (priority levels dedicated to AFQ): the NSDI
+/// paper's canonical configuration, with [`AFQ_BPR`].
+pub const AFQ_N_QUEUES: u64 = 32;
+
+/// Bytes each flow may send per round: 8 MTUs.
+pub const AFQ_BPR: u64 = 8 * 1500;
+
+/// Configuration for [`AfqQdisc`]: its buffer. The calendar itself is
+/// [`AFQ_N_QUEUES`] × [`AFQ_BPR`].
 #[derive(Clone, Copy, Debug)]
 pub struct AfqConfig {
-    /// Number of calendar queues (priority levels dedicated to AFQ).
-    pub n_queues: usize,
-    /// Bytes each flow may send per round.
-    pub bpr: u64,
     /// Shared buffer limit in bytes.
     pub limit_bytes: u64,
 }
 
 impl Default for AfqConfig {
     fn default() -> Self {
-        // The NSDI paper's canonical configuration.
-        AfqConfig {
-            n_queues: 32,
-            bpr: 8 * 1500,
-            limit_bytes: 10 * 1024 * 1500,
-        }
+        AfqConfig { limit_bytes: 10 * 1024 * 1500 }
     }
 }
 
 /// AFQ calendar-queue discipline.
 pub struct AfqQdisc {
-    cfg: AfqConfig,
+    /// Shared buffer limit in bytes (`AfqConfig::limit_bytes`).
+    limit_bytes: u64,
     /// Calendar queues, as chains in one packet arena; index = round %
-    /// n_queues.
+    /// AFQ_N_QUEUES.
     arena: Arena,
     queues: Vec<Chain>,
     /// Current service round.
@@ -56,17 +56,15 @@ pub struct AfqQdisc {
 
 impl AfqQdisc {
     pub fn new(cfg: AfqConfig) -> AfqQdisc {
-        assert!(cfg.n_queues >= 2, "AFQ needs at least two queues");
-        assert!(cfg.bpr > 0);
         AfqQdisc {
             arena: Arena::new(),
-            queues: vec![Chain::EMPTY; cfg.n_queues],
+            queues: vec![Chain::EMPTY; AFQ_N_QUEUES as usize],
             round: 0,
             flow_slots: FlowSlab::new(),
             flow_bytes: Vec::new(),
             total_bytes: 0,
             stats: QdiscStats::default(),
-            cfg,
+            limit_bytes: cfg.limit_bytes,
         }
     }
 
@@ -81,7 +79,7 @@ impl Qdisc for AfqQdisc {
     }
 
     fn enqueue(&mut self, pkt: Packet, now: Time) -> Result<(), (Packet, DropReason)> {
-        if self.total_bytes + pkt.size as u64 > self.cfg.limit_bytes {
+        if self.total_bytes + pkt.size as u64 > self.limit_bytes {
             self.stats.on_drop(pkt.size);
             return Err((pkt, DropReason::BufferFull));
         }
@@ -91,23 +89,23 @@ impl Qdisc for AfqQdisc {
         }
         let counter = &mut self.flow_bytes[slot]; // det-ok: slot < len — FlowSlab hands out dense slots, and a fresh tail slot was just pushed
         // A flow restarting after idling shouldn't be scheduled in the past.
-        let floor = self.round * self.cfg.bpr;
+        let floor = self.round * AFQ_BPR;
         if *counter < floor {
             *counter = floor;
         }
-        let bid_round = *counter / self.cfg.bpr;
-        if bid_round >= self.round + self.cfg.n_queues as u64 {
+        let bid_round = *counter / AFQ_BPR;
+        if bid_round >= self.round + AFQ_N_QUEUES {
             // Beyond the calendar horizon (Equation 1 violated for this
             // flow): drop.
             self.stats.on_drop(pkt.size);
             return Err((pkt, DropReason::CalendarHorizon));
         }
         *counter += pkt.size as u64; // per-flow bid counter, reset each epoch; u64 cannot overflow within a run
-        let qi = (bid_round % self.cfg.n_queues as u64) as usize;
+        let qi = (bid_round % AFQ_N_QUEUES) as usize;
         self.total_bytes += pkt.size as u64; // det-ok: aggregate occupancy gauge, decremented in dequeue
         self.stats.on_enqueue(pkt.size);
         self.stats.note_queued(self.total_bytes);
-        self.queues[qi].push_back(&mut self.arena, pkt, now); // det-ok: qi < n_queues by the modulo above
+        self.queues[qi].push_back(&mut self.arena, pkt, now); // det-ok: qi < AFQ_N_QUEUES by the modulo above
         Ok(())
     }
 
@@ -117,7 +115,7 @@ impl Qdisc for AfqQdisc {
         }
         // Serve the current round's queue; advance rounds past empty queues.
         loop {
-            let qi = (self.round % self.cfg.n_queues as u64) as usize;
+            let qi = (self.round % AFQ_N_QUEUES) as usize;
             let q = self.queues.get_mut(qi)?;
             if let Some((pkt, _)) = q.pop_front(&mut self.arena) {
                 // det-ok: aggregate occupancy gauge mirroring enqueue; every popped packet's bytes were added there
@@ -142,19 +140,12 @@ impl Qdisc for AfqQdisc {
     }
 }
 
-/// Equation 1 of the paper: the buffer a flow's protocol requires must not
-/// exceed `BpR × Nq`. Given a worst-case per-flow buffer requirement
-/// (bandwidth-delay product) and a queue budget, returns the minimum BpR.
-pub fn afq_min_bpr(buffer_req_bytes: u64, n_queues: usize) -> u64 {
-    buffer_req_bytes.div_ceil(n_queues as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::{BTreeMap, VecDeque};
 
-    use cebinae_net::{FlowId, MSS};
+    use cebinae_net::{FlowId, DATA_FRAME_BYTES, MSS};
     use cebinae_sim::rng::DetRng;
 
     fn pkt(flow: u32, seq: u64) -> Packet {
@@ -181,56 +172,46 @@ mod tests {
 
     #[test]
     fn horizon_drop_for_oversending_flow() {
-        let cfg = AfqConfig {
-            n_queues: 4,
-            bpr: 1500,
-            limit_bytes: 1 << 30,
-        };
-        let mut q = AfqQdisc::new(cfg);
-        // One flow sends far more than 4 rounds × 1 MTU of backlog.
+        let mut q = AfqQdisc::new(AfqConfig { limit_bytes: 1 << 30 });
+        // One flow offers twice the calendar's horizon: Equation 1's
+        // `BpR × Nq` bytes get in, every packet past them is dropped.
+        let horizon = AFQ_N_QUEUES * AFQ_BPR / DATA_FRAME_BYTES as u64;
         let mut accepted = 0;
-        for i in 0..16 {
+        for i in 0..2 * horizon {
             if q.enqueue(pkt(0, i), Time::ZERO).is_ok() {
                 accepted += 1;
             }
         }
-        assert!(accepted <= 5, "horizon must cap backlog, got {accepted}");
-        assert!(q.stats().drop_pkts >= 11);
+        assert_eq!(accepted, horizon, "horizon must cap backlog at BpR x Nq");
+        assert_eq!(q.stats().drop_pkts, horizon);
     }
 
     #[test]
     fn idle_flow_is_not_scheduled_in_the_past() {
-        let cfg = AfqConfig {
-            n_queues: 8,
-            bpr: 1500,
-            limit_bytes: 1 << 30,
-        };
-        let mut q = AfqQdisc::new(cfg);
-        // Flow 0 sends a burst, gets drained; round advances.
-        for i in 0..6 {
-            q.enqueue(pkt(0, i), Time::ZERO).unwrap();
+        let mut q = AfqQdisc::new(AfqConfig { limit_bytes: 1 << 30 });
+        // Flow 0 sends one packet and flow 1 three rounds' worth; draining
+        // them all advances the round to 2.
+        let per_round = AFQ_BPR / DATA_FRAME_BYTES as u64;
+        q.enqueue(pkt(0, 0), Time::ZERO).unwrap();
+        for i in 0..3 * per_round {
+            q.enqueue(pkt(1, i), Time::ZERO).unwrap();
         }
-        for _ in 0..6 {
-            q.dequeue(Time::ZERO).unwrap();
-        }
-        assert!(q.round() > 0);
-        // Flow 1 (new) and flow 0 (idle) both enqueue; both must be accepted
-        // at the current round, not in the past.
-        q.enqueue(pkt(1, 0), Time::ZERO).unwrap();
+        while q.dequeue(Time::ZERO).is_some() {}
+        assert_eq!(q.round(), 2);
+        // Flow 1 bids into round 3. Flow 0 (idle) and flow 2 (new) must
+        // land in the current round, not in a past one that the calendar
+        // would only reach again after wrapping around.
+        q.enqueue(pkt(1, 100), Time::ZERO).unwrap();
         q.enqueue(pkt(0, 100), Time::ZERO).unwrap();
-        assert_eq!(q.pkt_len(), 2);
-        assert!(q.dequeue(Time::ZERO).is_some());
-        assert!(q.dequeue(Time::ZERO).is_some());
+        q.enqueue(pkt(2, 0), Time::ZERO).unwrap();
+        let order: Vec<u32> =
+            std::iter::from_fn(|| q.dequeue(Time::ZERO)).map(|p| p.flow.0).collect();
+        assert_eq!(order, vec![0, 2, 1]);
     }
 
     #[test]
     fn buffer_limit_enforced() {
-        let cfg = AfqConfig {
-            n_queues: 32,
-            bpr: 100 * 1500,
-            limit_bytes: 3 * 1500,
-        };
-        let mut q = AfqQdisc::new(cfg);
+        let mut q = AfqQdisc::new(AfqConfig { limit_bytes: 3 * 1500 });
         assert!(q.enqueue(pkt(0, 0), Time::ZERO).is_ok());
         assert!(q.enqueue(pkt(0, 1), Time::ZERO).is_ok());
         assert!(q.enqueue(pkt(0, 2), Time::ZERO).is_ok());
@@ -238,17 +219,6 @@ mod tests {
             q.enqueue(pkt(0, 3), Time::ZERO),
             Err((_, DropReason::BufferFull))
         ));
-    }
-
-    #[test]
-    fn min_bpr_matches_equation_1() {
-        // 100ms RTT at 10 Gbps => 125 MB buffer_req; 32 queues.
-        let req = 125_000_000u64;
-        assert_eq!(afq_min_bpr(req, 32), 3_906_250);
-        // Exact division.
-        assert_eq!(afq_min_bpr(32 * 1500, 32), 1500);
-        // Rounds up.
-        assert_eq!(afq_min_bpr(32 * 1500 + 1, 32), 1501);
     }
 
     /// The calendar as it was before the packet arena: one `VecDeque` per
@@ -266,7 +236,7 @@ mod tests {
 
     impl DequeModel {
         fn new(cfg: AfqConfig) -> DequeModel {
-            let queues = vec![VecDeque::new(); cfg.n_queues];
+            let queues = vec![VecDeque::new(); AFQ_N_QUEUES as usize];
             let stats = QdiscStats::default();
             DequeModel { cfg, queues, round: 0, bids: BTreeMap::new(), total_bytes: 0, stats }
         }
@@ -277,9 +247,9 @@ mod tests {
                 return Err(DropReason::BufferFull);
             }
             let bid = self.bids.entry(pkt.flow.0).or_insert(0);
-            *bid = (*bid).max(self.round * self.cfg.bpr);
-            let bid_round = *bid / self.cfg.bpr;
-            if bid_round >= self.round + self.cfg.n_queues as u64 {
+            *bid = (*bid).max(self.round * AFQ_BPR);
+            let bid_round = *bid / AFQ_BPR;
+            if bid_round >= self.round + AFQ_N_QUEUES {
                 self.stats.on_drop(pkt.size);
                 return Err(DropReason::CalendarHorizon);
             }
@@ -287,7 +257,7 @@ mod tests {
             self.total_bytes += pkt.size as u64;
             self.stats.on_enqueue(pkt.size);
             self.stats.note_queued(self.total_bytes);
-            self.queues[(bid_round % self.cfg.n_queues as u64) as usize].push_back(pkt);
+            self.queues[(bid_round % AFQ_N_QUEUES) as usize].push_back(pkt);
             Ok(())
         }
 
@@ -296,7 +266,7 @@ mod tests {
                 return None;
             }
             loop {
-                let qi = (self.round % self.cfg.n_queues as u64) as usize;
+                let qi = (self.round % AFQ_N_QUEUES) as usize;
                 if let Some(pkt) = self.queues[qi].pop_front() {
                     self.total_bytes -= pkt.size as u64;
                     self.stats.on_tx(pkt.size);
@@ -318,17 +288,18 @@ mod tests {
         let mut horizon_drops = 0;
         for case in 0..CASES {
             let mut rng = DetRng::seed_from_u64(0xAF0_C0DE ^ case);
-            let cfg = AfqConfig {
-                n_queues: rng.gen_range_usize(2, 33),
-                bpr: rng.gen_range_u64(1, 9) * 1500,
-                limit_bytes: rng.gen_range_u64(5, 200) * 1500,
-            };
-            let n_flows = rng.gen_range_u64(1, 64) as u32;
+            // Buffers up to twice the calendar's horizon of 256 MTUs, and
+            // a hog (flow 0) taking a per-case share of enqueue-heavy
+            // traffic, so that some cases outrun the horizon.
+            let cfg = AfqConfig { limit_bytes: rng.gen_range_u64(5, 512) * 1500 };
+            let n_flows = rng.gen_range_u64(1, 64);
+            let (p_enqueue, p_hog) = (rng.gen_range_f64(0.5, 0.9), rng.gen_range_f64(0.0, 0.9));
             let (mut q, mut model) = (AfqQdisc::new(cfg), DequeModel::new(cfg));
             let mut peak = 0;
             for seq in 0..OPS {
-                if rng.gen_bool(0.6) {
-                    let flow = FlowId(rng.gen_range_u64(0, n_flows as u64) as u32);
+                if rng.gen_bool(p_enqueue) {
+                    let hog = rng.gen_bool(p_hog);
+                    let flow = FlowId(if hog { 0 } else { rng.gen_range_u64(0, n_flows) as u32 });
                     let payload = rng.gen_range_u64(12, 1449) as u32;
                     let p = Packet::data(flow, seq, payload, false, Time::ZERO);
                     let want = model.offer(p.clone());

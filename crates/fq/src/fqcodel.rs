@@ -403,8 +403,9 @@ impl FqCoDelQdisc {
         // Every node is on exactly one chain or on the free list.
         self.arena.assert_partition(self.queues.iter().map(|q| &q.pkts));
         let (mut total_bytes, mut total_pkts) = (0, 0);
+        assert_eq!(self.slots.len(), self.queues.len(), "one queue per slot");
         for (slot, q) in self.queues.iter().enumerate() {
-            assert_eq!(self.slots.key_at(slot as u32), Some(q.bucket));
+            assert_eq!(self.slots.get(q.bucket), Some(slot as u32), "bucket maps to its slot");
             assert_eq!(h.pos[slot] == NIL, q.pkts.is_empty(), "in the heap iff non-empty");
             let bytes: u64 = self.arena.iter(&q.pkts).map(|p| p.size as u64).sum();
             assert_eq!(bytes, q.bytes, "bytes of slot {slot}");

@@ -7,15 +7,17 @@
 //!   (queue count 2³²−1 in its ns-3 setup);
 //! * [`codel`] — the CoDel control law (RFC 8289) used inside FQ-CoDel;
 //! * [`afq`] — an AFQ-style calendar queue (NSDI '18), the calendar-queue
-//!   scalability comparator of the paper's §2, including the Equation 1
-//!   sizing model. PCQ (NSDI '20), the paper's other calendar-queue
-//!   citation (§5.5), obeys the same sizing model and is cited, not built.
+//!   scalability comparator of the paper's §2, in its one canonical
+//!   configuration ([`AFQ_N_QUEUES`] × [`AFQ_BPR`]; Equation 1's sizing
+//!   model is `cebinae::resources::scalability_point`). PCQ (NSDI '20),
+//!   the paper's other calendar-queue citation (§5.5), obeys the same
+//!   sizing model and is cited, not built.
 
 pub mod afq;
 pub mod codel;
 pub mod fqcodel;
 
-pub use afq::{afq_min_bpr, AfqConfig, AfqQdisc};
+pub use afq::{AfqConfig, AfqQdisc, AFQ_BPR, AFQ_N_QUEUES};
 pub use codel::{Codel, CodelVerdict};
 pub use fqcodel::{FqCoDelConfig, FqCoDelQdisc};
 
@@ -80,12 +82,7 @@ mod proptests {
         for case in 0..64u64 {
             let mut rng = DetRng::seed_from_u64(0xaf90 ^ case);
             let per_flow = rng.gen_range_usize(8, 40);
-            let cfg = AfqConfig {
-                n_queues: 64,
-                bpr: 2 * 1500,
-                limit_bytes: 1 << 30,
-            };
-            let mut q = AfqQdisc::new(cfg);
+            let mut q = AfqQdisc::new(AfqConfig { limit_bytes: 1 << 30 });
             for f in 0..4u32 {
                 for i in 0..per_flow {
                     let _ = q.enqueue(
@@ -105,7 +102,7 @@ mod proptests {
             let min = *served.iter().min().unwrap();
             // Bound: one round of BpR plus one packet of slack per flow.
             assert!(
-                max - min <= cfg.bpr + 1500,
+                max - min <= AFQ_BPR + 1500,
                 "case {case}: service gap {} exceeds BpR bound",
                 max - min
             );

@@ -91,6 +91,12 @@ fn main() {
     if experiments.is_empty() {
         usage();
     }
+    if let Some(path) = &ctx.telemetry {
+        if let Err(e) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
+            eprintln!("--telemetry {path}: {e}");
+            std::process::exit(2);
+        }
+    }
     for name in experiments {
         println!("==== {name} {}====", if ctx.full { "(full) " } else { "" });
         let t0 = std::time::Instant::now();
@@ -103,6 +109,10 @@ fn main() {
                 eprintln!("error: {e}");
                 std::process::exit(1);
             }
+        }
+        if let Some(e) = ctx.telemetry_error() {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
     }
 }

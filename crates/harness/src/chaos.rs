@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn armed_plan_replaces_the_family_sweep() {
-        let ctx = Ctx::serial(false, 1).with_faults(FaultPlan::uniform_loss(0.02));
+        let ctx = Ctx::serial(false, 1).with_faults(FaultPlan::parse("loss:0.02").unwrap());
         let out = run(&ctx);
         assert!(out.contains("custom"), "{out}");
         assert!(!out.contains("burst"), "family sweep should be replaced:\n{out}");

@@ -133,6 +133,7 @@ mod tests {
 /// quantified version of §5.5's "1000× more flows" claim.
 pub fn scalability() -> String {
     use cebinae::resources::scalability_point;
+    use cebinae_fq::{AFQ_BPR, AFQ_N_QUEUES};
     let mut t = Table::new(&[
         "rtt", "rate", "buffer_req", "AFQ/PCQ queues @BpR=8MTU", "Cebinae",
     ]);
@@ -145,7 +146,7 @@ pub fn scalability() -> String {
         (200.0, 100),
     ] {
         let buffer_req = (rate_gbps as f64 * 1e9 / 8.0 * rtt_ms / 1e3) as u64;
-        let p = scalability_point(0, buffer_req, 8 * 1500, 32);
+        let p = scalability_point(0, buffer_req, AFQ_BPR, AFQ_N_QUEUES);
         t.row(vec![
             format!("{rtt_ms}ms"),
             format!("{rate_gbps}G"),

@@ -1,6 +1,9 @@
 //! Shared experiment-running machinery: scaled-vs-full durations, dumbbell
 //! runs with the standard metric set, and table formatting.
 
+use std::io::Write;
+use std::sync::OnceLock;
+
 use cebinae_engine::{dumbbell, Discipline, DumbbellFlow, ScenarioParams, SimResult, Simulation};
 use cebinae_faults::FaultPlan;
 use cebinae_metrics::jfi;
@@ -31,6 +34,8 @@ pub struct Ctx {
     /// and figures always run clean; only experiments that opt in (the
     /// `chaos` experiment) consult this.
     pub faults: FaultPlan,
+    /// The first failure to append to the telemetry sink.
+    telemetry_error: OnceLock<String>,
 }
 
 impl Ctx {
@@ -43,6 +48,7 @@ impl Ctx {
             threads: 1,
             telemetry: None,
             faults: FaultPlan::default(),
+            telemetry_error: OnceLock::new(),
         }
     }
 
@@ -59,6 +65,12 @@ impl Ctx {
 
     pub fn telemetry_enabled(&self) -> bool {
         self.telemetry.is_some()
+    }
+
+    /// The first failure to append to the telemetry sink, if any: the
+    /// exported NDJSON is then incomplete.
+    pub fn telemetry_error(&self) -> Option<&str> {
+        self.telemetry_error.get().map(String::as_str)
     }
 
     /// Scenario parameters under the harness's run convention: seed and
@@ -105,24 +117,24 @@ impl Ctx {
     /// Append per-trial telemetry exports to the configured sink, in job
     /// order (determinism: the file content depends only on the runs, not
     /// on thread scheduling). Each export is preceded by a header line
-    /// naming the experiment and trial index. No-op without a sink.
+    /// naming the experiment and trial index. No-op without a sink; a
+    /// failed append is kept for [`Ctx::telemetry_error`].
     pub fn export_telemetry<S: AsRef<str>>(&self, label: &str, exports: &[Option<S>]) {
         let Some(path) = &self.telemetry else {
             return;
         };
-        use std::io::Write;
-        let mut file = match std::fs::OpenOptions::new().create(true).append(true).open(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("telemetry sink {path}: {e}");
-                return;
+        let append = || -> std::io::Result<()> {
+            let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+            for (trial, export) in exports.iter().enumerate() {
+                if let Some(nd) = export {
+                    writeln!(file, "{{\"run\":{label:?},\"trial\":{trial}}}")?;
+                    file.write_all(nd.as_ref().as_bytes())?;
+                }
             }
+            Ok(())
         };
-        for (trial, export) in exports.iter().enumerate() {
-            if let Some(nd) = export {
-                let _ = writeln!(file, "{{\"run\":{label:?},\"trial\":{trial}}}");
-                let _ = file.write_all(nd.as_ref().as_bytes());
-            }
+        if let Err(e) = append() {
+            let _ = self.telemetry_error.set(format!("telemetry sink {path}: {e}"));
         }
     }
 
@@ -264,7 +276,7 @@ mod tests {
     fn ctx_builder_chains() {
         let mut ctx = Ctx::serial(true, 9)
             .with_threads(3)
-            .with_faults(FaultPlan::uniform_loss(0.01));
+            .with_faults(FaultPlan::parse("loss").unwrap());
         ctx.telemetry = Some("t.ndjson".into());
         assert_eq!(ctx.seed, 9);
         assert_eq!(ctx.threads, 3);
@@ -276,6 +288,17 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_telemetry_append_is_kept() {
+        let mut ctx = Ctx::serial(false, 1);
+        ctx.export_telemetry("clean", &[Some("{}\n")]);
+        assert_eq!(ctx.telemetry_error(), None, "no sink, nothing to fail");
+        ctx.telemetry = Some("/nonexistent/dir/t.ndjson".into());
+        ctx.export_telemetry("lost", &[Some("{}\n")]);
+        let e = ctx.telemetry_error().expect("the append failed");
+        assert!(e.contains("/nonexistent/dir/t.ndjson"), "{e}");
+    }
+
+    #[test]
     fn faulted_dumbbell_run_costs_throughput() {
         let flows = vec![
             DumbbellFlow::new(CcKind::NewReno, 20),
@@ -283,7 +306,7 @@ mod tests {
         ];
         let mut p = small(7, 3);
         let clean = run_with_params(&flows, &p);
-        p.faults = FaultPlan::uniform_loss(0.03);
+        p.faults = FaultPlan::parse("loss:0.03").unwrap();
         let lossy = run_with_params(&flows, &p);
         assert!(
             lossy.goodput_bps < clean.goodput_bps,

@@ -5,6 +5,7 @@
 use cebinae::resources::{
     model_usage, scalability_point, table3_rows, utilization_fractions, SwitchProfile,
 };
+use cebinae_fq::{AFQ_BPR, AFQ_N_QUEUES};
 
 use crate::runner::{Ctx, Table};
 
@@ -56,7 +57,7 @@ fn scalability_section() -> String {
         ("WAN 10G/100ms", 400_000, 125_000_000),
         ("WAN 100G/200ms", 1_000_000, 2_500_000_000),
     ] {
-        let p = scalability_point(flows, buf, 12_000, 32);
+        let p = scalability_point(flows, buf, AFQ_BPR, AFQ_N_QUEUES);
         t2.row(vec![
             name.into(),
             p.flows.to_string(),

@@ -9,16 +9,16 @@
 
 use cebinae_repro::prelude::*;
 
+/// The CCA whose label is `name`, in any case (`vegas`, `BBR`, ...).
+fn cca(name: &str) -> CcKind {
+    let found = CcKind::ALL.into_iter().find(|k| k.label().eq_ignore_ascii_case(name));
+    found.unwrap_or_else(|| panic!("unknown CCA {name:?}"))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let herd_cc: CcKind = args
-        .get(1)
-        .map(|s| s.parse().expect("unknown CCA"))
-        .unwrap_or(CcKind::Vegas);
-    let hog_cc: CcKind = args
-        .get(2)
-        .map(|s| s.parse().expect("unknown CCA"))
-        .unwrap_or(CcKind::NewReno);
+    let herd_cc = args.get(1).map_or(CcKind::Vegas, |s| cca(s));
+    let hog_cc = args.get(2).map_or(CcKind::NewReno, |s| cca(s));
     let herd: usize = args.get(3).map(|s| s.parse().expect("bad count")).unwrap_or(16);
 
     let mut flows: Vec<_> = (0..herd).map(|_| DumbbellFlow::new(herd_cc, 50)).collect();

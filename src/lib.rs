@@ -27,8 +27,8 @@ pub mod prelude {
         ScenarioParams, SimConfig, SimResult, Simulation,
     };
     pub use cebinae_faults::{
-        chaos_plan, FaultFamily, FaultPlan, FaultTarget, LinkEvent, LinkEventKind,
-        LinkFaultSpec, LossModel, ReorderSpec, StallWindow,
+        chaos_plan, FaultFamily, FaultPlan, LinkEvent, LinkEventKind, LinkFaultSpec, LossModel,
+        ReorderSpec, StallWindow,
     };
     pub use cebinae_metrics::{jfi, jfi_maxmin_normalized, water_filling, MaxMinFlow};
     pub use cebinae_net::{BufferConfig, FlowId, LinkId, Packet, Qdisc, Topology};

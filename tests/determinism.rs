@@ -50,9 +50,9 @@ fn assert_identical(a: &SimResult, b: &SimResult, label: &str) {
 
 #[test]
 fn identical_seeds_give_identical_packet_traces() {
-    // Seeded uniform loss (`FaultPlan::uniform_loss`): the trace
-    // must be identical even when the random-drop draws are exercised.
-    let plan = FaultPlan::uniform_loss(0.005);
+    // Seeded uniform loss on the bottleneck: the trace must be
+    // identical even when the random-drop draws are exercised.
+    let plan = FaultPlan::parse("loss:0.005").unwrap();
     for discipline in [Discipline::Fifo, Discipline::Cebinae] {
         let a = traced_run(discipline, &plan, 0xceb1_7e57);
         let b = traced_run(discipline, &plan, 0xceb1_7e57);
@@ -67,7 +67,6 @@ fn chaos_plans_are_bit_deterministic() {
     // the same trace bit-for-bit, because every draw forks off the
     // scenario seed.
     let plan = FaultPlan {
-        target: FaultTarget::Bottlenecks,
         link: LinkFaultSpec {
             loss: LossModel::GilbertElliott {
                 p_enter: 0.002,
@@ -98,7 +97,7 @@ fn chaos_plans_are_bit_deterministic() {
 fn different_seeds_give_different_traces() {
     // Guards against the opposite failure: a seed that is ignored would
     // make the identical-trace test vacuous.
-    let plan = FaultPlan::uniform_loss(0.005);
+    let plan = FaultPlan::parse("loss:0.005").unwrap();
     let a = traced_run(Discipline::Cebinae, &plan, 1);
     let b = traced_run(Discipline::Cebinae, &plan, 2);
     assert_ne!(

@@ -1,10 +1,11 @@
 //! Contract of the engine's express path (analytic service of unmanaged
 //! FIFO links, `crates/engine/src/world/express.rs`).
 //!
-//! Eligibility is a per-link fact: a link that nothing manages, traces,
-//! monitors or faults is served in closed form, whether or not the run
-//! is observed. `express = false` forces full event-driven emulation on
-//! every link — the reference path these tests compare against. The
+//! Eligibility is a per-link fact: a link that nothing manages, traces
+//! or monitors is served in closed form, whether or not the run is
+//! observed or faulted (a fault plan lands on the monitored links).
+//! `express = false` forces full event-driven emulation on every link —
+//! the reference path these tests compare against. The
 //! contract:
 //!
 //! * **Single-flow runs are bit-exact** across the two paths: with one

@@ -13,7 +13,7 @@ use support::{fault_family_plans, run_mixed};
 
 #[test]
 fn all_ccas_coexist_under_cebinae_with_random_loss() {
-    let r = run_mixed(Discipline::Cebinae, &FaultPlan::uniform_loss(0.005), 7, 10);
+    let r = run_mixed(Discipline::Cebinae, &FaultPlan::parse("loss:0.005").unwrap(), 7, 10);
     for (i, &d) in r.delivered.iter().enumerate() {
         assert!(
             d > 200_000,
@@ -25,15 +25,19 @@ fn all_ccas_coexist_under_cebinae_with_random_loss() {
 #[test]
 fn heavy_loss_degrades_gracefully() {
     let clean = run_mixed(Discipline::Cebinae, &FaultPlan::default(), 7, 10);
-    let lossy = run_mixed(Discipline::Cebinae, &FaultPlan::uniform_loss(0.05), 7, 10);
-    let sum = |r: &SimResult| r.delivered.iter().sum::<u64>();
-    assert!(sum(&lossy) > 0);
-    assert!(
-        sum(&lossy) < sum(&clean),
-        "5% loss must reduce delivery: {} vs {}",
-        sum(&lossy),
-        sum(&clean)
-    );
+    let lossy = run_mixed(Discipline::Cebinae, &FaultPlan::parse("loss:0.05").unwrap(), 7, 10);
+    // Every flow still moves data. Loss at the bottleneck costs each
+    // loss-based flow (NewReno, Cubic, Bic: flows 0, 1 and 4); BBR ignores
+    // loss and takes up the capacity they leave, so the total need not fall.
+    assert!(lossy.delivered.iter().all(|&d| d > 0), "{:?}", lossy.delivered);
+    for i in [0, 1, 4] {
+        assert!(
+            lossy.delivered[i] < clean.delivered[i],
+            "5% loss must cost loss-based flow {i}: {} vs {}",
+            lossy.delivered[i],
+            clean.delivered[i]
+        );
+    }
 }
 
 /// Every fault family, under every discipline: the run completes, bytes

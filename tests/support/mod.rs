@@ -12,7 +12,7 @@ use cebinae_repro::prelude::*;
 /// The canonical mixed-CCA dumbbell shared by the robustness and
 /// determinism suites: one flow per congestion-control family with
 /// staggered RTTs behind a 25 Mbps / 150-MTU bottleneck, with an
-/// arbitrary [`FaultPlan`] applied to the whole topology.
+/// arbitrary [`FaultPlan`] applied to the bottleneck.
 pub fn run_mixed(discipline: Discipline, faults: &FaultPlan, seed: u64, secs: u64) -> SimResult {
     let flows = vec![
         DumbbellFlow::new(CcKind::NewReno, 20),
