@@ -285,7 +285,7 @@ pub fn run_diff(seed: u64, p: DiffParams, mutation: Mutation) -> DiffOutcome {
         } else {
             Duration((mean_gap_ns * rng.gen_range_f64(0.1, 2.0)) as u64)
         };
-        now = now + gap;
+        now += gap;
         if now >= end {
             break;
         }

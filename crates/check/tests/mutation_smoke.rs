@@ -28,7 +28,7 @@ fn injected_off_by_one_is_caught_and_shrunk_to_a_replayable_seed() {
     // contain one; scanning keeps this robust to scenario-generator
     // drift without weakening the assertion.
     let caught = (0..16u64)
-        .map(|seed| GenScenario::generate(seed))
+        .map(GenScenario::generate)
         .find(|sc| mutated_diff_fails(sc, Mutation::HeadSlackOneMtu));
     let sc = caught.expect("off-by-one mutation escaped the differential oracle on 16 seeds");
 
@@ -62,7 +62,7 @@ fn injected_off_by_one_is_caught_and_shrunk_to_a_replayable_seed() {
 #[test]
 fn rotate_double_credit_is_caught_on_a_smoke_seed() {
     let caught = (0..16u64)
-        .map(|seed| GenScenario::generate(seed))
+        .map(GenScenario::generate)
         .any(|sc| mutated_diff_fails(&sc, Mutation::RotateDoubleCredit));
     assert!(caught, "double-credit mutation escaped the differential oracle on 16 seeds");
 }

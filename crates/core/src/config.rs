@@ -179,20 +179,17 @@ mod tests {
 
     #[test]
     fn validate_catches_bad_params() {
-        let mut c = CebinaeConfig::default();
-        c.tau = 1.5;
+        let c = CebinaeConfig { tau: 1.5, ..CebinaeConfig::default() };
         assert!(c.validate().is_err());
 
         let mut c = CebinaeConfig::default();
         c.vdt = c.dt;
         assert!(c.validate().is_err());
 
-        let mut c = CebinaeConfig::default();
-        c.dt = Duration(3_000_000); // not a power of two
+        let c = CebinaeConfig { dt: Duration(3_000_000), ..CebinaeConfig::default() }; // not a power of two
         assert!(c.validate().is_err());
 
-        let mut c = CebinaeConfig::default();
-        c.p = 0;
+        let c = CebinaeConfig { p: 0, ..CebinaeConfig::default() };
         assert!(c.validate().is_err());
 
         let mut c = CebinaeConfig::default();
@@ -210,8 +207,7 @@ mod tests {
 
     #[test]
     fn window_is_p_rounds() {
-        let mut c = CebinaeConfig::default();
-        c.p = 4;
+        let c = CebinaeConfig { p: 4, ..CebinaeConfig::default() };
         assert_eq!(c.window(), c.dt * 4);
     }
 }

@@ -61,8 +61,8 @@ impl FluidModel {
         }
         // Tax: on each saturated link, flows within δf of the local max.
         let mut taxed = vec![false; self.flows.len()];
-        for l in 0..n_links {
-            if load[l] < (1.0 - self.delta_p) * self.capacities[l] {
+        for (l, (&link_load, &cap)) in load.iter().zip(&self.capacities).enumerate() {
+            if link_load < (1.0 - self.delta_p) * cap {
                 continue;
             }
             let local_max = self

@@ -101,7 +101,7 @@ mod proptests {
             for _ in 0..n_ops {
                 let op = rng.gen_range_u64(0, 4) as u8;
                 let flow = rng.gen_range_u64(0, 6) as u32;
-                now = now + Duration::from_micros(200);
+                now += Duration::from_micros(200);
                 while now >= next_ctl {
                     next_ctl = q.control(next_ctl).unwrap();
                 }
@@ -151,7 +151,7 @@ mod proptests {
                 }
                 // Drain a bit, crossing control events as time advances.
                 for _ in 0..burst {
-                    now = now + Duration::from_micros(120);
+                    now += Duration::from_micros(120);
                     while now >= next_ctl {
                         next_ctl = q.control(next_ctl).unwrap();
                     }

@@ -25,7 +25,7 @@
 //! groups, with the aggregate filter still tracked in the background so the
 //! next phase flip is atomic.
 
-use cebinae_ds::{DetMap, DetSet};
+use cebinae_ds::{BlockDeque, DetMap, DetSet};
 use cebinae_net::{DropReason, FlowId, Packet, Qdisc, QdiscStats};
 use cebinae_sim::Time;
 
@@ -34,9 +34,13 @@ use crate::cache::HeavyHitterCache;
 use crate::config::CebinaeConfig;
 use crate::lbf::{GroupLbf, LbfVerdict, RoundClock};
 
-mod blocks;
+/// One of the two physical queues: packets in blocks of 32 (2 304 bytes
+/// of slots), so a queue holds about as many slots as it has packets.
+type PacketQueue = BlockDeque<Packet, 32>;
 
-use blocks::BlockQueue;
+// A queue slot is an `Option<Packet>`, which must cost no more than the
+// packet itself.
+const _: () = assert!(std::mem::size_of::<Option<Packet>>() <= std::mem::size_of::<Packet>());
 
 /// Which control event fires next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +62,8 @@ pub struct CebinaeXstats {
     /// Packets delayed into the future queue.
     pub delayed_pkts: u64,
     /// Rotations at which the retiring headq still held packets (should be
-    /// ~0 when Equation 2 holds; spliced to preserve order).
+    /// ~0 when Equation 2 holds; kept ahead of the new head queue's to
+    /// preserve order).
     pub leftover_rotations: u64,
     /// Rounds spent in the saturated phase.
     pub saturated_rounds: u64,
@@ -70,7 +75,7 @@ pub struct CebinaeQdisc {
     capacity_bps: u64,
 
     /// The two physical queues, each sized by what it holds.
-    queues: [BlockQueue; 2],
+    queues: [PacketQueue; 2],
     queued_total: u64,
     headq: usize,
 
@@ -188,13 +193,17 @@ impl CebinaeQdisc {
         let retiring = self.headq;
         // Any leftover in the retiring headq would be scheduled *behind* the
         // new headq by priority, reordering flows across rounds. Hardware
-        // prevents this via the Equation 2 drain guarantee; we splice the
-        // (rare, boundary-serialization) leftovers to the front of the new
-        // head queue to preserve order, and count occurrences.
+        // prevents this via the Equation 2 drain guarantee; the (rare,
+        // boundary-serialization) leftovers keep their place instead: the
+        // new head's packets queue behind them and the two queues swap, so
+        // the port still serves in arrival order. Occurrences are counted.
         let (old_head, new_head) = head_first(&mut self.queues, retiring);
         if !old_head.is_empty() {
             self.xstats.leftover_rotations = self.xstats.leftover_rotations.saturating_add(1);
-            new_head.splice_front(old_head);
+            while let Some(pkt) = new_head.pop_front() {
+                old_head.push_back(pkt);
+            }
+            self.queues.swap(0, 1);
         }
 
         self.total_grp.on_rotate(retiring, self.cfg.dt);
@@ -217,7 +226,7 @@ impl CebinaeQdisc {
         }
 
         // Every P-th rotation: recompute (Figure 4 lines 8-28).
-        if self.xstats.rotations % self.cfg.p as u64 == 0 {
+        if self.xstats.rotations.is_multiple_of(self.cfg.p as u64) {
             self.xstats.recomputes = self.xstats.recomputes.saturating_add(1);
             let port_bytes = self.port_tx_bytes - self.cp_last_port_tx;
             self.cp_last_port_tx = self.port_tx_bytes;
@@ -357,7 +366,7 @@ impl CebinaeQdisc {
 }
 
 /// The two queues as `(queues[headq], the other)`; `headq` is 0 or 1.
-fn head_first(queues: &mut [BlockQueue; 2], headq: usize) -> (&mut BlockQueue, &mut BlockQueue) {
+fn head_first(queues: &mut [PacketQueue; 2], headq: usize) -> (&mut PacketQueue, &mut PacketQueue) {
     let [a, b] = queues;
     if headq == 0 {
         (a, b)
@@ -446,7 +455,7 @@ impl Qdisc for CebinaeQdisc {
     }
 
     fn pkt_len(&self) -> usize {
-        self.queues.iter().map(BlockQueue::len).sum()
+        self.queues.iter().map(PacketQueue::len).sum()
     }
 
     fn activate(&mut self, now: Time) -> Option<Time> {
@@ -720,11 +729,11 @@ mod tests {
         assert!(q.dequeue(Time::from_micros(3)).is_some());
     }
 
-    /// Packets left in the retiring head queue at a rotation are spliced
-    /// ahead of the new head queue's: the port still serves everything in
-    /// arrival order.
+    /// Packets left in the retiring head queue at a rotation stay ahead of
+    /// the new head queue's: the port still serves everything in arrival
+    /// order.
     #[test]
-    fn rotation_leftovers_keep_fifo_order_through_the_splice() {
+    fn rotation_leftovers_keep_fifo_order() {
         let mut cfg =
             CebinaeConfig::for_link(RATE, BufferConfig::mtus(420), Duration::from_millis(50));
         cfg.buffer = BufferConfig::mtus(1800);

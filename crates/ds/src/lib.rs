@@ -23,6 +23,10 @@
 //! * [`FlowSlab`] — a dense `u32 key → u32 slot` arena index for per-flow
 //!   state that wants direct Vec indexing rather than any hashing at all
 //!   (the calendar qdiscs' per-flow byte counters).
+//! * [`BlockDeque`] — a FIFO in small fixed-size blocks with one parked
+//!   spare, indexable by position: memory follows what it holds, and an
+//!   empty one owns nothing (the sender's SACK scoreboard, Cebinae's two
+//!   packet queues).
 //!
 //! Everything here is `std`-only and entirely deterministic: no
 //! `RandomState`, no per-process seeds, no allocation-address-dependent
@@ -30,10 +34,12 @@
 //! seeded operation sequences against the `BTreeMap`/`BTreeSet` reference
 //! to pin the equivalence.
 
+pub mod deque;
 pub mod map;
 pub mod set;
 pub mod slab;
 
+pub use deque::BlockDeque;
 pub use map::{DetKey, DetMap};
 pub use set::DetSet;
 pub use slab::FlowSlab;

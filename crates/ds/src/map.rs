@@ -483,7 +483,7 @@ mod tests {
         }
         for k in 0..64u64 {
             let expect = if k % 3 == 0 { None } else { Some(&k) };
-            assert_eq!(m.get(&k), expect.map(|v| v), "key {k}");
+            assert_eq!(m.get(&k), expect, "key {k}");
         }
         assert_eq!(m.len(), 64 - 22);
     }

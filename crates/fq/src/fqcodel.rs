@@ -511,7 +511,7 @@ mod tests {
         let mut seq = 0;
         let mut delivered = 0u64;
         for _ in 0..400 {
-            now = now + cebinae_sim::Duration::from_millis(2);
+            now += cebinae_sim::Duration::from_millis(2);
             for _ in 0..2 {
                 q.enqueue(pkt(0, seq), now).unwrap();
                 seq += 1;

@@ -42,7 +42,7 @@ mod proptests {
             for _ in 0..n {
                 let flow = rng.gen_range_u64(0, 8) as u32;
                 let gap_ms = rng.gen_range_u64(0, 3);
-                now = now + cebinae_sim::Duration::from_millis(gap_ms);
+                now += cebinae_sim::Duration::from_millis(gap_ms);
                 let _ = q.enqueue(Packet::data(FlowId(flow), 0, MSS, false, now), now);
             }
             let mut tx = 0u64;

@@ -7,7 +7,7 @@
 //! cebinae-experiments list
 //! ```
 
-use cebinae_harness::{run_experiment, Ctx, EXPERIMENTS};
+use cebinae_harness::{select, Ctx, EXPERIMENTS};
 use cebinae_par::TrialPool;
 
 fn usage() -> ! {
@@ -26,7 +26,7 @@ fn usage() -> ! {
                       --faults    fault plan for fault-aware experiments, e.g.\n\
                                   'burst:0.3,flap:500+200' (see the chaos\n\
                                   experiment)",
-        EXPERIMENTS.join(", ")
+        EXPERIMENTS.iter().map(|(name, _)| *name).collect::<Vec<_>>().join(", ")
     );
     std::process::exit(2);
 }
@@ -78,12 +78,12 @@ fn main() {
                 }
             }
             "list" => {
-                for e in EXPERIMENTS {
-                    println!("{e}");
+                for (name, _) in EXPERIMENTS {
+                    println!("{name}");
                 }
                 return;
             }
-            "all" => experiments.extend(EXPERIMENTS.iter().map(|s| s.to_string())),
+            "all" => experiments.extend(EXPERIMENTS.iter().map(|(name, _)| name.to_string())),
             "-h" | "--help" => usage(),
             name => experiments.push(name.to_string()),
         }
@@ -91,25 +91,22 @@ fn main() {
     if experiments.is_empty() {
         usage();
     }
+    // Every name and row is checked before the first experiment runs.
+    let picked = select(&experiments, rows.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     if let Some(path) = &ctx.telemetry {
         if let Err(e) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
             eprintln!("--telemetry {path}: {e}");
             std::process::exit(2);
         }
     }
-    for name in experiments {
+    for (name, run) in picked {
         println!("==== {name} {}====", if ctx.full { "(full) " } else { "" });
         let t0 = std::time::Instant::now();
-        match run_experiment(&name, &ctx, rows.as_deref()) {
-            Ok(out) => {
-                println!("{out}");
-                println!("[{name} took {:.1}s]\n", t0.elapsed().as_secs_f64());
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
+        println!("{}", run(&ctx, rows.as_deref()));
+        println!("[{name} took {:.1}s]\n", t0.elapsed().as_secs_f64());
         if let Some(e) = ctx.telemetry_error() {
             eprintln!("error: {e}");
             std::process::exit(1);

@@ -26,7 +26,7 @@ fn fault_counter(ndjson: Option<&str>, name: &str) -> u64 {
                 .parse()
                 .ok()
         })
-        .last()
+        .next_back()
         .unwrap_or(0)
 }
 

@@ -39,7 +39,6 @@ pub fn fct(ctx: &Ctx) -> String {
             arrivals_per_sec: 10.0,
             from: Time::from_secs(3),
             until: Time::ZERO + duration - Duration::from_secs(3),
-            ..MiceWorkload::default()
         };
         let mut rng = experiment_rng("ext-fct", ctx.seed);
         let arrivals = workload.generate(&mut rng);
@@ -95,6 +94,36 @@ pub fn fct(ctx: &Ctx) -> String {
     t.render()
 }
 
+/// Equation 1 scalability sweep: minimum AFQ/PCQ queue counts (at a fixed
+/// BpR) across flow-buffer requirements, versus Cebinae's constant 2 — the
+/// quantified version of §5.5's "1000× more flows" claim.
+pub fn scalability() -> String {
+    use cebinae::resources::scalability_point;
+    use cebinae_fq::{AFQ_BPR, AFQ_N_QUEUES};
+    let mut t = Table::new(&[
+        "rtt", "rate", "buffer_req", "AFQ/PCQ queues @BpR=8MTU", "Cebinae",
+    ]);
+    for (rtt_ms, rate_gbps) in [
+        (0.1f64, 10u64),
+        (1.0, 10),
+        (10.0, 10),
+        (50.0, 10),
+        (100.0, 10),
+        (200.0, 100),
+    ] {
+        let buffer_req = (rate_gbps as f64 * 1e9 / 8.0 * rtt_ms / 1e3) as u64;
+        let p = scalability_point(0, buffer_req, AFQ_BPR, AFQ_N_QUEUES);
+        t.row(vec![
+            format!("{rtt_ms}ms"),
+            format!("{rate_gbps}G"),
+            format!("{:.2}MB", buffer_req as f64 / 1e6),
+            p.afq_queues_needed.to_string(),
+            "2".into(),
+        ]);
+    }
+    t.render()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,34 +155,4 @@ mod tests {
             );
         }
     }
-}
-
-/// Equation 1 scalability sweep: minimum AFQ/PCQ queue counts (at a fixed
-/// BpR) across flow-buffer requirements, versus Cebinae's constant 2 — the
-/// quantified version of §5.5's "1000× more flows" claim.
-pub fn scalability() -> String {
-    use cebinae::resources::scalability_point;
-    use cebinae_fq::{AFQ_BPR, AFQ_N_QUEUES};
-    let mut t = Table::new(&[
-        "rtt", "rate", "buffer_req", "AFQ/PCQ queues @BpR=8MTU", "Cebinae",
-    ]);
-    for (rtt_ms, rate_gbps) in [
-        (0.1f64, 10u64),
-        (1.0, 10),
-        (10.0, 10),
-        (50.0, 10),
-        (100.0, 10),
-        (200.0, 100),
-    ] {
-        let buffer_req = (rate_gbps as f64 * 1e9 / 8.0 * rtt_ms / 1e3) as u64;
-        let p = scalability_point(0, buffer_req, AFQ_BPR, AFQ_N_QUEUES);
-        t.row(vec![
-            format!("{rtt_ms}ms"),
-            format!("{rate_gbps}G"),
-            format!("{:.2}MB", buffer_req as f64 / 1e6),
-            p.afq_queues_needed.to_string(),
-            "2".into(),
-        ]);
-    }
-    t.render()
 }

@@ -84,7 +84,7 @@ pub fn measure(
 }
 
 /// The paper's trace model: cover at least 10 measured intervals; keep the
-/// >400k flows/min arrival rate with second-scale durations so thousands
+/// 400k-flows/min arrival rate with second-scale durations so thousands
 /// of flows are concurrently active per interval (backbone-like
 /// concurrency relative to the cache's slot count).
 pub fn paper_trace_cfg(round_interval: Duration) -> TraceConfig {
@@ -95,7 +95,6 @@ pub fn paper_trace_cfg(round_interval: Duration) -> TraceConfig {
         flows_per_minute: 400_000.0,
         min_duration: Duration::from_millis(50),
         max_duration: Duration::from_secs(8),
-        ..TraceConfig::default()
     }
 }
 
@@ -109,7 +108,6 @@ pub fn light_trace_cfg(round_interval: Duration) -> TraceConfig {
         flows_per_minute: 60_000.0,
         min_duration: Duration::from_millis(50),
         max_duration: Duration::from_secs(2),
-        ..TraceConfig::default()
     }
 }
 

@@ -75,10 +75,10 @@ pub fn fig7(ctx: &Ctx) -> String {
     let ceb = runs.pop().expect("two runs");
     let fifo = runs.pop().expect("two runs");
     let mut t = Table::new(&["flow", "cca", "FIFO[Mbps]", "Cebinae[Mbps]"]);
-    for i in 0..flows.len() {
+    for (i, f) in flows.iter().enumerate() {
         t.row(vec![
             i.to_string(),
-            flows[i].cc.label().into(),
+            f.cc.label().into(),
             format!("{:.2}", fifo.per_flow_bps[i] / 1e6),
             format!("{:.2}", ceb.per_flow_bps[i] / 1e6),
         ]);

@@ -332,7 +332,7 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains('a') && lines[0].contains("bbbb"));
-        assert_eq!(lines[2].trim_start().split_whitespace().count(), 2);
+        assert_eq!(lines[2].split_whitespace().count(), 2);
     }
 
     #[test]

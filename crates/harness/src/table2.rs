@@ -19,13 +19,16 @@ pub struct Row {
 /// Number of Table 2 rows; ids run `1..=ROWS`.
 pub const ROWS: usize = 25;
 
+/// One row's rate, RTTs, buffer in MTUs and `(CCA, flow count)` groups.
+type RowSpec = (u64, &'static [u64], u64, &'static [(CcKind, usize)]);
+
 /// The paper's 25 configurations, row for row.
 pub fn rows() -> Vec<Row> {
     use CcKind::*;
     const M100: u64 = 100_000_000;
     const G1: u64 = 1_000_000_000;
     const G10: u64 = 10_000_000_000;
-    let specs: [(u64, &'static [u64], u64, &'static [(CcKind, usize)]); ROWS] = [
+    let specs: [RowSpec; ROWS] = [
         (M100, &[20, 28], 250, &[(NewReno, 2), (NewReno, 8)]),
         (M100, &[20, 40], 350, &[(Cubic, 8), (Cubic, 2)]),
         (M100, &[20, 60], 500, &[(Vegas, 2), (Vegas, 8)]),

@@ -238,7 +238,7 @@ mod proptests {
     #[test]
     fn tx_time_bounds() {
         for case in 0..256u64 {
-            let mut rng = DetRng::seed_from_u64(0x77_0 ^ case);
+            let mut rng = DetRng::seed_from_u64(0x770 ^ case);
             let bytes = rng.gen_range_u64(1, 1_000_000);
             let rate = rng.gen_range_u64(1_000, 100_000_000_000);
             let d = tx_time(bytes, rate);

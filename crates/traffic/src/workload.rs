@@ -49,7 +49,7 @@ impl MiceWorkload {
         let mut t = self.from;
         loop {
             let gap = exponential(rng, 1.0 / self.arrivals_per_sec);
-            t = t + Duration::from_secs_f64(gap);
+            t += Duration::from_secs_f64(gap);
             if t >= self.until {
                 break;
             }

@@ -8,7 +8,7 @@
 //!
 //! * **Dense ring.** Unacknowledged segments are contiguous in sequence
 //!   space and MSS-sized except possibly the newest (asserted on `push`),
-//!   so they sit in a deque ([`SegRing`]) and a sequence number maps to an
+//!   so they sit in a [`BlockDeque`] and a sequence number maps to an
 //!   index by arithmetic. A cumulative ACK pops the front; an RTO clears
 //!   the ring. The ring parks one freed block and reuses it before
 //!   allocating, so a sliding window does not allocate at all.
@@ -34,6 +34,7 @@
 
 use std::collections::VecDeque;
 
+use cebinae_ds::BlockDeque;
 use cebinae_sim::{Duration, Time};
 
 use crate::range_set::RangeSet;
@@ -77,108 +78,16 @@ pub(crate) struct SegMeta {
     pub(crate) stamp: SendStamp,
 }
 
-// The ring holds a flight's worth of these (11 586 on Table 2 row 14).
+// The ring holds a flight's worth of these (11 586 on Table 2 row 14),
+// each in an `Option` slot that must cost nothing extra.
 const _: () = assert!(std::mem::size_of::<SegMeta>() <= 40);
+const _: () = assert!(std::mem::size_of::<Option<SegMeta>>() <= std::mem::size_of::<SegMeta>());
 
-/// Segments per [`SegRing`] block (160 bytes). Small on purpose: 4096
+/// Segments per scoreboard block (160 bytes). Small on purpose: 4096
 /// flows with two-segment windows hold a block or two each, and at 8 per
 /// block they cost 2% of that run's peak memory more than the B-tree
 /// leaves this replaced; per-ACK time is the same at 4, 8 and 16.
 const BLOCK: usize = 4;
-
-/// A deque of segments stored in small fixed-size blocks rather than one
-/// contiguous buffer. A contiguous ring never shrinks and must be found
-/// in one piece: on Table 2 row 14 the 128 loss-based flows would each
-/// keep the capacity of their slow-start overshoot, and the BBR flow's
-/// 650 KB ring could not reuse what they freed, costing 10% of the
-/// process's peak memory. Blocks are allocated as the flight grows, freed
-/// as it is acknowledged, and fit wherever the allocator has a hole.
-///
-/// One freed block is parked in `spare` and taken before allocating, so a
-/// window sliding forward (or refilled after an RTO) recycles its own
-/// blocks. That costs at most one block per ring beyond its flight, and
-/// an empty ring still owns nothing.
-#[derive(Debug, Default)]
-struct SegRing {
-    blocks: VecDeque<Box<[SegMeta; BLOCK]>>,
-    spare: Option<Box<[SegMeta; BLOCK]>>,
-    /// Slots of the first block already popped.
-    head: usize,
-    len: usize,
-}
-
-impl SegRing {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn push_back(&mut self, seg: SegMeta) {
-        let at = self.head + self.len;
-        if at == self.blocks.len() * BLOCK {
-            let block = match self.spare.take() {
-                Some(mut block) => {
-                    block[0] = seg;
-                    block
-                }
-                None => Box::new([seg; BLOCK]),
-            };
-            self.blocks.push_back(block);
-        } else {
-            self.blocks[at / BLOCK][at % BLOCK] = seg;
-        }
-        self.len += 1;
-    }
-
-    fn pop_front(&mut self) {
-        debug_assert!(self.len > 0, "pop from an empty ring");
-        self.head += 1;
-        self.len -= 1;
-        if self.head == BLOCK {
-            self.park_front();
-            self.head = 0;
-        } else if self.len == 0 {
-            // Drained mid-block: start over in the block already held.
-            self.head = 0;
-        }
-    }
-
-    fn clear(&mut self) {
-        self.park_front();
-        self.blocks.clear();
-        self.head = 0;
-        self.len = 0;
-    }
-
-    /// Free the first block, keeping it as the spare if none is parked.
-    fn park_front(&mut self) {
-        let block = self.blocks.pop_front();
-        if self.spare.is_none() {
-            self.spare = block;
-        }
-    }
-}
-
-impl std::ops::Index<usize> for SegRing {
-    type Output = SegMeta;
-
-    fn index(&self, i: usize) -> &SegMeta {
-        assert!(i < self.len, "segment index out of range");
-        let at = self.head + i;
-        &self.blocks[at / BLOCK][at % BLOCK]
-    }
-}
-
-impl std::ops::IndexMut<usize> for SegRing {
-    fn index_mut(&mut self, i: usize) -> &mut SegMeta {
-        assert!(i < self.len, "segment index out of range");
-        let at = self.head + i;
-        &mut self.blocks[at / BLOCK][at % BLOCK]
-    }
-}
 
 /// The scoreboard proper. See the module docs for the design.
 #[derive(Debug)]
@@ -186,7 +95,7 @@ pub(crate) struct Scoreboard {
     mss: u32,
     /// Unacknowledged segments in sequence order, contiguous from
     /// `front_seq`; all `mss` long except the back, which is `tail_len`.
-    ring: SegRing,
+    ring: BlockDeque<SegMeta, BLOCK>,
     front_seq: u64,
     tail_len: u32,
     /// Total bytes in the ring (all states), and those Sacked / Lost.
@@ -214,7 +123,7 @@ impl Scoreboard {
     pub(crate) fn new(mss: u32) -> Scoreboard {
         Scoreboard {
             mss,
-            ring: SegRing::default(),
+            ring: BlockDeque::default(),
             front_seq: 0,
             tail_len: 0,
             flight_bytes: 0,
@@ -617,62 +526,6 @@ mod tests {
         let out = sb.apply_sack([block], snd_una, Time::from_millis(now_ms), Duration::from_millis(reo_ms));
         sb.check_invariants();
         out
-    }
-
-    #[test]
-    fn ring_slides_across_blocks_and_frees_them() {
-        let mut sb = Scoreboard::new(100);
-        assert_eq!(sb.ring.blocks.capacity(), 0, "an empty scoreboard allocates nothing");
-        assert!(sb.ring.spare.is_none(), "an empty scoreboard allocates nothing");
-        let mut snd_una = 0;
-        for i in 0..10 * BLOCK as u64 {
-            sb.push(i * M, 100, stamp(i), false);
-            if i >= 2 {
-                // A three-segment window sliding forward.
-                let (fresh, newest) = sb.cum_ack(snd_una, snd_una + M);
-                snd_una += M;
-                assert_eq!(fresh, M);
-                assert_eq!(newest.expect("one segment acked").stamp.sent_at, Time::from_millis(i - 2));
-            }
-            assert!(sb.ring.blocks.len() <= 2, "a 3-segment window spans at most two blocks");
-            sb.check_invariants();
-        }
-        assert_eq!(sb.flight(), 2 * M);
-    }
-
-    #[test]
-    fn ring_reuses_its_spare_block() {
-        let addr = |b: &[SegMeta; BLOCK]| std::ptr::from_ref(b) as usize;
-        let mut sb = Scoreboard::new(100);
-        assert!(sb.ring.spare.is_none(), "an empty scoreboard parks nothing");
-        let mut seen = BTreeSet::new();
-        let mut snd_una = 0;
-        for i in 0..10_000u64 {
-            sb.push(i * M, 100, stamp(i), false);
-            if i >= 2 {
-                sb.cum_ack(snd_una, snd_una + M);
-                snd_una += M;
-            }
-            seen.extend(sb.ring.blocks.iter().map(|b| addr(b)));
-            seen.extend(sb.ring.spare.as_deref().map(addr));
-        }
-        assert!(seen.len() <= 3, "a sliding window recycles its blocks: {} seen", seen.len());
-        assert!(sb.ring.spare.is_some());
-
-        // An RTO with several blocks in flight and none parked parks the
-        // first one (not the one freed last), and the regrown ring starts
-        // in it.
-        let mut sb = board(3 * BLOCK as u64);
-        assert!(sb.ring.spare.is_none());
-        let first = addr(&sb.ring.blocks[0]);
-        sb.clear(0);
-        sb.check_invariants();
-        assert!(sb.ring.blocks.is_empty());
-        assert_eq!(sb.ring.spare.as_deref().map(addr), Some(first));
-        sb.push(0, 100, stamp(1), false);
-        assert_eq!(addr(&sb.ring.blocks[0]), first, "regrowth takes the parked block");
-        assert!(sb.ring.spare.is_none());
-        sb.check_invariants();
     }
 
     #[test]

@@ -711,7 +711,7 @@ mod tests {
                 // range: a ~50-segment burst loss mid-window.
                 let (seq, is_retx) = data_seq(&pkt);
                 let idx = seq / m;
-                if !is_retx && (100..200).contains(&idx) && idx % 2 == 0 {
+                if !is_retx && (100..200).contains(&idx) && idx.is_multiple_of(2) {
                     dropped += 1;
                     continue;
                 }
@@ -876,7 +876,7 @@ mod tests {
                 link_free = link_free.max(now) + per_seg;
                 // Every other first transmission sent in the lossy span.
                 let (seq, is_retx) = data_seq(&pkt);
-                if !(lossy.contains(&now) && !is_retx && seq / MSS_BYTES % 2 == 0) {
+                if !(lossy.contains(&now) && !is_retx && (seq / MSS_BYTES).is_multiple_of(2)) {
                     data.push_back((link_free + one_way, pkt));
                 }
             }

@@ -34,8 +34,8 @@ pub fn reachable(ix: &SymbolIndex, entries: &[usize]) -> BTreeMap<usize, Option<
     let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
     let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
     for &e in entries {
-        if !parent.contains_key(&e) {
-            parent.insert(e, None);
+        if let std::collections::btree_map::Entry::Vacant(slot) = parent.entry(e) {
+            slot.insert(None);
             queue.push_back(e);
         }
     }
@@ -95,7 +95,7 @@ pub fn is_monotone_counter(name: &str) -> bool {
 pub fn run_hot_path_rules(ix: &SymbolIndex, out: &mut Vec<Violation>) {
     let entries = hot_entries(ix);
     let parent = reachable(ix, &entries);
-    for (&id, _) in &parent {
+    for &id in parent.keys() {
         let e = &ix.fns[id];
         let trace = trace_of(ix, &parent, id);
         for p in &e.def.panics {

@@ -301,8 +301,8 @@ fn fn_body_range(toks: &[Token], from: usize) -> Option<(usize, usize)> {
 fn brace_token_range(toks: &[Token], from: usize) -> Option<(usize, usize)> {
     let open = (from..toks.len()).find(|&k| toks[k].tok == Tok::Punct("{"))?;
     let mut depth = 0i64;
-    for k in open..toks.len() {
-        match toks[k].tok {
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        match t.tok {
             Tok::Punct("{") => depth += 1,
             Tok::Punct("}") => {
                 depth -= 1;
@@ -466,8 +466,8 @@ fn paren_close(toks: &[Token], open: usize) -> Option<usize> {
         return None;
     }
     let mut depth = 0i64;
-    for k in open..toks.len() {
-        match toks[k].tok {
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        match t.tok {
             Tok::Punct("(") => depth += 1,
             Tok::Punct(")") => {
                 depth -= 1;
@@ -484,8 +484,8 @@ fn paren_close(toks: &[Token], open: usize) -> Option<usize> {
 /// Index of the `]` closing the `[` at `open`.
 fn bracket_close(toks: &[Token], open: usize) -> Option<usize> {
     let mut depth = 0i64;
-    for k in open..toks.len() {
-        match toks[k].tok {
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        match t.tok {
             Tok::Punct("[") => depth += 1,
             Tok::Punct("]") => {
                 depth -= 1;
